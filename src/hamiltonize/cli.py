@@ -92,6 +92,12 @@ class RunManifest:
     depth: int = 3
     cost_kind: str = "g1"
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ConfigError("--samples must be >= 0 (0 selects the command's default)")
+        if self.depth < 1:
+            raise ConfigError("--depth must be >= 1")
+
     def load_system(self) -> SystemSpec:
         if self.spec_file is not None:
             if not os.path.exists(self.spec_file):
@@ -134,9 +140,9 @@ class RunManifest:
 
 def default_initial_jet(sys_: SystemSpec) -> Jet:
     r1_0 = {"free_particle": 1.0, "knife_edge": 0.25, "vertical_disk": 0.2}.get(
-        sys_.label, 0.5
+        sys_.preset, 0.5
     )
-    r2dot = 2.0 if sys_.label == "vertical_disk" else 1.0
+    r2dot = 2.0 if sys_.preset == "vertical_disk" else 1.0
     q = (r1_0,) + (0.0,) * (sys_.n - 1)
     return sys_.on_constraint(q, 1.0, r2dot)
 
@@ -194,16 +200,12 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet, manifest: Run
         return integrate(hamilton_ode(hmodel), np.array(ps0.q + ps0.p), cfg,
                          phase_columns(sys_), "hamiltonian")
     if formulation == "closed-form":
-        if sys_.label != "vertical_disk":
-            raise ConfigError("closed-form trajectories exist only for vertical_disk")
+        if sys_.preset != "vertical_disk":
+            raise ConfigError("closed-form trajectories exist only for the built-in vertical_disk")
         radius = manifest.params.get("R", 1.0)
-        steps = cfg.steps
-        times = cfg.h * np.arange(steps + 1)
-        states = np.array([
-            disk_closed_form(radius, jet0, float(t)).q
-            + disk_closed_form(radius, jet0, float(t)).qdot
-            for t in times
-        ])
+        times = cfg.h * np.arange(cfg.steps + 1)
+        jets = (disk_closed_form(radius, jet0, float(t)) for t in times)
+        states = np.array([jet.q + jet.qdot for jet in jets])
         return Trajectory(times, states, sys_.names + tuple("d" + n for n in sys_.names),
                           "closed-form")
     raise ConfigError(f"unknown formulation {formulation!r}")
@@ -230,7 +232,10 @@ def hamiltonian_drift_metrics(sys_: SystemSpec, traj: Trajectory, manifest: RunM
 
 def _report(payload: dict, manifest: RunManifest, name: str) -> None:
     payload = {"tool": "hamiltonize", "version": __version__, **payload}
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise EvaluationError(f"report {name} holds a non-finite value") from None
     print(text)
     if manifest.out_dir:
         os.makedirs(manifest.out_dir, exist_ok=True)
@@ -372,7 +377,7 @@ def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> d
 
 def cmd_pontryagin_check(manifest: RunManifest) -> int:
     sys_ = manifest.load_system()
-    if manifest.cost_kind == "g2" and not sys_.measure_is_constant():
+    if manifest.cost_kind == "g2" and not sys_.constant_measure:
         payload = {
             "system": sys_.label,
             "kind": "g2",
@@ -398,7 +403,7 @@ def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
         "seed": manifest.seed,
         "samples": count,
         "max_residual": worst,
-        "constant": sys_.measure_is_constant(),
+        "constant": sys_.constant_measure,
         "passed": bool(worst < 1e-8),
     }
 
@@ -436,7 +441,7 @@ def cmd_certify(manifest: RunManifest) -> int:
         checks.append({"name": "optimal-control-g1",
                        "status": "pass" if payload["passed"] else "fail", "details": payload})
     if want("g2"):
-        if not sys_.measure_is_constant():
+        if not sys_.constant_measure:
             checks.append({"name": "second-kind-suite", "status": "skipped",
                            "reason": "non-constant invariant measure"})
         else:

@@ -36,12 +36,10 @@ other system and cross-checks the closed forms in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from .systems import Jet
 
 __all__ = [
@@ -60,6 +58,7 @@ __all__ = [
 ]
 
 H_FD = 1e-5  # base first-derivative step, scaled by (1 + |component|)
+CLOSED_KINDS = ("first", "second")  # kinds with closed-form tensors
 
 
 # --- finite-difference helpers ----------------------------------------------
@@ -121,69 +120,27 @@ def _mixed_gamma_jac_u(sode, q, u) -> np.ndarray:
     return (4.0 * cross(h0 / 2, h0 / 2) - cross(h0, h0)) / 3.0
 
 
-# --- closed-form coefficient towers ------------------------------------------
+# --- closed-form tensors of the first and second kinds ------------------------
+#
+# Both kinds fill only column 0 and one more column of the q_a rows: the r2
+# column for every row of kind first, the row's own q_a column for kind second.
 
 
-@lru_cache(maxsize=None)
-def _first_tower(sode, depth: int):
-    """Compiled coefficient functions c[m][a] with
-    (nabla^m Phi)^a_1 = c[m][a] * u1^(m+1) * u2 for the first kind.
-
-    The recurrence c_{m+1,a} = c'_{m,a} + (1/2) G2 c_{m,a} - (1/2) c_{m,2} G_a
-    follows from the covariant derivative applied to the banded Phi shape.
-    """
-    gammas = sode.coeff_exprs
-    g2 = gammas[0]
-    level = [ex.const(0.5) * g2 * g - g.diff() for g in gammas]
-    tiers = [level]
-    for _ in range(depth - 1):
-        c2 = level[0]
-        level = [
-            c.diff() + ex.const(0.5) * g2 * c - ex.const(0.5) * c2 * g
-            for c, g in zip(level, gammas)
-        ]
-        tiers.append(level)
-    return tuple(tuple(c.compile() for c in level) for level in tiers)
+def _band_column(sode, a: int) -> int:
+    return 1 if sode.kind == "first" else 1 + a
 
 
-@lru_cache(maxsize=None)
-def _second_tower(sode, depth: int):
-    """Compiled coefficient functions s[m][a] with
-    (nabla^m Phi)^a_1 = s[m][a] * u1^(m+1) * u_a for the second kind.
-
-    Here the covariant corrections cancel entirely and each tier is the
-    plain derivative of the previous one.
-    """
-    rates = sode.coeff_exprs  # X_a = (exp xi_a)'/(exp xi_a)
-    level = [ex.const(0.5) * x**2 - x.diff() for x in rates]
-    tiers = [level]
-    for _ in range(depth - 1):
-        level = [s.diff() for s in level]
-        tiers.append(level)
-    return tuple(tuple(s.compile() for s in level) for level in tiers)
-
-
-def _first_psi(sode, jet: Jet, order: int) -> np.ndarray:
-    c = _first_tower(sode, order + 1)[order]
-    n = sode.n
-    u1, u2 = jet.r1dot, jet.r2dot
-    M = np.zeros((n, n))
-    for a in range(n - 1):
-        coeff = c[a](jet.r1)
-        M[1 + a, 0] = coeff * u1 ** (order + 1) * u2
-        M[1 + a, 1] = -coeff * u1 ** (order + 2)
-    return M
-
-
-def _second_psi(sode, jet: Jet, order: int) -> np.ndarray:
-    s = _second_tower(sode, order + 1)[order]
+def _closed_psi(sode, jet: Jet, order: int) -> np.ndarray:
+    """nabla^order Phi from the coefficients of ``sode.phi_tower``."""
+    c = sode.phi_tower(order)
     n = sode.n
     u1 = jet.r1dot
     M = np.zeros((n, n))
     for a in range(n - 1):
-        coeff = s[a](jet.r1)
-        M[1 + a, 0] = coeff * u1 ** (order + 1) * jet.qdot[1 + a]
-        M[1 + a, 1 + a] = -coeff * u1 ** (order + 2)
+        coeff = c[a](jet.r1)
+        col = _band_column(sode, a)
+        M[1 + a, 0] = coeff * u1 ** (order + 1) * jet.qdot[col]
+        M[1 + a, col] = -coeff * u1 ** (order + 2)
     return M
 
 
@@ -192,38 +149,19 @@ def _second_psi(sode, jet: Jet, order: int) -> np.ndarray:
 
 def nabla(sode, jet: Jet) -> np.ndarray:
     """The connection matrix -(1/2) df^i/dq'^j at a jet."""
-    kind = getattr(sode, "kind", "generic")
     n = sode.n
-    if kind == "first":
-        fns = _gamma_fns(sode)
-        u1, u2 = jet.r1dot, jet.r2dot
-        M = np.zeros((n, n))
-        for a in range(n - 1):
-            g = fns[a](jet.r1)
-            M[1 + a, 0] = -0.5 * g * u2
-            M[1 + a, 1] = -0.5 * g * u1
-        return M
-    if kind == "second":
-        fns = _rate_fns(sode)
+    if sode.kind in CLOSED_KINDS:
+        fns = sode.coeff_fns
         u1 = jet.r1dot
         M = np.zeros((n, n))
         for a in range(n - 1):
             x = fns[a](jet.r1)
-            M[1 + a, 0] = -0.5 * x * jet.qdot[1 + a]
-            M[1 + a, 1 + a] = -0.5 * x * u1
+            col = _band_column(sode, a)
+            M[1 + a, 0] = -0.5 * x * jet.qdot[col]
+            M[1 + a, col] = -0.5 * x * u1
         return M
     q, u = jet.arrays()
     return -0.5 * _jac_u(sode, q, u)
-
-
-@lru_cache(maxsize=None)
-def _gamma_fns(sode):
-    return tuple(g.compile() for g in sode.coeff_exprs)
-
-
-@lru_cache(maxsize=None)
-def _rate_fns(sode):
-    return tuple(x.compile() for x in sode.coeff_exprs)
 
 
 def phi(sode, jet: Jet, fd: bool = False) -> np.ndarray:
@@ -232,11 +170,8 @@ def phi(sode, jet: Jet, fd: bool = False) -> np.ndarray:
     ``fd=True`` forces the finite-difference path even when a closed form
     exists (used to cross-check the fast paths).
     """
-    kind = getattr(sode, "kind", "generic")
-    if not fd and kind == "first":
-        return _first_psi(sode, jet, 0)
-    if not fd and kind == "second":
-        return _second_psi(sode, jet, 0)
+    if not fd and sode.kind in CLOSED_KINDS:
+        return _closed_psi(sode, jet, 0)
     q, u = jet.arrays()
     J = _jac_u(sode, q, u)
     return _mixed_gamma_jac_u(sode, q, u) - 2.0 * _jac_q(sode, q, u) - 0.5 * (J @ J)
@@ -246,11 +181,8 @@ def nabla_phi(sode, jet: Jet, order: int = 1, fd: bool = False) -> np.ndarray:
     """The ``order``-fold covariant derivative of Phi along the system field."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    kind = getattr(sode, "kind", "generic")
-    if not fd and kind == "first":
-        return _first_psi(sode, jet, order)
-    if not fd and kind == "second":
-        return _second_psi(sode, jet, order)
+    if not fd and sode.kind in CLOSED_KINDS:
+        return _closed_psi(sode, jet, order)
 
     def tensor(q, u):
         j = Jet(tuple(q), tuple(u))

@@ -29,6 +29,11 @@ class IntegratorConfig:
             raise ConfigError("t_span must be increasing")
         if self.method != "rk4":
             raise ConfigError(f"unknown method {self.method!r}")
+        span = self.t_span[1] - self.t_span[0]
+        if self.steps * self.h < span - 1e-9 * span:
+            raise ConfigError(
+                f"{self.steps} steps of h={self.h!r} stop short of the span {span!r}"
+            )
 
     @property
     def steps(self) -> int:

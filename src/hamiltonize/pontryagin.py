@@ -28,7 +28,6 @@ meaningful for u_1 bounded away from zero; 1e-6 is enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,21 +60,10 @@ class ControlVector:
         object.__setattr__(self, "ua", tuple(float(v) for v in self.ua))
 
 
-@lru_cache(maxsize=None)
-def _weights(sys: SystemSpec, kind: str):
-    """Compiled exp(xi_a) per q_a coordinate for the given cost kind."""
-    exprs = sys.exp_xi_exprs
-    if kind == "g2":
-        from . import expr as ex
-
-        exprs = (ex.const(1.0),) + exprs[1:]
-    return tuple(e.compile() for e in exprs)
-
-
 def _check_kind(sys: SystemSpec, kind: str):
     if kind not in COST_KINDS:
         raise ConfigError(f"unknown cost kind {kind!r}")
-    if kind == "g2" and not sys.measure_is_constant():
+    if kind == "g2" and not sys.constant_measure:
         raise ConfigError(
             "the second cost requires a constant invariant measure density"
         )
@@ -90,12 +78,13 @@ def _coefficients(sys: SystemSpec, kind: str, coefficients) -> tuple[float, ...]
 def controlled_rhs(sys: SystemSpec, q, u: ControlVector, kind: str = "g1") -> np.ndarray:
     """Position derivative (r1', q_a') of the controlled first-order system."""
     _check_kind(sys, kind)
-    weights = _weights(sys, kind)
+    weights = sys.weight_fns
     r1 = float(q[0])
     out = np.empty(sys.n)
     out[0] = u.u1
     for a in range(sys.n - 1):
-        out[1 + a] = u.ua[a] * weights[a](r1)
+        # G2 charges r2 kinetically, so its control is unweighted
+        out[1 + a] = u.ua[a] * (1.0 if kind == "g2" and a == 0 else weights[a][0](r1))
     return out
 
 
@@ -119,16 +108,16 @@ def cost(sys: SystemSpec, q, u: ControlVector, kind: str = "g1", coefficients=No
     coeffs = _coefficients(sys, kind, coefficients)
     if abs(u.u1) < U1_MIN:
         raise SingularVelocityError("cost undefined for u_1 near zero")
-    weights = _weights(sys, kind)
+    weights = sys.weight_fns
     r1 = float(q[0])
     value = sys.i1 * u.u1**2
     if kind == "g1":
         for a in range(sys.n - 1):
-            value += coeffs[a] * weights[a](r1) * u.ua[a] ** 2 / u.u1
+            value += coeffs[a] * weights[a][0](r1) * u.ua[a] ** 2 / u.u1
     else:
         value += sys.i2 * u.ua[0] ** 2
         for a in range(sys.k):
-            value += coeffs[a] * weights[1 + a](r1) * u.ua[1 + a] ** 2 / u.u1
+            value += coeffs[a] * weights[1 + a][0](r1) * u.ua[1 + a] ** 2 / u.u1
     return 0.5 * value
 
 
@@ -146,14 +135,14 @@ def optimal_controls(
     """The stationary point of the control Hamiltonian in u."""
     _check_kind(sys, kind)
     coeffs = _coefficients(sys, kind, coefficients)
-    weights = _weights(sys, kind)
+    weights = sys.weight_fns
     r1 = ps.r1
     p = ps.p
     ua = [0.0] * (sys.n - 1)
     if kind == "g1":
         total = p[0]
         for a in range(sys.n - 1):
-            total += 0.5 * weights[a](r1) * p[1 + a] ** 2 / coeffs[a]
+            total += 0.5 * weights[a][0](r1) * p[1 + a] ** 2 / coeffs[a]
         u1 = total / sys.i1
         if abs(u1) < U1_MIN:
             raise SingularVelocityError("degenerate optimal control: u_1 near zero")
@@ -162,7 +151,7 @@ def optimal_controls(
     else:
         total = p[0]
         for a in range(sys.k):
-            total += 0.5 * weights[1 + a](r1) * p[2 + a] ** 2 / coeffs[a]
+            total += 0.5 * weights[1 + a][0](r1) * p[2 + a] ** 2 / coeffs[a]
         u1 = total / sys.i1
         if abs(u1) < U1_MIN:
             raise SingularVelocityError("degenerate optimal control: u_1 near zero")

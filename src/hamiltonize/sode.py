@@ -35,7 +35,6 @@ from .systems import Jet, SystemSpec
 
 __all__ = [
     "SodeSystem",
-    "GenericSode",
     "first_associated",
     "second_associated",
     "third_associated",
@@ -58,10 +57,11 @@ class SodeSystem:
     q_a equations (kind first: acceleration = coeff * r1' * r2'; kind
     second: acceleration = coeff * q_a' * r1', the coeff being the
     logarithmic slope of the weight).  ``xi`` and ``exp_xi`` are only
-    populated for the second kind.
+    populated for the second kind.  Kind ``"generic"`` is a bare system
+    with no underlying ``system``, for tensor evaluation and tests.
     """
 
-    system: SystemSpec
+    system: SystemSpec | None
     kind: str
     n: int
     _f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -88,9 +88,17 @@ class SodeSystem:
         return rhs
 
     @cached_property
+    def coeff_fns(self):
+        """Compiled ``coeff_exprs``, in the same order."""
+        return tuple(c.compile() for c in self.coeff_exprs)
+
+    @cached_property
     def exp_xi(self):
-        """Compiled signed weights exp(xi_a), index 0 for r2, 1+a for s_a."""
-        return tuple(e.compile() for e in self.exp_xi_exprs)
+        """Compiled signed weights exp(xi_a), index 0 for r2, 1+a for s_a,
+        read from the system's weight table."""
+        if not self.exp_xi_exprs:
+            return ()
+        return tuple(e_fn for e_fn, _ in self.system.weight_fns)
 
     @cached_property
     def xi(self):
@@ -98,39 +106,57 @@ class SodeSystem:
         is non-positive (use ``exp_xi`` for sign-robust evaluation)."""
         return tuple(ex.Ln(e).compile() for e in self.exp_xi_exprs)
 
+    def phi_tower(self, order: int):
+        """Compiled coefficients c[a] with (nabla^order Phi)^a_1 =
+        c[a] * u1^(order+1) * u2 (kind first) or * u_a (kind second).
+
+        The tower grows tier by tier up to the deepest order asked for, so
+        each tier is built and compiled once per system.
+        """
+        built, levels = self._phi_tiers
+        while len(built) <= order:
+            built.append(tuple(c.compile() for c in next(levels)))
+        return built[order]
+
+    @cached_property
+    def _phi_tiers(self):
+        return [], self._phi_levels()
+
+    def _phi_levels(self):
+        """Coefficient expressions of Phi, nabla Phi, nabla^2 Phi, ...
+
+        Kind first follows c_{m+1,a} = c'_{m,a} + (1/2) G2 c_{m,a} -
+        (1/2) c_{m,2} G_a, the covariant derivative of the banded Phi shape;
+        for kind second the corrections cancel and each tier is the plain
+        derivative of the previous one.
+        """
+        coeffs = self.coeff_exprs
+        if self.kind == "first":
+            g2 = coeffs[0]
+            level = [ex.const(0.5) * g2 * g - g.diff() for g in coeffs]
+            while True:
+                yield level
+                c2 = level[0]
+                level = [
+                    c.diff() + ex.const(0.5) * g2 * c - ex.const(0.5) * c2 * g
+                    for c, g in zip(level, coeffs)
+                ]
+        elif self.kind == "second":
+            level = [ex.const(0.5) * x**2 - x.diff() for x in coeffs]
+            while True:
+                yield level
+                level = [s.diff() for s in level]
+        else:
+            raise ValueError(f"no closed-form Phi tower for kind {self.kind!r}")
+
     def columns(self) -> tuple[str, ...]:
         names = self.system.names
         return names + tuple("d" + n for n in names)
 
 
-@dataclass(frozen=True)
-class GenericSode:
-    """A bare second-order system for tensor evaluation and tests."""
-
-    n: int
-    _f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    kind: str = "generic"
-
-    def f(self, q, u):
-        return self._f(q, u)
-
-    def rhs(self, jet: Jet) -> np.ndarray:
-        q, u = jet.arrays()
-        return self.f(q, u)
-
-    def ode(self):
-        n = self.n
-        f = self._f
-
-        def rhs(t, y):
-            return np.concatenate((y[n:], f(y[:n], y[n:])))
-
-        return rhs
-
-
-def free_sode(n: int) -> GenericSode:
+def free_sode(n: int) -> SodeSystem:
     """The trivial system q'' = 0 in dimension n."""
-    return GenericSode(n, lambda q, u: np.zeros(n))
+    return SodeSystem(None, "generic", n, lambda q, u: np.zeros(n))
 
 
 def first_associated(sys: SystemSpec) -> SodeSystem:
@@ -139,10 +165,10 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
     gammas = (gamma2,) + tuple(
         -(ap + a * gamma2) for a, ap in zip(sys.a_alpha, sys.a_prime)
     )
-    fns = tuple(g.compile() for g in gammas)
     n = sys.n
 
     def f(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        fns = sode.coeff_fns
         r1 = q[0]
         w = u[0] * u[1]
         out = np.empty(n)
@@ -151,24 +177,25 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
             out[1 + a] = fns[a](r1) * w
         return out
 
-    return SodeSystem(sys, "first", n, f, coeff_exprs=gammas)
+    sode = SodeSystem(sys, "first", n, f, coeff_exprs=gammas)
+    return sode
 
 
 def second_associated(sys: SystemSpec) -> SodeSystem:
     """Associated system with all q_a equations decoupled except through r1."""
     e_exprs = sys.exp_xi_exprs
-    e_fns = tuple(e.compile() for e in e_exprs)
-    ep_fns = tuple(e.diff().compile() for e in e_exprs)
+    weights = sys.weight_fns
     a_fns = sys.a_fns
     n = sys.n
 
     def rate(idx: int, r1: float) -> float:
         if idx >= 1 and abs(a_fns[idx - 1](r1)) < COEFF_EPS:
             raise CoefficientSingularityError(idx - 1, r1)
-        e_val = e_fns[idx](r1)
+        e_fn, ep_fn = weights[idx]
+        e_val = e_fn(r1)
         if e_val == 0.0:
             raise ExprDomainError(f"velocity weight {idx} vanishes at r1={r1!r}")
-        return ep_fns[idx](r1) / e_val
+        return ep_fn(r1) / e_val
 
     def f(q: np.ndarray, u: np.ndarray) -> np.ndarray:
         r1 = q[0]
@@ -185,7 +212,7 @@ def second_associated(sys: SystemSpec) -> SodeSystem:
         f,
         coeff_exprs=tuple(e.diff() / e for e in e_exprs),
         exp_xi_exprs=e_exprs,
-        n_constant=sys.measure_is_constant(),
+        n_constant=sys.constant_measure,
     )
 
 
@@ -219,4 +246,4 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
             out[2 + a] = -ap_vals[a] * u1 * u2 - a_vals[a] * out[1]
         return out
 
-    return SodeSystem(sys, "third", n, f, n_constant=sys.measure_is_constant())
+    return SodeSystem(sys, "third", n, f, n_constant=sys.constant_measure)

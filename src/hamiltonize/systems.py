@@ -37,6 +37,11 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError, EvaluationError
 
+# N counts as constant when |dN/dr1| < MEASURE_SLOPE_TOL at MEASURE_SAMPLES
+# points spread over [-1, 1].
+MEASURE_SLOPE_TOL = 1e-12
+MEASURE_SAMPLES = 32
+
 __all__ = [
     "Jet",
     "SystemSpec",
@@ -204,16 +209,14 @@ class SystemSpec:
     def _validate_weight_overrides(self):
         """Overridden weights must solve the same log-slope equations as the
         (N, N*A) construction, checked at sampled points."""
-        defaults = (self.measure_expr,) + tuple(
-            self.measure_expr * a for a in self.a_alpha
+        default_fns = _weight_table(
+            (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
         )
-        default_fns = [(e.compile(), e.diff().compile()) for e in defaults]
-        override_fns = [(e.compile(), e.diff().compile()) for e in self.weight_exprs]
         checked = 0
         for r1 in np.linspace(-1.3, 1.3, 17):
             r1 = float(r1)
             try:
-                for (d, dp), (o, op) in zip(default_fns, override_fns):
+                for (d, dp), (o, op) in zip(default_fns, self.weight_fns):
                     dv, ov = d(r1), o(r1)
                     if abs(dv) < 1e-9 or abs(ov) < 1e-9:
                         raise EvaluationError("near a coefficient zero")
@@ -258,26 +261,43 @@ class SystemSpec:
     def log_measure_slope_fn(self):
         return self.log_measure_slope_expr.compile()
 
-    def measure_is_constant(self, threshold: float = 1e-12, samples: int = 32) -> bool:
+    @cached_property
+    def weight_fns(self):
+        """Compiled (E, E') pairs in ``exp_xi_exprs`` order, shared by every
+        route that weights velocities."""
+        return _weight_table(self.exp_xi_exprs)
+
+    @cached_property
+    def constant_measure(self) -> bool:
+        """Whether N is constant, decided once per system."""
+        return self.measure_is_constant()
+
+    def measure_is_constant(self) -> bool:
         """Numerically decide whether N is constant.
 
-        Checks |dN/dr1| (structural derivative) below ``threshold`` at
-        ``samples`` points spread over [-1, 1]; points where the coefficients
-        are undefined are skipped.
+        Checks |dN/dr1| (structural derivative) below ``MEASURE_SLOPE_TOL``
+        at ``MEASURE_SAMPLES`` points spread over [-1, 1]; points where the
+        coefficients are undefined are skipped.  Callers read the cached
+        ``constant_measure``.
         """
         slope = self.measure_slope_fn
         checked = 0
-        for r1 in np.linspace(-1.0, 1.0, samples):
+        for r1 in np.linspace(-1.0, 1.0, MEASURE_SAMPLES):
             try:
                 value = slope(float(r1))
             except EvaluationError:
                 continue
             checked += 1
-            if abs(value) >= threshold:
+            if abs(value) >= MEASURE_SLOPE_TOL:
                 return False
         if checked == 0:
             raise EvaluationError("measure slope could not be sampled on [-1, 1]")
         return True
+
+    @property
+    def preset(self) -> str | None:
+        """Name of the built-in this spec was made as, None for any other spec."""
+        return None
 
     def constraint_residual(self, jet: Jet) -> tuple[float, ...]:
         """sdot_a + A_a(r1) * r2dot for each constrained coordinate."""
@@ -292,7 +312,21 @@ class SystemSpec:
         return Jet(tuple(q), (r1dot, r2dot) + sdot)
 
 
+def _weight_table(exprs: tuple[ex.Expr, ...]):
+    return tuple((e.compile(), e.diff().compile()) for e in exprs)
+
+
 # --- built-in example systems ----------------------------------------------
+
+
+class _BuiltinSpec(SystemSpec):
+    """A spec made by ``builtin_system``.  Presets (closed-form trajectory,
+    default model coefficients and initial jets) key on this type, never on
+    the label, which a spec file named after a built-in also carries."""
+
+    @property
+    def preset(self) -> str:
+        return self.label
 
 
 def builtin_system(name: str, **params: float) -> SystemSpec:
@@ -310,7 +344,7 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
     if name == "free_particle":
         if params:
             raise ConfigError("free_particle takes no parameters")
-        return SystemSpec(1.0, 1.0, (1.0,), (r1,), ("x", "y", "z"), label=name)
+        return _BuiltinSpec(1.0, 1.0, (1.0,), (r1,), ("x", "y", "z"), label=name)
     if name == "knife_edge":
         m = params.pop("m", 1.0)
         j = params.pop("J", 1.0)
@@ -321,7 +355,7 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
         # share its log-slopes and continue analytically through them.
         root_m = math.sqrt(m)
         weights = (ex.Cos(r1) / root_m, -(ex.Sin(r1) / root_m))
-        return SystemSpec(
+        return _BuiltinSpec(
             j, m, (m,), (-ex.Tan(r1),), ("phi", "x", "y"), label=name,
             weight_exprs=weights,
         )
@@ -334,7 +368,7 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
             raise ConfigError(f"unknown vertical_disk parameters {sorted(params)}")
         a1 = -(ex.const(radius) * ex.Cos(r1))
         a2 = -(ex.const(radius) * ex.Sin(r1))
-        return SystemSpec(
+        return _BuiltinSpec(
             j, i, (m, m), (a1, a2), ("phi", "theta", "x", "y"), label=name
         )
     raise ConfigError(f"unknown built-in system {name!r}")

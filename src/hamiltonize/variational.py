@@ -112,11 +112,11 @@ def default_coefficients(sys: SystemSpec, kind: str) -> tuple[float, ...]:
     a = -J * N gives the standard quantization-friendly form.
     """
     if kind == "first":
-        if sys.label == "knife_edge":
+        if sys.preset == "knife_edge":
             return (1.0 / math.sqrt(sys.i2),) * (sys.n - 1)
         return (1.0,) * (sys.n - 1)
     if kind == "second":
-        if sys.label == "vertical_disk":
+        if sys.preset == "vertical_disk":
             return (-sys.i1 * sys.measure_fn(0.0),) * sys.k
         return (1.0,) * sys.k
     if kind == "variational":
@@ -153,7 +153,7 @@ class LagrangianModel:
                 raise ConfigError("kind second needs one coefficient per s coordinate")
             if any(c == 0.0 for c in self.coefficients):
                 raise ConfigError("kind second requires all coefficients nonzero")
-            if not self.system.measure_is_constant():
+            if not self.system.constant_measure:
                 raise ConfigError(
                     "kind second is only defined for systems with constant "
                     "invariant measure"
@@ -162,19 +162,18 @@ class LagrangianModel:
             raise ConfigError("the variational Lagrangian has no free parameters")
 
     @cached_property
-    def _weights(self):
-        """Compiled (E, E') pairs for the coordinates this kind weights."""
-        exprs = self.system.exp_xi_exprs
-        if self.kind == "second":
-            exprs = exprs[1:]
-        return tuple((e.compile(), e.diff().compile()) for e in exprs)
+    def weights(self):
+        """Compiled (E, E') pairs for the coordinates this kind weights,
+        taken from the system's weight table."""
+        table = self.system.weight_fns
+        return table[1:] if self.kind == "second" else table
 
     def _weight_values(self, r1: float, derivative: bool = False):
         from .sode import COEFF_EPS
 
         vals = []
         offset = 0 if self.kind == "first" else 1
-        for idx, (e_fn, ep_fn) in enumerate(self._weights):
+        for idx, (e_fn, ep_fn) in enumerate(self.weights):
             value = e_fn(r1)
             if abs(value) < COEFF_EPS:
                 raise CoefficientSingularityError(idx + offset - 1, r1)
@@ -438,26 +437,19 @@ class HamiltonianModel:
     def __post_init__(self):
         if self.kind not in HAMILTONIAN_KINDS:
             raise ConfigError(f"unknown Hamiltonian kind {self.kind!r}")
-        # reuse the Lagrangian validations (nonzero coefficients, constant N)
-        LagrangianModel(self.system, self.kind, self.coefficients)
+        # builds the Lagrangian, which validates the coefficients and N
+        self.lagrangian
 
     @cached_property
     def lagrangian(self) -> LagrangianModel:
         return LagrangianModel(self.system, self.kind, self.coefficients)
-
-    @cached_property
-    def _weights(self):
-        exprs = self.system.exp_xi_exprs
-        if self.kind == "second":
-            exprs = exprs[1:]
-        return tuple((e.compile(), e.diff().compile()) for e in exprs)
 
     def momentum_sum(self, r1: float, p, derivative: bool = False):
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b and optionally its r1 slope."""
         offset = 1 if self.kind == "first" else 2
         total = p[0]
         slope = 0.0
-        for idx, (e_fn, ep_fn) in enumerate(self._weights):
+        for idx, (e_fn, ep_fn) in enumerate(self.lagrangian.weights):
             c = self.coefficients[idx]
             total += 0.5 * e_fn(r1) * p[offset + idx] ** 2 / c
             if derivative:
@@ -493,7 +485,7 @@ def hamilton_rhs(model: HamiltonianModel, ps: PhaseState) -> tuple[np.ndarray, n
     offset = 1 if model.kind == "first" else 2
     if model.kind == "second":
         qdot[1] = p[1] / sys.i2
-    for idx, (e_fn, _) in enumerate(model._weights):
+    for idx, (e_fn, _) in enumerate(model.lagrangian.weights):
         qdot[offset + idx] = u1 * e_fn(ps.r1) * p[offset + idx] / model.coefficients[idx]
     pdot[0] = -u1 * slope
     return qdot, pdot

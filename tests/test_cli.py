@@ -1,7 +1,10 @@
 import json
 import os
 
+from hamiltonize import cli
 from hamiltonize.cli import main
+from hamiltonize.systems import load_system_file
+from hamiltonize.variational import default_coefficients
 
 
 def run_cli(args, tmp_path):
@@ -96,6 +99,29 @@ def test_simulate_closed_form_requires_disk(tmp_path):
     ) == 1
 
 
+def test_spec_file_named_like_builtin_gets_no_presets(tmp_path):
+    """A spec file called vertical_disk.txt is not the built-in disk: no
+    closed-form trajectory and no preset model coefficients."""
+    spec = tmp_path / "vertical_disk.txt"
+    spec.write_text(
+        "I1 = 1.0\nI2 = 1.0\nI_alpha = 1.0, 1.0\n"
+        "A_alpha = cos(r1), sin(r1)\nnames = phi, theta, x, y\n"
+    )
+    assert run_cli(
+        ["simulate", "--spec", str(spec), "--formulation", "closed-form", "--t", "1.0"],
+        tmp_path,
+    ) == 1
+    sys_ = load_system_file(str(spec))
+    assert default_coefficients(sys_, "first") == (1.0, 1.0, 1.0)
+    assert default_coefficients(sys_, "second") == (1.0, 1.0)
+
+
+def test_simulate_grid_stopping_short_exit_1(tmp_path):
+    assert run_cli(
+        ["simulate", "--system", "free_particle", "--t", "1", "--h", "0.3"], tmp_path
+    ) == 1
+
+
 def test_simulate_sode_second_aborts_on_exact_pole(tmp_path):
     """A run that evaluates a decoupled coefficient at a vanishing A aborts
     with exit code 2 (runtime domain error)."""
@@ -187,6 +213,33 @@ def test_helmholtz_check_report_shape(tmp_path):
     assert set(report["certificate"]["nullspace_dims"]) == {2}
     assert report["multiplier_conditions"]["phi_condition"] < 1e-8
     assert report["seed"] == 0
+
+
+def test_negative_samples_exit_1(tmp_path):
+    assert run_cli(
+        ["helmholtz-check", "--system", "free_particle", "--samples", "-3"], tmp_path
+    ) == 1
+
+
+def test_zero_samples_selects_default(tmp_path):
+    assert run_cli(
+        ["measure-check", "--system", "free_particle", "--samples", "0"], tmp_path
+    ) == 0
+    assert load_report(tmp_path, "free_particle_measure.json")["samples"] == 100
+
+
+def test_certify_depth_0_exit_1(tmp_path):
+    assert run_cli(["certify", "--system", "free_particle", "--depth", "0"], tmp_path) == 1
+
+
+def test_non_finite_report_is_runtime_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "_measure_payload", lambda sys_, manifest: {"max_residual": float("nan"),
+                                                        "passed": True})
+    assert run_cli(["measure-check", "--system", "free_particle"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+    assert not (tmp_path / "free_particle_measure.json").exists()
 
 
 def test_pontryagin_check(tmp_path):

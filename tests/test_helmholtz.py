@@ -18,7 +18,8 @@ from hamiltonize import (
     second_associated,
     singularity_certificate,
 )
-from hamiltonize.helmholtz import r_condition_residual
+from hamiltonize.expr import Expr
+from hamiltonize.helmholtz import psi_stack, r_condition_residual
 from hamiltonize.sampling import generic_jets
 
 
@@ -152,6 +153,26 @@ def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
         fd = nabla_phi(sode, jet, 1, fd=True)
         scale = max(1e-9, np.max(np.abs(closed)))
         assert np.max(np.abs(closed - fd)) / scale < 1e-4
+
+
+def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
+    """A depth-5 stack builds and compiles each tier once per system: the
+    first jet compiles 5 tiers x 2 coefficients, later jets compile nothing."""
+    sode = first_associated(knife_edge)
+    compiled = []
+    original = Expr.compile
+
+    def counted(self):
+        compiled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Expr, "compile", counted)
+    per_jet = []
+    for jet in generic_jets(knife_edge, 2, rng):
+        before = len(compiled)
+        psi_stack(sode, jet, 5)
+        per_jet.append(len(compiled) - before)
+    assert per_jet == [5 * 2, 0]
 
 
 def test_column_proportionality_identity(any_system, rng):

@@ -26,6 +26,8 @@ def test_config_validation():
         IntegratorConfig(t_span=(1.0, 1.0))
     with pytest.raises(ConfigError):
         IntegratorConfig(method="euler")
+    with pytest.raises(ConfigError):  # 3 steps of 0.3 stop at t = 0.9
+        IntegratorConfig(h=0.3, t_span=(0.0, 1.0))
 
 
 def test_rk4_exact_on_free_motion():

@@ -20,7 +20,9 @@ from hamiltonize import (
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
 )
+from hamiltonize.errors import EvaluationError
 from hamiltonize.pontryagin import controlled_ode
+from hamiltonize.systems import SystemSpec
 from hamiltonize.sampling import phase_points
 from hamiltonize.variational import hamilton_ode
 
@@ -194,3 +196,24 @@ def test_control_trajectory_tracks_canonical_flow(free_particle):
     traj = integrate(augmented, y0, cfg, tuple(f"c{i}" for i in range(3 * n)), "augmented")
     sup = np.max(np.abs(traj.states[:, :n] - traj.states[:, 2 * n :]))
     assert sup < 1e-6
+
+
+def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, rng):
+    """Many g2 calls on one system sample the measure slope a single time."""
+    calls = []
+    original = SystemSpec.measure_is_constant
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SystemSpec, "measure_is_constant", counted)
+    evaluated = 0
+    for ps in phase_points(vertical_disk, 50, rng):
+        try:
+            optimal_controls(vertical_disk, ps, "g2")
+        except EvaluationError:
+            continue
+        evaluated += 1
+    assert evaluated > 10
+    assert len(calls) == 1
