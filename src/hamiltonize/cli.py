@@ -608,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -16,14 +16,28 @@ Derivatives are structural (exact), never finite differences; downstream
 tensors need coefficient derivatives up to fourth order and rank decisions
 at 1e-10 thresholds would not survive numerical differentiation.
 
+Expressions are a hash-consed DAG.  Each node is built once per structure
+(children compared by identity, constants by ``repr`` so that ``0.0`` and
+``-0.0`` stay apart), so structural equality is identity and hashing is
+free.  ``diff`` is memoised per node, so the derivative of a tier reuses the
+nodes that earlier tiers built.  ``compile()`` walks the DAG once and emits
+a straight-line Python function with one local per distinct node.  This is
+what makes deep covariant towers affordable: each tier's expanded tree is
+8-10 times the previous one, while its distinct nodes grow about 1.7 times
+(the order-4 knife-edge tier is 1,219,225 tree nodes but 677 distinct ones).
+Both tables live for the life of the process; they only ever map a structure
+to its one immutable node, so sharing them between callers is unobservable.
+
 Evaluation reports domain errors (``ln`` of a non-positive number, division
 by zero, overflow) instead of returning non-finite values.  ``compile()``
 returns a plain Python callable for use in integration inner loops; it obeys
-the same domain-error contract as ``eval``.
+the same domain-error contract as ``eval``, which stays the independent
+tree-walking reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +45,42 @@ from .errors import ExprDomainError, ExprParseError
 
 __all__ = ["Expr", "parse_expr", "diff_expr", "const", "var"]
 
+_NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
+_DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
 
-@dataclass(frozen=True)
-class Expr:
-    """Base class for expression nodes.  Nodes are immutable and hashable."""
+
+class _Interned(type):
+    """Metaclass that returns the existing node for a known structure.
+
+    Both tables stay outside the nodes, whose ``__dict__`` holds only their
+    fields.
+    """
+
+    def __call__(cls, *fields):
+        key = (cls, *(repr(f) if isinstance(f, float) else f for f in fields))
+        node = _NODES.get(key)
+        if node is None:  # setdefault: of two racing threads, one node wins
+            node = _NODES.setdefault(key, super().__call__(*fields))
+        return node
+
+
+def _memoised(rule):
+    """Wrap a class's derivative rule so each node is differentiated once."""
+
+    @functools.wraps(rule)
+    def diff(self):
+        d = _DERIVATIVES.get(self)
+        if d is None:
+            d = _DERIVATIVES[self] = rule(self)
+        return d
+
+    return diff
+
+
+@dataclass(frozen=True, eq=False)
+class Expr(metaclass=_Interned):
+    """Base class for expression nodes.  Nodes are immutable and interned:
+    equality and hashing are identity."""
 
     def __add__(self, other):
         return _add(self, _wrap(other))
@@ -81,17 +127,19 @@ class Expr:
         raise NotImplementedError
 
     def compile(self):
-        """Compile to a fast ``float -> float`` callable with eval's contract."""
-        raw = eval("lambda r1: " + self._code(), {"math": math})
-        label = str(self)
+        """Compile to a fast ``float -> float`` callable with eval's contract.
+
+        The label in an error message is built only when an error occurs.
+        """
+        raw = _straight_line(self)
 
         def fn(r1: float) -> float:
             try:
                 value = raw(r1)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ExprDomainError(f"{exc} while evaluating {label} at r1={r1!r}") from exc
+                raise ExprDomainError(f"{exc} while evaluating {self} at r1={r1!r}") from exc
             if not math.isfinite(value):
-                raise ExprDomainError(f"non-finite value of {label} at r1={r1!r}")
+                raise ExprDomainError(f"non-finite value of {self} at r1={r1!r}")
             return value
 
         return fn
@@ -104,43 +152,36 @@ class Expr:
     def _eval(self, r1: float) -> float:
         raise NotImplementedError
 
-    def _code(self) -> str:
-        raise NotImplementedError
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
     def _eval(self, r1):
         return self.value
 
+    @_memoised
     def diff(self):
         return Const(0.0)
-
-    def _code(self):
-        return repr(self.value)
 
     def __str__(self):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     def _eval(self, r1):
         return r1
 
+    @_memoised
     def diff(self):
         return Const(1.0)
-
-    def _code(self):
-        return "r1"
 
     def __str__(self):
         return "r1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
@@ -148,17 +189,15 @@ class Add(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) + self.right._eval(r1)
 
+    @_memoised
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
-
-    def _code(self):
-        return f"({self.left._code()} + {self.right._code()})"
 
     def __str__(self):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
@@ -166,17 +205,15 @@ class Sub(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) - self.right._eval(r1)
 
+    @_memoised
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
-
-    def _code(self):
-        return f"({self.left._code()} - {self.right._code()})"
 
     def __str__(self):
         return f"({self.left} - {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -184,20 +221,18 @@ class Mul(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) * self.right._eval(r1)
 
+    @_memoised
     def diff(self):
         return _add(
             _mul(self.left.diff(), self.right),
             _mul(self.left, self.right.diff()),
         )
 
-    def _code(self):
-        return f"({self.left._code()} * {self.right._code()})"
-
     def __str__(self):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
@@ -208,6 +243,7 @@ class Div(Expr):
             raise ZeroDivisionError("division by zero")
         return self.left._eval(r1) / den
 
+    @_memoised
     def diff(self):
         # (u/v)' = (u'v - uv') / v^2
         return _div(
@@ -215,14 +251,11 @@ class Div(Expr):
             _pow(self.right, 2),
         )
 
-    def _code(self):
-        return f"({self.left._code()} / {self.right._code()})"
-
     def __str__(self):
         return f"({self.left} / {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -230,69 +263,61 @@ class Pow(Expr):
     def _eval(self, r1):
         return self.base._eval(r1) ** self.exponent
 
+    @_memoised
     def diff(self):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)), self.base.diff())
-
-    def _code(self):
-        return f"({self.base._code()} ** {self.exponent})"
 
     def __str__(self):
         return f"({self.base}^{self.exponent})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
     def _eval(self, r1):
         return -self.arg._eval(r1)
 
+    @_memoised
     def diff(self):
         return _neg(self.arg.diff())
-
-    def _code(self):
-        return f"(-{self.arg._code()})"
 
     def __str__(self):
         return f"(-{self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(Expr):
     arg: Expr
 
     def _eval(self, r1):
         return math.sin(self.arg._eval(r1))
 
+    @_memoised
     def diff(self):
         return _mul(Cos(self.arg), self.arg.diff())
-
-    def _code(self):
-        return f"math.sin({self.arg._code()})"
 
     def __str__(self):
         return f"sin({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(Expr):
     arg: Expr
 
     def _eval(self, r1):
         return math.cos(self.arg._eval(r1))
 
+    @_memoised
     def diff(self):
         return _neg(_mul(Sin(self.arg), self.arg.diff()))
-
-    def _code(self):
-        return f"math.cos({self.arg._code()})"
 
     def __str__(self):
         return f"cos({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tan(Expr):
     arg: Expr
 
@@ -302,35 +327,31 @@ class Tan(Expr):
             raise ValueError("tan evaluated at a pole")
         return math.tan(a)
 
+    @_memoised
     def diff(self):
         # tan' = 1 + tan^2
         return _mul(_add(Const(1.0), _pow(Tan(self.arg), 2)), self.arg.diff())
-
-    def _code(self):
-        return f"math.tan({self.arg._code()})"
 
     def __str__(self):
         return f"tan({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpF(Expr):
     arg: Expr
 
     def _eval(self, r1):
         return math.exp(self.arg._eval(r1))
 
+    @_memoised
     def diff(self):
         return _mul(ExpF(self.arg), self.arg.diff())
-
-    def _code(self):
-        return f"math.exp({self.arg._code()})"
 
     def __str__(self):
         return f"exp({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ln(Expr):
     arg: Expr
 
@@ -340,17 +361,15 @@ class Ln(Expr):
             raise ValueError("ln of a non-positive number")
         return math.log(a)
 
+    @_memoised
     def diff(self):
         return _div(self.arg.diff(), self.arg)
-
-    def _code(self):
-        return f"math.log({self.arg._code()})"
 
     def __str__(self):
         return f"ln({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sqrt(Expr):
     arg: Expr
 
@@ -360,14 +379,66 @@ class Sqrt(Expr):
             raise ValueError("sqrt of a negative number")
         return math.sqrt(a)
 
+    @_memoised
     def diff(self):
         return _div(self.arg.diff(), _mul(Const(2.0), Sqrt(self.arg)))
 
-    def _code(self):
-        return f"math.sqrt({self.arg._code()})"
-
     def __str__(self):
         return f"sqrt({self.arg})"
+
+
+# --- compiler -------------------------------------------------------------
+
+# Python source of each interior node, over its fields in declaration order.
+_PY = {
+    Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}", Pow: "{} ** {}",
+    Neg: "-{}", Sin: "sin({})", Cos: "cos({})", Tan: "tan({})", ExpF: "exp({})",
+    Ln: "log({})", Sqrt: "sqrt({})",
+}
+_PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+               "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+
+
+def _straight_line(root: Expr):
+    """Emit ``root`` as a function of ``r1`` that computes each distinct node
+    once: a node used by several parents gets a local, in dependency order;
+    a node used once is inlined into its parent, so a DAG with no sharing
+    compiles to one nested expression."""
+    uses: dict[Expr, int] = {root: 1}
+    stack = [root]
+    while stack:
+        for f in vars(stack.pop()).values():
+            if isinstance(f, Expr):
+                uses[f] = uses.get(f, 0) + 1
+                if uses[f] == 1:
+                    stack.append(f)
+    text: dict[Expr, str] = {}
+    lines = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        fields = tuple(vars(node).values())
+        pending = [f for f in fields if isinstance(f, Expr) and f not in text]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node in text:
+            continue
+        if isinstance(node, Var):
+            text[node] = "r1"
+        elif isinstance(node, Const):
+            text[node] = f"({node.value!r})"
+        else:
+            operands = (text[f] if isinstance(f, Expr) else repr(f) for f in fields)
+            text[node] = f"({_PY[type(node)].format(*operands)})"
+            if uses[node] > 1:
+                lines.append(f"    t{len(lines)} = {text[node]}\n")
+                text[node] = f"t{len(lines) - 1}"
+    source = "def raw(r1):\n" + "".join(lines) + f"    return {text[root]}\n"
+    namespace = dict(_PY_GLOBALS)
+    exec(source, namespace)
+    return namespace["raw"]
 
 
 # --- smart constructors -------------------------------------------------

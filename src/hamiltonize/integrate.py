@@ -82,28 +82,42 @@ class Trajectory:
 def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Trajectory:
     """Integrate y' = rhs(t, y) with classical RK4 on a fixed grid.
 
-    On an evaluation error mid-run, raises IntegrationAborted carrying the
-    partial trajectory up to the last good state.
+    On an evaluation error mid-run, or when a step produced a non-finite
+    state, raises IntegrationAborted carrying the partial trajectory up to
+    the last finite state.
     """
     y = np.array(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ConfigError(f"initial state {y.tolist()} is not finite")
     t0, _ = cfg.t_span
     h = cfg.h
     steps = cfg.steps
     times = t0 + h * np.arange(steps + 1)
     out = np.empty((steps + 1, y.size))
     out[0] = y
-    for k in range(steps):
-        t = times[k]
-        try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = rhs(t + h, y + h * k3)
-        except EvaluationError as exc:
-            partial = Trajectory(times[: k + 1], out[: k + 1].copy(), tuple(columns), provenance)
-            raise IntegrationAborted(float(t), partial, exc) from exc
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
+    rows, cause = steps + 1, None
+    # Non-finite states are found once, after the loop, so numpy's warnings
+    # on the way there are noise.
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            t = times[k]
+            try:
+                k1 = rhs(t, y)
+                k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = rhs(t + h, y + h * k3)
+            except EvaluationError as exc:
+                rows, cause = k + 1, exc
+                break
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = y
+    finite = np.isfinite(out[:rows]).all(axis=1)
+    if not finite.all():
+        rows = int(np.argmin(finite))
+        cause = EvaluationError(f"the step to t={float(times[rows])!r} gave a non-finite state")
+    if cause is not None:
+        partial = Trajectory(times[:rows], out[:rows].copy(), tuple(columns), provenance)
+        raise IntegrationAborted(float(times[rows - 1]), partial, cause) from cause
     return Trajectory(times, out, tuple(columns), provenance)
 
 

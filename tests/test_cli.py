@@ -133,6 +133,25 @@ def test_simulate_sode_second_aborts_on_exact_pole(tmp_path):
     assert code == 2
 
 
+def test_simulate_non_finite_state_exit_2(tmp_path, capsys):
+    code = run_cli(
+        ["simulate", "--system", "free_particle", "--formulation", "sode",
+         "--ic", "dx=1e200,dy=1e200", "--t", "0.002"],
+        tmp_path,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+    assert not (tmp_path / "free_particle_sode.csv").exists()
+
+
+def test_simulate_unallocatable_grid_exit_2(tmp_path, capsys):
+    """1e18 steps: the first grid allocation fails at once."""
+    assert run_cli(["simulate", "--t", "1e9", "--h", "1e-9"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
 # --- compare --------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hamiltonize import ExprDomainError, ExprParseError, diff_expr, parse_expr
-from hamiltonize.expr import Neg, Tan, Var
+from hamiltonize.expr import Const, Neg, Tan, Var
 
 
 def fd_slope(e, r1, h=1e-6):
@@ -112,6 +112,52 @@ def test_compiled_matches_interpreted(rng):
         fn = e.compile()
         for r1 in rng.uniform(-1.2, 1.2, size=50):
             assert fn(r1) == e.eval(r1)
+
+
+def test_compiled_matches_interpreted_bit_for_bit_on_random_expressions():
+    """Over random strings of the grammar, their derivatives and random
+    points, the compiled function and eval agree to the bit (the sign of
+    zero included), or both raise ExprDomainError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    numbers = st.sampled_from(["0", "1", "2", "0.5", "3.25", "1e-3", "7e300", "1e999"])
+    leaves = st.one_of(st.just("r1"), numbers)
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner, st.booleans()).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}"),
+            st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "ln", "sqrt"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.integers(-3, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda text: f"-{text}"),
+        )
+
+    points = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+    def outcome(call, r1):
+        try:
+            return call(r1).hex()
+        except ExprDomainError:
+            return ExprDomainError
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.recursive(leaves, grow, max_leaves=12), points)
+    def agree(text, r1):
+        e = parse_expr(text)
+        for node in (e, e.diff()):  # derivatives share subexpressions
+            assert outcome(node.compile(), r1) == outcome(node.eval, r1), text
+
+    agree()
+
+
+def test_nodes_are_interned_and_derivatives_memoised():
+    square = parse_expr("sin(r1)*sin(r1)")
+    assert square.left is square.right
+    e = parse_expr("-tan(r1) / (1 + r1^2)")
+    assert e.diff() is e.diff()
+    assert e.diff().diff() is parse_expr("-tan(r1) / (1 + r1^2)").diff().diff()
+    assert Const(0.0) is not Const(-0.0)
 
 
 def test_compiled_preserves_domain_errors():

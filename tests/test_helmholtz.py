@@ -175,6 +175,30 @@ def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
     assert per_jet == [5 * 2, 0]
 
 
+@pytest.mark.parametrize("name", ["knife_edge", "vertical_disk"])
+def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
+    """The order-4 tier is a DAG of 677 (knife edge) or 821 (disk) nodes,
+    where its expanded trees hold 1.2 and 1.6 million."""
+    sode = first_associated(request.getfixturevalue(name))
+    compiled = []
+    original = Expr.compile
+
+    def recorded(self):
+        compiled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Expr, "compile", recorded)
+    sode.phi_tower(4)
+    seen = set()
+    pending = compiled[-2:]  # the order-4 coefficients
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            pending.extend(f for f in vars(node).values() if isinstance(f, Expr))
+    assert len(seen) < 1000
+
+
 def test_column_proportionality_identity(any_system, rng):
     """Psi^a_1 Psi^b_2 = Psi^b_1 Psi^a_2 for the whole first-kind tower."""
     sode = first_associated(any_system)

@@ -82,6 +82,21 @@ def test_abort_carries_partial_trajectory():
     assert len(err.value.trajectory.times) > 10
 
 
+def test_non_finite_state_aborts_with_finite_partial_trajectory():
+    def rhs(t, y):
+        return np.array([1.0 if t < 0.5 else np.inf])
+
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 1.0))
+    with pytest.raises(IntegrationAborted) as err:
+        integrate(rhs, [0.0], cfg, ("q",), "test")
+    partial = err.value.trajectory
+    assert 0.4 < err.value.time < 0.6
+    assert partial.times[-1] == err.value.time
+    assert np.isfinite(partial.states).all() and len(partial.times) > 40
+    with pytest.raises(ConfigError):
+        integrate(rhs, [np.nan], cfg, ("q",), "test")
+
+
 def test_compare_identical_and_symmetry(rng):
     sys = builtin_system("free_particle")
     jet0 = sys.on_constraint((1.0, 0.0, 0.0), 1.0, 1.0)
