@@ -52,7 +52,6 @@ from .helmholtz import (
     singularity_certificate,
 )
 from .variational import (
-    HamiltonianModel,
     LagrangianModel,
     PhaseState,
     default_coefficients,

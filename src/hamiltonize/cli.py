@@ -31,7 +31,8 @@ from . import __version__
 from .errors import ConfigError, EvaluationError, IntegrationAborted
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
-from .pontryagin import optimal_controls, optimal_hamiltonian_value, pontryagin_hamiltonian, ControlVector
+from .pontryagin import (ControlVector, cost_model, optimal_controls,
+                         optimal_hamiltonian_value, pontryagin_hamiltonian)
 from .sampling import generic_jets, phase_points, sample_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
@@ -48,7 +49,6 @@ from .systems import (
 )
 from .variational import (
     PhaseState,
-    default_coefficients,
     euler_lagrange_ode,
     hamilton_ode,
     hamiltonian_model,
@@ -117,7 +117,8 @@ class RunManifest:
         """C_b / a_b overrides like C2=2.0 or a3=-0.7 from --params.
 
         Indices follow coordinate numbering: C2 belongs to r2, C3/a3 to the
-        first constrained coordinate, and so on.
+        first constrained coordinate, and so on; the key's number minus one
+        is the index of a coordinate the preset model weights.
         """
         if kind == "variational":
             return None
@@ -127,12 +128,12 @@ class RunManifest:
         }
         if not picked:
             return None
-        count = sys_.n - 1 if kind == "first" else sys_.k
-        offset = 2 if kind == "first" else 3
-        coeffs = list(default_coefficients(sys_, kind))
+        preset = lagrangian_model(sys_, kind)
+        slot = {b: i for i, (b, *_) in enumerate(preset.terms)}
+        coeffs = list(preset.coefficients)
         for key, value in picked.items():
-            idx = int(key[1:]) - offset
-            if not 0 <= idx < count:
+            idx = slot.get(int(key[1:]) - 1)
+            if idx is None:
                 raise ConfigError(f"coefficient {key} out of range for this system")
             coeffs[idx] = value
         return tuple(coeffs)
@@ -193,11 +194,10 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet, manifest: Run
     if formulation == "hamiltonian":
         if jet0.r1dot == 0.0:
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
-        lmodel = lagrangian_model(sys_, manifest.ham_kind,
+        model = hamiltonian_model(sys_, manifest.ham_kind,
                                   manifest.model_coefficients(sys_, manifest.ham_kind))
-        ps0 = legendre(lmodel, jet0)
-        hmodel = hamiltonian_model(sys_, manifest.ham_kind, lmodel.coefficients)
-        return integrate(hamilton_ode(hmodel), np.array(ps0.q + ps0.p), cfg,
+        ps0 = legendre(model, jet0)
+        return integrate(hamilton_ode(model), np.array(ps0.q + ps0.p), cfg,
                          phase_columns(sys_), "hamiltonian")
     if formulation == "closed-form":
         if sys_.preset != "vertical_disk":
@@ -337,7 +337,7 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
 def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> dict:
     rng = np.random.default_rng(manifest.seed)
     count = manifest.samples or 1000
-    model = hamiltonian_model(sys_, "first" if kind == "g1" else "second")
+    model = cost_model(sys_, kind)
     max_dev = 0.0
     max_grad = 0.0
     used = 0
@@ -499,33 +499,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", action="append", default=[],
                        help="system/model parameters, e.g. m=2,C2=1.5")
 
+    def trajectory(p):
+        """Flags of the commands that integrate: models, grid, initial data."""
+        p.add_argument("--sode", default="first", choices=("first", "second", "third"))
+        p.add_argument("--ham-kind", default="first", choices=("first", "second"))
+        p.add_argument("--lag-kind", default="first",
+                       choices=("first", "second", "variational"))
+        p.add_argument("--t", type=float, default=5.0)
+        p.add_argument("--h", type=float, default=1e-3)
+        p.add_argument("--ic", action="append", default=[],
+                       help="initial conditions, e.g. phi=0.3,dphi=1")
+        p.add_argument("--ic-on-constraint", action="store_true",
+                       help="slave the s velocities to the constraint")
+
     sim = sub.add_parser("simulate", help="integrate one formulation")
     common(sim)
+    trajectory(sim)
     sim.add_argument("--formulation", default="nonholonomic", choices=FORMULATIONS)
-    sim.add_argument("--sode", default="first", choices=("first", "second", "third"))
-    sim.add_argument("--ham-kind", default="first", choices=("first", "second"))
-    sim.add_argument("--lag-kind", default="first",
-                     choices=("first", "second", "variational"))
-    sim.add_argument("--t", type=float, default=5.0)
-    sim.add_argument("--h", type=float, default=1e-3)
-    sim.add_argument("--ic", action="append", default=[],
-                     help="initial conditions, e.g. phi=0.3,dphi=1")
-    sim.add_argument("--ic-on-constraint", action="store_true",
-                     help="slave the s velocities to the constraint")
 
     cmp_ = sub.add_parser("compare", help="compare formulations pairwise")
     common(cmp_)
+    trajectory(cmp_)
     cmp_.add_argument("--formulation", action="append", default=[],
                       help="repeat for each formulation (or comma separate)")
-    cmp_.add_argument("--sode", default="first", choices=("first", "second", "third"))
-    cmp_.add_argument("--ham-kind", default="first", choices=("first", "second"))
-    cmp_.add_argument("--lag-kind", default="first",
-                      choices=("first", "second", "variational"))
-    cmp_.add_argument("--t", type=float, default=5.0)
-    cmp_.add_argument("--h", type=float, default=1e-3)
     cmp_.add_argument("--tol", type=float, default=1e-5)
-    cmp_.add_argument("--ic", action="append", default=[])
-    cmp_.add_argument("--ic-on-constraint", action="store_true")
 
     cert = sub.add_parser("certify", help="run the certification suite")
     common(cert)

@@ -112,14 +112,17 @@ class Expr(metaclass=_Interned):
     def __neg__(self):
         return _neg(self)
 
+    def __str__(self):
+        return _label(self)
+
     def eval(self, r1: float) -> float:
         """Evaluate at a point, raising ExprDomainError outside the domain."""
         try:
             value = self._eval(r1)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ExprDomainError(f"{exc} while evaluating {self} at r1={r1!r}") from exc
+            raise _domain_error(self, r1, exc) from exc
         if not math.isfinite(value):
-            raise ExprDomainError(f"non-finite value of {self} at r1={r1!r}")
+            raise _domain_error(self, r1)
         return value
 
     def diff(self) -> "Expr":
@@ -137,9 +140,9 @@ class Expr(metaclass=_Interned):
             try:
                 value = raw(r1)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ExprDomainError(f"{exc} while evaluating {self} at r1={r1!r}") from exc
+                raise _domain_error(self, r1, exc) from exc
             if not math.isfinite(value):
-                raise ExprDomainError(f"non-finite value of {self} at r1={r1!r}")
+                raise _domain_error(self, r1)
             return value
 
         return fn
@@ -164,9 +167,6 @@ class Const(Expr):
     def diff(self):
         return Const(0.0)
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
@@ -176,9 +176,6 @@ class Var(Expr):
     @_memoised
     def diff(self):
         return Const(1.0)
-
-    def __str__(self):
-        return "r1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +190,6 @@ class Add(Expr):
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
 
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
 
 @dataclass(frozen=True, eq=False)
 class Sub(Expr):
@@ -208,9 +202,6 @@ class Sub(Expr):
     @_memoised
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
-
-    def __str__(self):
-        return f"({self.left} - {self.right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +218,6 @@ class Mul(Expr):
             _mul(self.left.diff(), self.right),
             _mul(self.left, self.right.diff()),
         )
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +239,6 @@ class Div(Expr):
             _pow(self.right, 2),
         )
 
-    def __str__(self):
-        return f"({self.left} / {self.right})"
-
 
 @dataclass(frozen=True, eq=False)
 class Pow(Expr):
@@ -268,9 +253,6 @@ class Pow(Expr):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)), self.base.diff())
 
-    def __str__(self):
-        return f"({self.base}^{self.exponent})"
-
 
 @dataclass(frozen=True, eq=False)
 class Neg(Expr):
@@ -282,9 +264,6 @@ class Neg(Expr):
     @_memoised
     def diff(self):
         return _neg(self.arg.diff())
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +277,6 @@ class Sin(Expr):
     def diff(self):
         return _mul(Cos(self.arg), self.arg.diff())
 
-    def __str__(self):
-        return f"sin({self.arg})"
-
 
 @dataclass(frozen=True, eq=False)
 class Cos(Expr):
@@ -312,9 +288,6 @@ class Cos(Expr):
     @_memoised
     def diff(self):
         return _neg(_mul(Sin(self.arg), self.arg.diff()))
-
-    def __str__(self):
-        return f"cos({self.arg})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +305,6 @@ class Tan(Expr):
         # tan' = 1 + tan^2
         return _mul(_add(Const(1.0), _pow(Tan(self.arg), 2)), self.arg.diff())
 
-    def __str__(self):
-        return f"tan({self.arg})"
-
 
 @dataclass(frozen=True, eq=False)
 class ExpF(Expr):
@@ -346,9 +316,6 @@ class ExpF(Expr):
     @_memoised
     def diff(self):
         return _mul(ExpF(self.arg), self.arg.diff())
-
-    def __str__(self):
-        return f"exp({self.arg})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +332,6 @@ class Ln(Expr):
     def diff(self):
         return _div(self.arg.diff(), self.arg)
 
-    def __str__(self):
-        return f"ln({self.arg})"
-
 
 @dataclass(frozen=True, eq=False)
 class Sqrt(Expr):
@@ -383,8 +347,48 @@ class Sqrt(Expr):
     def diff(self):
         return _div(self.arg.diff(), _mul(Const(2.0), Sqrt(self.arg)))
 
-    def __str__(self):
-        return f"sqrt({self.arg})"
+
+# --- labels ---------------------------------------------------------------
+
+# Text of each node around its fields, in declaration order (str of a float
+# is its repr).
+_TEXT = {
+    Const: ("", ""), Var: ("r1",), Add: ("(", " + ", ")"), Sub: ("(", " - ", ")"),
+    Mul: ("(", " * ", ")"), Div: ("(", " / ", ")"), Pow: ("(", "^", ")"), Neg: ("(-", ")"),
+    Sin: ("sin(", ")"), Cos: ("cos(", ")"), Tan: ("tan(", ")"), ExpF: ("exp(", ")"),
+    Ln: ("ln(", ")"), Sqrt: ("sqrt(", ")"),
+}
+LABEL_CHARS = 200  # an error message names at most this much of its expression
+
+
+def _label(root: Expr, limit: int | None = None) -> str:
+    """The expression written out as a tree.  With ``limit``, the text stops
+    after that many characters and ends in ``...``, so labelling a deep
+    shared DAG costs the limit, not the size of its tree."""
+    pieces: list[str] = []
+    size = 0
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Expr):
+            text = _TEXT[type(item)]
+            seq = [text[0]]
+            for f, after in zip(vars(item).values(), text[1:]):
+                seq += [f if isinstance(f, Expr) else str(f), after]
+            stack.extend(reversed(seq))
+            continue
+        pieces.append(item)
+        size += len(item)
+        if limit is not None and size > limit:
+            return "".join(pieces)[:limit] + "..."
+    return "".join(pieces)
+
+
+def _domain_error(e: Expr, r1: float, exc: Exception | None = None) -> ExprDomainError:
+    label = _label(e, LABEL_CHARS)
+    if exc is None:
+        return ExprDomainError(f"non-finite value of {label} at r1={r1!r}")
+    return ExprDomainError(f"{exc} while evaluating {label} at r1={r1!r}")
 
 
 # --- compiler -------------------------------------------------------------

@@ -23,6 +23,8 @@ class IntegratorConfig:
     method: str = "rk4"
 
     def __post_init__(self):
+        if not np.isfinite((self.h, *self.t_span)).all():
+            raise ConfigError(f"grid must be finite, got h={self.h!r}, t_span={self.t_span!r}")
         if self.h <= 0:
             raise ConfigError("step size must be positive")
         if self.t_span[1] <= self.t_span[0]:

@@ -23,6 +23,11 @@ extremals out of scope) and eliminating the controls at the stationary point
 yields exactly the Hamiltonians of the variational module, a fact the test
 suite checks by evaluating both routes independently.  Controls are only
 meaningful for u_1 bounded away from zero; 1e-6 is enforced.
+
+G1 and G2 charge the coordinates exactly as the first and second closed-form
+models do, so neither cost decides its own layout: each reads the ``kinetic``
+and ``terms`` of the model ``cost_model`` returns (``MODEL_KINDS`` maps g1 to
+first and g2 to second), with the same coefficients C_b / a_b.
 """
 
 from __future__ import annotations
@@ -33,19 +38,20 @@ import numpy as np
 
 from .errors import ConfigError, SingularVelocityError
 from .systems import SystemSpec
-from .variational import PhaseState, default_coefficients
+from .variational import LagrangianModel, PhaseState, hamiltonian_model
 
 __all__ = [
     "ControlVector",
     "controlled_rhs",
     "controlled_ode",
     "cost",
+    "cost_model",
     "pontryagin_hamiltonian",
     "optimal_controls",
     "optimal_hamiltonian_value",
 ]
 
-COST_KINDS = ("g1", "g2")
+MODEL_KINDS = {"g1": "first", "g2": "second"}  # the model each cost reproduces
 U1_MIN = 1e-6
 
 
@@ -60,31 +66,26 @@ class ControlVector:
         object.__setattr__(self, "ua", tuple(float(v) for v in self.ua))
 
 
-def _check_kind(sys: SystemSpec, kind: str):
-    if kind not in COST_KINDS:
+def cost_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
+    """The closed-form model whose layout and coefficients cost ``kind``
+    uses; its Hamiltonian is the one the cost reproduces.  Like the second
+    model, G2 is rejected on a system whose measure density is not
+    constant."""
+    if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown cost kind {kind!r}")
-    if kind == "g2" and not sys.constant_measure:
-        raise ConfigError(
-            "the second cost requires a constant invariant measure density"
-        )
-
-
-def _coefficients(sys: SystemSpec, kind: str, coefficients) -> tuple[float, ...]:
-    if coefficients is not None:
-        return tuple(float(c) for c in coefficients)
-    return default_coefficients(sys, "first" if kind == "g1" else "second")
+    return hamiltonian_model(sys, MODEL_KINDS[kind], coefficients)
 
 
 def controlled_rhs(sys: SystemSpec, q, u: ControlVector, kind: str = "g1") -> np.ndarray:
     """Position derivative (r1', q_a') of the controlled first-order system."""
-    _check_kind(sys, kind)
-    weights = sys.weight_fns
+    model = cost_model(sys, kind)
     r1 = float(q[0])
     out = np.empty(sys.n)
     out[0] = u.u1
-    for a in range(sys.n - 1):
-        # G2 charges r2 kinetically, so its control is unweighted
-        out[1 + a] = u.ua[a] * (1.0 if kind == "g2" and a == 0 else weights[a][0](r1))
+    for b, _ in model.kinetic:
+        out[b] = u.ua[b - 1]  # charged kinetically, so its control is unweighted
+    for b, _, e_fn, _ in model.terms:
+        out[b] = u.ua[b - 1] * e_fn(r1)
     return out
 
 
@@ -104,20 +105,15 @@ def controlled_ode(sys: SystemSpec, control, kind: str = "g1"):
 
 def cost(sys: SystemSpec, q, u: ControlVector, kind: str = "g1", coefficients=None) -> float:
     """Instantaneous running cost of the controls at position q."""
-    _check_kind(sys, kind)
-    coeffs = _coefficients(sys, kind, coefficients)
+    model = cost_model(sys, kind, coefficients)
     if abs(u.u1) < U1_MIN:
         raise SingularVelocityError("cost undefined for u_1 near zero")
-    weights = sys.weight_fns
     r1 = float(q[0])
     value = sys.i1 * u.u1**2
-    if kind == "g1":
-        for a in range(sys.n - 1):
-            value += coeffs[a] * weights[a][0](r1) * u.ua[a] ** 2 / u.u1
-    else:
-        value += sys.i2 * u.ua[0] ** 2
-        for a in range(sys.k):
-            value += coeffs[a] * weights[1 + a][0](r1) * u.ua[1 + a] ** 2 / u.u1
+    for b, inertia in model.kinetic:
+        value += inertia * u.ua[b - 1] ** 2
+    for b, c, e_fn, _ in model.terms:
+        value += c * e_fn(r1) * u.ua[b - 1] ** 2 / u.u1
     return 0.5 * value
 
 
@@ -133,31 +129,16 @@ def optimal_controls(
     sys: SystemSpec, ps: PhaseState, kind: str = "g1", coefficients=None
 ) -> ControlVector:
     """The stationary point of the control Hamiltonian in u."""
-    _check_kind(sys, kind)
-    coeffs = _coefficients(sys, kind, coefficients)
-    weights = sys.weight_fns
-    r1 = ps.r1
+    model = cost_model(sys, kind, coefficients)
     p = ps.p
+    u1 = model.momentum_sum(ps.r1, p) / sys.i1
+    if abs(u1) < U1_MIN:
+        raise SingularVelocityError("degenerate optimal control: u_1 near zero")
     ua = [0.0] * (sys.n - 1)
-    if kind == "g1":
-        total = p[0]
-        for a in range(sys.n - 1):
-            total += 0.5 * weights[a][0](r1) * p[1 + a] ** 2 / coeffs[a]
-        u1 = total / sys.i1
-        if abs(u1) < U1_MIN:
-            raise SingularVelocityError("degenerate optimal control: u_1 near zero")
-        for a in range(sys.n - 1):
-            ua[a] = p[1 + a] * u1 / coeffs[a]
-    else:
-        total = p[0]
-        for a in range(sys.k):
-            total += 0.5 * weights[1 + a][0](r1) * p[2 + a] ** 2 / coeffs[a]
-        u1 = total / sys.i1
-        if abs(u1) < U1_MIN:
-            raise SingularVelocityError("degenerate optimal control: u_1 near zero")
-        ua[0] = p[1] / sys.i2
-        for a in range(sys.k):
-            ua[1 + a] = p[2 + a] * u1 / coeffs[a]
+    for b, inertia in model.kinetic:
+        ua[b - 1] = p[b] / inertia
+    for b, c, _, _ in model.terms:
+        ua[b - 1] = p[b] * u1 / c
     return ControlVector(u1, tuple(ua))
 
 

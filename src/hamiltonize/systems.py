@@ -294,6 +294,12 @@ class SystemSpec:
             raise EvaluationError("measure slope could not be sampled on [-1, 1]")
         return True
 
+    @cached_property
+    def preset_models(self) -> dict:
+        """Closed-form models with preset coefficients, by kind, each built
+        once by ``variational.lagrangian_model``."""
+        return {}
+
     @property
     def preset(self) -> str | None:
         """Name of the built-in this spec was made as, None for any other spec."""
@@ -542,5 +548,9 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
 
 def load_system_file(path: str) -> SystemSpec:
     label = os.path.splitext(os.path.basename(path))[0] or "custom"
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_file(fh.read(), label=label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read spec file {path}: {exc}") from None
+    return parse_system_file(text, label=label)

@@ -22,6 +22,12 @@ variational L = (1/2)(I1 r1'^2 + I2 r2'^2 - sum_a I_a s_a'^2)
             the plain Lagrangian minus the constraint-momentum pairing; its
             Euler-Lagrange equations are the third associated system.
 
+Kinds first and second differ only in their coordinate layout, which a
+``LagrangianModel`` decides once: the coordinates past r1 charged
+kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
+coefficient and E_b (``terms``).  Each first/second formula below loops over
+that layout.
+
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
 weights E_b keep the sign of A_a: published per-example forms of the first
@@ -38,9 +44,12 @@ gives
     H = p_2^2/(2 I2) + (1/(2 I1)) * (p_1 + (1/2) sum_a E_a(r1) p_a^2 / a_a)^2
 
 with constraints I2 * N * r1'(p) * p_(s_a) + a_a * p_2 = 0, where r1'(p) is
-read off the p_1 partial.  Both Hamiltonians are globally smooth even though
-the Lagrangians are not, and their canonical flows restricted to the
-constraint set reproduce the nonholonomic motion.
+read off the p_1 partial.  The Legendre image carries exactly the data of the
+Lagrangian, so a first/second model is its own Hamiltonian model:
+``hamiltonian_model`` returns it and the Hamiltonian functions read the same
+layout.  Both Hamiltonians are globally smooth even though the Lagrangians
+are not, and their canonical flows restricted to the constraint set
+reproduce the nonholonomic motion.
 """
 
 from __future__ import annotations
@@ -54,15 +63,16 @@ import numpy as np
 from .errors import (
     CoefficientSingularityError,
     ConfigError,
+    ExprDomainError,
     SingularHessianError,
     SingularVelocityError,
 )
+from .sode import COEFF_EPS
 from .systems import Jet, SystemSpec
 
 __all__ = [
     "PhaseState",
     "LagrangianModel",
-    "HamiltonianModel",
     "default_coefficients",
     "lagrangian_value",
     "hessian",
@@ -129,8 +139,9 @@ class LagrangianModel:
     """A closed-form Lagrangian of one of the three families.
 
     ``coefficients`` holds C_b (kind first, one per q_a coordinate in order
-    (r2, s_1..s_k)), a_a (kind second, one per s coordinate), or is empty
-    (variational).
+    (r2, s_1..s_k)), a_b (kind second, one per s coordinate), or is empty
+    (variational).  A first/second model is also the Hamiltonian model of
+    its Legendre image.
     """
 
     system: SystemSpec
@@ -161,31 +172,61 @@ class LagrangianModel:
         elif self.coefficients:
             raise ConfigError("the variational Lagrangian has no free parameters")
 
+    # The coordinate layout, decided here once for every route.
+
     @cached_property
-    def weights(self):
-        """Compiled (E, E') pairs for the coordinates this kind weights,
-        taken from the system's weight table."""
-        table = self.system.weight_fns
-        return table[1:] if self.kind == "second" else table
+    def kinetic(self) -> tuple[tuple[int, float], ...]:
+        """(b, I_b) for each coordinate past r1 charged (1/2) I_b q_b'^2:
+        r2 for kind second, none otherwise."""
+        return ((1, self.system.i2),) if self.kind == "second" else ()
+
+    @cached_property
+    def terms(self) -> tuple[tuple, ...]:
+        """(b, coefficient, E_b, E_b') for each coordinate b charged
+        (1/2) coefficient q_b'^2 / (E_b r1'), where (E_b, E_b') is
+        sys.weight_fns[b - 1]: b = 1..n-1 for kind first, 2..n-1 for kind
+        second, none for variational."""
+        weights = self.system.weight_fns
+        start = 1 + len(self.kinetic)
+        return tuple((b, c, *weights[b - 1]) for b, c in enumerate(self.coefficients, start))
 
     def _weight_values(self, r1: float, derivative: bool = False):
-        from .sode import COEFF_EPS
+        """(b, coefficient, E_b(r1), E_b'(r1) or 0.0) for each term.
 
+        Raises where a weight vanishes: CoefficientSingularityError(b - 2)
+        on s_(b-1), whose weight carries A, and ExprDomainError on r2.
+        """
         vals = []
-        offset = 0 if self.kind == "first" else 1
-        for idx, (e_fn, ep_fn) in enumerate(self.weights):
+        for b, c, e_fn, ep_fn in self.terms:
             value = e_fn(r1)
             if abs(value) < COEFF_EPS:
-                raise CoefficientSingularityError(idx + offset - 1, r1)
-            vals.append((value, ep_fn(r1) if derivative else 0.0))
+                if b == 1:
+                    raise ExprDomainError(f"velocity weight 0 vanishes at r1={r1!r}")
+                raise CoefficientSingularityError(b - 2, r1)
+            vals.append((b, c, value, ep_fn(r1) if derivative else 0.0))
         return vals
+
+    def momentum_sum(self, r1: float, p, derivative: bool = False):
+        """p_1 + (1/2) sum E_b p_b^2 / coeff_b and optionally its r1 slope."""
+        if self.kind == "variational":
+            raise ConfigError("the variational Lagrangian has no closed-form Hamiltonian")
+        total = p[0]
+        slope = 0.0
+        for b, c, e_fn, ep_fn in self.terms:
+            total += 0.5 * e_fn(r1) * p[b] ** 2 / c
+            if derivative:
+                slope += 0.5 * ep_fn(r1) * p[b] ** 2 / c
+        return (total, slope) if derivative else total
 
 
 def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
-    """Build a model with preset coefficients when none are supplied."""
-    if coefficients is None:
-        coefficients = default_coefficients(sys, kind)
-    return LagrangianModel(sys, kind, tuple(coefficients))
+    """Build a model; with no coefficients, the system's preset model of this
+    kind, which is built once per system."""
+    if coefficients is not None:
+        return LagrangianModel(sys, kind, tuple(coefficients))
+    if kind not in sys.preset_models:
+        sys.preset_models[kind] = LagrangianModel(sys, kind, default_coefficients(sys, kind))
+    return sys.preset_models[kind]
 
 
 def _require_moving(jet: Jet):
@@ -205,13 +246,10 @@ def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
     _require_moving(jet)
     weights = model._weight_values(jet.r1)
     value = 0.5 * sys.i1 * u[0] ** 2
-    if model.kind == "first":
-        for b, (e_val, _) in enumerate(weights):
-            value += 0.5 * model.coefficients[b] * u[1 + b] ** 2 / (e_val * u[0])
-    else:
-        value += 0.5 * sys.i2 * u[1] ** 2
-        for a, (e_val, _) in enumerate(weights):
-            value += 0.5 * model.coefficients[a] * u[2 + a] ** 2 / (e_val * u[0])
+    for b, inertia in model.kinetic:
+        value += 0.5 * inertia * u[b] ** 2
+    for b, c, e_val, _ in weights:
+        value += 0.5 * c * u[b] ** 2 / (e_val * u[0])
     return value
 
 
@@ -232,19 +270,13 @@ def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     u1 = u[0]
     weights = model._weight_values(jet.r1)
     g[0, 0] = sys.i1
-    if model.kind == "first":
-        for b, (e_val, _) in enumerate(weights):
-            c_over_e = model.coefficients[b] / e_val
-            g[0, 0] += c_over_e * u[1 + b] ** 2 / u1**3
-            g[0, 1 + b] = g[1 + b, 0] = -c_over_e * u[1 + b] / u1**2
-            g[1 + b, 1 + b] = c_over_e / u1
-    else:
-        g[1, 1] = sys.i2
-        for a, (e_val, _) in enumerate(weights):
-            c_over_e = model.coefficients[a] / e_val
-            g[0, 0] += c_over_e * u[2 + a] ** 2 / u1**3
-            g[0, 2 + a] = g[2 + a, 0] = -c_over_e * u[2 + a] / u1**2
-            g[2 + a, 2 + a] = c_over_e / u1
+    for b, inertia in model.kinetic:
+        g[b, b] = inertia
+    for b, c, e_val, _ in weights:
+        c_over_e = c / e_val
+        g[0, 0] += c_over_e * u[b] ** 2 / u1**3
+        g[0, b] = g[b, 0] = -c_over_e * u[b] / u1**2
+        g[b, b] = c_over_e / u1
     return g
 
 
@@ -258,11 +290,8 @@ def hessian_velocity_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     _require_moving(jet)
     u = jet.qdot
     u1 = u[0]
-    weights = model._weight_values(jet.r1)
-    offset = 1 if model.kind == "first" else 2
-    for idx, (e_val, _) in enumerate(weights):
-        w = model.coefficients[idx] / e_val
-        b = offset + idx
+    for b, c, e_val, _ in model._weight_values(jet.r1):
+        w = c / e_val
         ub = u[b]
         out[0][0, 0] += -3.0 * w * ub**2 / u1**4
         out[0][0, b] = out[0][b, 0] = 2.0 * w * ub / u1**3
@@ -285,11 +314,8 @@ def hessian_coordinate_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     _require_moving(jet)
     u = jet.qdot
     u1 = u[0]
-    weights = model._weight_values(jet.r1, derivative=True)
-    offset = 1 if model.kind == "first" else 2
-    for idx, (e_val, e_slope) in enumerate(weights):
-        w_slope = -model.coefficients[idx] * e_slope / e_val**2
-        b = offset + idx
+    for b, c, e_val, e_slope in model._weight_values(jet.r1, derivative=True):
+        w_slope = -c * e_slope / e_val**2
         ub = u[b]
         out[0][0, 0] += w_slope * ub**2 / u1**3
         out[0][0, b] = out[0][b, 0] = -w_slope * ub / u1**2
@@ -332,16 +358,12 @@ def euler_lagrange_rhs(model: LagrangianModel, jet: Jet) -> np.ndarray:
         rhs[1] = drift * u[0]
     else:
         _require_moving(jet)
-        weights = model._weight_values(jet.r1, derivative=True)
-        offset = 1 if model.kind == "first" else 2
-        u1 = u[0]
         total = 0.0
-        for idx, (e_val, e_slope) in enumerate(weights):
-            c = model.coefficients[idx]
-            ub = u[offset + idx]
-            rhs[offset + idx] = c * ub * e_slope / e_val**2
+        for b, c, e_val, e_slope in model._weight_values(jet.r1, derivative=True):
+            ub = u[b]
+            rhs[b] = c * ub * e_slope / e_val**2
             total += c * ub**2 * e_slope / e_val**2
-        rhs[0] = -total / u1
+        rhs[0] = -total / u[0]
     g = hessian(model, jet)
     try:
         return np.linalg.solve(g, rhs)
@@ -378,16 +400,13 @@ def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
         return PhaseState(jet.q, tuple(p))
     _require_moving(jet)
     weights = model._weight_values(jet.r1)
-    offset = 1 if model.kind == "first" else 2
     u1 = u[0]
     p[0] = sys.i1 * u1
-    if model.kind == "second":
-        p[1] = sys.i2 * u[1]
-    for idx, (e_val, _) in enumerate(weights):
-        c = model.coefficients[idx]
-        ub = u[offset + idx]
-        p[offset + idx] = c * ub / (e_val * u1)
-        p[0] -= 0.5 * c * ub**2 / (e_val * u1**2)
+    for b, inertia in model.kinetic:
+        p[b] = inertia * u[b]
+    for b, c, e_val, _ in weights:
+        p[b] = c * u[b] / (e_val * u1)
+        p[0] -= 0.5 * c * u[b] ** 2 / (e_val * u1**2)
     return PhaseState(jet.q, tuple(p))
 
 
@@ -408,71 +427,41 @@ def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
             raise SingularHessianError("variational kinetic matrix singular") from exc
         return Jet(ps.q, tuple(u))
     weights = model._weight_values(ps.r1)
-    offset = 1 if model.kind == "first" else 2
     total = p[0]
-    for idx, (e_val, _) in enumerate(weights):
-        total += 0.5 * e_val * p[offset + idx] ** 2 / model.coefficients[idx]
+    for b, c, e_val, _ in weights:
+        total += 0.5 * e_val * p[b] ** 2 / c
     if total == 0.0:
         raise SingularVelocityError("phase point lies over r1dot = 0")
     u = np.zeros(sys.n)
     u[0] = total / sys.i1
-    if model.kind == "second":
-        u[1] = p[1] / sys.i2
-    for idx, (e_val, _) in enumerate(weights):
-        u[offset + idx] = e_val * p[offset + idx] * u[0] / model.coefficients[idx]
+    for b, inertia in model.kinetic:
+        u[b] = p[b] / inertia
+    for b, c, e_val, _ in weights:
+        u[b] = e_val * p[b] * u[0] / c
     return Jet(ps.q, tuple(u))
 
 
-# --- Hamiltonian models ---------------------------------------------------------
+# --- Hamiltonians -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """Legendre image of a kind first/second Lagrangian model."""
-
-    system: SystemSpec
-    kind: str
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in HAMILTONIAN_KINDS:
-            raise ConfigError(f"unknown Hamiltonian kind {self.kind!r}")
-        # builds the Lagrangian, which validates the coefficients and N
-        self.lagrangian
-
-    @cached_property
-    def lagrangian(self) -> LagrangianModel:
-        return LagrangianModel(self.system, self.kind, self.coefficients)
-
-    def momentum_sum(self, r1: float, p, derivative: bool = False):
-        """p_1 + (1/2) sum E_b p_b^2 / coeff_b and optionally its r1 slope."""
-        offset = 1 if self.kind == "first" else 2
-        total = p[0]
-        slope = 0.0
-        for idx, (e_fn, ep_fn) in enumerate(self.lagrangian.weights):
-            c = self.coefficients[idx]
-            total += 0.5 * e_fn(r1) * p[offset + idx] ** 2 / c
-            if derivative:
-                slope += 0.5 * ep_fn(r1) * p[offset + idx] ** 2 / c
-        return (total, slope) if derivative else total
+def hamiltonian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
+    """The kind first/second model whose Legendre image the Hamiltonian
+    functions evaluate; it carries the same data as the Lagrangian."""
+    if kind not in HAMILTONIAN_KINDS:
+        raise ConfigError(f"unknown Hamiltonian kind {kind!r}")
+    return lagrangian_model(sys, kind, coefficients)
 
 
-def hamiltonian_model(sys: SystemSpec, kind: str, coefficients=None) -> HamiltonianModel:
-    if coefficients is None:
-        coefficients = default_coefficients(sys, kind)
-    return HamiltonianModel(sys, kind, tuple(coefficients))
-
-
-def hamiltonian_value(model: HamiltonianModel, ps: PhaseState) -> float:
+def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
     sys = model.system
     total = model.momentum_sum(ps.r1, ps.p)
     value = total**2 / (2.0 * sys.i1)
-    if model.kind == "second":
-        value += ps.p[1] ** 2 / (2.0 * sys.i2)
+    for b, inertia in model.kinetic:
+        value += ps.p[b] ** 2 / (2.0 * inertia)
     return value
 
 
-def hamilton_rhs(model: HamiltonianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:
+def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Canonical vector field (dq/dt, dp/dt); closed-form partials."""
     sys = model.system
     n = sys.n
@@ -482,16 +471,15 @@ def hamilton_rhs(model: HamiltonianModel, ps: PhaseState) -> tuple[np.ndarray, n
     qdot = np.zeros(n)
     pdot = np.zeros(n)
     qdot[0] = u1
-    offset = 1 if model.kind == "first" else 2
-    if model.kind == "second":
-        qdot[1] = p[1] / sys.i2
-    for idx, (e_fn, _) in enumerate(model.lagrangian.weights):
-        qdot[offset + idx] = u1 * e_fn(ps.r1) * p[offset + idx] / model.coefficients[idx]
+    for b, inertia in model.kinetic:
+        qdot[b] = p[b] / inertia
+    for b, c, e_fn, _ in model.terms:
+        qdot[b] = u1 * e_fn(ps.r1) * p[b] / c
     pdot[0] = -u1 * slope
     return qdot, pdot
 
 
-def hamilton_ode(model: HamiltonianModel):
+def hamilton_ode(model: LagrangianModel):
     """First-order right-hand side on the stacked phase state (q, p)."""
     n = model.system.n
 
@@ -507,7 +495,7 @@ def phase_columns(sys: SystemSpec) -> tuple[str, ...]:
     return sys.names + tuple("p" + n for n in sys.names)
 
 
-def phase_constraint_residual(model: HamiltonianModel, ps: PhaseState) -> tuple[float, ...]:
+def phase_constraint_residual(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...]:
     """One residual per constrained coordinate; zero exactly on the image of
     the constraint distribution under the Legendre transform."""
     sys = model.system

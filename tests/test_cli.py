@@ -1,5 +1,8 @@
 import json
+import math
 import os
+
+import pytest
 
 from hamiltonize import cli
 from hamiltonize.cli import main
@@ -150,6 +153,50 @@ def test_simulate_unallocatable_grid_exit_2(tmp_path, capsys):
     assert run_cli(["simulate", "--t", "1e9", "--h", "1e-9"], tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
+def _spec_directory(tmp_path):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    return ["certify", "--spec", str(spec_dir)]
+
+
+def _non_utf8_spec(tmp_path):
+    spec = tmp_path / "latin1.system"
+    spec.write_bytes(b"# caf\xe9\nI1 = 1\n")
+    return ["certify", "--spec", str(spec)]
+
+
+# (argv builder, documented exit code, part of the message): each bad input
+# ends in one line on stderr, never a traceback
+BAD_INPUTS = {
+    "t-nan": (lambda tmp_path: ["simulate", "--t", "nan"], 1, "grid must be finite"),
+    "t-inf": (lambda tmp_path: ["simulate", "--t", "inf"], 1, "grid must be finite"),
+    "h-nan": (lambda tmp_path: ["simulate", "--h", "nan"], 1, "grid must be finite"),
+    "h-inf": (lambda tmp_path: ["simulate", "--h", "inf", "--t", "1"], 1,
+              "grid must be finite"),
+    "spec-directory": (_spec_directory, 1, "cannot read spec file"),
+    "spec-not-utf8": (_non_utf8_spec, 1, "cannot read spec file"),
+    # the r2 weight cos(phi)/sqrt(m) vanishes where A = -tan(phi) has its pole
+    "knife-edge-r2-weight-zero": (
+        lambda tmp_path: ["simulate", "--system", "knife_edge", "--formulation",
+                          "lagrangian", "--ic", f"phi={math.pi / 2!r}", "--t", "0.01"],
+        2, "velocity weight 0 vanishes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(case, tmp_path, capsys):
+    build_argv, expected, message = BAD_INPUTS[case]
+    try:
+        code = run_cli(build_argv(tmp_path), tmp_path)
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    err = capsys.readouterr().err
+    assert code == expected
+    prefix = "error:" if expected == 1 else "runtime error:"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert message in err and "A[-1]" not in err
 
 
 # --- compare --------------------------------------------------------------------

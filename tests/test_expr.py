@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hamiltonize import ExprDomainError, ExprParseError, diff_expr, parse_expr
-from hamiltonize.expr import Const, Neg, Tan, Var
+from hamiltonize.expr import LABEL_CHARS, Const, Ln, Neg, Sin, Tan, Var
 
 
 def fd_slope(e, r1, h=1e-6):
@@ -50,6 +50,31 @@ def test_unknown_identifier_rejected():
         parse_expr("sin(q)")
     with pytest.raises(ExprParseError, match="unknown identifier"):
         parse_expr("r2")
+
+
+def test_error_labels_are_capped():
+    """A domain error names at most LABEL_CHARS characters of a deep shared
+    DAG (its tree text here is over a million characters); a short label is
+    the expression's full text."""
+    e = Var()
+    for _ in range(16):
+        e = Sin(e) + e  # the tree text doubles, the DAG grows by two nodes
+    bad = Ln(e - e)
+    prefix = str(bad)[:LABEL_CHARS]
+    for fn in (bad.eval, bad.compile()):
+        with pytest.raises(ExprDomainError) as err:
+            fn(0.5)
+        assert str(err.value).endswith(f" while evaluating {prefix}... at r1=0.5")
+        assert len(str(err.value)) < LABEL_CHARS + 100
+    for fn in (e.eval, e.compile()):
+        with pytest.raises(ExprDomainError) as err:
+            fn(float("nan"))
+        assert str(err.value) == f"non-finite value of {str(e)[:LABEL_CHARS]}... at r1=nan"
+    short = parse_expr("ln(r1 - 1)")
+    for fn in (short.eval, short.compile()):
+        with pytest.raises(ExprDomainError) as err:
+            fn(0.5)
+        assert str(err.value).endswith(" while evaluating ln((r1 - 1.0)) at r1=0.5")
 
 
 def test_diff_of_constant_and_variable():
