@@ -13,8 +13,8 @@ Subcommands:
 * ``measure-check``     -- invariant-measure PDE residuals
 
 Exit codes: 0 success/pass, 1 configuration error, 2 runtime evaluation
-error, 3 certification failure.  Reports embed the seed and tool version so
-runs are reproducible.
+error or internal error, 3 certification failure.  Reports embed the seed
+and tool version so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -123,8 +123,10 @@ class RunManifest:
         if kind == "variational":
             return None
         prefix = "C" if kind == "first" else "a"
+        # isdecimal, not isdigit: int() rejects superscripts such as C²,
+        # which are then ignored like any other unknown key
         picked = {
-            k: v for k, v in self.params.items() if k.startswith(prefix) and k[1:].isdigit()
+            k: v for k, v in self.params.items() if k.startswith(prefix) and k[1:].isdecimal()
         }
         if not picked:
             return None
@@ -607,6 +609,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except MemoryError as exc:
         print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

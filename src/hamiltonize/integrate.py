@@ -7,6 +7,8 @@ steppers do not give.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, EvaluationError, GridMismatchError, IntegrationAborted
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "compare", "CompareMetrics"]
+
+CSV_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -77,43 +81,59 @@ class Trajectory:
         """Write t plus all state columns at full double precision."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t," + ",".join(self.columns) + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(",".join("%.17g" % v for v in (t, *row)) + "\n")
+            row = ",".join(["%.17g"] * (1 + len(self.columns))) + "\n"
+            # a chunk at a time, so the table never exists as Python floats
+            for start in range(0, len(self.times), CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                block = np.column_stack((self.times[start:stop], self.states[start:stop]))
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Trajectory:
     """Integrate y' = rhs(t, y) with classical RK4 on a fixed grid.
 
+    The state is held as a list of floats and ``rhs`` receives it as one;
+    ``rhs`` may return any sequence of floats, numpy arrays included.  Each
+    stage keeps numpy's elementwise operation order, so the states are the
+    ones an array-valued loop gives, bit for bit.
+
     On an evaluation error mid-run, or when a step produced a non-finite
     state, raises IntegrationAborted carrying the partial trajectory up to
     the last finite state.
     """
-    y = np.array(y0, dtype=float)
-    if not np.isfinite(y).all():
-        raise ConfigError(f"initial state {y.tolist()} is not finite")
+    y = np.array(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, y)):
+        raise ConfigError(f"initial state {y} is not finite")
     t0, _ = cfg.t_span
     h = cfg.h
+    half = 0.5 * h
+    sixth = h / 6.0
     steps = cfg.steps
     times = t0 + h * np.arange(steps + 1)
-    out = np.empty((steps + 1, y.size))
-    out[0] = y
-    rows, cause = steps + 1, None
+    buf = array("d", y)
+    cause = None
     # Non-finite states are found once, after the loop, so numpy's warnings
-    # on the way there are noise.
+    # on the way there (from an rhs returning arrays) are noise.
     with np.errstate(all="ignore"):
         for k in range(steps):
-            t = times[k]
+            t = t0 + h * k  # times[k] bit for bit; a list of all stamps costs memory
             try:
                 k1 = rhs(t, y)
-                k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-                k4 = rhs(t + h, y + h * k3)
+                k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+                k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+                y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             except EvaluationError as exc:
-                rows, cause = k + 1, exc
+                cause = exc
                 break
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k + 1] = y
-    finite = np.isfinite(out[:rows]).all(axis=1)
+            except ArithmeticError as exc:  # float operations that numpy would turn into inf
+                cause = EvaluationError(f"{type(exc).__name__}: {exc}")
+                break
+            buf.extend(y)
+    out = np.frombuffer(buf).reshape(-1, len(y))
+    rows = len(out)
+    finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         rows = int(np.argmin(finite))
         cause = EvaluationError(f"the step to t={float(times[rows])!r} gave a non-finite state")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,19 +59,22 @@ class SodeSystem:
     logarithmic slope of the weight).  ``xi`` and ``exp_xi`` are only
     populated for the second kind.  Kind ``"generic"`` is a bare system
     with no underlying ``system``, for tensor evaluation and tests.
+
+    ``_f`` maps coordinates q and velocities u, any float sequences, to the
+    list of accelerations; ``f`` and ``ode`` both call it.
     """
 
     system: SystemSpec | None
     kind: str
     n: int
-    _f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    _f: Callable[[Sequence[float], Sequence[float]], list[float]]
     coeff_exprs: tuple[ex.Expr, ...] = ()
     exp_xi_exprs: tuple[ex.Expr, ...] = ()
     n_constant: bool = False
 
     def f(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
-        return self._f(q, u)
+        return np.array(self._f(q, u))
 
     def rhs(self, jet: Jet) -> np.ndarray:
         q, u = jet.arrays()
@@ -82,8 +85,9 @@ class SodeSystem:
         n = self.n
         f = self._f
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return np.concatenate((y[n:], f(y[:n], y[n:])))
+        def rhs(t: float, y) -> list[float]:
+            u = y[n:]
+            return [*u, *f(y[:n], u)]
 
         return rhs
 
@@ -156,7 +160,7 @@ class SodeSystem:
 
 def free_sode(n: int) -> SodeSystem:
     """The trivial system q'' = 0 in dimension n."""
-    return SodeSystem(None, "generic", n, lambda q, u: np.zeros(n))
+    return SodeSystem(None, "generic", n, lambda q, u: [0.0] * n)
 
 
 def first_associated(sys: SystemSpec) -> SodeSystem:
@@ -167,15 +171,10 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
     )
     n = sys.n
 
-    def f(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-        fns = sode.coeff_fns
+    def f(q, u) -> list[float]:
         r1 = q[0]
         w = u[0] * u[1]
-        out = np.empty(n)
-        out[0] = 0.0
-        for a in range(n - 1):
-            out[1 + a] = fns[a](r1) * w
-        return out
+        return [0.0, *[fn(r1) * w for fn in sode.coeff_fns]]
 
     sode = SodeSystem(sys, "first", n, f, coeff_exprs=gammas)
     return sode
@@ -197,13 +196,10 @@ def second_associated(sys: SystemSpec) -> SodeSystem:
             raise ExprDomainError(f"velocity weight {idx} vanishes at r1={r1!r}")
         return ep_fn(r1) / e_val
 
-    def f(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(q, u) -> list[float]:
         r1 = q[0]
-        out = np.empty(n)
-        out[0] = 0.0
-        for a in range(n - 1):
-            out[1 + a] = rate(a, r1) * u[1 + a] * u[0]
-        return out
+        u1 = u[0]
+        return [0.0, *[rate(a, r1) * u[1 + a] * u1 for a in range(n - 1)]]
 
     return SodeSystem(
         sys,
@@ -224,7 +220,6 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
     ``n_constant`` flag before treating it as an associated system.
     """
     k = sys.k
-    n = sys.n
     i1 = sys.i1
     i_alpha = sys.i_alpha
     a_fns = sys.a_fns
@@ -232,18 +227,15 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
     coupling = sys.coupling_sum_fn
     mass = sys.mass_sum_fn
 
-    def f(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(q, u) -> list[float]:
         r1 = q[0]
         u1, u2 = u[0], u[1]
-        a_vals = [a_fns[a](r1) for a in range(k)]
-        ap_vals = [ap_fns[a](r1) for a in range(k)]
+        a_vals = [a_fn(r1) for a_fn in a_fns]
+        ap_vals = [ap_fn(r1) for ap_fn in ap_fns]
         drift = sum(i_alpha[a] * ap_vals[a] * u[2 + a] for a in range(k))
         n2 = 1.0 / mass(r1)
-        out = np.empty(n)
-        out[0] = -drift * u2 / i1
-        out[1] = n2 * (-coupling(r1) * u1 * u2 + drift * u1)
-        for a in range(k):
-            out[2 + a] = -ap_vals[a] * u1 * u2 - a_vals[a] * out[1]
-        return out
+        r2ddot = n2 * (-coupling(r1) * u1 * u2 + drift * u1)
+        return [-drift * u2 / i1, r2ddot,
+                *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
 
-    return SodeSystem(sys, "third", n, f, n_constant=sys.constant_measure)
+    return SodeSystem(sys, "third", sys.n, f, n_constant=sys.constant_measure)

@@ -435,18 +435,11 @@ def nonholonomic_ode(sys: SystemSpec):
     slope = sys.log_measure_slope_fn
     a_fns = sys.a_fns
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y) -> list[float]:
         r1 = y[0]
         u1 = y[2 + k]
         u2 = y[3 + k]
-        out = np.empty(4 + k)
-        out[0] = u1
-        out[1] = u2
-        for a in range(k):
-            out[2 + a] = -a_fns[a](r1) * u2
-        out[2 + k] = 0.0
-        out[3 + k] = slope(r1) * u1 * u2
-        return out
+        return [u1, u2, *[-a_fn(r1) * u2 for a_fn in a_fns], 0.0, slope(r1) * u1 * u2]
 
     return rhs
 

@@ -206,17 +206,13 @@ class LagrangianModel:
             vals.append((b, c, value, ep_fn(r1) if derivative else 0.0))
         return vals
 
-    def momentum_sum(self, r1: float, p, derivative: bool = False):
-        """p_1 + (1/2) sum E_b p_b^2 / coeff_b and optionally its r1 slope."""
-        if self.kind == "variational":
-            raise ConfigError("the variational Lagrangian has no closed-form Hamiltonian")
+    def momentum_sum(self, r1: float, p) -> float:
+        """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
+        _require_hamiltonian(self)
         total = p[0]
-        slope = 0.0
-        for b, c, e_fn, ep_fn in self.terms:
+        for b, c, e_fn, _ in self.terms:
             total += 0.5 * e_fn(r1) * p[b] ** 2 / c
-            if derivative:
-                slope += 0.5 * ep_fn(r1) * p[b] ** 2 / c
-        return (total, slope) if derivative else total
+        return total
 
 
 def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
@@ -229,9 +225,14 @@ def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> Lagrangia
     return sys.preset_models[kind]
 
 
-def _require_moving(jet: Jet):
-    if jet.r1dot == 0.0:
+def _require_moving(r1dot: float):
+    if r1dot == 0.0:
         raise SingularVelocityError("model undefined on r1dot = 0")
+
+
+def _require_hamiltonian(model: LagrangianModel):
+    if model.kind == "variational":
+        raise ConfigError("the variational Lagrangian has no closed-form Hamiltonian")
 
 
 def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
@@ -243,7 +244,7 @@ def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
             value -= 0.5 * sys.i_alpha[a] * u[2 + a] ** 2
             value -= sys.i_alpha[a] * sys.a_fns[a](jet.r1) * u[2 + a] * u[1]
         return value
-    _require_moving(jet)
+    _require_moving(jet.r1dot)
     weights = model._weight_values(jet.r1)
     value = 0.5 * sys.i1 * u[0] ** 2
     for b, inertia in model.kinetic:
@@ -253,30 +254,61 @@ def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
     return value
 
 
-def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
-    """Velocity Hessian of the Lagrangian; a multiplier for its dynamics."""
+def _arrowhead(model: LagrangianModel, r1: float, u, weights):
+    """The velocity Hessian as (hub, diag, arm): g[b, b] = diag[b],
+    g[hub, b] = g[b, hub] = arm[b] for b != hub (arm[hub] = 0), every other
+    entry zero.
+
+    The hub is r1 for kinds first and second, whose ``weights`` come from
+    ``_weight_values``, and r2 for the variational kind (``weights`` unused).
+    """
     sys = model.system
-    n = sys.n
-    g = np.zeros((n, n))
     if model.kind == "variational":
-        g[0, 0] = sys.i1
-        g[1, 1] = sys.i2
-        for a in range(sys.k):
-            g[2 + a, 2 + a] = -sys.i_alpha[a]
-            g[1, 2 + a] = g[2 + a, 1] = -sys.i_alpha[a] * sys.a_fns[a](jet.r1)
-        return g
-    _require_moving(jet)
-    u = jet.qdot
+        diag = [sys.i1, sys.i2, *[-i_a for i_a in sys.i_alpha]]
+        arm = [0.0, 0.0, *[-i_a * a_fn(r1) for i_a, a_fn in zip(sys.i_alpha, sys.a_fns)]]
+        return 1, diag, arm
     u1 = u[0]
-    weights = model._weight_values(jet.r1)
-    g[0, 0] = sys.i1
+    diag = [sys.i1] + [0.0] * (sys.n - 1)
+    arm = [0.0] * sys.n
     for b, inertia in model.kinetic:
-        g[b, b] = inertia
+        diag[b] = inertia
     for b, c, e_val, _ in weights:
         c_over_e = c / e_val
-        g[0, 0] += c_over_e * u[b] ** 2 / u1**3
-        g[0, b] = g[b, 0] = -c_over_e * u[b] / u1**2
-        g[b, b] = c_over_e / u1
+        diag[0] += c_over_e * u[b] ** 2 / u1**3
+        arm[b] = -c_over_e * u[b] / u1**2
+        diag[b] = c_over_e / u1
+    return 0, diag, arm
+
+
+def _arrowhead_solve(hub: int, diag, arm, rhs) -> list[float]:
+    """Solve g x = rhs for the arrowhead g of ``_arrowhead``: eliminate each
+    spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb, solve
+    for the hub, then back-substitute into the spokes."""
+    schur = diag[hub]
+    top = rhs[hub]
+    for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs)):
+        if b != hub:
+            if g_bb == 0.0:
+                raise SingularHessianError(f"Hessian singular: diagonal entry {b} is 0")
+            schur -= g_hb * g_hb / g_bb
+            top -= g_hb * rhs_b / g_bb
+    if schur == 0.0:
+        raise SingularHessianError("Hessian singular: the Schur complement of the hub is 0")
+    x_hub = top / schur
+    return [x_hub if b == hub else (rhs_b - g_hb * x_hub) / g_bb
+            for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs))]
+
+
+def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
+    """Velocity Hessian of the Lagrangian; a multiplier for its dynamics."""
+    weights = ()
+    if model.kind != "variational":
+        _require_moving(jet.r1dot)
+        weights = model._weight_values(jet.r1)
+    hub, diag, arm = _arrowhead(model, jet.r1, jet.qdot, weights)
+    g = np.diag(diag)
+    g[hub, :] = g[:, hub] = arm
+    g[hub, hub] = diag[hub]
     return g
 
 
@@ -287,7 +319,7 @@ def hessian_velocity_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     out = np.zeros((n, n, n))
     if model.kind == "variational":
         return out
-    _require_moving(jet)
+    _require_moving(jet.r1dot)
     u = jet.qdot
     u1 = u[0]
     for b, c, e_val, _ in model._weight_values(jet.r1):
@@ -311,7 +343,7 @@ def hessian_coordinate_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
             slope = -sys.i_alpha[a] * sys.a_prime_fns[a](jet.r1)
             out[0][1, 2 + a] = out[0][2 + a, 1] = slope
         return out
-    _require_moving(jet)
+    _require_moving(jet.r1dot)
     u = jet.qdot
     u1 = u[0]
     for b, c, e_val, e_slope in model._weight_values(jet.r1, derivative=True):
@@ -336,48 +368,46 @@ def hessian_field(model: LagrangianModel):
     )
 
 
-def euler_lagrange_rhs(model: LagrangianModel, jet: Jet) -> np.ndarray:
-    """Accelerations solving the Euler-Lagrange equations at a jet.
-
-    Solves g(q, q') qddot = dL/dq - (d^2 L / dq' dr1) r1' with the closed-form
-    Hessian and partials of the model.
-    """
+def _euler_lagrange_accel(model: LagrangianModel, r1: float, u) -> list[float]:
+    """Accelerations solving g(q, q') qddot = dL/dq - (d^2 L / dq' dr1) r1'
+    at coordinate r1 and velocities u, with the closed-form partials of the
+    model and an arrowhead solve of its Hessian."""
     sys = model.system
-    n = sys.n
-    u = jet.qdot
-    rhs = np.zeros(n)
     if model.kind == "variational":
-        r1 = jet.r1
+        weights = ()
         drift = 0.0
-        for a in range(sys.k):
-            i_a = sys.i_alpha[a]
-            ap = sys.a_prime_fns[a](r1)
-            drift += i_a * ap * u[2 + a]
-            rhs[2 + a] = i_a * ap * u[1] * u[0]
-        rhs[0] = -drift * u[1]
-        rhs[1] = drift * u[0]
+        force = [0.0, 0.0]
+        for i_a, ap_fn, u_a in zip(sys.i_alpha, sys.a_prime_fns, u[2:]):
+            ap = ap_fn(r1)
+            drift += i_a * ap * u_a
+            force.append(i_a * ap * u[1] * u[0])
+        force[0] = -drift * u[1]
+        force[1] = drift * u[0]
     else:
-        _require_moving(jet)
+        _require_moving(u[0])
+        weights = model._weight_values(r1, derivative=True)
+        force = [0.0] * sys.n
         total = 0.0
-        for b, c, e_val, e_slope in model._weight_values(jet.r1, derivative=True):
+        for b, c, e_val, e_slope in weights:
             ub = u[b]
-            rhs[b] = c * ub * e_slope / e_val**2
+            force[b] = c * ub * e_slope / e_val**2
             total += c * ub**2 * e_slope / e_val**2
-        rhs[0] = -total / u[0]
-    g = hessian(model, jet)
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessianError(f"Hessian singular at {jet}") from exc
+        force[0] = -total / u[0]
+    return _arrowhead_solve(*_arrowhead(model, r1, u, weights), force)
+
+
+def euler_lagrange_rhs(model: LagrangianModel, jet: Jet) -> np.ndarray:
+    """Accelerations solving the Euler-Lagrange equations at a jet."""
+    return np.array(_euler_lagrange_accel(model, jet.r1, jet.qdot))
 
 
 def euler_lagrange_ode(model: LagrangianModel):
     """First-order right-hand side on (q, q') for trajectory runs."""
     n = model.system.n
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        jet = Jet(tuple(y[:n]), tuple(y[n:]))
-        return np.concatenate((y[n:], euler_lagrange_rhs(model, jet)))
+    def rhs(t: float, y) -> list[float]:
+        u = y[n:]
+        return [*u, *_euler_lagrange_accel(model, y[0], u)]
 
     return rhs
 
@@ -398,7 +428,7 @@ def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
             p[1] -= sys.i_alpha[a] * a_val * u[2 + a]
             p[2 + a] = -sys.i_alpha[a] * (u[2 + a] + a_val * u[1])
         return PhaseState(jet.q, tuple(p))
-    _require_moving(jet)
+    _require_moving(jet.r1dot)
     weights = model._weight_values(jet.r1)
     u1 = u[0]
     p[0] = sys.i1 * u1
@@ -461,32 +491,40 @@ def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
     return value
 
 
+def _hamilton_field(model: LagrangianModel, r1: float, p) -> list[float]:
+    """Canonical vector field at coordinate r1 and momenta p, as the list
+    (dq/dt, dp/dt); closed-form partials, each E_b evaluated once."""
+    _require_hamiltonian(model)
+    sys = model.system
+    weights = [(b, c, e_fn(r1), ep_fn(r1)) for b, c, e_fn, ep_fn in model.terms]
+    total = p[0]
+    slope = 0.0
+    for b, c, e_val, e_slope in weights:
+        total += 0.5 * e_val * p[b] ** 2 / c
+        slope += 0.5 * e_slope * p[b] ** 2 / c
+    u1 = total / sys.i1
+    out = [0.0] * (2 * sys.n)
+    out[0] = u1
+    for b, inertia in model.kinetic:
+        out[b] = p[b] / inertia
+    for b, c, e_val, _ in weights:
+        out[b] = u1 * e_val * p[b] / c
+    out[sys.n] = -u1 * slope
+    return out
+
+
 def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Canonical vector field (dq/dt, dp/dt); closed-form partials."""
-    sys = model.system
-    n = sys.n
-    p = ps.p
-    total, slope = model.momentum_sum(ps.r1, p, derivative=True)
-    u1 = total / sys.i1
-    qdot = np.zeros(n)
-    pdot = np.zeros(n)
-    qdot[0] = u1
-    for b, inertia in model.kinetic:
-        qdot[b] = p[b] / inertia
-    for b, c, e_fn, _ in model.terms:
-        qdot[b] = u1 * e_fn(ps.r1) * p[b] / c
-    pdot[0] = -u1 * slope
-    return qdot, pdot
+    field = np.array(_hamilton_field(model, ps.r1, ps.p))
+    return field[: ps.dim], field[ps.dim :]
 
 
 def hamilton_ode(model: LagrangianModel):
     """First-order right-hand side on the stacked phase state (q, p)."""
     n = model.system.n
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ps = PhaseState(tuple(y[:n]), tuple(y[n:]))
-        qdot, pdot = hamilton_rhs(model, ps)
-        return np.concatenate((qdot, pdot))
+    def rhs(t: float, y) -> list[float]:
+        return _hamilton_field(model, y[0], y[n:])
 
     return rhs
 

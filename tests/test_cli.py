@@ -182,6 +182,11 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "knife_edge", "--formulation",
                           "lagrangian", "--ic", f"phi={math.pi / 2!r}", "--t", "0.01"],
         2, "velocity weight 0 vanishes"),
+    # r1' cubed underflows to 0 in the Hessian: a float division by zero
+    "lagrangian-r1dot-underflow": (
+        lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
+                          "lagrangian", "--ic", "dx=1e-110", "--t", "0.01"],
+        2, "integration aborted at t=0.0: ZeroDivisionError"),
 }
 
 
@@ -197,6 +202,36 @@ def test_bad_input_exit_code(case, tmp_path, capsys):
     prefix = "error:" if expected == 1 else "runtime error:"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert message in err and "A[-1]" not in err
+
+
+def test_superscript_params_key_is_ignored_like_unknown_keys(tmp_path, capsys):
+    """C² is no coefficient key (int() rejects the superscript): it is
+    ignored like any other unknown --params key."""
+    base = ["simulate", "--system", "free_particle", "--formulation", "lagrangian",
+            "--t", "0.01"]
+    csvs = {}
+    for extra in ([], ["--params", "C²=1"], ["--params", "foo=1"]):
+        out = tmp_path / str(len(csvs))
+        try:
+            code = main(base + extra + ["--out", str(out)])
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+        assert code == 0 and capsys.readouterr().err == ""
+        csvs[tuple(extra)] = (out / "free_particle_lagrangian.csv").read_bytes()
+    assert len(set(csvs.values())) == 1
+
+
+def test_internal_error_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    def broken(manifest):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+    try:
+        code = run_cli(["simulate"], tmp_path)
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert code == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: first line second line\n"
 
 
 # --- compare --------------------------------------------------------------------

@@ -13,10 +13,15 @@ from hamiltonize import (
     builtin_system,
     compare,
     disk_closed_form,
+    first_associated,
     integrate,
+    second_associated,
+    third_associated,
 )
+from hamiltonize.cli import default_initial_jet
 from hamiltonize.errors import EvaluationError
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
+from hamiltonize.variational import hamilton_ode, hamiltonian_model, legendre
 
 
 def test_config_validation():
@@ -143,3 +148,115 @@ def test_csv_round_trip(tmp_path):
     # full double precision round trip
     assert np.array_equal(data[:, 1:], traj.states)
     assert np.array_equal(data[:, 0], traj.times)
+
+
+# --- the float-state loop against an array-state reference -----------------
+
+
+def numpy_rk4(rhs, y0, cfg, columns):
+    """Reference RK4 on numpy arrays: the array-state loop, kept to pin the
+    float-state one to it bit for bit."""
+    y = np.array(y0, dtype=float)
+    h = cfg.h
+    times = cfg.t_span[0] + h * np.arange(cfg.steps + 1)
+    out = np.empty((cfg.steps + 1, y.size))
+    out[0] = y
+    rows, cause = cfg.steps + 1, None
+    with np.errstate(all="ignore"):
+        for k in range(cfg.steps):
+            t = times[k]
+            try:
+                k1 = np.asarray(rhs(t, y), dtype=float)
+                k2 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1), dtype=float)
+                k3 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k2), dtype=float)
+                k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
+            except EvaluationError as exc:
+                rows, cause = k + 1, exc
+                break
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = y
+    finite = np.isfinite(out[:rows]).all(axis=1)
+    if not finite.all():
+        rows = int(np.argmin(finite))
+        cause = EvaluationError("non-finite state")
+    if cause is not None:
+        partial = Trajectory(times[:rows], out[:rows].copy(), tuple(columns), "reference")
+        raise IntegrationAborted(float(times[rows - 1]), partial, cause)
+    return Trajectory(times, out, tuple(columns), "reference")
+
+
+def _hex_rows(states):
+    return [[float(v).hex() for v in row] for row in states]
+
+
+def _formulation_runs(name):
+    """(label, rhs, y0) for each formulation of one built-in, from the CLI's
+    default initial jet."""
+    sys = builtin_system(name)
+    jet0 = default_initial_jet(sys)
+    runs = [("nonholonomic", nonholonomic_ode(sys), nh_state_from_jet(sys, jet0))]
+    for build in (first_associated, second_associated, third_associated):
+        sode = build(sys)
+        if sode.kind == "third" and not sode.n_constant:
+            continue  # associated only where the measure is constant
+        runs.append((f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot)))
+    for kind in ("first", "second") if sys.constant_measure else ("first",):
+        model = hamiltonian_model(sys, kind)
+        ps0 = legendre(model, jet0)
+        runs.append((f"hamiltonian-{kind}", hamilton_ode(model), np.array(ps0.q + ps0.p)))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
+def test_float_loop_matches_numpy_rk4_bit_for_bit(name):
+    cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 0.5))
+    for label, rhs, y0 in _formulation_runs(name):
+        columns = tuple(f"c{i}" for i in range(len(y0)))
+        ref = numpy_rk4(rhs, y0, cfg, columns)
+        got = integrate(rhs, y0, cfg, columns, label)
+        assert np.array_equal(got.times, ref.times), label
+        assert _hex_rows(got.states) == _hex_rows(ref.states), label
+
+
+def test_float_loop_aborts_where_numpy_rk4_does():
+    """A step that turns the state non-finite: same finite prefix, same time."""
+    sys = builtin_system("free_particle")
+    inner = nonholonomic_ode(sys)
+
+    def rhs(t, y):
+        dy = inner(t, y)
+        return [v * (math.inf if t > 0.25 else 1.0) for v in dy]
+
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 1.0))
+    y0 = nh_state_from_jet(sys, sys.on_constraint((0.5, 0.0, 0.0), 1.0, 2.0))
+    columns = nh_columns(sys)
+    with pytest.raises(IntegrationAborted) as ref:
+        numpy_rk4(rhs, y0, cfg, columns)
+    with pytest.raises(IntegrationAborted) as got:
+        integrate(rhs, y0, cfg, columns, "nh")
+    assert got.value.time == ref.value.time
+    assert np.array_equal(got.value.trajectory.times, ref.value.trajectory.times)
+    assert (_hex_rows(got.value.trajectory.states)
+            == _hex_rows(ref.value.trajectory.states))
+
+
+# --- the chunked CSV writer --------------------------------------------------
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    """More rows than two chunks, with signed zeros, extreme exponents and
+    17-digit values; the file equals a per-value "%.17g" join."""
+    rng = np.random.default_rng(7)
+    rows = 2 * 1024 + 77
+    states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    states[5] = (-0.0, 1e-300, 1e300)
+    states[1024] = (0.1, -1.2345678901234567, 2.0 / 3.0)
+    states[2047] = (-1e300, -1e-300, 0.0)
+    times = np.arange(rows) * 1e-3
+    traj = Trajectory(times, states, ("a", "b", "c"), "test")
+    path = tmp_path / "run.csv"
+    traj.write_csv(str(path))
+    expected = "t,a,b,c\n" + "".join(
+        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(times, states)
+    )
+    assert path.read_bytes() == expected.encode()

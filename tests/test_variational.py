@@ -234,6 +234,63 @@ def test_el_quadratic_velocity_scaling(free_particle, rng):
         )
 
 
+def _el_force(model, jet):
+    """dL/dq - (d^2 L / dq' dr1) r1' from the model's closed forms: the
+    right-hand side that the velocity Hessian multiplies."""
+    sys = model.system
+    r1, u = jet.r1, jet.qdot
+    force = np.zeros(sys.n)
+    if model.kind == "variational":
+        drift = 0.0
+        for a in range(sys.k):
+            slope = sys.i_alpha[a] * sys.a_prime_fns[a](r1)
+            drift += slope * u[2 + a]
+            force[2 + a] = slope * u[1] * u[0]
+        force[0], force[1] = -drift * u[1], drift * u[0]
+        return force
+    for b, c, e_fn, ep_fn in model.terms:
+        force[b] = c * u[b] * ep_fn(r1) / e_fn(r1) ** 2
+        force[0] -= c * u[b] ** 2 * ep_fn(r1) / e_fn(r1) ** 2 / u[0]
+    return force
+
+
+@pytest.mark.parametrize("kind", ["first", "second", "variational"])
+def test_el_arrowhead_solve_matches_dense_solve(any_system, kind, rng):
+    if kind == "second" and not any_system.constant_measure:
+        pytest.skip("second kind needs constant measure")
+    model = lagrangian_model(any_system, kind)
+    for jet in generic_jets(any_system, 50, rng):
+        dense = np.linalg.solve(hessian(model, jet), _el_force(model, jet))
+        got = euler_lagrange_rhs(model, jet)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), jet
+
+
+def test_el_errors_unchanged(free_particle, knife_edge, vertical_disk):
+    """The Euler-Lagrange routes raise where a velocity or weight vanishes,
+    through the jet-level function and through the trajectory right-hand
+    side alike."""
+    from hamiltonize.errors import ExprDomainError
+    from hamiltonize.variational import euler_lagrange_ode
+
+    cases = [
+        (free_particle, Jet((1.0, 0.0, 0.0), (0.0, 1.0, 1.0)), SingularVelocityError),
+        (free_particle, Jet((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), CoefficientSingularityError),
+        (vertical_disk, Jet((math.pi / 2, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+         CoefficientSingularityError),
+        (knife_edge, Jet((math.pi / 2, 0.0, 0.0), (1.0, 1.0, 1.0)), ExprDomainError),
+    ]
+    for sys, jet, error in cases:
+        model = lagrangian_model(sys, "first")
+        with pytest.raises(error) as direct:
+            euler_lagrange_rhs(model, jet)
+        with pytest.raises(error) as via_ode:
+            euler_lagrange_ode(model)(0.0, list(jet.q + jet.qdot))
+        assert str(direct.value) == str(via_ode.value)
+    with pytest.raises(ExprDomainError, match="velocity weight 0 vanishes"):
+        euler_lagrange_rhs(lagrangian_model(knife_edge, "first"),
+                           Jet((math.pi / 2, 0.0, 0.0), (1.0, 1.0, 1.0)))
+
+
 # --- Legendre transform ----------------------------------------------------------------
 
 
