@@ -33,7 +33,6 @@ from .systems import (
     load_system_file,
     measure_pde_residual,
     nonholonomic_ode,
-    nonholonomic_rhs,
     parse_system_file,
 )
 from .sode import SodeSystem, first_associated, free_sode, second_associated, third_associated
@@ -70,9 +69,9 @@ from .variational import (
     phase_constraint_residual,
 )
 from .pontryagin import (
-    ControlVector,
     controlled_rhs,
     cost,
+    cost_model,
     optimal_controls,
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,

@@ -31,7 +31,7 @@ from . import __version__
 from .errors import ConfigError, EvaluationError, IntegrationAborted
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
-from .pontryagin import (ControlVector, cost_model, optimal_controls,
+from .pontryagin import (MODEL_KINDS, cost_model, optimal_controls,
                          optimal_hamiltonian_value, pontryagin_hamiltonian)
 from .sampling import generic_jets, phase_points, sample_r1
 from .sode import first_associated, second_associated, third_associated
@@ -199,6 +199,9 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet, manifest: Run
         model = hamiltonian_model(sys_, manifest.ham_kind,
                                   manifest.model_coefficients(sys_, manifest.ham_kind))
         ps0 = legendre(model, jet0)
+        if not np.isfinite(ps0.p).all():
+            raise ConfigError(f"the Legendre image of the initial jet q={list(jet0.q)}, "
+                              f"qdot={list(jet0.qdot)} is not finite")
         return integrate(hamilton_ode(model), np.array(ps0.q + ps0.p), cfg,
                          phase_columns(sys_), "hamiltonian")
     if formulation == "closed-form":
@@ -339,30 +342,28 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
 def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> dict:
     rng = np.random.default_rng(manifest.seed)
     count = manifest.samples or 1000
-    model = cost_model(sys_, kind)
+    model = cost_model(sys_, kind, manifest.model_coefficients(sys_, MODEL_KINDS[kind]))
     max_dev = 0.0
     max_grad = 0.0
     used = 0
     h = 1e-4
     for ps in phase_points(sys_, count, rng):
         try:
-            u_star = optimal_controls(sys_, ps, kind)
+            u_star = optimal_controls(model, ps)
         except EvaluationError:
             continue
-        if abs(u_star.u1) < 0.05:
+        if abs(u_star[0]) < 0.05:
             continue  # boundary region, reported elsewhere
         used += 1
-        dev = abs(optimal_hamiltonian_value(sys_, ps, kind) - hamiltonian_value(model, ps))
+        dev = abs(optimal_hamiltonian_value(model, ps) - hamiltonian_value(model, ps))
         max_dev = max(max_dev, dev)
-        base = np.array([u_star.u1, *u_star.ua])
         grad = 0.0
         for i in range(sys_.n):
             vals = []
             for c in (-2, -1, 1, 2):
-                shifted = base.copy()
+                shifted = list(u_star)
                 shifted[i] += c * h
-                vals.append(pontryagin_hamiltonian(
-                    sys_, ps, ControlVector(shifted[0], tuple(shifted[1:])), kind))
+                vals.append(pontryagin_hamiltonian(model, ps, shifted))
             grad = max(grad, abs((vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)))
         max_grad = max(max_grad, grad)
     return {
@@ -448,7 +449,8 @@ def cmd_certify(manifest: RunManifest) -> int:
                            "reason": "non-constant invariant measure"})
         else:
             rng = np.random.default_rng(manifest.seed)
-            model2 = lagrangian_model(sys_, "second")
+            model2 = lagrangian_model(sys_, "second",
+                                      manifest.model_coefficients(sys_, "second"))
             sode2 = second_associated(sys_)
             report = helmholtz_residuals(
                 sode2, hessian_field(model2),

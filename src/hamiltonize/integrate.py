@@ -24,7 +24,6 @@ CSV_CHUNK_ROWS = 256
 class IntegratorConfig:
     h: float = 1e-3
     t_span: tuple[float, float] = (0.0, 1.0)
-    method: str = "rk4"
 
     def __post_init__(self):
         if not np.isfinite((self.h, *self.t_span)).all():
@@ -33,8 +32,6 @@ class IntegratorConfig:
             raise ConfigError("step size must be positive")
         if self.t_span[1] <= self.t_span[0]:
             raise ConfigError("t_span must be increasing")
-        if self.method != "rk4":
-            raise ConfigError(f"unknown method {self.method!r}")
         span = self.t_span[1] - self.t_span[0]
         if self.steps * self.h < span - 1e-9 * span:
             raise ConfigError(

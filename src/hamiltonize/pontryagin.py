@@ -25,14 +25,15 @@ suite checks by evaluating both routes independently.  Controls are only
 meaningful for u_1 bounded away from zero; 1e-6 is enforced.
 
 G1 and G2 charge the coordinates exactly as the first and second closed-form
-models do, so neither cost decides its own layout: each reads the ``kinetic``
-and ``terms`` of the model ``cost_model`` returns (``MODEL_KINDS`` maps g1 to
-first and g2 to second), with the same coefficients C_b / a_b.
+models do, so neither cost decides its own layout.  ``cost_model`` is the one
+map from a cost to its model (``MODEL_KINDS``: g1 to first, g2 to second,
+with the same coefficients C_b / a_b); every other function here takes that
+model and reads its ``kinetic`` and ``terms``.  Controls are a sequence
+indexed like the coordinates: u[0] is u_1 and u[b] the control of
+coordinate b.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .systems import SystemSpec
 from .variational import LagrangianModel, PhaseState, hamiltonian_model
 
 __all__ = [
-    "ControlVector",
     "controlled_rhs",
     "controlled_ode",
     "cost",
@@ -55,17 +55,6 @@ MODEL_KINDS = {"g1": "first", "g2": "second"}  # the model each cost reproduces
 U1_MIN = 1e-6
 
 
-@dataclass(frozen=True)
-class ControlVector:
-    """Controls (u_1, u_a) of the associated first-order system."""
-
-    u1: float
-    ua: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ua", tuple(float(v) for v in self.ua))
-
-
 def cost_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
     """The closed-form model whose layout and coefficients cost ``kind``
     uses; its Hamiltonian is the one the cost reproduces.  Like the second
@@ -76,80 +65,70 @@ def cost_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel
     return hamiltonian_model(sys, MODEL_KINDS[kind], coefficients)
 
 
-def controlled_rhs(sys: SystemSpec, q, u: ControlVector, kind: str = "g1") -> np.ndarray:
-    """Position derivative (r1', q_a') of the controlled first-order system."""
-    model = cost_model(sys, kind)
+def controlled_rhs(model: LagrangianModel, q, u) -> list:
+    """Position derivative (r1', q_b') of the controlled first-order system.
+    Coordinates the model charges kinetically keep their controls
+    unweighted."""
     r1 = float(q[0])
-    out = np.empty(sys.n)
-    out[0] = u.u1
-    for b, _ in model.kinetic:
-        out[b] = u.ua[b - 1]  # charged kinetically, so its control is unweighted
+    out = list(u)
     for b, _, e_fn, _ in model.terms:
-        out[b] = u.ua[b - 1] * e_fn(r1)
+        out[b] = u[b] * e_fn(r1)
     return out
 
 
-def controlled_ode(sys: SystemSpec, control, kind: str = "g1"):
+def controlled_ode(model: LagrangianModel, control):
     """First-order right-hand side with a state-feedback control law.
 
-    ``control`` maps (t, q) to a ControlVector; pass a constant one for
+    ``control`` maps (t, q) to a control sequence; pass a constant one for
     open-loop runs.
     """
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y) -> list:
         u = control(t, y) if callable(control) else control
-        return controlled_rhs(sys, y, u, kind)
+        return controlled_rhs(model, y, u)
 
     return rhs
 
 
-def cost(sys: SystemSpec, q, u: ControlVector, kind: str = "g1", coefficients=None) -> float:
+def cost(model: LagrangianModel, q, u) -> float:
     """Instantaneous running cost of the controls at position q."""
-    model = cost_model(sys, kind, coefficients)
-    if abs(u.u1) < U1_MIN:
+    u1 = u[0]
+    if abs(u1) < U1_MIN:
         raise SingularVelocityError("cost undefined for u_1 near zero")
     r1 = float(q[0])
-    value = sys.i1 * u.u1**2
+    value = model.system.i1 * u1**2
     for b, inertia in model.kinetic:
-        value += inertia * u.ua[b - 1] ** 2
+        value += inertia * u[b] ** 2
     for b, c, e_fn, _ in model.terms:
-        value += c * e_fn(r1) * u.ua[b - 1] ** 2 / u.u1
+        value += c * e_fn(r1) * u[b] ** 2 / u1
     return 0.5 * value
 
 
-def pontryagin_hamiltonian(
-    sys: SystemSpec, ps: PhaseState, u: ControlVector, kind: str = "g1", coefficients=None
-) -> float:
+def pontryagin_hamiltonian(model: LagrangianModel, ps: PhaseState, u) -> float:
     """<p, f(q, u)> - G(q, u) with the normal multiplier set to one."""
-    qdot = controlled_rhs(sys, ps.q, u, kind)
-    return float(np.dot(ps.p, qdot)) - cost(sys, ps.q, u, kind, coefficients)
+    qdot = controlled_rhs(model, ps.q, u)
+    return float(np.dot(ps.p, qdot)) - cost(model, ps.q, u)
 
 
-def optimal_controls(
-    sys: SystemSpec, ps: PhaseState, kind: str = "g1", coefficients=None
-) -> ControlVector:
+def optimal_controls(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...]:
     """The stationary point of the control Hamiltonian in u."""
-    model = cost_model(sys, kind, coefficients)
     p = ps.p
-    u1 = model.momentum_sum(ps.r1, p) / sys.i1
+    u1 = model.momentum_sum(ps.r1, p) / model.system.i1
     if abs(u1) < U1_MIN:
         raise SingularVelocityError("degenerate optimal control: u_1 near zero")
-    ua = [0.0] * (sys.n - 1)
+    u = [u1] + [0.0] * (len(p) - 1)
     for b, inertia in model.kinetic:
-        ua[b - 1] = p[b] / inertia
+        u[b] = p[b] / inertia
     for b, c, _, _ in model.terms:
-        ua[b - 1] = p[b] * u1 / c
-    return ControlVector(u1, tuple(ua))
+        u[b] = p[b] * u1 / c
+    return tuple(u)
 
 
-def optimal_hamiltonian_value(
-    sys: SystemSpec, ps: PhaseState, kind: str = "g1", coefficients=None
-) -> float:
+def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
     """Control Hamiltonian evaluated at the optimal controls.
 
     Deliberately computed through the <p, f> - G route rather than the
     squared closed form, so agreement with the variational module's
     Hamiltonians is a genuine two-route check.
     """
-    u_star = optimal_controls(sys, ps, kind, coefficients)
-    return pontryagin_hamiltonian(sys, ps, u_star, kind, coefficients)
+    return pontryagin_hamiltonian(model, ps, optimal_controls(model, ps))

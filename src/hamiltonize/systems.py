@@ -30,7 +30,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "builtin_system",
     "invariant_measure",
     "measure_pde_residual",
-    "nonholonomic_rhs",
     "nonholonomic_ode",
     "nh_state_from_jet",
     "jet_from_nh_state",
@@ -119,8 +117,8 @@ class SystemSpec:
         object.__setattr__(self, "i_alpha", tuple(float(v) for v in self.i_alpha))
         object.__setattr__(self, "a_alpha", tuple(self.a_alpha))
         object.__setattr__(self, "names", tuple(self.names))
-        if self.i1 <= 0 or self.i2 <= 0 or any(i <= 0 for i in self.i_alpha):
-            raise ConfigError("all inertias must be strictly positive")
+        if not all(0 < i < math.inf for i in (self.i1, self.i2, *self.i_alpha)):
+            raise ConfigError("all inertias must be finite and strictly positive")
         if len(self.i_alpha) != len(self.a_alpha):
             raise ConfigError("I_alpha and A_alpha lengths differ")
         if not self.i_alpha:
@@ -294,12 +292,6 @@ class SystemSpec:
             raise EvaluationError("measure slope could not be sampled on [-1, 1]")
         return True
 
-    @cached_property
-    def preset_models(self) -> dict:
-        """Closed-form models with preset coefficients, by kind, each built
-        once by ``variational.lagrangian_model``."""
-        return {}
-
     @property
     def preset(self) -> str | None:
         """Name of the built-in this spec was made as, None for any other spec."""
@@ -344,8 +336,8 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
                                  ydot = R*sin(phi)*thetadot
     """
     for key, value in params.items():
-        if value <= 0:
-            raise ConfigError(f"parameter {key} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"parameter {key} must be finite and positive, got {value}")
     r1 = ex.var()
     if name == "free_particle":
         if params:
@@ -410,27 +402,10 @@ def measure_pde_residual(
 # --- nonholonomic equations of motion ---------------------------------------
 
 
-class NonholonomicDerivative(NamedTuple):
-    r1ddot: float
-    r2ddot: float
-    sdot: tuple[float, ...]
-
-
-def nonholonomic_rhs(sys: SystemSpec, jet: Jet) -> NonholonomicDerivative:
-    """Evaluate the constrained equations of motion at a jet.
-
-    Returns r1ddot = 0, the r2 acceleration, and the constraint-slaved s
-    velocities; the s components of the supplied jet are ignored.
-    """
-    r1 = jet.r1
-    u1, u2 = jet.r1dot, jet.r2dot
-    r2ddot = sys.log_measure_slope_fn(r1) * u1 * u2
-    sdot = tuple(-sys.a_fns[a](r1) * u2 for a in range(sys.k))
-    return NonholonomicDerivative(0.0, r2ddot, sdot)
-
-
 def nonholonomic_ode(sys: SystemSpec):
-    """First-order right-hand side on the state (r1, r2, s_1..s_k, r1dot, r2dot)."""
+    """The constrained equations of motion, r1'' = 0, r2'' = (ln N)' r1' r2'
+    and s_a' = -A_a(r1) r2', as a first-order right-hand side on the state
+    (r1, r2, s_1..s_k, r1dot, r2dot)."""
     k = sys.k
     slope = sys.log_measure_slope_fn
     a_fns = sys.a_fns

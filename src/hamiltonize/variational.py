@@ -154,6 +154,8 @@ class LagrangianModel:
         )
         if self.kind not in LAGRANGIAN_KINDS:
             raise ConfigError(f"unknown Lagrangian kind {self.kind!r}")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ConfigError(f"model coefficients must be finite, got {self.coefficients}")
         if self.kind == "first":
             if len(self.coefficients) != self.system.n - 1:
                 raise ConfigError("kind first needs one C_b per q_a coordinate")
@@ -216,13 +218,10 @@ class LagrangianModel:
 
 
 def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
-    """Build a model; with no coefficients, the system's preset model of this
-    kind, which is built once per system."""
-    if coefficients is not None:
-        return LagrangianModel(sys, kind, tuple(coefficients))
-    if kind not in sys.preset_models:
-        sys.preset_models[kind] = LagrangianModel(sys, kind, default_coefficients(sys, kind))
-    return sys.preset_models[kind]
+    """Build a model; with no coefficients, the preset model of this kind."""
+    if coefficients is None:
+        coefficients = default_coefficients(sys, kind)
+    return LagrangianModel(sys, kind, tuple(coefficients))
 
 
 def _require_moving(r1dot: float):

@@ -35,6 +35,7 @@ from hamiltonize import (
     singularity_certificate,
 )
 from hamiltonize.errors import SingularVelocityError
+from hamiltonize.pontryagin import cost_model
 from hamiltonize.sampling import generic_jets, phase_points, sample_r1
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, phase_columns
@@ -188,13 +189,14 @@ def consistent_phase_points(sys_, count, rng):
     |u1| < 0.05 are resampled; behaviour near u1 = 0 is out of scope.
     """
     out = []
+    model = cost_model(sys_, "g1")
     while len(out) < count:
         (ps,) = phase_points(sys_, 1, rng)
         try:
-            u_star = optimal_controls(sys_, ps, "g1")
+            u_star = optimal_controls(model, ps)
         except SingularVelocityError:
             continue
-        if abs(u_star.u1) >= 0.05:
+        if abs(u_star[0]) >= 0.05:
             out.append(ps)
     return out
 
@@ -205,18 +207,20 @@ def test_criterion_5_pontryagin_consistency():
     for name in SYSTEMS:
         sys_ = builtin_system(name)
         model = hamiltonian_model(sys_, "first")
+        cmodel = cost_model(sys_, "g1")
         worst = 0.0
         for ps in consistent_phase_points(sys_, 1000, np.random.default_rng(SEED)):
-            dev = abs(optimal_hamiltonian_value(sys_, ps, "g1")
+            dev = abs(optimal_hamiltonian_value(cmodel, ps)
                       - hamiltonian_value(model, ps))
             worst = max(worst, dev)
         ok = ok and worst < 1e-10
         details.append(f"{name}/g1={worst:.1e}")
     disk = builtin_system("vertical_disk")
     model2 = hamiltonian_model(disk, "second")
+    cmodel2 = cost_model(disk, "g2")
     worst = 0.0
     for ps in consistent_phase_points(disk, 1000, np.random.default_rng(SEED)):
-        dev = abs(optimal_hamiltonian_value(disk, ps, "g2")
+        dev = abs(optimal_hamiltonian_value(cmodel2, ps)
                   - hamiltonian_value(model2, ps))
         worst = max(worst, dev)
     ok = ok and worst < 1e-10

@@ -6,8 +6,8 @@ import pytest
 
 from hamiltonize import cli
 from hamiltonize.cli import main
-from hamiltonize.systems import load_system_file
-from hamiltonize.variational import default_coefficients
+from hamiltonize.systems import builtin_system, load_system_file
+from hamiltonize.variational import LagrangianModel, default_coefficients
 
 
 def run_cli(args, tmp_path):
@@ -167,6 +167,12 @@ def _non_utf8_spec(tmp_path):
     return ["certify", "--spec", str(spec)]
 
 
+def _nan_inertia_spec(tmp_path):
+    spec = tmp_path / "nan.system"
+    spec.write_text("I1 = nan\nI2 = 1\nI_alpha = 1\nA_alpha = r1\nnames = x,y,z\n")
+    return ["simulate", "--spec", str(spec), "--t", "0.01"]
+
+
 # (argv builder, documented exit code, part of the message): each bad input
 # ends in one line on stderr, never a traceback
 BAD_INPUTS = {
@@ -187,6 +193,34 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
                           "lagrangian", "--ic", "dx=1e-110", "--t", "0.01"],
         2, "integration aborted at t=0.0: ZeroDivisionError"),
+    # model constants reach the optimal-control check
+    "pontryagin-check-coefficient-out-of-range": (
+        lambda tmp_path: ["pontryagin-check", "--system", "free_particle",
+                          "--params", "C9=1", "--samples", "20"],
+        1, "coefficient C9 out of range"),
+    "certify-pontryagin-coefficient-out-of-range": (
+        lambda tmp_path: ["certify", "--system", "free_particle", "--check", "pontryagin",
+                          "--params", "C9=1", "--samples", "20"],
+        1, "coefficient C9 out of range"),
+    # non-finite inertias, parameters and model constants
+    "disk-mass-nan": (
+        lambda tmp_path: ["simulate", "--system", "vertical_disk", "--params", "m=nan",
+                          "--t", "0.01"],
+        1, "parameter m must be finite and positive"),
+    "model-coefficient-inf": (
+        lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
+                          "lagrangian", "--params", "C2=inf", "--t", "0.01"],
+        1, "model coefficients must be finite"),
+    "knife-edge-inertia-inf": (
+        lambda tmp_path: ["simulate", "--system", "knife_edge", "--params", "J=inf",
+                          "--t", "0.01"],
+        1, "parameter J must be finite and positive"),
+    "spec-inertia-nan": (_nan_inertia_spec, 1, "inertias must be finite"),
+    # r1' = 1e-160 squares to a subnormal: p_1 overflows to -inf
+    "hamiltonian-legendre-overflow": (
+        lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
+                          "hamiltonian", "--ic", "dx=1e-160", "--t", "0.01"],
+        1, "Legendre image of the initial jet q=[1.0, 0.0, 0.0], qdot=[1e-160,"),
 }
 
 
@@ -352,6 +386,43 @@ def test_pontryagin_check(tmp_path):
     report = load_report(tmp_path, "vertical_disk_pontryagin.json")
     assert report["max_hamiltonian_deviation"] < 1e-10
     assert report["max_stationarity_norm"] < 1e-8
+
+
+def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):
+    """The check evaluates the one model it builds, with the --params
+    constants; no other model is built while it runs."""
+    built = []
+    original = LagrangianModel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(LagrangianModel, "__post_init__", counted)
+    base = ["pontryagin-check", "--system", "free_particle", "--samples", "50", "--seed", "3"]
+    assert run_cli(base, tmp_path) == 0
+    assert [m.coefficients for m in built] == [(1.0, 1.0)]
+    built.clear()
+    assert run_cli(base + ["--params", "C2=2,C3=-0.5"], tmp_path) == 0
+    assert built[-1].coefficients == (2.0, -0.5)
+    assert len(built) == 2  # the preset that maps C2, C3 to their slots, then the model
+
+
+def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
+    """Both halves of the second-kind suite, multiplier conditions and
+    optimal control, evaluate the model of the --params constants."""
+    built = []
+    original = LagrangianModel.__post_init__
+
+    def recorded(self):
+        built.append(self.coefficients)
+        original(self)
+
+    monkeypatch.setattr(LagrangianModel, "__post_init__", recorded)
+    assert run_cli(["certify", "--system", "vertical_disk", "--check", "g2", "--samples", "20",
+                    "--params", "a3=-0.7,a4=0.5"], tmp_path) == 0
+    preset = default_coefficients(builtin_system("vertical_disk"), "second")
+    assert built == [preset, (-0.7, 0.5)] * 2
 
 
 def test_measure_check(tmp_path):
