@@ -341,7 +341,7 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
     r1 = ex.var()
     if name == "free_particle":
         if params:
-            raise ConfigError("free_particle takes no parameters")
+            raise ConfigError(f"unknown free_particle parameters {sorted(params)}")
         return _BuiltinSpec(1.0, 1.0, (1.0,), (r1,), ("x", "y", "z"), label=name)
     if name == "knife_edge":
         m = params.pop("m", 1.0)

@@ -173,6 +173,12 @@ def _nan_inertia_spec(tmp_path):
     return ["simulate", "--spec", str(spec), "--t", "0.01"]
 
 
+def _spec_with_system_parameter(tmp_path):
+    spec = tmp_path / "ok.system"
+    spec.write_text("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = r1\nnames = x,y,z\n")
+    return ["simulate", "--spec", str(spec), "--params", "m=2", "--t", "0.01"]
+
+
 # (argv builder, documented exit code, part of the message): each bad input
 # ends in one line on stderr, never a traceback
 BAD_INPUTS = {
@@ -216,6 +222,14 @@ BAD_INPUTS = {
                           "--t", "0.01"],
         1, "parameter J must be finite and positive"),
     "spec-inertia-nan": (_nan_inertia_spec, 1, "inertias must be finite"),
+    # a --params key that is neither a parameter of the built-in nor a model
+    # constant (here a typo of m) is rejected, not ignored
+    "disk-unknown-parameter": (
+        lambda tmp_path: ["simulate", "--system", "vertical_disk", "--params", "M=2",
+                          "--t", "0.01"],
+        1, "unknown vertical_disk parameters ['M']"),
+    "spec-system-parameter": (_spec_with_system_parameter, 1,
+                              "unknown --params keys ['m']: a spec file takes no system"),
     # r1' = 1e-160 squares to a subnormal: p_1 overflows to -inf
     "hamiltonian-legendre-overflow": (
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
@@ -238,21 +252,25 @@ def test_bad_input_exit_code(case, tmp_path, capsys):
     assert message in err and "A[-1]" not in err
 
 
-def test_superscript_params_key_is_ignored_like_unknown_keys(tmp_path, capsys):
-    """C² is no coefficient key (int() rejects the superscript): it is
-    ignored like any other unknown --params key."""
+def test_params_key_that_is_no_parameter_or_model_constant_exit_1(tmp_path, capsys):
+    """C² is no coefficient key (int() rejects the superscript) and foo no
+    parameter of the free particle: each exits 1 with one line naming it."""
     base = ["simulate", "--system", "free_particle", "--formulation", "lagrangian",
             "--t", "0.01"]
-    csvs = {}
-    for extra in ([], ["--params", "C²=1"], ["--params", "foo=1"]):
-        out = tmp_path / str(len(csvs))
+    cases = (([], 0), (["--params", "C²=1"], 1), (["--params", "foo=1"], 1))
+    for i, (extra, expected) in enumerate(cases):
+        out = tmp_path / str(i)
         try:
             code = main(base + extra + ["--out", str(out)])
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
-        assert code == 0 and capsys.readouterr().err == ""
-        csvs[tuple(extra)] = (out / "free_particle_lagrangian.csv").read_bytes()
-    assert len(set(csvs.values())) == 1
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == 0:
+            assert err == ""
+        else:
+            key = extra[1].split("=")[0]
+            assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
 
 
 def test_internal_error_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
@@ -386,6 +404,37 @@ def test_pontryagin_check(tmp_path):
     report = load_report(tmp_path, "vertical_disk_pontryagin.json")
     assert report["max_hamiltonian_deviation"] < 1e-10
     assert report["max_stationarity_norm"] < 1e-8
+    # every sampled point is either evaluated or counted as skipped
+    assert report["samples"] == (report["evaluated"] + report["skipped_degenerate"]
+                                 + report["skipped_near_u1_zero"])
+    assert report["skipped_near_u1_zero"] > 0
+    assert (report["deviation_tol"], report["stationarity_tol"]) == (1e-10, 1e-8)
+
+
+@pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, monkeypatch):
+    """The complex-step gradient is exact to roundoff, so controls off u*
+    by a relative 1e-11 show in the stationarity norm, while the two-route
+    deviation (which does not use the check's own u*) stays the same."""
+    argv = ["pontryagin-check", "--system", system, "--kind", kind,
+            "--samples", "200", "--seed", "3"]
+    name = f"{system}_pontryagin.json"
+    assert run_cli(argv, tmp_path / "clean") == 0
+    clean = load_report(tmp_path / "clean", name)
+    if clean.get("status") == "skipped":
+        assert kind == "g2"
+        return
+    assert clean["max_stationarity_norm"] <= 1e-13
+
+    exact = cli.optimal_controls
+    monkeypatch.setattr(cli, "optimal_controls",
+                        lambda model, ps: tuple(v * (1 + 1e-11) for v in exact(model, ps)))
+    assert run_cli(argv, tmp_path / "off") == 0  # still inside the 1e-8 bound
+    off = load_report(tmp_path / "off", name)
+    assert off["max_stationarity_norm"] > 1e-12
+    assert off["max_hamiltonian_deviation"] == clean["max_hamiltonian_deviation"]
+    assert off["evaluated"] == clean["evaluated"]
 
 
 def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from hamiltonize import (
     pontryagin_hamiltonian,
 )
 from hamiltonize.errors import EvaluationError
-from hamiltonize.pontryagin import controlled_ode, cost_model
+from hamiltonize.pontryagin import control_gradient, controlled_ode, cost_model
 from hamiltonize.systems import SystemSpec
 from hamiltonize.sampling import phase_points
 from hamiltonize.variational import hamilton_ode
@@ -150,6 +150,57 @@ def test_stationarity_of_optimal_controls(any_system, kind, rng):
                 samples.append(hp(shifted))
             grad = (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
             assert abs(grad) < 1e-8
+
+
+@pytest.mark.parametrize("system,kind", [("free_particle", "g1"), ("knife_edge", "g1"),
+                                         ("vertical_disk", "g1"), ("vertical_disk", "g2")])
+def test_complex_step_gradient_matches_stencil(system, kind, request, rng):
+    """Away from u* the gradient is O(1); there the complex step and the
+    4-point central difference of the same Hamiltonian agree.  G2 needs a
+    constant measure, which only the disk has."""
+    spec = request.getfixturevalue(system)
+    h = 1e-4
+    model = cost_model(spec, kind)
+    checked = 0
+    for ps in phase_points(spec, 80, rng):
+        try:
+            u_star = optimal_controls(model, ps)
+        except SingularVelocityError:
+            continue
+        if abs(u_star[0]) < 0.05:
+            continue
+        u = [v + rng.uniform(0.2, 1.0) * rng.choice((-1, 1)) for v in u_star]
+        u[0] = u_star[0] * rng.uniform(1.5, 2.5)  # same sign, away from u_1 = 0
+        grad = control_gradient(model, ps, u)
+        assert max(abs(g) for g in grad) > 1e-3
+        for i in range(spec.n):
+            samples = []
+            for c in (-2, -1, 1, 2):
+                shifted = list(u)
+                shifted[i] += c * h
+                samples.append(pontryagin_hamiltonian(model, ps, shifted))
+            fd = (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
+            assert grad[i] == pytest.approx(fd, abs=1e-8, rel=0)
+        checked += 1
+    assert checked >= 50
+
+
+def test_complex_controls_keep_the_real_value(vertical_disk, rng):
+    """A complex control evaluates the same real part (to roundoff: numpy
+    may sum a complex dot product in another order), and the real path
+    still returns a float."""
+    model = cost_model(vertical_disk, "g2")
+    for ps in phase_points(vertical_disk, 20, rng):
+        try:
+            u = optimal_controls(model, ps)
+        except SingularVelocityError:
+            continue
+        real = pontryagin_hamiltonian(model, ps, u)
+        assert type(real) is float
+        shifted = [u[0] + 1e-30j] + list(u[1:])
+        value = pontryagin_hamiltonian(model, ps, shifted)
+        assert type(value) is complex
+        assert value.real == pytest.approx(real, rel=1e-14, abs=1e-14)
 
 
 # --- agreement with the canonical Hamiltonians -------------------------------------------
