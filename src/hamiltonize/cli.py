@@ -104,6 +104,10 @@ class RunManifest:
             raise ConfigError("--samples must be >= 0 (0 selects the command's default)")
         if self.depth < 1:
             raise ConfigError("--depth must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ConfigError(f"--tol must be finite and >= 0, got {self.tol!r}")
 
     def load_system(self) -> SystemSpec:
         """The system of --system or --spec.  Every --params key that is no
@@ -370,7 +374,7 @@ def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> d
             near_zero += 1
             continue  # boundary region, reported elsewhere
         used += 1
-        dev = abs(optimal_hamiltonian_value(model, ps) - hamiltonian_value(model, ps))
+        dev = abs(optimal_hamiltonian_value(model, ps, u_star) - hamiltonian_value(model, ps))
         max_dev = max(max_dev, dev)
         grad = max(abs(g) for g in control_gradient(model, ps, u_star))
         max_grad = max(max_grad, grad)

@@ -32,7 +32,7 @@ Evaluation reports domain errors (``ln`` of a non-positive number, division
 by zero, overflow) instead of returning non-finite values.  ``compile()``
 returns a plain Python callable for use in integration inner loops; it obeys
 the same domain-error contract as ``eval``, which stays the independent
-tree-walking reference.
+tree-walking reference.  ``compile_table()`` compiles several into one call.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import ExprDomainError, ExprParseError
 
-__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var"]
+__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -403,13 +403,15 @@ _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.ex
                "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
 
 
-def _straight_line(root: Expr):
-    """Emit ``root`` as a function of ``r1`` that computes each distinct node
-    once: a node used by several parents gets a local, in dependency order;
-    a node used once is inlined into its parent, so a DAG with no sharing
-    compiles to one nested expression."""
-    uses: dict[Expr, int] = {root: 1}
-    stack = [root]
+def _straight_line(roots):
+    """Emit ``roots`` (one expression, or a tuple: then returned as a tuple)
+    as a function of ``r1`` that computes each distinct node once: a node
+    used by several parents or roots gets a local, in dependency order; a
+    node used once is inlined into its parent."""
+    single = isinstance(roots, Expr)
+    roots = (roots,) if single else roots
+    uses = {root: roots.count(root) for root in roots}
+    stack = list(uses)
     while stack:
         for f in vars(stack.pop()).values():
             if isinstance(f, Expr):
@@ -418,7 +420,7 @@ def _straight_line(root: Expr):
                     stack.append(f)
     text: dict[Expr, str] = {}
     lines = []
-    stack = [root]
+    stack = list(reversed(roots))
     while stack:
         node = stack[-1]
         fields = tuple(vars(node).values())
@@ -439,10 +441,31 @@ def _straight_line(root: Expr):
             if uses[node] > 1:
                 lines.append(f"    t{len(lines)} = {text[node]}\n")
                 text[node] = f"t{len(lines) - 1}"
-    source = "def raw(r1):\n" + "".join(lines) + f"    return {text[root]}\n"
+    value = text[roots[0]] if single else "(" + "".join(text[r] + ", " for r in roots) + ")"
+    source = "def raw(r1):\n" + "".join(lines) + f"    return {value}\n"
     namespace = dict(_PY_GLOBALS)
     exec(source, namespace)
     return namespace["raw"]
+
+
+def compile_table(exprs):
+    """Compile expressions jointly: ``r1 -> tuple`` of their values, bit for
+    bit each one's ``compile()``, under one domain check.  Where that fails,
+    each is compiled and run alone, in order: the first to fail raises its
+    own error, exactly as alone."""
+    exprs = tuple(exprs)
+    raw = _straight_line(exprs)
+
+    def table(r1: float) -> tuple:
+        try:
+            values = raw(r1)
+            if math.isfinite(sum(values)):
+                return values
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        return tuple(e.compile()(r1) for e in exprs)
+
+    return table
 
 
 # --- smart constructors -------------------------------------------------

@@ -18,6 +18,27 @@ from .errors import ConfigError, EvaluationError, GridMismatchError, Integration
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "compare", "CompareMetrics"]
 
 CSV_CHUNK_ROWS = 256
+_STEPPERS: dict = {}  # state dimension -> its RK4 step; pure, so sharing is unobservable
+
+
+def _rk4_step(dim: int):
+    """RK4 step for ``dim`` components, generated on first use: one local per
+    component and numpy's elementwise operation order, so the states match an
+    array-valued loop bit for bit."""
+    if dim not in _STEPPERS:
+        def row(fmt):
+            return ", ".join(fmt.format(i) for i in range(dim))
+        source = ("def step(rhs, t, y, h, half, sixth):\n"
+                  f"    {row('y{0}')}, = y\n"
+                  f"    {row('a{0}')}, = rhs(t, y)\n"
+                  f"    {row('b{0}')}, = rhs(t + half, [{row('y{0} + half * a{0}')}])\n"
+                  f"    {row('c{0}')}, = rhs(t + half, [{row('y{0} + half * b{0}')}])\n"
+                  f"    {row('e{0}')}, = rhs(t + h, [{row('y{0} + h * c{0}')}])\n"
+                  f"    return [{row('y{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + e{0})')}]")
+        namespace: dict = {}
+        exec(source, namespace)
+        _STEPPERS[dim] = namespace["step"]
+    return _STEPPERS[dim]
 
 
 @dataclass(frozen=True)
@@ -90,9 +111,8 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
     """Integrate y' = rhs(t, y) with classical RK4 on a fixed grid.
 
     The state is held as a list of floats and ``rhs`` receives it as one;
-    ``rhs`` may return any sequence of floats, numpy arrays included.  Each
-    stage keeps numpy's elementwise operation order, so the states are the
-    ones an array-valued loop gives, bit for bit.
+    ``rhs`` may return any sequence of floats, numpy arrays included, of the
+    state's length.  Each step is ``_rk4_step``'s straight-line code.
 
     On an evaluation error mid-run, or when a step produced a non-finite
     state, raises IntegrationAborted carrying the partial trajectory up to
@@ -107,6 +127,7 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
     sixth = h / 6.0
     steps = cfg.steps
     times = t0 + h * np.arange(steps + 1)
+    step = _rk4_step(len(y))
     buf = array("d", y)
     cause = None
     # Non-finite states are found once, after the loop, so numpy's warnings
@@ -115,12 +136,7 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
         for k in range(steps):
             t = t0 + h * k  # times[k] bit for bit; a list of all stamps costs memory
             try:
-                k1 = rhs(t, y)
-                k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-                k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-                y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                y = step(rhs, t, y, h, half, sixth)
             except EvaluationError as exc:
                 cause = exc
                 break

@@ -156,11 +156,13 @@ def optimal_controls(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...
     return tuple(u)
 
 
-def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
-    """Control Hamiltonian evaluated at the optimal controls.
+def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState, u_star=None) -> float:
+    """Control Hamiltonian at the optimal controls ``u_star``, computed if not given.
 
     Deliberately computed through the <p, f> - G route rather than the
     squared closed form, so agreement with the variational module's
     Hamiltonians is a genuine two-route check.
     """
-    return pontryagin_hamiltonian(model, ps, optimal_controls(model, ps))
+    if u_star is None:
+        u_star = optimal_controls(model, ps)
+    return pontryagin_hamiltonian(model, ps, u_star)

@@ -61,7 +61,8 @@ class SodeSystem:
     with no underlying ``system``, for tensor evaluation and tests.
 
     ``_f`` maps coordinates q and velocities u, any float sequences, to the
-    list of accelerations; ``f`` and ``ode`` both call it.
+    list of accelerations; ``f`` and ``ode`` both call it.  It reads what
+    depends on r1, ``table_exprs``, in one call of ``table``.
     """
 
     system: SystemSpec | None
@@ -71,6 +72,7 @@ class SodeSystem:
     coeff_exprs: tuple[ex.Expr, ...] = ()
     exp_xi_exprs: tuple[ex.Expr, ...] = ()
     n_constant: bool = False
+    table_exprs: tuple[ex.Expr, ...] = ()
 
     def f(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
@@ -95,6 +97,10 @@ class SodeSystem:
     def coeff_fns(self):
         """Compiled ``coeff_exprs``, in the same order."""
         return tuple(c.compile() for c in self.coeff_exprs)
+
+    @cached_property
+    def table(self):
+        return ex.compile_table(self.table_exprs)
 
     @cached_property
     def exp_xi(self):
@@ -169,47 +175,37 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
     gammas = (gamma2,) + tuple(
         -(ap + a * gamma2) for a, ap in zip(sys.a_alpha, sys.a_prime)
     )
-    n = sys.n
 
     def f(q, u) -> list[float]:
-        r1 = q[0]
         w = u[0] * u[1]
-        return [0.0, *[fn(r1) * w for fn in sode.coeff_fns]]
+        return [0.0, *[c * w for c in sode.table(q[0])]]
 
-    sode = SodeSystem(sys, "first", n, f, coeff_exprs=gammas)
+    sode = SodeSystem(sys, "first", sys.n, f, coeff_exprs=gammas, table_exprs=gammas)
     return sode
 
 
 def second_associated(sys: SystemSpec) -> SodeSystem:
     """Associated system with all q_a equations decoupled except through r1."""
     e_exprs = sys.exp_xi_exprs
-    weights = sys.weight_fns
-    a_fns = sys.a_fns
-    n = sys.n
-
-    def rate(idx: int, r1: float) -> float:
-        if idx >= 1 and abs(a_fns[idx - 1](r1)) < COEFF_EPS:
-            raise CoefficientSingularityError(idx - 1, r1)
-        e_fn, ep_fn = weights[idx]
-        e_val = e_fn(r1)
-        if e_val == 0.0:
-            raise ExprDomainError(f"velocity weight {idx} vanishes at r1={r1!r}")
-        return ep_fn(r1) / e_val
 
     def f(q, u) -> list[float]:
         r1 = q[0]
         u1 = u[0]
-        return [0.0, *[rate(a, r1) * u[1 + a] * u1 for a in range(n - 1)]]
+        out = [0.0]
+        values = iter(sode.table(r1))
+        for b, (a_val, e_val, ep_val) in enumerate(zip(values, values, values)):
+            if abs(a_val) < COEFF_EPS:
+                raise CoefficientSingularityError(b - 1, r1)
+            if e_val == 0.0:
+                raise ExprDomainError(f"velocity weight {b} vanishes at r1={r1!r}")
+            out.append(ep_val / e_val * u[1 + b] * u1)
+        return out
 
-    return SodeSystem(
-        sys,
-        "second",
-        n,
-        f,
-        coeff_exprs=tuple(e.diff() / e for e in e_exprs),
-        exp_xi_exprs=e_exprs,
-        n_constant=sys.constant_measure,
-    )
+    guards = (ex.const(1.0), *sys.a_alpha)  # the A whose zero makes a rate singular
+    table = tuple(x for a, e in zip(guards, e_exprs) for x in (a, e, e.diff()))
+    sode = SodeSystem(sys, "second", sys.n, f, coeff_exprs=tuple(e.diff() / e for e in e_exprs),
+                      exp_xi_exprs=e_exprs, n_constant=sys.constant_measure, table_exprs=table)
+    return sode
 
 
 def third_associated(sys: SystemSpec) -> SodeSystem:
@@ -222,20 +218,18 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
     k = sys.k
     i1 = sys.i1
     i_alpha = sys.i_alpha
-    a_fns = sys.a_fns
-    ap_fns = sys.a_prime_fns
-    coupling = sys.coupling_sum_fn
-    mass = sys.mass_sum_fn
 
     def f(q, u) -> list[float]:
-        r1 = q[0]
         u1, u2 = u[0], u[1]
-        a_vals = [a_fn(r1) for a_fn in a_fns]
-        ap_vals = [ap_fn(r1) for ap_fn in ap_fns]
+        *values, mass, coupling = sode.table(q[0])
+        a_vals, ap_vals = values[:k], values[k:]
         drift = sum(i_alpha[a] * ap_vals[a] * u[2 + a] for a in range(k))
-        n2 = 1.0 / mass(r1)
-        r2ddot = n2 * (-coupling(r1) * u1 * u2 + drift * u1)
+        n2 = 1.0 / mass
+        r2ddot = n2 * (-coupling * u1 * u2 + drift * u1)
         return [-drift * u2 / i1, r2ddot,
                 *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
 
-    return SodeSystem(sys, "third", sys.n, f, n_constant=sys.constant_measure)
+    sode = SodeSystem(sys, "third", sys.n, f, n_constant=sys.constant_measure,
+                      table_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
+                                   sys.coupling_sum_expr))
+    return sode

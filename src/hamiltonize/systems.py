@@ -138,12 +138,12 @@ class SystemSpec:
 
     # dimensions ---------------------------------------------------------
 
-    @property
+    @cached_property
     def k(self) -> int:
         """Number of constrained coordinates."""
         return len(self.i_alpha)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Configuration-space dimension."""
         return 2 + self.k
@@ -256,8 +256,12 @@ class SystemSpec:
         return self.coupling_sum_expr.compile()
 
     @cached_property
-    def log_measure_slope_fn(self):
-        return self.log_measure_slope_expr.compile()
+    def nonholonomic_table(self):  # what the constrained equations read
+        return ex.compile_table((*self.a_alpha, self.log_measure_slope_expr))
+
+    @cached_property
+    def a_prime_table(self):
+        return ex.compile_table(self.a_prime)
 
     @cached_property
     def weight_fns(self):
@@ -407,14 +411,13 @@ def nonholonomic_ode(sys: SystemSpec):
     and s_a' = -A_a(r1) r2', as a first-order right-hand side on the state
     (r1, r2, s_1..s_k, r1dot, r2dot)."""
     k = sys.k
-    slope = sys.log_measure_slope_fn
-    a_fns = sys.a_fns
+    table = sys.nonholonomic_table
 
     def rhs(t: float, y) -> list[float]:
-        r1 = y[0]
+        *a_vals, slope = table(y[0])
         u1 = y[2 + k]
         u2 = y[3 + k]
-        return [u1, u2, *[-a_fn(r1) * u2 for a_fn in a_fns], 0.0, slope(r1) * u1 * u2]
+        return [u1, u2, *[-a * u2 for a in a_vals], 0.0, slope * u1 * u2]
 
     return rhs
 

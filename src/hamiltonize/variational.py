@@ -60,6 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .errors import (
     CoefficientSingularityError,
     ConfigError,
@@ -192,20 +193,27 @@ class LagrangianModel:
         start = 1 + len(self.kinetic)
         return tuple((b, c, *weights[b - 1]) for b, c in enumerate(self.coefficients, start))
 
+    @cached_property
+    def weight_table(self):
+        """r1 -> (E_b, E_b') of each term in turn, flat."""
+        exprs = [self.system.exp_xi_exprs[b - 1] for b, *_ in self.terms]
+        return ex.compile_table(x for e in exprs for x in (e, e.diff()))
+
     def _weight_values(self, r1: float, derivative: bool = False):
         """(b, coefficient, E_b(r1), E_b'(r1) or 0.0) for each term.
 
         Raises where a weight vanishes: CoefficientSingularityError(b - 2)
         on s_(b-1), whose weight carries A, and ExprDomainError on r2.
         """
+        values = iter(self.weight_table(r1)) if derivative else None
         vals = []
-        for b, c, e_fn, ep_fn in self.terms:
-            value = e_fn(r1)
+        for b, c, e_fn, _ in self.terms:
+            value = next(values) if derivative else e_fn(r1)
             if abs(value) < COEFF_EPS:
                 if b == 1:
                     raise ExprDomainError(f"velocity weight 0 vanishes at r1={r1!r}")
                 raise CoefficientSingularityError(b - 2, r1)
-            vals.append((b, c, value, ep_fn(r1) if derivative else 0.0))
+            vals.append((b, c, value, next(values) if derivative else 0.0))
         return vals
 
     def momentum_sum(self, r1: float, p) -> float:
@@ -376,8 +384,7 @@ def _euler_lagrange_accel(model: LagrangianModel, r1: float, u) -> list[float]:
         weights = ()
         drift = 0.0
         force = [0.0, 0.0]
-        for i_a, ap_fn, u_a in zip(sys.i_alpha, sys.a_prime_fns, u[2:]):
-            ap = ap_fn(r1)
+        for i_a, ap, u_a in zip(sys.i_alpha, sys.a_prime_table(r1), u[2:]):
             drift += i_a * ap * u_a
             force.append(i_a * ap * u[1] * u[0])
         force[0] = -drift * u[1]
@@ -495,7 +502,8 @@ def _hamilton_field(model: LagrangianModel, r1: float, p) -> list[float]:
     (dq/dt, dp/dt); closed-form partials, each E_b evaluated once."""
     _require_hamiltonian(model)
     sys = model.system
-    weights = [(b, c, e_fn(r1), ep_fn(r1)) for b, c, e_fn, ep_fn in model.terms]
+    values = iter(model.weight_table(r1))
+    weights = [(b, c, e, e_slope) for (b, c, _, _), e, e_slope in zip(model.terms, values, values)]
     total = p[0]
     slope = 0.0
     for b, c, e_val, e_slope in weights:

@@ -235,6 +235,15 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
                           "hamiltonian", "--ic", "dx=1e-160", "--t", "0.01"],
         1, "Legendre image of the initial jet q=[1.0, 0.0, 0.0], qdot=[1e-160,"),
+    # a negative seed is rejected before any work, by every command
+    **{f"seed-negative-{command}": (
+        lambda tmp_path, command=command: [command, "--system", "vertical_disk", "--seed", "-1"],
+        1, "--seed must be >= 0, got -1") for command in cli.COMMANDS},
+    # no integration runs for a tolerance that no run can meet or that is no number
+    **{f"tol-{name}": (lambda tmp_path, value=value: [
+        "compare", "--system", "vertical_disk", "--formulation", "nonholonomic,closed-form",
+        "--tol", value], 1, f"--tol must be finite and >= 0, got {float(value)!r}")
+       for name, value in (("nan", "nan"), ("inf", "inf"), ("negative", "-1"))},
 }
 
 
@@ -301,6 +310,14 @@ def test_compare_disk_all_formulations(tmp_path):
     assert report["passed"]
     assert report["max_sup"] < 1e-5
     assert len(report["pairs"]) == 3
+
+
+def test_compare_tol_zero_is_valid(tmp_path):
+    code = run_cli(["compare", "--system", "vertical_disk", "--formulation",
+                    "nonholonomic,closed-form", "--t", "0.05", "--tol", "0"], tmp_path)
+    report = load_report(tmp_path, "vertical_disk_compare.json")
+    assert report["tol"] == 0.0
+    assert code == (0 if report["max_sup"] == 0.0 else 3)
 
 
 def test_compare_needs_two_formulations(tmp_path):
@@ -415,8 +432,9 @@ def test_pontryagin_check(tmp_path):
 @pytest.mark.parametrize("kind", ["g1", "g2"])
 def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, monkeypatch):
     """The complex-step gradient is exact to roundoff, so controls off u*
-    by a relative 1e-11 show in the stationarity norm, while the two-route
-    deviation (which does not use the check's own u*) stays the same."""
+    by a relative 1e-11 show in the stationarity norm.  The two-route
+    deviation is taken at the check's own u*, where the control Hamiltonian
+    is stationary: the error moves it at second order, that is by roundoff."""
     argv = ["pontryagin-check", "--system", system, "--kind", kind,
             "--samples", "200", "--seed", "3"]
     name = f"{system}_pontryagin.json"
@@ -433,8 +451,35 @@ def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, mon
     assert run_cli(argv, tmp_path / "off") == 0  # still inside the 1e-8 bound
     off = load_report(tmp_path / "off", name)
     assert off["max_stationarity_norm"] > 1e-12
-    assert off["max_hamiltonian_deviation"] == clean["max_hamiltonian_deviation"]
+    assert abs(off["max_hamiltonian_deviation"] - clean["max_hamiltonian_deviation"]) < 1e-14
     assert off["evaluated"] == clean["evaluated"]
+
+
+@pytest.mark.parametrize("command", [["pontryagin-check", "--kind", "g1"],
+                                     ["pontryagin-check", "--kind", "g2"],
+                                     ["certify", "--check", "pontryagin"]])
+def test_optimal_controls_computed_once_per_point(command, tmp_path, monkeypatch):
+    """Each sampled phase point computes its optimal controls once; the
+    two-route Hamiltonian and the stationarity check both evaluate them."""
+    from hamiltonize import pontryagin
+
+    calls = []
+    exact = pontryagin.optimal_controls
+
+    def counted(model, ps):
+        calls.append(ps)
+        return exact(model, ps)
+
+    monkeypatch.setattr(pontryagin, "optimal_controls", counted)
+    monkeypatch.setattr(cli, "optimal_controls", counted)
+    assert run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"],
+                   tmp_path) == 0
+    report = load_report(tmp_path, f"vertical_disk_{command[0].split('-')[0]}.json")
+    if command[0] == "certify":
+        report = report["checks"][0]["details"]
+    assert report["evaluated"] > 0
+    assert len(calls) == report["samples"] == 60
+    assert len(set(map(id, calls))) == 60  # one call per point, none repeated
 
 
 def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hamiltonize import ExprDomainError, ExprParseError, diff_expr, parse_expr
-from hamiltonize.expr import LABEL_CHARS, Const, Ln, Neg, Sin, Tan, Var
+from hamiltonize.expr import LABEL_CHARS, Const, Ln, Neg, Sin, Tan, Var, compile_table
 
 
 def fd_slope(e, r1, h=1e-6):
@@ -174,6 +174,70 @@ def test_compiled_matches_interpreted_bit_for_bit_on_random_expressions():
             assert outcome(node.compile(), r1) == outcome(node.eval, r1), text
 
     agree()
+
+
+def test_tables_match_per_entry_compile_bit_for_bit_on_random_expressions():
+    """Over random lists of grammar strings, with their derivatives (which
+    share subexpressions across entries), a jointly compiled table gives
+    each entry's own compiled value to the bit, or, where an entry fails,
+    the message of the first failing entry."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    numbers = st.sampled_from(["0", "1", "2", "0.5", "3.25", "1e-3", "7e300", "1e999"])
+    leaves = st.one_of(st.just("r1"), numbers)
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "ln", "sqrt"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.integers(-3, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda text: f"-{text}"),
+        )
+
+    texts = st.lists(st.recursive(leaves, grow, max_leaves=10), min_size=1, max_size=4)
+    points = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+    def entries(exprs, r1):
+        values = []
+        for e in exprs:
+            try:
+                values.append(e.compile()(r1).hex())
+            except ExprDomainError as exc:
+                return str(exc)
+        return values
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(texts, points)
+    def agree(strings, r1):
+        exprs = [x for text in strings for x in (parse_expr(text), parse_expr(text).diff())]
+        try:
+            got = [v.hex() for v in compile_table(exprs)(r1)]
+        except ExprDomainError as exc:
+            got = str(exc)
+        assert got == entries(exprs, r1), strings
+
+    agree()
+
+
+def test_table_raises_the_first_failing_entrys_error():
+    exprs = [parse_expr(text) for text in ("r1", "sqrt(r1)", "ln(r1)", "exp(-r1)")]
+    table = compile_table(exprs)
+    for r1, failing in ((-2.0, "sqrt(r1)"), (-800.0, "sqrt(r1)"), (0.0, "ln(r1)")):
+        with pytest.raises(ExprDomainError) as alone:
+            parse_expr(failing).compile()(r1)
+        with pytest.raises(ExprDomainError) as joint:
+            table(r1)
+        assert str(joint.value) == str(alone.value)
+    assert table(1.0) == (1.0, 1.0, 0.0, math.exp(-1.0))
+
+
+def test_table_of_finite_values_whose_sum_overflows():
+    """The one domain check sums the entries; an overflowing sum of finite
+    values is a false alarm that still returns them."""
+    table = compile_table([parse_expr("1e308 + r1"), parse_expr("1e308 * (1 + r1)")])
+    assert table(0.0) == (1e308, 1e308)
+    assert compile_table([Var()])(2.5) == (2.5,)
 
 
 def test_nodes_are_interned_and_derivatives_memoised():

@@ -1,4 +1,8 @@
+import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +22,12 @@ from hamiltonize import (
     second_associated,
     third_associated,
 )
+from hamiltonize import expr
 from hamiltonize.cli import default_initial_jet
 from hamiltonize.errors import EvaluationError
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
-from hamiltonize.variational import hamilton_ode, hamiltonian_model, legendre
+from hamiltonize.variational import (euler_lagrange_ode, hamilton_ode, hamiltonian_model,
+                                     lagrangian_model, legendre)
 
 
 def test_config_validation():
@@ -216,6 +222,41 @@ def test_float_loop_matches_numpy_rk4_bit_for_bit(name):
         assert _hex_rows(got.states) == _hex_rows(ref.states), label
 
 
+@pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
+def test_each_coefficient_table_is_compiled_once(name, monkeypatch):
+    """Every formulation's right-hand side reads one jointly compiled table,
+    compiled once: runs of 20 steps compile one table per formulation, a
+    second pass compiles none, and neither does a second right-hand side
+    built over the same system."""
+    compiled = []
+    original = expr.compile_table
+
+    def counted(exprs):
+        compiled.append(exprs)
+        return original(exprs)
+
+    monkeypatch.setattr(expr, "compile_table", counted)
+    system = builtin_system(name)
+    jet0 = default_initial_jet(system)
+    cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 0.02))
+
+    def run_all(runs):
+        for label, rhs, y0 in runs:
+            integrate(rhs, y0, cfg, tuple(f"c{i}" for i in range(len(y0))), label)
+
+    runs = _formulation_runs(name) + [
+        (f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(system, kind)),
+         jet0.q + jet0.qdot) for kind in ("first", "variational")]
+    run_all(runs)
+    assert len(compiled) == len(runs)
+    run_all(runs)
+    run_all([("nonholonomic", nonholonomic_ode(system), nh_state_from_jet(system, jet0))])
+    run_all([("nonholonomic", nonholonomic_ode(system), nh_state_from_jet(system, jet0))])
+    run_all([("variational", euler_lagrange_ode(lagrangian_model(system, "variational")),
+              jet0.q + jet0.qdot)])
+    assert len(compiled) == len(runs) + 1  # the nonholonomic table of ``system``
+
+
 def test_float_loop_aborts_where_numpy_rk4_does():
     """A step that turns the state non-finite: same finite prefix, same time."""
     sys = builtin_system("free_particle")
@@ -236,6 +277,69 @@ def test_float_loop_aborts_where_numpy_rk4_does():
     assert np.array_equal(got.value.trajectory.times, ref.value.trajectory.times)
     assert (_hex_rows(got.value.trajectory.states)
             == _hex_rows(ref.value.trajectory.states))
+
+
+# --- the generated RK4 step --------------------------------------------------
+
+
+def _coupled(dim, as_array=False):
+    """A nonlinear right-hand side that couples every component, so a step
+    that mixed up components or stages would show."""
+    def rhs(t, y):
+        dy = [math.sin(y[(i + 1) % dim]) * (1.0 + t) - 0.3 * y[i] * y[i - 1]
+              for i in range(dim)]
+        return np.array(dy) if as_array else dy
+    return rhs
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("as_array", [False, True])
+def test_generated_step_matches_numpy_rk4_bit_for_bit(dim, as_array):
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 1.0))
+    y0 = [0.1 * (i + 1) * (-1) ** i for i in range(dim)]
+    columns = tuple(f"c{i}" for i in range(dim))
+    ref = numpy_rk4(_coupled(dim, as_array), y0, cfg, columns)
+    got = integrate(_coupled(dim, as_array), y0, cfg, columns, "test")
+    assert np.array_equal(got.times, ref.times)
+    assert _hex_rows(got.states) == _hex_rows(ref.states)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 7])
+def test_generated_step_aborts_where_numpy_rk4_does(dim):
+    """An evaluation error in a stage part-way through the run: same finite
+    prefix, same abort time."""
+    inner = _coupled(dim)
+
+    def rhs(t, y):
+        if t > 0.305:
+            raise EvaluationError("stage past t=0.305")
+        return inner(t, y)
+
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 1.0))
+    y0 = [0.2] * dim
+    columns = tuple(f"c{i}" for i in range(dim))
+    with pytest.raises(IntegrationAborted) as ref:
+        numpy_rk4(rhs, y0, cfg, columns)
+    with pytest.raises(IntegrationAborted) as got:
+        integrate(rhs, y0, cfg, columns, "test")
+    assert got.value.time == ref.value.time
+    assert len(got.value.trajectory.times) == 31
+    assert (_hex_rows(got.value.trajectory.states)
+            == _hex_rows(ref.value.trajectory.states))
+
+
+def test_generated_step_is_made_on_first_use_once_per_dimension():
+    """No step exists after a fresh import; a dimension's step is generated
+    by its first run and reused after."""
+    module = importlib.import_module("hamiltonize.integrate")
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys, hamiltonize; "
+         "print(len(sys.modules['hamiltonize.integrate']._STEPPERS))"],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(module.__file__))),
+        capture_output=True, text=True, timeout=60)
+    assert fresh.stdout.strip() == "0", fresh.stderr
+    first = module._rk4_step(5)
+    assert module._rk4_step(5) is first and module._STEPPERS[5] is first
 
 
 # --- the chunked CSV writer --------------------------------------------------
