@@ -132,12 +132,11 @@ def _band_column(sode, a: int) -> int:
 
 def _closed_psi(sode, jet: Jet, order: int) -> np.ndarray:
     """nabla^order Phi from the coefficients of ``sode.phi_tower``."""
-    c = sode.phi_tower(order)
+    coeffs = sode.phi_tower(order)(jet.r1)
     n = sode.n
     u1 = jet.r1dot
     M = np.zeros((n, n))
-    for a in range(n - 1):
-        coeff = c[a](jet.r1)
+    for a, coeff in enumerate(coeffs):
         col = _band_column(sode, a)
         M[1 + a, 0] = coeff * u1 ** (order + 1) * jet.qdot[col]
         M[1 + a, col] = -coeff * u1 ** (order + 2)
@@ -151,11 +150,10 @@ def nabla(sode, jet: Jet) -> np.ndarray:
     """The connection matrix -(1/2) df^i/dq'^j at a jet."""
     n = sode.n
     if sode.kind in CLOSED_KINDS:
-        fns = sode.coeff_fns
+        coeffs = sode.coeff_table(jet.r1)
         u1 = jet.r1dot
         M = np.zeros((n, n))
-        for a in range(n - 1):
-            x = fns[a](jet.r1)
+        for a, x in enumerate(coeffs):
             col = _band_column(sode, a)
             M[1 + a, 0] = -0.5 * x * jet.qdot[col]
             M[1 + a, col] = -0.5 * x * u1

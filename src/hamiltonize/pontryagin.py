@@ -83,10 +83,15 @@ def controlled_rhs(model: LagrangianModel, q, u) -> list:
     """Position derivative (r1', q_b') of the controlled first-order system.
     Coordinates the model charges kinetically keep their controls
     unweighted."""
-    r1 = float(q[0])
+    return _controlled_rhs(model, u, model.weight_table(float(q[0])))
+
+
+def _controlled_rhs(model: LagrangianModel, u, weights) -> list:
+    """``controlled_rhs`` from the flat (E_b, E_b') values of ``weight_table``."""
     out = list(u)
-    for b, _, e_fn, _ in model.terms:
-        out[b] = u[b] * e_fn(r1)
+    values = iter(weights)
+    for (b, _), e_val, _ in zip(model.terms, values, values):
+        out[b] = u[b] * e_val
     return out
 
 
@@ -106,15 +111,20 @@ def controlled_ode(model: LagrangianModel, control):
 
 def cost(model: LagrangianModel, q, u) -> float:
     """Instantaneous running cost of the controls at position q."""
+    return _cost(model, u, model.weight_table(float(q[0])))
+
+
+def _cost(model: LagrangianModel, u, weights) -> float:
+    """``cost`` from the flat (E_b, E_b') values of ``weight_table``."""
     u1 = u[0]
     if abs(u1) < U1_MIN:
         raise SingularVelocityError("cost undefined for u_1 near zero")
-    r1 = float(q[0])
     value = model.system.i1 * u1**2
     for b, inertia in model.kinetic:
         value += inertia * u[b] ** 2
-    for b, c, e_fn, _ in model.terms:
-        value += c * e_fn(r1) * u[b] ** 2 / u1
+    values = iter(weights)
+    for (b, c), e_val, _ in zip(model.terms, values, values):
+        value += c * e_val * u[b] ** 2 / u1
     return 0.5 * value
 
 
@@ -126,19 +136,26 @@ def pontryagin_hamiltonian(model: LagrangianModel, ps: PhaseState, u) -> float |
     ``np.dot``: the reported two-route deviations depend to the last bit on
     its order of summation.
     """
-    qdot = controlled_rhs(model, ps.q, u)
-    return np.dot(ps.p, qdot).item() - cost(model, ps.q, u)
+    return _control_hamiltonian(model, ps.p, u, model.weight_table(ps.r1))
+
+
+def _control_hamiltonian(model: LagrangianModel, p, u, weights) -> float | complex:
+    """``pontryagin_hamiltonian`` from the values of ``weight_table``, read
+    once for both <p, f> and G."""
+    qdot = _controlled_rhs(model, u, weights)
+    return np.dot(p, qdot).item() - _cost(model, u, weights)
 
 
 def control_gradient(model: LagrangianModel, ps: PhaseState, u) -> tuple[float, ...]:
     """Gradient of the control Hamiltonian in u, by the complex step: one
-    evaluation of ``pontryagin_hamiltonian`` per control, exact to
-    roundoff."""
+    evaluation of ``pontryagin_hamiltonian``'s code per control, at weights
+    read once, exact to roundoff."""
+    weights = model.weight_table(ps.r1)
     grad = []
     for k in range(len(u)):
         shifted = list(u)
         shifted[k] += CS_STEP * 1j
-        grad.append(pontryagin_hamiltonian(model, ps, shifted).imag / CS_STEP)
+        grad.append(_control_hamiltonian(model, ps.p, shifted, weights).imag / CS_STEP)
     return tuple(grad)
 
 
@@ -151,7 +168,7 @@ def optimal_controls(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...
     u = [u1] + [0.0] * (len(p) - 1)
     for b, inertia in model.kinetic:
         u[b] = p[b] / inertia
-    for b, c, _, _ in model.terms:
+    for b, c in model.terms:
         u[b] = p[b] * u1 / c
     return tuple(u)
 

@@ -17,8 +17,8 @@ second  -- additionally use the constraints to trade r2' for s_a'/A_a, after
 
 third   -- the Euler-Lagrange equations, in normal form, of the Lagrangian
            obtained by subtracting the constraint-momentum pairing from L.
-           This is an associated system only when N is constant; the
-           ``n_constant`` flag records the numerical test.
+           This is an associated system only when N is constant, which
+           the system's ``constant_measure`` decides numerically.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class SodeSystem:
     ``coeff_exprs`` holds the r1-dependent coefficient functions of the
     q_a equations (kind first: acceleration = coeff * r1' * r2'; kind
     second: acceleration = coeff * q_a' * r1', the coeff being the
-    logarithmic slope of the weight).  ``xi`` and ``exp_xi`` are only
-    populated for the second kind.  Kind ``"generic"`` is a bare system
-    with no underlying ``system``, for tensor evaluation and tests.
+    logarithmic slope of the weight ``system.exp_xi_exprs``), compiled
+    jointly as ``coeff_table``.  Kind ``"generic"`` is a bare system with
+    no underlying ``system``, for tensor evaluation and tests.
 
     ``_f`` maps coordinates q and velocities u, any float sequences, to the
     list of accelerations; ``f`` and ``ode`` both call it.  It reads what
@@ -70,8 +70,6 @@ class SodeSystem:
     n: int
     _f: Callable[[Sequence[float], Sequence[float]], list[float]]
     coeff_exprs: tuple[ex.Expr, ...] = ()
-    exp_xi_exprs: tuple[ex.Expr, ...] = ()
-    n_constant: bool = False
     table_exprs: tuple[ex.Expr, ...] = ()
 
     def f(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -94,38 +92,24 @@ class SodeSystem:
         return rhs
 
     @cached_property
-    def coeff_fns(self):
-        """Compiled ``coeff_exprs``, in the same order."""
-        return tuple(c.compile() for c in self.coeff_exprs)
+    def coeff_table(self):
+        """r1 -> the values of ``coeff_exprs``, in the same order."""
+        return ex.compile_table(self.coeff_exprs)
 
     @cached_property
     def table(self):
         return ex.compile_table(self.table_exprs)
 
-    @cached_property
-    def exp_xi(self):
-        """Compiled signed weights exp(xi_a), index 0 for r2, 1+a for s_a,
-        read from the system's weight table."""
-        if not self.exp_xi_exprs:
-            return ()
-        return tuple(e_fn for e_fn, _ in self.system.weight_fns)
-
-    @cached_property
-    def xi(self):
-        """Log-primitives xi_a = ln(exp_xi_a); domain error where the weight
-        is non-positive (use ``exp_xi`` for sign-robust evaluation)."""
-        return tuple(ex.Ln(e).compile() for e in self.exp_xi_exprs)
-
     def phi_tower(self, order: int):
-        """Compiled coefficients c[a] with (nabla^order Phi)^a_1 =
+        """Compiled table r1 -> (c[0], .., c[n-2]) with (nabla^order Phi)^a_1 =
         c[a] * u1^(order+1) * u2 (kind first) or * u_a (kind second).
 
         The tower grows tier by tier up to the deepest order asked for, so
-        each tier is built and compiled once per system.
+        each tier is built and compiled once per system, as one table.
         """
         built, levels = self._phi_tiers
         while len(built) <= order:
-            built.append(tuple(c.compile() for c in next(levels)))
+            built.append(ex.compile_table(next(levels)))
         return built[order]
 
     @cached_property
@@ -204,7 +188,7 @@ def second_associated(sys: SystemSpec) -> SodeSystem:
     guards = (ex.const(1.0), *sys.a_alpha)  # the A whose zero makes a rate singular
     table = tuple(x for a, e in zip(guards, e_exprs) for x in (a, e, e.diff()))
     sode = SodeSystem(sys, "second", sys.n, f, coeff_exprs=tuple(e.diff() / e for e in e_exprs),
-                      exp_xi_exprs=e_exprs, n_constant=sys.constant_measure, table_exprs=table)
+                      table_exprs=table)
     return sode
 
 
@@ -213,7 +197,7 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
 
     Associated to the constrained dynamics only when the measure density N
     is constant; construction always succeeds and consumers must check the
-    ``n_constant`` flag before treating it as an associated system.
+    system's ``constant_measure`` before treating it as an associated system.
     """
     k = sys.k
     i1 = sys.i1
@@ -229,7 +213,7 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
         return [-drift * u2 / i1, r2ddot,
                 *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
 
-    sode = SodeSystem(sys, "third", sys.n, f, n_constant=sys.constant_measure,
+    sode = SodeSystem(sys, "third", sys.n, f,
                       table_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
                                    sys.coupling_sum_expr))
     return sode

@@ -207,18 +207,17 @@ class SystemSpec:
     def _validate_weight_overrides(self):
         """Overridden weights must solve the same log-slope equations as the
         (N, N*A) construction, checked at sampled points."""
-        default_fns = _weight_table(
-            (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
-        )
+        defaults = (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
         checked = 0
         for r1 in np.linspace(-1.3, 1.3, 17):
             r1 = float(r1)
             try:
-                for (d, dp), (o, op) in zip(default_fns, self.weight_fns):
-                    dv, ov = d(r1), o(r1)
+                for d, o in zip(defaults, self.weight_exprs):
+                    dv, ov = d.eval(r1), o.eval(r1)
                     if abs(dv) < 1e-9 or abs(ov) < 1e-9:
                         raise EvaluationError("near a coefficient zero")
-                    if abs(dp(r1) / dv - op(r1) / ov) > 1e-9 * (1 + abs(dp(r1) / dv)):
+                    slope = d.diff().eval(r1) / dv
+                    if abs(slope - o.diff().eval(r1) / ov) > 1e-9 * (1 + abs(slope)):
                         raise ConfigError(
                             "weight override has a different logarithmic slope "
                             f"than the measure construction at r1={r1}"
@@ -234,10 +233,6 @@ class SystemSpec:
     @cached_property
     def a_fns(self):
         return tuple(a.compile() for a in self.a_alpha)
-
-    @cached_property
-    def a_prime_fns(self):
-        return tuple(a.compile() for a in self.a_prime)
 
     @cached_property
     def measure_fn(self):
@@ -262,12 +257,6 @@ class SystemSpec:
     @cached_property
     def a_prime_table(self):
         return ex.compile_table(self.a_prime)
-
-    @cached_property
-    def weight_fns(self):
-        """Compiled (E, E') pairs in ``exp_xi_exprs`` order, shared by every
-        route that weights velocities."""
-        return _weight_table(self.exp_xi_exprs)
 
     @cached_property
     def constant_measure(self) -> bool:
@@ -312,10 +301,6 @@ class SystemSpec:
         """Build the jet over ``q`` with the s-velocities slaved to the constraint."""
         sdot = tuple(-self.a_fns[a](q[0]) * r2dot for a in range(self.k))
         return Jet(tuple(q), (r1dot, r2dot) + sdot)
-
-
-def _weight_table(exprs: tuple[ex.Expr, ...]):
-    return tuple((e.compile(), e.diff().compile()) for e in exprs)
 
 
 # --- built-in example systems ----------------------------------------------
@@ -449,6 +434,12 @@ def disk_closed_form(radius: float, ics: Jet, t: float) -> Jet:
     u_phi != 0 the disk traces a circle; for u_phi = 0 it rolls along a
     straight line.
     """
+    state = disk_closed_form_state(radius, ics, t)
+    return Jet(state[:4], state[4:])
+
+
+def disk_closed_form_state(radius: float, ics: Jet, t: float) -> tuple[float, ...]:
+    """``disk_closed_form`` as the flat tuple (q, qdot), without a Jet."""
     phi0, theta0, x0, y0 = ics.q
     u_phi, u_theta = ics.qdot[0], ics.qdot[1]
     phi = phi0 + u_phi * t
@@ -462,7 +453,7 @@ def disk_closed_form(radius: float, ics: Jet, t: float) -> Jet:
         y = radius * math.sin(phi0) * u_theta * t + y0
     xdot = radius * math.cos(phi) * u_theta
     ydot = radius * math.sin(phi) * u_theta
-    return Jet((phi, theta, x, y), (u_phi, u_theta, xdot, ydot))
+    return (phi, theta, x, y, u_phi, u_theta, xdot, ydot)
 
 
 # --- declarative system files ------------------------------------------------

@@ -184,44 +184,43 @@ class LagrangianModel:
         return ((1, self.system.i2),) if self.kind == "second" else ()
 
     @cached_property
-    def terms(self) -> tuple[tuple, ...]:
-        """(b, coefficient, E_b, E_b') for each coordinate b charged
-        (1/2) coefficient q_b'^2 / (E_b r1'), where (E_b, E_b') is
-        sys.weight_fns[b - 1]: b = 1..n-1 for kind first, 2..n-1 for kind
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """(b, coefficient) for each coordinate b charged
+        (1/2) coefficient q_b'^2 / (E_b r1'), E_b being the system's
+        exp_xi_exprs[b - 1]: b = 1..n-1 for kind first, 2..n-1 for kind
         second, none for variational."""
-        weights = self.system.weight_fns
-        start = 1 + len(self.kinetic)
-        return tuple((b, c, *weights[b - 1]) for b, c in enumerate(self.coefficients, start))
+        return tuple(enumerate(self.coefficients, 1 + len(self.kinetic)))
 
     @cached_property
     def weight_table(self):
-        """r1 -> (E_b, E_b') of each term in turn, flat."""
-        exprs = [self.system.exp_xi_exprs[b - 1] for b, *_ in self.terms]
+        """r1 -> (E_b, E_b') of each term in turn, flat: the one compiled
+        form of the weights, read by every route."""
+        exprs = [self.system.exp_xi_exprs[b - 1] for b, _ in self.terms]
         return ex.compile_table(x for e in exprs for x in (e, e.diff()))
 
-    def _weight_values(self, r1: float, derivative: bool = False):
-        """(b, coefficient, E_b(r1), E_b'(r1) or 0.0) for each term.
+    def _weight_values(self, r1: float):
+        """(b, coefficient, E_b(r1), E_b'(r1)) for each term.
 
         Raises where a weight vanishes: CoefficientSingularityError(b - 2)
         on s_(b-1), whose weight carries A, and ExprDomainError on r2.
         """
-        values = iter(self.weight_table(r1)) if derivative else None
+        values = iter(self.weight_table(r1))
         vals = []
-        for b, c, e_fn, _ in self.terms:
-            value = next(values) if derivative else e_fn(r1)
+        for (b, c), value, slope in zip(self.terms, values, values):
             if abs(value) < COEFF_EPS:
                 if b == 1:
                     raise ExprDomainError(f"velocity weight 0 vanishes at r1={r1!r}")
                 raise CoefficientSingularityError(b - 2, r1)
-            vals.append((b, c, value, next(values) if derivative else 0.0))
+            vals.append((b, c, value, slope))
         return vals
 
     def momentum_sum(self, r1: float, p) -> float:
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
         _require_hamiltonian(self)
         total = p[0]
-        for b, c, e_fn, _ in self.terms:
-            total += 0.5 * e_fn(r1) * p[b] ** 2 / c
+        values = iter(self.weight_table(r1))
+        for (b, c), e_val, _ in zip(self.terms, values, values):
+            total += 0.5 * e_val * p[b] ** 2 / c
         return total
 
 
@@ -346,14 +345,15 @@ def hessian_coordinate_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     n = sys.n
     out = np.zeros((n, n, n))
     if model.kind == "variational":
+        a_prime = sys.a_prime_table(jet.r1)
         for a in range(sys.k):
-            slope = -sys.i_alpha[a] * sys.a_prime_fns[a](jet.r1)
+            slope = -sys.i_alpha[a] * a_prime[a]
             out[0][1, 2 + a] = out[0][2 + a, 1] = slope
         return out
     _require_moving(jet.r1dot)
     u = jet.qdot
     u1 = u[0]
-    for b, c, e_val, e_slope in model._weight_values(jet.r1, derivative=True):
+    for b, c, e_val, e_slope in model._weight_values(jet.r1):
         w_slope = -c * e_slope / e_val**2
         ub = u[b]
         out[0][0, 0] += w_slope * ub**2 / u1**3
@@ -391,7 +391,7 @@ def _euler_lagrange_accel(model: LagrangianModel, r1: float, u) -> list[float]:
         force[1] = drift * u[0]
     else:
         _require_moving(u[0])
-        weights = model._weight_values(r1, derivative=True)
+        weights = model._weight_values(r1)
         force = [0.0] * sys.n
         total = 0.0
         for b, c, e_val, e_slope in weights:
@@ -503,7 +503,7 @@ def _hamilton_field(model: LagrangianModel, r1: float, p) -> list[float]:
     _require_hamiltonian(model)
     sys = model.system
     values = iter(model.weight_table(r1))
-    weights = [(b, c, e, e_slope) for (b, c, _, _), e, e_slope in zip(model.terms, values, values)]
+    weights = [(b, c, e, e_slope) for (b, c), e, e_slope in zip(model.terms, values, values)]
     total = p[0]
     slope = 0.0
     for b, c, e_val, e_slope in weights:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hamiltonize import cli
+from hamiltonize import cli, expr
 from hamiltonize.cli import main
 from hamiltonize.systems import builtin_system, load_system_file
 from hamiltonize.variational import LagrangianModel, default_coefficients
@@ -48,6 +48,31 @@ def test_simulate_hamiltonian_reports_drift(tmp_path):
     sidecar = load_report(tmp_path, "free_particle_hamiltonian.json")
     assert sidecar["energy_drift"] < 1e-8
     assert sidecar["constraint_drift"] < 1e-6
+
+
+def test_hamiltonian_run_compiles_each_weight_once(tmp_path, monkeypatch):
+    """The Legendre map, the canonical flow and the drift metrics of a
+    Hamiltonian run read one compiled form of the weights E_b and E_b': no
+    weight expression reaches a compiler twice."""
+    handed = []
+    compile_one, compile_table = expr.Expr.compile, expr.compile_table
+
+    def one(self):
+        handed.append(self)
+        return compile_one(self)
+
+    def table(exprs):
+        exprs = tuple(exprs)
+        handed.extend(exprs)
+        return compile_table(exprs)
+
+    monkeypatch.setattr(expr.Expr, "compile", one)
+    monkeypatch.setattr(expr, "compile_table", table)
+    assert run_cli(["simulate", "--system", "vertical_disk", "--formulation", "hamiltonian",
+                    "--t", "0.01"], tmp_path) == 0
+    weights = builtin_system("vertical_disk").exp_xi_exprs
+    for e in weights + tuple(w.diff() for w in weights):
+        assert sum(x is e for x in handed) == 1, e
 
 
 def test_simulate_rejects_bad_expression(tmp_path):
@@ -235,6 +260,11 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
                           "hamiltonian", "--ic", "dx=1e-160", "--t", "0.01"],
         1, "Legendre image of the initial jet q=[1.0, 0.0, 0.0], qdot=[1e-160,"),
+    # comparing a run with itself would pass on zero evidence
+    "compare-repeated-formulation": (
+        lambda tmp_path: ["compare", "--system", "knife_edge", "--formulation",
+                          "nonholonomic,nonholonomic", "--t", "0.01"],
+        1, "compare got formulation 'nonholonomic' more than once"),
     # a negative seed is rejected before any work, by every command
     **{f"seed-negative-{command}": (
         lambda tmp_path, command=command: [command, "--system", "vertical_disk", "--seed", "-1"],
@@ -426,6 +456,18 @@ def test_pontryagin_check(tmp_path):
                                  + report["skipped_near_u1_zero"])
     assert report["skipped_near_u1_zero"] > 0
     assert (report["deviation_tol"], report["stationarity_tol"]) == (1e-10, 1e-8)
+
+
+def test_pontryagin_check_fails_on_zero_evidence(tmp_path):
+    """The one sampled point is skipped, so nothing is evaluated and neither
+    the check nor certify's copy of it may pass."""
+    argv = ["--system", "free_particle", "--samples", "1", "--seed", "10"]
+    assert run_cli(["pontryagin-check", *argv], tmp_path) == 3
+    report = load_report(tmp_path, "free_particle_pontryagin.json")
+    assert (report["evaluated"], report["passed"]) == (0, False)
+    assert run_cli(["certify", "--check", "pontryagin", *argv], tmp_path) == 3
+    (check,) = load_report(tmp_path, "free_particle_certify.json")["checks"]
+    assert check["status"] == "fail" and check["details"]["evaluated"] == 0
 
 
 @pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])

@@ -18,7 +18,7 @@ from hamiltonize import (
     second_associated,
     singularity_certificate,
 )
-from hamiltonize.expr import Expr
+from hamiltonize import expr
 from hamiltonize.helmholtz import psi_stack, r_condition_residual
 from hamiltonize.sampling import generic_jets
 
@@ -157,22 +157,24 @@ def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
 
 def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
     """A depth-5 stack builds and compiles each tier once per system: the
-    first jet compiles 5 tiers x 2 coefficients, later jets compile nothing."""
+    first jet compiles 5 tiers, each one table of 2 coefficients, later jets
+    compile nothing."""
     sode = first_associated(knife_edge)
     compiled = []
-    original = Expr.compile
+    original = expr.compile_table
 
-    def counted(self):
-        compiled.append(self)
-        return original(self)
+    def counted(exprs):
+        compiled.append(tuple(exprs))
+        return original(compiled[-1])
 
-    monkeypatch.setattr(Expr, "compile", counted)
+    monkeypatch.setattr(expr, "compile_table", counted)
     per_jet = []
     for jet in generic_jets(knife_edge, 2, rng):
         before = len(compiled)
         psi_stack(sode, jet, 5)
         per_jet.append(len(compiled) - before)
-    assert per_jet == [5 * 2, 0]
+    assert per_jet == [5, 0]
+    assert [len(tier) for tier in compiled] == [2] * 5
 
 
 @pytest.mark.parametrize("name", ["knife_edge", "vertical_disk"])
@@ -181,21 +183,23 @@ def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
     where its expanded trees hold 1.2 and 1.6 million."""
     sode = first_associated(request.getfixturevalue(name))
     compiled = []
-    original = Expr.compile
+    original = expr.compile_table
 
-    def recorded(self):
-        compiled.append(self)
-        return original(self)
+    def recorded(exprs):
+        compiled.append(tuple(exprs))
+        return original(compiled[-1])
 
-    monkeypatch.setattr(Expr, "compile", recorded)
+    monkeypatch.setattr(expr, "compile_table", recorded)
     sode.phi_tower(4)
+    assert len(compiled) == 5
     seen = set()
-    pending = compiled[-2:]  # the order-4 coefficients
+    pending = list(compiled[-1])  # the order-4 tier, every coefficient
+    assert pending
     while pending:
         node = pending.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            pending.extend(f for f in vars(node).values() if isinstance(f, Expr))
+            pending.extend(f for f in vars(node).values() if isinstance(f, expr.Expr))
     assert len(seen) < 1000
 
 

@@ -201,7 +201,7 @@ def _formulation_runs(name):
     runs = [("nonholonomic", nonholonomic_ode(sys), nh_state_from_jet(sys, jet0))]
     for build in (first_associated, second_associated, third_associated):
         sode = build(sys)
-        if sode.kind == "third" and not sode.n_constant:
+        if sode.kind == "third" and not sode.system.constant_measure:
             continue  # associated only where the measure is constant
         runs.append((f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot)))
     for kind in ("first", "second") if sys.constant_measure else ("first",):

@@ -137,12 +137,11 @@ def test_hessian_matches_finite_differences(any_system, kind, rng):
 def test_hessian_leading_entry_formula(free_particle, rng):
     """g_11 = I1 + sum_b C_b q_b'^2 / (E_b r1'^3)."""
     model = lagrangian_model(free_particle, "first", (1.3, 0.7))
-    sode = second_associated(free_particle)
     for jet in generic_jets(free_particle, 10, rng):
         g = hessian(model, jet)
         expected = 1.0
         for b, c in enumerate(model.coefficients):
-            e_b = sode.exp_xi[b](jet.r1)
+            e_b = free_particle.exp_xi_exprs[b].eval(jet.r1)
             expected += c * jet.qdot[1 + b] ** 2 / (e_b * jet.r1dot**3)
             assert g[1 + b, 1 + b] == pytest.approx(c / (e_b * jet.r1dot), rel=1e-12)
         assert g[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -243,14 +242,16 @@ def _el_force(model, jet):
     if model.kind == "variational":
         drift = 0.0
         for a in range(sys.k):
-            slope = sys.i_alpha[a] * sys.a_prime_fns[a](r1)
+            slope = sys.i_alpha[a] * sys.a_prime[a].eval(r1)
             drift += slope * u[2 + a]
             force[2 + a] = slope * u[1] * u[0]
         force[0], force[1] = -drift * u[1], drift * u[0]
         return force
-    for b, c, e_fn, ep_fn in model.terms:
-        force[b] = c * u[b] * ep_fn(r1) / e_fn(r1) ** 2
-        force[0] -= c * u[b] ** 2 * ep_fn(r1) / e_fn(r1) ** 2 / u[0]
+    for b, c in model.terms:
+        e_b = sys.exp_xi_exprs[b - 1]
+        e_val, e_slope = e_b.eval(r1), e_b.diff().eval(r1)
+        force[b] = c * u[b] * e_slope / e_val ** 2
+        force[0] -= c * u[b] ** 2 * e_slope / e_val ** 2 / u[0]
     return force
 
 
