@@ -21,6 +21,7 @@ and tool version so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,8 +33,7 @@ from . import __version__
 from .errors import ConfigError, EvaluationError, IntegrationAborted
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
-from .pontryagin import (MODEL_KINDS, control_gradient, cost_model, optimal_controls,
-                         optimal_hamiltonian_value)
+from .pontryagin import MODEL_KINDS, control_gradient, optimal_controls, optimal_hamiltonian_value
 from .sampling import generic_jets, phase_points, sample_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
@@ -53,7 +53,6 @@ from .variational import (
     PhaseState,
     euler_lagrange_ode,
     hamilton_ode,
-    hamiltonian_model,
     hamiltonian_value,
     hessian_field,
     lagrangian_model,
@@ -129,6 +128,10 @@ class RunManifest:
             )
         return builtin_system(self.system_source, **system_params)
 
+    def model(self, sys_: SystemSpec, kind: str) -> LagrangianModel:
+        """The closed-form model of ``kind`` with the --params constants."""
+        return lagrangian_model(sys_, kind, self.model_coefficients(sys_, kind))
+
     def model_coefficients(self, sys_: SystemSpec, kind: str):
         """C_b / a_b overrides like C2=2.0 or a3=-0.7 from --params.
 
@@ -174,14 +177,13 @@ def build_initial_jet(sys_: SystemSpec, manifest: RunManifest) -> Jet:
     if manifest.ic:
         q = list(jet.q)
         qdot = list(jet.qdot)
-        valid = set(sys_.names) | {"d" + n for n in sys_.names}
         for key, value in manifest.ic.items():
-            if key not in valid:
-                raise ConfigError(f"unknown initial-condition key {key!r}")
-            if key.startswith("d") and key[1:] in sys_.names:
+            if key in sys_.names:
+                q[sys_.names.index(key)] = value
+            elif key[:1] == "d" and key[1:] in sys_.names:
                 qdot[sys_.names.index(key[1:])] = value
             else:
-                q[sys_.names.index(key)] = value
+                raise ConfigError(f"unknown initial-condition key {key!r}")
         jet = Jet(tuple(q), tuple(qdot))
         explicit_sdot = any(k.startswith("d") and k[1:] in sys_.names[2:]
                             for k in manifest.ic)
@@ -210,16 +212,14 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
     if formulation == "lagrangian":
         if jet0.r1dot == 0.0 and manifest.lag_kind != "variational":
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
-        model = lagrangian_model(sys_, manifest.lag_kind,
-                                 manifest.model_coefficients(sys_, manifest.lag_kind))
+        model = manifest.model(sys_, manifest.lag_kind)
         y0 = np.array(jet0.q + jet0.qdot)
         return integrate(euler_lagrange_ode(model), y0, cfg,
                          sys_.names + tuple("d" + n for n in sys_.names), "euler-lagrange"), {}
     if formulation == "hamiltonian":
         if jet0.r1dot == 0.0:
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
-        model = hamiltonian_model(sys_, manifest.ham_kind,
-                                  manifest.model_coefficients(sys_, manifest.ham_kind))
+        model = manifest.model(sys_, manifest.ham_kind)
         ps0 = legendre(model, jet0)
         if not np.isfinite(ps0.p).all():
             raise ConfigError(f"the Legendre image of the initial jet q={list(jet0.q)}, "
@@ -336,41 +336,46 @@ def cmd_compare(manifest: RunManifest) -> int:
     return EXIT_OK if worst <= manifest.tol else EXIT_CERTIFICATION
 
 
-def _helmholtz_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
-    rng = np.random.default_rng(manifest.seed)
-    n_jets = manifest.samples or 50
-    sode2 = second_associated(sys_)
-    model = lagrangian_model(sys_, "first", manifest.model_coefficients(sys_, "first"))
-    jets = generic_jets(sys_, n_jets, rng)
-    report = helmholtz_residuals(sode2, hessian_field(model), jets)
-    sode1 = first_associated(sys_)
-    cert = singularity_certificate(sode1, generic_jets(sys_, n_jets, rng),
-                                   depth=manifest.depth, seed=manifest.seed)
-    return {
-        "system": sys_.label,
-        "seed": manifest.seed,
-        "jets": n_jets,
-        "multiplier_conditions": report.to_dict(),
-        "certificate": cert.to_dict(),
-    }
+def _multiplier_conditions(sode2, model: LagrangianModel, manifest: RunManifest,
+                           rng: np.random.Generator) -> dict:
+    """Multiplier-condition residuals of the second associated system ``sode2``
+    for the Hessian of ``model``, at the first draw of jets from ``rng``."""
+    jets = generic_jets(model.system, manifest.samples or 50, rng)
+    return helmholtz_residuals(sode2, hessian_field(model), jets).to_dict()
+
+
+def _certificate(sys_: SystemSpec, manifest: RunManifest, rng: np.random.Generator) -> dict:
+    """The first associated system's singularity certificate, at the second
+    draw of jets from ``rng`` (the first feeds the multiplier conditions)."""
+    jets = generic_jets(sys_, manifest.samples or 50, rng)
+    return singularity_certificate(first_associated(sys_), jets, depth=manifest.depth,
+                                   seed=manifest.seed).to_dict()
 
 
 def cmd_helmholtz_check(manifest: RunManifest) -> int:
     sys_ = manifest.load_system()
-    payload = _helmholtz_payload(sys_, manifest)
+    rng = np.random.default_rng(manifest.seed)
+    payload = {
+        "system": sys_.label,
+        "seed": manifest.seed,
+        "jets": manifest.samples or 50,
+        "multiplier_conditions": _multiplier_conditions(
+            second_associated(sys_), manifest.model(sys_, "first"), manifest, rng),
+        "certificate": _certificate(sys_, manifest, rng),
+    }
     _report(payload, manifest, f"{sys_.label}_helmholtz.json")
     ok = payload["multiplier_conditions"]["passed"] and payload["certificate"]["passed"]
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
-def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> dict:
+def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
+    """The optimal-control check of cost ``kind`` on its model ``model``."""
     rng = np.random.default_rng(manifest.seed)
     count = manifest.samples or 1000
-    model = cost_model(sys_, kind, manifest.model_coefficients(sys_, MODEL_KINDS[kind]))
     max_dev = 0.0
     max_grad = 0.0
     used = degenerate = near_zero = 0
-    for ps in phase_points(sys_, count, rng):
+    for ps in phase_points(model.system, count, rng):
         try:
             u_star = optimal_controls(model, ps)
         except EvaluationError:
@@ -385,7 +390,7 @@ def _pontryagin_payload(sys_: SystemSpec, manifest: RunManifest, kind: str) -> d
         grad = max(abs(g) for g in control_gradient(model, ps, u_star))
         max_grad = max(max_grad, grad)
     return {
-        "system": sys_.label,
+        "system": model.system.label,
         "kind": kind,
         "seed": manifest.seed,
         "samples": count,
@@ -412,7 +417,9 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
         }
         _report(payload, manifest, f"{sys_.label}_pontryagin.json")
         return EXIT_OK
-    payload = _pontryagin_payload(sys_, manifest, manifest.cost_kind)
+    kind = manifest.cost_kind
+    model = manifest.model(sys_, MODEL_KINDS[kind])
+    payload = _pontryagin_payload(model, manifest, kind)
     _report(payload, manifest, f"{sys_.label}_pontryagin.json")
     return EXIT_OK if payload["passed"] else EXIT_CERTIFICATION
 
@@ -448,41 +455,39 @@ def cmd_certify(manifest: RunManifest) -> int:
     def want(name: str) -> bool:
         return manifest.check in ("all", name)
 
+    def verdict(name: str, details: dict, passed: bool) -> None:
+        checks.append({"name": name, "status": "pass" if passed else "fail", "details": details})
+
     if want("measure"):
         payload = _measure_payload(sys_, manifest)
-        checks.append({"name": "invariant-measure", "status": "pass" if payload["passed"] else "fail",
-                       "details": payload})
+        verdict("invariant-measure", payload, payload["passed"])
+    # each object is built once, when a check first reads it
+    model = functools.cache(lambda kind: manifest.model(sys_, kind))
+    sode2 = functools.cache(lambda: second_associated(sys_))
     if want("singularity") or want("helmholtz"):
-        payload = _helmholtz_payload(sys_, manifest)
-        if want("singularity"):
-            cert = payload["certificate"]
-            checks.append({"name": "first-kind-singularity-certificate",
-                           "status": "pass" if cert["passed"] else "fail", "details": cert})
+        rng = np.random.default_rng(manifest.seed)
         if want("helmholtz"):
-            cond = payload["multiplier_conditions"]
-            checks.append({"name": "multiplier-conditions",
-                           "status": "pass" if cond["passed"] else "fail", "details": cond})
+            cond = _multiplier_conditions(sode2(), model("first"), manifest, rng)
+        else:
+            generic_jets(sys_, manifest.samples or 50, rng)  # skip the conditions' draw
+        if want("singularity"):
+            cert = _certificate(sys_, manifest, rng)
+            verdict("first-kind-singularity-certificate", cert, cert["passed"])
+        if want("helmholtz"):
+            verdict("multiplier-conditions", cond, cond["passed"])
     if want("pontryagin"):
-        payload = _pontryagin_payload(sys_, manifest, "g1")
-        checks.append({"name": "optimal-control-g1",
-                       "status": "pass" if payload["passed"] else "fail", "details": payload})
+        payload = _pontryagin_payload(model("first"), manifest, "g1")
+        verdict("optimal-control-g1", payload, payload["passed"])
     if want("g2"):
         if not sys_.constant_measure:
             checks.append({"name": "second-kind-suite", "status": "skipped",
                            "reason": "non-constant invariant measure"})
         else:
-            rng = np.random.default_rng(manifest.seed)
-            model2 = lagrangian_model(sys_, "second",
-                                      manifest.model_coefficients(sys_, "second"))
-            sode2 = second_associated(sys_)
-            report = helmholtz_residuals(
-                sode2, hessian_field(model2),
-                generic_jets(sys_, manifest.samples or 50, rng))
-            pont = _pontryagin_payload(sys_, manifest, "g2")
-            ok = report.passed and pont["passed"]
-            checks.append({"name": "second-kind-suite", "status": "pass" if ok else "fail",
-                           "details": {"multiplier_conditions": report.to_dict(),
-                                       "optimal_control_g2": pont}})
+            cond = _multiplier_conditions(sode2(), model("second"), manifest,
+                                          np.random.default_rng(manifest.seed))
+            pont = _pontryagin_payload(model("second"), manifest, "g2")
+            verdict("second-kind-suite", {"multiplier_conditions": cond, "optimal_control_g2": pont},
+                    cond["passed"] and pont["passed"])
     payload = {"system": sys_.label, "seed": manifest.seed, "checks": checks}
     _report(payload, manifest, f"{sys_.label}_certify.json")
     failed = any(c["status"] == "fail" for c in checks)

@@ -33,8 +33,8 @@ class SingularVelocityError(EvaluationError):
 
 
 class CoefficientSingularityError(EvaluationError):
-    """A constraint coefficient A_alpha vanished where an operation divides
-    by it.  Carries the offending constraint index (0-based)."""
+    """A constraint coefficient A_alpha or its weight N*A_alpha vanished where an
+    operation divides by it.  Carries the offending constraint index (0-based)."""
 
     def __init__(self, alpha: int, r1: float):
         super().__init__(

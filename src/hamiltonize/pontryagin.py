@@ -83,11 +83,11 @@ def controlled_rhs(model: LagrangianModel, q, u) -> list:
     """Position derivative (r1', q_b') of the controlled first-order system.
     Coordinates the model charges kinetically keep their controls
     unweighted."""
-    return _controlled_rhs(model, u, model.weight_table(float(q[0])))
+    return _controlled_rhs(model, u, model.system.weight_table(float(q[0]))[model.weight_start:])
 
 
 def _controlled_rhs(model: LagrangianModel, u, weights) -> list:
-    """``controlled_rhs`` from the flat (E_b, E_b') values of ``weight_table``."""
+    """``controlled_rhs`` from the flat (E_b, E_b') values of the terms."""
     out = list(u)
     values = iter(weights)
     for (b, _), e_val, _ in zip(model.terms, values, values):
@@ -111,11 +111,11 @@ def controlled_ode(model: LagrangianModel, control):
 
 def cost(model: LagrangianModel, q, u) -> float:
     """Instantaneous running cost of the controls at position q."""
-    return _cost(model, u, model.weight_table(float(q[0])))
+    return _cost(model, u, model.system.weight_table(float(q[0]))[model.weight_start:])
 
 
 def _cost(model: LagrangianModel, u, weights) -> float:
-    """``cost`` from the flat (E_b, E_b') values of ``weight_table``."""
+    """``cost`` from the flat (E_b, E_b') values of the terms."""
     u1 = u[0]
     if abs(u1) < U1_MIN:
         raise SingularVelocityError("cost undefined for u_1 near zero")
@@ -136,12 +136,13 @@ def pontryagin_hamiltonian(model: LagrangianModel, ps: PhaseState, u) -> float |
     ``np.dot``: the reported two-route deviations depend to the last bit on
     its order of summation.
     """
-    return _control_hamiltonian(model, ps.p, u, model.weight_table(ps.r1))
+    return _control_hamiltonian(model, ps.p, u,
+                                model.system.weight_table(ps.r1)[model.weight_start:])
 
 
 def _control_hamiltonian(model: LagrangianModel, p, u, weights) -> float | complex:
-    """``pontryagin_hamiltonian`` from the values of ``weight_table``, read
-    once for both <p, f> and G."""
+    """``pontryagin_hamiltonian`` from the flat (E_b, E_b') values of the
+    terms, read once for both <p, f> and G."""
     qdot = _controlled_rhs(model, u, weights)
     return np.dot(p, qdot).item() - _cost(model, u, weights)
 
@@ -150,7 +151,7 @@ def control_gradient(model: LagrangianModel, ps: PhaseState, u) -> tuple[float, 
     """Gradient of the control Hamiltonian in u, by the complex step: one
     evaluation of ``pontryagin_hamiltonian``'s code per control, at weights
     read once, exact to roundoff."""
-    weights = model.weight_table(ps.r1)
+    weights = model.system.weight_table(ps.r1)[model.weight_start:]
     grad = []
     for k in range(len(u)):
         shifted = list(u)

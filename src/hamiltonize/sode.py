@@ -12,8 +12,8 @@ second  -- additionally use the constraints to trade r2' for s_a'/A_a, after
            which every equation decouples from the others except through r1:
            q_a'' = X_a(r1) q_a' r1' with X_2 = (ln N)' and X_a = (ln N*A_a)'.
            The weights exp(xi_a) = (N, N*A_a) are stored in signed product
-           form; the rates X_a are their logarithmic slopes, which divide by
-           A_a and are therefore singular where a coefficient vanishes.
+           form; the rates X_a are their logarithmic slopes, singular where
+           a weight vanishes, guarded as in the closed-form models.
 
 third   -- the Euler-Lagrange equations, in normal form, of the Lagrangian
            obtained by subtracting the constraint-momentum pairing from L.
@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CoefficientSingularityError, ExprDomainError
-from .systems import Jet, SystemSpec
+from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
 
 __all__ = [
     "SodeSystem",
@@ -39,30 +38,24 @@ __all__ = [
     "second_associated",
     "third_associated",
     "free_sode",
-    "COEFF_EPS",
 ]
-
-# |A_a(r1)| below this is treated as a vanishing coefficient.  Trigonometric
-# coefficients never evaluate to an exact float zero at their roots
-# (cos(pi/2) ~ 6e-17), so an absolute guard is needed; it is far below any
-# value reached by generic sampling or by integration grids near a crossing.
-COEFF_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class SodeSystem:
     """A second-order system q'' = f(q, q') in normal form.
 
-    ``coeff_exprs`` holds the r1-dependent coefficient functions of the
-    q_a equations (kind first: acceleration = coeff * r1' * r2'; kind
-    second: acceleration = coeff * q_a' * r1', the coeff being the
-    logarithmic slope of the weight ``system.exp_xi_exprs``), compiled
-    jointly as ``coeff_table``.  Kind ``"generic"`` is a bare system with
-    no underlying ``system``, for tensor evaluation and tests.
+    ``coeff_exprs`` holds the r1-dependent coefficient functions, compiled
+    jointly as ``coeff_table``: of the q_a equations for kind first
+    (acceleration = coeff * r1' * r2') and kind second (coeff * q_a' * r1',
+    the logarithmic slope of the weight ``system.exp_xi_exprs``), and
+    (A_a, A_a', mass sum, coupling sum) for kind third.  Kind ``"generic"``
+    is a bare system with no underlying ``system``, for tensor evaluation.
 
     ``_f`` maps coordinates q and velocities u, any float sequences, to the
-    list of accelerations; ``f`` and ``ode`` both call it.  It reads what
-    depends on r1, ``table_exprs``, in one call of ``table``.
+    list of accelerations; ``f`` and ``ode`` both call it.  Kind second reads
+    the system's ``weight_table`` under the closed-form models' guard, the
+    other kinds ``coeff_table``.
     """
 
     system: SystemSpec | None
@@ -70,7 +63,6 @@ class SodeSystem:
     n: int
     _f: Callable[[Sequence[float], Sequence[float]], list[float]]
     coeff_exprs: tuple[ex.Expr, ...] = ()
-    table_exprs: tuple[ex.Expr, ...] = ()
 
     def f(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
@@ -95,10 +87,6 @@ class SodeSystem:
     def coeff_table(self):
         """r1 -> the values of ``coeff_exprs``, in the same order."""
         return ex.compile_table(self.coeff_exprs)
-
-    @cached_property
-    def table(self):
-        return ex.compile_table(self.table_exprs)
 
     def phi_tower(self, order: int):
         """Compiled table r1 -> (c[0], .., c[n-2]) with (nabla^order Phi)^a_1 =
@@ -162,34 +150,29 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
 
     def f(q, u) -> list[float]:
         w = u[0] * u[1]
-        return [0.0, *[c * w for c in sode.table(q[0])]]
+        return [0.0, *[c * w for c in sode.coeff_table(q[0])]]
 
-    sode = SodeSystem(sys, "first", sys.n, f, coeff_exprs=gammas, table_exprs=gammas)
+    sode = SodeSystem(sys, "first", sys.n, f, coeff_exprs=gammas)
     return sode
 
 
 def second_associated(sys: SystemSpec) -> SodeSystem:
-    """Associated system with all q_a equations decoupled except through r1."""
-    e_exprs = sys.exp_xi_exprs
+    """Associated system with all q_a equations decoupled except through r1:
+    the first closed-form Lagrangian's Euler-Lagrange system, on its weights."""
 
     def f(q, u) -> list[float]:
         r1 = q[0]
         u1 = u[0]
         out = [0.0]
-        values = iter(sode.table(r1))
-        for b, (a_val, e_val, ep_val) in enumerate(zip(values, values, values)):
-            if abs(a_val) < COEFF_EPS:
-                raise CoefficientSingularityError(b - 1, r1)
-            if e_val == 0.0:
-                raise ExprDomainError(f"velocity weight {b} vanishes at r1={r1!r}")
+        values = iter(sys.weight_table(r1))
+        for b, (e_val, ep_val) in enumerate(zip(values, values)):
+            if abs(e_val) < COEFF_EPS:
+                raise weight_vanishes(b, r1)
             out.append(ep_val / e_val * u[1 + b] * u1)
         return out
 
-    guards = (ex.const(1.0), *sys.a_alpha)  # the A whose zero makes a rate singular
-    table = tuple(x for a, e in zip(guards, e_exprs) for x in (a, e, e.diff()))
-    sode = SodeSystem(sys, "second", sys.n, f, coeff_exprs=tuple(e.diff() / e for e in e_exprs),
-                      table_exprs=table)
-    return sode
+    return SodeSystem(sys, "second", sys.n, f,
+                      coeff_exprs=tuple(e.diff() / e for e in sys.exp_xi_exprs))
 
 
 def third_associated(sys: SystemSpec) -> SodeSystem:
@@ -205,7 +188,7 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
 
     def f(q, u) -> list[float]:
         u1, u2 = u[0], u[1]
-        *values, mass, coupling = sode.table(q[0])
+        *values, mass, coupling = sode.coeff_table(q[0])
         a_vals, ap_vals = values[:k], values[k:]
         drift = sum(i_alpha[a] * ap_vals[a] * u[2 + a] for a in range(k))
         n2 = 1.0 / mass
@@ -214,6 +197,6 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
                 *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
 
     sode = SodeSystem(sys, "third", sys.n, f,
-                      table_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
+                      coeff_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
                                    sys.coupling_sum_expr))
     return sode

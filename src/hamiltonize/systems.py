@@ -34,12 +34,27 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, EvaluationError
+from .errors import CoefficientSingularityError, ConfigError, EvaluationError, ExprDomainError
 
 # N counts as constant when |dN/dr1| < MEASURE_SLOPE_TOL at MEASURE_SAMPLES
 # points spread over [-1, 1].
 MEASURE_SLOPE_TOL = 1e-12
 MEASURE_SAMPLES = 32
+
+# Every reader of ``SystemSpec.weight_table`` that divides by a weight E_b
+# raises ``weight_vanishes`` where |E_b(r1)| < COEFF_EPS.  Trigonometric weights
+# never evaluate to an exact zero at their roots (cos(pi/2) ~ 6e-17), and the
+# guard is far below any value that sampling or an integration grid reaches.
+COEFF_EPS = 1e-12
+
+
+def weight_vanishes(entry: int, r1: float) -> EvaluationError:
+    """The error for the weight ``exp_xi_exprs[entry]`` vanishing at ``r1``:
+    ExprDomainError for r2's, CoefficientSingularityError for s_a's N*A_a."""
+    if entry == 0:  # float(): a numpy scalar would print as np.float64(...)
+        return ExprDomainError(f"velocity weight 0 vanishes at r1={float(r1)!r}")
+    return CoefficientSingularityError(entry - 1, float(r1))
+
 
 __all__ = [
     "Jet",
@@ -125,6 +140,13 @@ class SystemSpec:
             raise ConfigError("at least one constrained coordinate is required")
         if len(self.names) != 2 + len(self.i_alpha):
             raise ConfigError("names must label (r1, r2, s_1..s_k)")
+        for name in self.names:
+            if not name:
+                raise ConfigError("names must not be empty")
+            if self.names.count(name) > 1:
+                raise ConfigError(f"name {name!r} labels more than one coordinate")
+            if name[:1] == "d" and name[1:] in self.names:
+                raise ConfigError(f"name {name!r} is the velocity key of {name[1:]!r}")
         for a, coeff in enumerate(self.a_alpha):
             if coeff.is_constant():
                 raise ConfigError(
@@ -239,10 +261,6 @@ class SystemSpec:
         return self.measure_expr.compile()
 
     @cached_property
-    def measure_slope_fn(self):
-        return self.measure_expr.diff().compile()
-
-    @cached_property
     def mass_sum_fn(self):
         return self.mass_sum_expr.compile()
 
@@ -253,6 +271,13 @@ class SystemSpec:
     @cached_property
     def nonholonomic_table(self):  # what the constrained equations read
         return ex.compile_table((*self.a_alpha, self.log_measure_slope_expr))
+
+    @cached_property
+    def weight_table(self):
+        """r1 -> (E_b, E_b') of each entry of ``exp_xi_exprs`` in turn, flat:
+        the one compiled form of the weights, read by the second associated
+        system and by every closed-form model."""
+        return ex.compile_table(x for e in self.exp_xi_exprs for x in (e, e.diff()))
 
     @cached_property
     def a_prime_table(self):
@@ -271,7 +296,7 @@ class SystemSpec:
         coefficients are undefined are skipped.  Callers read the cached
         ``constant_measure``.
         """
-        slope = self.measure_slope_fn
+        slope = self.measure_expr.diff().compile()
         checked = 0
         for r1 in np.linspace(-1.0, 1.0, MEASURE_SAMPLES):
             try:

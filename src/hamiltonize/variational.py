@@ -26,7 +26,8 @@ Kinds first and second differ only in their coordinate layout, which a
 ``LagrangianModel`` decides once: the coordinates past r1 charged
 kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
 coefficient and E_b (``terms``).  Each first/second formula below loops over
-that layout.
+that layout, reading E_b and E_b' from the system's ``weight_table``, and
+guards the weights as the second associated system does.
 
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
@@ -60,16 +61,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as ex
-from .errors import (
-    CoefficientSingularityError,
-    ConfigError,
-    ExprDomainError,
-    SingularHessianError,
-    SingularVelocityError,
-)
-from .sode import COEFF_EPS
-from .systems import Jet, SystemSpec
+from .errors import ConfigError, SingularHessianError, SingularVelocityError
+from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
 
 __all__ = [
     "PhaseState",
@@ -192,25 +185,19 @@ class LagrangianModel:
         return tuple(enumerate(self.coefficients, 1 + len(self.kinetic)))
 
     @cached_property
-    def weight_table(self):
-        """r1 -> (E_b, E_b') of each term in turn, flat: the one compiled
-        form of the weights, read by every route."""
-        exprs = [self.system.exp_xi_exprs[b - 1] for b, _ in self.terms]
-        return ex.compile_table(x for e in exprs for x in (e, e.diff()))
+    def weight_start(self) -> int:
+        """Where the terms' (E_b, E_b') pairs start in the system's
+        ``weight_table``: after the pairs of the kinetic coordinates."""
+        return 2 * len(self.kinetic)
 
     def _weight_values(self, r1: float):
-        """(b, coefficient, E_b(r1), E_b'(r1)) for each term.
-
-        Raises where a weight vanishes: CoefficientSingularityError(b - 2)
-        on s_(b-1), whose weight carries A, and ExprDomainError on r2.
-        """
-        values = iter(self.weight_table(r1))
+        """(b, coefficient, E_b(r1), E_b'(r1)) for each term; raises
+        ``weight_vanishes(b - 1)`` where a weight falls below ``COEFF_EPS``."""
+        values = iter(self.system.weight_table(r1)[self.weight_start:])
         vals = []
         for (b, c), value, slope in zip(self.terms, values, values):
             if abs(value) < COEFF_EPS:
-                if b == 1:
-                    raise ExprDomainError(f"velocity weight 0 vanishes at r1={r1!r}")
-                raise CoefficientSingularityError(b - 2, r1)
+                raise weight_vanishes(b - 1, r1)
             vals.append((b, c, value, slope))
         return vals
 
@@ -218,7 +205,7 @@ class LagrangianModel:
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
         _require_hamiltonian(self)
         total = p[0]
-        values = iter(self.weight_table(r1))
+        values = iter(self.system.weight_table(r1)[self.weight_start:])
         for (b, c), e_val, _ in zip(self.terms, values, values):
             total += 0.5 * e_val * p[b] ** 2 / c
         return total
@@ -463,9 +450,7 @@ def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
             raise SingularHessianError("variational kinetic matrix singular") from exc
         return Jet(ps.q, tuple(u))
     weights = model._weight_values(ps.r1)
-    total = p[0]
-    for b, c, e_val, _ in weights:
-        total += 0.5 * e_val * p[b] ** 2 / c
+    total = model.momentum_sum(ps.r1, p)
     if total == 0.0:
         raise SingularVelocityError("phase point lies over r1dot = 0")
     u = np.zeros(sys.n)
@@ -502,7 +487,7 @@ def _hamilton_field(model: LagrangianModel, r1: float, p) -> list[float]:
     (dq/dt, dp/dt); closed-form partials, each E_b evaluated once."""
     _require_hamiltonian(model)
     sys = model.system
-    values = iter(model.weight_table(r1))
+    values = iter(sys.weight_table(r1)[model.weight_start:])
     weights = [(b, c, e, e_slope) for (b, c), e, e_slope in zip(model.terms, values, values)]
     total = p[0]
     slope = 0.0

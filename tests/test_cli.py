@@ -198,6 +198,16 @@ def _nan_inertia_spec(tmp_path):
     return ["simulate", "--spec", str(spec), "--t", "0.01"]
 
 
+def _names_spec(names):
+    """A compare over a spec whose coordinates are named ``names``."""
+    def build(tmp_path):
+        spec = tmp_path / "names.system"
+        spec.write_text(f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = r1\nnames = {names}\n")
+        return ["compare", "--spec", str(spec), "--formulation", "nonholonomic,sode",
+                "--t", "0.5", "--ic", "x=0.7"]
+    return build
+
+
 def _spec_with_system_parameter(tmp_path):
     spec = tmp_path / "ok.system"
     spec.write_text("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = r1\nnames = x,y,z\n")
@@ -214,11 +224,21 @@ BAD_INPUTS = {
               "grid must be finite"),
     "spec-directory": (_spec_directory, 1, "cannot read spec file"),
     "spec-not-utf8": (_non_utf8_spec, 1, "cannot read spec file"),
-    # the r2 weight cos(phi)/sqrt(m) vanishes where A = -tan(phi) has its pole
+    # the r2 weight cos(phi)/sqrt(m) vanishes where A = -tan(phi) has its pole;
+    # the second associated system divides by it as the first Lagrangian does
     "knife-edge-r2-weight-zero": (
         lambda tmp_path: ["simulate", "--system", "knife_edge", "--formulation",
                           "lagrangian", "--ic", f"phi={math.pi / 2!r}", "--t", "0.01"],
         2, "velocity weight 0 vanishes"),
+    "knife-edge-r2-weight-zero-sode-second": (
+        lambda tmp_path: ["simulate", "--system", "knife_edge", "--formulation", "sode",
+                          "--sode", "second", "--ic", f"phi={math.pi / 2!r}", "--t", "0.01"],
+        2, "velocity weight 0 vanishes"),
+    # coordinate names label CSV columns, report entries and --ic keys
+    "spec-repeated-name": (_names_spec("x, x, z"), 1, "name 'x' labels more than one"),
+    "spec-empty-name": (_names_spec("x, , z"), 1, "names must not be empty"),
+    "spec-velocity-key-name": (_names_spec("x, dx, z"), 1,
+                               "name 'dx' is the velocity key of 'x'"),
     # r1' cubed underflows to 0 in the Hessian: a float division by zero
     "lagrangian-r1dot-underflow": (
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
@@ -544,6 +564,18 @@ def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):
     assert len(built) == 2  # the preset that maps C2, C3 to their slots, then the model
 
 
+def _record_calls(monkeypatch, name, calls):
+    """Append (name, positional arguments) to ``calls`` on each call of the
+    cli's ``name``."""
+    fn = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((name, args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+
+
 def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
     """Both halves of the second-kind suite, multiplier conditions and
     optimal control, evaluate the model of the --params constants."""
@@ -555,10 +587,61 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
         original(self)
 
     monkeypatch.setattr(LagrangianModel, "__post_init__", recorded)
+    evaluated = []
+    for name in ("hessian_field", "optimal_controls"):
+        _record_calls(monkeypatch, name, evaluated)
     assert run_cli(["certify", "--system", "vertical_disk", "--check", "g2", "--samples", "20",
                     "--params", "a3=-0.7,a4=0.5"], tmp_path) == 0
     preset = default_coefficients(builtin_system("vertical_disk"), "second")
-    assert built == [preset, (-0.7, 0.5)] * 2
+    assert built == [preset, (-0.7, 0.5)]  # one model, shared by both halves
+    assert {name for name, _ in evaluated} == {"hessian_field", "optimal_controls"}
+    assert {args[0].coefficients for _, args in evaluated} == {(-0.7, 0.5)}
+
+
+@pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
+def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
+    """certify builds each object once: its checks compile 6 distinct tables
+    (the weights, the second associated system's rates and its Phi tier,
+    the first associated system's three Phi tiers at depth 3) and no
+    expression tuple twice, also on the disk, which runs the g2 suite."""
+    compiled = []
+    original = expr.compile_table
+
+    def recorded(exprs):
+        exprs = tuple(exprs)
+        compiled.append(exprs)
+        return original(exprs)
+
+    monkeypatch.setattr(expr, "compile_table", recorded)
+    built = []
+    _record_calls(monkeypatch, "second_associated", built)
+    assert run_cli(["certify", "--system", name, "--samples", "20"], tmp_path) == 0
+    assert len(compiled) == 6
+    assert len(set(compiled)) == len(compiled)
+    assert len(built) == 1
+
+
+def test_certify_checks_compute_only_what_they_report(tmp_path, monkeypatch):
+    """--check helmholtz runs no certificate and --check singularity no
+    multiplier residuals; every single check reports exactly its part of
+    --check all."""
+    base = ["certify", "--system", "vertical_disk", "--samples", "20", "--seed", "4"]
+    assert run_cli(base, tmp_path / "all") == 0
+    everything = load_report(tmp_path / "all", "vertical_disk_certify.json")["checks"]
+    for check, name, expected in (
+            ("measure", "invariant-measure", []),
+            ("singularity", "first-kind-singularity-certificate", ["singularity_certificate"]),
+            ("helmholtz", "multiplier-conditions", ["helmholtz_residuals"]),
+            ("pontryagin", "optimal-control-g1", []),
+            ("g2", "second-kind-suite", ["helmholtz_residuals"])):
+        ran = []
+        for fn in ("singularity_certificate", "helmholtz_residuals"):
+            _record_calls(monkeypatch, fn, ran)
+        assert run_cli(base + ["--check", check], tmp_path / check) == 0
+        monkeypatch.undo()
+        (only,) = load_report(tmp_path / check, "vertical_disk_certify.json")["checks"]
+        assert only == next(c for c in everything if c["name"] == name)
+        assert [fn for fn, _ in ran] == expected
 
 
 def test_measure_check(tmp_path):

@@ -193,10 +193,10 @@ def _hex_rows(states):
     return [[float(v).hex() for v in row] for row in states]
 
 
-def _formulation_runs(name):
+def _formulation_runs(name, sys=None):
     """(label, rhs, y0) for each formulation of one built-in, from the CLI's
-    default initial jet."""
-    sys = builtin_system(name)
+    default initial jet; ``sys`` is that built-in, made afresh if not given."""
+    sys = builtin_system(name) if sys is None else sys
     jet0 = default_initial_jet(sys)
     runs = [("nonholonomic", nonholonomic_ode(sys), nh_state_from_jet(sys, jet0))]
     for build in (first_associated, second_associated, third_associated):
@@ -222,16 +222,25 @@ def test_float_loop_matches_numpy_rk4_bit_for_bit(name):
         assert _hex_rows(got.states) == _hex_rows(ref.states), label
 
 
+# the distinct tables the runs of one built-in read: the nonholonomic one, the
+# first associated system's, the weights (second associated system,
+# Hamiltonians and first Lagrangian), the third associated system's where the
+# measure is constant (it runs only there), and A' (variational Lagrangian)
+RUN_TABLES = {"free_particle": 4, "knife_edge": 4, "vertical_disk": 5}
+
+
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
 def test_each_coefficient_table_is_compiled_once(name, monkeypatch):
-    """Every formulation's right-hand side reads one jointly compiled table,
-    compiled once: runs of 20 steps compile one table per formulation, a
-    second pass compiles none, and neither does a second right-hand side
-    built over the same system."""
+    """Every formulation's right-hand side reads a jointly compiled table,
+    and no expression tuple is compiled twice: runs of 20 steps of every
+    formulation over one system compile ``RUN_TABLES`` tables, a second
+    pass compiles none, and neither does a second right-hand side built
+    over the same system."""
     compiled = []
     original = expr.compile_table
 
     def counted(exprs):
+        exprs = tuple(exprs)
         compiled.append(exprs)
         return original(exprs)
 
@@ -244,17 +253,18 @@ def test_each_coefficient_table_is_compiled_once(name, monkeypatch):
         for label, rhs, y0 in runs:
             integrate(rhs, y0, cfg, tuple(f"c{i}" for i in range(len(y0))), label)
 
-    runs = _formulation_runs(name) + [
+    runs = _formulation_runs(name, system) + [
         (f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(system, kind)),
          jet0.q + jet0.qdot) for kind in ("first", "variational")]
     run_all(runs)
-    assert len(compiled) == len(runs)
+    assert len(compiled) == RUN_TABLES[name]
+    assert len(set(compiled)) == len(compiled)
     run_all(runs)
     run_all([("nonholonomic", nonholonomic_ode(system), nh_state_from_jet(system, jet0))])
     run_all([("nonholonomic", nonholonomic_ode(system), nh_state_from_jet(system, jet0))])
     run_all([("variational", euler_lagrange_ode(lagrangian_model(system, "variational")),
               jet0.q + jet0.qdot)])
-    assert len(compiled) == len(runs) + 1  # the nonholonomic table of ``system``
+    assert len(compiled) == RUN_TABLES[name]
 
 
 def test_float_loop_aborts_where_numpy_rk4_does():

@@ -5,6 +5,7 @@ import pytest
 
 from hamiltonize import (
     CoefficientSingularityError,
+    ExprDomainError,
     IntegratorConfig,
     Jet,
     first_associated,
@@ -12,8 +13,10 @@ from hamiltonize import (
     second_associated,
     third_associated,
 )
+from hamiltonize.errors import EvaluationError
 from hamiltonize.expr import Ln
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
+from hamiltonize.variational import euler_lagrange_rhs, lagrangian_model
 
 
 def jet_state(jet):
@@ -103,6 +106,27 @@ def test_second_kind_singularity_reported(vertical_disk):
     with pytest.raises(CoefficientSingularityError) as err:
         sode.rhs(Jet((0.0, 0, 0, 0), (1.0, 1.0, 1.0, 1.0)))
     assert err.value.alpha == 1  # sin branch vanishes at 0
+
+
+@pytest.mark.parametrize("name, r1, error", [
+    ("knife_edge", math.pi / 2, ExprDomainError),  # r2's weight cos(phi)/sqrt(m)
+    ("knife_edge", 0.0, CoefficientSingularityError),  # s's weight -sin(phi)/sqrt(m)
+    ("vertical_disk", 0.0, CoefficientSingularityError),  # y's weight -N R sin(phi)
+])
+def test_second_kind_fails_where_the_first_lagrangian_does(name, r1, error, request):
+    """The second associated system is the Euler-Lagrange system of the first
+    closed-form Lagrangian: where a velocity weight vanishes both raise the
+    same error with the same message."""
+    sys = request.getfixturevalue(name)
+    jet = Jet((r1,) + (0.0,) * (sys.n - 1), (1.0, 0.5) + (0.25,) * sys.k)
+    raised = []
+    for route in (lambda: second_associated(sys).f(*jet.arrays()),
+                  lambda: euler_lagrange_rhs(lagrangian_model(sys, "first"), jet)):
+        with pytest.raises(EvaluationError) as err:
+            route()
+        raised.append(err.value)
+    assert type(raised[0]) is type(raised[1]) is error
+    assert str(raised[0]) == str(raised[1])
 
 
 def test_second_kind_xi_primitives(vertical_disk, free_particle):
