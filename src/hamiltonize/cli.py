@@ -112,7 +112,9 @@ class RunManifest:
     def load_system(self) -> SystemSpec:
         """The system of --system or --spec.  Every --params key that is no
         model constant (``_is_model_constant``) must be a parameter of the
-        built-in; a spec file takes none."""
+        built-in; a spec file takes none.  A model constant must index a
+        coordinate some preset model weights: C<j> for 2 <= j <= n, a<j> for
+        3 <= j <= n."""
         system_params = {k: v for k, v in self.params.items() if not _is_model_constant(k)}
         if self.spec_file is not None:
             if system_params:
@@ -120,13 +122,18 @@ class RunManifest:
                                   "a spec file takes no system parameters")
             if not os.path.exists(self.spec_file):
                 raise ConfigError(f"spec file not found: {self.spec_file}")
-            return load_system_file(self.spec_file)
-        if self.system_source not in BUILTIN_NAMES:
+            sys_ = load_system_file(self.spec_file)
+        elif self.system_source not in BUILTIN_NAMES:
             raise ConfigError(
                 f"unknown system {self.system_source!r}; choose one of "
                 f"{BUILTIN_NAMES} or pass --spec FILE"
             )
-        return builtin_system(self.system_source, **system_params)
+        else:
+            sys_ = builtin_system(self.system_source, **system_params)
+        for key in self.params:
+            if _is_model_constant(key) and not {"C": 2, "a": 3}[key[0]] <= int(key[1:]) <= sys_.n:
+                raise ConfigError(f"coefficient {key} out of range for this system")
+        return sys_
 
     def model(self, sys_: SystemSpec, kind: str) -> LagrangianModel:
         """The closed-form model of ``kind`` with the --params constants."""
@@ -137,7 +144,8 @@ class RunManifest:
 
         Indices follow coordinate numbering: C2 belongs to r2, C3/a3 to the
         first constrained coordinate, and so on; the key's number minus one
-        is the index of a coordinate the preset model weights.
+        is the index of a coordinate the preset model weights, as
+        ``load_system`` checked.
         """
         if kind == "variational":
             return None
@@ -150,10 +158,7 @@ class RunManifest:
         slot = {b: i for i, (b, _) in enumerate(preset.terms)}
         coeffs = list(preset.coefficients)
         for key, value in picked.items():
-            idx = slot.get(int(key[1:]) - 1)
-            if idx is None:
-                raise ConfigError(f"coefficient {key} out of range for this system")
-            coeffs[idx] = value
+            coeffs[slot[int(key[1:]) - 1]] = value
         return tuple(coeffs)
 
 

@@ -32,7 +32,9 @@ Evaluation reports domain errors (``ln`` of a non-positive number, division
 by zero, overflow) instead of returning non-finite values.  ``compile()``
 returns a plain Python callable for use in integration inner loops; it obeys
 the same domain-error contract as ``eval``, which stays the independent
-tree-walking reference.  ``compile_table()`` compiles several into one call.
+tree-walking reference.  ``compile_table()`` compiles several into one call,
+and ``splice()`` gives the same code, under the same check, as statements
+for the generated right-hand sides of the other modules (``define()``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import ExprDomainError, ExprParseError
 
-__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table"]
+__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table", "splice", "define"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -134,7 +136,8 @@ class Expr(metaclass=_Interned):
 
         The label in an error message is built only when an error occurs.
         """
-        raw = _straight_line(self)
+        lines, (value,) = _emit((self,))
+        raw = define("raw(r1)", [*lines, f"return {value}"])
 
         def fn(r1: float) -> float:
             try:
@@ -400,16 +403,16 @@ _PY = {
     Ln: "log({})", Sqrt: "sqrt({})",
 }
 _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-               "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+               "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
+               "isfinite": math.isfinite}
 
 
-def _straight_line(roots):
-    """Emit ``roots`` (one expression, or a tuple: then returned as a tuple)
-    as a function of ``r1`` that computes each distinct node once: a node
-    used by several parents or roots gets a local, in dependency order; a
-    node used once is inlined into its parent."""
-    single = isinstance(roots, Expr)
-    roots = (roots,) if single else roots
+def _emit(roots: tuple) -> tuple[list[str], list[str]]:
+    """Straight-line code for the expressions ``roots`` over a local ``r1``:
+    statements that compute each distinct node once, and the source of each
+    root's value.  A node used by several parents or roots gets a local
+    ``t<i>``, in dependency order; a node used once is inlined into its
+    parent.  Code around the statements names no ``t<i>`` of its own."""
     uses = {root: roots.count(root) for root in roots}
     stack = list(uses)
     while stack:
@@ -439,32 +442,53 @@ def _straight_line(roots):
             operands = (text[f] if isinstance(f, Expr) else repr(f) for f in fields)
             text[node] = f"({_PY[type(node)].format(*operands)})"
             if uses[node] > 1:
-                lines.append(f"    t{len(lines)} = {text[node]}\n")
+                lines.append(f"t{len(lines)} = {text[node]}")
                 text[node] = f"t{len(lines) - 1}"
-    value = text[roots[0]] if single else "(" + "".join(text[r] + ", " for r in roots) + ")"
-    source = "def raw(r1):\n" + "".join(lines) + f"    return {value}\n"
-    namespace = dict(_PY_GLOBALS)
+    return lines, [text[root] for root in roots]
+
+
+def define(signature: str, lines, **bindings):
+    """Execute ``def <signature>:`` over the statements ``lines`` in the
+    namespace of compiled expressions (``_PY_GLOBALS``, plus ``bindings``)
+    and return the function."""
+    source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = dict(_PY_GLOBALS, **bindings)
     exec(source, namespace)
-    return namespace["raw"]
+    return namespace[signature.partition("(")[0]]
+
+
+def splice(exprs, names, fallback: str) -> list[str]:
+    """Statements that set the locals ``names`` to the values of ``exprs`` at
+    the local ``r1``, bit for bit each one's ``compile()``: their
+    straight-line code under one domain check.  Where that check fails, they
+    set them from ``fallback``, the source of a call that returns the same
+    values or raises the first failing expression's own error: a compiled
+    table of the same expressions."""
+    if not names:
+        return []
+    lines, values = _emit(tuple(exprs))
+    return ["try:",
+            *(f"    {line}" for line in lines),
+            *(f"    {name} = {value}" for name, value in zip(names, values)),
+            f"    if not isfinite({' + '.join(names)}):",
+            "        raise ValueError",
+            "except (ValueError, ZeroDivisionError, OverflowError):",
+            f"    {', '.join(names)}, = {fallback}"]
 
 
 def compile_table(exprs):
     """Compile expressions jointly: ``r1 -> tuple`` of their values, bit for
-    bit each one's ``compile()``, under one domain check.  Where that fails,
-    each is compiled and run alone, in order: the first to fail raises its
-    own error, exactly as alone."""
+    bit each one's ``compile()``, under one domain check (``splice``).  Where
+    that fails, each is compiled and run alone, in order: the first to fail
+    raises its own error, exactly as alone.  The table's ``exprs`` holds the
+    expressions, so generated code can splice them in and fall back on the
+    table."""
     exprs = tuple(exprs)
-    raw = _straight_line(exprs)
-
-    def table(r1: float) -> tuple:
-        try:
-            values = raw(r1)
-            if math.isfinite(sum(values)):
-                return values
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-        return tuple(e.compile()(r1) for e in exprs)
-
+    names = [f"v{i}" for i in range(len(exprs))]
+    table = define("table(r1)", [*splice(exprs, names, "alone(r1)"),
+                                 "return (" + "".join(f"{name}, " for name in names) + ")"],
+                   alone=lambda r1: tuple(e.compile()(r1) for e in exprs))
+    table.exprs = exprs
     return table
 
 

@@ -112,7 +112,9 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
 
     The state is held as a list of floats and ``rhs`` receives it as one;
     ``rhs`` may return any sequence of floats, numpy arrays included, of the
-    state's length.  Each step is ``_rk4_step``'s straight-line code.
+    state's length.  Each step is ``_rk4_step``'s straight-line code, and
+    every formulation's ``rhs`` is generated straight-line code as well, so
+    a step runs no Python loop.
 
     On an evaluation error mid-run, or when a step produced a non-finite
     state, raises IntegrationAborted carrying the partial trajectory up to

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,36 +51,59 @@ class SodeSystem:
     (A_a, A_a', mass sum, coupling sum) for kind third.  Kind ``"generic"``
     is a bare system with no underlying ``system``, for tensor evaluation.
 
-    ``_f`` maps coordinates q and velocities u, any float sequences, to the
-    list of accelerations; ``f`` and ``ode`` both call it.  Kind second reads
-    the system's ``weight_table`` under the closed-form models' guard, the
-    other kinds ``coeff_table``.
+    The right-hand side is straight-line code generated once per object, on
+    first use, with its table spliced in: kind second reads the system's
+    ``weight_table`` under the closed-form models' guard, the other kinds
+    ``coeff_table``.  ``ode`` returns it; ``f`` and ``rhs`` evaluate it.
     """
 
     system: SystemSpec | None
     kind: str
     n: int
-    _f: Callable[[Sequence[float], Sequence[float]], list[float]]
     coeff_exprs: tuple[ex.Expr, ...] = ()
 
-    def f(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(self, q, u) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
-        return np.array(self._f(q, u))
+        return np.array(self._kernel(0.0, [float(v) for v in (*q, *u)])[self.n:])
 
     def rhs(self, jet: Jet) -> np.ndarray:
-        q, u = jet.arrays()
-        return self.f(q, u)
+        return self.f(jet.q, jet.qdot)
 
     def ode(self):
         """First-order right-hand side on the stacked state (q, q')."""
+        return self._kernel
+
+    @cached_property
+    def _kernel(self):
         n = self.n
-        f = self._f
-
-        def rhs(t: float, y) -> list[float]:
-            u = y[n:]
-            return [*u, *f(y[:n], u)]
-
-        return rhs
+        velocities = ", ".join(f"u{i}" for i in range(n))
+        lines = ["".join(f"q{i}, " for i in range(n)) + f"{velocities}, = y; r1 = q0"]
+        table = (self.system.weight_table if self.kind == "second"
+                 else self.coeff_table if self.coeff_exprs else None)
+        if self.kind == "first":
+            names = [f"c{a}" for a in range(n - 1)]
+            lines += ["w = u0 * u1", *ex.splice(table.exprs, names, "table(r1)")]
+            accel = ["0.0", *(f"{c} * w" for c in names)]
+        elif self.kind == "second":
+            entries = range(n - 1)
+            lines += [*ex.splice(table.exprs, [x for b in entries for x in (f"e{b}", f"s{b}")],
+                                 "table(r1)"),
+                      *(f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b}, r1)"
+                        for b in entries)]
+            accel = ["0.0", *(f"s{b} / e{b} * u{1 + b} * u0" for b in entries)]
+        elif self.kind == "third":
+            sys, alphas = self.system, range(n - 2)
+            lines += [*ex.splice(table.exprs, [*(f"a{a}" for a in alphas),
+                                               *(f"p{a}" for a in alphas), "m", "c"], "table(r1)"),
+                      "g = 0.0" + "".join(f" + {i_a!r} * p{a} * u{2 + a}"
+                                          for a, i_a in enumerate(sys.i_alpha)),
+                      "n2 = 1.0 / m",
+                      "r = n2 * (-c * u0 * u1 + g * u0)"]
+            accel = [f"-g * u1 / {sys.i1!r}", "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
+        else:
+            accel = ["0.0"] * n
+        return ex.define("rhs(t, y)", [*lines, f"return [{velocities}, {', '.join(accel)}]"],
+                         table=table, weight_vanishes=weight_vanishes)
 
     @cached_property
     def coeff_table(self):
@@ -138,7 +160,7 @@ class SodeSystem:
 
 def free_sode(n: int) -> SodeSystem:
     """The trivial system q'' = 0 in dimension n."""
-    return SodeSystem(None, "generic", n, lambda q, u: [0.0] * n)
+    return SodeSystem(None, "generic", n)
 
 
 def first_associated(sys: SystemSpec) -> SodeSystem:
@@ -147,31 +169,13 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
     gammas = (gamma2,) + tuple(
         -(ap + a * gamma2) for a, ap in zip(sys.a_alpha, sys.a_prime)
     )
-
-    def f(q, u) -> list[float]:
-        w = u[0] * u[1]
-        return [0.0, *[c * w for c in sode.coeff_table(q[0])]]
-
-    sode = SodeSystem(sys, "first", sys.n, f, coeff_exprs=gammas)
-    return sode
+    return SodeSystem(sys, "first", sys.n, coeff_exprs=gammas)
 
 
 def second_associated(sys: SystemSpec) -> SodeSystem:
     """Associated system with all q_a equations decoupled except through r1:
     the first closed-form Lagrangian's Euler-Lagrange system, on its weights."""
-
-    def f(q, u) -> list[float]:
-        r1 = q[0]
-        u1 = u[0]
-        out = [0.0]
-        values = iter(sys.weight_table(r1))
-        for b, (e_val, ep_val) in enumerate(zip(values, values)):
-            if abs(e_val) < COEFF_EPS:
-                raise weight_vanishes(b, r1)
-            out.append(ep_val / e_val * u[1 + b] * u1)
-        return out
-
-    return SodeSystem(sys, "second", sys.n, f,
+    return SodeSystem(sys, "second", sys.n,
                       coeff_exprs=tuple(e.diff() / e for e in sys.exp_xi_exprs))
 
 
@@ -182,21 +186,6 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
     is constant; construction always succeeds and consumers must check the
     system's ``constant_measure`` before treating it as an associated system.
     """
-    k = sys.k
-    i1 = sys.i1
-    i_alpha = sys.i_alpha
-
-    def f(q, u) -> list[float]:
-        u1, u2 = u[0], u[1]
-        *values, mass, coupling = sode.coeff_table(q[0])
-        a_vals, ap_vals = values[:k], values[k:]
-        drift = sum(i_alpha[a] * ap_vals[a] * u[2 + a] for a in range(k))
-        n2 = 1.0 / mass
-        r2ddot = n2 * (-coupling * u1 * u2 + drift * u1)
-        return [-drift * u2 / i1, r2ddot,
-                *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
-
-    sode = SodeSystem(sys, "third", sys.n, f,
+    return SodeSystem(sys, "third", sys.n,
                       coeff_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
                                    sys.coupling_sum_expr))
-    return sode

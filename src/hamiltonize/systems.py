@@ -284,6 +284,17 @@ class SystemSpec:
         return ex.compile_table(self.a_prime)
 
     @cached_property
+    def _kernels(self) -> dict:
+        return {}
+
+    def kernel(self, key: tuple, build):
+        """The generated right-hand side of ``key`` (a formulation, then what
+        else decides its code) over this system: ``build()``'s, on first use."""
+        if key not in self._kernels:
+            self._kernels[key] = build()
+        return self._kernels[key]
+
+    @cached_property
     def constant_measure(self) -> bool:
         """Whether N is constant, decided once per system."""
         return self.measure_is_constant()
@@ -419,17 +430,19 @@ def measure_pde_residual(
 def nonholonomic_ode(sys: SystemSpec):
     """The constrained equations of motion, r1'' = 0, r2'' = (ln N)' r1' r2'
     and s_a' = -A_a(r1) r2', as a first-order right-hand side on the state
-    (r1, r2, s_1..s_k, r1dot, r2dot)."""
+    (r1, r2, s_1..s_k, r1dot, r2dot): straight-line code generated once per
+    system, with ``nonholonomic_table`` spliced in."""
+    return sys.kernel(("nonholonomic",), lambda: _nonholonomic_kernel(sys))
+
+
+def _nonholonomic_kernel(sys: SystemSpec):
     k = sys.k
     table = sys.nonholonomic_table
-
-    def rhs(t: float, y) -> list[float]:
-        *a_vals, slope = table(y[0])
-        u1 = y[2 + k]
-        u2 = y[3 + k]
-        return [u1, u2, *[-a * u2 for a in a_vals], 0.0, slope * u1 * u2]
-
-    return rhs
+    state = ", ".join([*(f"q{i}" for i in range(2 + k)), "u0", "u1"])
+    lines = [f"{state}, = y", "r1 = q0",
+             *ex.splice(table.exprs, [*(f"a{a}" for a in range(k)), "g"], "table(r1)"),
+             f"return [u0, u1, {''.join(f'-a{a} * u1, ' for a in range(k))}0.0, g * u0 * u1]"]
+    return ex.define("rhs(t, y)", lines, table=table)
 
 
 def nh_state_from_jet(sys: SystemSpec, jet: Jet) -> np.ndarray:

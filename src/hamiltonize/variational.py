@@ -25,9 +25,13 @@ variational L = (1/2)(I1 r1'^2 + I2 r2'^2 - sum_a I_a s_a'^2)
 Kinds first and second differ only in their coordinate layout, which a
 ``LagrangianModel`` decides once: the coordinates past r1 charged
 kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
-coefficient and E_b (``terms``).  Each first/second formula below loops over
-that layout, reading E_b and E_b' from the system's ``weight_table``, and
-guards the weights as the second associated system does.
+coefficient and E_b (``terms``).  Each first/second formula below reads E_b
+and E_b' from the system's ``weight_table`` and guards the weights as the
+second associated system does.  The pointwise formulas loop over the layout;
+the trajectory right-hand sides (``euler_lagrange_ode``, ``hamilton_ode``)
+are straight-line code generated once per system and model, with the loops
+unrolled, every inertia and coefficient a literal, and the model's weight
+pairs spliced in from the table (kind second reads no r2 pair).
 
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
@@ -61,6 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .errors import ConfigError, SingularHessianError, SingularVelocityError
 from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
 
@@ -273,25 +278,6 @@ def _arrowhead(model: LagrangianModel, r1: float, u, weights):
     return 0, diag, arm
 
 
-def _arrowhead_solve(hub: int, diag, arm, rhs) -> list[float]:
-    """Solve g x = rhs for the arrowhead g of ``_arrowhead``: eliminate each
-    spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb, solve
-    for the hub, then back-substitute into the spokes."""
-    schur = diag[hub]
-    top = rhs[hub]
-    for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs)):
-        if b != hub:
-            if g_bb == 0.0:
-                raise SingularHessianError(f"Hessian singular: diagonal entry {b} is 0")
-            schur -= g_hb * g_hb / g_bb
-            top -= g_hb * rhs_b / g_bb
-    if schur == 0.0:
-        raise SingularHessianError("Hessian singular: the Schur complement of the hub is 0")
-    x_hub = top / schur
-    return [x_hub if b == hub else (rhs_b - g_hb * x_hub) / g_bb
-            for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs))]
-
-
 def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     """Velocity Hessian of the Lagrangian; a multiplier for its dynamics."""
     weights = ()
@@ -362,47 +348,90 @@ def hessian_field(model: LagrangianModel):
     )
 
 
-def _euler_lagrange_accel(model: LagrangianModel, r1: float, u) -> list[float]:
-    """Accelerations solving g(q, q') qddot = dL/dq - (d^2 L / dq' dr1) r1'
-    at coordinate r1 and velocities u, with the closed-form partials of the
-    model and an arrowhead solve of its Hessian."""
-    sys = model.system
-    if model.kind == "variational":
-        weights = ()
-        drift = 0.0
-        force = [0.0, 0.0]
-        for i_a, ap, u_a in zip(sys.i_alpha, sys.a_prime_table(r1), u[2:]):
-            drift += i_a * ap * u_a
-            force.append(i_a * ap * u[1] * u[0])
-        force[0] = -drift * u[1]
-        force[1] = drift * u[0]
-    else:
-        _require_moving(u[0])
-        weights = model._weight_values(r1)
-        force = [0.0] * sys.n
-        total = 0.0
-        for b, c, e_val, e_slope in weights:
-            ub = u[b]
-            force[b] = c * ub * e_slope / e_val**2
-            total += c * ub**2 * e_slope / e_val**2
-        force[0] = -total / u[0]
-    return _arrowhead_solve(*_arrowhead(model, r1, u, weights), force)
-
-
 def euler_lagrange_rhs(model: LagrangianModel, jet: Jet) -> np.ndarray:
     """Accelerations solving the Euler-Lagrange equations at a jet."""
-    return np.array(_euler_lagrange_accel(model, jet.r1, jet.qdot))
+    return np.array(euler_lagrange_ode(model)(0.0, jet.q + jet.qdot)[model.system.n:])
 
 
 def euler_lagrange_ode(model: LagrangianModel):
-    """First-order right-hand side on (q, q') for trajectory runs."""
-    n = model.system.n
+    """First-order right-hand side on (q, q') for trajectory runs: the
+    accelerations solving g(q, q') qddot = dL/dq - (d^2 L / dq' dr1) r1'
+    with the closed-form partials of the model and an arrowhead solve of its
+    Hessian (``_arrowhead``), generated once per system and model."""
+    return model.system.kernel(("euler-lagrange", model.kind, model.coefficients),
+                               lambda: _euler_lagrange_kernel(model))
 
-    def rhs(t: float, y) -> list[float]:
-        u = y[n:]
-        return [*u, *_euler_lagrange_accel(model, y[0], u)]
 
-    return rhs
+def _literal(value: float) -> str:
+    return f"({value!r})"
+
+
+def _state(n: int, momenta: str) -> str:
+    """The state y unpacked into the locals q<b> and u<b> or p<b>, and r1."""
+    names = [*(f"q{b}" for b in range(n)), *(f"{momenta}{b}" for b in range(n))]
+    return ", ".join(names) + ", = y; r1 = q0"
+
+
+def _weight_lines(model: LagrangianModel) -> list[str]:
+    """Statements setting e<b> and s<b> to E_b(r1) and E_b'(r1) for each term
+    b: the model's pairs of the system's ``weight_table``, spliced in."""
+    start = model.weight_start
+    names = [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
+    return ex.splice(model.system.weight_table.exprs[start:], names, f"table(r1)[{start}:]")
+
+
+def _euler_lagrange_kernel(model: LagrangianModel):
+    """The loops over the layout unrolled, every inertia and coefficient a
+    literal: the force f<b>, the Hessian's entries d<b> = g_bb and h<b> =
+    g_hb of ``_arrowhead``, then its solve."""
+    sys = model.system
+    n = sys.n
+    lines = [_state(n, "u")]
+    if model.kind == "variational":
+        alphas = range(sys.k)
+        lines += [*ex.splice((*sys.a_prime, *sys.a_alpha),
+                             [*(f"p{a}" for a in alphas), *(f"a{a}" for a in alphas)],
+                             "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])"),
+                  "g = 0.0"]
+        for a, i_a in enumerate(sys.i_alpha):
+            lines += [f"g = g + {_literal(i_a)} * p{a} * u{2 + a}",
+                      f"f{2 + a} = {_literal(i_a)} * p{a} * u1 * u0"]
+        lines += ["f0 = -g * u1", "f1 = g * u0", f"d0 = {_literal(sys.i1)}",
+                  f"d1 = {_literal(sys.i2)}", "h0 = 0.0"]
+        for a, i_a in enumerate(sys.i_alpha):
+            lines += [f"h{2 + a} = {_literal(-i_a)} * a{a}", f"d{2 + a} = {_literal(-i_a)}"]
+        bindings = {"a_prime_table": sys.a_prime_table, "a_fns": sys.a_fns}
+    else:
+        lines += ["if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')",
+                  *_weight_lines(model),
+                  *(f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
+                    for b, _ in model.terms),
+                  *(f"d{b} = {_literal(i_b)}; h{b} = f{b} = 0.0" for b, i_b in model.kinetic),
+                  "g = 0.0"]
+        for b, c in model.terms:
+            lines += [f"f{b} = {_literal(c)} * u{b} * s{b} / e{b} ** 2",
+                      f"g = g + {_literal(c)} * u{b} ** 2 * s{b} / e{b} ** 2"]
+        lines += ["f0 = -g / u0", f"d0 = {_literal(sys.i1)}"]
+        for b, c in model.terms:
+            lines += [f"w{b} = {_literal(c)} / e{b}", f"d0 = d0 + w{b} * u{b} ** 2 / u0 ** 3",
+                      f"h{b} = -w{b} * u{b} / u0 ** 2", f"d{b} = w{b} / u0"]
+        bindings = {"table": sys.weight_table, "weight_vanishes": weight_vanishes,
+                    "SingularVelocityError": SingularVelocityError}
+    # eliminate each spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb,
+    # solve for the hub, then back-substitute into the spokes
+    hub = 1 if model.kind == "variational" else 0
+    spokes = [b for b in range(n) if b != hub]
+    lines += [*(f"if d{b} == 0.0: raise SingularHessianError("
+                f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
+              f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
+              f"top = f{hub}" + "".join(f" - h{b} * f{b} / d{b}" for b in spokes),
+              "if schur == 0.0: raise SingularHessianError("
+              "'Hessian singular: the Schur complement of the hub is 0')",
+              f"x{hub} = top / schur",
+              *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes),
+              "return [" + ", ".join([*(f"u{b}" for b in range(n)),
+                                      *(f"x{b}" for b in range(n))]) + "]"]
+    return ex.define("rhs(t, y)", lines, SingularHessianError=SingularHessianError, **bindings)
 
 
 # --- Legendre transform -------------------------------------------------------
@@ -482,43 +511,36 @@ def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
     return value
 
 
-def _hamilton_field(model: LagrangianModel, r1: float, p) -> list[float]:
-    """Canonical vector field at coordinate r1 and momenta p, as the list
-    (dq/dt, dp/dt); closed-form partials, each E_b evaluated once."""
-    _require_hamiltonian(model)
-    sys = model.system
-    values = iter(sys.weight_table(r1)[model.weight_start:])
-    weights = [(b, c, e, e_slope) for (b, c), e, e_slope in zip(model.terms, values, values)]
-    total = p[0]
-    slope = 0.0
-    for b, c, e_val, e_slope in weights:
-        total += 0.5 * e_val * p[b] ** 2 / c
-        slope += 0.5 * e_slope * p[b] ** 2 / c
-    u1 = total / sys.i1
-    out = [0.0] * (2 * sys.n)
-    out[0] = u1
-    for b, inertia in model.kinetic:
-        out[b] = p[b] / inertia
-    for b, c, e_val, _ in weights:
-        out[b] = u1 * e_val * p[b] / c
-    out[sys.n] = -u1 * slope
-    return out
-
-
 def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Canonical vector field (dq/dt, dp/dt); closed-form partials."""
-    field = np.array(_hamilton_field(model, ps.r1, ps.p))
+    field = np.array(hamilton_ode(model)(0.0, ps.q + ps.p))
     return field[: ps.dim], field[ps.dim :]
 
 
 def hamilton_ode(model: LagrangianModel):
-    """First-order right-hand side on the stacked phase state (q, p)."""
-    n = model.system.n
+    """First-order right-hand side on the stacked phase state (q, p):
+    closed-form partials, each E_b evaluated once, generated once per system
+    and model."""
+    _require_hamiltonian(model)
+    return model.system.kernel(("hamilton", model.kind, model.coefficients),
+                               lambda: _hamilton_kernel(model))
 
-    def rhs(t: float, y) -> list[float]:
-        return _hamilton_field(model, y[0], y[n:])
 
-    return rhs
+def _hamilton_kernel(model: LagrangianModel):
+    sys = model.system
+    n = sys.n
+    lines = [_state(n, "p"), *_weight_lines(model), "m = p0", "g = 0.0"]
+    for b, c in model.terms:
+        lines += [f"m = m + 0.5 * e{b} * p{b} ** 2 / {_literal(c)}",
+                  f"g = g + 0.5 * s{b} * p{b} ** 2 / {_literal(c)}"]
+    lines.append(f"v = m / {_literal(sys.i1)}")
+    qdot = ["v"]
+    for b, inertia in model.kinetic:
+        qdot.append(f"p{b} / {_literal(inertia)}")
+    for b, c in model.terms:
+        qdot.append(f"v * e{b} * p{b} / {_literal(c)}")
+    lines.append(f"return [{', '.join(qdot)}, -v * g{', 0.0' * (n - 1)}]")
+    return ex.define("rhs(t, y)", lines, table=sys.weight_table)
 
 
 def phase_columns(sys: SystemSpec) -> tuple[str, ...]:

@@ -253,6 +253,15 @@ BAD_INPUTS = {
         lambda tmp_path: ["certify", "--system", "free_particle", "--check", "pontryagin",
                           "--params", "C9=1", "--samples", "20"],
         1, "coefficient C9 out of range"),
+    # and are range-checked by the commands that build no model as well
+    **{f"{name}-coefficient-out-of-range": (
+        lambda tmp_path, argv=argv: argv + ["--system", "free_particle", "--params", "C9=1"],
+        1, "coefficient C9 out of range") for name, argv in (
+            ("certify-measure", ["certify", "--check", "measure"]),
+            ("certify-singularity", ["certify", "--check", "singularity", "--samples", "5"]),
+            ("simulate-nonholonomic", ["simulate", "--formulation", "nonholonomic",
+                                       "--t", "0.01"]),
+            ("simulate-sode", ["simulate", "--formulation", "sode", "--t", "0.01"]))},
     # non-finite inertias, parameters and model constants
     "disk-mass-nan": (
         lambda tmp_path: ["simulate", "--system", "vertical_disk", "--params", "m=nan",

@@ -1,0 +1,324 @@
+"""The generated right-hand sides against the loops they replaced.
+
+Every formulation's right-hand side is straight-line code generated once per
+object (``nonholonomic_ode``, ``SodeSystem.ode``, ``euler_lagrange_ode``,
+``hamilton_ode``).  The loops below are the implementations they replaced,
+kept as the reference: at seeded states the kernels must give the same
+floats bit for bit, and where a loop raises, the kernel must raise the same
+exception with the same message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hamiltonize.cli import main
+from hamiltonize.errors import (
+    CoefficientSingularityError,
+    EvaluationError,
+    ExprDomainError,
+    SingularHessianError,
+    SingularVelocityError,
+)
+from hamiltonize.sode import first_associated, second_associated, third_associated
+from hamiltonize.systems import (
+    COEFF_EPS,
+    BUILTIN_NAMES,
+    Jet,
+    builtin_system,
+    nonholonomic_ode,
+    parse_system_file,
+    weight_vanishes,
+)
+from hamiltonize.variational import (
+    PhaseState,
+    _arrowhead,
+    _require_hamiltonian,
+    _require_moving,
+    euler_lagrange_ode,
+    euler_lagrange_rhs,
+    hamilton_ode,
+    hamilton_rhs,
+    lagrangian_model,
+)
+
+STATES = 200
+
+# --- the reference loops ------------------------------------------------------------
+
+
+def loop_nonholonomic(sys):
+    k = sys.k
+    table = sys.nonholonomic_table
+
+    def rhs(t, y):
+        *a_vals, slope = table(y[0])
+        u1 = y[2 + k]
+        u2 = y[3 + k]
+        return [u1, u2, *[-a * u2 for a in a_vals], 0.0, slope * u1 * u2]
+
+    return rhs
+
+
+def loop_sode_f(sode):
+    """The accelerations f(q, u) of an associated system of each kind."""
+    sys = sode.system
+    if sode.kind == "first":
+        def f(q, u):
+            w = u[0] * u[1]
+            return [0.0, *[c * w for c in sode.coeff_table(q[0])]]
+    elif sode.kind == "second":
+        def f(q, u):
+            r1 = q[0]
+            u1 = u[0]
+            out = [0.0]
+            values = iter(sys.weight_table(r1))
+            for b, (e_val, ep_val) in enumerate(zip(values, values)):
+                if abs(e_val) < COEFF_EPS:
+                    raise weight_vanishes(b, r1)
+                out.append(ep_val / e_val * u[1 + b] * u1)
+            return out
+    else:
+        k, i1, i_alpha = sys.k, sys.i1, sys.i_alpha
+
+        def f(q, u):
+            u1, u2 = u[0], u[1]
+            *values, mass, coupling = sode.coeff_table(q[0])
+            a_vals, ap_vals = values[:k], values[k:]
+            drift = sum(i_alpha[a] * ap_vals[a] * u[2 + a] for a in range(k))
+            n2 = 1.0 / mass
+            r2ddot = n2 * (-coupling * u1 * u2 + drift * u1)
+            return [-drift * u2 / i1, r2ddot,
+                    *[-ap * u1 * u2 - a_val * r2ddot for a_val, ap in zip(a_vals, ap_vals)]]
+    return f
+
+
+def loop_sode(sode):
+    n = sode.n
+    f = loop_sode_f(sode)
+
+    def rhs(t, y):
+        u = y[n:]
+        return [*u, *f(y[:n], u)]
+
+    return rhs
+
+
+def loop_arrowhead_solve(hub, diag, arm, rhs):
+    schur = diag[hub]
+    top = rhs[hub]
+    for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs)):
+        if b != hub:
+            if g_bb == 0.0:
+                raise SingularHessianError(f"Hessian singular: diagonal entry {b} is 0")
+            schur -= g_hb * g_hb / g_bb
+            top -= g_hb * rhs_b / g_bb
+    if schur == 0.0:
+        raise SingularHessianError("Hessian singular: the Schur complement of the hub is 0")
+    x_hub = top / schur
+    return [x_hub if b == hub else (rhs_b - g_hb * x_hub) / g_bb
+            for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs))]
+
+
+def loop_euler_lagrange_accel(model, r1, u):
+    sys = model.system
+    if model.kind == "variational":
+        weights = ()
+        drift = 0.0
+        force = [0.0, 0.0]
+        for i_a, ap, u_a in zip(sys.i_alpha, sys.a_prime_table(r1), u[2:]):
+            drift += i_a * ap * u_a
+            force.append(i_a * ap * u[1] * u[0])
+        force[0] = -drift * u[1]
+        force[1] = drift * u[0]
+    else:
+        _require_moving(u[0])
+        weights = model._weight_values(r1)
+        force = [0.0] * sys.n
+        total = 0.0
+        for b, c, e_val, e_slope in weights:
+            ub = u[b]
+            force[b] = c * ub * e_slope / e_val**2
+            total += c * ub**2 * e_slope / e_val**2
+        force[0] = -total / u[0]
+    return loop_arrowhead_solve(*_arrowhead(model, r1, u, weights), force)
+
+
+def loop_euler_lagrange(model):
+    n = model.system.n
+
+    def rhs(t, y):
+        u = y[n:]
+        return [*u, *loop_euler_lagrange_accel(model, y[0], u)]
+
+    return rhs
+
+
+def loop_hamilton_field(model, r1, p):
+    _require_hamiltonian(model)
+    sys = model.system
+    values = iter(sys.weight_table(r1)[model.weight_start:])
+    weights = [(b, c, e, e_slope) for (b, c), e, e_slope in zip(model.terms, values, values)]
+    total = p[0]
+    slope = 0.0
+    for b, c, e_val, e_slope in weights:
+        total += 0.5 * e_val * p[b] ** 2 / c
+        slope += 0.5 * e_slope * p[b] ** 2 / c
+    u1 = total / sys.i1
+    out = [0.0] * (2 * sys.n)
+    out[0] = u1
+    for b, inertia in model.kinetic:
+        out[b] = p[b] / inertia
+    for b, c, e_val, _ in weights:
+        out[b] = u1 * e_val * p[b] / c
+    out[sys.n] = -u1 * slope
+    return out
+
+
+def loop_hamilton(model):
+    n = model.system.n
+    return lambda t, y: loop_hamilton_field(model, y[0], y[n:])
+
+
+# --- every formulation of every built-in ------------------------------------------
+
+
+def _runs(sys):
+    """(label, generated rhs, reference rhs, state dimension)."""
+    n = sys.n
+    runs = [("nonholonomic", nonholonomic_ode(sys), loop_nonholonomic(sys), n + 2)]
+    for build in (first_associated, second_associated, third_associated):
+        sode = build(sys)
+        runs.append((f"sode-{sode.kind}", sode.ode(), loop_sode(sode), 2 * n))
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for kind in (*kinds, "variational"):
+        model = lagrangian_model(sys, kind)
+        runs.append((f"euler-lagrange-{kind}", euler_lagrange_ode(model),
+                     loop_euler_lagrange(model), 2 * n))
+    for kind in kinds:
+        model = lagrangian_model(sys, kind)
+        runs.append((f"hamilton-{kind}", hamilton_ode(model), loop_hamilton(model), 2 * n))
+    return runs
+
+
+def outcome(fn, *args):
+    """The floats ``fn`` returns, as hex so that -0.0 and 0.0 differ, or the
+    type and message of what it raises."""
+    try:
+        values = fn(*args)
+    except (EvaluationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [float(v).hex() for v in values]
+
+
+def _states(dim, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(0.0, 1.5, size=(STATES, dim))
+    states[:, 0] = rng.uniform(-4.0, 4.0, STATES)
+    return states.tolist()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_kernels_match_loops_bit_for_bit(name):
+    sys = builtin_system(name)
+    labels = []
+    for label, kernel, loop, dim in _runs(sys):
+        labels.append(label)
+        for y in _states(dim, seed=len(labels)):
+            expected = outcome(loop, 0.0, y)
+            assert isinstance(expected, list), (label, y, expected)
+            assert outcome(kernel, 0.0, y) == expected, (label, y)
+    assert len(labels) == (9 if name == "vertical_disk" else 7)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pointwise_api_evaluates_the_kernels(name):
+    """euler_lagrange_rhs, hamilton_rhs, SodeSystem.f and SodeSystem.rhs give
+    the reference floats bit for bit."""
+    sys = builtin_system(name)
+    n = sys.n
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for y in _states(2 * n, seed=99):
+        jet = Jet(tuple(y[:n]), tuple(y[n:]))
+        for build in (first_associated, second_associated, third_associated):
+            sode = build(sys)
+            expected = outcome(loop_sode_f(sode), y[:n], y[n:])
+            assert outcome(sode.f, np.array(y[:n]), np.array(y[n:])) == expected
+            assert outcome(sode.rhs, jet) == expected
+        for kind in (*kinds, "variational"):
+            model = lagrangian_model(sys, kind)
+            assert (outcome(euler_lagrange_rhs, model, jet)
+                    == outcome(loop_euler_lagrange_accel, model, y[0], y[n:]))
+        for kind in kinds:
+            model = lagrangian_model(sys, kind)
+            ps = PhaseState(tuple(y[:n]), tuple(y[n:]))
+            assert (outcome(lambda: np.concatenate(hamilton_rhs(model, ps)))
+                    == outcome(loop_hamilton_field, model, y[0], y[n:]))
+
+
+# --- the same errors --------------------------------------------------------------
+
+
+def _assert_same_error(kernel, loop, y, error, message):
+    expected = outcome(loop, 0.0, y)
+    assert expected[0] is error and message in expected[1], expected
+    assert outcome(kernel, 0.0, y) == expected
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_r1dot_zero_raises_as_the_loops(name):
+    sys = builtin_system(name)
+    n = sys.n
+    y = [0.5] * n + [0.0] + [1.0] * (n - 1)
+    for label, kernel, loop, dim in _runs(sys):
+        if label in ("euler-lagrange-first", "euler-lagrange-second"):
+            _assert_same_error(kernel, loop, y, SingularVelocityError,
+                               "model undefined on r1dot = 0")
+
+
+def test_vanishing_disk_weight_raises_as_the_loops(vertical_disk):
+    """At r1 = pi/2, cos(r1) ~ 6e-17: the weight N*A_1 of the first
+    constrained coordinate falls below COEFF_EPS."""
+    y = [math.pi / 2, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    guarded = ("sode-second", "euler-lagrange-first", "euler-lagrange-second")
+    for label, kernel, loop, dim in _runs(vertical_disk):
+        if label in guarded:
+            _assert_same_error(kernel, loop, y, CoefficientSingularityError,
+                               "at r1=1.5707963267948966")
+
+
+def test_zero_schur_complement_raises_as_the_loop(free_particle):
+    """r1' = 1e-3 and r2' = 1e4: the spoke term swamps I1 = 1 in the hub's
+    diagonal entry and cancels it to exactly 0."""
+    model = lagrangian_model(free_particle, "first")
+    y = [0.5, 0.0, 0.0, 1e-3, 1e4, 0.0]
+    _assert_same_error(euler_lagrange_ode(model), loop_euler_lagrange(model), y,
+                       SingularHessianError, "the Schur complement of the hub is 0")
+
+
+def test_table_domain_error_raises_as_the_loops():
+    """ln(r1) at r1 = -1: every table fails, and each kernel raises the error
+    of the first failing expression, as its table does."""
+    sys = parse_system_file("I1 = 1\nI2 = 2\nI_alpha = 1.5\nA_alpha = ln(r1)\nnames = a, b, c\n")
+    y = [-1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    for label, kernel, loop, dim in _runs(sys):
+        expected = outcome(loop, 0.0, y[:dim])
+        assert expected[0] is ExprDomainError
+        assert "math domain error while evaluating" in expected[1]
+        assert outcome(kernel, 0.0, y[:dim]) == expected, label
+
+
+def test_knife_edge_pole_sode_second_run_exits_2(knife_edge, tmp_path, capsys):
+    """At the knife edge's tan pole the second associated system's guard
+    raises before the first step, with the reference loop's message."""
+    sode = second_associated(knife_edge)
+    y = [math.pi / 2, 0.0, 0.0, 1.0, 1.0, 0.0]
+    _assert_same_error(sode.ode(), loop_sode(sode), y, ExprDomainError,
+                       "velocity weight 0 vanishes at r1=1.5707963267948966")
+    code = main(["simulate", "--system", "knife_edge", "--formulation", "sode", "--sode",
+                 "second", "--ic", "phi=1.5707963267948966", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ("runtime error: integration aborted at t=0.0: "
+                                       "velocity weight 0 vanishes at r1=1.5707963267948966\n")
+    assert not list(tmp_path.iterdir())
