@@ -519,8 +519,17 @@ def _parse_kv(pairs: list[str], cast=float) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one line and exit 1, like
+    every other bad input, where argparse would print its usage block and
+    exit 2.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamiltonize",
         description="Hamiltonization toolkit for a class of nonholonomic systems.",
     )
@@ -629,8 +638,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         manifest = manifest_from_args(args)
         return COMMANDS[args.command](manifest)
     except ConfigError as exc:

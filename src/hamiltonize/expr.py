@@ -34,7 +34,8 @@ returns a plain Python callable for use in integration inner loops; it obeys
 the same domain-error contract as ``eval``, which stays the independent
 tree-walking reference.  ``compile_table()`` compiles several into one call,
 and ``splice()`` gives the same code, under the same check, as statements
-for the generated right-hand sides of the other modules (``define()``).
+for the functions the other modules generate (``define()``): the trajectory
+right-hand sides and the optimal-control functions.
 """
 
 from __future__ import annotations

@@ -43,15 +43,34 @@ No difference of two values is taken, so the step can be far below the
 roundoff of H and the gradient is exact to roundoff, at one evaluation per
 control.  Stationarity at the optimal controls is then checked to about
 1e-15 instead of to a stencil's truncation error.
+
+Every function here is straight-line code generated once per system and
+model (``SystemSpec.kernel``, as the trajectory right-hand sides are): the
+loops over the layout unrolled, every inertia and coefficient a literal, and
+only the model's (E_b, E_b') pairs of the system's ``weight_table`` spliced
+in, so the g2 routes evaluate no r2 pair.  ``control_gradient`` is one such
+function: the weights evaluated once, then <p, f> - G at each complex step
+in turn.  ``pontryagin-check`` and ``certify`` run at each sampled point
+``optimal_controls``, ``optimal_hamiltonian_value`` (through
+``pontryagin_hamiltonian``) and ``control_gradient``, each one call of its
+generated function.  <p, f> is emitted in two forms.  The real one stays an
+``np.dot``, whose order of summation the reported deviation depends on to
+the last bit (a sum in coordinate order moves ``max_hamiltonian_deviation``
+on most seeds).  The complex-step one is a sum in coordinate order, which
+halves the time of the check: a step moves a single rate, so the imaginary
+part of <p, f> is that one term under any order, and the gradient is the
+one ``np.dot`` gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import expr as ex
 from .errors import ConfigError, SingularVelocityError
 from .systems import SystemSpec
-from .variational import LagrangianModel, PhaseState, hamiltonian_model
+from .variational import (LagrangianModel, PhaseState, _literal, _momentum_sum,
+                          _require_hamiltonian, _weight_lines, hamiltonian_model)
 
 __all__ = [
     "controlled_rhs",
@@ -83,16 +102,7 @@ def controlled_rhs(model: LagrangianModel, q, u) -> list:
     """Position derivative (r1', q_b') of the controlled first-order system.
     Coordinates the model charges kinetically keep their controls
     unweighted."""
-    return _controlled_rhs(model, u, model.system.weight_table(float(q[0]))[model.weight_start:])
-
-
-def _controlled_rhs(model: LagrangianModel, u, weights) -> list:
-    """``controlled_rhs`` from the flat (E_b, E_b') values of the terms."""
-    out = list(u)
-    values = iter(weights)
-    for (b, _), e_val, _ in zip(model.terms, values, values):
-        out[b] = u[b] * e_val
-    return out
+    return _kernel(model, "rates", "u", _rates_lines)(float(q[0]), u)
 
 
 def controlled_ode(model: LagrangianModel, control):
@@ -111,67 +121,30 @@ def controlled_ode(model: LagrangianModel, control):
 
 def cost(model: LagrangianModel, q, u) -> float:
     """Instantaneous running cost of the controls at position q."""
-    return _cost(model, u, model.system.weight_table(float(q[0]))[model.weight_start:])
-
-
-def _cost(model: LagrangianModel, u, weights) -> float:
-    """``cost`` from the flat (E_b, E_b') values of the terms."""
-    u1 = u[0]
-    if abs(u1) < U1_MIN:
-        raise SingularVelocityError("cost undefined for u_1 near zero")
-    value = model.system.i1 * u1**2
-    for b, inertia in model.kinetic:
-        value += inertia * u[b] ** 2
-    values = iter(weights)
-    for (b, c), e_val, _ in zip(model.terms, values, values):
-        value += c * e_val * u[b] ** 2 / u1
-    return 0.5 * value
+    return _kernel(model, "cost", "u", _cost_lines)(float(q[0]), u)
 
 
 def pontryagin_hamiltonian(model: LagrangianModel, ps: PhaseState, u) -> float | complex:
     """<p, f(q, u)> - G(q, u) with the normal multiplier set to one.
 
-    Real controls give a float; complex controls give a complex number,
-    whose imaginary part ``control_gradient`` reads.  <p, f> stays an
-    ``np.dot``: the reported two-route deviations depend to the last bit on
-    its order of summation.
+    Real controls give a float; complex controls give a complex number, and
+    ``control_gradient`` takes its complex steps of the same expression.
+    <p, f> stays an ``np.dot``: the reported two-route deviations depend to
+    the last bit on its order of summation.
     """
-    return _control_hamiltonian(model, ps.p, u,
-                                model.system.weight_table(ps.r1)[model.weight_start:])
-
-
-def _control_hamiltonian(model: LagrangianModel, p, u, weights) -> float | complex:
-    """``pontryagin_hamiltonian`` from the flat (E_b, E_b') values of the
-    terms, read once for both <p, f> and G."""
-    qdot = _controlled_rhs(model, u, weights)
-    return np.dot(p, qdot).item() - _cost(model, u, weights)
+    return _kernel(model, "hamiltonian", "pu", _hamiltonian_lines)(ps.r1, ps.p, u)
 
 
 def control_gradient(model: LagrangianModel, ps: PhaseState, u) -> tuple[float, ...]:
-    """Gradient of the control Hamiltonian in u, by the complex step: one
-    evaluation of ``pontryagin_hamiltonian``'s code per control, at weights
-    read once, exact to roundoff."""
-    weights = model.system.weight_table(ps.r1)[model.weight_start:]
-    grad = []
-    for k in range(len(u)):
-        shifted = list(u)
-        shifted[k] += CS_STEP * 1j
-        grad.append(_control_hamiltonian(model, ps.p, shifted, weights).imag / CS_STEP)
-    return tuple(grad)
+    """Gradient of the control Hamiltonian in the real controls u, by the
+    complex step: one evaluation of ``pontryagin_hamiltonian``'s expression
+    per control, at weights evaluated once, exact to roundoff."""
+    return _kernel(model, "gradient", "pu", _gradient_lines)(ps.r1, ps.p, u)
 
 
 def optimal_controls(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...]:
     """The stationary point of the control Hamiltonian in u."""
-    p = ps.p
-    u1 = model.momentum_sum(ps.r1, p) / model.system.i1
-    if abs(u1) < U1_MIN:
-        raise SingularVelocityError("degenerate optimal control: u_1 near zero")
-    u = [u1] + [0.0] * (len(p) - 1)
-    for b, inertia in model.kinetic:
-        u[b] = p[b] / inertia
-    for b, c in model.terms:
-        u[b] = p[b] * u1 / c
-    return tuple(u)
+    return _kernel(model, "controls", "p", _controls_lines)(ps.r1, ps.p)
 
 
 def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState, u_star=None) -> float:
@@ -184,3 +157,97 @@ def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState, u_star=Non
     if u_star is None:
         u_star = optimal_controls(model, ps)
     return pontryagin_hamiltonian(model, ps, u_star)
+
+
+# --- generated code ---------------------------------------------------------------
+# Each function is emitted once per system and model (SystemSpec.kernel), over
+# the locals r1, p<b> and u<b> and the model's weight pairs e<b>, s<b>
+# (``_weight_lines``), with every inertia and coefficient a literal.  Every
+# sum keeps the order of its formula, so each value is the one the loops over
+# the layout gave.
+
+_U1_GUARD = (f"if abs(u0) < {U1_MIN!r}: "
+             "raise SingularVelocityError('cost undefined for u_1 near zero')")
+
+
+def _kernel(model: LagrangianModel, name: str, args: str, body):
+    """The generated ``name(r1, *args)``: the sequences named by the letters
+    of ``args`` unpacked into locals, the weights spliced in, then the
+    statements ``body(model)``."""
+    def build():
+        _require_hamiltonian(model)
+        unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
+        return ex.define(f"{name}(r1, {', '.join(args)})",
+                         [*unpack, *_weight_lines(model), *body(model)],
+                         table=model.system.weight_table, dot=np.dot, step=CS_STEP * 1j,
+                         SingularVelocityError=SingularVelocityError)
+
+    return model.system.kernel(("pontryagin", name, model.kind, model.coefficients), build)
+
+
+def _names(letter: str, model: LagrangianModel) -> list[str]:
+    return [f"{letter}{b}" for b in range(model.system.n)]
+
+
+def _rates(model: LagrangianModel, u) -> list[str]:
+    """Source of each position rate at the controls named ``u``: u_b E_b
+    for the weighted coordinates, u_b itself for the others."""
+    rates = list(u)
+    for b, _ in model.terms:
+        rates[b] = f"{u[b]} * e{b}"
+    return rates
+
+
+def _cost(model: LagrangianModel, u) -> str:
+    """Source of G at the controls named ``u``."""
+    parts = [f"{_literal(model.system.i1)} * {u[0]} ** 2",
+             *(f"{_literal(inertia)} * {u[b]} ** 2" for b, inertia in model.kinetic),
+             *(f"{_literal(c)} * e{b} * {u[b]} ** 2 / {u[0]}" for b, c in model.terms)]
+    return f"0.5 * ({' + '.join(parts)})"
+
+
+def _control_hamiltonian(model: LagrangianModel, u, summed: bool = False) -> str:
+    """Source of <p, f> - G at the controls named ``u``.  <p, f> is an
+    ``np.dot``, on whose order of summation the reported deviation depends
+    to the last bit, or with ``summed`` a sum in coordinate order, which
+    has the same imaginary part at a complex step (module docstring)."""
+    rates = _rates(model, u)
+    if summed:
+        pairing = " + ".join(f"p{b} * ({rate})" for b, rate in enumerate(rates))
+    else:
+        pairing = f"dot(p, [{', '.join(rates)}]).item()"
+    return f"{pairing} - {_cost(model, u)}"
+
+
+def _rates_lines(model: LagrangianModel) -> list[str]:
+    return [f"return [{', '.join(_rates(model, _names('u', model)))}]"]
+
+
+def _cost_lines(model: LagrangianModel) -> list[str]:
+    return [_U1_GUARD, f"return {_cost(model, _names('u', model))}"]
+
+
+def _hamiltonian_lines(model: LagrangianModel) -> list[str]:
+    return [_U1_GUARD, f"return {_control_hamiltonian(model, _names('u', model))}"]
+
+
+def _controls_lines(model: LagrangianModel) -> list[str]:
+    i1 = _literal(model.system.i1)
+    controls = ["u0", *(f"p{b} / {_literal(inertia)}" for b, inertia in model.kinetic),
+                *(f"p{b} * u0 / {_literal(c)}" for b, c in model.terms)]
+    return [f"u0 = ({_momentum_sum(model)}) / {i1}",
+            f"if abs(u0) < {U1_MIN!r}: "
+            "raise SingularVelocityError('degenerate optimal control: u_1 near zero')",
+            f"return ({', '.join(controls)},)"]
+
+
+def _gradient_lines(model: LagrangianModel) -> list[str]:
+    """The complex step of each control in turn, the shifted control a
+    local z."""
+    u = _names("u", model)
+    lines = [_U1_GUARD]
+    for k in range(model.system.n):
+        shifted = ["z" if b == k else name for b, name in enumerate(u)]
+        h = _control_hamiltonian(model, shifted, summed=True)
+        lines += [f"z = u{k} + step", f"g{k} = ({h}).imag / {CS_STEP!r}"]
+    return lines + [f"return ({', '.join(f'g{k}' for k in range(model.system.n))},)"]

@@ -22,7 +22,7 @@ MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
 def sample_r1(sys: SystemSpec, rng: np.random.Generator, min_coeff: float = MIN_COEFF) -> float:
     """Draw r1 uniform in [-1, 1], rejecting coefficient near-zeros."""
     for _ in range(1000):
-        r1 = float(rng.uniform(-1.0, 1.0))
+        r1 = -1.0 + 2.0 * rng.random()  # rng.uniform(-1.0, 1.0), bit for bit (see _draw)
         try:
             if all(abs(fn(r1)) >= min_coeff for fn in sys.a_fns):
                 sys.measure_fn(r1)
@@ -32,10 +32,25 @@ def sample_r1(sys: SystemSpec, rng: np.random.Generator, min_coeff: float = MIN_
     raise EvaluationError("could not sample a generic r1 in [-1, 1]")
 
 
-def _signed_magnitudes(rng: np.random.Generator, count: int, lo: float, hi: float):
-    mags = rng.uniform(lo, hi, size=count)
-    signs = rng.choice((-1.0, 1.0), size=count)
-    return mags * signs
+def _draw(rng: np.random.Generator, coords: int, count: int, lo: float, hi: float):
+    """``coords`` values uniform in [-1, 1], then ``count`` magnitudes uniform
+    in [lo, hi] with random signs, as lists of floats.
+
+    These are bit for bit the draws ``rng.uniform(-1.0, 1.0, coords)``,
+    ``rng.uniform(lo, hi, count)`` and ``rng.choice((-1.0, 1.0), count)``
+    in turn, which leave the generator in the same state, so every sampled
+    point stays where those calls put it.  ``uniform`` takes one double per
+    value, lo + (hi - lo) * U[0, 1), so both are one ``rng.random`` call;
+    ``choice`` draws its indices with ``rng.integers(0, 2)``.  This skips
+    the argument handling of ``uniform`` and ``choice``, which costs more
+    than the draws.
+    """
+    values = rng.random(coords + count).tolist()
+    positive = rng.integers(0, 2, size=count).tolist()  # indices into (-1.0, 1.0)
+    span = hi - lo
+    mags = [lo + span * x for x in values[coords:]]
+    return ([-1.0 + 2.0 * x for x in values[:coords]],
+            [m if up else -m for m, up in zip(mags, positive)])
 
 
 def generic_jets(
@@ -47,9 +62,9 @@ def generic_jets(
     """Jets with independent velocities (not constraint-restricted)."""
     out = []
     for _ in range(count):
-        q = (sample_r1(sys, rng),) + tuple(rng.uniform(-1.0, 1.0, size=sys.n - 1))
-        u = tuple(_signed_magnitudes(rng, sys.n, *vel_range))
-        out.append(Jet(q, u))
+        r1 = sample_r1(sys, rng)
+        rest, u = _draw(rng, sys.n - 1, sys.n, *vel_range)
+        out.append(Jet((r1, *rest), tuple(u)))
     return out
 
 
@@ -62,9 +77,9 @@ def constraint_jets(
     """Jets whose s velocities satisfy the constraints."""
     out = []
     for _ in range(count):
-        q = (sample_r1(sys, rng),) + tuple(rng.uniform(-1.0, 1.0, size=sys.n - 1))
-        u1, u2 = _signed_magnitudes(rng, 2, *vel_range)
-        out.append(sys.on_constraint(q, float(u1), float(u2)))
+        r1 = sample_r1(sys, rng)
+        rest, (u1, u2) = _draw(rng, sys.n - 1, 2, *vel_range)
+        out.append(sys.on_constraint((r1, *rest), u1, u2))
     return out
 
 
@@ -77,7 +92,7 @@ def phase_points(
     """Phase points over generic coordinates with momenta in +-[lo, hi]."""
     out = []
     for _ in range(count):
-        q = (sample_r1(sys, rng),) + tuple(rng.uniform(-1.0, 1.0, size=sys.n - 1))
-        p = tuple(_signed_magnitudes(rng, sys.n, *p_range))
-        out.append(PhaseState(q, p))
+        r1 = sample_r1(sys, rng)
+        rest, p = _draw(rng, sys.n - 1, sys.n, *p_range)
+        out.append(PhaseState((r1, *rest), tuple(p)))
     return out

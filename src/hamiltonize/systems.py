@@ -288,11 +288,13 @@ class SystemSpec:
         return {}
 
     def kernel(self, key: tuple, build):
-        """The generated right-hand side of ``key`` (a formulation, then what
-        else decides its code) over this system: ``build()``'s, on first use."""
-        if key not in self._kernels:
-            self._kernels[key] = build()
-        return self._kernels[key]
+        """The generated function of ``key`` (a formulation or the
+        optimal-control route, then what else decides its code) over this
+        system: ``build()``'s, on first use."""
+        fn = self._kernels.get(key)
+        if fn is None:
+            fn = self._kernels[key] = build()
+        return fn
 
     @cached_property
     def constant_measure(self) -> bool:

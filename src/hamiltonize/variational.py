@@ -97,8 +97,8 @@ class PhaseState:
     def __post_init__(self):
         if len(self.q) != len(self.p):
             raise ConfigError("phase state q and p lengths differ")
-        object.__setattr__(self, "q", tuple(float(v) for v in self.q))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
+        object.__setattr__(self, "p", tuple(map(float, self.p)))
 
     @property
     def dim(self) -> int:
@@ -380,6 +380,12 @@ def _weight_lines(model: LagrangianModel) -> list[str]:
     return ex.splice(model.system.weight_table.exprs[start:], names, f"table(r1)[{start}:]")
 
 
+def _momentum_sum(model: LagrangianModel) -> str:
+    """Source of ``momentum_sum`` over the locals p<b> and e<b>, summed in
+    its order."""
+    return " + ".join(["p0", *(f"0.5 * e{b} * p{b} ** 2 / {_literal(c)}" for b, c in model.terms)])
+
+
 def _euler_lagrange_kernel(model: LagrangianModel):
     """The loops over the layout unrolled, every inertia and coefficient a
     literal: the force f<b>, the Hessian's entries d<b> = g_bb and h<b> =
@@ -503,12 +509,20 @@ def hamiltonian_model(sys: SystemSpec, kind: str, coefficients=None) -> Lagrangi
 
 
 def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
+    """H = (momentum sum)^2 / 2 I_1 + sum p_b^2 / 2 I_b over the kinetic
+    coordinates, generated once per system and model."""
+    _require_hamiltonian(model)
+    return model.system.kernel(("hamiltonian_value", model.kind, model.coefficients),
+                               lambda: _hamiltonian_value_kernel(model))(ps.r1, ps.p)
+
+
+def _hamiltonian_value_kernel(model: LagrangianModel):
     sys = model.system
-    total = model.momentum_sum(ps.r1, ps.p)
-    value = total**2 / (2.0 * sys.i1)
-    for b, inertia in model.kinetic:
-        value += ps.p[b] ** 2 / (2.0 * inertia)
-    return value
+    terms = [f"m ** 2 / {_literal(2.0 * sys.i1)}",
+             *(f"p{b} ** 2 / {_literal(2.0 * inertia)}" for b, inertia in model.kinetic)]
+    lines = [f"{', '.join(f'p{b}' for b in range(sys.n))}, = p", *_weight_lines(model),
+             f"m = {_momentum_sum(model)}", f"return {' + '.join(terms)}"]
+    return ex.define("value(r1, p)", lines, table=sys.weight_table)
 
 
 def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -529,10 +543,9 @@ def hamilton_ode(model: LagrangianModel):
 def _hamilton_kernel(model: LagrangianModel):
     sys = model.system
     n = sys.n
-    lines = [_state(n, "p"), *_weight_lines(model), "m = p0", "g = 0.0"]
+    lines = [_state(n, "p"), *_weight_lines(model), f"m = {_momentum_sum(model)}", "g = 0.0"]
     for b, c in model.terms:
-        lines += [f"m = m + 0.5 * e{b} * p{b} ** 2 / {_literal(c)}",
-                  f"g = g + 0.5 * s{b} * p{b} ** 2 / {_literal(c)}"]
+        lines.append(f"g = g + 0.5 * s{b} * p{b} ** 2 / {_literal(c)}")
     lines.append(f"v = m / {_literal(sys.i1)}")
     qdot = ["v"]
     for b, inertia in model.kinetic:

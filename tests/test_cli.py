@@ -303,6 +303,15 @@ BAD_INPUTS = {
         "compare", "--system", "vertical_disk", "--formulation", "nonholonomic,closed-form",
         "--tol", value], 1, f"--tol must be finite and >= 0, got {float(value)!r}")
        for name, value in (("nan", "nan"), ("inf", "inf"), ("negative", "-1"))},
+    # usage errors are configuration errors too, in the subcommands as at the top
+    "usage-invalid-choice": (lambda tmp_path: ["pontryagin-check", "--kind", "g3"], 1,
+                             "argument --kind: invalid choice: 'g3'"),
+    "usage-invalid-int": (lambda tmp_path: ["pontryagin-check", "--samples", "abc"], 1,
+                          "argument --samples: invalid int value: 'abc'"),
+    "usage-unknown-flag": (lambda tmp_path: ["simulate", "--bogus"], 1,
+                           "unrecognized arguments: --bogus"),
+    "usage-unknown-command": (lambda tmp_path: ["frobnicate"], 1,
+                              "argument command: invalid choice: 'frobnicate'"),
 }
 
 
@@ -318,6 +327,21 @@ def test_bad_input_exit_code(case, tmp_path, capsys):
     prefix = "error:" if expected == 1 else "runtime error:"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert message in err and "A[-1]" not in err
+
+
+def test_missing_command_exit_1(capsys):
+    assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["certify", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and not err
 
 
 def test_params_key_that_is_no_parameter_or_model_constant_exit_1(tmp_path, capsys):
@@ -524,6 +548,49 @@ def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, mon
     assert off["max_stationarity_norm"] > 1e-12
     assert abs(off["max_hamiltonian_deviation"] - clean["max_hamiltonian_deviation"]) < 1e-14
     assert off["evaluated"] == clean["evaluated"]
+
+
+# (evaluated, skipped_degenerate, skipped_near_u1_zero, max_hamiltonian_deviation,
+# max_stationarity_norm) of the optimal-control reports at the default 1,000
+# points, as the loops over the layout wrote them before the optimal-control
+# functions were generated.  ``certify --check pontryagin`` runs the g1 check
+# on the same points.  G2 is skipped where the measure is not constant.
+GOLDEN_OPTIMAL_CONTROL = {
+    ("free_particle", "g1", 1): (980, 0, 20, 5.329070518200751e-15, 1.0509738482436127e-15),
+    ("free_particle", "g1", 2): (976, 0, 24, 5.329070518200751e-15, 1.401298464324817e-15),
+    ("free_particle", "g1", 3): (972, 0, 28, 5.329070518200751e-15, 8.758115402030106e-16),
+    ("knife_edge", "g1", 1): (978, 0, 22, 4.440892098500626e-15, 8.758115402030106e-16),
+    ("knife_edge", "g1", 2): (980, 0, 20, 3.552713678800501e-15, 1.0509738482436127e-15),
+    ("knife_edge", "g1", 3): (979, 0, 21, 4.440892098500626e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g1", 1): (982, 0, 18, 4.440892098500626e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g1", 2): (981, 0, 19, 3.552713678800501e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g1", 3): (983, 0, 17, 3.1086244689504383e-15, 1.2261361562842148e-15),
+    ("vertical_disk", "g2", 1): (979, 0, 21, 4.440892098500626e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g2", 2): (974, 0, 26, 5.329070518200751e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g2", 3): (983, 0, 17, 4.440892098500626e-15, 1.401298464324817e-15),
+}
+GOLDEN_FIELDS = ("evaluated", "skipped_degenerate", "skipped_near_u1_zero",
+                 "max_hamiltonian_deviation", "max_stationarity_norm")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])
+def test_optimal_control_reports_match_golden(system, seed, tmp_path):
+    for kind in ("g1", "g2"):
+        out = tmp_path / kind
+        assert run_cli(["pontryagin-check", "--system", system, "--kind", kind,
+                        "--seed", str(seed)], out) == 0
+        report = load_report(out, f"{system}_pontryagin.json")
+        golden = GOLDEN_OPTIMAL_CONTROL.get((system, kind, seed))
+        if golden is None:
+            assert report["status"] == "skipped"
+        else:
+            assert tuple(report[f] for f in GOLDEN_FIELDS) == golden
+    assert run_cli(["certify", "--system", system, "--check", "pontryagin",
+                    "--seed", str(seed)], tmp_path) == 0
+    (check,) = load_report(tmp_path, f"{system}_certify.json")["checks"]
+    details = check["details"]
+    assert tuple(details[f] for f in GOLDEN_FIELDS) == GOLDEN_OPTIMAL_CONTROL[(system, "g1", seed)]
 
 
 @pytest.mark.parametrize("command", [["pontryagin-check", "--kind", "g1"],

@@ -1,11 +1,13 @@
-"""The generated right-hand sides against the loops they replaced.
+"""The generated right-hand sides and optimal-control functions against the
+loops they replaced.
 
 Every formulation's right-hand side is straight-line code generated once per
 object (``nonholonomic_ode``, ``SodeSystem.ode``, ``euler_lagrange_ode``,
-``hamilton_ode``).  The loops below are the implementations they replaced,
-kept as the reference: at seeded states the kernels must give the same
-floats bit for bit, and where a loop raises, the kernel must raise the same
-exception with the same message.
+``hamilton_ode``), and so is every optimal-control function of
+``pontryagin.py`` and ``hamiltonian_value``.  The loops below are the
+implementations they replaced, kept as the reference: at seeded
+states the kernels must give the same floats bit for bit, and where a loop
+raises, the kernel must raise the same exception with the same message.
 """
 
 import math
@@ -14,6 +16,18 @@ import numpy as np
 import pytest
 
 from hamiltonize.cli import main
+from hamiltonize.pontryagin import (
+    CS_STEP,
+    U1_MIN,
+    control_gradient,
+    controlled_rhs,
+    cost,
+    cost_model,
+    optimal_controls,
+    optimal_hamiltonian_value,
+    pontryagin_hamiltonian,
+)
+from hamiltonize.sampling import phase_points
 from hamiltonize.errors import (
     CoefficientSingularityError,
     EvaluationError,
@@ -40,6 +54,7 @@ from hamiltonize.variational import (
     euler_lagrange_rhs,
     hamilton_ode,
     hamilton_rhs,
+    hamiltonian_value,
     lagrangian_model,
 )
 
@@ -322,3 +337,148 @@ def test_knife_edge_pole_sode_second_run_exits_2(knife_edge, tmp_path, capsys):
     assert capsys.readouterr().err == ("runtime error: integration aborted at t=0.0: "
                                        "velocity weight 0 vanishes at r1=1.5707963267948966\n")
     assert not list(tmp_path.iterdir())
+
+
+# --- the optimal-control functions ------------------------------------------------
+
+
+def loop_weights(model, r1):
+    return model.system.weight_table(r1)[model.weight_start:]
+
+
+def loop_rates(model, u, weights):
+    out = list(u)
+    values = iter(weights)
+    for (b, _), e_val, _ in zip(model.terms, values, values):
+        out[b] = u[b] * e_val
+    return out
+
+
+def loop_cost(model, u, weights):
+    u1 = u[0]
+    if abs(u1) < U1_MIN:
+        raise SingularVelocityError("cost undefined for u_1 near zero")
+    value = model.system.i1 * u1**2
+    for b, inertia in model.kinetic:
+        value += inertia * u[b] ** 2
+    values = iter(weights)
+    for (b, c), e_val, _ in zip(model.terms, values, values):
+        value += c * e_val * u[b] ** 2 / u1
+    return 0.5 * value
+
+
+def loop_control_hamiltonian(model, p, u, weights):
+    return np.dot(p, loop_rates(model, u, weights)).item() - loop_cost(model, u, weights)
+
+
+def loop_gradient(model, p, u, weights):
+    grad = []
+    for k in range(len(u)):
+        shifted = list(u)
+        shifted[k] += CS_STEP * 1j
+        grad.append(loop_control_hamiltonian(model, p, shifted, weights).imag / CS_STEP)
+    return grad
+
+
+def loop_controls(model, r1, p):
+    total = p[0]
+    values = iter(loop_weights(model, r1))
+    for (b, c), e_val, _ in zip(model.terms, values, values):
+        total += 0.5 * e_val * p[b] ** 2 / c
+    u1 = total / model.system.i1
+    if abs(u1) < U1_MIN:
+        raise SingularVelocityError("degenerate optimal control: u_1 near zero")
+    u = [u1] + [0.0] * (len(p) - 1)
+    for b, inertia in model.kinetic:
+        u[b] = p[b] / inertia
+    for b, c in model.terms:
+        u[b] = p[b] * u1 / c
+    return u
+
+
+def loop_hamiltonian_value(model, ps):
+    total = ps.p[0]
+    values = iter(loop_weights(model, ps.r1))
+    for (b, c), e_val, _ in zip(model.terms, values, values):
+        total += 0.5 * e_val * ps.p[b] ** 2 / c
+    value = total**2 / (2.0 * model.system.i1)
+    for b, inertia in model.kinetic:
+        value += ps.p[b] ** 2 / (2.0 * inertia)
+    return value
+
+
+def exact(fn, *args):
+    """``outcome`` for scalars and complex values too: each float as hex,
+    a complex one as the hex of both parts."""
+    try:
+        values = fn(*args)
+    except (EvaluationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    if not isinstance(values, (tuple, list)):
+        values = [values]
+    return [(type(v) is complex, complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def _cost_models(sys):
+    return [cost_model(sys, kind) for kind in (("g1", "g2") if sys.constant_measure else ("g1",))]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_optimal_control_functions_match_loops_bit_for_bit(name):
+    """At seeded phase points and controls (the optimal ones, random ones,
+    random ones with a complex entry and ones with u_1 near zero) every
+    pointwise function gives the loop's values or raises its error."""
+    sys = builtin_system(name)
+    n = sys.n
+    rng = np.random.default_rng(7)
+    for model in _cost_models(sys):
+        for y in _states(3 * n, seed=len(model.kind)):
+            ps = PhaseState(tuple(y[:n]), tuple(y[n:2 * n]))
+            assert exact(optimal_controls, model, ps) == exact(loop_controls, model, ps.r1, ps.p)
+            assert exact(hamiltonian_value, model, ps) == exact(loop_hamiltonian_value, model, ps)
+            weights = loop_weights(model, ps.r1)
+            u_rand = y[2 * n:]
+            u_complex = list(u_rand)
+            u_complex[int(rng.integers(n))] += complex(0.0, rng.normal())
+            controls = [u_rand, u_complex, [1e-7, *u_rand[1:]]]
+            if abs(loop_controls(model, ps.r1, ps.p)[0]) >= 1e-3:
+                controls.append(loop_controls(model, ps.r1, ps.p))
+            for u in controls:
+                assert (exact(controlled_rhs, model, ps.q, u)
+                        == exact(loop_rates, model, u, weights))
+                assert exact(cost, model, ps.q, u) == exact(loop_cost, model, u, weights)
+                assert (exact(pontryagin_hamiltonian, model, ps, u)
+                        == exact(loop_control_hamiltonian, model, ps.p, u, weights))
+                if u is not u_complex:
+                    assert (exact(control_gradient, model, ps, u)
+                            == exact(loop_gradient, model, ps.p, u, weights))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_command_check_matches_loops_on_its_sample(name):
+    """On the command's own sample, what ``pontryagin-check`` reads at each
+    point (the controls, the control Hamiltonian there and its complex-step
+    gradient) is the loops' bit for bit, at the optimal controls and off
+    them, where the gradient is O(1)."""
+    sys = builtin_system(name)
+    rng = np.random.default_rng(3)
+    for model in _cost_models(sys):
+        evaluated = 0
+        for ps in phase_points(sys, 200, rng):
+            try:
+                u_star = optimal_controls(model, ps)
+            except SingularVelocityError:
+                continue
+            assert list(u_star) == loop_controls(model, ps.r1, ps.p)
+            if abs(u_star[0]) < 0.05:
+                continue
+            evaluated += 1
+            weights = loop_weights(model, ps.r1)
+            off = [v + rng.normal() for v in u_star]
+            off[0] = 2.0 * u_star[0]
+            for u in (u_star, off):
+                assert (exact(optimal_hamiltonian_value, model, ps, u)
+                        == exact(loop_control_hamiltonian, model, ps.p, u, weights))
+                assert (exact(control_gradient, model, ps, u)
+                        == exact(loop_gradient, model, ps.p, u, weights))
+        assert evaluated > 150
