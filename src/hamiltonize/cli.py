@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,9 +79,10 @@ PONTRYAGIN_GRAD_TOL = 1e-8
 
 @dataclass
 class RunManifest:
-    """Everything one command needs; built from flags, validated once."""
+    """Everything one command needs; built from flags, validated once.  The
+    defaults here are the flags' defaults: an absent flag keeps its field's."""
 
-    system_source: str
+    system_source: str = "free_particle"
     spec_file: str | None = None
     formulations: tuple[str, ...] = ("nonholonomic",)
     sode_kind: str = "first"
@@ -261,7 +263,9 @@ def hamiltonian_drift_metrics(model: LagrangianModel, traj: Trajectory) -> dict:
     }
 
 
-def _report(payload: dict, manifest: RunManifest, name: str) -> None:
+def _report(payload: dict, manifest: RunManifest, name: str) -> int:
+    """Print ``payload`` and write it to ``name``; the exit code of its
+    verdict, a certification failure where it says ``"passed": false``."""
     payload = {"tool": "hamiltonize", "version": __version__, **payload}
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
@@ -272,6 +276,7 @@ def _report(payload: dict, manifest: RunManifest, name: str) -> None:
         os.makedirs(manifest.out_dir, exist_ok=True)
         with open(os.path.join(manifest.out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    return EXIT_OK if payload.get("passed", True) else EXIT_CERTIFICATION
 
 
 def cmd_simulate(manifest: RunManifest) -> int:
@@ -295,8 +300,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
     sidecar.update(drift)
     if formulation == "nonholonomic":
         sidecar["constraint_drift"] = 0.0  # slaved by construction
-    _report(sidecar, manifest, stem + ".json")
-    return EXIT_OK
+    return _report(sidecar, manifest, stem + ".json")
 
 
 def cmd_compare(manifest: RunManifest) -> int:
@@ -312,15 +316,12 @@ def cmd_compare(manifest: RunManifest) -> int:
     for formulation in manifest.formulations:
         runs[formulation], metrics = run_formulation(sys_, formulation, jet0, manifest)
         drift.update(metrics)
-    names = sys_.names
     pairs = {}
     worst = 0.0
-    keys = list(runs)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            metrics = compare(runs[keys[i]], runs[keys[j]], names)
-            pairs[f"{keys[i]} vs {keys[j]}"] = metrics.to_dict()
-            worst = max(worst, metrics.sup)
+    for a, b in itertools.combinations(runs, 2):
+        metrics = compare(runs[a], runs[b], sys_.names)
+        pairs[f"{a} vs {b}"] = _fields(metrics)
+        worst = max(worst, metrics.sup)
     os.makedirs(manifest.out_dir, exist_ok=True)
     for formulation, traj in runs.items():
         traj.write_csv(os.path.join(
@@ -337,36 +338,44 @@ def cmd_compare(manifest: RunManifest) -> int:
         "passed": bool(worst <= manifest.tol),
         **drift,
     }
-    _report(payload, manifest, f"{sys_.label}_compare.json")
-    return EXIT_OK if worst <= manifest.tol else EXIT_CERTIFICATION
+    return _report(payload, manifest, f"{sys_.label}_compare.json")
 
 
-def _multiplier_conditions(sode2, model: LagrangianModel, manifest: RunManifest,
-                           rng: np.random.Generator) -> dict:
+def _fields(report) -> dict:
+    """A report dataclass as JSON: its fields in order, those left None omitted."""
+    return {k: v for k, v in asdict(report).items() if v is not None}
+
+
+def _jets(sys_: SystemSpec, manifest: RunManifest) -> tuple[list[Jet], list[Jet]]:
+    """The multiplier conditions' jets and the certificate's jets: the first
+    and the second draw from a generator seeded with --seed."""
+    rng = np.random.default_rng(manifest.seed)
+    count = manifest.samples or 50
+    return generic_jets(sys_, count, rng), generic_jets(sys_, count, rng)
+
+
+def _multiplier_conditions(sode2, model: LagrangianModel, jets: list[Jet]) -> dict:
     """Multiplier-condition residuals of the second associated system ``sode2``
-    for the Hessian of ``model``, at the first draw of jets from ``rng``."""
-    jets = generic_jets(model.system, manifest.samples or 50, rng)
-    return helmholtz_residuals(sode2, hessian_field(model), jets).to_dict()
+    for the Hessian of ``model`` at ``jets``."""
+    return _fields(helmholtz_residuals(sode2, hessian_field(model), jets))
 
 
-def _certificate(sys_: SystemSpec, manifest: RunManifest, rng: np.random.Generator) -> dict:
-    """The first associated system's singularity certificate, at the second
-    draw of jets from ``rng`` (the first feeds the multiplier conditions)."""
-    jets = generic_jets(sys_, manifest.samples or 50, rng)
-    return singularity_certificate(first_associated(sys_), jets, depth=manifest.depth,
-                                   seed=manifest.seed).to_dict()
+def _certificate(sys_: SystemSpec, manifest: RunManifest, jets: list[Jet]) -> dict:
+    """The first associated system's singularity certificate at ``jets``."""
+    return _fields(singularity_certificate(first_associated(sys_), jets, depth=manifest.depth,
+                                           seed=manifest.seed))
 
 
 def cmd_helmholtz_check(manifest: RunManifest) -> int:
     sys_ = manifest.load_system()
-    rng = np.random.default_rng(manifest.seed)
+    cond_jets, cert_jets = _jets(sys_, manifest)
     payload = {
         "system": sys_.label,
         "seed": manifest.seed,
-        "jets": manifest.samples or 50,
+        "jets": len(cond_jets),
         "multiplier_conditions": _multiplier_conditions(
-            second_associated(sys_), manifest.model(sys_, "first"), manifest, rng),
-        "certificate": _certificate(sys_, manifest, rng),
+            second_associated(sys_), manifest.model(sys_, "first"), cond_jets),
+        "certificate": _certificate(sys_, manifest, cert_jets),
     }
     _report(payload, manifest, f"{sys_.label}_helmholtz.json")
     ok = payload["multiplier_conditions"]["passed"] and payload["certificate"]["passed"]
@@ -420,13 +429,11 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
             "status": "skipped",
             "reason": "non-constant invariant measure",
         }
-        _report(payload, manifest, f"{sys_.label}_pontryagin.json")
-        return EXIT_OK
+        return _report(payload, manifest, f"{sys_.label}_pontryagin.json")
     kind = manifest.cost_kind
     model = manifest.model(sys_, MODEL_KINDS[kind])
-    payload = _pontryagin_payload(model, manifest, kind)
-    _report(payload, manifest, f"{sys_.label}_pontryagin.json")
-    return EXIT_OK if payload["passed"] else EXIT_CERTIFICATION
+    return _report(_pontryagin_payload(model, manifest, kind), manifest,
+                   f"{sys_.label}_pontryagin.json")
 
 
 def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
@@ -448,9 +455,7 @@ def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
 
 def cmd_measure_check(manifest: RunManifest) -> int:
     sys_ = manifest.load_system()
-    payload = _measure_payload(sys_, manifest)
-    _report(payload, manifest, f"{sys_.label}_measure.json")
-    return EXIT_OK if payload["passed"] else EXIT_CERTIFICATION
+    return _report(_measure_payload(sys_, manifest), manifest, f"{sys_.label}_measure.json")
 
 
 def cmd_certify(manifest: RunManifest) -> int:
@@ -469,17 +474,13 @@ def cmd_certify(manifest: RunManifest) -> int:
     # each object is built once, when a check first reads it
     model = functools.cache(lambda kind: manifest.model(sys_, kind))
     sode2 = functools.cache(lambda: second_associated(sys_))
-    if want("singularity") or want("helmholtz"):
-        rng = np.random.default_rng(manifest.seed)
-        if want("helmholtz"):
-            cond = _multiplier_conditions(sode2(), model("first"), manifest, rng)
-        else:
-            generic_jets(sys_, manifest.samples or 50, rng)  # skip the conditions' draw
-        if want("singularity"):
-            cert = _certificate(sys_, manifest, rng)
-            verdict("first-kind-singularity-certificate", cert, cert["passed"])
-        if want("helmholtz"):
-            verdict("multiplier-conditions", cond, cond["passed"])
+    jets = functools.cache(lambda: _jets(sys_, manifest))
+    if want("singularity"):
+        cert = _certificate(sys_, manifest, jets()[1])
+        verdict("first-kind-singularity-certificate", cert, cert["passed"])
+    if want("helmholtz"):
+        cond = _multiplier_conditions(sode2(), model("first"), jets()[0])
+        verdict("multiplier-conditions", cond, cond["passed"])
     if want("pontryagin"):
         payload = _pontryagin_payload(model("first"), manifest, "g1")
         verdict("optimal-control-g1", payload, payload["passed"])
@@ -488,8 +489,7 @@ def cmd_certify(manifest: RunManifest) -> int:
             checks.append({"name": "second-kind-suite", "status": "skipped",
                            "reason": "non-constant invariant measure"})
         else:
-            cond = _multiplier_conditions(sode2(), model("second"), manifest,
-                                          np.random.default_rng(manifest.seed))
+            cond = _multiplier_conditions(sode2(), model("second"), jets()[0])
             pont = _pontryagin_payload(model("second"), manifest, "g2")
             verdict("second-kind-suite", {"multiplier_conditions": cond, "optimal_control_g2": pont},
                     cond["passed"] and pont["passed"])
@@ -529,6 +529,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag stores into the ``RunManifest`` field it sets; an absent
+    flag stores nothing, so the field keeps its default."""
     parser = _Parser(
         prog="hamiltonize",
         description="Hamiltonization toolkit for a class of nonholonomic systems.",
@@ -536,94 +538,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--system", default="free_particle",
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--system", dest="system_source", metavar="SYSTEM",
                        help=f"built-in system name {BUILTIN_NAMES}")
-        p.add_argument("--spec", default=None, help="system specification file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--params", action="append", default=[],
+        p.add_argument("--spec", dest="spec_file", metavar="SPEC", help="system specification file")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+        p.add_argument("--params", action="append",
                        help="system/model parameters, e.g. m=2,C2=1.5")
+        return p
 
-    def trajectory(p):
-        """Flags of the commands that integrate: models, grid, initial data."""
-        p.add_argument("--sode", default="first", choices=("first", "second", "third"))
-        p.add_argument("--ham-kind", default="first", choices=("first", "second"))
-        p.add_argument("--lag-kind", default="first",
-                       choices=("first", "second", "variational"))
-        p.add_argument("--t", type=float, default=5.0)
-        p.add_argument("--h", type=float, default=1e-3)
-        p.add_argument("--ic", action="append", default=[],
-                       help="initial conditions, e.g. phi=0.3,dphi=1")
+    def trajectory(name, summary):
+        """A command that integrates: models, grid, initial data."""
+        p = command(name, summary)
+        p.add_argument("--sode", dest="sode_kind", choices=("first", "second", "third"))
+        p.add_argument("--ham-kind", choices=("first", "second"))
+        p.add_argument("--lag-kind", choices=("first", "second", "variational"))
+        p.add_argument("--t", dest="t_final", metavar="T", type=float)
+        p.add_argument("--h", type=float)
+        p.add_argument("--ic", action="append", help="initial conditions, e.g. phi=0.3,dphi=1")
         p.add_argument("--ic-on-constraint", action="store_true",
                        help="slave the s velocities to the constraint")
+        return p
 
-    sim = sub.add_parser("simulate", help="integrate one formulation")
-    common(sim)
-    trajectory(sim)
-    sim.add_argument("--formulation", default="nonholonomic", choices=FORMULATIONS)
+    trajectory("simulate", "integrate one formulation").add_argument(
+        "--formulation", dest="formulations", choices=FORMULATIONS)
 
-    cmp_ = sub.add_parser("compare", help="compare formulations pairwise")
-    common(cmp_)
-    trajectory(cmp_)
-    cmp_.add_argument("--formulation", action="append", default=[],
-                      help="repeat for each formulation (or comma separate)")
-    cmp_.add_argument("--tol", type=float, default=1e-5)
+    cmp_ = trajectory("compare", "compare formulations pairwise")
+    cmp_.add_argument("--formulation", dest="formulations", metavar="FORMULATION",
+                      action="append", help="repeat for each formulation (or comma separate)")
+    cmp_.add_argument("--tol", type=float)
 
-    cert = sub.add_parser("certify", help="run the certification suite")
-    common(cert)
-    cert.add_argument("--check", default="all", choices=CHECKS)
-    cert.add_argument("--samples", type=int, default=0)
-    cert.add_argument("--depth", type=int, default=3)
+    cert = command("certify", "run the certification suite")
+    cert.add_argument("--check", choices=CHECKS)
+    cert.add_argument("--samples", type=int)
+    cert.add_argument("--depth", type=int)
 
-    hc = sub.add_parser("helmholtz-check", help="multiplier conditions + certificate")
-    common(hc)
-    hc.add_argument("--samples", type=int, default=0, help="jets per check")
-    hc.add_argument("--depth", type=int, default=3)
+    hc = command("helmholtz-check", "multiplier conditions + certificate")
+    hc.add_argument("--samples", type=int, help="jets per check")
+    hc.add_argument("--depth", type=int)
 
-    pc = sub.add_parser("pontryagin-check", help="optimal-control consistency")
-    common(pc)
-    pc.add_argument("--kind", default="g1", choices=("g1", "g2"))
-    pc.add_argument("--samples", type=int, default=1000)
+    pc = command("pontryagin-check", "optimal-control consistency")
+    pc.add_argument("--kind", dest="cost_kind", choices=("g1", "g2"))
+    pc.add_argument("--samples", type=int)
 
-    mc = sub.add_parser("measure-check", help="invariant-measure residuals")
-    common(mc)
-    mc.add_argument("--samples", type=int, default=100)
+    command("measure-check", "invariant-measure residuals").add_argument("--samples", type=int)
 
     return parser
 
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    formulations: tuple[str, ...] = ()
-    if hasattr(args, "formulation"):
-        raw = args.formulation if isinstance(args.formulation, list) else [args.formulation]
-        flat: list[str] = []
-        for chunk in raw:
-            flat.extend(x.strip() for x in chunk.split(",") if x.strip())
+    fields = dict(vars(args))
+    del fields["command"]
+    if "formulations" in fields:
+        raw = fields.pop("formulations")
+        flat = [x.strip() for chunk in ([raw] if isinstance(raw, str) else raw)
+                for x in chunk.split(",") if x.strip()]
         for f in flat:
             if f not in FORMULATIONS:
                 raise ConfigError(f"unknown formulation {f!r}")
-        formulations = tuple(flat) or ("nonholonomic",)
-    return RunManifest(
-        system_source=args.system,
-        spec_file=args.spec,
-        formulations=formulations,
-        sode_kind=getattr(args, "sode", "first"),
-        ham_kind=getattr(args, "ham_kind", "first"),
-        lag_kind=getattr(args, "lag_kind", "first"),
-        t_final=getattr(args, "t", 5.0),
-        h=getattr(args, "h", 1e-3),
-        seed=args.seed,
-        tol=getattr(args, "tol", 1e-5),
-        out_dir=args.out,
-        ic=_parse_kv(getattr(args, "ic", [])),
-        ic_on_constraint=getattr(args, "ic_on_constraint", False),
-        params=_parse_kv(args.params),
-        check=getattr(args, "check", "all"),
-        samples=getattr(args, "samples", 0),
-        depth=getattr(args, "depth", 3),
-        cost_kind=getattr(args, "kind", "g1"),
-    )
+        if flat:
+            fields["formulations"] = tuple(flat)
+    for key in ("ic", "params"):
+        if key in fields:
+            fields[key] = _parse_kv(fields[key])
+    return RunManifest(**fields)
 
 
 COMMANDS = {

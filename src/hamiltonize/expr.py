@@ -237,11 +237,9 @@ class Div(Expr):
 
     @_memoised
     def diff(self):
-        # (u/v)' = (u'v - uv') / v^2
-        return _div(
-            _sub(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff())),
-            _pow(self.right, 2),
-        )
+        # (u/v)' = (u' - (u/v) v') / v: the quotient is this node, so the
+        # denominator stays v instead of squaring on every derivative
+        return _div(_sub(self.left.diff(), _mul(self, self.right.diff())), self.right)
 
 
 @dataclass(frozen=True, eq=False)

@@ -264,7 +264,8 @@ class MultiplierField:
 
 @dataclass(frozen=True)
 class HelmholtzReport:
-    """Max residuals of the multiplier conditions over a jet sample.
+    """Max residuals of the multiplier conditions over a jet sample; it
+    passes when all three are below ``tolerance``.
 
     ``min_abs_det`` is reported, not thresholded: regularity is a property
     one wants to inspect, while the three residuals are pass/fail.
@@ -276,25 +277,7 @@ class HelmholtzReport:
     min_abs_det: float
     tolerance: float
     n_jets: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.gdot_symmetry < self.tolerance
-            and self.nabla_condition < self.tolerance
-            and self.phi_condition < self.tolerance
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "gdot_symmetry": self.gdot_symmetry,
-            "nabla_condition": self.nabla_condition,
-            "phi_condition": self.phi_condition,
-            "min_abs_det": self.min_abs_det,
-            "tolerance": self.tolerance,
-            "n_jets": self.n_jets,
-            "passed": self.passed,
-        }
+    passed: bool
 
 
 _STENCIL6 = ((-3, -1.0), (-2, 9.0), (-1, -45.0), (1, 45.0), (2, -9.0), (3, 1.0))
@@ -374,6 +357,7 @@ def helmholtz_residuals(
         min_abs_det=float(min_det),
         tolerance=tolerance,
         n_jets=len(jets),
+        passed=all(r < tolerance for r in (sym_worst, nabla_worst, phi_worst)),
     )
 
 
@@ -433,22 +417,8 @@ class CertificateReport:
     det_tol: float
     nullspace_dims: tuple[int, ...]
     max_normalized_det: float
-    counterexample: dict | None = None
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        out = {
-            "passed": self.passed,
-            "depth": self.depth,
-            "seed": self.seed,
-            "det_tol": self.det_tol,
-            "nullspace_dims": list(self.nullspace_dims),
-            "max_normalized_det": self.max_normalized_det,
-            "warnings": list(self.warnings),
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+    counterexample: dict | None = None
 
 
 def singularity_certificate(
@@ -507,6 +477,6 @@ def singularity_certificate(
         det_tol=det_tol,
         nullspace_dims=tuple(dims),
         max_normalized_det=worst,
-        counterexample=counterexample,
         warnings=tuple(warnings),
+        counterexample=counterexample,
     )

@@ -164,9 +164,6 @@ class CompareMetrics:
     rms: float
     per_column: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"sup": self.sup, "rms": self.rms, "per_column": self.per_column}
-
 
 def compare(a: Trajectory, b: Trajectory, names: tuple[str, ...]) -> CompareMetrics:
     """Sup-norm and RMS of the difference of two runs on shared coordinates.

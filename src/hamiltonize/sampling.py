@@ -53,6 +53,19 @@ def _draw(rng: np.random.Generator, coords: int, count: int, lo: float, hi: floa
             [m if up else -m for m, up in zip(mags, positive)])
 
 
+def _sample(sys: SystemSpec, count: int, rng: np.random.Generator, speeds: int,
+            span: tuple[float, float], point) -> list:
+    """``count`` points ``point(q, v)``: q at a generic r1 (``sample_r1``) with
+    the other coordinates uniform in [-1, 1], then ``speeds`` velocities or
+    momenta with magnitudes uniform in ``span`` and random signs."""
+    out = []
+    for _ in range(count):
+        r1 = sample_r1(sys, rng)
+        rest, v = _draw(rng, sys.n - 1, speeds, *span)
+        out.append(point((r1, *rest), tuple(v)))
+    return out
+
+
 def generic_jets(
     sys: SystemSpec,
     count: int,
@@ -60,12 +73,7 @@ def generic_jets(
     vel_range: tuple[float, float] = (0.5, 2.0),
 ) -> list[Jet]:
     """Jets with independent velocities (not constraint-restricted)."""
-    out = []
-    for _ in range(count):
-        r1 = sample_r1(sys, rng)
-        rest, u = _draw(rng, sys.n - 1, sys.n, *vel_range)
-        out.append(Jet((r1, *rest), tuple(u)))
-    return out
+    return _sample(sys, count, rng, sys.n, vel_range, Jet)
 
 
 def constraint_jets(
@@ -75,12 +83,7 @@ def constraint_jets(
     vel_range: tuple[float, float] = (0.5, 2.0),
 ) -> list[Jet]:
     """Jets whose s velocities satisfy the constraints."""
-    out = []
-    for _ in range(count):
-        r1 = sample_r1(sys, rng)
-        rest, (u1, u2) = _draw(rng, sys.n - 1, 2, *vel_range)
-        out.append(sys.on_constraint((r1, *rest), u1, u2))
-    return out
+    return _sample(sys, count, rng, 2, vel_range, lambda q, u: sys.on_constraint(q, *u))
 
 
 def phase_points(
@@ -90,9 +93,4 @@ def phase_points(
     p_range: tuple[float, float] = (0.5, 2.0),
 ) -> list[PhaseState]:
     """Phase points over generic coordinates with momenta in +-[lo, hi]."""
-    out = []
-    for _ in range(count):
-        r1 = sample_r1(sys, rng)
-        rest, p = _draw(rng, sys.n - 1, sys.n, *p_range)
-        out.append(PhaseState((r1, *rest), tuple(p)))
-    return out
+    return _sample(sys, count, rng, sys.n, p_range, PhaseState)

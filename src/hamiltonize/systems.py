@@ -261,12 +261,8 @@ class SystemSpec:
         return self.measure_expr.compile()
 
     @cached_property
-    def mass_sum_fn(self):
-        return self.mass_sum_expr.compile()
-
-    @cached_property
-    def coupling_sum_fn(self):
-        return self.coupling_sum_expr.compile()
+    def log_measure_slope_fn(self):
+        return self.log_measure_slope_expr.compile()
 
     @cached_property
     def nonholonomic_table(self):  # what the constrained equations read
@@ -415,14 +411,14 @@ def measure_pde_residual(
 ) -> tuple[float, float]:
     """Residuals of the two volume-preservation equations at ``r1``.
 
-    The first is (1/N) dN/dr1 + sum I_a A_a A_a' / (I2 + sum I_a A_a^2),
-    with dN/dr1 taken by central differences of step ``h`` so the check is
-    independent of the closed form.  The second is (1/N) dN/dr2, which
-    vanishes identically because N depends on r1 only.
+    The first is (1/N) dN/dr1 - (ln N)', with (ln N)' in closed form
+    (``log_measure_slope_expr``) and dN/dr1 taken by central differences of
+    step ``h`` so the check is independent of the closed form.  The second
+    is (1/N) dN/dr2, which vanishes identically because N depends on r1 only.
     """
     n_mid = sys.measure_fn(r1)
     slope_fd = (sys.measure_fn(r1 + h) - sys.measure_fn(r1 - h)) / (2.0 * h)
-    res1 = slope_fd / n_mid + sys.coupling_sum_fn(r1) / sys.mass_sum_fn(r1)
+    res1 = slope_fd / n_mid - sys.log_measure_slope_fn(r1)
     return (res1, 0.0)
 
 
@@ -539,13 +535,16 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
         i_alpha = tuple(float(v) for v in fields["I_alpha"].split(","))
     except ValueError:
         raise ConfigError("I_alpha must be a comma-separated list of numbers") from None
-    a_alpha = tuple(ex.parse_expr(part) for part in fields["A_alpha"].split(","))
     names = tuple(part.strip() for part in fields["names"].split(","))
-    weights = None
-    if "weights" in fields:
-        weights = tuple(ex.parse_expr(part) for part in fields["weights"].split(","))
-    return SystemSpec(scalar("I1"), scalar("I2"), i_alpha, a_alpha, names,
-                      label=label, weight_exprs=weights)
+    try:  # the parser and the derivatives recurse once per level of nesting
+        a_alpha = tuple(ex.parse_expr(part) for part in fields["A_alpha"].split(","))
+        weights = None
+        if "weights" in fields:
+            weights = tuple(ex.parse_expr(part) for part in fields["weights"].split(","))
+        return SystemSpec(scalar("I1"), scalar("I2"), i_alpha, a_alpha, names,
+                          label=label, weight_exprs=weights)
+    except RecursionError:
+        raise ConfigError("an A_alpha or weights expression is nested too deeply") from None
 
 
 def load_system_file(path: str) -> SystemSpec:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import pytest
 
 from hamiltonize import cli, expr
-from hamiltonize.cli import main
+from hamiltonize.cli import RunManifest, build_parser, main, manifest_from_args
 from hamiltonize.systems import builtin_system, load_system_file
 from hamiltonize.variational import LagrangianModel, default_coefficients
 
@@ -214,6 +215,15 @@ def _spec_with_system_parameter(tmp_path):
     return ["simulate", "--spec", str(spec), "--params", "m=2", "--t", "0.01"]
 
 
+def _deep_spec(coefficient):
+    """A certify over a spec whose A_alpha is ``coefficient``."""
+    def build(tmp_path):
+        spec = tmp_path / "deep.system"
+        spec.write_text(f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = {coefficient}\nnames = x,y,z\n")
+        return ["certify", "--spec", str(spec)]
+    return build
+
+
 # (argv builder, documented exit code, part of the message): each bad input
 # ends in one line on stderr, never a traceback
 BAD_INPUTS = {
@@ -276,6 +286,12 @@ BAD_INPUTS = {
                           "--t", "0.01"],
         1, "parameter J must be finite and positive"),
     "spec-inertia-nan": (_nan_inertia_spec, 1, "inertias must be finite"),
+    # the parser and the derivatives recurse once per level of nesting
+    "spec-nested-parentheses": (_deep_spec("(" * 3000 + "r1" + ")" * 3000), 1,
+                                "expression is nested too deeply"),
+    "spec-nested-minus": (_deep_spec("-" * 5000 + "r1"), 1, "expression is nested too deeply"),
+    "spec-long-sum": (_deep_spec(" + ".join(["r1"] * 20000)), 1,
+                      "expression is nested too deeply"),
     # a --params key that is neither a parameter of the built-in nor a model
     # constant (here a typo of m) is rejected, not ignored
     "disk-unknown-parameter": (
@@ -333,6 +349,121 @@ def test_missing_command_exit_1(capsys):
     assert main([]) == 1
     err = capsys.readouterr().err
     assert err == "error: the following arguments are required: command\n"
+
+
+# --- the front end's contract ---------------------------------------------------------
+
+# flags of every command, of the commands that integrate, and of each command
+# alone: (argv, the RunManifest field it sets, the value it sets there)
+COMMON_FLAGS = [(["--system", "knife_edge"], "system_source", "knife_edge"),
+                (["--spec", "a.system"], "spec_file", "a.system"),
+                (["--seed", "7"], "seed", 7),
+                (["--out", "runs"], "out_dir", "runs"),
+                (["--params", "m=2", "--params", "C2=1.5,R=3"], "params",
+                 {"m": 2.0, "C2": 1.5, "R": 3.0})]
+TRAJECTORY_FLAGS = [(["--sode", "third"], "sode_kind", "third"),
+                    (["--ham-kind", "second"], "ham_kind", "second"),
+                    (["--lag-kind", "variational"], "lag_kind", "variational"),
+                    (["--t", "2.5"], "t_final", 2.5),
+                    (["--h", "0.01"], "h", 0.01),
+                    (["--ic", "x=0.5", "--ic", "dx=2"], "ic", {"x": 0.5, "dx": 2.0}),
+                    (["--ic-on-constraint"], "ic_on_constraint", True)]
+COMMAND_FLAGS = {
+    "simulate": TRAJECTORY_FLAGS + [
+        (["--formulation", "sode"], "formulations", ("sode",)),
+        (["--formulation", "hamiltonian", "--formulation", "lagrangian"], "formulations",
+         ("lagrangian",))],
+    "compare": TRAJECTORY_FLAGS + [
+        (["--formulation", "sode,closed-form", "--formulation", "hamiltonian"],
+         "formulations", ("sode", "closed-form", "hamiltonian")),
+        (["--tol", "0.25"], "tol", 0.25)],
+    "certify": [(["--check", "g2"], "check", "g2"), (["--samples", "9"], "samples", 9),
+                (["--depth", "4"], "depth", 4)],
+    "helmholtz-check": [(["--samples", "9"], "samples", 9), (["--depth", "4"], "depth", 4)],
+    "pontryagin-check": [(["--kind", "g2"], "cost_kind", "g2"),
+                         (["--samples", "9"], "samples", 9)],
+    "measure-check": [(["--samples", "9"], "samples", 9)],
+}
+
+
+def parse(argv):
+    return manifest_from_args(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_bare_command_parses_to_manifest_defaults(command):
+    assert parse([command]) == RunManifest()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_flag_lands_in_its_field(command):
+    """A flag sets its own field and no other."""
+    for argv, name, value in COMMON_FLAGS + COMMAND_FLAGS[command]:
+        assert parse([command, *argv]) == dataclasses.replace(RunManifest(), **{name: value})
+
+
+def test_every_manifest_field_has_a_flag():
+    flagged = {name for flags in COMMAND_FLAGS.values() for _, name, _ in COMMON_FLAGS + flags}
+    assert flagged == {f.name for f in dataclasses.fields(RunManifest)}
+
+
+def test_simulate_runs_the_last_formulation_given(tmp_path):
+    assert run_cli(["simulate", "--formulation", "hamiltonian", "--formulation", "lagrangian",
+                    "--t", "0.01"], tmp_path) == 0
+    assert load_report(tmp_path, "free_particle_lagrangian.json")["formulation"] == "lagrangian"
+    assert sorted(os.listdir(tmp_path)) == ["free_particle_lagrangian.csv",
+                                            "free_particle_lagrangian.json"]
+
+
+# the key order of the reports, which is the field order of the report classes
+CONDITION_KEYS = ["gdot_symmetry", "nabla_condition", "phi_condition", "min_abs_det",
+                  "tolerance", "n_jets", "passed"]
+CERTIFICATE_KEYS = ["passed", "depth", "seed", "det_tol", "nullspace_dims",
+                    "max_normalized_det", "warnings"]
+COUNTEREXAMPLE_KEYS = ["jet_index", "q", "qdot", "g", "abs_det"]
+
+
+def test_helmholtz_report_key_order(tmp_path, monkeypatch):
+    argv = ["helmholtz-check", "--samples", "5"]
+    assert run_cli(argv, tmp_path / "pass") == 0
+    report = load_report(tmp_path / "pass", "free_particle_helmholtz.json")
+    assert list(report) == ["tool", "version", "system", "seed", "jets",
+                            "multiplier_conditions", "certificate"]
+    assert list(report["multiplier_conditions"]) == CONDITION_KEYS
+    assert list(report["certificate"]) == CERTIFICATE_KEYS
+    # the second associated system is variational: its certificate finds a
+    # regular multiplier and reports it last
+    monkeypatch.setattr(cli, "first_associated", cli.second_associated)
+    assert run_cli(argv, tmp_path / "fail") == 3
+    certificate = load_report(tmp_path / "fail", "free_particle_helmholtz.json")["certificate"]
+    assert list(certificate) == CERTIFICATE_KEYS + ["counterexample"]
+    assert list(certificate["counterexample"]) == COUNTEREXAMPLE_KEYS
+
+
+def test_certify_report_key_order(tmp_path):
+    assert run_cli(["certify", "--system", "vertical_disk", "--samples", "5"], tmp_path) == 0
+    report = load_report(tmp_path, "vertical_disk_certify.json")
+    assert list(report) == ["tool", "version", "system", "seed", "checks"]
+    details = {c["name"]: c["details"] for c in report["checks"]}
+    assert all(list(c) == ["name", "status", "details"] for c in report["checks"])
+    assert list(details["first-kind-singularity-certificate"]) == CERTIFICATE_KEYS
+    assert list(details["multiplier-conditions"]) == CONDITION_KEYS
+    suite = details["second-kind-suite"]
+    assert list(suite) == ["multiplier_conditions", "optimal_control_g2"]
+    assert list(suite["multiplier_conditions"]) == CONDITION_KEYS
+
+
+def test_compare_report_key_order(tmp_path):
+    assert run_cli(["compare", "--formulation", "nonholonomic,hamiltonian", "--t", "0.1"],
+                   tmp_path) == 0
+    report = load_report(tmp_path, "free_particle_compare.json")
+    assert list(report) == ["tool", "version", "system", "initial_jet", "t_final", "h", "tol",
+                            "seed", "max_sup", "pairs", "passed", "energy_drift",
+                            "constraint_drift"]
+    (pair,) = report["pairs"].values()
+    assert list(pair) == ["sup", "rms", "per_column"]
+    assert list(pair["per_column"]) == ["x", "y", "z"]
+    assert all(list(c) == ["sup", "rms"] for c in pair["per_column"].values())
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["certify", "--help"]])
@@ -466,6 +597,15 @@ def test_helmholtz_check_report_shape(tmp_path):
     assert set(report["certificate"]["nullspace_dims"]) == {2}
     assert report["multiplier_conditions"]["phi_condition"] < 1e-8
     assert report["seed"] == 0
+
+
+@pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])
+def test_helmholtz_check_at_depth_16(system, tmp_path):
+    """The tower's 16 tiers stay finite, and the certificate still finds no
+    regular multiplier."""
+    assert run_cli(["helmholtz-check", "--system", system, "--depth", "16"], tmp_path) == 0
+    certificate = load_report(tmp_path, f"{system}_helmholtz.json")["certificate"]
+    assert certificate["passed"] and certificate["depth"] == 16
 
 
 def test_negative_samples_exit_1(tmp_path):

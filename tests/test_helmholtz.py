@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +206,30 @@ def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
     assert len(seen) < 1000
 
 
+@pytest.mark.parametrize("build", [first_associated, second_associated])
+def test_phi_tower_denominators_do_not_square(any_system, build):
+    """The quotient rule keeps the denominator of u/v at v, so no power of a
+    power builds up: the order-8 tier holds no Pow whose base is a Pow."""
+    sode = build(any_system)
+    tier8 = next(itertools.islice(sode._phi_levels(), 8, None))
+    seen = set()
+    pending = list(tier8)
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert not (isinstance(node, expr.Pow) and isinstance(node.base, expr.Pow)), node
+            pending.extend(f for f in vars(node).values() if isinstance(f, expr.Expr))
+
+
+def test_deep_phi_tower_tiers_stay_finite(knife_edge):
+    """At r1 = 0.956, where 1 + tan^2 is about 3, orders 9 to 16 of the knife
+    edge's tower evaluate to finite values."""
+    sode = first_associated(knife_edge)
+    for order in range(9, 17):
+        assert all(math.isfinite(c) for c in sode.phi_tower(order)(0.956)), order
+
+
 def test_column_proportionality_identity(any_system, rng):
     """Psi^a_1 Psi^b_2 = Psi^b_1 Psi^a_2 for the whole first-kind tower."""
     sode = first_associated(any_system)
@@ -275,7 +302,7 @@ def test_hessian_multiplier_passes(system_name, coeffs, rng, request):
     model = lagrangian_model(sys, kind, coeffs)
     field = MultiplierField(lambda jet: hessian(model, jet), "hessian-of-L")
     report = helmholtz_residuals(sode, field, generic_jets(sys, 100, rng))
-    assert report.passed, report.to_dict()
+    assert report.passed, report
     assert report.min_abs_det > 1e-6
 
 
@@ -343,7 +370,7 @@ def test_singularity_certificate_first_kind(any_system, rng):
     sode = first_associated(any_system)
     jets = generic_jets(any_system, 50, rng)
     report = singularity_certificate(sode, jets, depth=3, seed=7)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
     assert report.max_normalized_det < 1e-10
     expected_dim = 2 if any_system.n == 3 else 5
     assert set(report.nullspace_dims) == {expected_dim}

@@ -189,7 +189,7 @@ def test_hessian_multiplier_passes_down_to_slow_drive(any_system, rng):
     model = lagrangian_model(any_system, "first")
     jets = generic_jets(any_system, 100, rng, vel_range=(0.1, 2.0))
     report = helmholtz_residuals(sode, hessian_field(model), jets)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
 
 
 # --- Euler-Lagrange dynamics ---------------------------------------------------------
