@@ -68,16 +68,42 @@ class _Interned(type):
 
 
 def _memoised(rule):
-    """Wrap a class's derivative rule so each node is differentiated once."""
+    """Wrap a class's derivative rule so each node is differentiated once.
+
+    Every rule differentiates only its own operands, recursively.  Past
+    ``_MAX_DIFF_NESTING`` rules in progress, a node's operands not yet done
+    are differentiated first, each after its own, by a loop, so that a
+    deeply nested expression does not reach the recursion limit."""
 
     @functools.wraps(rule)
     def diff(self):
         d = _DERIVATIVES.get(self)
         if d is None:
-            d = _DERIVATIVES[self] = rule(self)
+            if _DIFF_NESTING[0] > _MAX_DIFF_NESTING:
+                stack = _pending(self)
+                while stack:
+                    pending = _pending(stack[-1])
+                    if pending:
+                        stack.extend(pending)
+                    else:
+                        stack.pop().diff()
+            _DIFF_NESTING[0] += 1
+            try:
+                d = _DERIVATIVES[self] = rule(self)
+            finally:
+                _DIFF_NESTING[0] -= 1
         return d
 
     return diff
+
+
+_MAX_DIFF_NESTING = 100
+_DIFF_NESTING = [0]  # derivative rules in progress
+
+
+def _pending(node) -> list:
+    """The operands of ``node`` not yet differentiated."""
+    return [f for f in vars(node).values() if isinstance(f, Expr) and f not in _DERIVATIVES]
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,6 +427,11 @@ _PY = {
     Neg: "-{}", Sin: "sin({})", Cos: "cos({})", Tan: "tan({})", ExpF: "exp({})",
     Ln: "log({})", Sqrt: "sqrt({})",
 }
+# The parentheses each node's source adds around its operands.  Inlined
+# text nests at most _MAX_NEST deep (plus one node's own): CPython's parser
+# stops at 200.
+_PY_NEST = {cls: 1 + source.count("(") for cls, source in _PY.items()}
+_MAX_NEST = 100
 _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
                "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
                "isfinite": math.isfinite}
@@ -411,7 +442,9 @@ def _emit(roots: tuple) -> tuple[list[str], list[str]]:
     statements that compute each distinct node once, and the source of each
     root's value.  A node used by several parents or roots gets a local
     ``t<i>``, in dependency order; a node used once is inlined into its
-    parent.  Code around the statements names no ``t<i>`` of its own."""
+    parent, unless its text would nest more than ``_MAX_NEST`` parentheses
+    deep, when it gets a local too.  Code around the statements names no
+    ``t<i>`` of its own."""
     uses = {root: roots.count(root) for root in roots}
     stack = list(uses)
     while stack:
@@ -421,6 +454,7 @@ def _emit(roots: tuple) -> tuple[list[str], list[str]]:
                 if uses[f] == 1:
                     stack.append(f)
     text: dict[Expr, str] = {}
+    nest: dict[Expr, int] = {}  # parenthesis depth of each text, where not 0
     lines = []
     stack = list(reversed(roots))
     while stack:
@@ -436,14 +470,31 @@ def _emit(roots: tuple) -> tuple[list[str], list[str]]:
         if isinstance(node, Var):
             text[node] = "r1"
         elif isinstance(node, Const):
-            text[node] = f"({node.value!r})"
+            text[node], nest[node] = f"({node.value!r})", 1
         else:
             operands = (text[f] if isinstance(f, Expr) else repr(f) for f in fields)
             text[node] = f"({_PY[type(node)].format(*operands)})"
-            if uses[node] > 1:
+            if uses[node] == 1:
+                nest[node] = _PY_NEST[type(node)] + max([nest.get(f, 0) for f in fields])
+            if uses[node] > 1 or nest[node] > _MAX_NEST:
                 lines.append(f"t{len(lines)} = {text[node]}")
-                text[node] = f"t{len(lines) - 1}"
+                text[node], nest[node] = f"t{len(lines) - 1}", 0
     return lines, [text[root] for root in roots]
+
+
+def depth(root: Expr) -> int:
+    """Levels of nesting of an expression: 1 for a leaf, else one more than
+    its deepest operand.  A loop, so any depth can be measured."""
+    levels: dict[Expr, int] = {}
+    stack = [root]
+    while stack:
+        operands = [f for f in vars(stack[-1]).values() if isinstance(f, Expr)]
+        pending = [f for f in operands if f not in levels]
+        if pending:
+            stack.extend(pending)
+        else:
+            levels[stack.pop()] = 1 + max((levels[f] for f in operands), default=0)
+    return levels[root]
 
 
 def define(signature: str, lines, **bindings):

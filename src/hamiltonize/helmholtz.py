@@ -31,15 +31,27 @@ Closed-form fast paths are provided for the first and second associated
 systems, whose Phi towers reduce to derivative recurrences on scalar
 coefficient functions of r1; a central finite-difference path covers any
 other system and cross-checks the closed forms in the test suite.
+
+The singularity certificate treats its jet sample as one stack: each tower
+table is evaluated once per jet into a (jets, depth, n, n) array, index maps
+fixed per n turn it into the (jets, rows, columns) algebraic systems, one
+stacked SVD decides every rank and one stacked determinant tests every
+candidate.  ``psi_stack``, ``algebraic_system`` and ``nullspace`` take the
+sample; ``phi`` and ``nabla_phi`` are the one-jet case of the same code.
+The report carries the margins of its rank and determinant decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .systems import Jet
 
 __all__ = [
@@ -59,6 +71,7 @@ __all__ = [
 
 H_FD = 1e-5  # base first-derivative step, scaled by (1 + |component|)
 CLOSED_KINDS = ("first", "second")  # kinds with closed-form tensors
+RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
 
 
 # --- finite-difference helpers ----------------------------------------------
@@ -130,16 +143,21 @@ def _band_column(sode, a: int) -> int:
     return 1 if sode.kind == "first" else 1 + a
 
 
-def _closed_psi(sode, jet: Jet, order: int) -> np.ndarray:
-    """nabla^order Phi from the coefficients of ``sode.phi_tower``."""
-    coeffs = sode.phi_tower(order)(jet.r1)
+def _closed_psi(sode, jets: Sequence[Jet], orders: Sequence[int]) -> np.ndarray:
+    """nabla^order Phi for each of ``orders`` at each jet, a (jets, orders,
+    n, n) stack, from the coefficients of ``sode.phi_tower``: each order's
+    table is evaluated once per jet, and the r1dot powers are Python floats."""
     n = sode.n
-    u1 = jet.r1dot
-    M = np.zeros((n, n))
-    for a, coeff in enumerate(coeffs):
-        col = _band_column(sode, a)
-        M[1 + a, 0] = coeff * u1 ** (order + 1) * jet.qdot[col]
-        M[1 + a, col] = -coeff * u1 ** (order + 2)
+    shape = (len(jets), len(orders), n - 1)
+    tables = [sode.phi_tower(order) for order in orders]
+    coeffs = np.array([[table(jet.r1) for table in tables] for jet in jets]).reshape(shape)
+    low, high = (np.array([[jet.r1dot ** (order + k) for order in orders] for jet in jets])
+                 .reshape(*shape[:2], 1) for k in (1, 2))
+    cols = [_band_column(sode, a) for a in range(n - 1)]
+    qdot = np.array([[jet.qdot[col] for col in cols] for jet in jets]).reshape(len(jets), 1, n - 1)
+    M = np.zeros((*shape[:2], n, n))
+    M[:, :, 1:, 0] = coeffs * low * qdot
+    M[:, :, range(1, n), cols] = -coeffs * high
     return M
 
 
@@ -169,7 +187,7 @@ def phi(sode, jet: Jet, fd: bool = False) -> np.ndarray:
     exists (used to cross-check the fast paths).
     """
     if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, jet, 0)
+        return _closed_psi(sode, [jet], (0,))[0, 0]
     q, u = jet.arrays()
     J = _jac_u(sode, q, u)
     return _mixed_gamma_jac_u(sode, q, u) - 2.0 * _jac_q(sode, q, u) - 0.5 * (J @ J)
@@ -180,7 +198,7 @@ def nabla_phi(sode, jet: Jet, order: int = 1, fd: bool = False) -> np.ndarray:
     if order < 1:
         raise ValueError("order must be >= 1")
     if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, jet, order)
+        return _closed_psi(sode, [jet], (order,))[0, 0]
 
     def tensor(q, u):
         j = Jet(tuple(q), tuple(u))
@@ -194,14 +212,15 @@ def nabla_phi(sode, jet: Jet, order: int = 1, fd: bool = False) -> np.ndarray:
     return G + N @ U - U @ N
 
 
-def psi_stack(sode, jet: Jet, depth: int) -> list[np.ndarray]:
-    """[Phi, nabla Phi, ..., nabla^(depth-1) Phi] at a jet."""
+def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
+    """[Phi, nabla Phi, ..., nabla^(depth-1) Phi] at each jet, a (jets, depth,
+    n, n) stack."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    out = [phi(sode, jet)]
-    for order in range(1, depth):
-        out.append(nabla_phi(sode, jet, order))
-    return out
+    if sode.kind in CLOSED_KINDS:
+        return _closed_psi(sode, jets, range(depth))
+    return np.array([[phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
+                     for jet in jets]).reshape(len(jets), depth, sode.n, sode.n)
 
 
 def r_tensor(sode, jet: Jet, h: float = 1e-6) -> np.ndarray:
@@ -303,6 +322,8 @@ def helmholtz_residuals(
     taken by high-order central differences; nabla and Phi use their fast
     paths.
     """
+    if not jets:
+        raise ConfigError("the multiplier-condition check needs at least one jet")
     n = sode.n
     sym_worst = 0.0
     nabla_worst = 0.0
@@ -369,47 +390,67 @@ def sym_entry_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def algebraic_system(sode, jet: Jet, depth: int = 3) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Homogeneous linear system on the entries of symmetric g at one jet.
+def algebraic_system(sode, jets: Sequence[Jet],
+                     depth: int = 3) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Homogeneous linear systems on the entries of symmetric g, one per jet,
+    as a (jets, rows, columns) stack.
 
     Rows encode g Psi = (g Psi)^T for Psi in the covariant-derivative tower
-    of Phi up to ``depth`` members; columns follow ``sym_entry_index``.
+    of Phi up to ``depth`` members, a block of rows per member; columns
+    follow ``sym_entry_index``.
     """
     n = sode.n
-    idx = sym_entry_index(n)
-    pos = {ij: c for c, ij in enumerate(idx)}
-    rows = []
-    for psi in psi_stack(sode, jet, depth):
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = np.zeros(len(idx))
-                for k in range(n):
-                    row[pos[(min(i, k), max(i, k))]] += psi[k, j]
-                    row[pos[(min(j, k), max(j, k))]] -= psi[k, i]
-                rows.append(row)
-    return np.array(rows), idx
+    psi = psi_stack(sode, jets, depth).reshape(len(jets), depth, n * n)
+    flat = np.concatenate((psi, np.zeros((len(jets), depth, 1))), axis=2)
+    index, sign = _row_maps(n)
+    terms = flat[..., index] * sign  # (jets, depth, pairs, columns, 2)
+    rows = terms[..., 0] + 0.0 + terms[..., 1]
+    return rows.reshape(len(jets), depth * len(index), -1), sym_entry_index(n)
 
 
-def nullspace(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal nullspace basis (rows) with an explicit SVD threshold."""
-    if matrix.size == 0 or not np.any(matrix):
-        return np.eye(matrix.shape[1])
-    _, svals, vt = np.linalg.svd(matrix)
-    rank = int(np.sum(svals > rtol * svals[0]))
-    return vt[rank:]
+@functools.cache
+def _row_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of one member's block of rows reads the flattened Psi:
+    the indices and signs of its first and second terms, in the order in
+    which the row of the pair i < j sums psi[k, j] into column (i, k) and
+    -psi[k, i] into column (j, k) over k.  No entry has a third term; a
+    missing term reads index n*n, a zero."""
+    pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
+    terms = []
+    for i, j in itertools.combinations(range(n), 2):
+        row = [[] for _ in pos]
+        for k in range(n):
+            row[pos[min(i, k), max(i, k)]].append((k * n + j, 1.0))
+            row[pos[min(j, k), max(j, k)]].append((k * n + i, -1.0))
+        terms.append([entry + [(n * n, 1.0)] * (2 - len(entry)) for entry in row])
+    maps = np.array(terms)  # (pairs, columns, term, (index, sign))
+    return maps[..., 0].astype(int), maps[..., 1]
 
 
-def assemble_symmetric(vec: np.ndarray, idx: list[tuple[int, int]], n: int) -> np.ndarray:
-    g = np.zeros((n, n))
-    for value, (i, j) in zip(vec, idx):
-        g[i, j] = value
-        g[j, i] = value
-    return g
+def nullspace(matrices: np.ndarray,
+              rtol: float = RANK_RTOL) -> tuple[list[np.ndarray], np.ndarray]:
+    """Orthonormal nullspace bases (rows) of each matrix of a stack, and the
+    singular values of each, from one stacked SVD.  A matrix's rank counts
+    its singular values above ``rtol`` times its largest; an all-zero matrix
+    has the identity basis."""
+    if matrices.size == 0:
+        return [np.eye(matrices.shape[2]) for _ in matrices], np.zeros((len(matrices), 0))
+    _, svals, vt = np.linalg.svd(matrices)
+    bases = [v[int(np.sum(s > rtol * s[0])):] if np.any(m) else np.eye(len(v))
+             for m, s, v in zip(matrices, svals, vt)]
+    return bases, svals
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of the no-regular-multiplier certificate over sampled jets."""
+    """Outcome of the no-regular-multiplier certificate over sampled jets.
+
+    The margins are in decades and left out when no jet gives one: the
+    smallest kept margin ``log10(s_kept / (rtol s_max))`` of the last kept
+    singular value, the smallest cut gap ``log10(rtol s_max / s_dropped)``
+    of the first dropped one where it is nonzero, and the determinant
+    margin ``log10(det_tol / max_normalized_det)``.
+    """
 
     passed: bool
     depth: int
@@ -417,8 +458,17 @@ class CertificateReport:
     det_tol: float
     nullspace_dims: tuple[int, ...]
     max_normalized_det: float
+    kept_margin_decades: float | None = None
+    cut_gap_decades: float | None = None
+    det_margin_decades: float | None = None
     warnings: tuple[str, ...] = ()
     counterexample: dict | None = None
+
+
+def _decades(pairs) -> float | None:
+    """The smallest finite log10(a / b) over the pairs with a, b > 0, or None."""
+    logs = [math.log10(float(a) / float(b)) for a, b in pairs if a > 0.0 and b > 0.0]
+    return min((v for v in logs if math.isfinite(v)), default=None)
 
 
 def singularity_certificate(
@@ -435,41 +485,56 @@ def singularity_certificate(
     Every nullspace basis element and ``combos`` random combinations per jet
     are assembled into symmetric matrices, normalized so the largest entry is
     one, and tested for |det| below ``det_tol``.  A regular combination is
-    returned as a counterexample and fails the certificate.
+    returned as a counterexample and fails the certificate.  The whole
+    sample is one stack: its algebraic systems, one SVD and one determinant
+    call; the first counterexample is that of the lowest jet index.
     """
-    rng = np.random.default_rng(seed)
+    if not jets:
+        raise ConfigError("the singularity certificate needs at least one jet")
     n = sode.n
-    dims = []
-    warnings = []
-    worst = 0.0
-    counterexample = None
-    for jdx, jet in enumerate(jets):
-        if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1:
-            warnings.append(
-                f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
+    warnings = [f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
                 "rank decisions may be unreliable"
-            )
-        matrix, idx = algebraic_system(sode, jet, depth)
-        basis = nullspace(matrix)
-        dims.append(len(basis))
-        candidates = [v for v in basis]
+                for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
+    matrices, idx = algebraic_system(sode, jets, depth)
+    bases, svals = nullspace(matrices)
+    dims = [len(basis) for basis in bases]
+    # one draw for the whole sample gives the values of one draw per combination
+    normals = np.random.default_rng(seed).standard_normal(combos * sum(dims))
+    owners, candidates, start = [], [], 0
+    for jdx, basis in enumerate(bases):
+        candidates += list(basis)
         for _ in range(combos):
-            candidates.append(basis.T @ rng.standard_normal(len(basis)))
-        for vec in candidates:
-            g = assemble_symmetric(vec, idx, n)
-            peak = np.max(np.abs(g))
-            if peak == 0.0:
-                continue
-            det = abs(float(np.linalg.det(g / peak)))
-            worst = max(worst, det)
-            if det >= det_tol and counterexample is None:
-                counterexample = {
-                    "jet_index": jdx,
-                    "q": list(jet.q),
-                    "qdot": list(jet.qdot),
-                    "g": (g / peak).tolist(),
-                    "abs_det": det,
-                }
+            candidates.append(basis.T @ normals[start:start + len(basis)])
+            start += len(basis)
+        owners += [jdx] * (len(basis) + combos)
+    pos = {ij: c for c, ij in enumerate(idx)}
+    sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
+    g = np.array(candidates).reshape(len(candidates), matrices.shape[2])[:, sym].reshape(-1, n, n)
+    peak = np.max(np.abs(g), axis=(1, 2))
+    regular = peak != 0.0  # an all-zero candidate is skipped
+    normalized = g[regular] / peak[regular, None, None]
+    owners = np.asarray(owners)[regular].tolist()
+    dets = np.abs(np.linalg.det(normalized)).tolist()
+    worst = max([0.0, *dets])
+    counterexample = None
+    k = next((k for k, det in enumerate(dets) if det >= det_tol), None)
+    if k is not None:
+        jet = jets[owners[k]]
+        counterexample = {
+            "jet_index": owners[k],
+            "q": list(jet.q),
+            "qdot": list(jet.qdot),
+            "g": normalized[k].tolist(),
+            "abs_det": dets[k],
+        }
+    kept, gaps = [], []  # (a, b) pairs of the margins log10(a / b)
+    for s, dim in zip(svals, dims):
+        rank = matrices.shape[2] - dim
+        cut = RANK_RTOL * s[0] if len(s) else 0.0
+        if rank:
+            kept.append((s[rank - 1], cut))
+        if rank < len(s):
+            gaps.append((cut, s[rank]))
     return CertificateReport(
         passed=counterexample is None,
         depth=depth,
@@ -477,6 +542,9 @@ def singularity_certificate(
         det_tol=det_tol,
         nullspace_dims=tuple(dims),
         max_normalized_det=worst,
+        kept_margin_decades=_decades(kept),
+        cut_gap_decades=_decades(gaps),
+        det_margin_decades=_decades([(det_tol, worst)]),
         warnings=tuple(warnings),
         counterexample=counterexample,
     )

@@ -46,6 +46,7 @@ MEASURE_SAMPLES = 32
 # never evaluate to an exact zero at their roots (cos(pi/2) ~ 6e-17), and the
 # guard is far below any value that sampling or an integration grid reaches.
 COEFF_EPS = 1e-12
+MAX_EXPR_DEPTH = 500  # levels of nesting a spec's expression may have
 
 
 def weight_vanishes(entry: int, r1: float) -> EvaluationError:
@@ -536,15 +537,17 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
     except ValueError:
         raise ConfigError("I_alpha must be a comma-separated list of numbers") from None
     names = tuple(part.strip() for part in fields["names"].split(","))
-    try:  # the parser and the derivatives recurse once per level of nesting
+    try:  # the parser and the tree evaluator recurse once per level of nesting
         a_alpha = tuple(ex.parse_expr(part) for part in fields["A_alpha"].split(","))
         weights = None
         if "weights" in fields:
             weights = tuple(ex.parse_expr(part) for part in fields["weights"].split(","))
-        return SystemSpec(scalar("I1"), scalar("I2"), i_alpha, a_alpha, names,
-                          label=label, weight_exprs=weights)
+        if max(map(ex.depth, (*a_alpha, *(weights or ())))) <= MAX_EXPR_DEPTH:
+            return SystemSpec(scalar("I1"), scalar("I2"), i_alpha, a_alpha, names,
+                              label=label, weight_exprs=weights)
     except RecursionError:
-        raise ConfigError("an A_alpha or weights expression is nested too deeply") from None
+        pass
+    raise ConfigError("an A_alpha or weights expression is nested too deeply")
 
 
 def load_system_file(path: str) -> SystemSpec:

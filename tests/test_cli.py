@@ -292,6 +292,9 @@ BAD_INPUTS = {
     "spec-nested-minus": (_deep_spec("-" * 5000 + "r1"), 1, "expression is nested too deeply"),
     "spec-long-sum": (_deep_spec(" + ".join(["r1"] * 20000)), 1,
                       "expression is nested too deeply"),
+    # one level past the bound: a sum of 500 terms nests 501 levels deep
+    "spec-nesting-bound": (_deep_spec(" + ".join(["sin(r1)"] * 500)), 1,
+                           "expression is nested too deeply"),
     # a --params key that is neither a parameter of the built-in nor a model
     # constant (here a typo of m) is rejected, not ignored
     "disk-unknown-parameter": (
@@ -419,7 +422,8 @@ def test_simulate_runs_the_last_formulation_given(tmp_path):
 CONDITION_KEYS = ["gdot_symmetry", "nabla_condition", "phi_condition", "min_abs_det",
                   "tolerance", "n_jets", "passed"]
 CERTIFICATE_KEYS = ["passed", "depth", "seed", "det_tol", "nullspace_dims",
-                    "max_normalized_det", "warnings"]
+                    "max_normalized_det", "kept_margin_decades", "cut_gap_decades",
+                    "det_margin_decades", "warnings"]
 COUNTEREXAMPLE_KEYS = ["jet_index", "q", "qdot", "g", "abs_det"]
 
 
@@ -606,6 +610,35 @@ def test_helmholtz_check_at_depth_16(system, tmp_path):
     assert run_cli(["helmholtz-check", "--system", system, "--depth", "16"], tmp_path) == 0
     certificate = load_report(tmp_path, f"{system}_helmholtz.json")["certificate"]
     assert certificate["passed"] and certificate["depth"] == 16
+
+
+# A_alpha texts whose chains of single-use nodes nest deeper than the 200
+# parentheses CPython's parser takes, once inlined into generated code
+DEEP_CHAINS = {
+    "sum-200": " + ".join(["sin(r1)"] * 200),
+    "product-150": "*".join(["(r1+2)"] * 150),
+    "product-100": "*".join(["(r1+2)"] * 100),
+}
+
+
+@pytest.mark.parametrize("chain,argv", [
+    ("sum-200", ["certify", "--samples", "3"]),
+    ("sum-200", ["simulate", "--t", "0.01"]),
+    # the products' full suite stops at its documented runtime error: their
+    # weight N = 1/sqrt(1 + A^2) is below COEFF_EPS at the sampled jets
+    ("product-150", ["certify", "--check", "singularity", "--samples", "3"]),
+    ("product-150", ["simulate", "--t", "0.01"]),
+    ("product-100", ["certify", "--check", "singularity", "--samples", "3"]),
+])
+def test_deeply_nested_spec_runs(chain, argv, tmp_path, capsys):
+    """Generated code gives a deep node a local of its own, and
+    differentiation does not recurse without bound: such a spec gets a
+    verdict, not an internal error."""
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = {DEEP_CHAINS[chain]}\n"
+                    "names = phi, th, x\n")
+    assert run_cli([*argv, "--spec", str(spec)], tmp_path) in (0, 3)
+    assert "error" not in capsys.readouterr().err
 
 
 def test_negative_samples_exit_1(tmp_path):

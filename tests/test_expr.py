@@ -272,3 +272,21 @@ def test_is_constant_detection():
     assert parse_expr("3.5").is_constant()
     assert parse_expr("2*3 + 1").is_constant()
     assert not parse_expr("r1*0.001").is_constant()
+
+
+def test_deep_single_use_chain_compiles_and_differentiates():
+    """A chain of single-use nodes nested 300 deep, past the 200
+    parentheses CPython's parser takes, compiles to the tree evaluator's
+    value; a chain ten times deeper is differentiated without deep
+    recursion, and its derivative compiles."""
+
+    def chain(length):
+        e = Var()
+        for k in range(length):
+            e = Sin(e) * Const(1.0 + k / 1000.0) + Var()
+        return e
+
+    e = chain(100)
+    assert e.compile()(0.3) == e.eval(0.3)
+    assert compile_table([e, e.diff()])(0.3)[0] == e.eval(0.3)
+    assert math.isfinite(chain(1000).diff().compile()(0.3))

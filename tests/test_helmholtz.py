@@ -174,7 +174,7 @@ def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
     per_jet = []
     for jet in generic_jets(knife_edge, 2, rng):
         before = len(compiled)
-        psi_stack(sode, jet, 5)
+        psi_stack(sode, [jet], 5)
         per_jet.append(len(compiled) - before)
     assert per_jet == [5, 0]
     assert [len(tier) for tier in compiled] == [2] * 5
@@ -324,9 +324,9 @@ def test_residuals_raise_on_singular_jets(free_particle):
 
 def test_algebraic_system_depth1_free_sode_unconstrained():
     sode = free_sode(3)
-    matrix, idx = algebraic_system(sode, Jet((0, 0, 0), (1, 1, 1)), depth=1)
+    (matrix,), idx = algebraic_system(sode, [Jet((0, 0, 0), (1, 1, 1))], depth=1)
     assert np.all(matrix == 0.0)
-    assert len(nullspace(matrix)) == len(idx)  # no constraints at all
+    assert len(nullspace(matrix[None])[0][0]) == len(idx)  # no constraints at all
 
 
 def test_algebraic_system_free_particle_solution_space(free_particle):
@@ -334,8 +334,8 @@ def test_algebraic_system_free_particle_solution_space(free_particle):
     x' g12 = -y' g22."""
     sode = first_associated(free_particle)
     jet = Jet((1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
-    matrix, idx = algebraic_system(sode, jet, depth=2)
-    basis = nullspace(matrix)
+    (matrix,), idx = algebraic_system(sode, [jet], depth=2)
+    (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 2
     pos = {ij: c for c, ij in enumerate(idx)}
     rng = np.random.default_rng(3)
@@ -352,8 +352,8 @@ def test_algebraic_system_disk_solution_space(vertical_disk):
     g13 = -(theta'/phi') g23, g14 = -(theta'/phi') g24."""
     sode = first_associated(vertical_disk)
     jet = Jet((0.7, 0.2, 0.1, -0.3), (1.1, 0.8, 0.5, 0.4))
-    matrix, idx = algebraic_system(sode, jet, depth=3)
-    basis = nullspace(matrix)
+    (matrix,), idx = algebraic_system(sode, [jet], depth=3)
+    (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 5
     pos = {ij: c for c, ij in enumerate(idx)}
     lam = -jet.r2dot / jet.r1dot
