@@ -40,7 +40,6 @@ right-hand sides and the optimal-control functions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,40 +64,6 @@ class _Interned(type):
         if node is None:  # setdefault: of two racing threads, one node wins
             node = _NODES.setdefault(key, super().__call__(*fields))
         return node
-
-
-def _memoised(rule):
-    """Wrap a class's derivative rule so each node is differentiated once.
-
-    Every rule differentiates only its own operands, recursively.  Past
-    ``_MAX_DIFF_NESTING`` rules in progress, a node's operands not yet done
-    are differentiated first, each after its own, by a loop, so that a
-    deeply nested expression does not reach the recursion limit."""
-
-    @functools.wraps(rule)
-    def diff(self):
-        d = _DERIVATIVES.get(self)
-        if d is None:
-            if _DIFF_NESTING[0] > _MAX_DIFF_NESTING:
-                stack = _pending(self)
-                while stack:
-                    pending = _pending(stack[-1])
-                    if pending:
-                        stack.extend(pending)
-                    else:
-                        stack.pop().diff()
-            _DIFF_NESTING[0] += 1
-            try:
-                d = _DERIVATIVES[self] = rule(self)
-            finally:
-                _DIFF_NESTING[0] -= 1
-        return d
-
-    return diff
-
-
-_MAX_DIFF_NESTING = 100
-_DIFF_NESTING = [0]  # derivative rules in progress
 
 
 def _pending(node) -> list:
@@ -155,7 +120,28 @@ class Expr(metaclass=_Interned):
         return value
 
     def diff(self) -> "Expr":
-        """Structural derivative with respect to r1."""
+        """Structural derivative with respect to r1, built once per node.
+
+        A class's ``_rule`` differentiates only the node's own operands.
+        Those not yet done are differentiated first, each after its own, by
+        a loop, so every rule finds its operands memoised and a deeply
+        nested expression does not reach the recursion limit."""
+        d = _DERIVATIVES.get(self)
+        if d is None:
+            stack = [(self, _pending(self))]
+            while stack:
+                node, pending = stack[-1]
+                if pending:
+                    operand = pending.pop()
+                    if operand not in _DERIVATIVES:  # another operand's pass may have done it
+                        stack.append((operand, _pending(operand)))
+                else:
+                    stack.pop()
+                    _DERIVATIVES[node] = node._rule()
+            d = _DERIVATIVES[self]
+        return d
+
+    def _rule(self) -> "Expr":
         raise NotImplementedError
 
     def compile(self):
@@ -193,8 +179,7 @@ class Const(Expr):
     def _eval(self, r1):
         return self.value
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return Const(0.0)
 
 
@@ -203,8 +188,7 @@ class Var(Expr):
     def _eval(self, r1):
         return r1
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return Const(1.0)
 
 
@@ -216,8 +200,7 @@ class Add(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) + self.right._eval(r1)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _add(self.left.diff(), self.right.diff())
 
 
@@ -229,8 +212,7 @@ class Sub(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) - self.right._eval(r1)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _sub(self.left.diff(), self.right.diff())
 
 
@@ -242,8 +224,7 @@ class Mul(Expr):
     def _eval(self, r1):
         return self.left._eval(r1) * self.right._eval(r1)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _add(
             _mul(self.left.diff(), self.right),
             _mul(self.left, self.right.diff()),
@@ -261,8 +242,7 @@ class Div(Expr):
             raise ZeroDivisionError("division by zero")
         return self.left._eval(r1) / den
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         # (u/v)' = (u' - (u/v) v') / v: the quotient is this node, so the
         # denominator stays v instead of squaring on every derivative
         return _div(_sub(self.left.diff(), _mul(self, self.right.diff())), self.right)
@@ -276,8 +256,7 @@ class Pow(Expr):
     def _eval(self, r1):
         return self.base._eval(r1) ** self.exponent
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)), self.base.diff())
 
@@ -289,8 +268,7 @@ class Neg(Expr):
     def _eval(self, r1):
         return -self.arg._eval(r1)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _neg(self.arg.diff())
 
 
@@ -301,8 +279,7 @@ class Sin(Expr):
     def _eval(self, r1):
         return math.sin(self.arg._eval(r1))
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _mul(Cos(self.arg), self.arg.diff())
 
 
@@ -313,8 +290,7 @@ class Cos(Expr):
     def _eval(self, r1):
         return math.cos(self.arg._eval(r1))
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _neg(_mul(Sin(self.arg), self.arg.diff()))
 
 
@@ -328,8 +304,7 @@ class Tan(Expr):
             raise ValueError("tan evaluated at a pole")
         return math.tan(a)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         # tan' = 1 + tan^2
         return _mul(_add(Const(1.0), _pow(Tan(self.arg), 2)), self.arg.diff())
 
@@ -341,8 +316,7 @@ class ExpF(Expr):
     def _eval(self, r1):
         return math.exp(self.arg._eval(r1))
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _mul(ExpF(self.arg), self.arg.diff())
 
 
@@ -356,8 +330,7 @@ class Ln(Expr):
             raise ValueError("ln of a non-positive number")
         return math.log(a)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _div(self.arg.diff(), self.arg)
 
 
@@ -371,8 +344,7 @@ class Sqrt(Expr):
             raise ValueError("sqrt of a negative number")
         return math.sqrt(a)
 
-    @_memoised
-    def diff(self):
+    def _rule(self):
         return _div(self.arg.diff(), _mul(Const(2.0), Sqrt(self.arg)))
 
 

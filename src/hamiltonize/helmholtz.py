@@ -32,12 +32,13 @@ systems, whose Phi towers reduce to derivative recurrences on scalar
 coefficient functions of r1; a central finite-difference path covers any
 other system and cross-checks the closed forms in the test suite.
 
-The singularity certificate treats its jet sample as one stack: each tower
-table is evaluated once per jet into a (jets, depth, n, n) array, index maps
-fixed per n turn it into the (jets, rows, columns) algebraic systems, one
-stacked SVD decides every rank and one stacked determinant tests every
-candidate.  ``psi_stack``, ``algebraic_system`` and ``nullspace`` take the
-sample; ``phi`` and ``nabla_phi`` are the one-jet case of the same code.
+The singularity certificate treats its jet sample as stacks of up to
+``JET_BLOCK`` jets (a command's 50 jets are one): each tower table is
+evaluated once per jet into a (jets, depth, n, n) array, index maps fixed
+per n turn it into the (jets, rows, columns) algebraic systems, one stacked
+SVD decides every rank and one stacked determinant tests every candidate.
+``psi_stack``, ``algebraic_system`` and ``nullspace`` take a stack;
+``phi`` and ``nabla_phi`` are the one-jet case of the same code.
 The report carries the margins of its rank and determinant decisions.
 """
 
@@ -72,6 +73,7 @@ __all__ = [
 H_FD = 1e-5  # base first-derivative step, scaled by (1 + |component|)
 CLOSED_KINDS = ("first", "second")  # kinds with closed-form tensors
 RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
+JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVD
 
 
 # --- finite-difference helpers ----------------------------------------------
@@ -427,16 +429,15 @@ def _row_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return maps[..., 0].astype(int), maps[..., 1]
 
 
-def nullspace(matrices: np.ndarray,
-              rtol: float = RANK_RTOL) -> tuple[list[np.ndarray], np.ndarray]:
+def nullspace(matrices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Orthonormal nullspace bases (rows) of each matrix of a stack, and the
     singular values of each, from one stacked SVD.  A matrix's rank counts
-    its singular values above ``rtol`` times its largest; an all-zero matrix
-    has the identity basis."""
+    its singular values above ``RANK_RTOL`` times its largest; an all-zero
+    matrix has the identity basis."""
     if matrices.size == 0:
         return [np.eye(matrices.shape[2]) for _ in matrices], np.zeros((len(matrices), 0))
     _, svals, vt = np.linalg.svd(matrices)
-    bases = [v[int(np.sum(s > rtol * s[0])):] if np.any(m) else np.eye(len(v))
+    bases = [v[int(np.sum(s > RANK_RTOL * s[0])):] if np.any(m) else np.eye(len(v))
              for m, s, v in zip(matrices, svals, vt)]
     return bases, svals
 
@@ -485,9 +486,11 @@ def singularity_certificate(
     Every nullspace basis element and ``combos`` random combinations per jet
     are assembled into symmetric matrices, normalized so the largest entry is
     one, and tested for |det| below ``det_tol``.  A regular combination is
-    returned as a counterexample and fails the certificate.  The whole
-    sample is one stack: its algebraic systems, one SVD and one determinant
-    call; the first counterexample is that of the lowest jet index.
+    returned as a counterexample and fails the certificate.  The sample is
+    evaluated in stacks of up to ``JET_BLOCK`` jets, each its algebraic
+    systems, one SVD and one determinant call, so memory stays bounded
+    however many jets there are; the first counterexample is that of the
+    lowest jet index.
     """
     if not jets:
         raise ConfigError("the singularity certificate needs at least one jet")
@@ -495,46 +498,48 @@ def singularity_certificate(
     warnings = [f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
                 "rank decisions may be unreliable"
                 for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
-    matrices, idx = algebraic_system(sode, jets, depth)
-    bases, svals = nullspace(matrices)
-    dims = [len(basis) for basis in bases]
-    # one draw for the whole sample gives the values of one draw per combination
-    normals = np.random.default_rng(seed).standard_normal(combos * sum(dims))
-    owners, candidates, start = [], [], 0
-    for jdx, basis in enumerate(bases):
-        candidates += list(basis)
-        for _ in range(combos):
-            candidates.append(basis.T @ normals[start:start + len(basis)])
-            start += len(basis)
-        owners += [jdx] * (len(basis) + combos)
-    pos = {ij: c for c, ij in enumerate(idx)}
+    pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
     sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    g = np.array(candidates).reshape(len(candidates), matrices.shape[2])[:, sym].reshape(-1, n, n)
-    peak = np.max(np.abs(g), axis=(1, 2))
-    regular = peak != 0.0  # an all-zero candidate is skipped
-    normalized = g[regular] / peak[regular, None, None]
-    owners = np.asarray(owners)[regular].tolist()
-    dets = np.abs(np.linalg.det(normalized)).tolist()
-    worst = max([0.0, *dets])
-    counterexample = None
-    k = next((k for k, det in enumerate(dets) if det >= det_tol), None)
-    if k is not None:
-        jet = jets[owners[k]]
-        counterexample = {
-            "jet_index": owners[k],
-            "q": list(jet.q),
-            "qdot": list(jet.qdot),
-            "g": normalized[k].tolist(),
-            "abs_det": dets[k],
-        }
-    kept, gaps = [], []  # (a, b) pairs of the margins log10(a / b)
-    for s, dim in zip(svals, dims):
-        rank = matrices.shape[2] - dim
-        cut = RANK_RTOL * s[0] if len(s) else 0.0
-        if rank:
-            kept.append((s[rank - 1], cut))
-        if rank < len(s):
-            gaps.append((cut, s[rank]))
+    rng = np.random.default_rng(seed)
+    dims, kept, gaps = [], [], []  # kept, gaps: (a, b) pairs of the margins log10(a / b)
+    worst, counterexample = 0.0, None
+    for first in range(0, len(jets), JET_BLOCK):
+        matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
+        bases, svals = nullspace(matrices)
+        # successive draws give the values of one draw per combination
+        normals = rng.standard_normal(combos * sum(map(len, bases)))
+        owners, candidates, start = [], [], 0
+        for jdx, basis in enumerate(bases, first):
+            candidates += list(basis)
+            for _ in range(combos):
+                candidates.append(basis.T @ normals[start:start + len(basis)])
+                start += len(basis)
+            owners += [jdx] * (len(basis) + combos)
+        g = np.array(candidates).reshape(len(candidates), len(pos))[:, sym].reshape(-1, n, n)
+        peak = np.max(np.abs(g), axis=(1, 2))
+        regular = peak != 0.0  # an all-zero candidate is skipped
+        normalized = g[regular] / peak[regular, None, None]
+        owners = np.asarray(owners)[regular].tolist()
+        dets = np.abs(np.linalg.det(normalized)).tolist()
+        worst = max([worst, *dets])
+        k = next((k for k, det in enumerate(dets) if det >= det_tol), None)
+        if counterexample is None and k is not None:
+            jet = jets[owners[k]]
+            counterexample = {
+                "jet_index": owners[k],
+                "q": list(jet.q),
+                "qdot": list(jet.qdot),
+                "g": normalized[k].tolist(),
+                "abs_det": dets[k],
+            }
+        for s, basis in zip(svals, bases):
+            rank = len(pos) - len(basis)
+            cut = RANK_RTOL * s[0] if len(s) else 0.0
+            if rank:
+                kept.append((s[rank - 1], cut))
+            if rank < len(s):
+                gaps.append((cut, s[rank]))
+        dims += map(len, bases)
     return CertificateReport(
         passed=counterexample is None,
         depth=depth,

@@ -8,6 +8,7 @@ every float and every sign of zero included.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from hamiltonize import (
     second_associated,
     singularity_certificate,
 )
-from hamiltonize.helmholtz import CertificateReport, psi_stack, sym_entry_index
+from hamiltonize import helmholtz
+from hamiltonize.helmholtz import JET_BLOCK, CertificateReport, psi_stack, sym_entry_index
 from hamiltonize.sampling import generic_jets
 
 RTOL = 1e-10
@@ -163,6 +165,44 @@ def test_stacked_certificate_matches_per_jet_reference(name, kind, depth):
             jets = command_jets(name, samples, seed)
             report = singularity_certificate(sode, jets, depth=depth, seed=seed)
             assert_same(report, reference_certificate(sode, jets, depth=depth, seed=seed))
+
+
+@pytest.mark.parametrize("block", [1, 3, JET_BLOCK])
+def test_blocks_of_jets_match_per_jet_reference(monkeypatch, block):
+    """The certificate's report does not depend on how its jets are split
+    into stacks: the SVD and determinant work one matrix at a time, and
+    successive draws of the normals give the values of one draw.  The
+    free particle's second kind puts its counterexample in a later block."""
+    monkeypatch.setattr(helmholtz, "JET_BLOCK", block)
+    for name, kind, samples, seed in (("knife_edge", "first", 20, 1),
+                                      ("free_particle", "second", 10, 7),
+                                      ("vertical_disk", "second", 2 * JET_BLOCK + 3, 2)):
+        sode = associated(name, kind)
+        jets = command_jets(name, samples, seed)
+        report = singularity_certificate(sode, jets, depth=3, seed=seed)
+        assert_same(report, reference_certificate(sode, jets, depth=3, seed=seed))
+
+
+def test_certificate_memory_is_bounded_in_the_number_of_jets(monkeypatch):
+    """Four blocks of jets take about the peak memory of one: the stacks,
+    the SVD's U above all (96 x 96 floats per jet for the disk at depth
+    16), are one block's.  Every jet is the same one, whose tower is
+    evaluated once, so the measurement covers the stacking alone."""
+    sode = associated("vertical_disk", "first")
+    jets = command_jets("vertical_disk", 1, 4)
+    tower = psi_stack(sode, jets, 16)
+    monkeypatch.setattr(helmholtz, "psi_stack",
+                        lambda sode, jets, depth: np.repeat(tower, len(jets), axis=0))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            singularity_certificate(sode, jets * samples, depth=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * JET_BLOCK) < 1.5 * peak(JET_BLOCK)
 
 
 def test_second_kind_counterexample_matches_reference():

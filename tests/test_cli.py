@@ -621,24 +621,42 @@ DEEP_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("chain,argv", [
-    ("sum-200", ["certify", "--samples", "3"]),
-    ("sum-200", ["simulate", "--t", "0.01"]),
-    # the products' full suite stops at its documented runtime error: their
-    # weight N = 1/sqrt(1 + A^2) is below COEFF_EPS at the sampled jets
-    ("product-150", ["certify", "--check", "singularity", "--samples", "3"]),
-    ("product-150", ["simulate", "--t", "0.01"]),
-    ("product-100", ["certify", "--check", "singularity", "--samples", "3"]),
-])
-def test_deeply_nested_spec_runs(chain, argv, tmp_path, capsys):
-    """Generated code gives a deep node a local of its own, and
-    differentiation does not recurse without bound: such a spec gets a
-    verdict, not an internal error."""
+# the products' full suite stops at its documented runtime error: their
+# weight N = 1/sqrt(1 + A^2) is below COEFF_EPS at the sampled jets
+PRODUCT_SINGULARITY = ["certify", "--check", "singularity", "--samples", "3"]
+
+
+def _run_deep(chain, argv, tmp_path):
     spec = tmp_path / "deep.spec"
     spec.write_text(f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = {DEEP_CHAINS[chain]}\n"
                     "names = phi, th, x\n")
-    assert run_cli([*argv, "--spec", str(spec)], tmp_path) in (0, 3)
+    return run_cli([*argv, "--spec", str(spec)], tmp_path)
+
+
+@pytest.mark.parametrize("chain,argv,code", [
+    ("sum-200", ["certify", "--samples", "3"], 0),
+    ("sum-200", ["simulate", "--t", "0.01"], 0),
+    # exit 3 is the known false refutation of test_deep_product_certificate_passes
+    ("product-150", PRODUCT_SINGULARITY, 3),
+    ("product-150", ["simulate", "--t", "0.01"], 0),
+    ("product-100", PRODUCT_SINGULARITY, 3),
+])
+def test_deeply_nested_spec_runs(chain, argv, code, tmp_path, capsys):
+    """Generated code gives a deep node a local of its own, and
+    differentiation does not recurse without bound: such a spec gets a
+    verdict, not an internal error."""
+    assert _run_deep(chain, argv, tmp_path) == code
     assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: these tower rows are some 1e-35 of the r2 rows, so the rank "
+    "cut at 1e-10 of the largest singular value counts them as zero, finds a "
+    "4-dimensional nullspace and a regular multiplier; the first-kind "
+    "certificate should pass, as on every built-in"))
+@pytest.mark.parametrize("chain", ["product-150", "product-100"])
+def test_deep_product_certificate_passes(chain, tmp_path):
+    assert _run_deep(chain, PRODUCT_SINGULARITY, tmp_path) == 0
 
 
 def test_negative_samples_exit_1(tmp_path):
