@@ -33,7 +33,8 @@ coefficient functions of r1; a central finite-difference path covers any
 other system and cross-checks the closed forms in the test suite.
 
 The singularity certificate treats its jet sample as stacks of up to
-``JET_BLOCK`` jets (a command's 50 jets are one): each tower table is
+``JET_BLOCK`` jets (a command's 50 jets are one): the tower's one table
+(every tier up to ``depth``, compiled once per system and depth) is
 evaluated once per jet into a (jets, depth, n, n) array, index maps fixed
 per n turn it into the (jets, rows, columns) algebraic systems, one stacked
 SVD decides every rank and one stacked determinant tests every candidate.
@@ -145,15 +146,15 @@ def _band_column(sode, a: int) -> int:
     return 1 if sode.kind == "first" else 1 + a
 
 
-def _closed_psi(sode, jets: Sequence[Jet], orders: Sequence[int]) -> np.ndarray:
-    """nabla^order Phi for each of ``orders`` at each jet, a (jets, orders,
-    n, n) stack, from the coefficients of ``sode.phi_tower``: each order's
+def _closed_psi(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
+    """Phi, nabla Phi, .., nabla^(depth-1) Phi at each jet, a (jets, depth,
+    n, n) stack, from the coefficients of ``sode.phi_tower(depth)``: the
     table is evaluated once per jet, and the r1dot powers are Python floats."""
     n = sode.n
-    shape = (len(jets), len(orders), n - 1)
-    tables = [sode.phi_tower(order) for order in orders]
-    coeffs = np.array([[table(jet.r1) for table in tables] for jet in jets]).reshape(shape)
-    low, high = (np.array([[jet.r1dot ** (order + k) for order in orders] for jet in jets])
+    shape = (len(jets), depth, n - 1)
+    tower = sode.phi_tower(depth)
+    coeffs = np.array([tower(jet.r1) for jet in jets]).reshape(shape)
+    low, high = (np.array([[jet.r1dot ** (order + k) for order in range(depth)] for jet in jets])
                  .reshape(*shape[:2], 1) for k in (1, 2))
     cols = [_band_column(sode, a) for a in range(n - 1)]
     qdot = np.array([[jet.qdot[col] for col in cols] for jet in jets]).reshape(len(jets), 1, n - 1)
@@ -189,7 +190,7 @@ def phi(sode, jet: Jet, fd: bool = False) -> np.ndarray:
     exists (used to cross-check the fast paths).
     """
     if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, [jet], (0,))[0, 0]
+        return _closed_psi(sode, [jet], 1)[0, 0]
     q, u = jet.arrays()
     J = _jac_u(sode, q, u)
     return _mixed_gamma_jac_u(sode, q, u) - 2.0 * _jac_q(sode, q, u) - 0.5 * (J @ J)
@@ -200,7 +201,7 @@ def nabla_phi(sode, jet: Jet, order: int = 1, fd: bool = False) -> np.ndarray:
     if order < 1:
         raise ValueError("order must be >= 1")
     if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, [jet], (order,))[0, 0]
+        return _closed_psi(sode, [jet], order + 1)[0, -1]
 
     def tensor(q, u):
         j = Jet(tuple(q), tuple(u))
@@ -220,7 +221,7 @@ def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, jets, range(depth))
+        return _closed_psi(sode, jets, depth)
     return np.array([[phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
                      for jet in jets]).reshape(len(jets), depth, sode.n, sode.n)
 

@@ -64,13 +64,10 @@ one ``np.dot`` gives, bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import expr as ex
-from .errors import ConfigError, SingularVelocityError
+from .errors import ConfigError
 from .systems import SystemSpec
-from .variational import (LagrangianModel, PhaseState, _literal, _momentum_sum,
-                          _require_hamiltonian, _weight_lines, hamiltonian_model)
+from .variational import (LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum,
+                          _names, hamiltonian_model)
 
 __all__ = [
     "controlled_rhs",
@@ -160,33 +157,13 @@ def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState, u_star=Non
 
 
 # --- generated code ---------------------------------------------------------------
-# Each function is emitted once per system and model (SystemSpec.kernel), over
-# the locals r1, p<b> and u<b> and the model's weight pairs e<b>, s<b>
-# (``_weight_lines``), with every inertia and coefficient a literal.  Every
-# sum keeps the order of its formula, so each value is the one the loops over
-# the layout gave.
+# Each function is emitted once per system and model (``variational._kernel``),
+# over the locals r1, p<b> and u<b> and the model's weight pairs e<b>, s<b>,
+# with every inertia and coefficient a literal.  Every sum keeps the order of
+# its formula, so each value is the one the loops over the layout gave.
 
 _U1_GUARD = (f"if abs(u0) < {U1_MIN!r}: "
              "raise SingularVelocityError('cost undefined for u_1 near zero')")
-
-
-def _kernel(model: LagrangianModel, name: str, args: str, body):
-    """The generated ``name(r1, *args)``: the sequences named by the letters
-    of ``args`` unpacked into locals, the weights spliced in, then the
-    statements ``body(model)``."""
-    def build():
-        _require_hamiltonian(model)
-        unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
-        return ex.define(f"{name}(r1, {', '.join(args)})",
-                         [*unpack, *_weight_lines(model), *body(model)],
-                         table=model.system.weight_table, dot=np.dot, step=CS_STEP * 1j,
-                         SingularVelocityError=SingularVelocityError)
-
-    return model.system.kernel(("pontryagin", name, model.kind, model.coefficients), build)
-
-
-def _names(letter: str, model: LagrangianModel) -> list[str]:
-    return [f"{letter}{b}" for b in range(model.system.n)]
 
 
 def _rates(model: LagrangianModel, u) -> list[str]:
@@ -249,5 +226,5 @@ def _gradient_lines(model: LagrangianModel) -> list[str]:
     for k in range(model.system.n):
         shifted = ["z" if b == k else name for b, name in enumerate(u)]
         h = _control_hamiltonian(model, shifted, summed=True)
-        lines += [f"z = u{k} + step", f"g{k} = ({h}).imag / {CS_STEP!r}"]
+        lines += [f"z = u{k} + {CS_STEP!r}j", f"g{k} = ({h}).imag / {CS_STEP!r}"]
     return lines + [f"return ({', '.join(f'g{k}' for k in range(model.system.n))},)"]

@@ -23,6 +23,7 @@ third   -- the Euler-Lagrange equations, in normal form, of the Lagrangian
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,21 +111,24 @@ class SodeSystem:
         """r1 -> the values of ``coeff_exprs``, in the same order."""
         return ex.compile_table(self.coeff_exprs)
 
-    def phi_tower(self, order: int):
-        """Compiled table r1 -> (c[0], .., c[n-2]) with (nabla^order Phi)^a_1 =
+    def phi_tower(self, depth: int):
+        """Compiled table r1 -> the coefficients of tiers 0 .. depth-1, tier
+        by tier: entry order * (n-1) + a is c[a] with (nabla^order Phi)^a_1 =
         c[a] * u1^(order+1) * u2 (kind first) or * u_a (kind second).
 
-        The tower grows tier by tier up to the deepest order asked for, so
-        each tier is built and compiled once per system, as one table.
+        Each tier is built from the one before and shares its nodes, so one
+        table computes each distinct node of the tower once; it is compiled
+        once per system and depth.
         """
-        built, levels = self._phi_tiers
-        while len(built) <= order:
-            built.append(ex.compile_table(next(levels)))
-        return built[order]
+        tower = self._towers.get(depth)
+        if tower is None:
+            levels = itertools.islice(self._phi_levels(), depth)
+            tower = self._towers[depth] = ex.compile_table(c for level in levels for c in level)
+        return tower
 
     @cached_property
-    def _phi_tiers(self):
-        return [], self._phi_levels()
+    def _towers(self) -> dict:
+        return {}
 
     def _phi_levels(self):
         """Coefficient expressions of Phi, nabla Phi, nabla^2 Phi, ...

@@ -285,9 +285,9 @@ class SystemSpec:
         return {}
 
     def kernel(self, key: tuple, build):
-        """The generated function of ``key`` (a formulation or the
-        optimal-control route, then what else decides its code) over this
-        system: ``build()``'s, on first use."""
+        """The generated function of ``key`` (a formulation or a model's
+        function, then what else decides its code) over this system:
+        ``build()``'s, on first use."""
         fn = self._kernels.get(key)
         if fn is None:
             fn = self._kernels[key] = build()

@@ -27,11 +27,11 @@ Kinds first and second differ only in their coordinate layout, which a
 kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
 coefficient and E_b (``terms``).  Each first/second formula below reads E_b
 and E_b' from the system's ``weight_table`` and guards the weights as the
-second associated system does.  The pointwise formulas loop over the layout;
-the trajectory right-hand sides (``euler_lagrange_ode``, ``hamilton_ode``)
-are straight-line code generated once per system and model, with the loops
-unrolled, every inertia and coefficient a literal, and the model's weight
-pairs spliced in from the table (kind second reads no r2 pair).
+second associated system does.  The other pointwise formulas loop over
+``_weight_values``; it, ``momentum_sum``, ``hamiltonian_value`` and the
+trajectory right-hand sides are straight-line code generated once per system
+and model, with every inertia and coefficient a literal and the model's
+weight pairs spliced in from the table (kind second reads no r2 pair).
 
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
@@ -198,22 +198,11 @@ class LagrangianModel:
     def _weight_values(self, r1: float):
         """(b, coefficient, E_b(r1), E_b'(r1)) for each term; raises
         ``weight_vanishes(b - 1)`` where a weight falls below ``COEFF_EPS``."""
-        values = iter(self.system.weight_table(r1)[self.weight_start:])
-        vals = []
-        for (b, c), value, slope in zip(self.terms, values, values):
-            if abs(value) < COEFF_EPS:
-                raise weight_vanishes(b - 1, r1)
-            vals.append((b, c, value, slope))
-        return vals
+        return _kernel(self, "weight_values", "", _weight_values_lines)(r1)
 
     def momentum_sum(self, r1: float, p) -> float:
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
-        _require_hamiltonian(self)
-        total = p[0]
-        values = iter(self.system.weight_table(r1)[self.weight_start:])
-        for (b, c), e_val, _ in zip(self.terms, values, values):
-            total += 0.5 * e_val * p[b] ** 2 / c
-        return total
+        return _kernel(self, "momentum_sum", "p", lambda m: [f"return {_momentum_sum(m)}"])(r1, p)
 
 
 def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
@@ -386,6 +375,38 @@ def _momentum_sum(model: LagrangianModel) -> str:
     return " + ".join(["p0", *(f"0.5 * e{b} * p{b} ** 2 / {_literal(c)}" for b, c in model.terms)])
 
 
+def _weight_guards(model: LagrangianModel) -> list[str]:
+    """Statements raising ``weight_vanishes`` for the first term b, in order,
+    whose e<b> falls below ``COEFF_EPS``."""
+    return [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
+            for b, _ in model.terms]
+
+
+def _weight_values_lines(model: LagrangianModel) -> list[str]:
+    values = ", ".join(f"({b}, {_literal(c)}, e{b}, s{b})" for b, c in model.terms)
+    return [*_weight_guards(model), f"return [{values}]"]
+
+
+def _kernel(model: LagrangianModel, name: str, args: str, body):
+    """The generated ``name(r1, *args)`` of a first/second model, once per
+    system and model: the sequences named by the letters of ``args`` unpacked
+    into locals, the weights spliced in, then the statements ``body(model)``,
+    which may call ``dot`` (``np.dot``) and raise the guards' errors."""
+    def build():
+        _require_hamiltonian(model)
+        unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
+        return ex.define(f"{name}({', '.join(['r1', *args])})",
+                         [*unpack, *_weight_lines(model), *body(model)], dot=np.dot,
+                         table=model.system.weight_table, weight_vanishes=weight_vanishes,
+                         SingularVelocityError=SingularVelocityError)
+
+    return model.system.kernel((name, model.kind, model.coefficients), build)
+
+
+def _names(letter: str, model: LagrangianModel) -> list[str]:
+    return [f"{letter}{b}" for b in range(model.system.n)]
+
+
 def _euler_lagrange_kernel(model: LagrangianModel):
     """The loops over the layout unrolled, every inertia and coefficient a
     literal: the force f<b>, the Hessian's entries d<b> = g_bb and h<b> =
@@ -410,8 +431,7 @@ def _euler_lagrange_kernel(model: LagrangianModel):
     else:
         lines += ["if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')",
                   *_weight_lines(model),
-                  *(f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
-                    for b, _ in model.terms),
+                  *_weight_guards(model),
                   *(f"d{b} = {_literal(i_b)}; h{b} = f{b} = 0.0" for b, i_b in model.kinetic),
                   "g = 0.0"]
         for b, c in model.terms:
@@ -511,18 +531,13 @@ def hamiltonian_model(sys: SystemSpec, kind: str, coefficients=None) -> Lagrangi
 def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
     """H = (momentum sum)^2 / 2 I_1 + sum p_b^2 / 2 I_b over the kinetic
     coordinates, generated once per system and model."""
-    _require_hamiltonian(model)
-    return model.system.kernel(("hamiltonian_value", model.kind, model.coefficients),
-                               lambda: _hamiltonian_value_kernel(model))(ps.r1, ps.p)
+    return _kernel(model, "hamiltonian_value", "p", _hamiltonian_value_lines)(ps.r1, ps.p)
 
 
-def _hamiltonian_value_kernel(model: LagrangianModel):
-    sys = model.system
-    terms = [f"m ** 2 / {_literal(2.0 * sys.i1)}",
+def _hamiltonian_value_lines(model: LagrangianModel) -> list[str]:
+    terms = [f"m ** 2 / {_literal(2.0 * model.system.i1)}",
              *(f"p{b} ** 2 / {_literal(2.0 * inertia)}" for b, inertia in model.kinetic)]
-    lines = [f"{', '.join(f'p{b}' for b in range(sys.n))}, = p", *_weight_lines(model),
-             f"m = {_momentum_sum(model)}", f"return {' + '.join(terms)}"]
-    return ex.define("value(r1, p)", lines, table=sys.weight_table)
+    return [f"m = {_momentum_sum(model)}", f"return {' + '.join(terms)}"]
 
 
 def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,8 @@ import pytest
 
 from hamiltonize import (
     ConfigError,
+    EvaluationError,
+    ExprDomainError,
     Jet,
     MultiplierField,
     algebraic_system,
@@ -24,11 +26,12 @@ from hamiltonize import (
     helmholtz_residuals,
     nabla_phi,
     nullspace,
+    parse_system_file,
     phi,
     second_associated,
     singularity_certificate,
 )
-from hamiltonize import helmholtz
+from hamiltonize import expr, helmholtz
 from hamiltonize.helmholtz import JET_BLOCK, CertificateReport, psi_stack, sym_entry_index
 from hamiltonize.sampling import generic_jets
 
@@ -38,12 +41,26 @@ RTOL = 1e-10
 # --- the per-jet reference ------------------------------------------------------
 
 
+@functools.cache
+def _reference_tiers(sode):
+    return [], sode._phi_levels()
+
+
+def reference_tier(sode, order):
+    """Tier ``order`` of the tower as a table of its own: one
+    ``compile_table`` per level of ``_phi_levels``, grown as far as asked."""
+    built, levels = _reference_tiers(sode)
+    while len(built) <= order:
+        built.append(expr.compile_table(next(levels)))
+    return built[order]
+
+
 def reference_psi_stack(sode, jet, depth):
     if sode.kind not in ("first", "second"):
         return [phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
     out = []
     for order in range(depth):
-        coeffs = sode.phi_tower(order)(jet.r1)
+        coeffs = reference_tier(sode, order)(jet.r1)
         n = sode.n
         u1 = jet.r1dot
         M = np.zeros((n, n))
@@ -257,6 +274,42 @@ def test_stacked_pieces_match_their_one_jet_case(kind):
         assert matrix.tobytes() == matrices[jdx].tobytes()
         assert reference_nullspace(matrix)[0].tobytes() == bases[jdx].tobytes()
         assert np.linalg.svd(matrix)[1].tobytes() == svals[jdx].tobytes()
+
+
+def tower_outcome(tables, r1):
+    """The tables' values at r1 in order, as hex so that -0.0 and 0.0
+    differ, or the type and message of the first error."""
+    try:
+        return [value.hex() for table in tables for value in table(r1)]
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8, 16])
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_joint_tower_matches_per_tier_tables(name, kind, depth):
+    """Every tier of the one table ``phi_tower(depth)`` gives the floats of
+    that tier's own table, bit for bit."""
+    sode = associated(name, kind)
+    tiers = [reference_tier(sode, order) for order in range(depth)]
+    for r1 in np.random.default_rng(depth).uniform(-3.0, 3.0, 20).tolist():
+        expected = tower_outcome(tiers, r1)
+        assert isinstance(expected, list) and len(expected) == depth * (sode.n - 1)
+        assert tower_outcome([sode.phi_tower(depth)], r1) == expected, r1
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_joint_tower_raises_as_the_first_failing_tier(kind, depth):
+    """Where a tier fails, the joint table raises that tier's error, type
+    and message: ln(r1) at r1 = -0.5."""
+    sode = BUILDERS[kind](parse_system_file(
+        "I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = ln(r1)\nnames = a, b, c\n"))
+    tiers = [reference_tier(sode, order) for order in range(depth)]
+    expected = tower_outcome(tiers, -0.5)
+    assert expected[0] is ExprDomainError
+    assert tower_outcome([sode.phi_tower(depth)], -0.5) == expected
 
 
 # --- margins --------------------------------------------------------------------------

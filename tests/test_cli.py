@@ -867,9 +867,9 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
 def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
-    """certify builds each object once: its checks compile 6 distinct tables
-    (the weights, the second associated system's rates and its Phi tier,
-    the first associated system's three Phi tiers at depth 3) and no
+    """certify builds each object once: its checks compile 4 distinct tables
+    (the weights, the second associated system's rates and its depth-1 Phi
+    tower, the first associated system's depth-3 Phi tower) and no
     expression tuple twice, also on the disk, which runs the g2 suite."""
     compiled = []
     original = expr.compile_table
@@ -883,7 +883,7 @@ def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     built = []
     _record_calls(monkeypatch, "second_associated", built)
     assert run_cli(["certify", "--system", name, "--samples", "20"], tmp_path) == 0
-    assert len(compiled) == 6
+    assert len(compiled) == 4
     assert len(set(compiled)) == len(compiled)
     assert len(built) == 1
 

@@ -159,8 +159,8 @@ def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
 
 
 def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
-    """A depth-5 stack builds and compiles each tier once per system: the
-    first jet compiles 5 tiers, each one table of 2 coefficients, later jets
+    """A depth-5 stack builds and compiles its tower once per system: the
+    first jet compiles one table of the 5 tiers' 10 coefficients, later jets
     compile nothing."""
     sode = first_associated(knife_edge)
     compiled = []
@@ -176,14 +176,15 @@ def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
         before = len(compiled)
         psi_stack(sode, [jet], 5)
         per_jet.append(len(compiled) - before)
-    assert per_jet == [5, 0]
-    assert [len(tier) for tier in compiled] == [2] * 5
+    assert per_jet == [1, 0]
+    assert [len(tower) for tower in compiled] == [10]
 
 
 @pytest.mark.parametrize("name", ["knife_edge", "vertical_disk"])
 def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
-    """The order-4 tier is a DAG of 677 (knife edge) or 821 (disk) nodes,
-    where its expanded trees hold 1.2 and 1.6 million."""
+    """The depth-5 tower is one table over a DAG of 557 (knife edge) or 701
+    (disk) nodes, where the order-4 tier's expanded trees alone hold 1.0 and
+    1.6 million."""
     sode = first_associated(request.getfixturevalue(name))
     compiled = []
     original = expr.compile_table
@@ -193,10 +194,10 @@ def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
         return original(compiled[-1])
 
     monkeypatch.setattr(expr, "compile_table", recorded)
-    sode.phi_tower(4)
-    assert len(compiled) == 5
+    sode.phi_tower(5)
+    assert len(compiled) == 1
     seen = set()
-    pending = list(compiled[-1])  # the order-4 tier, every coefficient
+    pending = list(compiled[0])  # tiers 0 to 4, every coefficient
     assert pending
     while pending:
         node = pending.pop()
@@ -226,8 +227,9 @@ def test_deep_phi_tower_tiers_stay_finite(knife_edge):
     """At r1 = 0.956, where 1 + tan^2 is about 3, orders 9 to 16 of the knife
     edge's tower evaluate to finite values."""
     sode = first_associated(knife_edge)
+    tower = sode.phi_tower(17)(0.956)
     for order in range(9, 17):
-        assert all(math.isfinite(c) for c in sode.phi_tower(order)(0.956)), order
+        assert all(math.isfinite(c) for c in tower[2 * order:2 * order + 2]), order
 
 
 def test_column_proportionality_identity(any_system, rng):

@@ -136,6 +136,25 @@ def loop_arrowhead_solve(hub, diag, arm, rhs):
             for b, (g_bb, g_hb, rhs_b) in enumerate(zip(diag, arm, rhs))]
 
 
+def loop_weight_values(model, r1):
+    values = iter(model.system.weight_table(r1)[model.weight_start:])
+    vals = []
+    for (b, c), value, slope in zip(model.terms, values, values):
+        if abs(value) < COEFF_EPS:
+            raise weight_vanishes(b - 1, r1)
+        vals.append((b, c, value, slope))
+    return vals
+
+
+def loop_momentum_sum(model, r1, p):
+    _require_hamiltonian(model)
+    total = p[0]
+    values = iter(model.system.weight_table(r1)[model.weight_start:])
+    for (b, c), e_val, _ in zip(model.terms, values, values):
+        total += 0.5 * e_val * p[b] ** 2 / c
+    return total
+
+
 def loop_euler_lagrange_accel(model, r1, u):
     sys = model.system
     if model.kind == "variational":
@@ -149,7 +168,7 @@ def loop_euler_lagrange_accel(model, r1, u):
         force[1] = drift * u[0]
     else:
         _require_moving(u[0])
-        weights = model._weight_values(r1)
+        weights = loop_weight_values(model, r1)
         force = [0.0] * sys.n
         total = 0.0
         for b, c, e_val, e_slope in weights:
@@ -324,6 +343,35 @@ def test_table_domain_error_raises_as_the_loops():
         assert outcome(kernel, 0.0, y[:dim]) == expected, label
 
 
+def weights_outcome(fn, *args):
+    """``outcome`` for the (b, coefficient, E_b, E_b') tuples of
+    ``_weight_values``."""
+    try:
+        values = fn(*args)
+    except (EvaluationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(b, c.hex(), e.hex(), s.hex()) for b, c, e, s in values]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "ln"])
+def test_weight_values_and_momentum_sum_match_loops_bit_for_bit(name):
+    """The generated ``_weight_values`` and ``momentum_sum`` give the loops'
+    floats at seeded states, and raise their errors where a weight vanishes
+    (the disk at r1 = pi/2) or the table fails (ln(r1) at r1 < 0)."""
+    sys = (parse_system_file("I1 = 1\nI2 = 2\nI_alpha = 1.5\nA_alpha = ln(r1)\nnames = a, b, c\n")
+           if name == "ln" else builtin_system(name))
+    n = sys.n
+    states = _states(2 * n, seed=5) + [[math.pi / 2, *[1.0] * (2 * n - 1)]]
+    for kind in ("first", "second") if sys.constant_measure else ("first",):
+        model = lagrangian_model(sys, kind)
+        for y in states:
+            r1, p = y[0], y[n:]
+            assert (weights_outcome(model._weight_values, r1)
+                    == weights_outcome(loop_weight_values, model, r1)), (kind, r1)
+            assert (outcome(lambda: [model.momentum_sum(r1, p)])
+                    == outcome(lambda: [loop_momentum_sum(model, r1, p)])), (kind, r1)
+
+
 def test_knife_edge_pole_sode_second_run_exits_2(knife_edge, tmp_path, capsys):
     """At the knife edge's tan pole the second associated system's guard
     raises before the first step, with the reference loop's message."""
@@ -397,11 +445,7 @@ def loop_controls(model, r1, p):
 
 
 def loop_hamiltonian_value(model, ps):
-    total = ps.p[0]
-    values = iter(loop_weights(model, ps.r1))
-    for (b, c), e_val, _ in zip(model.terms, values, values):
-        total += 0.5 * e_val * ps.p[b] ** 2 / c
-    value = total**2 / (2.0 * model.system.i1)
+    value = loop_momentum_sum(model, ps.r1, ps.p)**2 / (2.0 * model.system.i1)
     for b, inertia in model.kinetic:
         value += ps.p[b] ** 2 / (2.0 * inertia)
     return value
