@@ -19,14 +19,21 @@ at 1e-10 thresholds would not survive numerical differentiation.
 Expressions are a hash-consed DAG.  Each node is built once per structure
 (children compared by identity, constants by ``repr`` so that ``0.0`` and
 ``-0.0`` stay apart), so structural equality is identity and hashing is
-free.  ``diff`` is memoised per node, so the derivative of a tier reuses the
-nodes that earlier tiers built.  ``compile()`` walks the DAG once and emits
-a straight-line Python function with one local per distinct node.  This is
-what makes deep covariant towers affordable: each tier's expanded tree is
-8-10 times the previous one, while its distinct nodes grow about 1.7 times
-(the order-4 knife-edge tier is 1,219,225 tree nodes but 677 distinct ones).
-Both tables live for the life of the process; they only ever map a structure
-to its one immutable node, so sharing them between callers is unobservable.
+free.  ``diff`` is memoised per node, so a derivative reuses the nodes that
+earlier ones built.  ``compile()`` walks the DAG once and emits a
+straight-line Python function with one local per distinct node.  Both
+tables live for the life of the process; they only ever map a structure to
+its one immutable node, so sharing them between callers is unobservable.
+
+``series_table()`` runs the same generated code on truncated Taylor series
+(``Series``): one evaluation gives every derivative of the expressions up
+to an order, at a whole stack of points, with no derivative built as an
+expression (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+This is what makes deep covariant towers affordable: their tiers are
+derivative recurrences on a system's coefficients, and a tier built
+symbolically grows with its order (the order-4 knife-edge tier is 1,219,225
+tree nodes, 677 distinct ones), while a series of order k costs O(k^2)
+operations per product.
 
 Evaluation reports domain errors (``ln`` of a non-positive number, division
 by zero, overflow) instead of returning non-finite values.  ``compile()``
@@ -35,17 +42,22 @@ the same domain-error contract as ``eval``, which stays the independent
 tree-walking reference.  ``compile_table()`` compiles several into one call,
 and ``splice()`` gives the same code, under the same check, as statements
 for the functions the other modules generate (``define()``): the trajectory
-right-hand sides and the optimal-control functions.
+right-hand sides and the optimal-control functions.  Series evaluation
+gives non-finite entries outside the domain instead, and its caller decides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ExprDomainError, ExprParseError
 
-__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table", "splice", "define"]
+__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table", "splice", "define",
+           "Series", "series_table"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -501,16 +513,228 @@ def splice(exprs, names, fallback: str) -> list[str]:
 def compile_table(exprs):
     """Compile expressions jointly: ``r1 -> tuple`` of their values, bit for
     bit each one's ``compile()``, under one domain check (``splice``).  Where
-    that fails, each is compiled and run alone, in order: the first to fail
-    raises its own error, exactly as alone.  The table's ``exprs`` holds the
-    expressions, so generated code can splice them in and fall back on the
-    table."""
+    that fails, each is run alone, in order: the first to fail raises its
+    own error, exactly as alone.  The expressions are compiled alone once
+    per table, on the first call that needs them.  The table's ``exprs``
+    holds the expressions, so generated code can splice them in and fall
+    back on the table."""
     exprs = tuple(exprs)
     names = [f"v{i}" for i in range(len(exprs))]
+
+    @functools.cache
+    def compiled():
+        return [e.compile() for e in exprs]
+
     table = define("table(r1)", [*splice(exprs, names, "alone(r1)"),
                                  "return (" + "".join(f"{name}, " for name in names) + ")"],
-                   alone=lambda r1: tuple(e.compile()(r1) for e in exprs))
+                   alone=lambda r1: tuple(fn(r1) for fn in compiled()))
     table.exprs = exprs
+    return table
+
+
+# --- truncated Taylor series ------------------------------------------------
+
+
+class Series:
+    """A truncated Taylor series in r1 at a stack of points: ``c[k]`` holds
+    f^(k)(r1) / k! for k < len(c), one entry per point along the trailing
+    axes.  Arithmetic with another series keeps the shorter length; a float
+    is a constant.  No operation mixes two points, so a point's series does
+    not depend on the others in its stack.
+
+    A product sums its terms in pairs, a_i b_(k-i) + a_(k-i) b_i over
+    i < k-i, then the middle term, in that order, so ``a*b`` and ``b*a``
+    give the same bits and a difference of equal products is exactly 0 at
+    every order.  Every other sum runs in index order.  Points outside an
+    operation's domain give non-finite entries, not errors."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def _pair(self, other):
+        if not isinstance(other, Series):
+            return self.c, other
+        size = min(len(self.c), len(other.c))
+        return self.c[:size], other.c[:size]
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        if isinstance(other, Series):
+            return Series(a + b)
+        c = a.copy()
+        c[0] += b
+        return Series(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return Series(-self.c)
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        return Series(_product(a, b) if isinstance(other, Series) else a * b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        return Series(_quotient(a, b) if isinstance(other, Series) else a / b)
+
+    def __rtruediv__(self, other):
+        numerator = np.zeros_like(self.c)
+        numerator[0] = other
+        return Series(_quotient(numerator, self.c))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return 1.0 / self ** -n
+        power = self
+        for _ in range(n - 1):
+            power = power * self
+        return power
+
+    def diff(self) -> "Series":
+        """The derivative, one order shorter: a_k becomes (k+1) a_(k+1)."""
+        return Series(self.c[1:] * _orders(self.c, 1, len(self.c)))
+
+
+def _orders(c, start: int, stop: int):
+    """start .. stop-1 as a column against the trailing axes of ``c``."""
+    return np.arange(start, stop, dtype=float).reshape(-1, *(1,) * (c.ndim - 1))
+
+
+def _in_order(terms):
+    """The sum over the leading axis, added first to last at every point
+    (``np.sum`` may pair its terms differently for different stack sizes)."""
+    return np.add.accumulate(terms)[-1]
+
+
+@functools.cache
+def _pair_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each order k < size, where its pairs read the flattened outer
+    product of two series padded by a zero to size + 1: (i, k-i) and
+    (k-i, i) for i < k-i, then (k/2, k/2) and the zero, then zero pairs."""
+    zero = size * (size + 1) + size
+    width = size // 2 + 1
+    first = np.full((size, width), zero)
+    second = np.full((size, width), zero)
+    for k in range(size):
+        for i in range((k + 1) // 2):
+            first[k, i], second[k, i] = i * (size + 1) + k - i, (k - i) * (size + 1) + i
+        if k % 2 == 0:
+            first[k, k // 2] = (k // 2) * (size + 2)
+    return first, second
+
+
+def _product(a, b):
+    size = len(a)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    outer = np.zeros((size + 1, size + 1, *shape))
+    np.multiply(a[:, None], b[None, :], out=outer[:size, :size])
+    outer = outer.reshape(-1, *shape)
+    first, second = _pair_index(size)
+    return np.add.accumulate(outer[first] + outer[second], axis=1)[:, -1]
+
+
+def _quotient(a, b):
+    """The series c with b c = a: c_k = (a_k - sum_(i=1..k) b_i c_(k-i)) / b_0."""
+    c = np.empty((len(a), *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    c[0] = a[0] / b[0]
+    for k in range(1, len(c)):
+        c[k] = (a[k] - _in_order(b[1:k + 1] * c[k - 1::-1])) / b[0]
+    return c
+
+
+def _exp(a):
+    # e_k = (1/k) sum_(j=1..k) j a_j e_(k-j)
+    v = np.empty_like(a)
+    v[0] = np.exp(a[0])
+    ja = a[1:] * _orders(a, 1, len(a))
+    for k in range(1, len(a)):
+        v[k] = _in_order(ja[:k] * v[k - 1::-1]) / k
+    return v
+
+
+def _sin_cos(a):
+    """The series of sin(a) and cos(a), each the other's slope."""
+    s, c = np.empty_like(a), np.empty_like(a)
+    s[0], c[0] = np.sin(a[0]), np.cos(a[0])
+    ja = a[1:] * _orders(a, 1, len(a))
+    for k in range(1, len(a)):
+        s[k] = _in_order(ja[:k] * c[k - 1::-1]) / k
+        c[k] = -_in_order(ja[:k] * s[k - 1::-1]) / k
+    return s, c
+
+
+def _series_function(scalar, series):
+    """A function of the generated code: ``scalar`` on a float (a constant
+    subexpression), ``series`` on the coefficients of a series."""
+    return lambda x: Series(series(x.c)) if isinstance(x, Series) else scalar(x)
+
+
+def _log(a):
+    # log(a)' = a' / a
+    v = np.empty_like(a)
+    v[0] = np.log(a[0])
+    orders = _orders(a, 1, len(a))
+    v[1:] = _quotient(a[1:] * orders, a[:-1]) / orders
+    return v
+
+
+def _sqrt(a):
+    # r_k = (a_k - sum_(j=1..k-1) r_j r_(k-j)) / (2 r_0)
+    v = np.empty_like(a)
+    v[0] = np.sqrt(a[0])
+    for k in range(1, len(a)):
+        inner = _in_order(v[1:k] * v[k - 1:0:-1]) if k > 1 else 0.0
+        v[k] = (a[k] - inner) / (2.0 * v[0])
+    return v
+
+
+_SERIES_GLOBALS = {
+    "sin": _series_function(math.sin, lambda a: _sin_cos(a)[0]),
+    "cos": _series_function(math.cos, lambda a: _sin_cos(a)[1]),
+    "tan": _series_function(math.tan, lambda a: _quotient(*_sin_cos(a))),
+    "exp": _series_function(math.exp, _exp),
+    "log": _series_function(math.log, _log),
+    "sqrt": _series_function(math.sqrt, _sqrt),
+}
+
+
+def series_table(exprs):
+    """Compile expressions for their truncated Taylor series: ``(r1, order)
+    -> array`` of shape ``(order + 1, len(exprs), *r1.shape)``, entry
+    ``[k, i]`` the k-th derivative of expression i over k!.  The generated
+    code is that of ``compile_table``, run with series arithmetic.  Entries
+    are non-finite at points outside an expression's domain; a float
+    operation between constants that fails raises as it would there."""
+    exprs = tuple(exprs)
+    lines, values = _emit(exprs)
+    program = define("series(r1)", [*lines, f"return [{', '.join(values)}]"],
+                     **_SERIES_GLOBALS)
+
+    def table(r1, order: int):
+        r1 = np.asarray(r1, dtype=float)
+        var = np.zeros((order + 1, *r1.shape))
+        var[0] = r1
+        var[1:2] = 1.0
+        out = np.zeros((order + 1, len(exprs), *r1.shape))
+        with np.errstate(all="ignore"):
+            for i, value in enumerate(program(Series(var))):
+                if isinstance(value, Series):
+                    out[:, i] = value.c
+                else:
+                    out[0, i] = value
+        return out
+
     return table
 
 

@@ -33,14 +33,20 @@ coefficient functions of r1; a central finite-difference path covers any
 other system and cross-checks the closed forms in the test suite.
 
 The singularity certificate treats its jet sample as stacks of up to
-``JET_BLOCK`` jets (a command's 50 jets are one): the tower's one table
-(every tier up to ``depth``, compiled once per system and depth) is
-evaluated once per jet into a (jets, depth, n, n) array, index maps fixed
-per n turn it into the (jets, rows, columns) algebraic systems, one stacked
-SVD decides every rank and one stacked determinant tests every candidate.
-``psi_stack``, ``algebraic_system`` and ``nullspace`` take a stack;
-``phi`` and ``nabla_phi`` are the one-jet case of the same code.
-The report carries the margins of its rank and determinant decisions.
+``JET_BLOCK`` jets (a command's 50 jets are one): the tower's tiers up to
+``depth`` come from one truncated Taylor series of the system's
+coefficients per stack (``SodeSystem.phi_tiers``), filled into a (jets,
+depth, n, n) array; index maps fixed per n turn it into the (jets, rows,
+columns) algebraic systems, one stacked SVD decides every rank and one
+stacked determinant tests every candidate.  ``psi_stack``,
+``algebraic_system`` and ``nullspace`` take a stack; ``phi`` and
+``nabla_phi`` are the one-jet case of the same code, and a jet's tiers do
+not depend on its stack.  The report carries the margins of its rank and
+determinant decisions, and the jet of the smallest kept margin.
+
+The multiplier residuals evaluate the multiplier, its derivatives, f and
+nabla jet by jet, take Phi for all jets from one series evaluation, and
+reduce (jets, n, n) stacks to the determinant and the three residuals.
 """
 
 from __future__ import annotations
@@ -148,12 +154,11 @@ def _band_column(sode, a: int) -> int:
 
 def _closed_psi(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
     """Phi, nabla Phi, .., nabla^(depth-1) Phi at each jet, a (jets, depth,
-    n, n) stack, from the coefficients of ``sode.phi_tower(depth)``: the
-    table is evaluated once per jet, and the r1dot powers are Python floats."""
+    n, n) stack, from the coefficients of ``sode.phi_tiers`` at every jet at
+    once; the r1dot powers are Python floats."""
     n = sode.n
     shape = (len(jets), depth, n - 1)
-    tower = sode.phi_tower(depth)
-    coeffs = np.array([tower(jet.r1) for jet in jets]).reshape(shape)
+    coeffs = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
     low, high = (np.array([[jet.r1dot ** (order + k) for order in range(depth)] for jet in jets])
                  .reshape(*shape[:2], 1) for k in (1, 2))
     cols = [_band_column(sode, a) for a in range(n - 1)]
@@ -313,6 +318,12 @@ def _derivative6(sample, step: float):
     return total / (60.0 * step)
 
 
+def _worst(stack: np.ndarray, antisymmetric: bool = False) -> float:
+    """The largest magnitude in a stack of matrices, or in each matrix minus
+    its transpose; NaN if any entry is NaN."""
+    return float(np.max(np.abs(stack - stack.swapaxes(-1, -2) if antisymmetric else stack)))
+
+
 def helmholtz_residuals(
     sode,
     g: MultiplierField,
@@ -321,22 +332,21 @@ def helmholtz_residuals(
 ) -> HelmholtzReport:
     """Evaluate the multiplier conditions for ``g`` against ``sode``.
 
-    Velocity derivatives of g and its derivative along the system field are
-    taken by high-order central differences; nabla and Phi use their fast
-    paths.
+    g, its derivatives, f and nabla are evaluated jet by jet, in jet order;
+    velocity derivatives of g and its derivative along the system field are
+    taken by high-order central differences where ``g`` has no Jacobians.
+    Phi comes from one stacked evaluation, and the determinants and the
+    three residuals are computed on (jets, n, n) stacks.
     """
     if not jets:
         raise ConfigError("the multiplier-condition check needs at least one jet")
     n = sode.n
-    sym_worst = 0.0
-    nabla_worst = 0.0
-    phi_worst = 0.0
-    min_det = np.inf
     h0 = 1e-4
+    exact = g.velocity_jacobian is not None and g.coordinate_jacobian is not None
+    gms, dgs, gammas, nbs = [], [], [], []
     for jet in jets:
         q, u = jet.arrays()
-        gm = g(jet)
-        min_det = min(min_det, abs(float(np.linalg.det(gm))))
+        gms.append(g(jet))
 
         if g.velocity_jacobian is not None:
             dg = g.velocity_jacobian(jet)
@@ -351,34 +361,39 @@ def helmholtz_residuals(
                     return g(Jet(jet.q, tuple(shifted)))
 
                 dg[kdx] = _derivative6(sample, step)
-        for i in range(n):
-            for j in range(n):
-                for kdx in range(j + 1, n):
-                    sym_worst = max(sym_worst, abs(dg[kdx][i, j] - dg[j][i, kdx]))
+        dgs.append(dg)
 
         f0 = sode.f(q, u)
-        if g.velocity_jacobian is not None and g.coordinate_jacobian is not None:
-            dgq = g.coordinate_jacobian(jet)
-            gamma_g = np.tensordot(u, dgq, axes=1) + np.tensordot(f0, dg, axes=1)
+        if exact:  # G(g) = u^k dg/dq^k + f^k dg/du^k, summed on the stack
+            gammas.append((u, g.coordinate_jacobian(jet), f0))
         else:
             eps = h0
 
             def along(c):
                 return g(Jet(tuple(q + c * eps * u), tuple(u + c * eps * f0)))
 
-            gamma_g = _derivative6(along, eps)
-        nb = nabla(sode, jet)
-        resid = gamma_g - gm @ nb - nb.T @ gm
-        nabla_worst = max(nabla_worst, float(np.max(np.abs(resid))))
+            gammas.append(_derivative6(along, eps))
+        nbs.append(nabla(sode, jet))
 
-        gphi = gm @ phi(sode, jet)
-        phi_worst = max(phi_worst, float(np.max(np.abs(gphi - gphi.T))))
+    gm, dg, nb = np.array(gms), np.array(dgs), np.array(nbs)
+    if exact:
+        u, dgq, f0 = (np.array(part) for part in zip(*gammas))
+        gamma_g = np.einsum("jk,jkab->jab", u, dgq) + np.einsum("jk,jkab->jab", f0, dg)
+    else:
+        gamma_g = np.array(gammas)
+    gphi = gm @ psi_stack(sode, jets, 1)[:, 0]
+    # dg[:, k, i, j] = dg_ij/du_k must be symmetric in (j, k)
+    sym_worst = _worst(dg.transpose(0, 2, 1, 3), antisymmetric=True)
+    nabla_worst = _worst(gamma_g - gm @ nb - nb.transpose(0, 2, 1) @ gm)
+    phi_worst = _worst(gphi, antisymmetric=True)
+    with np.errstate(invalid="ignore"):  # a non-finite g gives a NaN the report carries
+        min_det = float(np.min(np.abs(np.linalg.det(gm))))
 
     return HelmholtzReport(
         gdot_symmetry=sym_worst,
         nabla_condition=nabla_worst,
         phi_condition=phi_worst,
-        min_abs_det=float(min_det),
+        min_abs_det=min_det,
         tolerance=tolerance,
         n_jets=len(jets),
         passed=all(r < tolerance for r in (sym_worst, nabla_worst, phi_worst)),
@@ -449,9 +464,10 @@ class CertificateReport:
 
     The margins are in decades and left out when no jet gives one: the
     smallest kept margin ``log10(s_kept / (rtol s_max))`` of the last kept
-    singular value, the smallest cut gap ``log10(rtol s_max / s_dropped)``
-    of the first dropped one where it is nonzero, and the determinant
-    margin ``log10(det_tol / max_normalized_det)``.
+    singular value and the lowest index of a jet that gives it, the
+    smallest cut gap ``log10(rtol s_max / s_dropped)`` of the first dropped
+    one where it is nonzero, and the determinant margin
+    ``log10(det_tol / max_normalized_det)``.
     """
 
     passed: bool
@@ -461,16 +477,19 @@ class CertificateReport:
     nullspace_dims: tuple[int, ...]
     max_normalized_det: float
     kept_margin_decades: float | None = None
+    kept_margin_jet: int | None = None
     cut_gap_decades: float | None = None
     det_margin_decades: float | None = None
     warnings: tuple[str, ...] = ()
     counterexample: dict | None = None
 
 
-def _decades(pairs) -> float | None:
-    """The smallest finite log10(a / b) over the pairs with a, b > 0, or None."""
-    logs = [math.log10(float(a) / float(b)) for a, b in pairs if a > 0.0 and b > 0.0]
-    return min((v for v in logs if math.isfinite(v)), default=None)
+def _smallest(margins) -> tuple[float | None, int | None]:
+    """The smallest finite log10(a / b) over the margins (jet index, (a, b))
+    with a, b > 0, and the lowest jet index that gives it; or (None, None)."""
+    logs = [(math.log10(float(a) / float(b)), key) for key, (a, b) in margins
+            if a > 0.0 and b > 0.0]
+    return min(((v, key) for v, key in logs if math.isfinite(v)), default=(None, None))
 
 
 def singularity_certificate(
@@ -502,7 +521,7 @@ def singularity_certificate(
     pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
     sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
     rng = np.random.default_rng(seed)
-    dims, kept, gaps = [], [], []  # kept, gaps: (a, b) pairs of the margins log10(a / b)
+    dims, kept, gaps = [], [], []  # kept, gaps: (jet index, (a, b)) of the margins log10(a / b)
     worst, counterexample = 0.0, None
     for first in range(0, len(jets), JET_BLOCK):
         matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
@@ -533,14 +552,15 @@ def singularity_certificate(
                 "g": normalized[k].tolist(),
                 "abs_det": dets[k],
             }
-        for s, basis in zip(svals, bases):
+        for jdx, (s, basis) in enumerate(zip(svals, bases), first):
             rank = len(pos) - len(basis)
             cut = RANK_RTOL * s[0] if len(s) else 0.0
             if rank:
-                kept.append((s[rank - 1], cut))
+                kept.append((jdx, (s[rank - 1], cut)))
             if rank < len(s):
-                gaps.append((cut, s[rank]))
+                gaps.append((jdx, (cut, s[rank])))
         dims += map(len, bases)
+    kept_margin, kept_jet = _smallest(kept)
     return CertificateReport(
         passed=counterexample is None,
         depth=depth,
@@ -548,9 +568,10 @@ def singularity_certificate(
         det_tol=det_tol,
         nullspace_dims=tuple(dims),
         max_normalized_det=worst,
-        kept_margin_decades=_decades(kept),
-        cut_gap_decades=_decades(gaps),
-        det_margin_decades=_decades([(det_tol, worst)]),
+        kept_margin_decades=kept_margin,
+        kept_margin_jet=kept_jet,
+        cut_gap_decades=_smallest(gaps)[0],
+        det_margin_decades=_smallest([(0, (det_tol, worst))])[0],
         warnings=tuple(warnings),
         counterexample=counterexample,
     )

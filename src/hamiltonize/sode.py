@@ -19,17 +19,24 @@ third   -- the Euler-Lagrange equations, in normal form, of the Lagrangian
            obtained by subtracting the constraint-momentum pairing from L.
            This is an associated system only when N is constant, which
            the system's ``constant_measure`` decides numerically.
+
+The first and second kinds carry the Jacobi endomorphism Phi and its
+covariant derivatives in closed form: each tier nabla^m Phi is a scalar
+coefficient per q_a row times powers of the velocities, and the
+coefficients are a derivative recurrence on ``coeff_exprs``.
+``SodeSystem.phi_tiers`` runs that recurrence on truncated Taylor series of
+the coefficients (``expr.series_table``), for a whole stack of points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
+from .errors import ExprDomainError
 from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
 
 __all__ = [
@@ -111,51 +118,51 @@ class SodeSystem:
         """r1 -> the values of ``coeff_exprs``, in the same order."""
         return ex.compile_table(self.coeff_exprs)
 
-    def phi_tower(self, depth: int):
-        """Compiled table r1 -> the coefficients of tiers 0 .. depth-1, tier
-        by tier: entry order * (n-1) + a is c[a] with (nabla^order Phi)^a_1 =
-        c[a] * u1^(order+1) * u2 (kind first) or * u_a (kind second).
-
-        Each tier is built from the one before and shares its nodes, so one
-        table computes each distinct node of the tower once; it is compiled
-        once per system and depth.
-        """
-        tower = self._towers.get(depth)
-        if tower is None:
-            levels = itertools.islice(self._phi_levels(), depth)
-            tower = self._towers[depth] = ex.compile_table(c for level in levels for c in level)
-        return tower
-
     @cached_property
-    def _towers(self) -> dict:
-        return {}
+    def _series(self):
+        return ex.series_table(self.coeff_exprs)
 
-    def _phi_levels(self):
-        """Coefficient expressions of Phi, nabla Phi, nabla^2 Phi, ...
+    def phi_tiers(self, r1, depth: int) -> np.ndarray:
+        """The coefficients of Phi, nabla Phi, .., nabla^(depth-1) Phi at each
+        point of the stack ``r1``, a (depth, n-1, points) array: entry
+        [order, a] is c[a] with (nabla^order Phi)^a_1 = c[a] * u1^(order+1)
+        * u2 (kind first) or * u_a (kind second).
 
+        Every tier is a recurrence of derivatives on ``coeff_exprs``, so one
+        truncated Taylor series of order ``depth`` per point gives them all.
         Kind first follows c_{m+1,a} = c'_{m,a} + (1/2) G2 c_{m,a} -
         (1/2) c_{m,2} G_a, the covariant derivative of the banded Phi shape;
         for kind second the corrections cancel and each tier is the plain
-        derivative of the previous one.
+        derivative of the previous one.  Where a point's tiers are not all
+        finite, the lowest such point raises ``ExprDomainError``: the first
+        failing coefficient's own error, or one naming the tower.
         """
-        coeffs = self.coeff_exprs
-        if self.kind == "first":
-            g2 = coeffs[0]
-            level = [ex.const(0.5) * g2 * g - g.diff() for g in coeffs]
-            while True:
-                yield level
-                c2 = level[0]
-                level = [
-                    c.diff() + ex.const(0.5) * g2 * c - ex.const(0.5) * c2 * g
-                    for c, g in zip(level, coeffs)
-                ]
-        elif self.kind == "second":
-            level = [ex.const(0.5) * x**2 - x.diff() for x in coeffs]
-            while True:
-                yield level
-                level = [s.diff() for s in level]
-        else:
+        if self.kind not in ("first", "second"):
             raise ValueError(f"no closed-form Phi tower for kind {self.kind!r}")
+        r1 = np.asarray(r1, dtype=float)
+        try:
+            coeffs = ex.Series(self._series(r1, depth))
+        except (ValueError, ZeroDivisionError, OverflowError):  # an operation on constants
+            coeffs = ex.Series(np.full((depth + 1, self.n - 1, len(r1)), np.nan))
+        with np.errstate(all="ignore"):
+            if self.kind == "first":
+                g2 = ex.Series(coeffs.c[:, :1])
+                levels = [0.5 * g2 * coeffs - coeffs.diff()]
+                for _ in range(1, depth):
+                    c = levels[-1]
+                    c2 = ex.Series(c.c[:, :1])
+                    levels.append(c.diff() + 0.5 * g2 * c - 0.5 * c2 * coeffs)
+            else:
+                levels = [0.5 * coeffs ** 2 - coeffs.diff()]
+                for _ in range(1, depth):
+                    levels.append(levels[-1].diff())
+        tiers = np.array([level.c[0] for level in levels])
+        failing = ~np.isfinite(tiers).all(axis=(0, 1))
+        if failing.any():
+            at = float(r1[np.argmax(failing)])
+            self.coeff_table(at)  # raises the first failing coefficient's error
+            raise ExprDomainError(f"non-finite Phi tower coefficient at r1={at!r}")
+        return tiers
 
     def columns(self) -> tuple[str, ...]:
         names = self.system.names

@@ -1,7 +1,7 @@
 """The stacked singularity certificate against a per-jet reference.
 
-The reference below is the certificate as a loop over jets: one tower
-table call, one algebraic system, one SVD and one determinant per
+The reference below is the certificate as a loop over jets: the tower of
+one jet alone, one algebraic system, one SVD and one determinant per
 candidate at a time.  The stacked certificate must give the same report,
 every float and every sign of zero included.
 """
@@ -35,32 +35,20 @@ from hamiltonize import expr, helmholtz
 from hamiltonize.helmholtz import JET_BLOCK, CertificateReport, psi_stack, sym_entry_index
 from hamiltonize.sampling import generic_jets
 
+import tower_oracle
+
 RTOL = 1e-10
 
 
 # --- the per-jet reference ------------------------------------------------------
 
 
-@functools.cache
-def _reference_tiers(sode):
-    return [], sode._phi_levels()
-
-
-def reference_tier(sode, order):
-    """Tier ``order`` of the tower as a table of its own: one
-    ``compile_table`` per level of ``_phi_levels``, grown as far as asked."""
-    built, levels = _reference_tiers(sode)
-    while len(built) <= order:
-        built.append(expr.compile_table(next(levels)))
-    return built[order]
-
-
 def reference_psi_stack(sode, jet, depth):
     if sode.kind not in ("first", "second"):
         return [phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
+    tiers = sode.phi_tiers([jet.r1], depth)[:, :, 0]  # the tower of this jet alone
     out = []
-    for order in range(depth):
-        coeffs = reference_tier(sode, order)(jet.r1)
+    for order, coeffs in enumerate(tiers.tolist()):
         n = sode.n
         u1 = jet.r1dot
         M = np.zeros((n, n))
@@ -115,7 +103,7 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
                             "rank decisions may be unreliable")
         matrix, idx = reference_algebraic_system(sode, jet, depth)
         basis, jet_margins = reference_nullspace(matrix)
-        margins += jet_margins
+        margins += [(kind, value, jdx) for kind, value in jet_margins]
         dims.append(len(basis))
         candidates = [v for v in basis]
         for _ in range(combos):
@@ -135,12 +123,14 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
                                   "g": (g / peak).tolist(), "abs_det": det}
 
     def smallest(kind):
-        return min((v for k, v in margins if k == kind), default=None)
+        """The smallest margin of a kind and the first jet that gives it."""
+        return min(((v, jdx) for k, v, jdx in margins if k == kind), default=(None, None))
 
     return CertificateReport(
         passed=counterexample is None, depth=depth, seed=seed, det_tol=det_tol,
         nullspace_dims=tuple(dims), max_normalized_det=worst,
-        kept_margin_decades=smallest("kept"), cut_gap_decades=smallest("gap"),
+        kept_margin_decades=smallest("kept")[0], kept_margin_jet=smallest("kept")[1],
+        cut_gap_decades=smallest("gap")[0],
         det_margin_decades=math.log10(det_tol / worst) if worst > 0.0 else None,
         warnings=tuple(warnings), counterexample=counterexample)
 
@@ -159,7 +149,8 @@ BUILDERS = {"first": first_associated, "second": second_associated}
 
 @functools.cache
 def associated(name, kind):
-    """One system object per built-in and kind, so each tower compiles once."""
+    """One system object per built-in and kind, so each oracle tier is
+    derived and compiled once."""
     return BUILDERS[kind](builtin_system(name))
 
 
@@ -276,40 +267,152 @@ def test_stacked_pieces_match_their_one_jet_case(kind):
         assert np.linalg.svd(matrix)[1].tobytes() == svals[jdx].tobytes()
 
 
-def tower_outcome(tables, r1):
-    """The tables' values at r1 in order, as hex so that -0.0 and 0.0
-    differ, or the type and message of the first error."""
-    try:
-        return [value.hex() for table in tables for value in table(r1)]
-    except EvaluationError as exc:
-        return type(exc), str(exc)
+def tower_error(sode, r1, depth):
+    """The type and message of the error of the series tower at ``r1``."""
+    with pytest.raises(EvaluationError) as info:
+        sode.phi_tiers(r1, depth)
+    return info.type, str(info.value)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 8, 16])
 @pytest.mark.parametrize("kind", ["first", "second"])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_joint_tower_matches_per_tier_tables(name, kind, depth):
-    """Every tier of the one table ``phi_tower(depth)`` gives the floats of
-    that tier's own table, bit for bit."""
+    """Every tier of the series tower is within 1e-12 of its largest
+    coefficient of that tier's symbolic table, at 20 points in [-3, 3]."""
     sode = associated(name, kind)
-    tiers = [reference_tier(sode, order) for order in range(depth)]
-    for r1 in np.random.default_rng(depth).uniform(-3.0, 3.0, 20).tolist():
-        expected = tower_outcome(tiers, r1)
-        assert isinstance(expected, list) and len(expected) == depth * (sode.n - 1)
-        assert tower_outcome([sode.phi_tower(depth)], r1) == expected, r1
+    points = np.random.default_rng(depth).uniform(-3.0, 3.0, 20)
+    tiers = sode.phi_tiers(points, depth)
+    assert tiers.shape == (depth, sode.n - 1, len(points))
+    for order in range(depth):
+        table = tower_oracle.tier_table(sode, order)
+        for jdx, r1 in enumerate(points.tolist()):
+            expected = np.array(table(r1))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(tiers[order, :, jdx] - expected)) <= 1e-12 * scale, (order, r1)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 8])
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_joint_tower_raises_as_the_first_failing_tier(kind, depth):
-    """Where a tier fails, the joint table raises that tier's error, type
-    and message: ln(r1) at r1 = -0.5."""
+    """Where the symbolic tiers fail, so does the series tower, with a
+    domain error naming the point: ln(r1) at r1 = -0.5.  A stack raises
+    for its lowest failing point."""
     sode = BUILDERS[kind](parse_system_file(
         "I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = ln(r1)\nnames = a, b, c\n"))
-    tiers = [reference_tier(sode, order) for order in range(depth)]
-    expected = tower_outcome(tiers, -0.5)
-    assert expected[0] is ExprDomainError
-    assert tower_outcome([sode.phi_tower(depth)], -0.5) == expected
+    with pytest.raises(ExprDomainError, match=r"at r1=-0\.5$"):
+        tower_oracle.tier_table(sode, 0)(-0.5)
+    alone = tower_error(sode, [-0.5], depth)
+    assert alone[0] is ExprDomainError and alone[1].endswith("at r1=-0.5")
+    assert tower_error(sode, [0.5, 2.0, -0.5, 1.5, -0.25], depth) == alone
+    assert sode.phi_tiers([0.5, 2.0, 1.5], depth).shape == (depth, 2, 3)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_series_tower_of_a_jet_does_not_depend_on_its_stack(name, kind):
+    """A jet's tiers are the same bits alone and in a stack of 64."""
+    sode = associated(name, kind)
+    points = [jet.r1 for jet in command_jets(name, JET_BLOCK, 5)]
+    stack = sode.phi_tiers(points, 16)
+    for jdx, r1 in enumerate(points):
+        assert sode.phi_tiers([r1], 16)[:, :, 0].tobytes() == stack[:, :, jdx].tobytes()
+
+
+def test_series_product_is_symmetric():
+    """a*b and b*a give the same bits at every order, so the difference of
+    two equal products is exactly 0; the disk's G2, (cos sin - sin cos)
+    over a positive denominator, is exactly 0 at every order."""
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 5, 17, 33):
+        a, b = (expr.Series(rng.standard_normal((size, 7)) * 10.0 ** rng.integers(-8, 8, 7))
+                for _ in range(2))
+        assert (a * b).c.tobytes() == (b * a).c.tobytes()
+        assert not np.any((a * b - b * a).c)
+        assert (a * b).c.shape == (size, 7)
+    sode = associated("vertical_disk", "first")
+    series = sode._series(np.linspace(-1.0, 1.0, 9), 32)
+    assert series.shape == (33, 3, 9)
+    assert not np.any(series[:, 0]) and np.all(np.isfinite(series))
+
+
+def _mp_value(root, x, mp):
+    """The value of an expression at the mpmath number x, over its DAG."""
+    ops = {expr.Add: lambda a, b: a + b, expr.Sub: lambda a, b: a - b,
+           expr.Mul: lambda a, b: a * b, expr.Div: lambda a, b: a / b,
+           expr.Pow: lambda a, n: a ** n, expr.Neg: lambda a: -a, expr.Sin: mp.sin,
+           expr.Cos: mp.cos, expr.Tan: mp.tan, expr.ExpF: mp.exp, expr.Ln: mp.log,
+           expr.Sqrt: mp.sqrt}
+    values = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        fields = list(vars(node).values())
+        pending = [f for f in fields if isinstance(f, expr.Expr) and f not in values]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if isinstance(node, expr.Const):
+            values[node] = mp.mpf(node.value)
+        elif isinstance(node, expr.Var):
+            values[node] = x
+        else:
+            values[node] = ops[type(node)](*(values[f] if isinstance(f, expr.Expr) else f
+                                             for f in fields))
+    return values[root]
+
+
+def _mp_tiers(sode, r1, depth, mp):
+    """The tiers at r1 from 50-digit Taylor coefficients, which mpmath finds
+    by numerical differentiation: a referee that shares neither the series
+    arithmetic nor the symbolic derivatives."""
+    coeffs = [mp.taylor(lambda x, e=e: _mp_value(e, x, mp), mp.mpf(r1), depth)
+              for e in sode.coeff_exprs]
+
+    def times(a, b):
+        return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
+
+    def plus(a, b, scale=1):
+        return [x + scale * y for x, y in zip(a, b)]
+
+    def diff(a):
+        return [(k + 1) * a[k + 1] for k in range(len(a) - 1)]
+
+    if sode.kind == "first":
+        g2 = [c / 2 for c in coeffs[0]]
+        level = [plus(times(g2, g), diff(g), -1) for g in coeffs]
+        tiers = [[c[0] for c in level]]
+        for _ in range(1, depth):
+            c2 = [c / 2 for c in level[0]]
+            level = [plus(plus(diff(c), times(g2, c)), times(c2, g), -1)
+                     for c, g in zip(level, coeffs)]
+            tiers.append([c[0] for c in level])
+    else:
+        level = [plus([c / 2 for c in times(x, x)], diff(x), -1) for x in coeffs]
+        tiers = [[c[0] for c in level]]
+        for _ in range(1, depth):
+            level = [diff(c) for c in level]
+            tiers.append([c[0] for c in level])
+    return tiers
+
+
+@pytest.mark.parametrize("depth", [8, 16, 24])
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_series_tower_matches_a_50_digit_referee(name, kind, depth):
+    """Every tier is within 1e-12 of its largest coefficient of the tiers
+    that 50-digit arithmetic gives, at three points of the sampled range."""
+    mp = pytest.importorskip("mpmath").mp
+    sode = associated(name, kind)
+    points = [-0.83, 0.1, 0.95]
+    tiers = sode.phi_tiers(points, depth)
+    with mp.workdps(50):
+        for jdx, r1 in enumerate(points):
+            for order, expected in enumerate(_mp_tiers(sode, r1, depth, mp)):
+                expected = np.array([float(c) for c in expected])
+                error = np.max(np.abs(tiers[order, :, jdx] - expected))
+                assert error <= 1e-12 * np.max(np.abs(expected)), (r1, order)
 
 
 # --- margins --------------------------------------------------------------------------

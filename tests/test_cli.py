@@ -7,7 +7,7 @@ import pytest
 
 from hamiltonize import cli, expr
 from hamiltonize.cli import RunManifest, build_parser, main, manifest_from_args
-from hamiltonize.systems import builtin_system, load_system_file
+from hamiltonize.systems import Jet, builtin_system, load_system_file
 from hamiltonize.variational import LagrangianModel, default_coefficients
 
 
@@ -422,8 +422,8 @@ def test_simulate_runs_the_last_formulation_given(tmp_path):
 CONDITION_KEYS = ["gdot_symmetry", "nabla_condition", "phi_condition", "min_abs_det",
                   "tolerance", "n_jets", "passed"]
 CERTIFICATE_KEYS = ["passed", "depth", "seed", "det_tol", "nullspace_dims",
-                    "max_normalized_det", "kept_margin_decades", "cut_gap_decades",
-                    "det_margin_decades", "warnings"]
+                    "max_normalized_det", "kept_margin_decades", "kept_margin_jet",
+                    "cut_gap_decades", "det_margin_decades", "warnings"]
 COUNTEREXAMPLE_KEYS = ["jet_index", "q", "qdot", "g", "abs_det"]
 
 
@@ -606,10 +606,37 @@ def test_helmholtz_check_report_shape(tmp_path):
 @pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])
 def test_helmholtz_check_at_depth_16(system, tmp_path):
     """The tower's 16 tiers stay finite, and the certificate still finds no
-    regular multiplier."""
-    assert run_cli(["helmholtz-check", "--system", system, "--depth", "16"], tmp_path) == 0
-    certificate = load_report(tmp_path, f"{system}_helmholtz.json")["certificate"]
-    assert certificate["passed"] and certificate["depth"] == 16
+    regular multiplier; so do 32 tiers, but on the knife edge (see
+    test_knife_edge_certificate_passes_at_depth_32)."""
+    for depth in (16, 32) if system != "knife_edge" else (16,):
+        assert run_cli(["helmholtz-check", "--system", system, "--depth", str(depth)],
+                       tmp_path) == 0
+        certificate = load_report(tmp_path, f"{system}_helmholtz.json")["certificate"]
+        assert certificate["passed"] and certificate["depth"] == depth
+        assert 0 <= certificate["kept_margin_jet"] < 50
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: at depth 32 the knife edge's smallest kept singular value is "
+    "0.03 decades above the rank cut, so some jets' ranks drop, their nullspaces "
+    "grow to 3 and 4 dimensions and hold a regular multiplier; the first-kind "
+    "certificate should pass, as at depth 24"))
+def test_knife_edge_certificate_passes_at_depth_32(tmp_path):
+    assert run_cli(["helmholtz-check", "--system", "knife_edge", "--depth", "32"], tmp_path) == 0
+
+
+def test_tower_domain_error_exits_2(tmp_path, monkeypatch, capsys):
+    """A tower that leaves its domain at a jet is a runtime error with one
+    line naming the point: ln(r1) at r1 = -0.5.  The sampler draws no such
+    jet, so the jets are set."""
+    spec = tmp_path / "ln.spec"
+    spec.write_text("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = ln(r1)\nnames = a, b, c\n")
+    jets = [Jet((r1, 0.1, 0.2), (1.0, 0.5, 0.5)) for r1 in (0.5, -0.5, -0.25)]
+    monkeypatch.setattr(cli, "_jets", lambda sys_, manifest: (jets, jets))
+    assert run_cli(["certify", "--check", "singularity", "--spec", str(spec)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+    assert err.rstrip().endswith("at r1=-0.5")
 
 
 # A_alpha texts whose chains of single-use nodes nest deeper than the 200
@@ -867,10 +894,10 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
 def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
-    """certify builds each object once: its checks compile 4 distinct tables
-    (the weights, the second associated system's rates and its depth-1 Phi
-    tower, the first associated system's depth-3 Phi tower) and no
-    expression tuple twice, also on the disk, which runs the g2 suite."""
+    """certify builds each object once: its checks compile 2 distinct tables
+    (the weights and the second associated system's rates; the Phi towers
+    are series, not tables) and no expression tuple twice, also on the
+    disk, which runs the g2 suite."""
     compiled = []
     original = expr.compile_table
 
@@ -883,7 +910,7 @@ def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     built = []
     _record_calls(monkeypatch, "second_associated", built)
     assert run_cli(["certify", "--system", name, "--samples", "20"], tmp_path) == 0
-    assert len(compiled) == 4
+    assert len(compiled) == 2
     assert len(set(compiled)) == len(compiled)
     assert len(built) == 1
 

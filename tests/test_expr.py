@@ -1,9 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from hamiltonize import ExprDomainError, ExprParseError, diff_expr, parse_expr
-from hamiltonize.expr import LABEL_CHARS, Const, Ln, Neg, Sin, Tan, Var, compile_table
+from hamiltonize.expr import (
+    LABEL_CHARS,
+    Const,
+    Expr,
+    Ln,
+    Neg,
+    Sin,
+    Tan,
+    Var,
+    compile_table,
+    series_table,
+)
 
 
 def fd_slope(e, r1, h=1e-6):
@@ -240,6 +252,35 @@ def test_table_of_finite_values_whose_sum_overflows():
     assert compile_table([Var()])(2.5) == (2.5,)
 
 
+def test_table_compiles_its_fallback_once(monkeypatch):
+    """Where the sum overflows, the entries are compiled alone on the first
+    such call and reused after: a second call compiles nothing.  A failing
+    entry still raises its own error."""
+    compiled = []
+    original = Expr.compile
+
+    def counted(self):
+        compiled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Expr, "compile", counted)
+    exprs = [parse_expr("1e308 + r1"), parse_expr("1e308 * (1 + r1)")]
+    table = compile_table(exprs)
+    assert compiled == []
+    assert table(0.5) == (1e308 + 0.5, 1e308 * 1.5)
+    assert compiled == exprs
+    assert table(0.5) == (1e308 + 0.5, 1e308 * 1.5)
+    assert table(0.25) == (1e308 + 0.25, 1e308 * 1.25)
+    assert compiled == exprs
+    failing = compile_table([parse_expr("1e308 + r1"), parse_expr("ln(r1)")])
+    for _ in range(2):
+        with pytest.raises(ExprDomainError) as joint:
+            failing(-0.5)
+        with pytest.raises(ExprDomainError) as alone:
+            original(parse_expr("ln(r1)"))(-0.5)
+        assert str(joint.value) == str(alone.value)
+
+
 def test_nodes_are_interned_and_derivatives_memoised():
     square = parse_expr("sin(r1)*sin(r1)")
     assert square.left is square.right
@@ -290,3 +331,36 @@ def test_deep_single_use_chain_compiles_and_differentiates():
     assert e.compile()(0.3) == e.eval(0.3)
     assert compile_table([e, e.diff()])(0.3)[0] == e.eval(0.3)
     assert math.isfinite(chain(1000).diff().compile()(0.3))
+
+
+@pytest.mark.parametrize("text", [
+    "sin(r1) * exp(r1)", "ln(2 + r1)", "sqrt(3 + r1^2)", "tan(r1) / (1 + r1^2)",
+    "cos(2*r1)^-2", "exp(-r1^2) - ln(r1^2 + 1) * r1", "1 / sqrt(1 + sin(r1)^2)", "r1^3",
+])
+def test_series_table_gives_the_structural_derivatives(text):
+    """Entry [k, 0] of the series is the k-th structural derivative over k!,
+    to 1e-12 of the largest of the first nine, at points of [-1, 1]; a
+    constant expression is a constant series."""
+    e = parse_expr(text)
+    points = np.linspace(-1.0, 1.0, 7)
+    series = series_table([e, Const(2.5)])(points, 8)
+    assert series.shape == (9, 2, 7)
+    assert np.all(series[0, 1] == 2.5) and not np.any(series[1:, 1])
+    derivatives, scale = [e], math.factorial
+    for _ in range(8):
+        derivatives.append(derivatives[-1].diff())
+    expected = np.array([[d.compile()(x) / scale(k) for x in points]
+                         for k, d in enumerate(derivatives)])
+    tolerance = 1e-12 * np.max(np.abs(expected), axis=0)
+    assert np.all(np.abs(series[:, 0] - expected) <= tolerance)
+
+
+def test_series_table_marks_points_outside_the_domain():
+    """A point outside an expression's domain gives non-finite entries, and
+    the other points of its stack keep the values they have alone."""
+    table = series_table([parse_expr("ln(r1) + sqrt(r1)"), parse_expr("1 / r1")])
+    stack = table(np.array([-0.5, 0.0, 0.5, 2.0]), 4)
+    assert not np.any(np.all(np.isfinite(stack[:, :, :2]), axis=(0, 1)))
+    assert np.all(np.isfinite(stack[:, :, 2:]))
+    for jdx, r1 in ((2, 0.5), (3, 2.0)):
+        assert table(np.array([r1]), 4)[:, :, 0].tobytes() == stack[:, :, jdx].tobytes()

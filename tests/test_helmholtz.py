@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +12,7 @@ from hamiltonize import (
     free_sode,
     helmholtz_residuals,
     hessian,
+    hessian_field,
     lagrangian_model,
     nabla,
     nabla_phi,
@@ -22,8 +23,15 @@ from hamiltonize import (
     singularity_certificate,
 )
 from hamiltonize import expr
-from hamiltonize.helmholtz import psi_stack, r_condition_residual
+from hamiltonize.helmholtz import (
+    HelmholtzReport,
+    _derivative6,
+    psi_stack,
+    r_condition_residual,
+)
 from hamiltonize.sampling import generic_jets
+
+import tower_oracle
 
 
 # --- nabla ---------------------------------------------------------------------
@@ -158,46 +166,37 @@ def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
         assert np.max(np.abs(closed - fd)) / scale < 1e-4
 
 
-def test_phi_tower_tiers_compiled_once(knife_edge, monkeypatch, rng):
-    """A depth-5 stack builds and compiles its tower once per system: the
-    first jet compiles one table of the 5 tiers' 10 coefficients, later jets
-    compile nothing."""
+def test_phi_tower_compiles_no_table(knife_edge, monkeypatch, rng):
+    """A depth-5 stack compiles no table: the first jet generates the
+    series code of the system's coefficients, later jets reuse it."""
     sode = first_associated(knife_edge)
-    compiled = []
-    original = expr.compile_table
+    jets = generic_jets(knife_edge, 2, rng)
+    compiled, defined = [], []
+    original_table, original_define = expr.compile_table, expr.define
 
-    def counted(exprs):
+    def counted_table(exprs):
         compiled.append(tuple(exprs))
-        return original(compiled[-1])
+        return original_table(compiled[-1])
 
-    monkeypatch.setattr(expr, "compile_table", counted)
-    per_jet = []
-    for jet in generic_jets(knife_edge, 2, rng):
-        before = len(compiled)
+    def counted_define(signature, *args, **kwargs):
+        defined.append(signature)
+        return original_define(signature, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "compile_table", counted_table)
+    monkeypatch.setattr(expr, "define", counted_define)
+    for jet in jets:
         psi_stack(sode, [jet], 5)
-        per_jet.append(len(compiled) - before)
-    assert per_jet == [1, 0]
-    assert [len(tower) for tower in compiled] == [10]
+    assert defined == ["series(r1)"] and compiled == []
 
 
 @pytest.mark.parametrize("name", ["knife_edge", "vertical_disk"])
-def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
-    """The depth-5 tower is one table over a DAG of 557 (knife edge) or 701
-    (disk) nodes, where the order-4 tier's expanded trees alone hold 1.0 and
-    1.6 million."""
+def test_phi_tower_tier_is_a_shared_dag(name, request):
+    """The symbolic depth-5 tower is a DAG of 557 (knife edge) or 701
+    (disk) nodes, where the order-4 tier's expanded trees alone hold 1.0
+    and 1.6 million."""
     sode = first_associated(request.getfixturevalue(name))
-    compiled = []
-    original = expr.compile_table
-
-    def recorded(exprs):
-        compiled.append(tuple(exprs))
-        return original(compiled[-1])
-
-    monkeypatch.setattr(expr, "compile_table", recorded)
-    sode.phi_tower(5)
-    assert len(compiled) == 1
     seen = set()
-    pending = list(compiled[0])  # tiers 0 to 4, every coefficient
+    pending = [c for order in range(5) for c in tower_oracle.tier_exprs(sode, order)]
     assert pending
     while pending:
         node = pending.pop()
@@ -210,11 +209,11 @@ def test_phi_tower_tier_is_a_shared_dag(name, request, monkeypatch):
 @pytest.mark.parametrize("build", [first_associated, second_associated])
 def test_phi_tower_denominators_do_not_square(any_system, build):
     """The quotient rule keeps the denominator of u/v at v, so no power of a
-    power builds up: the order-8 tier holds no Pow whose base is a Pow."""
+    power builds up: the order-8 symbolic tier holds no Pow whose base is a
+    Pow."""
     sode = build(any_system)
-    tier8 = next(itertools.islice(sode._phi_levels(), 8, None))
     seen = set()
-    pending = list(tier8)
+    pending = list(tower_oracle.tier_exprs(sode, 8))
     while pending:
         node = pending.pop()
         if id(node) not in seen:
@@ -226,10 +225,8 @@ def test_phi_tower_denominators_do_not_square(any_system, build):
 def test_deep_phi_tower_tiers_stay_finite(knife_edge):
     """At r1 = 0.956, where 1 + tan^2 is about 3, orders 9 to 16 of the knife
     edge's tower evaluate to finite values."""
-    sode = first_associated(knife_edge)
-    tower = sode.phi_tower(17)(0.956)
-    for order in range(9, 17):
-        assert all(math.isfinite(c) for c in tower[2 * order:2 * order + 2]), order
+    tiers = first_associated(knife_edge).phi_tiers([0.956], 17)
+    assert np.all(np.isfinite(tiers[9:17]))
 
 
 def test_column_proportionality_identity(any_system, rng):
@@ -306,6 +303,92 @@ def test_hessian_multiplier_passes(system_name, coeffs, rng, request):
     report = helmholtz_residuals(sode, field, generic_jets(sys, 100, rng))
     assert report.passed, report
     assert report.min_abs_det > 1e-6
+
+
+def reference_residuals(sode, g, jets, tolerance=1e-8):
+    """The multiplier conditions as a loop over jets, one matrix at a time."""
+    n = sode.n
+    sym_worst = nabla_worst = phi_worst = 0.0
+    min_det = np.inf
+    h0 = 1e-4
+    for jet in jets:
+        q, u = jet.arrays()
+        gm = g(jet)
+        min_det = min(min_det, abs(float(np.linalg.det(gm))))
+        if g.velocity_jacobian is not None:
+            dg = g.velocity_jacobian(jet)
+        else:
+            dg = np.empty((n, n, n))
+            for kdx in range(n):
+                step = h0 * (1.0 + abs(u[kdx]))
+
+                def sample(c, kdx=kdx, step=step):
+                    shifted = u.copy()
+                    shifted[kdx] += c * step
+                    return g(Jet(jet.q, tuple(shifted)))
+
+                dg[kdx] = _derivative6(sample, step)
+        for i in range(n):
+            for j in range(n):
+                for kdx in range(j + 1, n):
+                    sym_worst = max(sym_worst, abs(dg[kdx][i, j] - dg[j][i, kdx]))
+        f0 = sode.f(q, u)
+        if g.velocity_jacobian is not None and g.coordinate_jacobian is not None:
+            dgq = g.coordinate_jacobian(jet)
+            gamma_g = np.tensordot(u, dgq, axes=1) + np.tensordot(f0, dg, axes=1)
+        else:
+            def along(c):
+                return g(Jet(tuple(q + c * h0 * u), tuple(u + c * h0 * f0)))
+
+            gamma_g = _derivative6(along, h0)
+        nb = nabla(sode, jet)
+        resid = gamma_g - gm @ nb - nb.T @ gm
+        nabla_worst = max(nabla_worst, float(np.max(np.abs(resid))))
+        gphi = gm @ phi(sode, jet)
+        phi_worst = max(phi_worst, float(np.max(np.abs(gphi - gphi.T))))
+    return HelmholtzReport(float(sym_worst), nabla_worst, phi_worst, float(min_det), tolerance,
+                           len(jets), all(r < tolerance for r in (sym_worst, nabla_worst,
+                                                                  phi_worst)))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_stacked_residuals_match_per_jet_reference(any_system, exact):
+    """The stacked residuals give the per-jet loop's report, every float
+    but the nabla condition bit for bit, over the Hessian field with its
+    exact Jacobians and over the same multiplier without them (the
+    finite-difference route).  The nabla condition sums G(g) and its
+    matrix products in another order, so it may move in its last bits:
+    by at most 1e-13 of the largest |G(g)|, |g nabla| or |nabla^T g|."""
+    sode = second_associated(any_system)
+    model = lagrangian_model(any_system, "first")
+    field = hessian_field(model)
+    if not exact:
+        field = MultiplierField(field.fn, "hessian-of-L")
+    for seed in (0, 1, 2):
+        jets = generic_jets(any_system, 50, np.random.default_rng(seed))
+        report = helmholtz_residuals(sode, field, jets)
+        expected = reference_residuals(sode, field, jets)
+        assert report.passed and expected.passed
+        nabla_moved = abs(report.nabla_condition - expected.nabla_condition)
+        assert nabla_moved <= 1e-13 * max(np.max(np.abs(field(jet))) for jet in jets)
+        assert repr(dataclasses.replace(report, nabla_condition=0.0)) == repr(
+            dataclasses.replace(expected, nabla_condition=0.0))
+
+
+def test_a_non_finite_multiplier_fails_the_conditions():
+    """A multiplier that is NaN at one jet makes every residual NaN and the
+    check fails; it does not vanish in a running maximum."""
+    def field(jet):
+        g = np.eye(3)
+        if jet.q[0] > 0.5:
+            g[0, 1] = g[1, 0] = np.nan
+        return g
+
+    jets = [Jet((0.1, 0.2, 0.3), (1.0, -0.5, 2.0)), Jet((0.9, 0.0, 0.0), (2.0, 1.0, 1.0))]
+    report = helmholtz_residuals(free_sode(3), MultiplierField(field), jets)
+    assert not report.passed
+    assert all(math.isnan(v) for v in (report.gdot_symmetry, report.nabla_condition,
+                                       report.phi_condition, report.min_abs_det))
 
 
 # --- algebraic system and certificates -------------------------------------------------
