@@ -35,7 +35,7 @@ from .systems import (
     nonholonomic_ode,
     parse_system_file,
 )
-from .sode import SodeSystem, first_associated, free_sode, second_associated, third_associated
+from .sode import SodeSystem, first_associated, second_associated, third_associated
 from .integrate import CompareMetrics, IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import (
     CertificateReport,
@@ -47,7 +47,6 @@ from .helmholtz import (
     nabla_phi,
     nullspace,
     phi,
-    r_tensor,
     singularity_certificate,
 )
 from .variational import (

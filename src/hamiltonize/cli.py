@@ -110,6 +110,8 @@ class RunManifest:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.tol < np.inf:
             raise ConfigError(f"--tol must be finite and >= 0, got {self.tol!r}")
+        if not self.out_dir:
+            raise ConfigError("--out must name a directory, got an empty path")
 
     def load_system(self) -> SystemSpec:
         """The system of --system or --spec.  Every --params key that is no
@@ -238,7 +240,7 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
         if sys_.preset != "vertical_disk":
             raise ConfigError("closed-form trajectories exist only for the built-in vertical_disk")
         radius = manifest.params.get("R", 1.0)
-        times = cfg.h * np.arange(cfg.steps + 1)
+        times = cfg.times
         states = np.array([disk_closed_form_state(radius, jet0, float(t)) for t in times])
         return Trajectory(times, states, sys_.names + tuple("d" + n for n in sys_.names),
                           "closed-form"), {}
@@ -272,10 +274,9 @@ def _report(payload: dict, manifest: RunManifest, name: str) -> int:
     except ValueError:
         raise EvaluationError(f"report {name} holds a non-finite value") from None
     print(text)
-    if manifest.out_dir:
-        os.makedirs(manifest.out_dir, exist_ok=True)
-        with open(os.path.join(manifest.out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    os.makedirs(manifest.out_dir, exist_ok=True)
+    with open(os.path.join(manifest.out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
     return EXIT_OK if payload.get("passed", True) else EXIT_CERTIFICATION
 
 

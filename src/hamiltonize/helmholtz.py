@@ -25,12 +25,14 @@ velocity curl
 
 in the cyclic sum g_ij R^j_kl + g_lj R^j_ik + g_kj R^j_li = 0.  (Some
 statements of the curl carry a stray free index; the convention above is the
-one consistent with that cyclic sum.)
+one consistent with that cyclic sum.)  R, and Phi and nabla Phi by central
+differences of f, are the test suite's definition-based reference
+(``tests/fd_oracle.py``); this module does not evaluate them.
 
-Closed-form fast paths are provided for the first and second associated
-systems, whose Phi towers reduce to derivative recurrences on scalar
-coefficient functions of r1; a central finite-difference path covers any
-other system and cross-checks the closed forms in the test suite.
+The tensors are closed forms for the first and second associated systems,
+whose Phi towers reduce to derivative recurrences on scalar coefficient
+functions of r1; ``nabla`` and ``psi_stack`` raise ``ValueError`` on any
+other kind.
 
 The singularity certificate treats its jet sample as stacks of up to
 ``JET_BLOCK`` jets (a command's 50 jets are one): the tower's tiers up to
@@ -67,7 +69,6 @@ __all__ = [
     "phi",
     "nabla_phi",
     "psi_stack",
-    "r_tensor",
     "MultiplierField",
     "HelmholtzReport",
     "helmholtz_residuals",
@@ -77,193 +78,61 @@ __all__ = [
     "singularity_certificate",
 ]
 
-H_FD = 1e-5  # base first-derivative step, scaled by (1 + |component|)
-CLOSED_KINDS = ("first", "second")  # kinds with closed-form tensors
 RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
 JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVD
 
 
-# --- finite-difference helpers ----------------------------------------------
-
-
-def _jac_u(sode, q: np.ndarray, u: np.ndarray, h: float = H_FD) -> np.ndarray:
-    n = sode.n
-    J = np.empty((n, n))
-    for j in range(n):
-        step = h * (1.0 + abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += step
-        um[j] -= step
-        J[:, j] = (sode.f(q, up) - sode.f(q, um)) / (2.0 * step)
-    return J
-
-
-def _jac_q(sode, q: np.ndarray, u: np.ndarray, h: float = H_FD) -> np.ndarray:
-    n = sode.n
-    J = np.empty((n, n))
-    for j in range(n):
-        step = h * (1.0 + abs(q[j]))
-        qp, qm = q.copy(), q.copy()
-        qp[j] += step
-        qm[j] -= step
-        J[:, j] = (sode.f(qp, u) - sode.f(qm, u)) / (2.0 * step)
-    return J
-
-
-def _gamma_of_matrix(F, sode, q, u, h: float) -> np.ndarray:
-    """Directional derivative of a matrix field along (q', f), 4th order."""
-    f0 = sode.f(q, u)
-
-    def at(eps):
-        return F(q + eps * u, u + eps * f0)
-
-    return (-at(2 * h) + 8.0 * at(h) - 8.0 * at(-h) + at(-2 * h)) / (12.0 * h)
-
-
-def _mixed_gamma_jac_u(sode, q, u) -> np.ndarray:
-    """G(df/du) by Richardson-extrapolated cross differences of f itself."""
-    n = sode.n
-    f0 = sode.f(q, u)
-
-    def cross(eps, h):
-        M = np.empty((n, n))
-        for j in range(n):
-            step = h * (1.0 + abs(u[j]))
-            ej = np.zeros(n)
-            ej[j] = step
-            fpp = sode.f(q + eps * u, u + eps * f0 + ej)
-            fpm = sode.f(q + eps * u, u + eps * f0 - ej)
-            fmp = sode.f(q - eps * u, u - eps * f0 + ej)
-            fmm = sode.f(q - eps * u, u - eps * f0 - ej)
-            M[:, j] = (fpp - fpm - fmp + fmm) / (4.0 * eps * step)
-        return M
-
-    h0 = 6e-4
-    return (4.0 * cross(h0 / 2, h0 / 2) - cross(h0, h0)) / 3.0
-
-
 # --- closed-form tensors of the first and second kinds ------------------------
-#
-# Both kinds fill only column 0 and one more column of the q_a rows: the r2
-# column for every row of kind first, the row's own q_a column for kind second.
 
 
-def _band_column(sode, a: int) -> int:
-    return 1 if sode.kind == "first" else 1 + a
-
-
-def _closed_psi(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
-    """Phi, nabla Phi, .., nabla^(depth-1) Phi at each jet, a (jets, depth,
-    n, n) stack, from the coefficients of ``sode.phi_tiers`` at every jet at
-    once; the r1dot powers are Python floats."""
-    n = sode.n
-    shape = (len(jets), depth, n - 1)
-    coeffs = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
-    low, high = (np.array([[jet.r1dot ** (order + k) for order in range(depth)] for jet in jets])
-                 .reshape(*shape[:2], 1) for k in (1, 2))
-    cols = [_band_column(sode, a) for a in range(n - 1)]
-    qdot = np.array([[jet.qdot[col] for col in cols] for jet in jets]).reshape(len(jets), 1, n - 1)
-    M = np.zeros((*shape[:2], n, n))
-    M[:, :, 1:, 0] = coeffs * low * qdot
-    M[:, :, range(1, n), cols] = -coeffs * high
-    return M
-
-
-# --- public tensor evaluations ------------------------------------------------
+def _band_columns(sode) -> list[int]:
+    """The column each q_a row fills besides column 0: the r2 column for
+    every row of kind first, the row's own q_a column for kind second."""
+    if sode.kind not in ("first", "second"):
+        raise ValueError(f"no closed-form tensors for kind {sode.kind!r}")
+    return [1 if sode.kind == "first" else 1 + a for a in range(sode.n - 1)]
 
 
 def nabla(sode, jet: Jet) -> np.ndarray:
     """The connection matrix -(1/2) df^i/dq'^j at a jet."""
     n = sode.n
-    if sode.kind in CLOSED_KINDS:
-        coeffs = sode.coeff_table(jet.r1)
-        u1 = jet.r1dot
-        M = np.zeros((n, n))
-        for a, x in enumerate(coeffs):
-            col = _band_column(sode, a)
-            M[1 + a, 0] = -0.5 * x * jet.qdot[col]
-            M[1 + a, col] = -0.5 * x * u1
-        return M
-    q, u = jet.arrays()
-    return -0.5 * _jac_u(sode, q, u)
+    cols = _band_columns(sode)
+    M = np.zeros((n, n))
+    for a, (x, col) in enumerate(zip(sode.coeff_table(jet.r1), cols)):
+        M[1 + a, 0] = -0.5 * x * jet.qdot[col]
+        M[1 + a, col] = -0.5 * x * jet.r1dot
+    return M
 
 
-def phi(sode, jet: Jet, fd: bool = False) -> np.ndarray:
-    """The Jacobi endomorphism matrix at a jet.
-
-    ``fd=True`` forces the finite-difference path even when a closed form
-    exists (used to cross-check the fast paths).
-    """
-    if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, [jet], 1)[0, 0]
-    q, u = jet.arrays()
-    J = _jac_u(sode, q, u)
-    return _mixed_gamma_jac_u(sode, q, u) - 2.0 * _jac_q(sode, q, u) - 0.5 * (J @ J)
+def phi(sode, jet: Jet) -> np.ndarray:
+    """The Jacobi endomorphism matrix at a jet."""
+    return psi_stack(sode, [jet], 1)[0, 0]
 
 
-def nabla_phi(sode, jet: Jet, order: int = 1, fd: bool = False) -> np.ndarray:
+def nabla_phi(sode, jet: Jet, order: int = 1) -> np.ndarray:
     """The ``order``-fold covariant derivative of Phi along the system field."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not fd and sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, [jet], order + 1)[0, -1]
-
-    def tensor(q, u):
-        j = Jet(tuple(q), tuple(u))
-        return nabla_phi(sode, j, order - 1, fd=fd) if order > 1 else phi(sode, j, fd=fd)
-
-    q, u = jet.arrays()
-    U = tensor(q, u)
-    N = nabla(sode, jet)
-    scale = 1.0 + float(np.max(np.abs(np.concatenate((q, u)))))
-    G = _gamma_of_matrix(tensor, sode, q, u, 1e-3 * scale)
-    return G + N @ U - U @ N
+    return psi_stack(sode, [jet], order + 1)[0, -1]
 
 
 def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
     """[Phi, nabla Phi, ..., nabla^(depth-1) Phi] at each jet, a (jets, depth,
-    n, n) stack."""
+    n, n) stack, from the coefficients of ``sode.phi_tiers`` at every jet at
+    once; the r1dot powers are Python floats."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if sode.kind in CLOSED_KINDS:
-        return _closed_psi(sode, jets, depth)
-    return np.array([[phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
-                     for jet in jets]).reshape(len(jets), depth, sode.n, sode.n)
-
-
-def r_tensor(sode, jet: Jet, h: float = 1e-6) -> np.ndarray:
-    """Velocity curl R[j, k, l] = (1/3)(dPhi^j_l/du_k - dPhi^j_k/du_l)."""
+    cols = _band_columns(sode)
     n = sode.n
-    q, u = jet.arrays()
-    dphi = np.empty((n, n, n))  # dphi[k] = dPhi/du_k
-    for kdx in range(n):
-        step = h * (1.0 + abs(u[kdx]))
-        up, um = u.copy(), u.copy()
-        up[kdx] += step
-        um[kdx] -= step
-        dphi[kdx] = (
-            phi(sode, Jet(tuple(q), tuple(up))) - phi(sode, Jet(tuple(q), tuple(um)))
-        ) / (2.0 * step)
-    R = np.empty((n, n, n))
-    for k in range(n):
-        for l in range(n):
-            R[:, k, l] = (dphi[k, :, l] - dphi[l, :, k]) / 3.0
-    return R
-
-
-def r_condition_residual(sode, g: np.ndarray, jet: Jet) -> float:
-    """Max absolute cyclic sum g_ij R^j_kl + g_lj R^j_ik + g_kj R^j_li."""
-    R = r_tensor(sode, jet)
-    n = sode.n
-    worst = 0.0
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                total = 0.0
-                for j in range(n):
-                    total += g[i, j] * R[j, k, l] + g[l, j] * R[j, i, k] + g[k, j] * R[j, l, i]
-                worst = max(worst, abs(total))
-    return worst
+    shape = (len(jets), depth, n - 1)
+    coeffs = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
+    low, high = (np.array([[jet.r1dot ** (order + k) for order in range(depth)] for jet in jets])
+                 .reshape(*shape[:2], 1) for k in (1, 2))
+    qdot = np.array([[jet.qdot[col] for col in cols] for jet in jets]).reshape(len(jets), 1, n - 1)
+    M = np.zeros((*shape[:2], n, n))
+    M[:, :, 1:, 0] = coeffs * low * qdot
+    M[:, :, range(1, n), cols] = -coeffs * high
+    return M
 
 
 # --- multiplier conditions -----------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import ConfigError, EvaluationError, GridMismatchError, Integration
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "compare", "CompareMetrics"]
 
 CSV_CHUNK_ROWS = 256
+MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the steps + 1 float stamps must fit one array
 _STEPPERS: dict = {}  # state dimension -> its RK4 step; pure, so sharing is unobservable
 
 
@@ -54,6 +55,9 @@ class IntegratorConfig:
         if self.t_span[1] <= self.t_span[0]:
             raise ConfigError("t_span must be increasing")
         span = self.t_span[1] - self.t_span[0]
+        if not span / self.h <= MAX_STEPS:  # an infinite ratio included
+            raise ConfigError(f"a span of {span!r} in steps of h={self.h!r} takes more "
+                              f"than {MAX_STEPS} steps, more than one array can hold")
         if self.steps * self.h < span - 1e-9 * span:
             raise ConfigError(
                 f"{self.steps} steps of h={self.h!r} stop short of the span {span!r}"
@@ -62,6 +66,11 @@ class IntegratorConfig:
     @property
     def steps(self) -> int:
         return max(1, int(round((self.t_span[1] - self.t_span[0]) / self.h)))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The time stamps t0 + h k of the grid, for k = 0..steps."""
+        return self.t_span[0] + self.h * np.arange(self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
     half = 0.5 * h
     sixth = h / 6.0
     steps = cfg.steps
-    times = t0 + h * np.arange(steps + 1)
+    times = cfg.times
     step = _rk4_step(len(y))
     buf = array("d", y)
     cause = None

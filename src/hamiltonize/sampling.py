@@ -1,6 +1,6 @@
 """Deterministic jet and phase-point sampling.
 
-Rank arguments and residual checks need "generic" evaluation points:
+Rank arguments and residual checks need generic evaluation points:
 coordinates in [-1, 1] kept away from zeros of the constraint coefficients,
 velocities (or momenta) with magnitudes in [0.5, 2] and random signs.
 All samplers take a seeded generator so reports are reproducible.

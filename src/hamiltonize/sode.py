@@ -44,7 +44,6 @@ __all__ = [
     "first_associated",
     "second_associated",
     "third_associated",
-    "free_sode",
 ]
 
 
@@ -56,8 +55,7 @@ class SodeSystem:
     jointly as ``coeff_table``: of the q_a equations for kind first
     (acceleration = coeff * r1' * r2') and kind second (coeff * q_a' * r1',
     the logarithmic slope of the weight ``system.exp_xi_exprs``), and
-    (A_a, A_a', mass sum, coupling sum) for kind third.  Kind ``"generic"``
-    is a bare system with no underlying ``system``, for tensor evaluation.
+    (A_a, A_a', mass sum, coupling sum) for kind third.
 
     The right-hand side is straight-line code generated once per object, on
     first use, with its table spliced in: kind second reads the system's
@@ -65,7 +63,7 @@ class SodeSystem:
     ``coeff_table``.  ``ode`` returns it; ``f`` and ``rhs`` evaluate it.
     """
 
-    system: SystemSpec | None
+    system: SystemSpec
     kind: str
     n: int
     coeff_exprs: tuple[ex.Expr, ...] = ()
@@ -86,8 +84,7 @@ class SodeSystem:
         n = self.n
         velocities = ", ".join(f"u{i}" for i in range(n))
         lines = ["".join(f"q{i}, " for i in range(n)) + f"{velocities}, = y; r1 = q0"]
-        table = (self.system.weight_table if self.kind == "second"
-                 else self.coeff_table if self.coeff_exprs else None)
+        table = self.system.weight_table if self.kind == "second" else self.coeff_table
         if self.kind == "first":
             names = [f"c{a}" for a in range(n - 1)]
             lines += ["w = u0 * u1", *ex.splice(table.exprs, names, "table(r1)")]
@@ -99,7 +96,7 @@ class SodeSystem:
                       *(f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b}, r1)"
                         for b in entries)]
             accel = ["0.0", *(f"s{b} / e{b} * u{1 + b} * u0" for b in entries)]
-        elif self.kind == "third":
+        else:
             sys, alphas = self.system, range(n - 2)
             lines += [*ex.splice(table.exprs, [*(f"a{a}" for a in alphas),
                                                *(f"p{a}" for a in alphas), "m", "c"], "table(r1)"),
@@ -108,8 +105,6 @@ class SodeSystem:
                       "n2 = 1.0 / m",
                       "r = n2 * (-c * u0 * u1 + g * u0)"]
             accel = [f"-g * u1 / {sys.i1!r}", "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        else:
-            accel = ["0.0"] * n
         return ex.define("rhs(t, y)", [*lines, f"return [{velocities}, {', '.join(accel)}]"],
                          table=table, weight_vanishes=weight_vanishes)
 
@@ -167,11 +162,6 @@ class SodeSystem:
     def columns(self) -> tuple[str, ...]:
         names = self.system.names
         return names + tuple("d" + n for n in names)
-
-
-def free_sode(n: int) -> SodeSystem:
-    """The trivial system q'' = 0 in dimension n."""
-    return SodeSystem(None, "generic", n)
 
 
 def first_associated(sys: SystemSpec) -> SodeSystem:

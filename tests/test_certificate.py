@@ -22,7 +22,6 @@ from hamiltonize import (
     algebraic_system,
     builtin_system,
     first_associated,
-    free_sode,
     helmholtz_residuals,
     nabla_phi,
     nullspace,
@@ -44,8 +43,6 @@ RTOL = 1e-10
 
 
 def reference_psi_stack(sode, jet, depth):
-    if sode.kind not in ("first", "second"):
-        return [phi(sode, jet), *(nabla_phi(sode, jet, order) for order in range(1, depth))]
     tiers = sode.phi_tiers([jet.r1], depth)[:, :, 0]  # the tower of this jet alone
     out = []
     for order, coeffs in enumerate(tiers.tolist()):
@@ -233,10 +230,11 @@ def test_degenerate_jet_warnings_match_reference():
 
 
 def test_all_zero_algebraic_system_matches_reference():
-    """The free system's tower vanishes: every matrix is all zero, its basis
-    the identity, and no rank decision gives a margin."""
-    sode = free_sode(3)
-    jets = [Jet((0.1, 0.2, 0.3), (1.0, -0.5, 2.0)), Jet((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))]
+    """Every tier of the first kind is a multiple of r1dot, so at r1dot = 0
+    the tower vanishes: every matrix is all zero, its basis the identity,
+    and no rank decision gives a margin."""
+    sode = associated("free_particle", "first")
+    jets = [Jet((0.1, 0.2, 0.3), (0.0, -0.5, 2.0)), Jet((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))]
     matrices, idx = algebraic_system(sode, jets, 3)
     assert matrices.shape == (2, 9, len(idx)) and not np.any(matrices)
     report = singularity_certificate(sode, jets, depth=3, seed=5)
@@ -440,7 +438,7 @@ def test_certificate_needs_a_jet(free_particle):
         singularity_certificate(first_associated(free_particle), [])
 
 
-def test_multiplier_conditions_need_a_jet():
+def test_multiplier_conditions_need_a_jet(free_particle):
     field = MultiplierField(lambda jet: np.eye(3))
     with pytest.raises(ConfigError, match="needs at least one jet"):
-        helmholtz_residuals(free_sode(3), field, [])
+        helmholtz_residuals(second_associated(free_particle), field, [])

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import pytest
 
 from hamiltonize import cli, expr
 from hamiltonize.cli import RunManifest, build_parser, main, manifest_from_args
-from hamiltonize.systems import Jet, builtin_system, load_system_file
+from hamiltonize.systems import BUILTIN_NAMES, Jet, builtin_system, load_system_file
 from hamiltonize.variational import LagrangianModel, default_coefficients
 
 
@@ -181,6 +183,62 @@ def test_simulate_unallocatable_grid_exit_2(tmp_path, capsys):
     assert err.startswith("runtime error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_empty_out_exit_1(command, tmp_path, capsys, monkeypatch):
+    """An empty --out names no directory: one configuration error before any
+    work, where simulate and compare raised FileNotFoundError and the check
+    commands wrote no report."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out must name a directory, got an empty path\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    """Over simulate and certify flags, zero, negative, non-finite, tiny
+    and huge values included, every run ends in a documented exit code
+    with at most one line on stderr, and none is an internal error.  The
+    --t values, the default 5 included, keep every grid that is accepted
+    at 5,000 steps or fewer."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)
+    numbers = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
+    flags = {
+        "--system": st.sampled_from(BUILTIN_NAMES),
+        "--h": st.sampled_from(numbers + ["0.001", "0.004"]),
+        "--t": st.sampled_from(numbers + ["0.01", "0.003"]),
+        "--out": st.sampled_from(["", ".", "runs", os.path.join("a", "b")]),
+        "--samples": st.sampled_from(["0", "-1", "1", "3", "nan", "1e308"]),
+        "--seed": st.sampled_from(["0", "-1", "2", "nan", str(2**64)]),
+        "--depth": st.sampled_from(["0", "-1", "1", "3", "8", "inf"]),
+        "--formulation": st.sampled_from(cli.FORMULATIONS),
+    }
+    used = {"simulate": ("--system", "--h", "--t", "--out", "--seed", "--formulation"),
+            "certify": ("--system", "--out", "--samples", "--seed", "--depth")}
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(used)))
+        argv = [command]
+        for flag in used[command]:
+            if draw(st.booleans()):
+                argv += [flag, draw(flags[flag])]
+        return argv
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(argvs())
+    def keeps_contract(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert err.getvalue().count("\n") <= 1 and "internal error" not in err.getvalue(), (
+            argv, err.getvalue())
+
+    keeps_contract()
+
+
 def _spec_directory(tmp_path):
     spec_dir = tmp_path / "specs"
     spec_dir.mkdir()
@@ -331,6 +389,14 @@ BAD_INPUTS = {
                            "unrecognized arguments: --bogus"),
     "usage-unknown-command": (lambda tmp_path: ["frobnicate"], 1,
                               "argument command: invalid choice: 'frobnicate'"),
+    # a grid whose step count is infinite or too large for one array of stamps
+    **{f"grid-{name}-{formulation}": (
+        lambda tmp_path, argv=argv, formulation=formulation: [
+            "simulate", "--system", "vertical_disk", "--formulation", formulation, *argv],
+        1, "more than one array can hold")
+       for name, argv in (("tiny-h", ["--h", "1e-300", "--t", "0.01"]),
+                          ("infinite-step-count", ["--h", "0.3", "--t", "1e308"]))
+       for formulation in ("nonholonomic", "closed-form")},
 }
 
 

@@ -9,7 +9,6 @@ from hamiltonize import (
     MultiplierField,
     algebraic_system,
     first_associated,
-    free_sode,
     helmholtz_residuals,
     hessian,
     hessian_field,
@@ -18,29 +17,19 @@ from hamiltonize import (
     nabla_phi,
     nullspace,
     phi,
-    r_tensor,
     second_associated,
     singularity_certificate,
+    third_associated,
 )
 from hamiltonize import expr
-from hamiltonize.helmholtz import (
-    HelmholtzReport,
-    _derivative6,
-    psi_stack,
-    r_condition_residual,
-)
+from hamiltonize.helmholtz import HelmholtzReport, _derivative6, psi_stack
 from hamiltonize.sampling import generic_jets
 
+import fd_oracle
 import tower_oracle
 
 
 # --- nabla ---------------------------------------------------------------------
-
-
-def test_nabla_zero_for_free_system():
-    sode = free_sode(3)
-    jet = Jet((0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
-    assert np.all(nabla(sode, jet) == 0.0)
 
 
 def test_nabla_first_kind_free_particle(free_particle):
@@ -53,7 +42,7 @@ def test_nabla_second_kind_structure(vertical_disk, rng):
     sode = second_associated(vertical_disk)
     for jet in generic_jets(vertical_disk, 5, rng):
         m = nabla(sode, jet)
-        fd = -0.5 * _fd_jac_u(sode, jet)
+        fd = -0.5 * fd_oracle.jac_u(sode, jet, h=1e-6, scaled=False)
         assert np.allclose(m, fd, rtol=1e-6, atol=1e-9)
         # only the first column and the diagonal of the q_a block are filled
         assert np.all(m[0] == 0.0)
@@ -63,26 +52,18 @@ def test_nabla_second_kind_structure(vertical_disk, rng):
                     assert m[a, b] == 0.0
 
 
-def _fd_jac_u(sode, jet, h=1e-6):
-    q, u = jet.arrays()
-    n = sode.n
-    J = np.empty((n, n))
-    for j in range(n):
-        up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
-        J[:, j] = (sode.f(q, up) - sode.f(q, um)) / (2 * h)
-    return J
+def test_tensors_of_the_third_kind_raise(vertical_disk):
+    """Only the first and second kinds have closed-form tensors; the third
+    kind's coefficient table has more entries than it has q_a rows."""
+    sode = third_associated(vertical_disk)
+    jet = Jet((0.7, 0.2, 0.1, -0.3), (1.1, 0.8, 0.5, 0.4))
+    with pytest.raises(ValueError, match="no closed-form tensors for kind 'third'"):
+        nabla(sode, jet)
+    with pytest.raises(ValueError, match="no closed-form tensors for kind 'third'"):
+        psi_stack(sode, [jet], 3)
 
 
 # --- phi ----------------------------------------------------------------------
-
-
-def test_phi_zero_for_free_system():
-    sode = free_sode(4)
-    jet = Jet((0.0,) * 4, (1.0, 0.5, -0.3, 2.0))
-    assert np.max(np.abs(phi(sode, jet, fd=True))) < 1e-9
-    assert np.all(phi(sode, jet) == 0.0)
 
 
 def test_phi_second_kind_closed_form(free_particle, rng):
@@ -111,20 +92,12 @@ def test_phi_closed_matches_finite_differences(any_system, kind, rng):
     sode = build(any_system)
     for jet in generic_jets(any_system, 100, rng):
         closed = phi(sode, jet)
-        fd = phi(sode, jet, fd=True)
+        fd = fd_oracle.phi(sode, jet)
         scale = max(1e-12, np.max(np.abs(closed)))
         assert np.max(np.abs(closed - fd)) / scale < 1e-6
 
 
 # --- nabla_phi -------------------------------------------------------------------
-
-
-def test_nabla_phi_zero_for_free_system():
-    sode = free_sode(3)
-    jet = Jet((0.0, 0.0, 0.0), (1.0, 1.0, 0.5))
-    for order in (1, 2, 3):
-        assert np.all(nabla_phi(sode, jet, order) == 0.0)
-        assert np.max(np.abs(nabla_phi(sode, jet, order, fd=True))) < 1e-6
 
 
 def test_nabla_phi_first_order_closed_form(free_particle, rng):
@@ -161,7 +134,7 @@ def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
     sode = first_associated(free_particle)
     for jet in generic_jets(free_particle, 10, rng):
         closed = nabla_phi(sode, jet, 1)
-        fd = nabla_phi(sode, jet, 1, fd=True)
+        fd = fd_oracle.nabla_phi(sode, jet, 1)
         scale = max(1e-9, np.max(np.abs(closed)))
         assert np.max(np.abs(closed - fd)) / scale < 1e-4
 
@@ -244,18 +217,13 @@ def test_column_proportionality_identity(any_system, rng):
 # --- curvature condition -----------------------------------------------------------
 
 
-def test_r_tensor_zero_for_free_system():
-    sode = free_sode(3)
-    assert np.max(np.abs(r_tensor(sode, Jet((0, 0, 0), (1, 1, 1))))) < 1e-9
-
-
 def test_r_condition_automatic_for_second_kind(any_system, rng):
     """With the constructed multiplier the curvature condition adds nothing."""
     sode = second_associated(any_system)
     model = lagrangian_model(any_system, "first")
     for jet in generic_jets(any_system, 10, rng):
         g = hessian(model, jet)
-        assert r_condition_residual(sode, g, jet) < 1e-8
+        assert fd_oracle.r_condition_residual(sode, g, jet) < 1e-8
 
 
 def test_r_condition_disk_first_kind_with_partial_multiplier(vertical_disk, rng):
@@ -273,21 +241,10 @@ def test_r_condition_disk_first_kind_with_partial_multiplier(vertical_disk, rng)
                 [lam * g24, g24, 0.0, 0.0],
             ]
         )
-        assert r_condition_residual(sode, g, jet) < 1e-8
+        assert fd_oracle.r_condition_residual(sode, g, jet) < 1e-8
 
 
 # --- multiplier conditions -----------------------------------------------------------
-
-
-def test_identity_multiplier_for_free_system():
-    sode = free_sode(3)
-    jets = [Jet((0.1, 0.2, 0.3), (1.0, -0.5, 2.0)), Jet((0, 0, 0), (2.0, 1.0, 1.0))]
-    report = helmholtz_residuals(sode, MultiplierField(lambda j: np.eye(3), "candidate"), jets)
-    assert report.gdot_symmetry == 0.0
-    assert report.nabla_condition == 0.0
-    assert report.phi_condition == 0.0
-    assert report.min_abs_det == 1.0
-    assert report.passed
 
 
 @pytest.mark.parametrize(
@@ -375,7 +332,7 @@ def test_stacked_residuals_match_per_jet_reference(any_system, exact):
             dataclasses.replace(expected, nabla_condition=0.0))
 
 
-def test_a_non_finite_multiplier_fails_the_conditions():
+def test_a_non_finite_multiplier_fails_the_conditions(free_particle):
     """A multiplier that is NaN at one jet makes every residual NaN and the
     check fails; it does not vanish in a running maximum."""
     def field(jet):
@@ -385,7 +342,7 @@ def test_a_non_finite_multiplier_fails_the_conditions():
         return g
 
     jets = [Jet((0.1, 0.2, 0.3), (1.0, -0.5, 2.0)), Jet((0.9, 0.0, 0.0), (2.0, 1.0, 1.0))]
-    report = helmholtz_residuals(free_sode(3), MultiplierField(field), jets)
+    report = helmholtz_residuals(second_associated(free_particle), MultiplierField(field), jets)
     assert not report.passed
     assert all(math.isnan(v) for v in (report.gdot_symmetry, report.nabla_condition,
                                        report.phi_condition, report.min_abs_det))
@@ -407,9 +364,11 @@ def test_residuals_raise_on_singular_jets(free_particle):
         helmholtz_residuals(sode, field, [Jet((0.0, 0, 0), (1.0, 1.0, 1.0))])
 
 
-def test_algebraic_system_depth1_free_sode_unconstrained():
-    sode = free_sode(3)
-    (matrix,), idx = algebraic_system(sode, [Jet((0, 0, 0), (1, 1, 1))], depth=1)
+def test_algebraic_system_depth1_free_sode_unconstrained(free_particle):
+    """Every tier is a multiple of r1dot, so at r1dot = 0 the first kind
+    puts no condition on g."""
+    sode = first_associated(free_particle)
+    (matrix,), idx = algebraic_system(sode, [Jet((0, 0, 0), (0, 1, 1))], depth=1)
     assert np.all(matrix == 0.0)
     assert len(nullspace(matrix[None])[0][0]) == len(idx)  # no constraints at all
 

@@ -37,6 +37,15 @@ def test_config_validation():
         IntegratorConfig(t_span=(1.0, 1.0))
     with pytest.raises(ConfigError):  # 3 steps of 0.3 stop at t = 0.9
         IntegratorConfig(h=0.3, t_span=(0.0, 1.0))
+    # 1e298 steps, and a step count that overflows to inf, before any allocation
+    for h, t in ((1e-300, 0.01), (0.3, 1e308)):
+        with pytest.raises(ConfigError, match="more than one array can hold"):
+            IntegratorConfig(h=h, t_span=(0.0, t))
+
+
+def test_config_times_are_the_grid():
+    cfg = IntegratorConfig(h=0.1, t_span=(0.5, 1.5))
+    assert cfg.times.tobytes() == (0.5 + 0.1 * np.arange(11)).tobytes()
 
 
 def test_rk4_exact_on_free_motion():
