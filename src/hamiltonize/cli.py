@@ -35,7 +35,7 @@ from .errors import ConfigError, EvaluationError, IntegrationAborted
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
 from .pontryagin import MODEL_KINDS, control_gradient, optimal_controls, optimal_hamiltonian_value
-from .sampling import generic_jets, phase_points, sample_r1
+from .sampling import Stream, generic_jets, phase_points, sample_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
@@ -112,6 +112,11 @@ class RunManifest:
             raise ConfigError(f"--tol must be finite and >= 0, got {self.tol!r}")
         if not self.out_dir:
             raise ConfigError("--out must name a directory, got an empty path")
+        head = os.path.abspath(self.out_dir)
+        while not os.path.isdir(head):  # the deepest existing path must be a directory
+            if os.path.lexists(head):
+                raise ConfigError(f"--out must name a directory, but {head} is a file")
+            head = os.path.dirname(head)
 
     def load_system(self) -> SystemSpec:
         """The system of --system or --spec.  Every --params key that is no
@@ -349,10 +354,10 @@ def _fields(report) -> dict:
 
 def _jets(sys_: SystemSpec, manifest: RunManifest) -> tuple[list[Jet], list[Jet]]:
     """The multiplier conditions' jets and the certificate's jets: the first
-    and the second draw from a generator seeded with --seed."""
-    rng = np.random.default_rng(manifest.seed)
+    and the second draw from a stream seeded with --seed."""
+    stream = Stream(manifest.seed)
     count = manifest.samples or 50
-    return generic_jets(sys_, count, rng), generic_jets(sys_, count, rng)
+    return generic_jets(sys_, count, stream), generic_jets(sys_, count, stream)
 
 
 def _multiplier_conditions(sode2, model: LagrangianModel, jets: list[Jet]) -> dict:
@@ -385,12 +390,12 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
 
 def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
     """The optimal-control check of cost ``kind`` on its model ``model``."""
-    rng = np.random.default_rng(manifest.seed)
+    stream = Stream(manifest.seed)
     count = manifest.samples or 1000
     max_dev = 0.0
     max_grad = 0.0
     used = degenerate = near_zero = 0
-    for ps in phase_points(model.system, count, rng):
+    for ps in phase_points(model.system, count, stream):
         try:
             u_star = optimal_controls(model, ps)
         except EvaluationError:
@@ -438,11 +443,11 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
 
 
 def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
-    rng = np.random.default_rng(manifest.seed)
+    stream = Stream(manifest.seed)
     count = manifest.samples or 100
     worst = 0.0
     for _ in range(count):
-        res = measure_pde_residual(sys_, sample_r1(sys_, rng))
+        res = measure_pde_residual(sys_, sample_r1(sys_, stream))
         worst = max(worst, abs(res[0]), abs(res[1]))
     return {
         "system": sys_.label,

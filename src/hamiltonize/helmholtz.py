@@ -62,6 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .sampling import Stream
 from .systems import Jet
 
 __all__ = [
@@ -374,8 +375,10 @@ def singularity_certificate(
 
     Every nullspace basis element and ``combos`` random combinations per jet
     are assembled into symmetric matrices, normalized so the largest entry is
-    one, and tested for |det| below ``det_tol``.  A regular combination is
-    returned as a counterexample and fails the certificate.  The sample is
+    one, and tested for |det| below ``det_tol``.  A combination's coefficients
+    are uniform in [-1, 1), drawn in turn from ``Stream(seed)``; any continuous
+    law gives a generic combination.  A regular combination is returned as a
+    counterexample and fails the certificate.  The sample is
     evaluated in stacks of up to ``JET_BLOCK`` jets, each its algebraic
     systems, one SVD and one determinant call, so memory stays bounded
     however many jets there are; the first counterexample is that of the
@@ -389,19 +392,19 @@ def singularity_certificate(
                 for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
     pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
     sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     dims, kept, gaps = [], [], []  # kept, gaps: (jet index, (a, b)) of the margins log10(a / b)
     worst, counterexample = 0.0, None
     for first in range(0, len(jets), JET_BLOCK):
         matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
         bases, svals = nullspace(matrices)
-        # successive draws give the values of one draw per combination
-        normals = rng.standard_normal(combos * sum(map(len, bases)))
+        # successive draws give the coefficients of one combination
+        coeffs = -1.0 + 2.0 * np.array(stream.random(combos * sum(map(len, bases))))
         owners, candidates, start = [], [], 0
         for jdx, basis in enumerate(bases, first):
             candidates += list(basis)
             for _ in range(combos):
-                candidates.append(basis.T @ normals[start:start + len(basis)])
+                candidates.append(basis.T @ coeffs[start:start + len(basis)])
                 start += len(basis)
             owners += [jdx] * (len(basis) + combos)
         g = np.array(candidates).reshape(len(candidates), len(pos))[:, sym].reshape(-1, n, n)

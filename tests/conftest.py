@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hamiltonize import builtin_system
+from hamiltonize.sampling import Stream
 
 
 @pytest.fixture
@@ -27,3 +28,9 @@ def any_system(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def stream():
+    """The samplers' stream: the draws of the ``rng`` fixture's generator."""
+    return Stream(20240817)

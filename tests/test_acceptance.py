@@ -36,7 +36,7 @@ from hamiltonize import (
 )
 from hamiltonize.errors import SingularVelocityError
 from hamiltonize.pontryagin import cost_model
-from hamiltonize.sampling import generic_jets, phase_points, sample_r1
+from hamiltonize.sampling import Stream, generic_jets, phase_points, sample_r1
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, phase_columns
 
@@ -140,9 +140,8 @@ def test_criterion_3_singularity_certificates():
     ok = True
     for name in SYSTEMS:
         sys_ = builtin_system(name)
-        rng = np.random.default_rng(SEED)
         report = singularity_certificate(
-            first_associated(sys_), generic_jets(sys_, 50, rng), depth=3, seed=SEED)
+            first_associated(sys_), generic_jets(sys_, 50, Stream(SEED)), depth=3, seed=SEED)
         ok = ok and report.passed and report.max_normalized_det < 1e-10
         details.append(f"{name}: dims={set(report.nullspace_dims)} "
                        f"max|det|={report.max_normalized_det:.1e}")
@@ -168,7 +167,7 @@ def test_criterion_4_helmholtz_positive_suite():
         sys_ = builtin_system(name)
         sode = second_associated(sys_)
         model = lagrangian_model(sys_, kind, coeffs)
-        jets = generic_jets(sys_, 100, np.random.default_rng(SEED))
+        jets = generic_jets(sys_, 100, Stream(SEED))
         report = helmholtz_residuals(
             sode, MultiplierField(lambda j, m=model: hessian(m, j), "hessian-of-L"),
             jets, tolerance=1e-8)
@@ -182,7 +181,7 @@ def test_criterion_4_helmholtz_positive_suite():
 # --- 5: optimal-control consistency ------------------------------------------------------
 
 
-def consistent_phase_points(sys_, count, rng):
+def consistent_phase_points(sys_, count, stream):
     """Seeded phase points admitting non-degenerate optimal controls.
 
     Points whose optimal drive falls in the excluded boundary region
@@ -191,7 +190,7 @@ def consistent_phase_points(sys_, count, rng):
     out = []
     model = cost_model(sys_, "g1")
     while len(out) < count:
-        (ps,) = phase_points(sys_, 1, rng)
+        (ps,) = phase_points(sys_, 1, stream)
         try:
             u_star = optimal_controls(model, ps)
         except SingularVelocityError:
@@ -209,7 +208,7 @@ def test_criterion_5_pontryagin_consistency():
         model = hamiltonian_model(sys_, "first")
         cmodel = cost_model(sys_, "g1")
         worst = 0.0
-        for ps in consistent_phase_points(sys_, 1000, np.random.default_rng(SEED)):
+        for ps in consistent_phase_points(sys_, 1000, Stream(SEED)):
             dev = abs(optimal_hamiltonian_value(cmodel, ps)
                       - hamiltonian_value(model, ps))
             worst = max(worst, dev)
@@ -219,7 +218,7 @@ def test_criterion_5_pontryagin_consistency():
     model2 = hamiltonian_model(disk, "second")
     cmodel2 = cost_model(disk, "g2")
     worst = 0.0
-    for ps in consistent_phase_points(disk, 1000, np.random.default_rng(SEED)):
+    for ps in consistent_phase_points(disk, 1000, Stream(SEED)):
         dev = abs(optimal_hamiltonian_value(cmodel2, ps)
                   - hamiltonian_value(model2, ps))
         worst = max(worst, dev)
@@ -236,10 +235,10 @@ def test_criterion_6_invariant_measure():
     details = []
     for name in SYSTEMS:
         sys_ = builtin_system(name)
-        rng = np.random.default_rng(SEED)
+        stream = Stream(SEED)
         worst = 0.0
         for _ in range(100):
-            res = measure_pde_residual(sys_, sample_r1(sys_, rng))
+            res = measure_pde_residual(sys_, sample_r1(sys_, stream))
             worst = max(worst, abs(res[0]), abs(res[1]))
         ok = ok and worst < 1e-8
         details.append(f"{name}: pde={worst:.1e}")

@@ -194,28 +194,57 @@ def test_empty_out_exit_1(command, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "x", "y")])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_out_under_a_file_exit_1(command, out, tmp_path, capsys, monkeypatch):
+    """An --out that is an existing file, or a path under one, is one
+    configuration error before any work, where certify printed its report
+    and raised FileExistsError and simulate raised NotADirectoryError."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    assert main([command, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out must name a directory, but {tmp_path / 'afile'} is a file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
-    """Over simulate and certify flags, zero, negative, non-finite, tiny
-    and huge values included, every run ends in a documented exit code
-    with at most one line on stderr, and none is an internal error.  The
-    --t values, the default 5 included, keep every grid that is accepted
-    at 5,000 steps or fewer."""
+    """Over the flags of every command, zero, negative, non-finite, tiny
+    and huge values, seeds up to 2**200 and an --out that is an existing
+    file included, every run ends in a documented exit code with at most
+    one line on stderr, and none is an internal error.  The --t values,
+    the default 5 included, keep every grid that is accepted at 5,000
+    steps or fewer; --samples stays small where a value is drawn."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
     numbers = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
+    formulations = st.sampled_from(cli.FORMULATIONS)
     flags = {
         "--system": st.sampled_from(BUILTIN_NAMES),
         "--h": st.sampled_from(numbers + ["0.001", "0.004"]),
         "--t": st.sampled_from(numbers + ["0.01", "0.003"]),
-        "--out": st.sampled_from(["", ".", "runs", os.path.join("a", "b")]),
+        "--out": st.sampled_from(["", ".", "runs", os.path.join("a", "b"), "afile",
+                                  os.path.join("afile", "x")]),
         "--samples": st.sampled_from(["0", "-1", "1", "3", "nan", "1e308"]),
-        "--seed": st.sampled_from(["0", "-1", "2", "nan", str(2**64)]),
+        "--seed": st.sampled_from(["0", "-1", "2", "nan", str(2**64), str(2**200 - 1),
+                                   str(2**200)]),
         "--depth": st.sampled_from(["0", "-1", "1", "3", "8", "inf"]),
-        "--formulation": st.sampled_from(cli.FORMULATIONS),
+        "--formulation": formulations,
+        "--formulations": st.lists(formulations, min_size=2, max_size=3, unique=True).map(",".join),
+        "--tol": st.sampled_from(numbers + ["1e-5", "1"]),
+        "--kind": st.sampled_from(["g1", "g2", "g3"]),
     }
-    used = {"simulate": ("--system", "--h", "--t", "--out", "--seed", "--formulation"),
-            "certify": ("--system", "--out", "--samples", "--seed", "--depth")}
+    trajectory = ("--system", "--h", "--t", "--out", "--seed")
+    used = {"simulate": trajectory + ("--formulation",),
+            "compare": trajectory + ("--formulations", "--tol"),
+            "certify": ("--system", "--out", "--samples", "--seed", "--depth"),
+            "helmholtz-check": ("--system", "--out", "--samples", "--seed", "--depth"),
+            "pontryagin-check": ("--system", "--out", "--samples", "--seed", "--kind"),
+            "measure-check": ("--system", "--out", "--samples", "--seed")}
 
     @st.composite
     def argvs(draw):
@@ -223,10 +252,11 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         argv = [command]
         for flag in used[command]:
             if draw(st.booleans()):
-                argv += [flag, draw(flags[flag])]
+                # compare takes its list through --formulation too
+                argv += [flag.replace("--formulations", "--formulation"), draw(flags[flag])]
         return argv
 
-    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @hypothesis.given(argvs())
     def keeps_contract(argv):
         err = io.StringIO()

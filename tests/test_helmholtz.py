@@ -23,7 +23,7 @@ from hamiltonize import (
 )
 from hamiltonize import expr
 from hamiltonize.helmholtz import HelmholtzReport, _derivative6, psi_stack
-from hamiltonize.sampling import generic_jets
+from hamiltonize.sampling import Stream, generic_jets
 
 import fd_oracle
 import tower_oracle
@@ -38,9 +38,9 @@ def test_nabla_first_kind_free_particle(free_particle):
     assert m[1, 1] == pytest.approx(0.25)  # -(1/2) Gamma_2 r1dot
 
 
-def test_nabla_second_kind_structure(vertical_disk, rng):
+def test_nabla_second_kind_structure(vertical_disk, stream):
     sode = second_associated(vertical_disk)
-    for jet in generic_jets(vertical_disk, 5, rng):
+    for jet in generic_jets(vertical_disk, 5, stream):
         m = nabla(sode, jet)
         fd = -0.5 * fd_oracle.jac_u(sode, jet, h=1e-6, scaled=False)
         assert np.allclose(m, fd, rtol=1e-6, atol=1e-9)
@@ -66,10 +66,10 @@ def test_tensors_of_the_third_kind_raise(vertical_disk):
 # --- phi ----------------------------------------------------------------------
 
 
-def test_phi_second_kind_closed_form(free_particle, rng):
+def test_phi_second_kind_closed_form(free_particle, stream):
     """Phi^a_1 = -(1/2) r1' q_a' (2 X_a' - X_a^2), Phi^a_a = +(1/2) r1'^2 (...)."""
     sode = second_associated(free_particle)
-    for jet in generic_jets(free_particle, 10, rng):
+    for jet in generic_jets(free_particle, 10, stream):
         m = phi(sode, jet)
         r1, u1 = jet.r1, jet.r1dot
         for a in range(1, 3):
@@ -79,18 +79,18 @@ def test_phi_second_kind_closed_form(free_particle, rng):
             assert m[a, a] == pytest.approx(0.5 * u1 ** 2 * bracket, rel=1e-12)
 
 
-def test_phi_first_kind_disk_measure_rows_vanish(vertical_disk, rng):
+def test_phi_first_kind_disk_measure_rows_vanish(vertical_disk, stream):
     sode = first_associated(vertical_disk)
-    for jet in generic_jets(vertical_disk, 5, rng):
+    for jet in generic_jets(vertical_disk, 5, stream):
         m = phi(sode, jet)
         assert m[1, 0] == 0.0 and m[1, 1] == 0.0  # Gamma_2 == 0 identically
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
-def test_phi_closed_matches_finite_differences(any_system, kind, rng):
+def test_phi_closed_matches_finite_differences(any_system, kind, stream):
     build = first_associated if kind == "first" else second_associated
     sode = build(any_system)
-    for jet in generic_jets(any_system, 100, rng):
+    for jet in generic_jets(any_system, 100, stream):
         closed = phi(sode, jet)
         fd = fd_oracle.phi(sode, jet)
         scale = max(1e-12, np.max(np.abs(closed)))
@@ -100,23 +100,23 @@ def test_phi_closed_matches_finite_differences(any_system, kind, rng):
 # --- nabla_phi -------------------------------------------------------------------
 
 
-def test_nabla_phi_first_order_closed_form(free_particle, rng):
+def test_nabla_phi_first_order_closed_form(free_particle, stream):
     """(nabla Phi)^2_1 = (G2 G2' - G2'') r1'^2 r2'."""
     sode = first_associated(free_particle)
     g2 = sode.coeff_exprs[0]
     coeff = g2 * g2.diff() - g2.diff().diff()
-    for jet in generic_jets(free_particle, 20, rng):
+    for jet in generic_jets(free_particle, 20, stream):
         m = nabla_phi(sode, jet, 1)
         expected = coeff.eval(jet.r1) * jet.r1dot**2 * jet.r2dot
         assert m[1, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_nabla_nabla_phi_constrained_row_closed_form(any_system, rng):
+def test_nabla_nabla_phi_constrained_row_closed_form(any_system, stream):
     """(nabla^2 Phi)^a_1 carries the third-derivative coefficient
     Ga' G2' + (3/2) Ga G2'' - (1/2) Ga'' G2 - Ga'''."""
     sode = first_associated(any_system)
     g2 = sode.coeff_exprs[0]
-    for jet in generic_jets(any_system, 10, rng):
+    for jet in generic_jets(any_system, 10, stream):
         m = nabla_phi(sode, jet, 2)
         r1 = jet.r1
         for a, ga in enumerate(sode.coeff_exprs[1:], start=2):
@@ -130,20 +130,20 @@ def test_nabla_nabla_phi_constrained_row_closed_form(any_system, rng):
             assert m[a, 0] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-def test_nabla_phi_closed_matches_finite_differences(free_particle, rng):
+def test_nabla_phi_closed_matches_finite_differences(free_particle, stream):
     sode = first_associated(free_particle)
-    for jet in generic_jets(free_particle, 10, rng):
+    for jet in generic_jets(free_particle, 10, stream):
         closed = nabla_phi(sode, jet, 1)
         fd = fd_oracle.nabla_phi(sode, jet, 1)
         scale = max(1e-9, np.max(np.abs(closed)))
         assert np.max(np.abs(closed - fd)) / scale < 1e-4
 
 
-def test_phi_tower_compiles_no_table(knife_edge, monkeypatch, rng):
+def test_phi_tower_compiles_no_table(knife_edge, monkeypatch, stream):
     """A depth-5 stack compiles no table: the first jet generates the
     series code of the system's coefficients, later jets reuse it."""
     sode = first_associated(knife_edge)
-    jets = generic_jets(knife_edge, 2, rng)
+    jets = generic_jets(knife_edge, 2, stream)
     compiled, defined = [], []
     original_table, original_define = expr.compile_table, expr.define
 
@@ -202,10 +202,10 @@ def test_deep_phi_tower_tiers_stay_finite(knife_edge):
     assert np.all(np.isfinite(tiers[9:17]))
 
 
-def test_column_proportionality_identity(any_system, rng):
+def test_column_proportionality_identity(any_system, stream):
     """Psi^a_1 Psi^b_2 = Psi^b_1 Psi^a_2 for the whole first-kind tower."""
     sode = first_associated(any_system)
-    for jet in generic_jets(any_system, 20, rng):
+    for jet in generic_jets(any_system, 20, stream):
         mats = [phi(sode, jet), nabla_phi(sode, jet, 1), nabla_phi(sode, jet, 2)]
         n = sode.n
         for psi in mats:
@@ -217,20 +217,20 @@ def test_column_proportionality_identity(any_system, rng):
 # --- curvature condition -----------------------------------------------------------
 
 
-def test_r_condition_automatic_for_second_kind(any_system, rng):
+def test_r_condition_automatic_for_second_kind(any_system, stream):
     """With the constructed multiplier the curvature condition adds nothing."""
     sode = second_associated(any_system)
     model = lagrangian_model(any_system, "first")
-    for jet in generic_jets(any_system, 10, rng):
+    for jet in generic_jets(any_system, 10, stream):
         g = hessian(model, jet)
         assert fd_oracle.r_condition_residual(sode, g, jet) < 1e-8
 
 
-def test_r_condition_disk_first_kind_with_partial_multiplier(vertical_disk, rng):
+def test_r_condition_disk_first_kind_with_partial_multiplier(vertical_disk, rng, stream):
     """The bordered multiplier shape admitted by the algebraic conditions
     satisfies all curvature-condition equations."""
     sode = first_associated(vertical_disk)
-    for jet in generic_jets(vertical_disk, 10, rng):
+    for jet in generic_jets(vertical_disk, 10, stream):
         lam = -jet.r2dot / jet.r1dot
         g11, g12, g22, g23, g24 = rng.uniform(-2, 2, size=5)
         g = np.array(
@@ -251,13 +251,13 @@ def test_r_condition_disk_first_kind_with_partial_multiplier(vertical_disk, rng)
     "system_name,coeffs",
     [("free_particle", (1.0, 1.0)), ("vertical_disk", None)],
 )
-def test_hessian_multiplier_passes(system_name, coeffs, rng, request):
+def test_hessian_multiplier_passes(system_name, coeffs, stream, request):
     sys = request.getfixturevalue(system_name)
     sode = second_associated(sys)
     kind = "first" if system_name == "free_particle" else "second"
     model = lagrangian_model(sys, kind, coeffs)
     field = MultiplierField(lambda jet: hessian(model, jet), "hessian-of-L")
-    report = helmholtz_residuals(sode, field, generic_jets(sys, 100, rng))
+    report = helmholtz_residuals(sode, field, generic_jets(sys, 100, stream))
     assert report.passed, report
     assert report.min_abs_det > 1e-6
 
@@ -322,7 +322,7 @@ def test_stacked_residuals_match_per_jet_reference(any_system, exact):
     if not exact:
         field = MultiplierField(field.fn, "hessian-of-L")
     for seed in (0, 1, 2):
-        jets = generic_jets(any_system, 50, np.random.default_rng(seed))
+        jets = generic_jets(any_system, 50, Stream(seed))
         report = helmholtz_residuals(sode, field, jets)
         expected = reference_residuals(sode, field, jets)
         assert report.passed and expected.passed
@@ -410,9 +410,9 @@ def test_algebraic_system_disk_solution_space(vertical_disk):
         assert vec[pos[(0, 3)]] == pytest.approx(lam * vec[pos[(1, 3)]], rel=1e-9, abs=1e-12)
 
 
-def test_singularity_certificate_first_kind(any_system, rng):
+def test_singularity_certificate_first_kind(any_system, stream):
     sode = first_associated(any_system)
-    jets = generic_jets(any_system, 50, rng)
+    jets = generic_jets(any_system, 50, stream)
     report = singularity_certificate(sode, jets, depth=3, seed=7)
     assert report.passed, report
     assert report.max_normalized_det < 1e-10
@@ -420,10 +420,10 @@ def test_singularity_certificate_first_kind(any_system, rng):
     assert set(report.nullspace_dims) == {expected_dim}
 
 
-def test_certificate_refuted_for_variational_system(free_particle, rng):
+def test_certificate_refuted_for_variational_system(free_particle, stream):
     """The second kind is variational, so a regular multiplier must appear."""
     sode = second_associated(free_particle)
-    jets = generic_jets(free_particle, 10, rng)
+    jets = generic_jets(free_particle, 10, stream)
     report = singularity_certificate(sode, jets, depth=3, seed=7)
     assert not report.passed
     assert report.counterexample is not None

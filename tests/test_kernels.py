@@ -27,7 +27,7 @@ from hamiltonize.pontryagin import (
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
 )
-from hamiltonize.sampling import phase_points
+from hamiltonize.sampling import Stream, phase_points
 from hamiltonize.errors import (
     CoefficientSingularityError,
     EvaluationError,
@@ -505,10 +505,10 @@ def test_command_check_matches_loops_on_its_sample(name):
     gradient) is the loops' bit for bit, at the optimal controls and off
     them, where the gradient is O(1)."""
     sys = builtin_system(name)
-    rng = np.random.default_rng(3)
+    stream, rng = Stream(3), np.random.default_rng(3)
     for model in _cost_models(sys):
         evaluated = 0
-        for ps in phase_points(sys, 200, rng):
+        for ps in phase_points(sys, 200, stream):
             try:
                 u_star = optimal_controls(model, ps)
             except SingularVelocityError:

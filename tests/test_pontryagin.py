@@ -122,13 +122,13 @@ def test_degenerate_control_reported(free_particle):
 
 
 @pytest.mark.parametrize("kind", ["g1", "g2"])
-def test_stationarity_of_optimal_controls(any_system, kind, rng):
+def test_stationarity_of_optimal_controls(any_system, kind, stream):
     """FD gradient of the control Hamiltonian vanishes at u*."""
     if kind == "g2" and not any_system.measure_is_constant():
         pytest.skip("second cost needs constant measure")
     h = 1e-4
     model = cost_model(any_system, kind)
-    for ps in phase_points(any_system, 30, rng):
+    for ps in phase_points(any_system, 30, stream):
         try:
             u_star = optimal_controls(model, ps)
         except SingularVelocityError:
@@ -152,7 +152,7 @@ def test_stationarity_of_optimal_controls(any_system, kind, rng):
 
 @pytest.mark.parametrize("system,kind", [("free_particle", "g1"), ("knife_edge", "g1"),
                                          ("vertical_disk", "g1"), ("vertical_disk", "g2")])
-def test_complex_step_gradient_matches_stencil(system, kind, request, rng):
+def test_complex_step_gradient_matches_stencil(system, kind, request, rng, stream):
     """Away from u* the gradient is O(1); there the complex step and the
     4-point central difference of the same Hamiltonian agree.  G2 needs a
     constant measure, which only the disk has."""
@@ -160,7 +160,7 @@ def test_complex_step_gradient_matches_stencil(system, kind, request, rng):
     h = 1e-4
     model = cost_model(spec, kind)
     checked = 0
-    for ps in phase_points(spec, 80, rng):
+    for ps in phase_points(spec, 80, stream):
         try:
             u_star = optimal_controls(model, ps)
         except SingularVelocityError:
@@ -183,12 +183,12 @@ def test_complex_step_gradient_matches_stencil(system, kind, request, rng):
     assert checked >= 50
 
 
-def test_complex_controls_keep_the_real_value(vertical_disk, rng):
+def test_complex_controls_keep_the_real_value(vertical_disk, stream):
     """A complex control evaluates the same real part (to roundoff: numpy
     may sum a complex dot product in another order), and the real path
     still returns a float."""
     model = cost_model(vertical_disk, "g2")
-    for ps in phase_points(vertical_disk, 20, rng):
+    for ps in phase_points(vertical_disk, 20, stream):
         try:
             u = optimal_controls(model, ps)
         except SingularVelocityError:
@@ -211,12 +211,12 @@ def test_optimal_hamiltonian_free_particle_value(free_particle):
 
 
 @pytest.mark.parametrize("kind,model_kind", [("g1", "first"), ("g2", "second")])
-def test_two_route_hamiltonian_agreement(any_system, kind, model_kind, rng):
+def test_two_route_hamiltonian_agreement(any_system, kind, model_kind, stream):
     if kind == "g2" and not any_system.measure_is_constant():
         pytest.skip("second cost needs constant measure")
     hmodel = hamiltonian_model(any_system, model_kind)
     cmodel = cost_model(any_system, kind)
-    for ps in phase_points(any_system, 200, rng):
+    for ps in phase_points(any_system, 200, stream):
         try:
             via_control = optimal_hamiltonian_value(cmodel, ps)
         except SingularVelocityError:
@@ -249,7 +249,7 @@ def test_control_trajectory_tracks_canonical_flow(free_particle):
     assert sup < 1e-6
 
 
-def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, rng):
+def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, stream):
     """Many g2 calls on one system sample the measure slope a single time."""
     calls = []
     original = SystemSpec.measure_is_constant
@@ -260,7 +260,7 @@ def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, r
 
     monkeypatch.setattr(SystemSpec, "measure_is_constant", counted)
     evaluated = 0
-    for ps in phase_points(vertical_disk, 50, rng):
+    for ps in phase_points(vertical_disk, 50, stream):
         try:
             optimal_controls(cost_model(vertical_disk, "g2"), ps)
         except EvaluationError:

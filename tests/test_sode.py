@@ -72,13 +72,13 @@ def test_second_kind_free_particle_rate(free_particle):
     assert sode.coeff_exprs[0].eval(1.0) == pytest.approx(-0.5)
 
 
-def test_second_kind_equals_first_on_constraint(any_system, rng):
+def test_second_kind_equals_first_on_constraint(any_system, stream):
     """Substituting the constraint velocities recovers the first kind."""
     s1 = first_associated(any_system)
     s2 = second_associated(any_system)
     from hamiltonize.sampling import constraint_jets
 
-    for jet in constraint_jets(any_system, 25, rng):
+    for jet in constraint_jets(any_system, 25, stream):
         assert s2.rhs(jet) == pytest.approx(s1.rhs(jet), rel=1e-9, abs=1e-11)
 
 
@@ -141,13 +141,13 @@ def test_second_kind_xi_primitives(vertical_disk, free_particle):
     assert slope == pytest.approx(sode.coeff_exprs[0].eval(0.5), rel=1e-8)
 
 
-def test_gamma2_equals_xi2_everywhere(any_system, rng):
+def test_gamma2_equals_xi2_everywhere(any_system, stream):
     s1 = first_associated(any_system)
     s2 = second_associated(any_system)
     from hamiltonize.sampling import sample_r1
 
     for _ in range(50):
-        r1 = sample_r1(any_system, rng)
+        r1 = sample_r1(any_system, stream)
         assert s1.coeff_exprs[0].eval(r1) == pytest.approx(
             s2.coeff_exprs[0].eval(r1), rel=1e-12, abs=1e-15
         )
@@ -179,11 +179,11 @@ def test_third_kind_flag_false_for_nonconstant_measure(free_particle, knife_edge
     assert not third_associated(knife_edge).system.constant_measure
 
 
-def test_third_kind_matches_raw_dynamics_on_constraint(vertical_disk, rng):
+def test_third_kind_matches_raw_dynamics_on_constraint(vertical_disk, stream):
     from hamiltonize.sampling import constraint_jets
 
     sode = third_associated(vertical_disk)
-    for jet in constraint_jets(vertical_disk, 20, rng):
+    for jet in constraint_jets(vertical_disk, 20, stream):
         acc = sode.rhs(jet)
         dy = nonholonomic_ode(vertical_disk)(0.0, nh_state_from_jet(vertical_disk, jet))
         assert acc[0] == pytest.approx(dy[4], abs=1e-13)  # the r1 acceleration

@@ -86,9 +86,9 @@ def test_measure_pde_residuals(free_particle, knife_edge, vertical_disk):
     assert abs(res[0]) < 1e-8 and res[1] == 0.0
 
 
-def test_measure_pde_residual_random_points(any_system, rng):
+def test_measure_pde_residual_random_points(any_system, stream):
     for _ in range(100):
-        r1 = sample_r1(any_system, rng)
+        r1 = sample_r1(any_system, stream)
         res = measure_pde_residual(any_system, r1)
         assert abs(res[0]) < 1e-8
         assert abs(res[1]) < 1e-8

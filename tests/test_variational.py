@@ -122,11 +122,11 @@ def fd_hessian(model, jet, h=1e-4):
 
 
 @pytest.mark.parametrize("kind", ["first", "second", "variational"])
-def test_hessian_matches_finite_differences(any_system, kind, rng):
+def test_hessian_matches_finite_differences(any_system, kind, stream):
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     model = lagrangian_model(any_system, kind)
-    for jet in generic_jets(any_system, 10, rng):
+    for jet in generic_jets(any_system, 10, stream):
         closed = hessian(model, jet)
         approx = fd_hessian(model, jet)
         scale = np.max(np.abs(closed))
@@ -134,10 +134,10 @@ def test_hessian_matches_finite_differences(any_system, kind, rng):
         assert np.allclose(closed, closed.T)
 
 
-def test_hessian_leading_entry_formula(free_particle, rng):
+def test_hessian_leading_entry_formula(free_particle, stream):
     """g_11 = I1 + sum_b C_b q_b'^2 / (E_b r1'^3)."""
     model = lagrangian_model(free_particle, "first", (1.3, 0.7))
-    for jet in generic_jets(free_particle, 10, rng):
+    for jet in generic_jets(free_particle, 10, stream):
         g = hessian(model, jet)
         expected = 1.0
         for b, c in enumerate(model.coefficients):
@@ -147,21 +147,21 @@ def test_hessian_leading_entry_formula(free_particle, rng):
         assert g[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_hessian_regular_on_admissible_jets(any_system, rng):
+def test_hessian_regular_on_admissible_jets(any_system, stream):
     model = lagrangian_model(any_system, "first")
-    for jet in generic_jets(any_system, 25, rng):
+    for jet in generic_jets(any_system, 25, stream):
         assert abs(np.linalg.det(hessian(model, jet))) > 1e-9
 
 
 @pytest.mark.parametrize("kind", ["first", "second", "variational"])
-def test_hessian_exact_jacobians_match_fd(any_system, kind, rng):
+def test_hessian_exact_jacobians_match_fd(any_system, kind, stream):
     from hamiltonize import hessian_coordinate_jacobian, hessian_velocity_jacobian
 
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     model = lagrangian_model(any_system, kind)
     h = 1e-6
-    for jet in generic_jets(any_system, 5, rng):
+    for jet in generic_jets(any_system, 5, stream):
         dv = hessian_velocity_jacobian(model, jet)
         dq = hessian_coordinate_jacobian(model, jet)
         for kdx in range(any_system.n):
@@ -179,7 +179,7 @@ def test_hessian_exact_jacobians_match_fd(any_system, kind, rng):
             assert np.allclose(dq[kdx], fd, rtol=1e-5, atol=1e-7)
 
 
-def test_hessian_multiplier_passes_down_to_slow_drive(any_system, rng):
+def test_hessian_multiplier_passes_down_to_slow_drive(any_system, stream):
     """The multiplier conditions hold at 1e-8 on jets with |r1dot| >= 0.1;
     exact Hessian derivatives keep the residuals at rounding level even
     where the entries are steep."""
@@ -187,7 +187,7 @@ def test_hessian_multiplier_passes_down_to_slow_drive(any_system, rng):
 
     sode = second_associated(any_system)
     model = lagrangian_model(any_system, "first")
-    jets = generic_jets(any_system, 100, rng, vel_range=(0.1, 2.0))
+    jets = generic_jets(any_system, 100, stream, vel_range=(0.1, 2.0))
     report = helmholtz_residuals(sode, hessian_field(model), jets)
     assert report.passed, report
 
@@ -203,29 +203,29 @@ def test_el_equals_decoupled_system(free_particle):
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
-def test_el_equals_decoupled_system_random(any_system, kind, rng):
+def test_el_equals_decoupled_system_random(any_system, kind, stream):
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     model = lagrangian_model(any_system, kind)
     sode = second_associated(any_system)
-    for jet in generic_jets(any_system, 25, rng):
+    for jet in generic_jets(any_system, 25, stream):
         assert euler_lagrange_rhs(model, jet) == pytest.approx(
             sode.rhs(jet), rel=1e-9, abs=1e-11
         )
 
 
-def test_el_variational_equals_third_kind(vertical_disk, rng):
+def test_el_variational_equals_third_kind(vertical_disk, stream):
     model = lagrangian_model(vertical_disk, "variational")
     sode = third_associated(vertical_disk)
-    for jet in generic_jets(vertical_disk, 25, rng):
+    for jet in generic_jets(vertical_disk, 25, stream):
         assert euler_lagrange_rhs(model, jet) == pytest.approx(
             sode.rhs(jet), rel=1e-9, abs=1e-12
         )
 
 
-def test_el_quadratic_velocity_scaling(free_particle, rng):
+def test_el_quadratic_velocity_scaling(free_particle, stream):
     model = lagrangian_model(free_particle, "first")
-    for jet in generic_jets(free_particle, 10, rng):
+    for jet in generic_jets(free_particle, 10, stream):
         lam = 1.7
         scaled = Jet(jet.q, tuple(lam * v for v in jet.qdot))
         assert euler_lagrange_rhs(model, scaled) == pytest.approx(
@@ -256,11 +256,11 @@ def _el_force(model, jet):
 
 
 @pytest.mark.parametrize("kind", ["first", "second", "variational"])
-def test_el_arrowhead_solve_matches_dense_solve(any_system, kind, rng):
+def test_el_arrowhead_solve_matches_dense_solve(any_system, kind, stream):
     if kind == "second" and not any_system.constant_measure:
         pytest.skip("second kind needs constant measure")
     model = lagrangian_model(any_system, kind)
-    for jet in generic_jets(any_system, 50, rng):
+    for jet in generic_jets(any_system, 50, stream):
         dense = np.linalg.solve(hessian(model, jet), _el_force(model, jet))
         got = euler_lagrange_rhs(model, jet)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), jet
@@ -301,26 +301,26 @@ def test_legendre_free_particle_point(free_particle):
     assert ps.p == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
 
-def test_legendre_round_trip(any_system, rng):
+def test_legendre_round_trip(any_system, stream):
     model = lagrangian_model(any_system, "first")
-    for jet in generic_jets(any_system, 100, rng):
+    for jet in generic_jets(any_system, 100, stream):
         back = legendre_inverse(model, legendre(model, jet))
         assert back.q == pytest.approx(jet.q, abs=1e-12)
         assert back.qdot == pytest.approx(jet.qdot, rel=1e-12, abs=1e-12)
 
 
-def test_legendre_round_trip_second_kind(vertical_disk, rng):
+def test_legendre_round_trip_second_kind(vertical_disk, stream):
     model = lagrangian_model(vertical_disk, "second")
-    for jet in generic_jets(vertical_disk, 50, rng):
+    for jet in generic_jets(vertical_disk, 50, stream):
         back = legendre_inverse(model, legendre(model, jet))
         assert back.qdot == pytest.approx(jet.qdot, rel=1e-12, abs=1e-12)
 
 
-def test_legendre_maps_constraints_to_momentum_plane(any_system, rng):
+def test_legendre_maps_constraints_to_momentum_plane(any_system, stream):
     """On the constraint distribution, C_2 p_a = -C_a p_2."""
     coeffs = tuple(default_coefficients(any_system, "first"))
     model = lagrangian_model(any_system, "first", coeffs)
-    for jet in constraint_jets(any_system, 25, rng):
+    for jet in constraint_jets(any_system, 25, stream):
         ps = legendre(model, jet)
         for a in range(any_system.k):
             assert coeffs[0] * ps.p[2 + a] == pytest.approx(
@@ -342,19 +342,19 @@ def test_hamiltonian_knife_edge_value(knife_edge):
     assert hamiltonian_value(model, ps) == pytest.approx(0.125, abs=1e-15)
 
 
-def test_hamiltonian_knife_edge_closed_form(knife_edge, rng):
+def test_hamiltonian_knife_edge_closed_form(knife_edge, stream):
     """H = (1/2J)(p_phi + (cos(phi) p_x^2 - sin(phi) p_y^2)/2)^2."""
     model = hamiltonian_model(knife_edge, "first")
-    for ps in phase_points(knife_edge, 25, rng):
+    for ps in phase_points(knife_edge, 25, stream):
         phi, p = ps.q[0], ps.p
         expected = 0.5 * (p[0] + 0.5 * (math.cos(phi) * p[1] ** 2 - math.sin(phi) * p[2] ** 2)) ** 2
         assert hamiltonian_value(model, ps) == pytest.approx(expected, rel=1e-13)
 
 
-def test_hamiltonian_disk_second_kind_closed_form(vertical_disk, rng):
+def test_hamiltonian_disk_second_kind_closed_form(vertical_disk, stream):
     """H = p_th^2/2 + (p_phi + (p_x^2 cos(phi) + p_y^2 sin(phi))/2)^2 / 2."""
     model = hamiltonian_model(vertical_disk, "second")
-    for ps in phase_points(vertical_disk, 25, rng):
+    for ps in phase_points(vertical_disk, 25, stream):
         phi, p = ps.q[0], ps.p
         expected = 0.5 * p[1] ** 2 + 0.5 * (
             p[0] + 0.5 * (p[2] ** 2 * math.cos(phi) + p[3] ** 2 * math.sin(phi))
@@ -363,22 +363,22 @@ def test_hamiltonian_disk_second_kind_closed_form(vertical_disk, rng):
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
-def test_legendre_energy_identity(any_system, kind, rng):
+def test_legendre_energy_identity(any_system, kind, stream):
     """H(FL(jet)) = <p, qdot> - L(jet)."""
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     lmodel = lagrangian_model(any_system, kind)
     hmodel = hamiltonian_model(any_system, kind)
-    for jet in generic_jets(any_system, 100, rng):
+    for jet in generic_jets(any_system, 100, stream):
         ps = legendre(lmodel, jet)
         energy = float(np.dot(ps.p, jet.qdot)) - lagrangian_value(lmodel, jet)
         assert abs(hamiltonian_value(hmodel, ps) - energy) < 1e-10
 
 
-def test_hamilton_rhs_matches_fd_gradients(any_system, rng):
+def test_hamilton_rhs_matches_fd_gradients(any_system, stream):
     model = hamiltonian_model(any_system, "first")
     h = 1e-6
-    for ps in phase_points(any_system, 100, rng):
+    for ps in phase_points(any_system, 100, stream):
         qdot, pdot = hamilton_rhs(model, ps)
         q, p = ps.arrays()
         for i in range(any_system.n):
@@ -430,17 +430,17 @@ def test_disk_second_kind_flow_reproduces_circle(vertical_disk):
 # --- phase-space constraint sets ------------------------------------------------------
 
 
-def test_knife_edge_constraint_is_momentum_sum(knife_edge, rng):
+def test_knife_edge_constraint_is_momentum_sum(knife_edge, stream):
     model = hamiltonian_model(knife_edge, "first")  # C2 = C3 = 1/sqrt(m), m=1
-    for ps in phase_points(knife_edge, 10, rng):
+    for ps in phase_points(knife_edge, 10, stream):
         (res,) = phase_constraint_residual(model, ps)
         assert res == pytest.approx(ps.p[1] + ps.p[2], rel=1e-12)
 
 
-def test_disk_second_kind_constraint_forms(vertical_disk, rng):
+def test_disk_second_kind_constraint_forms(vertical_disk, stream):
     """Residuals vanish exactly when p_x = p_y and r1'(p) p_x = p_theta."""
     model = hamiltonian_model(vertical_disk, "second")
-    for ps in phase_points(vertical_disk, 20, rng):
+    for ps in phase_points(vertical_disk, 20, stream):
         res = phase_constraint_residual(model, ps)
         u1 = model.momentum_sum(ps.r1, ps.p) / vertical_disk.i1
         n_val = 1 / SQRT2
@@ -453,10 +453,10 @@ def test_disk_second_kind_constraint_forms(vertical_disk, rng):
         assert res[0] - res[1] == pytest.approx(n_val * u1 * (ps.p[2] - ps.p[3]), rel=1e-10)
 
 
-def test_legendre_image_lies_on_constraint_set(any_system, rng):
+def test_legendre_image_lies_on_constraint_set(any_system, stream):
     lmodel = lagrangian_model(any_system, "first")
     hmodel = hamiltonian_model(any_system, "first")
-    for jet in constraint_jets(any_system, 25, rng):
+    for jet in constraint_jets(any_system, 25, stream):
         ps = legendre(lmodel, jet)
         assert max(abs(r) for r in phase_constraint_residual(hmodel, ps)) < 1e-12
 
