@@ -112,8 +112,10 @@ class RunManifest:
             raise ConfigError(f"--tol must be finite and >= 0, got {self.tol!r}")
         if not self.out_dir:
             raise ConfigError("--out must name a directory, got an empty path")
-        head = os.path.abspath(self.out_dir)
-        while not os.path.isdir(head):  # the deepest existing path must be a directory
+        # the deepest existing path must be a directory; the path is walked up
+        # as given, since normalising "afile/.." would skip the file
+        head = os.path.join(os.getcwd(), self.out_dir)
+        while not os.path.isdir(head):
             if os.path.lexists(head):
                 raise ConfigError(f"--out must name a directory, but {head} is a file")
             head = os.path.dirname(head)

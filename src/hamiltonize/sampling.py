@@ -21,7 +21,7 @@ __all__ = ["Stream", "sample_r1", "generic_jets", "constraint_jets", "phase_poin
 
 MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
 
-_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 _ROT = (1 << 64) + 1
 
@@ -73,6 +73,8 @@ class Stream:
     __slots__ = ("state", "inc", "pending")
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"a seed must be >= 0, got {seed}")
         s0, s1, i0, i1 = _seed_words(seed)
         self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
         self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
@@ -91,16 +93,8 @@ class Stream:
 
     def random(self, count: int) -> list[float]:
         """``count`` doubles uniform in [0, 1): the top 53 bits of a word
-        each, times 2**-53.  This is ``_words`` with the shift by 11 folded
-        into the rotation, because the samplers spend most of their draws
-        here."""
-        state, inc, out = self.state, self.inc, []
-        for _ in range(count):
-            state = (state * _PCG_MULT + inc) & _M128
-            out.append((((state >> 64 ^ state) & _M64) * _ROT >> (state >> 122) + 11 & _M53)
-                       * 2.0 ** -53)
-        self.state = state
-        return out
+        each, times 2**-53."""
+        return [(word >> 11) * 2.0 ** -53 for word in self._words(count)]
 
     def halves(self, count: int) -> list[int]:
         """``count`` 32-bit draws: the pending high half of the last split

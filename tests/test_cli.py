@@ -194,7 +194,8 @@ def test_empty_out_exit_1(command, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "x", "y")])
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "x", "y"),
+                                 os.path.join("afile", os.pardir)])
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_out_under_a_file_exit_1(command, out, tmp_path, capsys, monkeypatch):
     """An --out that is an existing file, or a path under one, is one
@@ -228,7 +229,7 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         "--h": st.sampled_from(numbers + ["0.001", "0.004"]),
         "--t": st.sampled_from(numbers + ["0.01", "0.003"]),
         "--out": st.sampled_from(["", ".", "runs", os.path.join("a", "b"), "afile",
-                                  os.path.join("afile", "x")]),
+                                  os.path.join("afile", "x"), os.path.join("afile", os.pardir)]),
         "--samples": st.sampled_from(["0", "-1", "1", "3", "nan", "1e308"]),
         "--seed": st.sampled_from(["0", "-1", "2", "nan", str(2**64), str(2**200 - 1),
                                    str(2**200)]),

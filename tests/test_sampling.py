@@ -135,12 +135,24 @@ def test_samplers_keep_their_points(name):
 ])
 def test_sampling_commands_never_import_numpy_random(argv, tmp_path):
     """A sampling command runs to its verdict without importing
-    ``numpy.random``, whose import costs more than a 50-jet certificate."""
-    code = ("import sys; from hamiltonize.cli import main; "
-            "code = main(sys.argv[1:]); "
-            "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    ``numpy.random``, whose import costs more than a 50-jet certificate.
+    numpy 1.x imports it within ``import numpy`` itself, which the package
+    cannot avoid, so there the test is skipped."""
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+            "from hamiltonize.cli import main; code = main(sys.argv[1:]); "
+            "print(eager, code, 'numpy.random' in sys.modules, file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(hamiltonize.__file__))
     done = subprocess.run(
         [sys.executable, "-c", code, *argv, "--system", "vertical_disk", "--out", str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
-    assert done.stderr.splitlines()[-1] == "0 False", done.stderr
+    last = done.stderr.splitlines()[-1]
+    if last.startswith("True "):
+        pytest.skip(f"numpy {np.__version__} imports numpy.random within import numpy")
+    assert last == "False 0 False", done.stderr
+
+
+def test_stream_rejects_a_negative_seed():
+    """A negative seed is refused, as numpy's SeedSequence refuses it,
+    rather than read as its two's-complement words."""
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        Stream(-1)
