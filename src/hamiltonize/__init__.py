@@ -23,13 +23,12 @@ from .errors import (
     SingularHessianError,
     SingularVelocityError,
 )
-from .expr import Expr, diff_expr, parse_expr
+from .expr import Expr, parse_expr
 from .systems import (
     Jet,
     SystemSpec,
     builtin_system,
-    disk_closed_form,
-    invariant_measure,
+    disk_closed_form_state,
     load_system_file,
     measure_pde_residual,
     nonholonomic_ode,
@@ -55,7 +54,6 @@ from .variational import (
     default_coefficients,
     euler_lagrange_rhs,
     hamilton_rhs,
-    hamiltonian_model,
     hamiltonian_value,
     hessian,
     hessian_coordinate_jacobian,
@@ -70,7 +68,6 @@ from .variational import (
 from .pontryagin import (
     controlled_rhs,
     cost,
-    cost_model,
     optimal_controls,
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,

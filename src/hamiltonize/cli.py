@@ -24,6 +24,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EvaluationError, IntegrationAborted
+from .errors import ConfigError, EvaluationError
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
 from .pontryagin import MODEL_KINDS, control_gradient, optimal_controls, optimal_hamiltonian_value
@@ -70,8 +71,9 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CERTIFICATION = 3
 
-# optimal-control check: points with |u_1| below the first are skipped; the
-# two routes must agree below the second, the gradient must vanish below the third
+# optimal-control check: points with |u_1| below the first or controls not all finite
+# are skipped; the two routes must agree below the second, the gradient must vanish
+# below the third, and a non-finite deviation or gradient is a runtime error
 PONTRYAGIN_U1_MIN = 0.05
 PONTRYAGIN_DEV_TOL = 1e-10
 PONTRYAGIN_GRAD_TOL = 1e-8
@@ -236,8 +238,12 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
         if jet0.r1dot == 0.0:
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
         model = manifest.model(sys_, manifest.ham_kind)
-        ps0 = legendre(model, jet0)
-        if not np.isfinite(ps0.p).all():
+        try:
+            ps0 = legendre(model, jet0)
+            finite = np.isfinite(ps0.p).all()
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ConfigError(f"the Legendre image of the initial jet q={list(jet0.q)}, "
                               f"qdot={list(jet0.qdot)} is not finite")
         traj = integrate(hamilton_ode(model), np.array(ps0.q + ps0.p), cfg,
@@ -390,17 +396,20 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
+@np.errstate(over="ignore", invalid="ignore")  # np.dot's overflow is a non-finite deviation
 def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
     """The optimal-control check of cost ``kind`` on its model ``model``."""
     stream = Stream(manifest.seed)
     count = manifest.samples or 1000
-    max_dev = 0.0
-    max_grad = 0.0
+    max_dev = max_grad = 0.0
     used = degenerate = near_zero = 0
     for ps in phase_points(model.system, count, stream):
         try:
             u_star = optimal_controls(model, ps)
+            finite = all(map(math.isfinite, u_star))
         except EvaluationError:
+            finite = False
+        if not finite:
             degenerate += 1
             continue
         if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
@@ -408,9 +417,12 @@ def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str
             continue  # boundary region, reported elsewhere
         used += 1
         dev = abs(optimal_hamiltonian_value(model, ps, u_star) - hamiltonian_value(model, ps))
+        grads = [abs(g) for g in control_gradient(model, ps, u_star)]
+        if not all(map(math.isfinite, (dev, *grads))):
+            raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
+                                  f"p={list(ps.p)}")
         max_dev = max(max_dev, dev)
-        grad = max(abs(g) for g in control_gradient(model, ps, u_star))
-        max_grad = max(max_grad, grad)
+        max_grad = max(max_grad, *grads)
     return {
         "system": model.system.label,
         "kind": kind,
@@ -633,11 +645,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationAborted as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except EvaluationError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (EvaluationError, ArithmeticError) as exc:  # IntegrationAborted is an EvaluationError
+        name = "" if isinstance(exc, EvaluationError) else f"{type(exc).__name__}: "
+        print(f"runtime error: {name}{exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:
         print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)

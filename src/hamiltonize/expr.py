@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import ExprDomainError, ExprParseError
 
-__all__ = ["Expr", "parse_expr", "diff_expr", "const", "var", "compile_table", "splice", "define",
-           "Series", "series_table"]
+__all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "splice", "define", "Series",
+           "series_table"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -831,11 +831,6 @@ def const(value: float) -> Expr:
 
 def var() -> Expr:
     return Var()
-
-
-def diff_expr(e: Expr) -> Expr:
-    """Structural derivative of an expression with respect to r1."""
-    return e.diff()
 
 
 # --- parser ---------------------------------------------------------------

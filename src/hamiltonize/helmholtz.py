@@ -80,6 +80,8 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
+DET_TOL = 1e-10  # a normalized candidate multiplier with |det| at or above this is regular
+COMBOS = 8  # random combinations of each jet's nullspace basis the certificate tests
 JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVD
 
 
@@ -141,7 +143,7 @@ def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplierField:
-    """A candidate multiplier: jet -> symmetric matrix, with provenance.
+    """A candidate multiplier: jet -> symmetric matrix.
 
     ``velocity_jacobian`` (jet -> dg/dq' with leading axis the velocity
     index) and ``coordinate_jacobian`` (jet -> dg/dq likewise) are optional
@@ -151,7 +153,6 @@ class MultiplierField:
     """
 
     fn: Callable[[Jet], np.ndarray]
-    provenance: str = "candidate"
     velocity_jacobian: Callable[[Jet], np.ndarray] | None = None
     coordinate_jacobian: Callable[[Jet], np.ndarray] | None = None
 
@@ -256,7 +257,7 @@ def helmholtz_residuals(
     sym_worst = _worst(dg.transpose(0, 2, 1, 3), antisymmetric=True)
     nabla_worst = _worst(gamma_g - gm @ nb - nb.transpose(0, 2, 1) @ gm)
     phi_worst = _worst(gphi, antisymmetric=True)
-    with np.errstate(invalid="ignore"):  # a non-finite g gives a NaN the report carries
+    with np.errstate(all="ignore"):  # the report carries whatever det gives, NaN included
         min_det = float(np.min(np.abs(np.linalg.det(gm))))
 
     return HelmholtzReport(
@@ -337,7 +338,7 @@ class CertificateReport:
     singular value and the lowest index of a jet that gives it, the
     smallest cut gap ``log10(rtol s_max / s_dropped)`` of the first dropped
     one where it is nonzero, and the determinant margin
-    ``log10(det_tol / max_normalized_det)``.
+    ``log10(det_tol / max_normalized_det)``; ``det_tol`` is ``DET_TOL``.
     """
 
     passed: bool
@@ -362,20 +363,14 @@ def _smallest(margins) -> tuple[float | None, int | None]:
     return min(((v, key) for v, key in logs if math.isfinite(v)), default=(None, None))
 
 
-def singularity_certificate(
-    sode,
-    jets: Sequence[Jet],
-    depth: int = 3,
-    seed: int = 0,
-    det_tol: float = 1e-10,
-    combos: int = 8,
-) -> CertificateReport:
+def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3,
+                            seed: int = 0) -> CertificateReport:
     """Certify (or refute) that no regular multiplier survives the algebraic
     conditions at the sampled jets.
 
-    Every nullspace basis element and ``combos`` random combinations per jet
+    Every nullspace basis element and ``COMBOS`` random combinations per jet
     are assembled into symmetric matrices, normalized so the largest entry is
-    one, and tested for |det| below ``det_tol``.  A combination's coefficients
+    one, and tested for |det| below ``DET_TOL``.  A combination's coefficients
     are uniform in [-1, 1), drawn in turn from ``Stream(seed)``; any continuous
     law gives a generic combination.  A regular combination is returned as a
     counterexample and fails the certificate.  The sample is
@@ -399,14 +394,14 @@ def singularity_certificate(
         matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
         bases, svals = nullspace(matrices)
         # successive draws give the coefficients of one combination
-        coeffs = -1.0 + 2.0 * np.array(stream.random(combos * sum(map(len, bases))))
+        coeffs = -1.0 + 2.0 * np.array(stream.random(COMBOS * sum(map(len, bases))))
         owners, candidates, start = [], [], 0
         for jdx, basis in enumerate(bases, first):
             candidates += list(basis)
-            for _ in range(combos):
+            for _ in range(COMBOS):
                 candidates.append(basis.T @ coeffs[start:start + len(basis)])
                 start += len(basis)
-            owners += [jdx] * (len(basis) + combos)
+            owners += [jdx] * (len(basis) + COMBOS)
         g = np.array(candidates).reshape(len(candidates), len(pos))[:, sym].reshape(-1, n, n)
         peak = np.max(np.abs(g), axis=(1, 2))
         regular = peak != 0.0  # an all-zero candidate is skipped
@@ -414,7 +409,7 @@ def singularity_certificate(
         owners = np.asarray(owners)[regular].tolist()
         dets = np.abs(np.linalg.det(normalized)).tolist()
         worst = max([worst, *dets])
-        k = next((k for k, det in enumerate(dets) if det >= det_tol), None)
+        k = next((k for k, det in enumerate(dets) if det >= DET_TOL), None)
         if counterexample is None and k is not None:
             jet = jets[owners[k]]
             counterexample = {
@@ -437,13 +432,13 @@ def singularity_certificate(
         passed=counterexample is None,
         depth=depth,
         seed=seed,
-        det_tol=det_tol,
+        det_tol=DET_TOL,
         nullspace_dims=tuple(dims),
         max_normalized_det=worst,
         kept_margin_decades=kept_margin,
         kept_margin_jet=kept_jet,
         cut_gap_decades=_smallest(gaps)[0],
-        det_margin_decades=_smallest([(0, (det_tol, worst))])[0],
+        det_margin_decades=_smallest([(0, (DET_TOL, worst))])[0],
         warnings=tuple(warnings),
         counterexample=counterexample,
     )

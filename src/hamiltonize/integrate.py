@@ -174,6 +174,7 @@ class CompareMetrics:
     per_column: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite metric fails the report
 def compare(a: Trajectory, b: Trajectory, names: tuple[str, ...]) -> CompareMetrics:
     """Sup-norm and RMS of the difference of two runs on shared coordinates.
 

@@ -25,12 +25,13 @@ suite checks by evaluating both routes independently.  Controls are only
 meaningful for u_1 bounded away from zero; 1e-6 is enforced.
 
 G1 and G2 charge the coordinates exactly as the first and second closed-form
-models do, so neither cost decides its own layout.  ``cost_model`` is the one
-map from a cost to its model (``MODEL_KINDS``: g1 to first, g2 to second,
-with the same coefficients C_b / a_b); every other function here takes that
-model and reads its ``kinetic`` and ``terms``.  Controls are a sequence
-indexed like the coordinates: u[0] is u_1 and u[b] the control of
-coordinate b.
+models do, so neither cost decides its own layout.  ``MODEL_KINDS`` is the
+one map from a cost to its model (g1 to first, g2 to second, with the same
+coefficients C_b / a_b): ``lagrangian_model(sys, MODEL_KINDS[cost])``, which
+refuses G2's model where the measure density is not constant.  Every
+function here takes that model and reads its ``kinetic`` and ``terms``.
+Controls are a sequence indexed like the coordinates: u[0] is u_1 and u[b]
+the control of coordinate b.
 
 Controls may be complex.  Every operation from the controls to the control
 Hamiltonian is analytic in them, so ``control_gradient`` differentiates the
@@ -64,16 +65,11 @@ one ``np.dot`` gives, bit for bit.
 
 from __future__ import annotations
 
-from .errors import ConfigError
-from .systems import SystemSpec
-from .variational import (LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum,
-                          _names, hamiltonian_model)
+from .variational import LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum, _names
 
 __all__ = [
     "controlled_rhs",
-    "controlled_ode",
     "cost",
-    "cost_model",
     "pontryagin_hamiltonian",
     "control_gradient",
     "optimal_controls",
@@ -85,35 +81,11 @@ U1_MIN = 1e-6
 CS_STEP = 1e-30  # complex step: its square vanishes against any real part
 
 
-def cost_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
-    """The closed-form model whose layout and coefficients cost ``kind``
-    uses; its Hamiltonian is the one the cost reproduces.  Like the second
-    model, G2 is rejected on a system whose measure density is not
-    constant."""
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown cost kind {kind!r}")
-    return hamiltonian_model(sys, MODEL_KINDS[kind], coefficients)
-
-
 def controlled_rhs(model: LagrangianModel, q, u) -> list:
     """Position derivative (r1', q_b') of the controlled first-order system.
     Coordinates the model charges kinetically keep their controls
     unweighted."""
     return _kernel(model, "rates", "u", _rates_lines)(float(q[0]), u)
-
-
-def controlled_ode(model: LagrangianModel, control):
-    """First-order right-hand side with a state-feedback control law.
-
-    ``control`` maps (t, q) to a control sequence; pass a constant one for
-    open-loop runs.
-    """
-
-    def rhs(t: float, y) -> list:
-        u = control(t, y) if callable(control) else control
-        return controlled_rhs(model, y, u)
-
-    return rhs
 
 
 def cost(model: LagrangianModel, q, u) -> float:

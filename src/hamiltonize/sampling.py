@@ -20,6 +20,7 @@ from .variational import PhaseState
 __all__ = ["Stream", "sample_r1", "generic_jets", "constraint_jets", "phase_points"]
 
 MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
+SPEEDS = (0.5, 2.0)  # the range of the magnitudes of sampled velocities and momenta
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
@@ -109,13 +110,13 @@ class Stream:
         return out
 
 
-def sample_r1(sys: SystemSpec, stream: Stream, min_coeff: float = MIN_COEFF) -> float:
-    """Draw r1 uniform in [-1, 1], rejecting coefficient near-zeros: each
+def sample_r1(sys: SystemSpec, stream: Stream) -> float:
+    """Draw r1 uniform in [-1, 1], rejecting |A_a(r1)| < ``MIN_COEFF``: each
     try is ``rng.uniform(-1.0, 1.0)`` of the generator the stream equals."""
     for _ in range(1000):
         r1 = -1.0 + 2.0 * stream.random(1)[0]
         try:
-            if all(abs(fn(r1)) >= min_coeff for fn in sys.a_fns):
+            if all(abs(fn(r1)) >= MIN_COEFF for fn in sys.a_fns):
                 sys.measure_fn(r1)
                 return r1
         except EvaluationError:
@@ -154,31 +155,17 @@ def _sample(sys: SystemSpec, count: int, stream: Stream, speeds: int,
     return out
 
 
-def generic_jets(
-    sys: SystemSpec,
-    count: int,
-    stream: Stream,
-    vel_range: tuple[float, float] = (0.5, 2.0),
-) -> list[Jet]:
+def generic_jets(sys: SystemSpec, count: int, stream: Stream,
+                 vel_range: tuple[float, float] = SPEEDS) -> list[Jet]:
     """Jets with independent velocities (not constraint-restricted)."""
     return _sample(sys, count, stream, sys.n, vel_range, Jet)
 
 
-def constraint_jets(
-    sys: SystemSpec,
-    count: int,
-    stream: Stream,
-    vel_range: tuple[float, float] = (0.5, 2.0),
-) -> list[Jet]:
+def constraint_jets(sys: SystemSpec, count: int, stream: Stream) -> list[Jet]:
     """Jets whose s velocities satisfy the constraints."""
-    return _sample(sys, count, stream, 2, vel_range, lambda q, u: sys.on_constraint(q, *u))
+    return _sample(sys, count, stream, 2, SPEEDS, lambda q, u: sys.on_constraint(q, *u))
 
 
-def phase_points(
-    sys: SystemSpec,
-    count: int,
-    stream: Stream,
-    p_range: tuple[float, float] = (0.5, 2.0),
-) -> list[PhaseState]:
-    """Phase points over generic coordinates with momenta in +-[lo, hi]."""
-    return _sample(sys, count, stream, sys.n, p_range, PhaseState)
+def phase_points(sys: SystemSpec, count: int, stream: Stream) -> list[PhaseState]:
+    """Phase points over generic coordinates, momentum magnitudes in ``SPEEDS``."""
+    return _sample(sys, count, stream, sys.n, SPEEDS, PhaseState)

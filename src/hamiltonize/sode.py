@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ExprDomainError
-from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
+from .systems import COEFF_EPS, SystemSpec, weight_vanishes
 
 __all__ = [
     "SodeSystem",
@@ -60,7 +60,7 @@ class SodeSystem:
     The right-hand side is straight-line code generated once per object, on
     first use, with its table spliced in: kind second reads the system's
     ``weight_table`` under the closed-form models' guard, the other kinds
-    ``coeff_table``.  ``ode`` returns it; ``f`` and ``rhs`` evaluate it.
+    ``coeff_table``.  ``ode`` returns it; ``f`` evaluates it.
     """
 
     system: SystemSpec
@@ -71,9 +71,6 @@ class SodeSystem:
     def f(self, q, u) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
         return np.array(self._kernel(0.0, [float(v) for v in (*q, *u)])[self.n:])
-
-    def rhs(self, jet: Jet) -> np.ndarray:
-        return self.f(jet.q, jet.qdot)
 
     def ode(self):
         """First-order right-hand side on the stacked state (q, q')."""

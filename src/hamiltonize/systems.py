@@ -47,6 +47,7 @@ MEASURE_SAMPLES = 32
 # guard is far below any value that sampling or an integration grid reaches.
 COEFF_EPS = 1e-12
 MAX_EXPR_DEPTH = 500  # levels of nesting a spec's expression may have
+MEASURE_FD_STEP = 1e-5  # central-difference step of dN/dr1 in ``measure_pde_residual``
 
 
 def weight_vanishes(entry: int, r1: float) -> EvaluationError:
@@ -61,12 +62,11 @@ __all__ = [
     "Jet",
     "SystemSpec",
     "builtin_system",
-    "invariant_measure",
     "measure_pde_residual",
     "nonholonomic_ode",
     "nh_state_from_jet",
     "jet_from_nh_state",
-    "disk_closed_form",
+    "disk_closed_form_state",
     "parse_system_file",
     "load_system_file",
 ]
@@ -118,7 +118,9 @@ class SystemSpec:
 
     ``i_alpha`` and ``a_alpha`` are aligned: entry ``a`` is the inertia and
     coefficient of the constrained coordinate ``s_a``.  ``names`` labels the
-    coordinates ``(r1, r2, s_1 .. s_k)`` for reporting and CSV headers.
+    coordinates ``(r1, r2, s_1 .. s_k)`` for reporting and CSV headers, so
+    no name may be ``t`` or another name with ``d`` or ``p`` in front: the
+    time, velocity and momentum columns.
     """
 
     i1: float
@@ -130,6 +132,8 @@ class SystemSpec:
     weight_exprs: tuple[ex.Expr, ...] | None = None
 
     def __post_init__(self):
+        for inertia in ("i1", "i2"):  # floats: generated code writes each one as its repr
+            object.__setattr__(self, inertia, float(getattr(self, inertia)))
         object.__setattr__(self, "i_alpha", tuple(float(v) for v in self.i_alpha))
         object.__setattr__(self, "a_alpha", tuple(self.a_alpha))
         object.__setattr__(self, "names", tuple(self.names))
@@ -146,8 +150,12 @@ class SystemSpec:
                 raise ConfigError("names must not be empty")
             if self.names.count(name) > 1:
                 raise ConfigError(f"name {name!r} labels more than one coordinate")
+            if name == "t":
+                raise ConfigError("name 't' is the time column")
             if name[:1] == "d" and name[1:] in self.names:
                 raise ConfigError(f"name {name!r} is the velocity key of {name[1:]!r}")
+            if name[:1] == "p" and name[1:] in self.names:
+                raise ConfigError(f"name {name!r} is the momentum column of {name[1:]!r}")
         for a, coeff in enumerate(self.a_alpha):
             if coeff.is_constant():
                 raise ConfigError(
@@ -402,21 +410,16 @@ BUILTIN_NAMES = ("free_particle", "knife_edge", "vertical_disk")
 # --- invariant measure ------------------------------------------------------
 
 
-def invariant_measure(sys: SystemSpec, r1: float) -> float:
-    """Invariant-measure density N(r1) = 1/sqrt(I2 + sum I_a A_a^2)."""
-    return sys.measure_fn(r1)
-
-
-def measure_pde_residual(
-    sys: SystemSpec, r1: float, h: float = 1e-5
-) -> tuple[float, float]:
+def measure_pde_residual(sys: SystemSpec, r1: float) -> tuple[float, float]:
     """Residuals of the two volume-preservation equations at ``r1``.
 
     The first is (1/N) dN/dr1 - (ln N)', with (ln N)' in closed form
     (``log_measure_slope_expr``) and dN/dr1 taken by central differences of
-    step ``h`` so the check is independent of the closed form.  The second
-    is (1/N) dN/dr2, which vanishes identically because N depends on r1 only.
+    step ``MEASURE_FD_STEP``, so the check is independent of the closed form.
+    The second is (1/N) dN/dr2, which vanishes identically because N depends
+    on r1 only.
     """
+    h = MEASURE_FD_STEP
     n_mid = sys.measure_fn(r1)
     slope_fd = (sys.measure_fn(r1 + h) - sys.measure_fn(r1 - h)) / (2.0 * h)
     res1 = slope_fd / n_mid - sys.log_measure_slope_fn(r1)
@@ -463,20 +466,15 @@ def nh_columns(sys: SystemSpec) -> tuple[str, ...]:
 # --- closed-form disk solution ----------------------------------------------
 
 
-def disk_closed_form(radius: float, ics: Jet, t: float) -> Jet:
-    """Exact state of the rolling disk at time ``t``.
+def disk_closed_form_state(radius: float, ics: Jet, t: float) -> tuple[float, ...]:
+    """Exact state (phi, theta, x, y, their velocities) of the rolling disk
+    at time ``t``, as one flat tuple.
 
     ``ics`` holds (phi, theta, x, y) and their velocities at t = 0; the
     contact-point velocities are determined by (u_phi, u_theta) alone.  For
     u_phi != 0 the disk traces a circle; for u_phi = 0 it rolls along a
     straight line.
     """
-    state = disk_closed_form_state(radius, ics, t)
-    return Jet(state[:4], state[4:])
-
-
-def disk_closed_form_state(radius: float, ics: Jet, t: float) -> tuple[float, ...]:
-    """``disk_closed_form`` as the flat tuple (q, qdot), without a Jet."""
     phi0, theta0, x0, y0 = ics.q
     u_phi, u_theta = ics.qdot[0], ics.qdot[1]
     phi = phi0 + u_phi * t

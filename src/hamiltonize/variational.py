@@ -50,11 +50,11 @@ gives
 
 with constraints I2 * N * r1'(p) * p_(s_a) + a_a * p_2 = 0, where r1'(p) is
 read off the p_1 partial.  The Legendre image carries exactly the data of the
-Lagrangian, so a first/second model is its own Hamiltonian model:
-``hamiltonian_model`` returns it and the Hamiltonian functions read the same
-layout.  Both Hamiltonians are globally smooth even though the Lagrangians
-are not, and their canonical flows restricted to the constraint set
-reproduce the nonholonomic motion.
+Lagrangian, so a first/second model is its own Hamiltonian model: the
+Hamiltonian functions take the ``lagrangian_model``, read the same layout
+and refuse a variational one.  Both Hamiltonians are globally smooth even
+though the Lagrangians are not, and their canonical flows restricted to the
+constraint set reproduce the nonholonomic motion.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ __all__ = [
 ]
 
 LAGRANGIAN_KINDS = ("first", "second", "variational")
-HAMILTONIAN_KINDS = ("first", "second")
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,6 @@ def hessian_field(model: LagrangianModel):
 
     return MultiplierField(
         fn=lambda jet: hessian(model, jet),
-        provenance="hessian-of-L",
         velocity_jacobian=lambda jet: hessian_velocity_jacobian(model, jet),
         coordinate_jacobian=lambda jet: hessian_coordinate_jacobian(model, jet),
     )
@@ -518,14 +516,6 @@ def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
 
 
 # --- Hamiltonians -----------------------------------------------------------------
-
-
-def hamiltonian_model(sys: SystemSpec, kind: str, coefficients=None) -> LagrangianModel:
-    """The kind first/second model whose Legendre image the Hamiltonian
-    functions evaluate; it carries the same data as the Lagrangian."""
-    if kind not in HAMILTONIAN_KINDS:
-        raise ConfigError(f"unknown Hamiltonian kind {kind!r}")
-    return lagrangian_model(sys, kind, coefficients)
 
 
 def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:

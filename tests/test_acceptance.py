@@ -17,14 +17,12 @@ from hamiltonize import (
     PhaseState,
     builtin_system,
     compare,
-    disk_closed_form,
+    disk_closed_form_state,
     first_associated,
-    hamiltonian_model,
     hamiltonian_value,
     helmholtz_residuals,
     hessian,
     integrate,
-    invariant_measure,
     lagrangian_model,
     legendre,
     measure_pde_residual,
@@ -35,7 +33,7 @@ from hamiltonize import (
     singularity_certificate,
 )
 from hamiltonize.errors import SingularVelocityError
-from hamiltonize.pontryagin import cost_model
+from hamiltonize.pontryagin import MODEL_KINDS
 from hamiltonize.sampling import Stream, generic_jets, phase_points, sample_r1
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, phase_columns
@@ -73,7 +71,7 @@ def test_criterion_1_disk_closed_form_oracle():
     traj = integrate(nonholonomic_ode(sys_), nh_state_from_jet(sys_, ics), cfg,
                      nh_columns(sys_), "nonholonomic")
     runtime = time.perf_counter() - t0
-    exact = np.array([disk_closed_form(1.0, ics, float(t)).q for t in traj.times])
+    exact = np.array([disk_closed_form_state(1.0, ics, float(t))[:4] for t in traj.times])
     sup = float(np.max(np.abs(traj.states[:, :4] - exact)))
     verdict(1, "disk closed-form oracle", sup < 1e-6 and runtime < 1.0,
             f"sup={sup:.2e}, runtime={runtime:.2f}s")
@@ -93,7 +91,7 @@ def formulation_runs(sys_, jet0, h, ham_kind):
     runs["euler-lagrange"] = integrate(
         euler_lagrange_ode(lmodel), np.array(jet0.q + jet0.qdot), cfg,
         names + tuple("d" + n for n in names), "euler-lagrange")
-    hmodel = hamiltonian_model(sys_, ham_kind)
+    hmodel = lagrangian_model(sys_, ham_kind)
     ps0 = legendre(lagrangian_model(sys_, ham_kind), jet0)
     runs["hamiltonian"] = integrate(
         hamilton_ode(hmodel), np.array(ps0.q + ps0.p), cfg, phase_columns(sys_),
@@ -169,7 +167,7 @@ def test_criterion_4_helmholtz_positive_suite():
         model = lagrangian_model(sys_, kind, coeffs)
         jets = generic_jets(sys_, 100, Stream(SEED))
         report = helmholtz_residuals(
-            sode, MultiplierField(lambda j, m=model: hessian(m, j), "hessian-of-L"),
+            sode, MultiplierField(lambda j, m=model: hessian(m, j)),
             jets, tolerance=1e-8)
         worst = max(report.gdot_symmetry, report.nabla_condition, report.phi_condition)
         ok = ok and report.passed and report.min_abs_det > 1e-6  # regularity
@@ -188,7 +186,7 @@ def consistent_phase_points(sys_, count, stream):
     |u1| < 0.05 are resampled; behaviour near u1 = 0 is out of scope.
     """
     out = []
-    model = cost_model(sys_, "g1")
+    model = lagrangian_model(sys_, MODEL_KINDS["g1"])
     while len(out) < count:
         (ps,) = phase_points(sys_, 1, stream)
         try:
@@ -205,8 +203,8 @@ def test_criterion_5_pontryagin_consistency():
     details = []
     for name in SYSTEMS:
         sys_ = builtin_system(name)
-        model = hamiltonian_model(sys_, "first")
-        cmodel = cost_model(sys_, "g1")
+        model = lagrangian_model(sys_, "first")
+        cmodel = lagrangian_model(sys_, MODEL_KINDS["g1"])
         worst = 0.0
         for ps in consistent_phase_points(sys_, 1000, Stream(SEED)):
             dev = abs(optimal_hamiltonian_value(cmodel, ps)
@@ -215,8 +213,8 @@ def test_criterion_5_pontryagin_consistency():
         ok = ok and worst < 1e-10
         details.append(f"{name}/g1={worst:.1e}")
     disk = builtin_system("vertical_disk")
-    model2 = hamiltonian_model(disk, "second")
-    cmodel2 = cost_model(disk, "g2")
+    model2 = lagrangian_model(disk, "second")
+    cmodel2 = lagrangian_model(disk, MODEL_KINDS["g2"])
     worst = 0.0
     for ps in consistent_phase_points(disk, 1000, Stream(SEED)):
         dev = abs(optimal_hamiltonian_value(cmodel2, ps)
@@ -245,11 +243,11 @@ def test_criterion_6_invariant_measure():
     # closed forms: ~ 1/sqrt(1+x^2), ~ cos(phi), constant
     fp, ke, vd = (builtin_system(n) for n in SYSTEMS)
     for x in (-0.8, 0.3, 1.4):
-        ok = ok and abs(invariant_measure(fp, x) * math.sqrt(1 + x * x) - 1.0) < 1e-12
+        ok = ok and abs(fp.measure_fn(x) * math.sqrt(1 + x * x) - 1.0) < 1e-12
     for phi in (-0.9, 0.2, 1.1):
-        ok = ok and abs(invariant_measure(ke, phi) / math.cos(phi) - 1.0) < 1e-12
+        ok = ok and abs(ke.measure_fn(phi) / math.cos(phi) - 1.0) < 1e-12
     for phi in (-2.0, 0.5, 4.0):
-        ok = ok and abs(invariant_measure(vd, phi) - 1 / math.sqrt(2)) < 1e-15
+        ok = ok and abs(vd.measure_fn(phi) - 1 / math.sqrt(2)) < 1e-15
     verdict(6, "invariant measure", ok, "; ".join(details) + "; closed forms OK")
 
 
@@ -264,7 +262,7 @@ def test_criterion_7_conservation_drift():
         sys_ = builtin_system(name)
         start = {"free_particle": 1.0, "knife_edge": 0.25, "vertical_disk": 0.2}[name]
         jet0 = sys_.on_constraint((start,) + (0.0,) * (sys_.n - 1), 1.0, 0.5)
-        hmodel = hamiltonian_model(sys_, kind)
+        hmodel = lagrangian_model(sys_, kind)
         ps0 = legendre(lagrangian_model(sys_, kind), jet0)
         cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 10.0))
         traj = integrate(hamilton_ode(hmodel), np.array(ps0.q + ps0.p), cfg,

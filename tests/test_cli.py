@@ -213,17 +213,25 @@ def test_out_under_a_file_exit_1(command, out, tmp_path, capsys, monkeypatch):
 
 def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
     """Over the flags of every command, zero, negative, non-finite, tiny
-    and huge values, seeds up to 2**200 and an --out that is an existing
-    file included, every run ends in a documented exit code with at most
-    one line on stderr, and none is an internal error.  The --t values,
-    the default 5 included, keep every grid that is accepted at 5,000
-    steps or fewer; --samples stays small where a value is drawn."""
+    and huge values, seeds up to 2**200, an --out that is an existing file,
+    model constants and system parameters from 1e-320 to 1e300 and initial
+    velocities up to 1e200 included, every run ends in a documented exit
+    code with at most one line on stderr, none is an internal error, and
+    an exit 0 leaves stderr empty.  The --t values, the default 5 included,
+    keep every grid that is accepted at 5,000 steps or fewer; --samples
+    stays small where a value is drawn."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
     numbers = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
     formulations = st.sampled_from(cli.FORMULATIONS)
+
+    def assignments(keys, values):  # one to three key=value pairs, comma separated
+        pairs = st.tuples(st.sampled_from(keys), st.sampled_from(values))
+        return st.lists(pairs, min_size=1, max_size=3).map(
+            lambda kv: ",".join(f"{key}={value}" for key, value in kv))
+
     flags = {
         "--system": st.sampled_from(BUILTIN_NAMES),
         "--h": st.sampled_from(numbers + ["0.001", "0.004"]),
@@ -239,22 +247,38 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         "--tol": st.sampled_from(numbers + ["1e-5", "1"]),
         "--kind": st.sampled_from(["g1", "g2", "g3"]),
     }
-    trajectory = ("--system", "--h", "--t", "--out", "--seed")
+    # --params and --ic draw keys the system takes: model constants in range,
+    # its own parameters, its coordinates and their velocities
+    constants = ["C2", "C3", "a3"]
+    keys = {"free_particle": (constants, ["x", "y", "z"]),
+            "knife_edge": (constants + ["m", "J"], ["phi", "x", "y"]),
+            "vertical_disk": (constants + ["C4", "a4", "m", "R", "I", "J"],
+                              ["phi", "theta", "x", "y"])}
+    per_system = {
+        "--params": lambda system: assignments(keys[system][0],
+                                               ["1e-320", "1e-300", "1e300", "2"]),
+        "--ic": lambda system: assignments([*keys[system][1], *("d" + n for n in keys[system][1])],
+                                           ["0", "1e-300", "-1e100", "1e200"]),
+    }
+    common = ("--system", "--out", "--seed", "--params")
+    trajectory = common + ("--h", "--t", "--ic")
     used = {"simulate": trajectory + ("--formulation",),
             "compare": trajectory + ("--formulations", "--tol"),
-            "certify": ("--system", "--out", "--samples", "--seed", "--depth"),
-            "helmholtz-check": ("--system", "--out", "--samples", "--seed", "--depth"),
-            "pontryagin-check": ("--system", "--out", "--samples", "--seed", "--kind"),
-            "measure-check": ("--system", "--out", "--samples", "--seed")}
+            "certify": common + ("--samples", "--depth"),
+            "helmholtz-check": common + ("--samples", "--depth"),
+            "pontryagin-check": common + ("--samples", "--kind"),
+            "measure-check": common + ("--samples",)}
 
     @st.composite
     def argvs(draw):
         command = draw(st.sampled_from(sorted(used)))
-        argv = [command]
+        argv, system = [command], "free_particle"
         for flag in used[command]:
             if draw(st.booleans()):
+                value = draw(per_system[flag](system) if flag in per_system else flags[flag])
+                system = value if flag == "--system" else system
                 # compare takes its list through --formulation too
-                argv += [flag.replace("--formulations", "--formulation"), draw(flags[flag])]
+                argv += [flag.replace("--formulations", "--formulation"), value]
         return argv
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -266,6 +290,7 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         assert code in (0, 1, 2, 3), argv
         assert err.getvalue().count("\n") <= 1 and "internal error" not in err.getvalue(), (
             argv, err.getvalue())
+        assert code != 0 or err.getvalue() == "", (argv, err.getvalue())
 
     keeps_contract()
 
@@ -338,6 +363,10 @@ BAD_INPUTS = {
     "spec-empty-name": (_names_spec("x, , z"), 1, "names must not be empty"),
     "spec-velocity-key-name": (_names_spec("x, dx, z"), 1,
                                "name 'dx' is the velocity key of 'x'"),
+    # the hamiltonian CSV header would read t,t,x,px,pt,px,ppx
+    "spec-time-name": (_names_spec("t, x, y"), 1, "name 't' is the time column"),
+    "spec-momentum-key-name": (_names_spec("x, px, z"), 1,
+                               "name 'px' is the momentum column of 'x'"),
     # r1' cubed underflows to 0 in the Hessian: a float division by zero
     "lagrangian-r1dot-underflow": (
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
@@ -397,6 +426,24 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
                           "hamiltonian", "--ic", "dx=1e-160", "--t", "0.01"],
         1, "Legendre image of the initial jet q=[1.0, 0.0, 0.0], qdot=[1e-160,"),
+    # r1' = 1e200 or r2' = 1e160 squares past the largest float: OverflowError
+    **{f"hamiltonian-legendre-overflow-{key}": (
+        lambda tmp_path, key=key, value=value: [
+            "simulate", "--system", "free_particle", "--formulation", "hamiltonian",
+            "--ic", f"{key}={value}", "--t", "0.01"],
+        1, f"Legendre image of the initial jet q=[1.0, 0.0, 0.0], qdot={qdot}")
+       for key, value, qdot in (("dx", "1e200", "[1e+200,"), ("dy", "1e160", "[1.0, 1e+160,"))},
+    # C2 = 1e-150 leaves the optimal controls finite, near 1e300, and their
+    # squares in the control Hamiltonian overflow
+    "pontryagin-check-control-hamiltonian-overflow": (
+        lambda tmp_path: ["pontryagin-check", "--system", "free_particle", "--params",
+                          "C2=1e-150", "--samples", "5"],
+        2, "runtime error: OverflowError: "),
+    # a velocity of 1e200 gives differences whose squares overflow the RMS
+    "compare-rms-overflow": (
+        lambda tmp_path: ["compare", "--system", "vertical_disk", "--ic", "dphi=1e200",
+                          "--formulation", "nonholonomic,sode", "--t", "0.01"],
+        2, "report vertical_disk_compare.json holds a non-finite value"),
     # comparing a run with itself would pass on zero evidence
     "compare-repeated-formulation": (
         lambda tmp_path: ["compare", "--system", "knife_edge", "--formulation",
@@ -836,6 +883,41 @@ def test_pontryagin_check_fails_on_zero_evidence(tmp_path):
     assert run_cli(["certify", "--check", "pontryagin", *argv], tmp_path) == 3
     (check,) = load_report(tmp_path, "free_particle_certify.json")["checks"]
     assert check["status"] == "fail" and check["details"]["evaluated"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pontryagin-check", "--system", "vertical_disk", "--kind", "g2", "--params", "a3=1e-320"],
+    ["pontryagin-check", "--system", "vertical_disk", "--kind", "g2", "--params", "a3=1e-300"],
+    ["pontryagin-check", "--system", "free_particle", "--params", "C2=1e-320"],
+    ["pontryagin-check", "--system", "free_particle", "--params", "C2=1e-300"],
+    ["pontryagin-check", "--system", "free_particle", "--params", "C3=1e-200"],
+    ["certify", "--system", "free_particle", "--params", "C2=1e-320"]])
+def test_non_finite_optimal_controls_are_degenerate(argv, tmp_path, capsys):
+    """A tiny model constant overflows every point's optimal controls, so
+    every point is skipped as degenerate and the check fails on zero
+    evidence: exit 3 and nothing on stderr, where the NaN deviations that
+    max dropped passed or an OverflowError ended in an internal error."""
+    assert run_cli([*argv, "--samples", "20"], tmp_path) == 3
+    assert capsys.readouterr().err == ""
+    system = argv[argv.index("--system") + 1]
+    if argv[0] == "certify":
+        checks = load_report(tmp_path, f"{system}_certify.json")["checks"]
+        report = next(c for c in checks if c["name"] == "optimal-control-g1")["details"]
+    else:
+        report = load_report(tmp_path, f"{system}_pontryagin.json")
+    assert (report["evaluated"], report["skipped_degenerate"], report["passed"]) == (0, 20, False)
+
+
+def test_singular_multiplier_determinant_is_reported(tmp_path, capsys):
+    """J = C3 = 1e-320 leaves the knife edge's model Hessian with a
+    determinant that numpy's det divides by zero on: the report carries it,
+    where the warning ended in an internal error."""
+    argv = ["helmholtz-check", "--system", "knife_edge", "--params", "C3=1e-320,J=1e-320",
+            "--samples", "5"]
+    assert run_cli(argv, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    report = load_report(tmp_path, "knife_edge_helmholtz.json")
+    assert report["multiplier_conditions"]["min_abs_det"] == 0.0
 
 
 @pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hamiltonize import ExprDomainError, ExprParseError, diff_expr, parse_expr
+from hamiltonize import ExprDomainError, ExprParseError, parse_expr
 from hamiltonize.expr import (
     LABEL_CHARS,
     Const,
@@ -90,12 +90,12 @@ def test_error_labels_are_capped():
 
 
 def test_diff_of_constant_and_variable():
-    assert str(diff_expr(parse_expr("4.5"))) == "0.0"
-    assert diff_expr(parse_expr("r1")).eval(123.0) == 1.0
+    assert str(parse_expr("4.5").diff()) == "0.0"
+    assert parse_expr("r1").diff().eval(123.0) == 1.0
 
 
 def test_diff_negated_tangent_at_zero():
-    assert diff_expr(parse_expr("-tan(r1)")).eval(0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert parse_expr("-tan(r1)").diff().eval(0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def test_diff_negated_tangent_at_zero():
 )
 def test_structural_derivative_matches_finite_differences(text, lo, hi, rng):
     e = parse_expr(text)
-    d = diff_expr(e)
+    d = e.diff()
     for r1 in rng.uniform(lo, hi, size=100):
         expected = fd_slope(e, r1)
         assert d.eval(r1) == pytest.approx(expected, rel=1e-6, abs=1e-9)
@@ -120,9 +120,9 @@ def test_structural_derivative_matches_finite_differences(text, lo, hi, rng):
 
 def test_second_and_third_derivatives_are_structural():
     e = parse_expr("-tan(r1)")
-    d3 = diff_expr(diff_expr(diff_expr(e)))
+    d3 = e.diff().diff().diff()
     # d^3/dx^3 of -tan = -(6 tan^2 sec^2 + 2 sec^4) ... check against FD of d2
-    d2 = diff_expr(diff_expr(e))
+    d2 = e.diff().diff()
     assert d3.eval(0.4) == pytest.approx(fd_slope(d2, 0.4), rel=1e-6)
 
 

@@ -256,7 +256,7 @@ def test_hessian_multiplier_passes(system_name, coeffs, stream, request):
     sode = second_associated(sys)
     kind = "first" if system_name == "free_particle" else "second"
     model = lagrangian_model(sys, kind, coeffs)
-    field = MultiplierField(lambda jet: hessian(model, jet), "hessian-of-L")
+    field = MultiplierField(lambda jet: hessian(model, jet))
     report = helmholtz_residuals(sode, field, generic_jets(sys, 100, stream))
     assert report.passed, report
     assert report.min_abs_det > 1e-6
@@ -320,7 +320,7 @@ def test_stacked_residuals_match_per_jet_reference(any_system, exact):
     model = lagrangian_model(any_system, "first")
     field = hessian_field(model)
     if not exact:
-        field = MultiplierField(field.fn, "hessian-of-L")
+        field = MultiplierField(field.fn)
     for seed in (0, 1, 2):
         jets = generic_jets(any_system, 50, Stream(seed))
         report = helmholtz_residuals(sode, field, jets)

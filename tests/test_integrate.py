@@ -16,7 +16,7 @@ from hamiltonize import (
     Trajectory,
     builtin_system,
     compare,
-    disk_closed_form,
+    disk_closed_form_state,
     first_associated,
     integrate,
     second_associated,
@@ -26,8 +26,7 @@ from hamiltonize import expr
 from hamiltonize.cli import default_initial_jet
 from hamiltonize.errors import EvaluationError
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
-from hamiltonize.variational import (euler_lagrange_ode, hamilton_ode, hamiltonian_model,
-                                     lagrangian_model, legendre)
+from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, lagrangian_model, legendre
 
 
 def test_config_validation():
@@ -62,7 +61,7 @@ def test_disk_flow_matches_closed_form():
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 10.0))
     traj = integrate(nonholonomic_ode(sys), nh_state_from_jet(sys, ics), cfg,
                      nh_columns(sys), "nonholonomic")
-    exact = np.array([disk_closed_form(1.0, ics, t).q for t in traj.times])
+    exact = np.array([disk_closed_form_state(1.0, ics, t)[:4] for t in traj.times])
     assert np.max(np.abs(traj.states[:, :4] - exact)) < 1e-6
 
 
@@ -214,7 +213,7 @@ def _formulation_runs(name, sys=None):
             continue  # associated only where the measure is constant
         runs.append((f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot)))
     for kind in ("first", "second") if sys.constant_measure else ("first",):
-        model = hamiltonian_model(sys, kind)
+        model = lagrangian_model(sys, kind)
         ps0 = legendre(model, jet0)
         runs.append((f"hamiltonian-{kind}", hamilton_ode(model), np.array(ps0.q + ps0.p)))
     return runs

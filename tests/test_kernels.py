@@ -18,11 +18,11 @@ import pytest
 from hamiltonize.cli import main
 from hamiltonize.pontryagin import (
     CS_STEP,
+    MODEL_KINDS,
     U1_MIN,
     control_gradient,
     controlled_rhs,
     cost,
-    cost_model,
     optimal_controls,
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
@@ -268,27 +268,34 @@ def test_kernels_match_loops_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_pointwise_api_evaluates_the_kernels(name):
-    """euler_lagrange_rhs, hamilton_rhs, SodeSystem.f and SodeSystem.rhs give
-    the reference floats bit for bit."""
+    """euler_lagrange_rhs, hamilton_rhs and SodeSystem.f give the reference
+    floats bit for bit, on the built-in and on the same built-in made with
+    numpy-scalar parameters, which the spec coerces to floats (the generated
+    code writes each inertia as its repr)."""
     sys = builtin_system(name)
+    params = {"knife_edge": "mJ", "vertical_disk": "mRIJ"}.get(name, "")
+    typed = builtin_system(name, **{key: np.float64(1.0) for key in params})
     n = sys.n
     kinds = ("first", "second") if sys.constant_measure else ("first",)
+    sodes = [(build(sys), build(typed))
+             for build in (first_associated, second_associated, third_associated)]
     for y in _states(2 * n, seed=99):
         jet = Jet(tuple(y[:n]), tuple(y[n:]))
-        for build in (first_associated, second_associated, third_associated):
-            sode = build(sys)
+        for sode, typed_sode in sodes:
             expected = outcome(loop_sode_f(sode), y[:n], y[n:])
             assert outcome(sode.f, np.array(y[:n]), np.array(y[n:])) == expected
-            assert outcome(sode.rhs, jet) == expected
+            assert outcome(sode.f, jet.q, jet.qdot) == expected
+            assert outcome(typed_sode.f, jet.q, jet.qdot) == expected
         for kind in (*kinds, "variational"):
-            model = lagrangian_model(sys, kind)
-            assert (outcome(euler_lagrange_rhs, model, jet)
-                    == outcome(loop_euler_lagrange_accel, model, y[0], y[n:]))
+            expected = outcome(loop_euler_lagrange_accel, lagrangian_model(sys, kind), y[0], y[n:])
+            for spec in (sys, typed):
+                assert outcome(euler_lagrange_rhs, lagrangian_model(spec, kind), jet) == expected
         for kind in kinds:
-            model = lagrangian_model(sys, kind)
             ps = PhaseState(tuple(y[:n]), tuple(y[n:]))
-            assert (outcome(lambda: np.concatenate(hamilton_rhs(model, ps)))
-                    == outcome(loop_hamilton_field, model, y[0], y[n:]))
+            expected = outcome(loop_hamilton_field, lagrangian_model(sys, kind), y[0], y[n:])
+            for spec in (sys, typed):
+                model = lagrangian_model(spec, kind)
+                assert outcome(lambda: np.concatenate(hamilton_rhs(model, ps))) == expected
 
 
 # --- the same errors --------------------------------------------------------------
@@ -464,7 +471,8 @@ def exact(fn, *args):
 
 
 def _cost_models(sys):
-    return [cost_model(sys, kind) for kind in (("g1", "g2") if sys.constant_measure else ("g1",))]
+    kinds = ("g1", "g2") if sys.constant_measure else ("g1",)
+    return [lagrangian_model(sys, MODEL_KINDS[kind]) for kind in kinds]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

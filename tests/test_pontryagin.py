@@ -10,7 +10,6 @@ from hamiltonize import (
     SingularVelocityError,
     controlled_rhs,
     cost,
-    hamiltonian_model,
     hamiltonian_value,
     integrate,
     legendre,
@@ -20,7 +19,7 @@ from hamiltonize import (
     pontryagin_hamiltonian,
 )
 from hamiltonize.errors import EvaluationError
-from hamiltonize.pontryagin import control_gradient, controlled_ode, cost_model
+from hamiltonize.pontryagin import MODEL_KINDS, control_gradient
 from hamiltonize.systems import SystemSpec
 from hamiltonize.sampling import phase_points
 from hamiltonize.variational import hamilton_ode
@@ -31,7 +30,7 @@ from hamiltonize.variational import hamilton_ode
 
 def test_zero_controls_freeze_the_state(free_particle):
     u = (0.0, 0.0, 0.0)
-    out = controlled_rhs(cost_model(free_particle, "g1"), (0.3, 0.1, 0.2), u)
+    out = controlled_rhs(lagrangian_model(free_particle, MODEL_KINDS["g1"]), (0.3, 0.1, 0.2), u)
     assert all(v == 0.0 for v in out)
 
 
@@ -39,7 +38,8 @@ def test_controlled_velocities_follow_weights(free_particle):
     """With u = (1, 1, 0) from x = 0: y'(t) = 1/sqrt(1+t^2), so y(2) = asinh(2)."""
     u = (1.0, 1.0, 0.0)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 2.0))
-    traj = integrate(controlled_ode(cost_model(free_particle, "g1"), u), np.zeros(3), cfg,
+    model = lagrangian_model(free_particle, MODEL_KINDS["g1"])
+    traj = integrate(lambda t, y: controlled_rhs(model, y, u), np.zeros(3), cfg,
                      free_particle.names, "controlled")
     assert traj.states[-1, 0] == pytest.approx(2.0, abs=1e-12)
     assert traj.states[-1, 1] == pytest.approx(math.asinh(2.0), abs=1e-9)
@@ -49,7 +49,8 @@ def test_constant_controls_solve_decoupled_system(vertical_disk, rng):
     """q_a'(t) = u_a exp(xi_a(r1(t))) along the controlled flow."""
     u = (0.8, 1.0, 0.5, -0.7)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 1.0))
-    traj = integrate(controlled_ode(cost_model(vertical_disk, "g1"), u),
+    model = lagrangian_model(vertical_disk, MODEL_KINDS["g1"])
+    traj = integrate(lambda t, y: controlled_rhs(model, y, u),
                      np.array([0.3, 0, 0, 0]), cfg,
                      vertical_disk.names, "controlled")
     # check the velocity law at the endpoint by finite differences
@@ -67,26 +68,28 @@ def test_constant_controls_solve_decoupled_system(vertical_disk, rng):
 
 def test_cost_free_particle_value(free_particle):
     u = (1.0, 1.0, 0.0)
-    assert cost(cost_model(free_particle, "g1", (1.0, 1.0)), (0.0, 0, 0), u) == 1.0
+    model = lagrangian_model(free_particle, MODEL_KINDS["g1"], (1.0, 1.0))
+    assert cost(model, (0.0, 0, 0), u) == 1.0
 
 
 def test_cost_reduces_to_drive_term(any_system):
     u = (0.7,) + (0.0,) * (any_system.n - 1)
-    assert cost(cost_model(any_system, "g1"), (0.5,) + (0.0,) * (any_system.n - 1), u) == (
+    model = lagrangian_model(any_system, MODEL_KINDS["g1"])
+    assert cost(model, (0.5,) + (0.0,) * (any_system.n - 1), u) == (
         pytest.approx(0.5 * any_system.i1 * 0.49)
     )
 
 
 def test_cost_zero_drive_rejected(free_particle):
     with pytest.raises(SingularVelocityError):
-        cost(cost_model(free_particle, "g1"), (0.0, 0, 0), (0.0, 1.0, 1.0))
+        cost(lagrangian_model(free_particle, MODEL_KINDS["g1"]), (0.0, 0, 0), (0.0, 1.0, 1.0))
 
 
 def test_second_cost_needs_constant_measure(knife_edge, vertical_disk):
     with pytest.raises(ConfigError):
-        cost_model(knife_edge, "g2")
+        lagrangian_model(knife_edge, MODEL_KINDS["g2"])
     u4 = (1.0, 1.0, 1.0, 1.0)
-    value = cost(cost_model(vertical_disk, "g2"), (0.3, 0, 0, 0), u4)
+    value = cost(lagrangian_model(vertical_disk, MODEL_KINDS["g2"]), (0.3, 0, 0, 0), u4)
     # (1/2)(I1 u1^2 + I2 u2^2 + sum a_a E_a u_a^2 / u1), E = N*A, a = -J*N
     n_val = 1 / math.sqrt(2)
     expected = 0.5 * (
@@ -101,7 +104,7 @@ def test_second_cost_needs_constant_measure(knife_edge, vertical_disk):
 
 
 def test_optimal_controls_free_particle_point(free_particle):
-    u = optimal_controls(cost_model(free_particle, "g1"),
+    u = optimal_controls(lagrangian_model(free_particle, MODEL_KINDS["g1"]),
                          PhaseState((0.0, 0, 0), (1.0, 0.0, 0.0)))
     assert u[0] == pytest.approx(1.0)
     assert u[1:] == pytest.approx((0.0, 0.0))
@@ -110,7 +113,7 @@ def test_optimal_controls_free_particle_point(free_particle):
 def test_optimal_controls_zero_transverse_momenta(any_system, rng):
     p0 = 1.7
     ps = PhaseState((0.4,) + (0.0,) * (any_system.n - 1), (p0,) + (0.0,) * (any_system.n - 1))
-    u = optimal_controls(cost_model(any_system, "g1"), ps)
+    u = optimal_controls(lagrangian_model(any_system, MODEL_KINDS["g1"]), ps)
     assert u[0] == pytest.approx(p0 / any_system.i1)
     assert all(v == 0.0 for v in u[1:])
 
@@ -118,7 +121,7 @@ def test_optimal_controls_zero_transverse_momenta(any_system, rng):
 def test_degenerate_control_reported(free_particle):
     ps = PhaseState((0.5, 0, 0), (0.0, 0.0, 0.0))
     with pytest.raises(SingularVelocityError):
-        optimal_controls(cost_model(free_particle, "g1"), ps)
+        optimal_controls(lagrangian_model(free_particle, MODEL_KINDS["g1"]), ps)
 
 
 @pytest.mark.parametrize("kind", ["g1", "g2"])
@@ -127,7 +130,7 @@ def test_stationarity_of_optimal_controls(any_system, kind, stream):
     if kind == "g2" and not any_system.measure_is_constant():
         pytest.skip("second cost needs constant measure")
     h = 1e-4
-    model = cost_model(any_system, kind)
+    model = lagrangian_model(any_system, MODEL_KINDS[kind])
     for ps in phase_points(any_system, 30, stream):
         try:
             u_star = optimal_controls(model, ps)
@@ -158,7 +161,7 @@ def test_complex_step_gradient_matches_stencil(system, kind, request, rng, strea
     constant measure, which only the disk has."""
     spec = request.getfixturevalue(system)
     h = 1e-4
-    model = cost_model(spec, kind)
+    model = lagrangian_model(spec, MODEL_KINDS[kind])
     checked = 0
     for ps in phase_points(spec, 80, stream):
         try:
@@ -187,7 +190,7 @@ def test_complex_controls_keep_the_real_value(vertical_disk, stream):
     """A complex control evaluates the same real part (to roundoff: numpy
     may sum a complex dot product in another order), and the real path
     still returns a float."""
-    model = cost_model(vertical_disk, "g2")
+    model = lagrangian_model(vertical_disk, MODEL_KINDS["g2"])
     for ps in phase_points(vertical_disk, 20, stream):
         try:
             u = optimal_controls(model, ps)
@@ -206,7 +209,7 @@ def test_complex_controls_keep_the_real_value(vertical_disk, stream):
 
 def test_optimal_hamiltonian_free_particle_value(free_particle):
     ps = PhaseState((0.0, 0, 0), (1.0, 0.0, 0.0))
-    model = cost_model(free_particle, "g1", (1.0, 1.0))
+    model = lagrangian_model(free_particle, MODEL_KINDS["g1"], (1.0, 1.0))
     assert optimal_hamiltonian_value(model, ps) == pytest.approx(0.5)
 
 
@@ -214,8 +217,8 @@ def test_optimal_hamiltonian_free_particle_value(free_particle):
 def test_two_route_hamiltonian_agreement(any_system, kind, model_kind, stream):
     if kind == "g2" and not any_system.measure_is_constant():
         pytest.skip("second cost needs constant measure")
-    hmodel = hamiltonian_model(any_system, model_kind)
-    cmodel = cost_model(any_system, kind)
+    hmodel = lagrangian_model(any_system, model_kind)
+    cmodel = lagrangian_model(any_system, MODEL_KINDS[kind])
     for ps in phase_points(any_system, 200, stream):
         try:
             via_control = optimal_hamiltonian_value(cmodel, ps)
@@ -228,12 +231,12 @@ def test_control_trajectory_tracks_canonical_flow(free_particle):
     """Feeding u*(q(t), p(t)) into the controlled system reproduces the
     q-projection of the canonical flow."""
     sys = free_particle
-    hmodel = hamiltonian_model(sys, "first")
+    hmodel = lagrangian_model(sys, "first")
     jet0 = sys.on_constraint((1.0, 0.0, 0.0), 1.0, 1.0)
     ps0 = legendre(lagrangian_model(sys, "first"), jet0)
     n = sys.n
     ham_rhs = hamilton_ode(hmodel)
-    cmodel = cost_model(sys, "g1")
+    cmodel = lagrangian_model(sys, MODEL_KINDS["g1"])
 
     def augmented(t, y):
         dham = ham_rhs(t, y[: 2 * n])
@@ -262,7 +265,7 @@ def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, s
     evaluated = 0
     for ps in phase_points(vertical_disk, 50, stream):
         try:
-            optimal_controls(cost_model(vertical_disk, "g2"), ps)
+            optimal_controls(lagrangian_model(vertical_disk, MODEL_KINDS["g2"]), ps)
         except EvaluationError:
             continue
         evaluated += 1

@@ -40,7 +40,7 @@ def test_first_kind_disk_reduces_to_coefficient_derivatives(vertical_disk, rng):
         phi = rng.uniform(-3, 3)
         u1, u2 = rng.uniform(0.5, 2, size=2)
         jet = Jet((phi, 0, 0, 0), (u1, u2, 0.3, -0.4))
-        acc = sode.rhs(jet)
+        acc = sode.f(jet.q, jet.qdot)
         assert acc[1] == 0.0
         assert acc[2] == pytest.approx(-math.sin(phi) * u2 * u1, rel=1e-12)
         assert acc[3] == pytest.approx(math.cos(phi) * u2 * u1, rel=1e-12)
@@ -49,7 +49,7 @@ def test_first_kind_disk_reduces_to_coefficient_derivatives(vertical_disk, rng):
 def test_first_kind_quiescent_when_r1dot_vanishes(any_system):
     sode = first_associated(any_system)
     jet = Jet((0.5,) + (0.0,) * (any_system.n - 1), (0.0,) + (1.0,) * (any_system.n - 1))
-    assert np.all(sode.rhs(jet) == 0.0)
+    assert np.all(sode.f(jet.q, jet.qdot) == 0.0)
 
 
 # --- second associated system --------------------------------------------------
@@ -61,7 +61,7 @@ def test_second_kind_disk_matches_trigonometric_form(vertical_disk, rng):
         phi = rng.uniform(0.2, 1.2)
         u = rng.uniform(0.5, 2.0, size=4)
         jet = Jet((phi, 0, 0, 0), tuple(u))
-        acc = sode.rhs(jet)
+        acc = sode.f(jet.q, jet.qdot)
         assert acc[1] == 0.0  # Xi_2 = (ln N)' = 0 for the disk
         assert acc[2] == pytest.approx(-math.tan(phi) * u[2] * u[0], rel=1e-10)
         assert acc[3] == pytest.approx((math.cos(phi) / math.sin(phi)) * u[3] * u[0], rel=1e-10)
@@ -79,7 +79,7 @@ def test_second_kind_equals_first_on_constraint(any_system, stream):
     from hamiltonize.sampling import constraint_jets
 
     for jet in constraint_jets(any_system, 25, stream):
-        assert s2.rhs(jet) == pytest.approx(s1.rhs(jet), rel=1e-9, abs=1e-11)
+        assert s2.f(jet.q, jet.qdot) == pytest.approx(s1.f(jet.q, jet.qdot), rel=1e-9, abs=1e-11)
 
 
 def test_second_kind_velocity_decoupling(vertical_disk, rng):
@@ -100,11 +100,11 @@ def test_second_kind_velocity_decoupling(vertical_disk, rng):
 def test_second_kind_singularity_reported(vertical_disk):
     sode = second_associated(vertical_disk)
     with pytest.raises(CoefficientSingularityError) as err:
-        sode.rhs(Jet((math.pi / 2, 0, 0, 0), (1.0, 1.0, 1.0, 1.0)))
+        sode.f((math.pi / 2, 0, 0, 0), (1.0, 1.0, 1.0, 1.0))
     assert err.value.alpha == 0  # cos branch vanishes at pi/2
 
     with pytest.raises(CoefficientSingularityError) as err:
-        sode.rhs(Jet((0.0, 0, 0, 0), (1.0, 1.0, 1.0, 1.0)))
+        sode.f((0.0, 0, 0, 0), (1.0, 1.0, 1.0, 1.0))
     assert err.value.alpha == 1  # sin branch vanishes at 0
 
 
@@ -163,7 +163,7 @@ def test_third_kind_disk_matches_coupled_form(vertical_disk, rng):
     for _ in range(10):
         q = (rng.uniform(-2, 2), 0.0, 0.0, 0.0)
         u = tuple(rng.uniform(-1.5, 1.5, size=4))
-        acc = sode.rhs(Jet(q, u))
+        acc = sode.f(q, u)
         phi = q[0]
         slip = math.sin(phi) * u[2] - math.cos(phi) * u[3]
         assert acc[0] == pytest.approx(-slip * u[1], rel=1e-12, abs=1e-14)
@@ -184,7 +184,7 @@ def test_third_kind_matches_raw_dynamics_on_constraint(vertical_disk, stream):
 
     sode = third_associated(vertical_disk)
     for jet in constraint_jets(vertical_disk, 20, stream):
-        acc = sode.rhs(jet)
+        acc = sode.f(jet.q, jet.qdot)
         dy = nonholonomic_ode(vertical_disk)(0.0, nh_state_from_jet(vertical_disk, jet))
         assert acc[0] == pytest.approx(dy[4], abs=1e-13)  # the r1 acceleration
         assert acc[1] == pytest.approx(dy[5], abs=1e-13)  # the r2 acceleration

@@ -7,9 +7,8 @@ from hamiltonize import (
     IntegratorConfig,
     Jet,
     builtin_system,
-    disk_closed_form,
+    disk_closed_form_state,
     integrate,
-    invariant_measure,
     measure_pde_residual,
     nonholonomic_ode,
     parse_system_file,
@@ -58,21 +57,21 @@ def test_free_particle_constraint_residual(free_particle):
 
 
 def test_measure_free_particle_values(free_particle):
-    assert invariant_measure(free_particle, 0.0) == 1.0
-    assert invariant_measure(free_particle, 1.0) == pytest.approx(
+    assert free_particle.measure_fn(0.0) == 1.0
+    assert free_particle.measure_fn(1.0) == pytest.approx(
         0.7071067811865475, abs=1e-16
     )
 
 
 def test_measure_disk_constant(vertical_disk, rng):
-    vals = [invariant_measure(vertical_disk, r) for r in rng.uniform(-3, 3, size=20)]
+    vals = [vertical_disk.measure_fn(r) for r in rng.uniform(-3, 3, size=20)]
     assert vals == pytest.approx([1 / math.sqrt(2)] * 20, abs=1e-15)
     assert vertical_disk.measure_is_constant()
 
 
 def test_measure_knife_edge_proportional_to_cosine(knife_edge, rng):
     for r in rng.uniform(-1.2, 1.2, size=20):
-        assert invariant_measure(knife_edge, r) == pytest.approx(math.cos(r), rel=1e-12)
+        assert knife_edge.measure_fn(r) == pytest.approx(math.cos(r), rel=1e-12)
     assert not knife_edge.measure_is_constant()
 
 
@@ -150,23 +149,23 @@ def test_constraint_preserved_along_flow(any_system):
 
 def test_disk_closed_form_circular_case():
     ics = Jet((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0))
-    state = disk_closed_form(1.0, ics, math.pi / 2)
-    assert state.q[2] == pytest.approx(1.0)
-    assert state.q[3] == pytest.approx(1.0)
+    state = disk_closed_form_state(1.0, ics, math.pi / 2)
+    assert state[2] == pytest.approx(1.0)
+    assert state[3] == pytest.approx(1.0)
 
 
 def test_disk_closed_form_straight_line():
     ics = Jet((0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0))
-    state = disk_closed_form(1.0, ics, 2.0)
-    assert state.q[2] == pytest.approx(2.0)
-    assert state.q[3] == pytest.approx(0.0)
+    state = disk_closed_form_state(1.0, ics, 2.0)
+    assert state[2] == pytest.approx(2.0)
+    assert state[3] == pytest.approx(0.0)
 
 
 def test_disk_closed_form_initial_conditions_exact(rng):
     q0 = tuple(rng.uniform(-1, 1, 4))
     ics = Jet(q0, (0.7, 1.3, 0.0, 0.0))
-    state = disk_closed_form(1.0, ics, 0.0)
-    assert state.q == pytest.approx(q0, abs=1e-15)
+    state = disk_closed_form_state(1.0, ics, 0.0)
+    assert state[:4] == pytest.approx(q0, abs=1e-15)
 
 
 def test_disk_closed_form_satisfies_dynamics(rng):
@@ -176,16 +175,17 @@ def test_disk_closed_form_satisfies_dynamics(rng):
     h2 = 1e-3  # second differences: rounding ~ eps*|q|/h^2, exact for linear q
     h = 1e-4
     for t in rng.uniform(0.1, 5.0, size=10):
-        sm2, s0, sp2 = (disk_closed_form(radius, ics, t + d) for d in (-h2, 0.0, h2))
+        sm2, s0, sp2 = (disk_closed_form_state(radius, ics, t + d)
+                        for d in (-h2, 0.0, h2))
         for i in (0, 1):  # phi'' = theta'' = 0
-            acc = (sm2.q[i] - 2 * s0.q[i] + sp2.q[i]) / h2**2
+            acc = (sm2[i] - 2 * s0[i] + sp2[i]) / h2**2
             assert abs(acc) < 1e-8
         # velocity constraints xdot = R cos(phi) thetadot, ydot = R sin(phi) thetadot
-        sm, sp = disk_closed_form(radius, ics, t - h), disk_closed_form(radius, ics, t + h)
-        xdot_fd = (sp.q[2] - sm.q[2]) / (2 * h)
-        ydot_fd = (sp.q[3] - sm.q[3]) / (2 * h)
-        assert xdot_fd == pytest.approx(radius * math.cos(s0.q[0]) * s0.qdot[1], abs=1e-8)
-        assert ydot_fd == pytest.approx(radius * math.sin(s0.q[0]) * s0.qdot[1], abs=1e-8)
+        sm, sp = (disk_closed_form_state(radius, ics, t + d) for d in (-h, h))
+        xdot_fd = (sp[2] - sm[2]) / (2 * h)
+        ydot_fd = (sp[3] - sm[3]) / (2 * h)
+        assert xdot_fd == pytest.approx(radius * math.cos(s0[0]) * s0[5], abs=1e-8)
+        assert ydot_fd == pytest.approx(radius * math.sin(s0[0]) * s0[5], abs=1e-8)
 
 
 # --- declarative system files ---------------------------------------------
@@ -205,7 +205,7 @@ def test_parse_system_file_round_trip(vertical_disk):
     sys = parse_system_file(DISK_FILE)
     assert sys.names == ("phi", "theta", "x", "y")
     for r in (0.3, -0.7):
-        assert invariant_measure(sys, r) == invariant_measure(vertical_disk, r)
+        assert sys.measure_fn(r) == vertical_disk.measure_fn(r)
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,9 @@ from hamiltonize import (
     PhaseState,
     SingularVelocityError,
     default_coefficients,
-    disk_closed_form,
+    disk_closed_form_state,
     euler_lagrange_rhs,
     hamilton_rhs,
-    hamiltonian_model,
     hamiltonian_value,
     hessian,
     integrate,
@@ -199,7 +198,7 @@ def test_el_equals_decoupled_system(free_particle):
     model = lagrangian_model(free_particle, "first")
     sode = second_associated(free_particle)
     jet = Jet((1.0, 0.0, 0.0), (1.0, 1.0, 0.7))
-    assert euler_lagrange_rhs(model, jet) == pytest.approx(sode.rhs(jet), abs=1e-9)
+    assert euler_lagrange_rhs(model, jet) == pytest.approx(sode.f(jet.q, jet.qdot), abs=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
@@ -210,7 +209,7 @@ def test_el_equals_decoupled_system_random(any_system, kind, stream):
     sode = second_associated(any_system)
     for jet in generic_jets(any_system, 25, stream):
         assert euler_lagrange_rhs(model, jet) == pytest.approx(
-            sode.rhs(jet), rel=1e-9, abs=1e-11
+            sode.f(jet.q, jet.qdot), rel=1e-9, abs=1e-11
         )
 
 
@@ -219,7 +218,7 @@ def test_el_variational_equals_third_kind(vertical_disk, stream):
     sode = third_associated(vertical_disk)
     for jet in generic_jets(vertical_disk, 25, stream):
         assert euler_lagrange_rhs(model, jet) == pytest.approx(
-            sode.rhs(jet), rel=1e-9, abs=1e-12
+            sode.f(jet.q, jet.qdot), rel=1e-9, abs=1e-12
         )
 
 
@@ -332,19 +331,19 @@ def test_legendre_maps_constraints_to_momentum_plane(any_system, stream):
 
 
 def test_hamiltonian_free_particle_value(free_particle):
-    model = hamiltonian_model(free_particle, "first", (1.0, 1.0))
+    model = lagrangian_model(free_particle, "first", (1.0, 1.0))
     assert hamiltonian_value(model, PhaseState((0.0, 0, 0), (1.0, 0.0, 0.0))) == 0.5
 
 
 def test_hamiltonian_knife_edge_value(knife_edge):
-    model = hamiltonian_model(knife_edge, "first")  # C = 1/sqrt(m)
+    model = lagrangian_model(knife_edge, "first")  # C = 1/sqrt(m)
     ps = PhaseState((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
     assert hamiltonian_value(model, ps) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_hamiltonian_knife_edge_closed_form(knife_edge, stream):
     """H = (1/2J)(p_phi + (cos(phi) p_x^2 - sin(phi) p_y^2)/2)^2."""
-    model = hamiltonian_model(knife_edge, "first")
+    model = lagrangian_model(knife_edge, "first")
     for ps in phase_points(knife_edge, 25, stream):
         phi, p = ps.q[0], ps.p
         expected = 0.5 * (p[0] + 0.5 * (math.cos(phi) * p[1] ** 2 - math.sin(phi) * p[2] ** 2)) ** 2
@@ -353,7 +352,7 @@ def test_hamiltonian_knife_edge_closed_form(knife_edge, stream):
 
 def test_hamiltonian_disk_second_kind_closed_form(vertical_disk, stream):
     """H = p_th^2/2 + (p_phi + (p_x^2 cos(phi) + p_y^2 sin(phi))/2)^2 / 2."""
-    model = hamiltonian_model(vertical_disk, "second")
+    model = lagrangian_model(vertical_disk, "second")
     for ps in phase_points(vertical_disk, 25, stream):
         phi, p = ps.q[0], ps.p
         expected = 0.5 * p[1] ** 2 + 0.5 * (
@@ -368,7 +367,7 @@ def test_legendre_energy_identity(any_system, kind, stream):
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     lmodel = lagrangian_model(any_system, kind)
-    hmodel = hamiltonian_model(any_system, kind)
+    hmodel = lagrangian_model(any_system, kind)
     for jet in generic_jets(any_system, 100, stream):
         ps = legendre(lmodel, jet)
         energy = float(np.dot(ps.p, jet.qdot)) - lagrangian_value(lmodel, jet)
@@ -376,7 +375,7 @@ def test_legendre_energy_identity(any_system, kind, stream):
 
 
 def test_hamilton_rhs_matches_fd_gradients(any_system, stream):
-    model = hamiltonian_model(any_system, "first")
+    model = lagrangian_model(any_system, "first")
     h = 1e-6
     for ps in phase_points(any_system, 100, stream):
         qdot, pdot = hamilton_rhs(model, ps)
@@ -401,7 +400,7 @@ def test_hamilton_rhs_matches_fd_gradients(any_system, stream):
 
 
 def test_energy_conserved_along_flow(free_particle):
-    model = hamiltonian_model(free_particle, "first")
+    model = lagrangian_model(free_particle, "first")
     jet0 = free_particle.on_constraint((1.0, 0.0, 0.0), 1.0, 1.0)
     ps0 = legendre(lagrangian_model(free_particle, "first"), jet0)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 10.0))
@@ -417,13 +416,13 @@ def test_energy_conserved_along_flow(free_particle):
 
 def test_disk_second_kind_flow_reproduces_circle(vertical_disk):
     lmodel = lagrangian_model(vertical_disk, "second")
-    hmodel = hamiltonian_model(vertical_disk, "second")
+    hmodel = lagrangian_model(vertical_disk, "second")
     jet0 = vertical_disk.on_constraint((0.3, 0.0, 0.0, 0.0), 1.0, 1.0)
     ps0 = legendre(lmodel, jet0)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 5.0))
     traj = integrate(hamilton_ode(hmodel), np.array(ps0.q + ps0.p), cfg,
                      phase_columns(vertical_disk), "hamiltonian")
-    exact = np.array([disk_closed_form(1.0, jet0, t).q for t in traj.times])
+    exact = np.array([disk_closed_form_state(1.0, jet0, t)[:4] for t in traj.times])
     assert np.max(np.abs(traj.states[:, :4] - exact)) < 1e-6
 
 
@@ -431,7 +430,7 @@ def test_disk_second_kind_flow_reproduces_circle(vertical_disk):
 
 
 def test_knife_edge_constraint_is_momentum_sum(knife_edge, stream):
-    model = hamiltonian_model(knife_edge, "first")  # C2 = C3 = 1/sqrt(m), m=1
+    model = lagrangian_model(knife_edge, "first")  # C2 = C3 = 1/sqrt(m), m=1
     for ps in phase_points(knife_edge, 10, stream):
         (res,) = phase_constraint_residual(model, ps)
         assert res == pytest.approx(ps.p[1] + ps.p[2], rel=1e-12)
@@ -439,7 +438,7 @@ def test_knife_edge_constraint_is_momentum_sum(knife_edge, stream):
 
 def test_disk_second_kind_constraint_forms(vertical_disk, stream):
     """Residuals vanish exactly when p_x = p_y and r1'(p) p_x = p_theta."""
-    model = hamiltonian_model(vertical_disk, "second")
+    model = lagrangian_model(vertical_disk, "second")
     for ps in phase_points(vertical_disk, 20, stream):
         res = phase_constraint_residual(model, ps)
         u1 = model.momentum_sum(ps.r1, ps.p) / vertical_disk.i1
@@ -455,7 +454,7 @@ def test_disk_second_kind_constraint_forms(vertical_disk, stream):
 
 def test_legendre_image_lies_on_constraint_set(any_system, stream):
     lmodel = lagrangian_model(any_system, "first")
-    hmodel = hamiltonian_model(any_system, "first")
+    hmodel = lagrangian_model(any_system, "first")
     for jet in constraint_jets(any_system, 25, stream):
         ps = legendre(lmodel, jet)
         assert max(abs(r) for r in phase_constraint_residual(hmodel, ps)) < 1e-12
@@ -488,7 +487,7 @@ def test_three_formulations_agree_in_one_chart(any_system):
     }
     ps0 = legendre(lagrangian_model(sys, "first"), jet0)
     runs["hamiltonian"] = integrate(
-        hamilton_ode(hamiltonian_model(sys, "first")), np.array(ps0.q + ps0.p),
+        hamilton_ode(lagrangian_model(sys, "first")), np.array(ps0.q + ps0.p),
         cfg, phase_columns(sys), "hamiltonian")
     keys = list(runs)
     for i in range(len(keys)):
@@ -498,7 +497,7 @@ def test_three_formulations_agree_in_one_chart(any_system):
 
 def test_constraint_residual_preserved_by_flow(vertical_disk):
     lmodel = lagrangian_model(vertical_disk, "second")
-    hmodel = hamiltonian_model(vertical_disk, "second")
+    hmodel = lagrangian_model(vertical_disk, "second")
     jet0 = vertical_disk.on_constraint((0.4, 0.0, 0.0, 0.0), 1.0, 1.3)
     ps0 = legendre(lmodel, jet0)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 10.0))
