@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from random import Random
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import ConfigError, EvaluationError
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
 from .pontryagin import MODEL_KINDS, control_gradient, optimal_controls, optimal_hamiltonian_value
-from .sampling import Stream, generic_jets, phase_points, sample_r1
+from .sampling import generic_jets, phase_points, sample_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
@@ -362,8 +363,8 @@ def _fields(report) -> dict:
 
 def _jets(sys_: SystemSpec, manifest: RunManifest) -> tuple[list[Jet], list[Jet]]:
     """The multiplier conditions' jets and the certificate's jets: the first
-    and the second draw from a stream seeded with --seed."""
-    stream = Stream(manifest.seed)
+    and the second draw from a ``random.Random`` seeded with --seed."""
+    stream = Random(manifest.seed)
     count = manifest.samples or 50
     return generic_jets(sys_, count, stream), generic_jets(sys_, count, stream)
 
@@ -399,7 +400,7 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # np.dot's overflow is a non-finite deviation
 def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
     """The optimal-control check of cost ``kind`` on its model ``model``."""
-    stream = Stream(manifest.seed)
+    stream = Random(manifest.seed)
     count = manifest.samples or 1000
     max_dev = max_grad = 0.0
     used = degenerate = near_zero = 0
@@ -457,12 +458,10 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
 
 
 def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
-    stream = Stream(manifest.seed)
+    stream = Random(manifest.seed)
     count = manifest.samples or 100
-    worst = 0.0
-    for _ in range(count):
-        res = measure_pde_residual(sys_, sample_r1(sys_, stream))
-        worst = max(worst, abs(res[0]), abs(res[1]))
+    points = [sample_r1(sys_, stream) for _ in range(count)]
+    worst = float(np.max(np.abs(measure_pde_residual(sys_, points))))
     return {
         "system": sys_.label,
         "seed": manifest.seed,

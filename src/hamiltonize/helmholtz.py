@@ -57,12 +57,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .sampling import Stream
 from .systems import Jet
 
 __all__ = [
@@ -371,30 +371,33 @@ def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3,
     Every nullspace basis element and ``COMBOS`` random combinations per jet
     are assembled into symmetric matrices, normalized so the largest entry is
     one, and tested for |det| below ``DET_TOL``.  A combination's coefficients
-    are uniform in [-1, 1), drawn in turn from ``Stream(seed)``; any continuous
-    law gives a generic combination.  A regular combination is returned as a
-    counterexample and fails the certificate.  The sample is
-    evaluated in stacks of up to ``JET_BLOCK`` jets, each its algebraic
-    systems, one SVD and one determinant call, so memory stays bounded
-    however many jets there are; the first counterexample is that of the
-    lowest jet index.
+    are ``-1 + 2*random()`` of ``random.Random(seed)``, drawn jet by jet and
+    combination by combination; any continuous law gives a generic
+    combination.  A negative seed raises ValueError, since ``Random(-s)``
+    would repeat ``Random(s)``.  A regular combination is returned as a
+    counterexample and fails the certificate.  The sample is evaluated in
+    stacks of up to ``JET_BLOCK`` jets, each its algebraic systems, one SVD
+    and one determinant call, so memory stays bounded however many jets
+    there are; the first counterexample is that of the lowest jet index.
     """
     if not jets:
         raise ConfigError("the singularity certificate needs at least one jet")
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
     n = sode.n
     warnings = [f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
                 "rank decisions may be unreliable"
                 for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
     pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
     sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    stream = Stream(seed)
+    draw = Random(seed).random
     dims, kept, gaps = [], [], []  # kept, gaps: (jet index, (a, b)) of the margins log10(a / b)
     worst, counterexample = 0.0, None
     for first in range(0, len(jets), JET_BLOCK):
         matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
         bases, svals = nullspace(matrices)
         # successive draws give the coefficients of one combination
-        coeffs = -1.0 + 2.0 * np.array(stream.random(COMBOS * sum(map(len, bases))))
+        coeffs = -1.0 + 2.0 * np.array([draw() for _ in range(COMBOS * sum(map(len, bases)))])
         owners, candidates, start = [], [], 0
         for jdx, basis in enumerate(bases, first):
             candidates += list(basis)

@@ -58,9 +58,9 @@ generated function.  <p, f> is emitted in two forms.  The real one stays an
 ``np.dot``, whose order of summation the reported deviation depends on to
 the last bit (a sum in coordinate order moves ``max_hamiltonian_deviation``
 on most seeds).  The complex-step one is a sum in coordinate order, which
-halves the time of the check: a step moves a single rate, so the imaginary
-part of <p, f> is that one term under any order, and the gradient is the
-one ``np.dot`` gives, bit for bit.
+cuts the time of the check in half: a step moves a single rate, so the
+imaginary part of <p, f> is that one term under any order, and the
+gradient is the one ``np.dot`` gives, bit for bit.
 """
 
 from __future__ import annotations

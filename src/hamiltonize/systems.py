@@ -47,7 +47,6 @@ MEASURE_SAMPLES = 32
 # guard is far below any value that sampling or an integration grid reaches.
 COEFF_EPS = 1e-12
 MAX_EXPR_DEPTH = 500  # levels of nesting a spec's expression may have
-MEASURE_FD_STEP = 1e-5  # central-difference step of dN/dr1 in ``measure_pde_residual``
 
 
 def weight_vanishes(entry: int, r1: float) -> EvaluationError:
@@ -270,10 +269,6 @@ class SystemSpec:
         return self.measure_expr.compile()
 
     @cached_property
-    def log_measure_slope_fn(self):
-        return self.log_measure_slope_expr.compile()
-
-    @cached_property
     def nonholonomic_table(self):  # what the constrained equations read
         return ex.compile_table((*self.a_alpha, self.log_measure_slope_expr))
 
@@ -410,20 +405,27 @@ BUILTIN_NAMES = ("free_particle", "knife_edge", "vertical_disk")
 # --- invariant measure ------------------------------------------------------
 
 
-def measure_pde_residual(sys: SystemSpec, r1: float) -> tuple[float, float]:
-    """Residuals of the two volume-preservation equations at ``r1``.
+def measure_pde_residual(sys: SystemSpec, r1):
+    """Residuals of the two volume-preservation equations at ``r1``, a float
+    or a stack of points (then two arrays of its shape).
 
     The first is (1/N) dN/dr1 - (ln N)', with (ln N)' in closed form
-    (``log_measure_slope_expr``) and dN/dr1 taken by central differences of
-    step ``MEASURE_FD_STEP``, so the check is independent of the closed form.
-    The second is (1/N) dN/dr2, which vanishes identically because N depends
-    on r1 only.
+    (``log_measure_slope_expr``) and dN/dr1 read from N's first-order Taylor
+    series (``expr.series_table``, one call for the whole stack): exact to
+    roundoff, and independent of the closed form.  The second is (1/N)
+    dN/dr2, which vanishes identically because N depends on r1 only.  At
+    the first point where the first is not finite, N or (ln N)' raises its
+    own ``ExprDomainError``, or else an ``EvaluationError`` is raised.
     """
-    h = MEASURE_FD_STEP
-    n_mid = sys.measure_fn(r1)
-    slope_fd = (sys.measure_fn(r1 + h) - sys.measure_fn(r1 - h)) / (2.0 * h)
-    res1 = slope_fd / n_mid - sys.log_measure_slope_fn(r1)
-    return (res1, 0.0)
+    exprs = (sys.measure_expr, sys.log_measure_slope_expr)
+    c = sys.kernel(("measure series",), lambda: ex.series_table(exprs))(r1, 1)
+    res1 = c[1, 0] / c[0, 0] - c[0, 1]
+    bad = np.flatnonzero(~np.isfinite(res1))
+    if bad.size:
+        at = float(np.ravel(r1)[bad[0]])
+        ex.compile_table(exprs)(at)
+        raise EvaluationError(f"non-finite invariant-measure residual at r1={at!r}")
+    return res1, 0.0 * res1
 
 
 # --- nonholonomic equations of motion ---------------------------------------

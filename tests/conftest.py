@@ -1,8 +1,9 @@
+from random import Random
+
 import numpy as np
 import pytest
 
 from hamiltonize import builtin_system
-from hamiltonize.sampling import Stream
 
 
 @pytest.fixture
@@ -32,5 +33,5 @@ def rng():
 
 @pytest.fixture
 def stream():
-    """The samplers' stream: the draws of the ``rng`` fixture's generator."""
-    return Stream(20240817)
+    """The samplers' seeded ``random.Random``, read through ``random()``."""
+    return Random(20240817)

@@ -7,6 +7,7 @@ bit-for-bit on IEEE-754 doubles.
 
 import math
 import time
+from random import Random
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from hamiltonize import (
 )
 from hamiltonize.errors import SingularVelocityError
 from hamiltonize.pontryagin import MODEL_KINDS
-from hamiltonize.sampling import Stream, generic_jets, phase_points, sample_r1
+from hamiltonize.sampling import generic_jets, phase_points, sample_r1
 from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, phase_columns
 
@@ -139,7 +140,7 @@ def test_criterion_3_singularity_certificates():
     for name in SYSTEMS:
         sys_ = builtin_system(name)
         report = singularity_certificate(
-            first_associated(sys_), generic_jets(sys_, 50, Stream(SEED)), depth=3, seed=SEED)
+            first_associated(sys_), generic_jets(sys_, 50, Random(SEED)), depth=3, seed=SEED)
         ok = ok and report.passed and report.max_normalized_det < 1e-10
         details.append(f"{name}: dims={set(report.nullspace_dims)} "
                        f"max|det|={report.max_normalized_det:.1e}")
@@ -165,7 +166,7 @@ def test_criterion_4_helmholtz_positive_suite():
         sys_ = builtin_system(name)
         sode = second_associated(sys_)
         model = lagrangian_model(sys_, kind, coeffs)
-        jets = generic_jets(sys_, 100, Stream(SEED))
+        jets = generic_jets(sys_, 100, Random(SEED))
         report = helmholtz_residuals(
             sode, MultiplierField(lambda j, m=model: hessian(m, j)),
             jets, tolerance=1e-8)
@@ -206,7 +207,7 @@ def test_criterion_5_pontryagin_consistency():
         model = lagrangian_model(sys_, "first")
         cmodel = lagrangian_model(sys_, MODEL_KINDS["g1"])
         worst = 0.0
-        for ps in consistent_phase_points(sys_, 1000, Stream(SEED)):
+        for ps in consistent_phase_points(sys_, 1000, Random(SEED)):
             dev = abs(optimal_hamiltonian_value(cmodel, ps)
                       - hamiltonian_value(model, ps))
             worst = max(worst, dev)
@@ -216,7 +217,7 @@ def test_criterion_5_pontryagin_consistency():
     model2 = lagrangian_model(disk, "second")
     cmodel2 = lagrangian_model(disk, MODEL_KINDS["g2"])
     worst = 0.0
-    for ps in consistent_phase_points(disk, 1000, Stream(SEED)):
+    for ps in consistent_phase_points(disk, 1000, Random(SEED)):
         dev = abs(optimal_hamiltonian_value(cmodel2, ps)
                   - hamiltonian_value(model2, ps))
         worst = max(worst, dev)
@@ -233,7 +234,7 @@ def test_criterion_6_invariant_measure():
     details = []
     for name in SYSTEMS:
         sys_ = builtin_system(name)
-        stream = Stream(SEED)
+        stream = Random(SEED)
         worst = 0.0
         for _ in range(100):
             res = measure_pde_residual(sys_, sample_r1(sys_, stream))

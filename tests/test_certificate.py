@@ -9,6 +9,7 @@ every float and every sign of zero included.
 import functools
 import math
 import tracemalloc
+from random import Random
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hamiltonize import (
 )
 from hamiltonize import expr, helmholtz
 from hamiltonize.helmholtz import JET_BLOCK, CertificateReport, psi_stack, sym_entry_index
-from hamiltonize.sampling import Stream, generic_jets
+from hamiltonize.sampling import generic_jets
 
 import tower_oracle
 
@@ -89,7 +90,7 @@ def reference_nullspace(matrix):
 
 
 def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
-    stream = Stream(seed)
+    stream = Random(seed)
     n = sode.n
     dims, warnings, margins = [], [], []
     worst = 0.0
@@ -104,7 +105,7 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
         dims.append(len(basis))
         candidates = [v for v in basis]
         for _ in range(combos):
-            candidates.append(basis.T @ np.array([-1.0 + 2.0 * x for x in stream.random(len(basis))]))
+            candidates.append(basis.T @ np.array([-1.0 + 2.0 * stream.random() for _ in basis]))
         for vec in candidates:
             g = np.zeros((n, n))
             for value, (i, j) in zip(vec, idx):
@@ -153,9 +154,9 @@ def associated(name, kind):
 
 def command_jets(name, samples, seed):
     """The jets a certificate sees in ``helmholtz-check --samples S --seed N``:
-    the second draw of a stream seeded with N."""
+    the second draw of a ``random.Random`` seeded with N."""
     sys_ = builtin_system(name)
-    stream = Stream(seed)
+    stream = Random(seed)
     generic_jets(sys_, samples, stream)
     return generic_jets(sys_, samples, stream)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hamiltonize import (
 )
 from hamiltonize import expr
 from hamiltonize.helmholtz import HelmholtzReport, _derivative6, psi_stack
-from hamiltonize.sampling import Stream, generic_jets
+from hamiltonize.sampling import generic_jets
 
 import fd_oracle
 import tower_oracle
@@ -322,7 +323,7 @@ def test_stacked_residuals_match_per_jet_reference(any_system, exact):
     if not exact:
         field = MultiplierField(field.fn)
     for seed in (0, 1, 2):
-        jets = generic_jets(any_system, 50, Stream(seed))
+        jets = generic_jets(any_system, 50, Random(seed))
         report = helmholtz_residuals(sode, field, jets)
         expected = reference_residuals(sode, field, jets)
         assert report.passed and expected.passed

@@ -11,6 +11,7 @@ raises, the kernel must raise the same exception with the same message.
 """
 
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hamiltonize.pontryagin import (
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
 )
-from hamiltonize.sampling import Stream, phase_points
+from hamiltonize.sampling import phase_points
 from hamiltonize.errors import (
     CoefficientSingularityError,
     EvaluationError,
@@ -513,7 +514,7 @@ def test_command_check_matches_loops_on_its_sample(name):
     gradient) is the loops' bit for bit, at the optimal controls and off
     them, where the gradient is O(1)."""
     sys = builtin_system(name)
-    stream, rng = Stream(3), np.random.default_rng(3)
+    stream, rng = Random(3), np.random.default_rng(3)
     for model in _cost_models(sys):
         evaluated = 0
         for ps in phase_points(sys, 200, stream):

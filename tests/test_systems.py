@@ -13,6 +13,7 @@ from hamiltonize import (
     nonholonomic_ode,
     parse_system_file,
 )
+from hamiltonize.errors import ExprDomainError
 from hamiltonize.sampling import sample_r1
 from hamiltonize.systems import jet_from_nh_state, nh_columns, nh_state_from_jet
 
@@ -91,6 +92,19 @@ def test_measure_pde_residual_random_points(any_system, stream):
         res = measure_pde_residual(any_system, r1)
         assert abs(res[0]) < 1e-8
         assert abs(res[1]) < 1e-8
+
+
+def test_measure_pde_residual_stack_and_domain(any_system, stream):
+    """A stack gives each point's residuals, bit for bit its scalar call;
+    a point outside N's domain raises its ExprDomainError, stacked or not."""
+    points = [sample_r1(any_system, stream) for _ in range(20)]
+    res1, res2 = measure_pde_residual(any_system, points)
+    assert res1.tolist() == [measure_pde_residual(any_system, r1)[0] for r1 in points]
+    assert not res2.any()
+    spec = parse_system_file("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = ln(r1)\nnames = a, b, c\n")
+    for r1 in (-0.5, [0.5, -0.5]):
+        with pytest.raises(ExprDomainError, match="r1=-0.5"):
+            measure_pde_residual(spec, r1)
 
 
 # --- nonholonomic dynamics ----------------------------------------------------
