@@ -115,13 +115,16 @@ class RunManifest:
             raise ConfigError(f"--tol must be finite and >= 0, got {self.tol!r}")
         if not self.out_dir:
             raise ConfigError("--out must name a directory, got an empty path")
-        # the deepest existing path must be a directory; the path is walked up
-        # as given, since normalising "afile/.." would skip the file
+        # the deepest existing path must be a directory this process may create
+        # files in; the path is walked up as given, since normalising
+        # "afile/.." would skip the file
         head = os.path.join(os.getcwd(), self.out_dir)
         while not os.path.isdir(head):
             if os.path.lexists(head):
                 raise ConfigError(f"--out must name a directory, but {head} is a file")
             head = os.path.dirname(head)
+        if not os.access(head, os.W_OK | os.X_OK):
+            raise ConfigError(f"--out must name a writable directory, but {head} is not")
 
     def load_system(self) -> SystemSpec:
         """The system of --system or --spec.  Every --params key that is no
@@ -397,7 +400,6 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
-@np.errstate(over="ignore", invalid="ignore")  # np.dot's overflow is a non-finite deviation
 def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
     """The optimal-control check of cost ``kind`` on its model ``model``."""
     stream = Random(manifest.seed)

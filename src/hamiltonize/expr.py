@@ -35,15 +35,15 @@ symbolically grows with its order (the order-4 knife-edge tier is 1,219,225
 tree nodes, 677 distinct ones), while a series of order k costs O(k^2)
 operations per product.
 
-Evaluation reports domain errors (``ln`` of a non-positive number, division
-by zero, overflow) instead of returning non-finite values.  ``compile()``
-returns a plain Python callable for use in integration inner loops; it obeys
-the same domain-error contract as ``eval``, which stays the independent
-tree-walking reference.  ``compile_table()`` compiles several into one call,
-and ``splice()`` gives the same code, under the same check, as statements
+Every float value comes from generated code.  ``compile()`` returns a plain
+Python callable for one expression, ``compile_table()`` one call for
+several, and ``splice()`` the same code, under the same check, as statements
 for the functions the other modules generate (``define()``): the trajectory
-right-hand sides and the optimal-control functions.  Series evaluation
-gives non-finite entries outside the domain instead, and its caller decides.
+right-hand sides and the optimal-control functions.  Each raises
+``ExprDomainError``, naming the expression and the point, where a value is
+undefined (``ln`` of a non-positive number, division by zero, overflow) or
+not finite, instead of returning it.  Series evaluation gives non-finite
+entries outside the domain instead, and its caller decides.
 """
 
 from __future__ import annotations
@@ -121,16 +121,6 @@ class Expr(metaclass=_Interned):
     def __str__(self):
         return _label(self)
 
-    def eval(self, r1: float) -> float:
-        """Evaluate at a point, raising ExprDomainError outside the domain."""
-        try:
-            value = self._eval(r1)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise _domain_error(self, r1, exc) from exc
-        if not math.isfinite(value):
-            raise _domain_error(self, r1)
-        return value
-
     def diff(self) -> "Expr":
         """Structural derivative with respect to r1, built once per node.
 
@@ -157,7 +147,8 @@ class Expr(metaclass=_Interned):
         raise NotImplementedError
 
     def compile(self):
-        """Compile to a fast ``float -> float`` callable with eval's contract.
+        """Compile to a fast ``float -> float`` callable that raises
+        ``ExprDomainError`` outside the domain or at a non-finite value.
 
         The label in an error message is built only when an error occurs.
         """
@@ -180,16 +171,10 @@ class Expr(metaclass=_Interned):
         d = self.diff()
         return isinstance(d, Const) and d.value == 0.0
 
-    def _eval(self, r1: float) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
-
-    def _eval(self, r1):
-        return self.value
 
     def _rule(self):
         return Const(0.0)
@@ -197,9 +182,6 @@ class Const(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
-    def _eval(self, r1):
-        return r1
-
     def _rule(self):
         return Const(1.0)
 
@@ -208,9 +190,6 @@ class Var(Expr):
 class Add(Expr):
     left: Expr
     right: Expr
-
-    def _eval(self, r1):
-        return self.left._eval(r1) + self.right._eval(r1)
 
     def _rule(self):
         return _add(self.left.diff(), self.right.diff())
@@ -221,9 +200,6 @@ class Sub(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, r1):
-        return self.left._eval(r1) - self.right._eval(r1)
-
     def _rule(self):
         return _sub(self.left.diff(), self.right.diff())
 
@@ -232,9 +208,6 @@ class Sub(Expr):
 class Mul(Expr):
     left: Expr
     right: Expr
-
-    def _eval(self, r1):
-        return self.left._eval(r1) * self.right._eval(r1)
 
     def _rule(self):
         return _add(
@@ -248,12 +221,6 @@ class Div(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, r1):
-        den = self.right._eval(r1)
-        if den == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return self.left._eval(r1) / den
-
     def _rule(self):
         # (u/v)' = (u' - (u/v) v') / v: the quotient is this node, so the
         # denominator stays v instead of squaring on every derivative
@@ -265,9 +232,6 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def _eval(self, r1):
-        return self.base._eval(r1) ** self.exponent
-
     def _rule(self):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)), self.base.diff())
@@ -277,9 +241,6 @@ class Pow(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _eval(self, r1):
-        return -self.arg._eval(r1)
-
     def _rule(self):
         return _neg(self.arg.diff())
 
@@ -287,9 +248,6 @@ class Neg(Expr):
 @dataclass(frozen=True, eq=False)
 class Sin(Expr):
     arg: Expr
-
-    def _eval(self, r1):
-        return math.sin(self.arg._eval(r1))
 
     def _rule(self):
         return _mul(Cos(self.arg), self.arg.diff())
@@ -299,9 +257,6 @@ class Sin(Expr):
 class Cos(Expr):
     arg: Expr
 
-    def _eval(self, r1):
-        return math.cos(self.arg._eval(r1))
-
     def _rule(self):
         return _neg(_mul(Sin(self.arg), self.arg.diff()))
 
@@ -309,12 +264,6 @@ class Cos(Expr):
 @dataclass(frozen=True, eq=False)
 class Tan(Expr):
     arg: Expr
-
-    def _eval(self, r1):
-        a = self.arg._eval(r1)
-        if math.cos(a) == 0.0:
-            raise ValueError("tan evaluated at a pole")
-        return math.tan(a)
 
     def _rule(self):
         # tan' = 1 + tan^2
@@ -325,9 +274,6 @@ class Tan(Expr):
 class ExpF(Expr):
     arg: Expr
 
-    def _eval(self, r1):
-        return math.exp(self.arg._eval(r1))
-
     def _rule(self):
         return _mul(ExpF(self.arg), self.arg.diff())
 
@@ -336,12 +282,6 @@ class ExpF(Expr):
 class Ln(Expr):
     arg: Expr
 
-    def _eval(self, r1):
-        a = self.arg._eval(r1)
-        if a <= 0.0:
-            raise ValueError("ln of a non-positive number")
-        return math.log(a)
-
     def _rule(self):
         return _div(self.arg.diff(), self.arg)
 
@@ -349,12 +289,6 @@ class Ln(Expr):
 @dataclass(frozen=True, eq=False)
 class Sqrt(Expr):
     arg: Expr
-
-    def _eval(self, r1):
-        a = self.arg._eval(r1)
-        if a < 0.0:
-            raise ValueError("sqrt of a negative number")
-        return math.sqrt(a)
 
     def _rule(self):
         return _div(self.arg.diff(), _mul(Const(2.0), Sqrt(self.arg)))

@@ -54,13 +54,10 @@ function: the weights evaluated once, then <p, f> - G at each complex step
 in turn.  ``pontryagin-check`` and ``certify`` run at each sampled point
 ``optimal_controls``, ``optimal_hamiltonian_value`` (through
 ``pontryagin_hamiltonian``) and ``control_gradient``, each one call of its
-generated function.  <p, f> is emitted in two forms.  The real one stays an
-``np.dot``, whose order of summation the reported deviation depends on to
-the last bit (a sum in coordinate order moves ``max_hamiltonian_deviation``
-on most seeds).  The complex-step one is a sum in coordinate order, which
-cuts the time of the check in half: a step moves a single rate, so the
-imaginary part of <p, f> is that one term under any order, and the
-gradient is the one ``np.dot`` gives, bit for bit.
+generated function.  <p, f> is emitted in one form, a sum in coordinate
+order, at real controls and at each complex step alike; no numpy call is
+made.  A step moves a single rate, so the imaginary part of <p, f> is that
+one term, whatever the order of summation.
 """
 
 from __future__ import annotations
@@ -98,8 +95,6 @@ def pontryagin_hamiltonian(model: LagrangianModel, ps: PhaseState, u) -> float |
 
     Real controls give a float; complex controls give a complex number, and
     ``control_gradient`` takes its complex steps of the same expression.
-    <p, f> stays an ``np.dot``: the reported two-route deviations depend to
-    the last bit on its order of summation.
     """
     return _kernel(model, "hamiltonian", "pu", _hamiltonian_lines)(ps.r1, ps.p, u)
 
@@ -155,16 +150,10 @@ def _cost(model: LagrangianModel, u) -> str:
     return f"0.5 * ({' + '.join(parts)})"
 
 
-def _control_hamiltonian(model: LagrangianModel, u, summed: bool = False) -> str:
-    """Source of <p, f> - G at the controls named ``u``.  <p, f> is an
-    ``np.dot``, on whose order of summation the reported deviation depends
-    to the last bit, or with ``summed`` a sum in coordinate order, which
-    has the same imaginary part at a complex step (module docstring)."""
-    rates = _rates(model, u)
-    if summed:
-        pairing = " + ".join(f"p{b} * ({rate})" for b, rate in enumerate(rates))
-    else:
-        pairing = f"dot(p, [{', '.join(rates)}]).item()"
+def _control_hamiltonian(model: LagrangianModel, u) -> str:
+    """Source of <p, f> - G at the controls named ``u``, <p, f> summed in
+    coordinate order."""
+    pairing = " + ".join(f"p{b} * ({rate})" for b, rate in enumerate(_rates(model, u)))
     return f"{pairing} - {_cost(model, u)}"
 
 
@@ -197,6 +186,6 @@ def _gradient_lines(model: LagrangianModel) -> list[str]:
     lines = [_U1_GUARD]
     for k in range(model.system.n):
         shifted = ["z" if b == k else name for b, name in enumerate(u)]
-        h = _control_hamiltonian(model, shifted, summed=True)
+        h = _control_hamiltonian(model, shifted)
         lines += [f"z = u{k} + {CS_STEP!r}j", f"g{k} = ({h}).imag / {CS_STEP!r}"]
     return lines + [f"return ({', '.join(f'g{k}' for k in range(model.system.n))},)"]

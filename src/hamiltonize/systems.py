@@ -46,7 +46,10 @@ MEASURE_SAMPLES = 32
 # never evaluate to an exact zero at their roots (cos(pi/2) ~ 6e-17), and the
 # guard is far below any value that sampling or an integration grid reaches.
 COEFF_EPS = 1e-12
-MAX_EXPR_DEPTH = 500  # levels of nesting a spec's expression may have
+# Levels of nesting a spec's expression may have.  Only the parser recurses
+# per level, so this bounds the size of what a spec asks every command to
+# differentiate and generate code for, not the depth of the stack.
+MAX_EXPR_DEPTH = 500
 
 
 def weight_vanishes(entry: int, r1: float) -> EvaluationError:
@@ -64,7 +67,6 @@ __all__ = [
     "measure_pde_residual",
     "nonholonomic_ode",
     "nh_state_from_jet",
-    "jet_from_nh_state",
     "disk_closed_form_state",
     "parse_system_file",
     "load_system_file",
@@ -236,24 +238,28 @@ class SystemSpec:
 
     def _validate_weight_overrides(self):
         """Overridden weights must solve the same log-slope equations as the
-        (N, N*A) construction, checked at sampled points."""
+        (N, N*A) construction, checked at sampled points: those where every
+        weight and slope is defined and no weight is below 1e-9."""
         defaults = (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
+        table = ex.compile_table(x for d, o in zip(defaults, self.weight_exprs)
+                                 for x in (d, d.diff(), o, o.diff()))
         checked = 0
         for r1 in np.linspace(-1.3, 1.3, 17):
             r1 = float(r1)
             try:
-                for d, o in zip(defaults, self.weight_exprs):
-                    dv, ov = d.eval(r1), o.eval(r1)
-                    if abs(dv) < 1e-9 or abs(ov) < 1e-9:
-                        raise EvaluationError("near a coefficient zero")
-                    slope = d.diff().eval(r1) / dv
-                    if abs(slope - o.diff().eval(r1) / ov) > 1e-9 * (1 + abs(slope)):
-                        raise ConfigError(
-                            "weight override has a different logarithmic slope "
-                            f"than the measure construction at r1={r1}"
-                        )
+                values = table(r1)
             except EvaluationError:
                 continue
+            entries = [values[i:i + 4] for i in range(0, len(values), 4)]
+            if any(abs(dv) < 1e-9 or abs(ov) < 1e-9 for dv, _, ov, _ in entries):
+                continue
+            for dv, dd, ov, od in entries:
+                slope = dd / dv
+                if abs(slope - od / ov) > 1e-9 * (1 + abs(slope)):
+                    raise ConfigError(
+                        "weight override has a different logarithmic slope "
+                        f"than the measure construction at r1={r1}"
+                    )
             checked += 1
         if checked == 0:
             raise ConfigError("weight overrides could not be validated on [-1.3, 1.3]")
@@ -327,13 +333,6 @@ class SystemSpec:
     def preset(self) -> str | None:
         """Name of the built-in this spec was made as, None for any other spec."""
         return None
-
-    def constraint_residual(self, jet: Jet) -> tuple[float, ...]:
-        """sdot_a + A_a(r1) * r2dot for each constrained coordinate."""
-        r1 = jet.r1
-        return tuple(
-            jet.sdot[a] + self.a_fns[a](r1) * jet.r2dot for a in range(self.k)
-        )
 
     def on_constraint(self, q: tuple[float, ...], r1dot: float, r2dot: float) -> Jet:
         """Build the jet over ``q`` with the s-velocities slaved to the constraint."""
@@ -454,13 +453,6 @@ def nh_state_from_jet(sys: SystemSpec, jet: Jet) -> np.ndarray:
     return np.array(list(jet.q) + [jet.r1dot, jet.r2dot])
 
 
-def jet_from_nh_state(sys: SystemSpec, y: np.ndarray) -> Jet:
-    """Expand a reduced state to a full jet with constraint-slaved s velocities."""
-    k = sys.k
-    q = tuple(float(v) for v in y[: 2 + k])
-    return sys.on_constraint(q, float(y[2 + k]), float(y[3 + k]))
-
-
 def nh_columns(sys: SystemSpec) -> tuple[str, ...]:
     return sys.names + tuple("d" + n for n in (sys.names[0], sys.names[1]))
 
@@ -537,7 +529,7 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
     except ValueError:
         raise ConfigError("I_alpha must be a comma-separated list of numbers") from None
     names = tuple(part.strip() for part in fields["names"].split(","))
-    try:  # the parser and the tree evaluator recurse once per level of nesting
+    try:  # the parser recurses once per parenthesis, function call or minus
         a_alpha = tuple(ex.parse_expr(part) for part in fields["A_alpha"].split(","))
         weights = None
         if "weights" in fields:

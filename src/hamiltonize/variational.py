@@ -389,12 +389,12 @@ def _kernel(model: LagrangianModel, name: str, args: str, body):
     """The generated ``name(r1, *args)`` of a first/second model, once per
     system and model: the sequences named by the letters of ``args`` unpacked
     into locals, the weights spliced in, then the statements ``body(model)``,
-    which may call ``dot`` (``np.dot``) and raise the guards' errors."""
+    which may raise the guards' errors."""
     def build():
         _require_hamiltonian(model)
         unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
         return ex.define(f"{name}({', '.join(['r1', *args])})",
-                         [*unpack, *_weight_lines(model), *body(model)], dot=np.dot,
+                         [*unpack, *_weight_lines(model), *body(model)],
                          table=model.system.weight_table, weight_vanishes=weight_vanishes,
                          SingularVelocityError=SingularVelocityError)
 

@@ -214,6 +214,26 @@ def test_out_under_a_file_exit_1(command, out, tmp_path, capsys, monkeypatch):
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("out", ["locked", os.path.join("locked", "x", "y")])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_unwritable_out_exit_1(command, out, tmp_path, capsys, monkeypatch):
+    """An --out whose deepest existing directory this process may not
+    create files in is one configuration error before any work, where the
+    report's write raised PermissionError after the work (exit 2).  Root
+    may write anywhere, so ``os.access`` is what denies it here."""
+    monkeypatch.chdir(tmp_path)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    allowed = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        os.fspath(path) != str(locked) and allowed(path, mode)))
+    assert main([command, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out must name a writable directory, but {locked} is not\n"
+    assert not list(locked.iterdir())
+
+
 def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
     """Over the flags of every command, zero, negative, non-finite, tiny
     and huge values, seeds up to 2**200, an --out that is an existing file,
@@ -332,6 +352,16 @@ def _spec_with_system_parameter(tmp_path):
     return ["simulate", "--spec", str(spec), "--params", "m=2", "--t", "0.01"]
 
 
+def _weights_spec(weights):
+    """A certify over the knife edge as a spec whose weights are ``weights``."""
+    def build(tmp_path):
+        spec = tmp_path / "weights.system"
+        spec.write_text("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = -tan(r1)\nnames = phi,x,y\n"
+                        f"weights = {weights}\n")
+        return ["certify", "--spec", str(spec)]
+    return build
+
+
 def _deep_spec(coefficient):
     """A certify over a spec whose A_alpha is ``coefficient``."""
     def build(tmp_path):
@@ -407,7 +437,11 @@ BAD_INPUTS = {
                           "--t", "0.01"],
         1, "parameter J must be finite and positive"),
     "spec-inertia-nan": (_nan_inertia_spec, 1, "inertias must be finite"),
-    # the parser and the derivatives recurse once per level of nesting
+    # weights undefined at every checked point leave the override unchecked
+    "spec-weights-undefined": (_weights_spec("ln(r1 - 2), ln(r1 - 2)"), 1,
+                               "weight overrides could not be validated on [-1.3, 1.3]"),
+    # expressions nested past MAX_EXPR_DEPTH levels, which the parser reaches
+    # by recursion for parentheses and minuses and by a loop for a sum
     "spec-nested-parentheses": (_deep_spec("(" * 3000 + "r1" + ")" * 3000), 1,
                                 "expression is nested too deeply"),
     "spec-nested-minus": (_deep_spec("-" * 5000 + "r1"), 1, "expression is nested too deeply"),
@@ -983,15 +1017,15 @@ def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, mon
 GOLDEN_OPTIMAL_CONTROL = {
     ("free_particle", "g1", 1): (975, 0, 25, 5.329070518200751e-15, 1.0509738482436127e-15),
     ("free_particle", "g1", 2): (981, 0, 19, 3.552713678800501e-15, 1.0509738482436127e-15),
-    ("free_particle", "g1", 3): (982, 0, 18, 3.552713678800501e-15, 1.0509738482436127e-15),
+    ("free_particle", "g1", 3): (982, 0, 18, 4.440892098500626e-15, 1.0509738482436127e-15),
     ("knife_edge", "g1", 1): (974, 0, 26, 5.329070518200751e-15, 8.758115402030106e-16),
     ("knife_edge", "g1", 2): (982, 0, 18, 5.329070518200751e-15, 1.0509738482436127e-15),
-    ("knife_edge", "g1", 3): (983, 0, 17, 4.440892098500626e-15, 1.0509738482436127e-15),
-    ("vertical_disk", "g1", 1): (977, 0, 23, 3.552713678800501e-15, 1.401298464324817e-15),
+    ("knife_edge", "g1", 3): (983, 0, 17, 5.329070518200751e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g1", 1): (977, 0, 23, 4.440892098500626e-15, 1.401298464324817e-15),
     ("vertical_disk", "g1", 2): (986, 0, 14, 3.552713678800501e-15, 1.0509738482436127e-15),
     ("vertical_disk", "g1", 3): (985, 0, 15, 6.217248937900877e-15, 1.0509738482436127e-15),
-    ("vertical_disk", "g2", 1): (987, 0, 13, 3.552713678800501e-15, 1.0509738482436127e-15),
-    ("vertical_disk", "g2", 2): (978, 0, 22, 5.329070518200751e-15, 1.576460772365419e-15),
+    ("vertical_disk", "g2", 1): (987, 0, 13, 5.329070518200751e-15, 1.0509738482436127e-15),
+    ("vertical_disk", "g2", 2): (978, 0, 22, 4.440892098500626e-15, 1.576460772365419e-15),
     ("vertical_disk", "g2", 3): (986, 0, 14, 5.329070518200751e-15, 1.401298464324817e-15),
 }
 GOLDEN_FIELDS = ("evaluated", "skipped_degenerate", "skipped_near_u1_zero",
@@ -1104,7 +1138,9 @@ def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     """certify builds each object once: its checks compile 2 distinct tables
     (the weights and the second associated system's rates; the Phi towers
     are series, not tables) and no expression tuple twice, also on the
-    disk, which runs the g2 suite."""
+    disk, which runs the g2 suite.  Building the knife edge compiles one
+    more, the table its weight overrides are checked on."""
+    overridden = builtin_system(name).weight_exprs is not None
     compiled = []
     original = expr.compile_table
 
@@ -1117,7 +1153,7 @@ def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     built = []
     _record_calls(monkeypatch, "second_associated", built)
     assert run_cli(["certify", "--system", name, "--samples", "20"], tmp_path) == 0
-    assert len(compiled) == 2
+    assert len(compiled) == 2 + overridden
     assert len(set(compiled)) == len(compiled)
     assert len(built) == 1
 

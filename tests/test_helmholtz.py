@@ -26,6 +26,7 @@ from hamiltonize import expr
 from hamiltonize.helmholtz import HelmholtzReport, _derivative6, psi_stack
 from hamiltonize.sampling import generic_jets
 
+from expr_oracle import evaluate
 import fd_oracle
 import tower_oracle
 
@@ -75,7 +76,7 @@ def test_phi_second_kind_closed_form(free_particle, stream):
         r1, u1 = jet.r1, jet.r1dot
         for a in range(1, 3):
             x = sode.coeff_exprs[a - 1]
-            bracket = 2 * x.diff().eval(r1) - x.eval(r1) ** 2
+            bracket = 2 * evaluate(x.diff(), r1) - evaluate(x, r1) ** 2
             assert m[a, 0] == pytest.approx(-0.5 * u1 * jet.qdot[a] * bracket, rel=1e-12)
             assert m[a, a] == pytest.approx(0.5 * u1 ** 2 * bracket, rel=1e-12)
 
@@ -108,7 +109,7 @@ def test_nabla_phi_first_order_closed_form(free_particle, stream):
     coeff = g2 * g2.diff() - g2.diff().diff()
     for jet in generic_jets(free_particle, 20, stream):
         m = nabla_phi(sode, jet, 1)
-        expected = coeff.eval(jet.r1) * jet.r1dot**2 * jet.r2dot
+        expected = evaluate(coeff, jet.r1) * jet.r1dot**2 * jet.r2dot
         assert m[1, 0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -122,10 +123,10 @@ def test_nabla_nabla_phi_constrained_row_closed_form(any_system, stream):
         r1 = jet.r1
         for a, ga in enumerate(sode.coeff_exprs[1:], start=2):
             coeff = (
-                ga.diff().eval(r1) * g2.diff().eval(r1)
-                + 1.5 * ga.eval(r1) * g2.diff().diff().eval(r1)
-                - 0.5 * ga.diff().diff().eval(r1) * g2.eval(r1)
-                - ga.diff().diff().diff().eval(r1)
+                evaluate(ga.diff(), r1) * evaluate(g2.diff(), r1)
+                + 1.5 * evaluate(ga, r1) * evaluate(g2.diff().diff(), r1)
+                - 0.5 * evaluate(ga.diff().diff(), r1) * evaluate(g2, r1)
+                - evaluate(ga.diff().diff().diff(), r1)
             )
             expected = coeff * jet.r1dot**3 * jet.r2dot
             assert m[a, 0] == pytest.approx(expected, rel=1e-10, abs=1e-12)

@@ -424,7 +424,11 @@ def loop_cost(model, u, weights):
 
 
 def loop_control_hamiltonian(model, p, u, weights):
-    return np.dot(p, loop_rates(model, u, weights)).item() - loop_cost(model, u, weights)
+    rates = loop_rates(model, u, weights)
+    pairing = p[0] * rates[0]
+    for b in range(1, len(p)):
+        pairing += p[b] * rates[b]
+    return pairing - loop_cost(model, u, weights)
 
 
 def loop_gradient(model, p, u, weights):

@@ -24,6 +24,8 @@ from hamiltonize.systems import SystemSpec
 from hamiltonize.sampling import phase_points
 from hamiltonize.variational import hamilton_ode
 
+from expr_oracle import evaluate
+
 
 # --- controlled first-order system ----------------------------------------------
 
@@ -59,7 +61,7 @@ def test_constant_controls_solve_decoupled_system(vertical_disk, rng):
     back, end = traj.states[-2], traj.states[-1]
     fd = (end - back) / 1e-3
     for a in range(3):
-        expected = u[1 + a] * weights[a].eval((r1_end + back[0]) / 2)
+        expected = u[1 + a] * evaluate(weights[a], (r1_end + back[0]) / 2)
         assert fd[1 + a] == pytest.approx(expected, rel=1e-5)
 
 

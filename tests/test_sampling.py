@@ -49,7 +49,7 @@ def test_samplers_draw_generic_reproducible_points():
                     assert all(abs(fn(r1)) >= MIN_COEFF for fn in sys_.a_fns)
                     assert sys_.measure_fn(r1) > 0.0
                     if sampler is constraint_jets:
-                        assert sys_.constraint_residual(point) == (0.0,) * sys_.k
+                        assert point == sys_.on_constraint(point.q, *point.qdot[:2])
                 rates = [v for point in points for v in speed(point)]
                 assert all(SPEEDS[0] <= abs(v) < SPEEDS[1] for v in rates)
                 assert min(rates) < 0.0 < max(rates)

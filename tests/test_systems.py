@@ -15,7 +15,9 @@ from hamiltonize import (
 )
 from hamiltonize.errors import ExprDomainError
 from hamiltonize.sampling import sample_r1
-from hamiltonize.systems import jet_from_nh_state, nh_columns, nh_state_from_jet
+from hamiltonize.systems import nh_columns, nh_state_from_jet
+
+from expr_oracle import evaluate
 
 
 # --- SystemSpec validation -------------------------------------------------
@@ -23,12 +25,12 @@ from hamiltonize.systems import jet_from_nh_state, nh_columns, nh_state_from_jet
 
 def test_builtin_class_map(free_particle, knife_edge, vertical_disk):
     assert free_particle.inertias == (1.0, 1.0, 1.0)
-    assert free_particle.a_alpha[0].eval(0.7) == 0.7
+    assert evaluate(free_particle.a_alpha[0], 0.7) == 0.7
     assert knife_edge.names == ("phi", "x", "y")
-    assert knife_edge.a_alpha[0].eval(0.5) == pytest.approx(-math.tan(0.5))
+    assert evaluate(knife_edge.a_alpha[0], 0.5) == pytest.approx(-math.tan(0.5))
     assert vertical_disk.k == 2
-    assert vertical_disk.a_alpha[0].eval(0.5) == pytest.approx(-math.cos(0.5))
-    assert vertical_disk.a_alpha[1].eval(0.5) == pytest.approx(-math.sin(0.5))
+    assert evaluate(vertical_disk.a_alpha[0], 0.5) == pytest.approx(-math.cos(0.5))
+    assert evaluate(vertical_disk.a_alpha[1], 0.5) == pytest.approx(-math.sin(0.5))
 
 
 def test_builtin_rejects_bad_input():
@@ -45,13 +47,6 @@ def test_constant_coefficient_rejected():
         parse_system_file(
             "I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = 2.0\nnames = a, b, c\n"
         )
-
-
-def test_free_particle_constraint_residual(free_particle):
-    # zdot + x*ydot = 0 on the constraint distribution
-    jet = free_particle.on_constraint((0.8, 0.0, 0.0), 1.0, 1.0)
-    assert jet.sdot[0] == pytest.approx(-0.8)
-    assert free_particle.constraint_residual(jet) == (0.0,)
 
 
 # --- invariant measure ------------------------------------------------------
@@ -147,15 +142,17 @@ def test_zero_r2dot_freezes_everything(any_system):
 
 
 def test_constraint_preserved_along_flow(any_system):
-    """The slaved formulation keeps the constraint exactly (not drifting)."""
+    """The slaved formulation keeps the constraint exactly (not drifting):
+    along the flow, each s-rate is -A_a(r1) r2dot to the bit."""
     sys = any_system
+    k = sys.k
     jet0 = sys.on_constraint((0.4,) + (0.0,) * (sys.n - 1), 0.3, 0.7)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 2.0))
-    traj = integrate(nonholonomic_ode(sys), nh_state_from_jet(sys, jet0), cfg,
-                     nh_columns(sys), "nonholonomic")
-    for row in traj.states[::200]:
-        jet = jet_from_nh_state(sys, row)
-        assert max(abs(r) for r in sys.constraint_residual(jet)) < 1e-9
+    rhs = nonholonomic_ode(sys)
+    traj = integrate(rhs, nh_state_from_jet(sys, jet0), cfg, nh_columns(sys), "nonholonomic")
+    for t, row in zip(traj.times[::200], traj.states[::200]):
+        s_rates = rhs(t, row)[2:2 + k]
+        assert s_rates == [-sys.a_fns[a](row[0]) * row[3 + k] for a in range(k)]
 
 
 # --- closed-form disk solution ---------------------------------------------
@@ -251,7 +248,15 @@ def test_parse_system_file_weight_overrides(knife_edge):
     sys = parse_system_file(KNIFE_FILE)
     for r in (0.2, 0.9):
         for mine, builtin in zip(sys.exp_xi_exprs, knife_edge.exp_xi_exprs):
-            assert mine.eval(r) == pytest.approx(builtin.eval(r), rel=1e-12)
+            assert evaluate(mine, r) == pytest.approx(evaluate(builtin, r), rel=1e-12)
+
+
+def test_weight_override_scaled_by_a_constant_accepted(knife_edge):
+    """Weights twice the knife edge's share their logarithmic slopes."""
+    sys = parse_system_file(KNIFE_FILE.replace("cos(r1), -sin(r1)", "2*cos(r1), -2*sin(r1)"))
+    for r in (0.2, 0.9):
+        for mine, builtin in zip(sys.exp_xi_exprs, knife_edge.exp_xi_exprs):
+            assert evaluate(mine, r) == 2 * evaluate(builtin, r)
 
 
 def test_weight_override_with_wrong_slope_rejected():

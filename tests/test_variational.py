@@ -28,6 +28,8 @@ from hamiltonize import (
 from hamiltonize.sampling import constraint_jets, generic_jets, phase_points
 from hamiltonize.variational import hamilton_ode, phase_columns
 
+from expr_oracle import evaluate
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -140,7 +142,7 @@ def test_hessian_leading_entry_formula(free_particle, stream):
         g = hessian(model, jet)
         expected = 1.0
         for b, c in enumerate(model.coefficients):
-            e_b = free_particle.exp_xi_exprs[b].eval(jet.r1)
+            e_b = evaluate(free_particle.exp_xi_exprs[b], jet.r1)
             expected += c * jet.qdot[1 + b] ** 2 / (e_b * jet.r1dot**3)
             assert g[1 + b, 1 + b] == pytest.approx(c / (e_b * jet.r1dot), rel=1e-12)
         assert g[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -241,14 +243,14 @@ def _el_force(model, jet):
     if model.kind == "variational":
         drift = 0.0
         for a in range(sys.k):
-            slope = sys.i_alpha[a] * sys.a_prime[a].eval(r1)
+            slope = sys.i_alpha[a] * evaluate(sys.a_prime[a], r1)
             drift += slope * u[2 + a]
             force[2 + a] = slope * u[1] * u[0]
         force[0], force[1] = -drift * u[1], drift * u[0]
         return force
     for b, c in model.terms:
         e_b = sys.exp_xi_exprs[b - 1]
-        e_val, e_slope = e_b.eval(r1), e_b.diff().eval(r1)
+        e_val, e_slope = evaluate(e_b, r1), evaluate(e_b.diff(), r1)
         force[b] = c * u[b] * e_slope / e_val ** 2
         force[0] -= c * u[b] ** 2 * e_slope / e_val ** 2 / u[0]
     return force
