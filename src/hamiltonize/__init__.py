@@ -56,9 +56,7 @@ from .variational import (
     hamilton_rhs,
     hamiltonian_value,
     hessian,
-    hessian_coordinate_jacobian,
     hessian_field,
-    hessian_velocity_jacobian,
     lagrangian_model,
     lagrangian_value,
     legendre,

@@ -46,9 +46,10 @@ stacked determinant tests every candidate.  ``psi_stack``,
 not depend on its stack.  The report carries the margins of its rank and
 determinant decisions, and the jet of the smallest kept margin.
 
-The multiplier residuals evaluate the multiplier, its derivatives, f and
-nabla jet by jet, take Phi for all jets from one series evaluation, and
-reduce (jets, n, n) stacks to the determinant and the three residuals.
+The multiplier residuals evaluate the multiplier, f and nabla jet by jet,
+its derivatives in one call of its ``slopes`` (or by central differences),
+and Phi in one series evaluation, and reduce (jets, n, n) stacks to the
+determinant and the three residuals.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * t
 DET_TOL = 1e-10  # a normalized candidate multiplier with |det| at or above this is regular
 COMBOS = 8  # random combinations of each jet's nullspace basis the certificate tests
 JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVD
+RESIDUAL_TOL = 1e-8  # the multiplier conditions pass with every residual below this
+FD_STEP = 1e-4  # base step of the residuals' central differences of a field without slopes
 
 
 # --- closed-form tensors of the first and second kinds ------------------------
@@ -145,16 +148,16 @@ def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
 class MultiplierField:
     """A candidate multiplier: jet -> symmetric matrix.
 
-    ``velocity_jacobian`` (jet -> dg/dq' with leading axis the velocity
-    index) and ``coordinate_jacobian`` (jet -> dg/dq likewise) are optional
-    exact derivatives.  When supplied they replace finite differences in the
-    condition residuals, whose tolerances are tighter than FD noise on
-    multipliers with steep velocity dependence.
+    ``slopes`` (optional) gives its exact derivatives: ``slopes(jets, dq,
+    du)`` with dq, du of shape (jets, directions, n) returns a (jets,
+    directions, n, n) stack whose entry [j, k] is the derivative of g at
+    jets[j] along (dq[j, k], du[j, k]).  Without it the condition residuals
+    take central differences of ``fn``, whose noise the tolerance must
+    absorb on multipliers with steep velocity dependence.
     """
 
     fn: Callable[[Jet], np.ndarray]
-    velocity_jacobian: Callable[[Jet], np.ndarray] | None = None
-    coordinate_jacobian: Callable[[Jet], np.ndarray] | None = None
+    slopes: Callable[[Sequence[Jet], np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, jet: Jet) -> np.ndarray:
         return self.fn(jet)
@@ -195,63 +198,42 @@ def _worst(stack: np.ndarray, antisymmetric: bool = False) -> float:
     return float(np.max(np.abs(stack - stack.swapaxes(-1, -2) if antisymmetric else stack)))
 
 
-def helmholtz_residuals(
-    sode,
-    g: MultiplierField,
-    jets: Sequence[Jet],
-    tolerance: float = 1e-8,
-) -> HelmholtzReport:
+def helmholtz_residuals(sode, g: MultiplierField, jets: Sequence[Jet]) -> HelmholtzReport:
     """Evaluate the multiplier conditions for ``g`` against ``sode``.
 
-    g, its derivatives, f and nabla are evaluated jet by jet, in jet order;
-    velocity derivatives of g and its derivative along the system field are
-    taken by high-order central differences where ``g`` has no Jacobians.
-    Phi comes from one stacked evaluation, and the determinants and the
-    three residuals are computed on (jets, n, n) stacks.
+    g, f and nabla are evaluated jet by jet, in jet order.  Each jet takes
+    n + 1 derivatives of g: along (0, e_k), dg/dq'^k, and along (q', f), its
+    derivative G(g) along the system field.  ``g.slopes`` gives them in one
+    call for the whole sample; without it each is a sixth-order central
+    difference of g with step ``FD_STEP`` (1 + |q'^k|) along e_k and
+    ``FD_STEP`` along G.  Phi comes from one stacked evaluation, and the
+    determinants and the three residuals are computed on (jets, n, n) stacks.
     """
     if not jets:
         raise ConfigError("the multiplier-condition check needs at least one jet")
     n = sode.n
-    h0 = 1e-4
-    exact = g.velocity_jacobian is not None and g.coordinate_jacobian is not None
-    gms, dgs, gammas, nbs = [], [], [], []
+    gms, fs, nbs = [], [], []
     for jet in jets:
-        q, u = jet.arrays()
         gms.append(g(jet))
-
-        if g.velocity_jacobian is not None:
-            dg = g.velocity_jacobian(jet)
-        else:
-            dg = np.empty((n, n, n))  # dg[k] = dg/du_k
-            for kdx in range(n):
-                step = h0 * (1.0 + abs(u[kdx]))
-
-                def sample(c, kdx=kdx, step=step):
-                    shifted = u.copy()
-                    shifted[kdx] += c * step
-                    return g(Jet(jet.q, tuple(shifted)))
-
-                dg[kdx] = _derivative6(sample, step)
-        dgs.append(dg)
-
-        f0 = sode.f(q, u)
-        if exact:  # G(g) = u^k dg/dq^k + f^k dg/du^k, summed on the stack
-            gammas.append((u, g.coordinate_jacobian(jet), f0))
-        else:
-            eps = h0
-
-            def along(c):
-                return g(Jet(tuple(q + c * eps * u), tuple(u + c * eps * f0)))
-
-            gammas.append(_derivative6(along, eps))
+        fs.append(sode.f(*jet.arrays()))
         nbs.append(nabla(sode, jet))
-
-    gm, dg, nb = np.array(gms), np.array(dgs), np.array(nbs)
-    if exact:
-        u, dgq, f0 = (np.array(part) for part in zip(*gammas))
-        gamma_g = np.einsum("jk,jkab->jab", u, dgq) + np.einsum("jk,jkab->jab", f0, dg)
+    gm, nb = np.array(gms), np.array(nbs)
+    q, u = np.array([jet.q for jet in jets]), np.array([jet.qdot for jet in jets])
+    # directions (0, e_k) for k < n, then (u, f): the velocity slopes, then G(g)
+    dq, du = np.zeros((2, len(jets), n + 1, n))
+    du[:, :n] = np.eye(n)
+    dq[:, n], du[:, n] = u, fs
+    if g.slopes is not None:
+        slopes = g.slopes(jets, dq, du)
     else:
-        gamma_g = np.array(gammas)
+        steps = np.full((len(jets), n + 1), FD_STEP)
+        steps[:, :n] *= 1.0 + np.abs(u)
+        slopes = np.empty((len(jets), n + 1, n, n))
+        for j, k in np.ndindex(steps.shape):
+            a, b, h = dq[j, k], du[j, k], steps[j, k]
+            slopes[j, k] = _derivative6(
+                lambda c: g(Jet(tuple(q[j] + c * h * a), tuple(u[j] + c * h * b))), h)
+    dg, gamma_g = slopes[:, :n], slopes[:, n]
     gphi = gm @ psi_stack(sode, jets, 1)[:, 0]
     # dg[:, k, i, j] = dg_ij/du_k must be symmetric in (j, k)
     sym_worst = _worst(dg.transpose(0, 2, 1, 3), antisymmetric=True)
@@ -265,9 +247,9 @@ def helmholtz_residuals(
         nabla_condition=nabla_worst,
         phi_condition=phi_worst,
         min_abs_det=min_det,
-        tolerance=tolerance,
+        tolerance=RESIDUAL_TOL,
         n_jets=len(jets),
-        passed=all(r < tolerance for r in (sym_worst, nabla_worst, phi_worst)),
+        passed=all(r < RESIDUAL_TOL for r in (sym_worst, nabla_worst, phi_worst)),
     )
 
 

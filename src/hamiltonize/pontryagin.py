@@ -38,7 +38,7 @@ Hamiltonian is analytic in them, so ``control_gradient`` differentiates the
 Hamiltonian's own code by the complex step (Squire & Trapp, SIAM Review 40,
 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003):
 
-    dH/du_k = Im H(u + i eps e_k) / eps,    eps = 1e-30.
+    dH/du_k = Im H(u + i eps e_k) / eps,    eps = variational.CS_STEP = 1e-30.
 
 No difference of two values is taken, so the step can be far below the
 roundoff of H and the gradient is exact to roundoff, at one evaluation per
@@ -62,7 +62,8 @@ one term, whatever the order of summation.
 
 from __future__ import annotations
 
-from .variational import LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum, _names
+from .variational import (CS_STEP, LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum,
+                          _names)
 
 __all__ = [
     "controlled_rhs",
@@ -75,7 +76,6 @@ __all__ = [
 
 MODEL_KINDS = {"g1": "first", "g2": "second"}  # the model each cost reproduces
 U1_MIN = 1e-6
-CS_STEP = 1e-30  # complex step: its square vanishes against any real part
 
 
 def controlled_rhs(model: LagrangianModel, q, u) -> list:

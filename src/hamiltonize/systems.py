@@ -290,6 +290,12 @@ class SystemSpec:
         return ex.compile_table(self.a_prime)
 
     @cached_property
+    def measure_series(self):
+        """(r1, order) -> the Taylor coefficients of N and (ln N)' at r1, as
+        ``expr.series_table`` gives them."""
+        return ex.series_table((self.measure_expr, self.log_measure_slope_expr))
+
+    @cached_property
     def _kernels(self) -> dict:
         return {}
 
@@ -310,24 +316,16 @@ class SystemSpec:
     def measure_is_constant(self) -> bool:
         """Numerically decide whether N is constant.
 
-        Checks |dN/dr1| (structural derivative) below ``MEASURE_SLOPE_TOL``
-        at ``MEASURE_SAMPLES`` points spread over [-1, 1]; points where the
-        coefficients are undefined are skipped.  Callers read the cached
+        Checks |dN/dr1|, one ``measure_series`` call, below
+        ``MEASURE_SLOPE_TOL`` at ``MEASURE_SAMPLES`` points spread over [-1,
+        1], skipping points where it is not finite.  Callers read the cached
         ``constant_measure``.
         """
-        slope = self.measure_expr.diff().compile()
-        checked = 0
-        for r1 in np.linspace(-1.0, 1.0, MEASURE_SAMPLES):
-            try:
-                value = slope(float(r1))
-            except EvaluationError:
-                continue
-            checked += 1
-            if abs(value) >= MEASURE_SLOPE_TOL:
-                return False
-        if checked == 0:
+        slope = self.measure_series(np.linspace(-1.0, 1.0, MEASURE_SAMPLES), 1)[1, 0]
+        slope = slope[np.isfinite(slope)]
+        if not slope.size:
             raise EvaluationError("measure slope could not be sampled on [-1, 1]")
-        return True
+        return bool(np.all(np.abs(slope) < MEASURE_SLOPE_TOL))
 
     @property
     def preset(self) -> str | None:
@@ -410,19 +408,18 @@ def measure_pde_residual(sys: SystemSpec, r1):
 
     The first is (1/N) dN/dr1 - (ln N)', with (ln N)' in closed form
     (``log_measure_slope_expr``) and dN/dr1 read from N's first-order Taylor
-    series (``expr.series_table``, one call for the whole stack): exact to
-    roundoff, and independent of the closed form.  The second is (1/N)
+    series (``SystemSpec.measure_series``, one call for the whole stack):
+    exact to roundoff, and independent of the closed form.  The second is (1/N)
     dN/dr2, which vanishes identically because N depends on r1 only.  At
     the first point where the first is not finite, N or (ln N)' raises its
     own ``ExprDomainError``, or else an ``EvaluationError`` is raised.
     """
-    exprs = (sys.measure_expr, sys.log_measure_slope_expr)
-    c = sys.kernel(("measure series",), lambda: ex.series_table(exprs))(r1, 1)
+    c = sys.measure_series(r1, 1)
     res1 = c[1, 0] / c[0, 0] - c[0, 1]
     bad = np.flatnonzero(~np.isfinite(res1))
     if bad.size:
         at = float(np.ravel(r1)[bad[0]])
-        ex.compile_table(exprs)(at)
+        ex.compile_table((sys.measure_expr, sys.log_measure_slope_expr))(at)
         raise EvaluationError(f"non-finite invariant-measure residual at r1={at!r}")
     return res1, 0.0 * res1
 

@@ -33,6 +33,10 @@ trajectory right-hand sides are straight-line code generated once per system
 and model, with every inertia and coefficient a literal and the model's
 weight pairs spliced in from the table (kind second reads no r2 pair).
 
+The slopes of ``hessian_field`` are complex steps of size ``CS_STEP`` (the
+step of ``pontryagin``'s control gradient too) of the Hessian's own
+arithmetic, ``_arrowhead``, with the velocities and each weight moved.
+
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
 weights E_b keep the sign of A_a: published per-example forms of the first
@@ -84,6 +88,7 @@ __all__ = [
 ]
 
 LAGRANGIAN_KINDS = ("first", "second", "variational")
+CS_STEP = 1e-30  # complex step: its square vanishes against any real part
 
 
 @dataclass(frozen=True)
@@ -240,25 +245,27 @@ def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
     return value
 
 
-def _arrowhead(model: LagrangianModel, r1: float, u, weights):
+def _arrowhead(model: LagrangianModel, u, weights):
     """The velocity Hessian as (hub, diag, arm): g[b, b] = diag[b],
     g[hub, b] = g[b, hub] = arm[b] for b != hub (arm[hub] = 0), every other
     entry zero.
 
-    The hub is r1 for kinds first and second, whose ``weights`` come from
-    ``_weight_values``, and r2 for the variational kind (``weights`` unused).
+    ``weights`` are the values at r1 of the model's functions of r1: E_b for
+    each of the ``terms`` of kinds first and second, whose hub is r1, and
+    A_a for each s_a of the variational kind, whose hub is r2.  Plain
+    arithmetic, so it runs alike on floats and on arrays of complex steps.
     """
     sys = model.system
     if model.kind == "variational":
         diag = [sys.i1, sys.i2, *[-i_a for i_a in sys.i_alpha]]
-        arm = [0.0, 0.0, *[-i_a * a_fn(r1) for i_a, a_fn in zip(sys.i_alpha, sys.a_fns)]]
+        arm = [0.0, 0.0, *[-i_a * a_val for i_a, a_val in zip(sys.i_alpha, weights)]]
         return 1, diag, arm
     u1 = u[0]
     diag = [sys.i1] + [0.0] * (sys.n - 1)
     arm = [0.0] * sys.n
     for b, inertia in model.kinetic:
         diag[b] = inertia
-    for b, c, e_val, _ in weights:
+    for (b, c), e_val in zip(model.terms, weights):
         c_over_e = c / e_val
         diag[0] += c_over_e * u[b] ** 2 / u1**3
         arm[b] = -c_over_e * u[b] / u1**2
@@ -268,71 +275,57 @@ def _arrowhead(model: LagrangianModel, r1: float, u, weights):
 
 def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     """Velocity Hessian of the Lagrangian; a multiplier for its dynamics."""
-    weights = ()
-    if model.kind != "variational":
+    if model.kind == "variational":
+        weights = [a_fn(jet.r1) for a_fn in model.system.a_fns]
+    else:
         _require_moving(jet.r1dot)
-        weights = model._weight_values(jet.r1)
-    hub, diag, arm = _arrowhead(model, jet.r1, jet.qdot, weights)
+        weights = [e_val for _, _, e_val, _ in model._weight_values(jet.r1)]
+    hub, diag, arm = _arrowhead(model, jet.qdot, weights)
     g = np.diag(diag)
     g[hub, :] = g[:, hub] = arm
     g[hub, hub] = diag[hub]
     return g
 
 
-def hessian_velocity_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
-    """Exact dg/dq' of the model Hessian; leading axis is the velocity index."""
-    sys = model.system
-    n = sys.n
-    out = np.zeros((n, n, n))
-    if model.kind == "variational":
-        return out
-    _require_moving(jet.r1dot)
-    u = jet.qdot
-    u1 = u[0]
-    for b, c, e_val, _ in model._weight_values(jet.r1):
-        w = c / e_val
-        ub = u[b]
-        out[0][0, 0] += -3.0 * w * ub**2 / u1**4
-        out[0][0, b] = out[0][b, 0] = 2.0 * w * ub / u1**3
-        out[0][b, b] = -w / u1**2
-        out[b][0, 0] = 2.0 * w * ub / u1**3
-        out[b][0, b] = out[b][b, 0] = -w / u1**2
-    return out
+def _hessian_slopes(model: LagrangianModel, jets, dq, du) -> np.ndarray:
+    """Exact derivatives of the model Hessian at each jet along each of its
+    directions (dq[j, k], du[j, k]), a (jets, directions, n, n) stack.
 
-
-def hessian_coordinate_jacobian(model: LagrangianModel, jet: Jet) -> np.ndarray:
-    """Exact dg/dq of the model Hessian; only the r1 slot is nonzero."""
+    ``_arrowhead`` runs once on complex arrays of shape (jets, directions):
+    the velocities step to u + i h du and each weight, a function of r1
+    alone, to w + i h dq_1 w'.  Each slope is Im(entry) / h with h =
+    ``CS_STEP``, exact to roundoff.
+    """
     sys = model.system
-    n = sys.n
-    out = np.zeros((n, n, n))
+    step = CS_STEP * 1j
     if model.kind == "variational":
-        a_prime = sys.a_prime_table(jet.r1)
-        for a in range(sys.k):
-            slope = -sys.i_alpha[a] * a_prime[a]
-            out[0][1, 2 + a] = out[0][2 + a, 1] = slope
-        return out
-    _require_moving(jet.r1dot)
-    u = jet.qdot
-    u1 = u[0]
-    for b, c, e_val, e_slope in model._weight_values(jet.r1):
-        w_slope = -c * e_slope / e_val**2
-        ub = u[b]
-        out[0][0, 0] += w_slope * ub**2 / u1**3
-        out[0][0, b] = out[0][b, 0] = -w_slope * ub / u1**2
-        out[0][b, b] = w_slope / u1
-    return out
+        pairs = [[*zip((a_fn(jet.r1) for a_fn in sys.a_fns), sys.a_prime_table(jet.r1))]
+                 for jet in jets]
+    else:
+        pairs = [[(e_val, e_slope) for _, _, e_val, e_slope in model._weight_values(jet.r1)]
+                 for jet in jets]
+    values, primes = np.array(pairs).reshape(len(jets), -1, 2).T  # w and w', (weights, jets)
+    weights = [value[:, None] + step * dq[..., 0] * prime[:, None]
+               for value, prime in zip(values, primes)]
+    u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b]
+         for b in range(sys.n)]
+    hub, diag, arm = _arrowhead(model, u, weights)
+    out = np.zeros((*dq.shape[:2], sys.n, sys.n))
+    for b in range(sys.n):
+        out[..., b, b] = np.imag(diag[b])
+        if b != hub:
+            out[..., hub, b] = out[..., b, hub] = np.imag(arm[b])
+    return out / CS_STEP
 
 
 def hessian_field(model: LagrangianModel):
-    """The model Hessian packaged as a multiplier field with exact
-    derivatives, suitable for tight-tolerance condition checks."""
+    """The model Hessian packaged as a multiplier field whose slopes are
+    complex steps of its own arithmetic, suitable for tight-tolerance
+    condition checks."""
     from .helmholtz import MultiplierField
 
-    return MultiplierField(
-        fn=lambda jet: hessian(model, jet),
-        velocity_jacobian=lambda jet: hessian_velocity_jacobian(model, jet),
-        coordinate_jacobian=lambda jet: hessian_coordinate_jacobian(model, jet),
-    )
+    return MultiplierField(fn=lambda jet: hessian(model, jet),
+                           slopes=lambda jets, dq, du: _hessian_slopes(model, jets, dq, du))
 
 
 def euler_lagrange_rhs(model: LagrangianModel, jet: Jet) -> np.ndarray:

@@ -168,8 +168,7 @@ def test_criterion_4_helmholtz_positive_suite():
         model = lagrangian_model(sys_, kind, coeffs)
         jets = generic_jets(sys_, 100, Random(SEED))
         report = helmholtz_residuals(
-            sode, MultiplierField(lambda j, m=model: hessian(m, j)),
-            jets, tolerance=1e-8)
+            sode, MultiplierField(lambda j, m=model: hessian(m, j)), jets)
         worst = max(report.gdot_symmetry, report.nabla_condition, report.phi_condition)
         ok = ok and report.passed and report.min_abs_det > 1e-6  # regularity
         details.append(f"{name}/{kind}: max={worst:.1e} |det|min={report.min_abs_det:.1e}")

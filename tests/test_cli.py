@@ -362,12 +362,13 @@ def _weights_spec(weights):
     return build
 
 
-def _deep_spec(coefficient):
-    """A certify over a spec whose A_alpha is ``coefficient``."""
+def _deep_spec(coefficient, command=("certify",)):
+    """A ``command`` (a certify by default) over a spec whose A_alpha is
+    ``coefficient``."""
     def build(tmp_path):
         spec = tmp_path / "deep.system"
         spec.write_text(f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = {coefficient}\nnames = x,y,z\n")
-        return ["certify", "--spec", str(spec)]
+        return [*command, "--spec", str(spec)]
     return build
 
 
@@ -450,6 +451,11 @@ BAD_INPUTS = {
     # one level past the bound: a sum of 500 terms nests 501 levels deep
     "spec-nesting-bound": (_deep_spec(" + ".join(["sin(r1)"] * 500)), 1,
                            "expression is nested too deeply"),
+    # a coefficient undefined on all of [-1, 1] leaves no point at which the
+    # g2 cost's model can decide whether N is constant
+    "spec-measure-slope-unsampled": (
+        _deep_spec("ln(r1 - 2)", ("pontryagin-check", "--kind", "g2")), 2,
+        "runtime error: measure slope could not be sampled on [-1, 1]"),
     # a --params key that is neither a parameter of the built-in nor a model
     # constant (here a typo of m) is rejected, not ignored
     "disk-unknown-parameter": (

@@ -265,7 +265,9 @@ def test_hessian_multiplier_passes(system_name, coeffs, stream, request):
 
 
 def reference_residuals(sode, g, jets, tolerance=1e-8):
-    """The multiplier conditions as a loop over jets, one matrix at a time."""
+    """The multiplier conditions as a loop over jets, one matrix at a time:
+    dg/du_k along (0, e_k) and G(g) along (u, f), from the field's slopes
+    of one jet at a time where it has them."""
     n = sode.n
     sym_worst = nabla_worst = phi_worst = 0.0
     min_det = np.inf
@@ -274,8 +276,11 @@ def reference_residuals(sode, g, jets, tolerance=1e-8):
         q, u = jet.arrays()
         gm = g(jet)
         min_det = min(min_det, abs(float(np.linalg.det(gm))))
-        if g.velocity_jacobian is not None:
-            dg = g.velocity_jacobian(jet)
+        f0 = sode.f(q, u)
+        if g.slopes is not None:
+            dq = np.vstack((np.zeros((n, n)), u))
+            du = np.vstack((np.eye(n), f0))
+            *dg, gamma_g = g.slopes([jet], dq[None], du[None])[0]
         else:
             dg = np.empty((n, n, n))
             for kdx in range(n):
@@ -287,19 +292,15 @@ def reference_residuals(sode, g, jets, tolerance=1e-8):
                     return g(Jet(jet.q, tuple(shifted)))
 
                 dg[kdx] = _derivative6(sample, step)
-        for i in range(n):
-            for j in range(n):
-                for kdx in range(j + 1, n):
-                    sym_worst = max(sym_worst, abs(dg[kdx][i, j] - dg[j][i, kdx]))
-        f0 = sode.f(q, u)
-        if g.velocity_jacobian is not None and g.coordinate_jacobian is not None:
-            dgq = g.coordinate_jacobian(jet)
-            gamma_g = np.tensordot(u, dgq, axes=1) + np.tensordot(f0, dg, axes=1)
-        else:
+
             def along(c):
                 return g(Jet(tuple(q + c * h0 * u), tuple(u + c * h0 * f0)))
 
             gamma_g = _derivative6(along, h0)
+        for i in range(n):
+            for j in range(n):
+                for kdx in range(j + 1, n):
+                    sym_worst = max(sym_worst, abs(dg[kdx][i, j] - dg[j][i, kdx]))
         nb = nabla(sode, jet)
         resid = gamma_g - gm @ nb - nb.T @ gm
         nabla_worst = max(nabla_worst, float(np.max(np.abs(resid))))
@@ -314,10 +315,11 @@ def reference_residuals(sode, g, jets, tolerance=1e-8):
 def test_stacked_residuals_match_per_jet_reference(any_system, exact):
     """The stacked residuals give the per-jet loop's report, every float
     but the nabla condition bit for bit, over the Hessian field with its
-    exact Jacobians and over the same multiplier without them (the
-    finite-difference route).  The nabla condition sums G(g) and its
-    matrix products in another order, so it may move in its last bits:
-    by at most 1e-13 of the largest |G(g)|, |g nabla| or |nabla^T g|."""
+    complex-step slopes and over the same multiplier without them (the
+    finite-difference route).  The nabla condition multiplies stacked
+    matrices in one and single ones in the other, whose sums a BLAS may
+    order differently, so it may move in its last bits: by at most 1e-13 of
+    the largest |g|."""
     sode = second_associated(any_system)
     model = lagrangian_model(any_system, "first")
     field = hessian_field(model)

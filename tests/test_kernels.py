@@ -159,25 +159,26 @@ def loop_momentum_sum(model, r1, p):
 def loop_euler_lagrange_accel(model, r1, u):
     sys = model.system
     if model.kind == "variational":
-        weights = ()
         drift = 0.0
         force = [0.0, 0.0]
         for i_a, ap, u_a in zip(sys.i_alpha, sys.a_prime_table(r1), u[2:]):
             drift += i_a * ap * u_a
             force.append(i_a * ap * u[1] * u[0])
+        weights = [a_fn(r1) for a_fn in sys.a_fns]
         force[0] = -drift * u[1]
         force[1] = drift * u[0]
     else:
         _require_moving(u[0])
-        weights = loop_weight_values(model, r1)
+        weights = []
         force = [0.0] * sys.n
         total = 0.0
-        for b, c, e_val, e_slope in weights:
+        for b, c, e_val, e_slope in loop_weight_values(model, r1):
             ub = u[b]
             force[b] = c * ub * e_slope / e_val**2
             total += c * ub**2 * e_slope / e_val**2
+            weights.append(e_val)
         force[0] = -total / u[0]
-    return loop_arrowhead_solve(*_arrowhead(model, r1, u, weights), force)
+    return loop_arrowhead_solve(*_arrowhead(model, u, weights), force)
 
 
 def loop_euler_lagrange(model):

@@ -154,43 +154,81 @@ def test_hessian_regular_on_admissible_jets(any_system, stream):
         assert abs(np.linalg.det(hessian(model, jet))) > 1e-9
 
 
+def hessian_slopes_along(model, jets, dq, du):
+    """The field's slopes of the model Hessian at ``jets`` along the
+    (jets, directions, n) stacks ``dq`` and ``du``."""
+    from hamiltonize import hessian_field
+
+    return hessian_field(model).slopes(jets, np.asarray(dq, float), np.asarray(du, float))
+
+
 @pytest.mark.parametrize("kind", ["first", "second", "variational"])
 def test_hessian_exact_jacobians_match_fd(any_system, kind, stream):
-    from hamiltonize import hessian_coordinate_jacobian, hessian_velocity_jacobian
-
+    """The complex-step slopes along each e_q and each e_u direction agree
+    with central differences of ``hessian``."""
     if kind == "second" and not any_system.measure_is_constant():
         pytest.skip("second kind needs constant measure")
     model = lagrangian_model(any_system, kind)
+    n = any_system.n
     h = 1e-6
-    for jet in generic_jets(any_system, 5, stream):
-        dv = hessian_velocity_jacobian(model, jet)
-        dq = hessian_coordinate_jacobian(model, jet)
-        for kdx in range(any_system.n):
+    jets = generic_jets(any_system, 5, stream)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    # directions e_q0..e_q(n-1), then e_u0..e_u(n-1), at every jet
+    slopes = hessian_slopes_along(model, jets, [np.vstack((eye, zero))] * len(jets),
+                                  [np.vstack((zero, eye))] * len(jets))
+    for jet, slope in zip(jets, slopes):
+        for kdx in range(n):
             up, um = list(jet.qdot), list(jet.qdot)
             up[kdx] += h
             um[kdx] -= h
             fd = (hessian(model, Jet(jet.q, tuple(up)))
                   - hessian(model, Jet(jet.q, tuple(um)))) / (2 * h)
-            assert np.allclose(dv[kdx], fd, rtol=1e-5, atol=1e-7)
+            assert np.allclose(slope[n + kdx], fd, rtol=1e-5, atol=1e-7)
             qp, qm = list(jet.q), list(jet.q)
             qp[kdx] += h
             qm[kdx] -= h
             fd = (hessian(model, Jet(tuple(qp), jet.qdot))
                   - hessian(model, Jet(tuple(qm), jet.qdot))) / (2 * h)
-            assert np.allclose(dq[kdx], fd, rtol=1e-5, atol=1e-7)
+            assert np.allclose(slope[kdx], fd, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["first", "second", "variational"])
+def test_hessian_slopes_are_linear_in_the_direction(any_system, kind, stream):
+    """The slope along (u, f) is the u- and f-weighted sum of the slopes
+    along the single axes, to 1e-12 of the largest term: the weights move
+    with dq_1 and the velocities with du together."""
+    if kind == "second" and not any_system.measure_is_constant():
+        pytest.skip("second kind needs constant measure")
+    model = lagrangian_model(any_system, kind)
+    n = any_system.n
+    sode = second_associated(any_system)
+    jets = generic_jets(any_system, 20, stream)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    dq, du = [], []
+    for jet in jets:
+        u, f = jet.arrays()[1], sode.f(*jet.arrays())
+        dq.append(np.vstack((eye, zero, u)))
+        du.append(np.vstack((zero, eye, f)))
+    slopes = hessian_slopes_along(model, jets, dq, du)
+    for slope, q_dir, u_dir in zip(slopes, dq, du):
+        weights = np.concatenate((q_dir[-1], u_dir[-1]))
+        terms = weights[:, None, None] * slope[:-1]
+        scale = np.max(np.sum(np.abs(terms), axis=0))
+        assert np.max(np.abs(slope[-1] - np.sum(terms, axis=0))) <= 1e-12 * scale
 
 
 def test_hessian_multiplier_passes_down_to_slow_drive(any_system, stream):
-    """The multiplier conditions hold at 1e-8 on jets with |r1dot| >= 0.1;
-    exact Hessian derivatives keep the residuals at rounding level even
-    where the entries are steep."""
+    """The multiplier conditions hold at 1e-8 on jets with |r1dot| >= 0.1,
+    for kind first and, where the measure is constant, kind second; exact
+    Hessian derivatives keep the residuals at rounding level even where the
+    entries are steep."""
     from hamiltonize import helmholtz_residuals, hessian_field
 
     sode = second_associated(any_system)
-    model = lagrangian_model(any_system, "first")
     jets = generic_jets(any_system, 100, stream, vel_range=(0.1, 2.0))
-    report = helmholtz_residuals(sode, hessian_field(model), jets)
-    assert report.passed, report
+    for kind in ("first", "second") if any_system.measure_is_constant() else ("first",):
+        report = helmholtz_residuals(sode, hessian_field(lagrangian_model(any_system, kind)), jets)
+        assert report.passed, (kind, report)
 
 
 # --- Euler-Lagrange dynamics ---------------------------------------------------------
