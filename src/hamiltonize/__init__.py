@@ -64,8 +64,10 @@ from .variational import (
     phase_constraint_residual,
 )
 from .pontryagin import (
+    OptimalControlReport,
     controlled_rhs,
     cost,
+    optimal_control_check,
     optimal_controls,
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,

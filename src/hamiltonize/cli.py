@@ -24,7 +24,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -36,8 +35,8 @@ from . import __version__
 from .errors import ConfigError, EvaluationError
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
-from .pontryagin import MODEL_KINDS, control_gradient, optimal_controls, optimal_hamiltonian_value
-from .sampling import generic_jets, phase_points, sample_r1
+from .pontryagin import MODEL_KINDS, optimal_control_check
+from .sampling import generic_jets, sample_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
@@ -72,12 +71,7 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CERTIFICATION = 3
 
-# optimal-control check: points with |u_1| below the first or controls not all finite
-# are skipped; the two routes must agree below the second, the gradient must vanish
-# below the third, and a non-finite deviation or gradient is a runtime error
-PONTRYAGIN_U1_MIN = 0.05
-PONTRYAGIN_DEV_TOL = 1e-10
-PONTRYAGIN_GRAD_TOL = 1e-8
+MAX_DEPTH = 64  # the certificate's memory grows faster than linearly with --depth
 
 
 @dataclass
@@ -109,6 +103,8 @@ class RunManifest:
             raise ConfigError("--samples must be >= 0 (0 selects the command's default)")
         if self.depth < 1:
             raise ConfigError("--depth must be >= 1")
+        if self.depth > MAX_DEPTH:
+            raise ConfigError(f"--depth must be <= {MAX_DEPTH}, got {self.depth}")
         if self.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.tol < np.inf:
@@ -400,47 +396,9 @@ def cmd_helmholtz_check(manifest: RunManifest) -> int:
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
-def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest, kind: str) -> dict:
-    """The optimal-control check of cost ``kind`` on its model ``model``."""
-    stream = Random(manifest.seed)
-    count = manifest.samples or 1000
-    max_dev = max_grad = 0.0
-    used = degenerate = near_zero = 0
-    for ps in phase_points(model.system, count, stream):
-        try:
-            u_star = optimal_controls(model, ps)
-            finite = all(map(math.isfinite, u_star))
-        except EvaluationError:
-            finite = False
-        if not finite:
-            degenerate += 1
-            continue
-        if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
-            near_zero += 1
-            continue  # boundary region, reported elsewhere
-        used += 1
-        dev = abs(optimal_hamiltonian_value(model, ps, u_star) - hamiltonian_value(model, ps))
-        grads = [abs(g) for g in control_gradient(model, ps, u_star)]
-        if not all(map(math.isfinite, (dev, *grads))):
-            raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
-                                  f"p={list(ps.p)}")
-        max_dev = max(max_dev, dev)
-        max_grad = max(max_grad, *grads)
-    return {
-        "system": model.system.label,
-        "kind": kind,
-        "seed": manifest.seed,
-        "samples": count,
-        "evaluated": used,
-        "skipped_degenerate": degenerate,
-        "skipped_near_u1_zero": near_zero,
-        "max_hamiltonian_deviation": max_dev,
-        "deviation_tol": PONTRYAGIN_DEV_TOL,
-        "max_stationarity_norm": max_grad,
-        "stationarity_tol": PONTRYAGIN_GRAD_TOL,
-        "passed": bool(used > 0 and max_dev < PONTRYAGIN_DEV_TOL
-                       and max_grad < PONTRYAGIN_GRAD_TOL),
-    }
+def _pontryagin_payload(model: LagrangianModel, manifest: RunManifest) -> dict:
+    """The optimal-control check of the cost whose model is ``model``."""
+    return _fields(optimal_control_check(model, manifest.seed, manifest.samples or 1000))
 
 
 def cmd_pontryagin_check(manifest: RunManifest) -> int:
@@ -453,9 +411,8 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
             "reason": "non-constant invariant measure",
         }
         return _report(payload, manifest, f"{sys_.label}_pontryagin.json")
-    kind = manifest.cost_kind
-    model = manifest.model(sys_, MODEL_KINDS[kind])
-    return _report(_pontryagin_payload(model, manifest, kind), manifest,
+    model = manifest.model(sys_, MODEL_KINDS[manifest.cost_kind])
+    return _report(_pontryagin_payload(model, manifest), manifest,
                    f"{sys_.label}_pontryagin.json")
 
 
@@ -503,7 +460,7 @@ def cmd_certify(manifest: RunManifest) -> int:
         cond = _multiplier_conditions(sode2(), model("first"), jets()[0])
         verdict("multiplier-conditions", cond, cond["passed"])
     if want("pontryagin"):
-        payload = _pontryagin_payload(model("first"), manifest, "g1")
+        payload = _pontryagin_payload(model("first"), manifest)
         verdict("optimal-control-g1", payload, payload["passed"])
     if want("g2"):
         if not sys_.constant_measure:
@@ -511,7 +468,7 @@ def cmd_certify(manifest: RunManifest) -> int:
                            "reason": "non-constant invariant measure"})
         else:
             cond = _multiplier_conditions(sode2(), model("second"), jets()[0])
-            pont = _pontryagin_payload(model("second"), manifest, "g2")
+            pont = _pontryagin_payload(model("second"), manifest)
             verdict("second-kind-suite", {"multiplier_conditions": cond, "optimal_control_g2": pont},
                     cond["passed"] and pont["passed"])
     payload = {"system": sys_.label, "seed": manifest.seed, "checks": checks}

@@ -43,7 +43,9 @@ right-hand sides and the optimal-control functions.  Each raises
 ``ExprDomainError``, naming the expression and the point, where a value is
 undefined (``ln`` of a non-positive number, division by zero, overflow) or
 not finite, instead of returning it.  Series evaluation gives non-finite
-entries outside the domain instead, and its caller decides.
+entries outside the domain instead, and its caller decides.  So does the
+same code run on numpy arrays (``assign()``, ``_ARRAY_GLOBALS``), as the
+optimal-control check runs it on a block of points, one member per point.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ import numpy as np
 
 from .errors import ExprDomainError, ExprParseError
 
-__all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "splice", "define", "Series",
-           "series_table"]
+__all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "assign", "splice", "define",
+           "Series", "series_table"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -353,6 +355,10 @@ _MAX_NEST = 100
 _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
                "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
                "isfinite": math.isfinite}
+# The same functions on numpy arrays, member by member: a value outside a
+# function's domain is non-finite instead of an error, and the caller masks it.
+_ARRAY_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+                  "sqrt": np.sqrt}
 
 
 def _emit(roots: tuple) -> tuple[list[str], list[str]]:
@@ -425,19 +431,24 @@ def define(signature: str, lines, **bindings):
     return namespace[signature.partition("(")[0]]
 
 
+def assign(exprs, names) -> list[str]:
+    """Statements that set the locals ``names`` to the values of ``exprs`` at
+    the local ``r1``: their straight-line code, with no domain check."""
+    lines, values = _emit(tuple(exprs))
+    return [*lines, *(f"{name} = {value}" for name, value in zip(names, values))]
+
+
 def splice(exprs, names, fallback: str) -> list[str]:
     """Statements that set the locals ``names`` to the values of ``exprs`` at
     the local ``r1``, bit for bit each one's ``compile()``: their
-    straight-line code under one domain check.  Where that check fails, they
-    set them from ``fallback``, the source of a call that returns the same
-    values or raises the first failing expression's own error: a compiled
-    table of the same expressions."""
+    straight-line code (``assign``) under one domain check.  Where that
+    check fails, they set them from ``fallback``, the source of a call that
+    returns the same values or raises the first failing expression's own
+    error: a compiled table of the same expressions."""
     if not names:
         return []
-    lines, values = _emit(tuple(exprs))
     return ["try:",
-            *(f"    {line}" for line in lines),
-            *(f"    {name} = {value}" for name, value in zip(names, values)),
+            *(f"    {line}" for line in assign(exprs, names)),
             f"    if not isfinite({' + '.join(names)}):",
             "        raise ValueError",
             "except (ValueError, ZeroDivisionError, OverflowError):",

@@ -51,19 +51,37 @@ loops over the layout unrolled, every inertia and coefficient a literal, and
 only the model's (E_b, E_b') pairs of the system's ``weight_table`` spliced
 in, so the g2 routes evaluate no r2 pair.  ``control_gradient`` is one such
 function: the weights evaluated once, then <p, f> - G at each complex step
-in turn.  ``pontryagin-check`` and ``certify`` run at each sampled point
-``optimal_controls``, ``optimal_hamiltonian_value`` (through
-``pontryagin_hamiltonian``) and ``control_gradient``, each one call of its
-generated function.  <p, f> is emitted in one form, a sum in coordinate
-order, at real controls and at each complex step alike; no numpy call is
-made.  A step moves a single rate, so the imaginary part of <p, f> is that
-one term, whatever the order of summation.
+in turn.  <p, f> is emitted in one form, a sum in coordinate order, at real
+controls and at each complex step alike.  A step moves a single rate, so the
+imaginary part of <p, f> is that one term, whatever the order of summation.
+
+``optimal_control_check``, which ``pontryagin-check`` and ``certify`` run,
+takes a whole block of sampled points in one call of one more generated
+function.  Its source is that of the scalar functions without their guards
+(the optimal controls, the control Hamiltonian at them, the closed-form H
+and the complex steps), run on numpy arrays, one member per point, with the
+weights assigned unchecked.  The guards become a mask: a member whose
+weights, controls, Hamiltonians or gradient are not all finite, or whose
+``|u_1| < U1_MIN``, runs again alone through the scalar functions, which
+count it or raise exactly as they do on their own.  numpy's complex
+division, ``tan`` and ``exp`` differ from CPython's in the last bits of some
+values, so the maxima may move there against the scalar functions, and a
+point within a few units in the last place of ``PONTRYAGIN_U1_MIN`` could
+count on the other side of it.
 """
 
 from __future__ import annotations
 
-from .variational import (CS_STEP, LagrangianModel, PhaseState, _kernel, _literal, _momentum_sum,
-                          _names)
+import math
+from dataclasses import dataclass
+from random import Random
+
+import numpy as np
+
+from .errors import EvaluationError
+from .sampling import phase_rows
+from .variational import (CS_STEP, LagrangianModel, PhaseState, _hamiltonian_value, _kernel,
+                          _literal, _momentum_sum, _names, hamiltonian_value)
 
 __all__ = [
     "controlled_rhs",
@@ -72,10 +90,19 @@ __all__ = [
     "control_gradient",
     "optimal_controls",
     "optimal_hamiltonian_value",
+    "OptimalControlReport",
+    "optimal_control_check",
 ]
 
 MODEL_KINDS = {"g1": "first", "g2": "second"}  # the model each cost reproduces
 U1_MIN = 1e-6
+# optimal-control check: points with |u_1| below the first or controls not all finite
+# are skipped; the two routes must agree below the second, the gradient must vanish
+# below the third, and a non-finite deviation or gradient is a runtime error
+PONTRYAGIN_U1_MIN = 0.05
+PONTRYAGIN_DEV_TOL = 1e-10
+PONTRYAGIN_GRAD_TOL = 1e-8
+POINT_BLOCK = 4096  # phase points per call of the check's array function; bounds its memory
 
 
 def controlled_rhs(model: LagrangianModel, q, u) -> list:
@@ -121,6 +148,114 @@ def optimal_hamiltonian_value(model: LagrangianModel, ps: PhaseState, u_star=Non
     if u_star is None:
         u_star = optimal_controls(model, ps)
     return pontryagin_hamiltonian(model, ps, u_star)
+
+
+@dataclass(frozen=True)
+class OptimalControlReport:
+    """Outcome of the optimal-control check of one cost over sampled phase
+    points.  Every point counts in one of ``evaluated``,
+    ``skipped_degenerate`` and ``skipped_near_u1_zero``; the maxima are taken
+    over the evaluated points, ``max_relative_deviation`` of
+    ``|H1 - H2| / |H2|`` reported beside the bounded absolute deviation."""
+
+    system: str
+    kind: str
+    seed: int
+    samples: int
+    evaluated: int
+    skipped_degenerate: int
+    skipped_near_u1_zero: int
+    max_hamiltonian_deviation: float
+    max_relative_deviation: float
+    deviation_tol: float
+    max_stationarity_norm: float
+    stationarity_tol: float
+    passed: bool
+
+
+def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> OptimalControlReport:
+    """The two-route and stationarity check of ``model``'s cost at the
+    ``count`` phase points ``sampling.phase_points`` draws from
+    ``random.Random(seed)``, drawn as rows ``POINT_BLOCK`` at a time.
+
+    Each block is one call of the generated array function.  A member it
+    flags (a weight, control, Hamiltonian or gradient entry not finite, or
+    ``|u_1| < U1_MIN``) runs again alone through the scalar functions, in
+    index order, and counts or raises exactly as they do.  A point is
+    skipped as degenerate where its optimal controls are undefined or not
+    finite, and as near zero where ``|u_1| < PONTRYAGIN_U1_MIN``; a check
+    with no evaluated point fails.
+    """
+    stream = Random(seed)
+    blocks = (phase_rows(model.system, min(POINT_BLOCK, count - start), stream)
+              for start in range(0, count, POINT_BLOCK))
+    tally = [0, 0, 0]  # evaluated, degenerate, near u_1 = 0
+    maxima = [0.0, 0.0, 0.0]  # deviation, relative deviation, stationarity
+    for rows in blocks:
+        try:
+            _check_block(model, np.array(rows).T.copy(), tally, maxima)
+        except (EvaluationError, ArithmeticError):
+            for _ in blocks:  # a sampling error comes first, as when all points are drawn first
+                pass
+            raise
+    used, degenerate, near_zero = tally
+    max_dev, max_rel, max_grad = maxima
+    return OptimalControlReport(
+        system=model.system.label, kind={v: k for k, v in MODEL_KINDS.items()}[model.kind],
+        seed=seed, samples=count, evaluated=used, skipped_degenerate=degenerate,
+        skipped_near_u1_zero=near_zero, max_hamiltonian_deviation=max_dev,
+        max_relative_deviation=max_rel, deviation_tol=PONTRYAGIN_DEV_TOL,
+        max_stationarity_norm=max_grad, stationarity_tol=PONTRYAGIN_GRAD_TOL,
+        passed=bool(used > 0 and max_dev < PONTRYAGIN_DEV_TOL and max_grad < PONTRYAGIN_GRAD_TOL))
+
+
+def _check_block(model: LagrangianModel, points: np.ndarray, tally: list, maxima: list) -> None:
+    """Add the points, the columns of ``points``, to ``tally`` and ``maxima``:
+    one call of the array function, then the flagged members alone."""
+    n = model.system.n
+    with np.errstate(all="ignore"):
+        values = _kernel(model, "control_check", "p", _check_lines, arrays=True)(
+            points[0], list(points[n:]))
+    w = len(values) - 2 * n - 2  # the weight pairs come first
+    u0, (h1, h2), grads = values[w], values[w + n:w + n + 2], np.abs(values[w + n + 2:])
+    ok = np.abs(u0) >= U1_MIN
+    for value in values:
+        ok &= np.isfinite(value)
+    used = ok & (np.abs(u0) >= PONTRYAGIN_U1_MIN)
+    if used.any():
+        dev = np.abs(h1 - h2)[used]
+        maxima[:] = (max(maxima[0], float(dev.max())),
+                     max(maxima[1], float((dev / np.abs(h2[used])).max())),
+                     max(maxima[2], float(grads[:, used].max())))
+    tally[0] += int(used.sum())
+    tally[2] += int((ok & ~used).sum())
+    for i in np.flatnonzero(~ok):
+        _check_point(model, PhaseState(tuple(points[:n, i]), tuple(points[n:, i])), tally, maxima)
+
+
+def _check_point(model: LagrangianModel, ps: PhaseState, tally: list, maxima: list) -> None:
+    """Add the point ``ps`` to ``tally`` and ``maxima`` through the scalar
+    functions, raising their errors."""
+    try:
+        u_star = optimal_controls(model, ps)
+        finite = all(map(math.isfinite, u_star))
+    except EvaluationError:
+        finite = False
+    if not finite:
+        tally[1] += 1
+        return
+    if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
+        tally[2] += 1
+        return  # boundary region, reported elsewhere
+    tally[0] += 1
+    h1 = optimal_hamiltonian_value(model, ps, u_star)
+    h2 = hamiltonian_value(model, ps)
+    dev = abs(h1 - h2)
+    grads = [abs(g) for g in control_gradient(model, ps, u_star)]
+    if not all(map(math.isfinite, (dev, *grads))):
+        raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
+                              f"p={list(ps.p)}")
+    maxima[:] = max(maxima[0], dev), max(maxima[1], dev / abs(h2)), max(maxima[2], *grads)
 
 
 # --- generated code ---------------------------------------------------------------
@@ -169,23 +304,54 @@ def _hamiltonian_lines(model: LagrangianModel) -> list[str]:
     return [_U1_GUARD, f"return {_control_hamiltonian(model, _names('u', model))}"]
 
 
+def _drive(model: LagrangianModel) -> str:
+    """Source of the optimal u_1: the momentum sum over I_1."""
+    return f"({_momentum_sum(model)}) / {_literal(model.system.i1)}"
+
+
+def _controls(model: LagrangianModel) -> list[str]:
+    """Source of each optimal control, u_1 read from the local u0."""
+    return ["u0", *(f"p{b} / {_literal(inertia)}" for b, inertia in model.kinetic),
+            *(f"p{b} * u0 / {_literal(c)}" for b, c in model.terms)]
+
+
 def _controls_lines(model: LagrangianModel) -> list[str]:
-    i1 = _literal(model.system.i1)
-    controls = ["u0", *(f"p{b} / {_literal(inertia)}" for b, inertia in model.kinetic),
-                *(f"p{b} * u0 / {_literal(c)}" for b, c in model.terms)]
-    return [f"u0 = ({_momentum_sum(model)}) / {i1}",
+    return [f"u0 = {_drive(model)}",
             f"if abs(u0) < {U1_MIN!r}: "
             "raise SingularVelocityError('degenerate optimal control: u_1 near zero')",
-            f"return ({', '.join(controls)},)"]
+            f"return ({', '.join(_controls(model))},)"]
 
 
-def _gradient_lines(model: LagrangianModel) -> list[str]:
-    """The complex step of each control in turn, the shifted control a
-    local z."""
+def _gradient_steps(model: LagrangianModel) -> list[str]:
+    """Statements setting g<k> to dH/du_k at the controls u<b>: the complex
+    step of each control in turn, the shifted control a local z."""
     u = _names("u", model)
-    lines = [_U1_GUARD]
+    lines = []
     for k in range(model.system.n):
         shifted = ["z" if b == k else name for b, name in enumerate(u)]
         h = _control_hamiltonian(model, shifted)
         lines += [f"z = u{k} + {CS_STEP!r}j", f"g{k} = ({h}).imag / {CS_STEP!r}"]
-    return lines + [f"return ({', '.join(f'g{k}' for k in range(model.system.n))},)"]
+    return lines
+
+
+def _gradient_lines(model: LagrangianModel) -> list[str]:
+    n = model.system.n
+    return [_U1_GUARD, *_gradient_steps(model),
+            f"return ({', '.join(f'g{k}' for k in range(n))},)"]
+
+
+def _check_lines(model: LagrangianModel) -> list[str]:
+    """The whole check at a block of points, the source of the scalar
+    functions without their guards: the optimal controls u<b>, the control
+    Hamiltonian h1 at them, the closed-form h2 and the gradient g<k>,
+    returned after the weight pairs."""
+    u = _names("u", model)
+    weights = [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
+    g = [f"g{k}" for k in range(model.system.n)]
+    return [f"u0 = {_drive(model)}",
+            *(f"{name} = {control}" for name, control in zip(u[1:], _controls(model)[1:])),
+            f"h1 = {_control_hamiltonian(model, u)}",
+            f"m = {_momentum_sum(model)}",
+            f"h2 = {_hamiltonian_value(model)}",
+            *_gradient_steps(model),
+            f"return [{', '.join([*weights, *u, 'h1', 'h2', *g])}]"]

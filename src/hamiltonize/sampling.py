@@ -26,7 +26,7 @@ from .errors import EvaluationError
 from .systems import Jet, SystemSpec
 from .variational import PhaseState
 
-__all__ = ["sample_r1", "generic_jets", "constraint_jets", "phase_points"]
+__all__ = ["sample_r1", "generic_jets", "constraint_jets", "phase_points", "phase_rows"]
 
 MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
 SPEEDS = (0.5, 2.0)  # the range of the magnitudes of sampled velocities and momenta
@@ -86,3 +86,9 @@ def constraint_jets(sys: SystemSpec, count: int, stream: Random) -> list[Jet]:
 def phase_points(sys: SystemSpec, count: int, stream: Random) -> list[PhaseState]:
     """Phase points over generic coordinates, momentum magnitudes in ``SPEEDS``."""
     return _sample(sys, count, stream, sys.n, SPEEDS, PhaseState)
+
+
+def phase_rows(sys: SystemSpec, count: int, stream: Random) -> list[tuple[float, ...]]:
+    """The points of ``phase_points`` as flat rows (q, p), with no
+    ``PhaseState`` built."""
+    return _sample(sys, count, stream, sys.n, SPEEDS, lambda q, p: q + p)

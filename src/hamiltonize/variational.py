@@ -352,12 +352,16 @@ def _state(n: int, momenta: str) -> str:
     return ", ".join(names) + ", = y; r1 = q0"
 
 
-def _weight_lines(model: LagrangianModel) -> list[str]:
+def _weight_lines(model: LagrangianModel, arrays: bool = False) -> list[str]:
     """Statements setting e<b> and s<b> to E_b(r1) and E_b'(r1) for each term
-    b: the model's pairs of the system's ``weight_table``, spliced in."""
+    b: the model's pairs of the system's ``weight_table``, spliced in, or on
+    arrays assigned with no domain check."""
     start = model.weight_start
     names = [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
-    return ex.splice(model.system.weight_table.exprs[start:], names, f"table(r1)[{start}:]")
+    exprs = model.system.weight_table.exprs[start:]
+    if arrays:
+        return ex.assign(exprs, names)
+    return ex.splice(exprs, names, f"table(r1)[{start}:]")
 
 
 def _momentum_sum(model: LagrangianModel) -> str:
@@ -378,18 +382,21 @@ def _weight_values_lines(model: LagrangianModel) -> list[str]:
     return [*_weight_guards(model), f"return [{values}]"]
 
 
-def _kernel(model: LagrangianModel, name: str, args: str, body):
+def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
     """The generated ``name(r1, *args)`` of a first/second model, once per
     system and model: the sequences named by the letters of ``args`` unpacked
     into locals, the weights spliced in, then the statements ``body(model)``,
-    which may raise the guards' errors."""
+    which may raise the guards' errors.  With ``arrays`` the same source runs
+    on numpy arrays (``expr._ARRAY_GLOBALS``), every local one member per
+    point, with no weight check: the caller masks non-finite members."""
     def build():
         _require_hamiltonian(model)
         unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
         return ex.define(f"{name}({', '.join(['r1', *args])})",
-                         [*unpack, *_weight_lines(model), *body(model)],
+                         [*unpack, *_weight_lines(model, arrays), *body(model)],
                          table=model.system.weight_table, weight_vanishes=weight_vanishes,
-                         SingularVelocityError=SingularVelocityError)
+                         SingularVelocityError=SingularVelocityError,
+                         **(ex._ARRAY_GLOBALS if arrays else {}))
 
     return model.system.kernel((name, model.kind, model.coefficients), build)
 
@@ -518,9 +525,14 @@ def hamiltonian_value(model: LagrangianModel, ps: PhaseState) -> float:
 
 
 def _hamiltonian_value_lines(model: LagrangianModel) -> list[str]:
+    return [f"m = {_momentum_sum(model)}", f"return {_hamiltonian_value(model)}"]
+
+
+def _hamiltonian_value(model: LagrangianModel) -> str:
+    """Source of H over the locals m (the momentum sum) and p<b>."""
     terms = [f"m ** 2 / {_literal(2.0 * model.system.i1)}",
              *(f"p{b} ** 2 / {_literal(2.0 * inertia)}" for b, inertia in model.kinetic)]
-    return [f"m = {_momentum_sum(model)}", f"return {' + '.join(terms)}"]
+    return " + ".join(terms)
 
 
 def hamilton_rhs(model: LagrangianModel, ps: PhaseState) -> tuple[np.ndarray, np.ndarray]:

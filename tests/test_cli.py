@@ -10,7 +10,8 @@ import pytest
 
 from hamiltonize import cli, expr
 from hamiltonize.cli import RunManifest, build_parser, main, manifest_from_args
-from hamiltonize.pontryagin import MODEL_KINDS, optimal_controls
+from hamiltonize import pontryagin
+from hamiltonize.pontryagin import MODEL_KINDS, PONTRYAGIN_U1_MIN, optimal_controls
 from hamiltonize.sampling import phase_points
 from hamiltonize.systems import BUILTIN_NAMES, Jet, builtin_system, load_system_file
 from hamiltonize.variational import LagrangianModel, default_coefficients, lagrangian_model
@@ -264,7 +265,7 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         "--samples": st.sampled_from(["0", "-1", "1", "3", "nan", "1e308"]),
         "--seed": st.sampled_from(["0", "-1", "2", "nan", str(2**64), str(2**200 - 1),
                                    str(2**200)]),
-        "--depth": st.sampled_from(["0", "-1", "1", "3", "8", "inf"]),
+        "--depth": st.sampled_from(["0", "-1", "1", "3", "8", "65", "inf"]),
         "--formulation": formulations,
         "--formulations": st.lists(formulations, min_size=2, max_size=3, unique=True).map(",".join),
         "--tol": st.sampled_from(numbers + ["1e-5", "1"]),
@@ -406,6 +407,10 @@ BAD_INPUTS = {
         lambda tmp_path: ["simulate", "--system", "free_particle", "--formulation",
                           "lagrangian", "--ic", "dx=1e-110", "--t", "0.01"],
         2, "integration aborted at t=0.0: ZeroDivisionError"),
+    # the certificate's memory grows faster than linearly with the depth
+    "helmholtz-check-depth-above-bound": (
+        lambda tmp_path: ["helmholtz-check", "--system", "free_particle", "--depth", "65"],
+        1, "--depth must be <= 64, got 65"),
     # model constants reach the optimal-control check
     "pontryagin-check-coefficient-out-of-range": (
         lambda tmp_path: ["pontryagin-check", "--system", "free_particle",
@@ -932,7 +937,7 @@ def first_seed_skipped_near_u1_zero(name, seeds):
     model = lagrangian_model(sys_, MODEL_KINDS["g1"])
     for seed in seeds:
         (ps,) = phase_points(sys_, 1, Random(seed))
-        if abs(optimal_controls(model, ps)[0]) < cli.PONTRYAGIN_U1_MIN:
+        if abs(optimal_controls(model, ps)[0]) < PONTRYAGIN_U1_MIN:
             return seed
     return None
 
@@ -1004,9 +1009,9 @@ def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, mon
         return
     assert clean["max_stationarity_norm"] <= 1e-13
 
-    exact = cli.optimal_controls
-    monkeypatch.setattr(cli, "optimal_controls",
-                        lambda model, ps: tuple(v * (1 + 1e-11) for v in exact(model, ps)))
+    # the array function's u_1, and through it every weighted control, off by 1e-11
+    exact = pontryagin._drive
+    monkeypatch.setattr(pontryagin, "_drive", lambda model: f"({exact(model)}) * (1 + 1e-11)")
     assert run_cli(argv, tmp_path / "off") == 0  # still inside the 1e-8 bound
     off = load_report(tmp_path / "off", name)
     assert off["max_stationarity_norm"] > 1e-12
@@ -1017,9 +1022,11 @@ def test_pontryagin_check_sees_a_small_control_error(system, kind, tmp_path, mon
 # (evaluated, skipped_degenerate, skipped_near_u1_zero, max_hamiltonian_deviation,
 # max_stationarity_norm) of the optimal-control reports at the default 1,000
 # points of ``random.Random(seed)``, as the generated optimal-control
-# functions wrote them when the sampler moved to ``random.Random``, with
-# those functions unchanged.  ``certify --check pontryagin`` runs the g1
-# check on the same points.  G2 is skipped where the measure is not constant.
+# functions wrote them when the sampler moved to ``random.Random``.  The
+# array check took the counts unchanged and moved one maximum in its last
+# bits: the disk's g2 stationarity at seed 2, from 1.576460772365419e-15.
+# ``certify --check pontryagin`` runs the g1 check on the same points.  G2 is
+# skipped where the measure is not constant.
 GOLDEN_OPTIMAL_CONTROL = {
     ("free_particle", "g1", 1): (975, 0, 25, 5.329070518200751e-15, 1.0509738482436127e-15),
     ("free_particle", "g1", 2): (981, 0, 19, 3.552713678800501e-15, 1.0509738482436127e-15),
@@ -1031,7 +1038,7 @@ GOLDEN_OPTIMAL_CONTROL = {
     ("vertical_disk", "g1", 2): (986, 0, 14, 3.552713678800501e-15, 1.0509738482436127e-15),
     ("vertical_disk", "g1", 3): (985, 0, 15, 6.217248937900877e-15, 1.0509738482436127e-15),
     ("vertical_disk", "g2", 1): (987, 0, 13, 5.329070518200751e-15, 1.0509738482436127e-15),
-    ("vertical_disk", "g2", 2): (978, 0, 22, 4.440892098500626e-15, 1.576460772365419e-15),
+    ("vertical_disk", "g2", 2): (978, 0, 22, 4.440892098500626e-15, 1.401298464324817e-15),
     ("vertical_disk", "g2", 3): (986, 0, 14, 5.329070518200751e-15, 1.401298464324817e-15),
 }
 GOLDEN_FIELDS = ("evaluated", "skipped_degenerate", "skipped_near_u1_zero",
@@ -1058,31 +1065,57 @@ def test_optimal_control_reports_match_golden(system, seed, tmp_path):
     assert tuple(details[f] for f in GOLDEN_FIELDS) == GOLDEN_OPTIMAL_CONTROL[(system, "g1", seed)]
 
 
+def count_control_calls(command, block, tmp_path, monkeypatch):
+    """The report of ``command`` on 60 of the disk's points in blocks of
+    ``block``, the argument tuples of the array function's calls and the
+    phase points of the scalar ``optimal_controls`` calls."""
+    array_calls, scalar_calls = [], []
+    kernel, exact = pontryagin._kernel, pontryagin.optimal_controls
+
+    def counted_kernel(model, name, args, body, arrays=False):
+        fn = kernel(model, name, args, body, arrays)
+        return (lambda *a: array_calls.append(a) or fn(*a)) if arrays else fn
+
+    def counted(model, ps):
+        scalar_calls.append(ps)
+        return exact(model, ps)
+
+    monkeypatch.setattr(pontryagin, "POINT_BLOCK", block)
+    monkeypatch.setattr(pontryagin, "_kernel", counted_kernel)
+    monkeypatch.setattr(pontryagin, "optimal_controls", counted)
+    run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"], tmp_path)
+    report = load_report(tmp_path, f"vertical_disk_{command[0].split('-')[0]}.json")
+    if command[0] == "certify":
+        report = report["checks"][0]["details"]
+    assert report["samples"] == 60
+    assert len(array_calls) == -(-60 // block)
+    assert sum(len(args[0]) for args in array_calls) == 60
+    return report, scalar_calls
+
+
 @pytest.mark.parametrize("command", [["pontryagin-check", "--kind", "g1"],
                                      ["pontryagin-check", "--kind", "g2"],
                                      ["certify", "--check", "pontryagin"]])
 def test_optimal_controls_computed_once_per_point(command, tmp_path, monkeypatch):
-    """Each sampled phase point computes its optimal controls once; the
-    two-route Hamiltonian and the stationarity check both evaluate them."""
-    from hamiltonize import pontryagin
-
-    calls = []
-    exact = pontryagin.optimal_controls
-
-    def counted(model, ps):
-        calls.append(ps)
-        return exact(model, ps)
-
-    monkeypatch.setattr(pontryagin, "optimal_controls", counted)
-    monkeypatch.setattr(cli, "optimal_controls", counted)
-    assert run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"],
-                   tmp_path) == 0
-    report = load_report(tmp_path, f"vertical_disk_{command[0].split('-')[0]}.json")
-    if command[0] == "certify":
-        report = report["checks"][0]["details"]
+    """Each block of sampled phase points computes its optimal controls in
+    one call of the array function; the disk's points flag none, so no
+    point computes them again alone."""
+    report, scalar_calls = count_control_calls(command, pontryagin.POINT_BLOCK, tmp_path,
+                                               monkeypatch)
     assert report["evaluated"] > 0
-    assert len(calls) == report["samples"] == 60
-    assert len(set(map(id, calls))) == 60  # one call per point, none repeated
+    assert scalar_calls == []
+
+
+@pytest.mark.parametrize("command", [["pontryagin-check", "--kind", "g1"],
+                                     ["certify", "--check", "pontryagin"]])
+def test_flagged_points_compute_their_controls_once_alone(command, tmp_path, monkeypatch):
+    """C2=1e-320 overflows every point's optimal controls, so the array
+    function, called once per block of 7, flags every member, and each
+    computes its controls once more alone, through the scalar function."""
+    report, scalar_calls = count_control_calls(command + ["--params", "C2=1e-320"], 7,
+                                               tmp_path, monkeypatch)
+    assert (report["evaluated"], report["skipped_degenerate"]) == (0, 60)
+    assert len(scalar_calls) == len(set(map(id, scalar_calls))) == 60
 
 
 def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):
@@ -1129,13 +1162,13 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
 
     monkeypatch.setattr(LagrangianModel, "__post_init__", recorded)
     evaluated = []
-    for name in ("hessian_field", "optimal_controls"):
+    for name in ("hessian_field", "optimal_control_check"):
         _record_calls(monkeypatch, name, evaluated)
     assert run_cli(["certify", "--system", "vertical_disk", "--check", "g2", "--samples", "20",
                     "--params", "a3=-0.7,a4=0.5"], tmp_path) == 0
     preset = default_coefficients(builtin_system("vertical_disk"), "second")
     assert built == [preset, (-0.7, 0.5)]  # one model, shared by both halves
-    assert {name for name, _ in evaluated} == {"hessian_field", "optimal_controls"}
+    assert {name for name, _ in evaluated} == {"hessian_field", "optimal_control_check"}
     assert {args[0].coefficients for _, args in evaluated} == {(-0.7, 0.5)}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,13 +19,16 @@ from hamiltonize import (
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
 )
+from hamiltonize import pontryagin
+from hamiltonize.cli import RunManifest
 from hamiltonize.errors import EvaluationError
-from hamiltonize.pontryagin import MODEL_KINDS, control_gradient
+from hamiltonize.pontryagin import MODEL_KINDS, control_gradient, optimal_control_check
 from hamiltonize.systems import SystemSpec
-from hamiltonize.sampling import phase_points
+from hamiltonize.sampling import phase_points, phase_rows
 from hamiltonize.variational import hamilton_ode
 
 from expr_oracle import evaluate
+from pontryagin_oracle import check as referee
 
 
 # --- controlled first-order system ----------------------------------------------
@@ -273,3 +277,101 @@ def test_measure_constancy_sampled_once_per_system(vertical_disk, monkeypatch, s
         evaluated += 1
     assert evaluated > 10
     assert len(calls) == 1
+
+
+# --- the whole-sample check against the per-point referee ---------------------------
+
+PARITY_MODELS = [("free_particle", "g1"), ("knife_edge", "g1"), ("vertical_disk", "g1"),
+                 ("vertical_disk", "g2")]
+
+
+def cli_model(system, kind, params=()):
+    """The model ``pontryagin-check --kind kind`` builds, with ``--params``."""
+    manifest = RunManifest(system_source=system, params=dict(params))
+    return manifest.model(manifest.load_system(), MODEL_KINDS[kind])
+
+
+def assert_matches_referee(model, seed, count):
+    """Counts and verdict equal to the referee's, each maximum within 1e-14
+    of it: the array functions may differ from the scalar ones in the last
+    bits."""
+    report = dataclasses.asdict(optimal_control_check(model, seed, count))
+    for key, expected in referee(model, seed, count).items():
+        if key.startswith("max_"):
+            assert abs(report[key] - expected) <= 1e-14, key
+        else:
+            assert report[key] == expected, key
+    return report
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("system,kind", PARITY_MODELS)
+def test_check_matches_the_per_point_referee(system, kind, seed):
+    assert assert_matches_referee(cli_model(system, kind), seed, 1000)["evaluated"] > 950
+
+
+@pytest.mark.parametrize("system,kind,params", [
+    ("vertical_disk", "g2", {"a3": 1e-320}), ("vertical_disk", "g2", {"a3": 1e-300}),
+    ("free_particle", "g1", {"C2": 1e-320}), ("free_particle", "g1", {"C2": 1e-300}),
+    ("free_particle", "g1", {"C3": 1e-200}), ("vertical_disk", "g1", {"C2": 1e-320})])
+def test_degenerate_check_matches_the_per_point_referee(system, kind, params):
+    """A tiny model constant overflows every point's optimal controls: the
+    array function flags every member and the scalar functions count each
+    as degenerate."""
+    report = assert_matches_referee(cli_model(system, kind, params), 0, 200)
+    assert (report["skipped_degenerate"], report["passed"]) == (200, False)
+
+
+@pytest.mark.parametrize("system,params", [("knife_edge", {"J": 1e-300}),
+                                           ("vertical_disk", {"J": 1e-200})])
+def test_failing_check_raises_the_referee_error(system, params):
+    """A tiny inertia overflows a flagged member's ``float ** 2``, where
+    numpy gives inf: the scalar rerun raises the referee's error."""
+    model = cli_model(system, "g1", params)
+    with pytest.raises(ArithmeticError) as expected:
+        referee(model, 0, 200)
+    with pytest.raises(type(expected.value)) as got:
+        optimal_control_check(model, 0, 200)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("system,kind", PARITY_MODELS)
+def test_block_boundary_changes_nothing(system, kind, monkeypatch):
+    """4,097 points are a block of 4,096 and one of 1; in one block, or in
+    blocks of 1,000, the same points give the same report, bit for bit."""
+    model = cli_model(system, kind)
+    report = optimal_control_check(model, 5, 4097)
+    for block in (1000, 4097):
+        monkeypatch.setattr(pontryagin, "POINT_BLOCK", block)
+        assert optimal_control_check(model, 5, 4097) == report
+
+
+def test_sampling_error_comes_before_a_check_error(monkeypatch):
+    """Every point is drawn before a check error is raised, so a later
+    block's sampling error is the one raised, as when all points were drawn
+    first."""
+    draws = []
+
+    def rows(sys, count, stream):
+        draws.append(count)
+        if len(draws) > 1:
+            raise EvaluationError("could not sample a generic r1 in [-1, 1]")
+        return phase_rows(sys, count, stream)
+
+    def fails(*args):
+        raise OverflowError("check")
+
+    monkeypatch.setattr(pontryagin, "phase_rows", rows)
+    monkeypatch.setattr(pontryagin, "_check_block", fails)
+    with pytest.raises(EvaluationError, match="could not sample"):
+        optimal_control_check(cli_model("free_particle", "g1"), 0, 3 * pontryagin.POINT_BLOCK)
+    assert len(draws) == 2
+
+
+@pytest.mark.parametrize("c2", [1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_relative_deviation_stays_at_roundoff(c2):
+    """|H1 - H2| / |H2| stays at roundoff however the model constant scales
+    the Hamiltonian."""
+    report = optimal_control_check(cli_model("free_particle", "g1", {"C2": c2}), 0, 1000)
+    assert report.evaluated > 950
+    assert report.max_relative_deviation <= 1e-13
