@@ -44,7 +44,7 @@ right-hand sides and the optimal-control functions.  Each raises
 undefined (``ln`` of a non-positive number, division by zero, overflow) or
 not finite, instead of returning it.  Series evaluation gives non-finite
 entries outside the domain instead, and its caller decides.  So does the
-same code run on numpy arrays (``assign()``, ``_ARRAY_GLOBALS``), as the
+same code run on numpy arrays (``assign()``, ``ARRAY_GLOBALS``), as the
 optimal-control check runs it on a block of points, one member per point.
 """
 
@@ -357,8 +357,8 @@ _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.ex
                "isfinite": math.isfinite}
 # The same functions on numpy arrays, member by member: a value outside a
 # function's domain is non-finite instead of an error, and the caller masks it.
-_ARRAY_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
-                  "sqrt": np.sqrt}
+ARRAY_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+                 "sqrt": np.sqrt}
 
 
 def _emit(roots: tuple) -> tuple[list[str], list[str]]:

@@ -78,10 +78,12 @@ from random import Random
 
 import numpy as np
 
+from . import expr as ex
 from .errors import EvaluationError
 from .sampling import phase_rows
 from .variational import (CS_STEP, LagrangianModel, PhaseState, _hamiltonian_value, _kernel,
-                          _literal, _momentum_sum, _names, hamiltonian_value)
+                          _literal, _momentum_sum, _names, _require_hamiltonian, _weight_names,
+                          hamiltonian_value)
 
 __all__ = [
     "controlled_rhs",
@@ -189,17 +191,19 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
     stream = Random(seed)
     blocks = (phase_rows(model.system, min(POINT_BLOCK, count - start), stream)
               for start in range(0, count, POINT_BLOCK))
-    tally = [0, 0, 0]  # evaluated, degenerate, near u_1 = 0
-    maxima = [0.0, 0.0, 0.0]  # deviation, relative deviation, stationarity
+    used = degenerate = near_zero = 0
+    max_dev = max_rel = max_grad = 0.0
     for rows in blocks:
         try:
-            _check_block(model, np.array(rows).T.copy(), tally, maxima)
+            block_used, block_degenerate, block_near_zero, dev, rel, grad = _check_block(
+                model, np.array(rows).T.copy())
         except (EvaluationError, ArithmeticError):
             for _ in blocks:  # a sampling error comes first, as when all points are drawn first
                 pass
             raise
-    used, degenerate, near_zero = tally
-    max_dev, max_rel, max_grad = maxima
+        used, degenerate = used + block_used, degenerate + block_degenerate
+        near_zero += block_near_zero
+        max_dev, max_rel, max_grad = max(max_dev, dev), max(max_rel, rel), max(max_grad, grad)
     return OptimalControlReport(
         system=model.system.label, kind={v: k for k, v in MODEL_KINDS.items()}[model.kind],
         seed=seed, samples=count, evaluated=used, skipped_degenerate=degenerate,
@@ -209,45 +213,52 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
         passed=bool(used > 0 and max_dev < PONTRYAGIN_DEV_TOL and max_grad < PONTRYAGIN_GRAD_TOL))
 
 
-def _check_block(model: LagrangianModel, points: np.ndarray, tally: list, maxima: list) -> None:
-    """Add the points, the columns of ``points``, to ``tally`` and ``maxima``:
-    one call of the array function, then the flagged members alone."""
+def _check_block(model: LagrangianModel, points: np.ndarray) -> tuple:
+    """The evaluated, degenerate and near-zero counts and the deviation,
+    relative deviation and stationarity maxima of the points, the columns of
+    ``points``: one call of the array function, then the flagged members
+    alone."""
     n = model.system.n
     with np.errstate(all="ignore"):
-        values = _kernel(model, "control_check", "p", _check_lines, arrays=True)(
-            points[0], list(points[n:]))
+        values = _check_function(model)(points[0], list(points[n:]))
     w = len(values) - 2 * n - 2  # the weight pairs come first
     u0, (h1, h2), grads = values[w], values[w + n:w + n + 2], np.abs(values[w + n + 2:])
     ok = np.abs(u0) >= U1_MIN
     for value in values:
         ok &= np.isfinite(value)
-    used = ok & (np.abs(u0) >= PONTRYAGIN_U1_MIN)
-    if used.any():
-        dev = np.abs(h1 - h2)[used]
-        maxima[:] = (max(maxima[0], float(dev.max())),
-                     max(maxima[1], float((dev / np.abs(h2[used])).max())),
-                     max(maxima[2], float(grads[:, used].max())))
-    tally[0] += int(used.sum())
-    tally[2] += int((ok & ~used).sum())
+    in_use = ok & (np.abs(u0) >= PONTRYAGIN_U1_MIN)
+    used, degenerate, near_zero = int(in_use.sum()), 0, int((ok & ~in_use).sum())
+    max_dev = max_rel = max_grad = 0.0
+    if used:
+        dev = np.abs(h1 - h2)[in_use]
+        max_dev, max_rel, max_grad = (float(dev.max()), float((dev / np.abs(h2[in_use])).max()),
+                                      float(grads[:, in_use].max()))
     for i in np.flatnonzero(~ok):
-        _check_point(model, PhaseState(tuple(points[:n, i]), tuple(points[n:, i])), tally, maxima)
+        outcome = _check_point(model, PhaseState(tuple(points[:n, i]), tuple(points[n:, i])))
+        if outcome == "degenerate":
+            degenerate += 1
+        elif outcome == "near zero":
+            near_zero += 1
+        else:
+            used += 1
+            dev, rel, grad = outcome
+            max_dev, max_rel, max_grad = max(max_dev, dev), max(max_rel, rel), max(max_grad, grad)
+    return used, degenerate, near_zero, max_dev, max_rel, max_grad
 
 
-def _check_point(model: LagrangianModel, ps: PhaseState, tally: list, maxima: list) -> None:
-    """Add the point ``ps`` to ``tally`` and ``maxima`` through the scalar
-    functions, raising their errors."""
+def _check_point(model: LagrangianModel, ps: PhaseState) -> str | tuple[float, float, float]:
+    """The outcome at the point ``ps`` through the scalar functions, raising
+    their errors: ``"degenerate"``, ``"near zero"``, or its deviation,
+    relative deviation and largest gradient entry."""
     try:
         u_star = optimal_controls(model, ps)
         finite = all(map(math.isfinite, u_star))
     except EvaluationError:
         finite = False
     if not finite:
-        tally[1] += 1
-        return
+        return "degenerate"
     if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
-        tally[2] += 1
-        return  # boundary region, reported elsewhere
-    tally[0] += 1
+        return "near zero"  # boundary region, reported elsewhere
     h1 = optimal_hamiltonian_value(model, ps, u_star)
     h2 = hamiltonian_value(model, ps)
     dev = abs(h1 - h2)
@@ -255,13 +266,30 @@ def _check_point(model: LagrangianModel, ps: PhaseState, tally: list, maxima: li
     if not all(map(math.isfinite, (dev, *grads))):
         raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
                               f"p={list(ps.p)}")
-    maxima[:] = max(maxima[0], dev), max(maxima[1], dev / abs(h2)), max(maxima[2], *grads)
+    return dev, dev / abs(h2), max(grads)
+
+
+def _check_function(model: LagrangianModel):
+    """The check's generated ``control_check(r1, p)``, once per system and
+    model: the source of ``_check_lines`` after the model's weight pairs,
+    assigned with no domain check, run on numpy arrays
+    (``expr.ARRAY_GLOBALS``), every local one member per point."""
+    def build():
+        _require_hamiltonian(model)
+        weights = ex.assign(model.system.weight_table.exprs[model.weight_start:],
+                            _weight_names(model))
+        return ex.define("control_check(r1, p)",
+                         [f"{', '.join(_names('p', model))}, = p", *weights, *_check_lines(model)],
+                         **ex.ARRAY_GLOBALS)
+
+    return model.system.kernel(("control_check", model.kind, model.coefficients), build)
 
 
 # --- generated code ---------------------------------------------------------------
-# Each function is emitted once per system and model (``variational._kernel``),
-# over the locals r1, p<b> and u<b> and the model's weight pairs e<b>, s<b>,
-# with every inertia and coefficient a literal.  Every sum keeps the order of
+# Each function is emitted once per system and model (``variational._kernel``,
+# or ``_check_function`` for the array check), over the locals r1, p<b> and
+# u<b> and the model's weight pairs e<b>, s<b>, with every inertia and
+# coefficient a literal.  Every sum keeps the order of
 # its formula, so each value is the one the loops over the layout gave.
 
 _U1_GUARD = (f"if abs(u0) < {U1_MIN!r}: "
@@ -346,7 +374,6 @@ def _check_lines(model: LagrangianModel) -> list[str]:
     Hamiltonian h1 at them, the closed-form h2 and the gradient g<k>,
     returned after the weight pairs."""
     u = _names("u", model)
-    weights = [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
     g = [f"g{k}" for k in range(model.system.n)]
     return [f"u0 = {_drive(model)}",
             *(f"{name} = {control}" for name, control in zip(u[1:], _controls(model)[1:])),
@@ -354,4 +381,4 @@ def _check_lines(model: LagrangianModel) -> list[str]:
             f"m = {_momentum_sum(model)}",
             f"h2 = {_hamiltonian_value(model)}",
             *_gradient_steps(model),
-            f"return [{', '.join([*weights, *u, 'h1', 'h2', *g])}]"]
+            f"return [{', '.join([*_weight_names(model), *u, 'h1', 'h2', *g])}]"]

@@ -352,16 +352,17 @@ def _state(n: int, momenta: str) -> str:
     return ", ".join(names) + ", = y; r1 = q0"
 
 
-def _weight_lines(model: LagrangianModel, arrays: bool = False) -> list[str]:
+def _weight_names(model: LagrangianModel) -> list[str]:
+    """The locals e<b>, s<b> of the model's weight pairs, term by term."""
+    return [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
+
+
+def _weight_lines(model: LagrangianModel) -> list[str]:
     """Statements setting e<b> and s<b> to E_b(r1) and E_b'(r1) for each term
-    b: the model's pairs of the system's ``weight_table``, spliced in, or on
-    arrays assigned with no domain check."""
+    b: the model's pairs of the system's ``weight_table``, spliced in."""
     start = model.weight_start
-    names = [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
-    exprs = model.system.weight_table.exprs[start:]
-    if arrays:
-        return ex.assign(exprs, names)
-    return ex.splice(exprs, names, f"table(r1)[{start}:]")
+    return ex.splice(model.system.weight_table.exprs[start:], _weight_names(model),
+                     f"table(r1)[{start}:]")
 
 
 def _momentum_sum(model: LagrangianModel) -> str:
@@ -382,21 +383,18 @@ def _weight_values_lines(model: LagrangianModel) -> list[str]:
     return [*_weight_guards(model), f"return [{values}]"]
 
 
-def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
+def _kernel(model: LagrangianModel, name: str, args: str, body):
     """The generated ``name(r1, *args)`` of a first/second model, once per
     system and model: the sequences named by the letters of ``args`` unpacked
     into locals, the weights spliced in, then the statements ``body(model)``,
-    which may raise the guards' errors.  With ``arrays`` the same source runs
-    on numpy arrays (``expr._ARRAY_GLOBALS``), every local one member per
-    point, with no weight check: the caller masks non-finite members."""
+    which may raise the guards' errors."""
     def build():
         _require_hamiltonian(model)
         unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
         return ex.define(f"{name}({', '.join(['r1', *args])})",
-                         [*unpack, *_weight_lines(model, arrays), *body(model)],
+                         [*unpack, *_weight_lines(model), *body(model)],
                          table=model.system.weight_table, weight_vanishes=weight_vanishes,
-                         SingularVelocityError=SingularVelocityError,
-                         **(ex._ARRAY_GLOBALS if arrays else {}))
+                         SingularVelocityError=SingularVelocityError)
 
     return model.system.kernel((name, model.kind, model.coefficients), build)
 

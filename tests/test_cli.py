@@ -1065,25 +1065,24 @@ def test_optimal_control_reports_match_golden(system, seed, tmp_path):
     assert tuple(details[f] for f in GOLDEN_FIELDS) == GOLDEN_OPTIMAL_CONTROL[(system, "g1", seed)]
 
 
-def count_control_calls(command, block, tmp_path, monkeypatch):
+def count_control_calls(command, block, code, tmp_path, monkeypatch):
     """The report of ``command`` on 60 of the disk's points in blocks of
-    ``block``, the argument tuples of the array function's calls and the
-    phase points of the scalar ``optimal_controls`` calls."""
+    ``block``, which must exit ``code``, the argument tuples of the array
+    function's calls and the phase points of the scalar ``optimal_controls``
+    calls."""
     array_calls, scalar_calls = [], []
-    kernel, exact = pontryagin._kernel, pontryagin.optimal_controls
-
-    def counted_kernel(model, name, args, body, arrays=False):
-        fn = kernel(model, name, args, body, arrays)
-        return (lambda *a: array_calls.append(a) or fn(*a)) if arrays else fn
+    build, exact = pontryagin._check_function, pontryagin.optimal_controls
 
     def counted(model, ps):
         scalar_calls.append(ps)
         return exact(model, ps)
 
     monkeypatch.setattr(pontryagin, "POINT_BLOCK", block)
-    monkeypatch.setattr(pontryagin, "_kernel", counted_kernel)
+    monkeypatch.setattr(pontryagin, "_check_function",
+                        lambda model: lambda *a: array_calls.append(a) or build(model)(*a))
     monkeypatch.setattr(pontryagin, "optimal_controls", counted)
-    run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"], tmp_path)
+    assert run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"],
+                   tmp_path) == code
     report = load_report(tmp_path, f"vertical_disk_{command[0].split('-')[0]}.json")
     if command[0] == "certify":
         report = report["checks"][0]["details"]
@@ -1100,7 +1099,7 @@ def test_optimal_controls_computed_once_per_point(command, tmp_path, monkeypatch
     """Each block of sampled phase points computes its optimal controls in
     one call of the array function; the disk's points flag none, so no
     point computes them again alone."""
-    report, scalar_calls = count_control_calls(command, pontryagin.POINT_BLOCK, tmp_path,
+    report, scalar_calls = count_control_calls(command, pontryagin.POINT_BLOCK, 0, tmp_path,
                                                monkeypatch)
     assert report["evaluated"] > 0
     assert scalar_calls == []
@@ -1112,7 +1111,7 @@ def test_flagged_points_compute_their_controls_once_alone(command, tmp_path, mon
     """C2=1e-320 overflows every point's optimal controls, so the array
     function, called once per block of 7, flags every member, and each
     computes its controls once more alone, through the scalar function."""
-    report, scalar_calls = count_control_calls(command + ["--params", "C2=1e-320"], 7,
+    report, scalar_calls = count_control_calls(command + ["--params", "C2=1e-320"], 7, 3,
                                                tmp_path, monkeypatch)
     assert (report["evaluated"], report["skipped_degenerate"]) == (0, 60)
     assert len(scalar_calls) == len(set(map(id, scalar_calls))) == 60

@@ -14,8 +14,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # The optimal-control check runs its scalar functions only at the points its
-# array function flags: C2=1e-320 flags every point, and the two-route value
-# is called once through the package.
+# array function flags, so the tracer's pontryagin.* counters, and the
+# sampling.phase_points timing, now cover only flagged points: on the disk's
+# certify run they read 0.  C2=1e-320 flags every point, and the two-route
+# value is called once through the package, to keep each name counted.
 SCRIPT = """
 import json, sys
 import tracing
