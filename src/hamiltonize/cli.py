@@ -36,7 +36,7 @@ from .errors import ConfigError, EvaluationError
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
 from .pontryagin import MODEL_KINDS, optimal_control_check
-from .sampling import generic_jets, sample_r1
+from .sampling import generic_jets, generic_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
@@ -419,7 +419,7 @@ def cmd_pontryagin_check(manifest: RunManifest) -> int:
 def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
     stream = Random(manifest.seed)
     count = manifest.samples or 100
-    points = [sample_r1(sys_, stream) for _ in range(count)]
+    points = generic_r1(sys_, count, stream)
     worst = float(np.max(np.abs(measure_pde_residual(sys_, points))))
     return {
         "system": sys_.label,

@@ -361,14 +361,14 @@ ARRAY_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "lo
                  "sqrt": np.sqrt}
 
 
-def _emit(roots: tuple) -> tuple[list[str], list[str]]:
+def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
     """Straight-line code for the expressions ``roots`` over a local ``r1``:
     statements that compute each distinct node once, and the source of each
     root's value.  A node used by several parents or roots gets a local
     ``t<i>``, in dependency order; a node used once is inlined into its
     parent, unless its text would nest more than ``_MAX_NEST`` parentheses
-    deep, when it gets a local too.  Code around the statements names no
-    ``t<i>`` of its own."""
+    deep or ``inline`` is false, when it gets a local too.  Code around the
+    statements names no ``t<i>`` of its own."""
     uses = {root: roots.count(root) for root in roots}
     stack = list(uses)
     while stack:
@@ -400,7 +400,7 @@ def _emit(roots: tuple) -> tuple[list[str], list[str]]:
             text[node] = f"({_PY[type(node)].format(*operands)})"
             if uses[node] == 1:
                 nest[node] = _PY_NEST[type(node)] + max([nest.get(f, 0) for f in fields])
-            if uses[node] > 1 or nest[node] > _MAX_NEST:
+            if not inline or uses[node] > 1 or nest[node] > _MAX_NEST:
                 lines.append(f"t{len(lines)} = {text[node]}")
                 text[node], nest[node] = f"t{len(lines) - 1}", 0
     return lines, [text[root] for root in roots]
@@ -431,10 +431,10 @@ def define(signature: str, lines, **bindings):
     return namespace[signature.partition("(")[0]]
 
 
-def assign(exprs, names) -> list[str]:
+def assign(exprs, names, inline: bool = True) -> list[str]:
     """Statements that set the locals ``names`` to the values of ``exprs`` at
     the local ``r1``: their straight-line code, with no domain check."""
-    lines, values = _emit(tuple(exprs))
+    lines, values = _emit(tuple(exprs), inline)
     return [*lines, *(f"{name} = {value}" for name, value in zip(names, values))]
 
 

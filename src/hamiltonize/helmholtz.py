@@ -166,11 +166,10 @@ class MultiplierField:
 @dataclass(frozen=True)
 class HelmholtzReport:
     """Max residuals of the multiplier conditions over a jet sample; it
-    passes when all three are below ``tolerance``.
-
-    ``min_abs_det`` is reported, not thresholded: regularity is a property
-    one wants to inspect, while the three residuals are pass/fail.
-    """
+    passes when all three are below ``tolerance`` and the smallest |det g|,
+    ``min_abs_det``, is finite and not zero.  No scaled bound is put on it:
+    |det g| scales with the model, and a regular one with a tiny inertia
+    reads small."""
 
     gdot_symmetry: float
     nabla_condition: float
@@ -249,7 +248,8 @@ def helmholtz_residuals(sode, g: MultiplierField, jets: Sequence[Jet]) -> Helmho
         min_abs_det=min_det,
         tolerance=RESIDUAL_TOL,
         n_jets=len(jets),
-        passed=all(r < RESIDUAL_TOL for r in (sym_worst, nabla_worst, phi_worst)),
+        passed=all(r < RESIDUAL_TOL for r in (sym_worst, nabla_worst, phi_worst))
+        and 0.0 < min_det < math.inf,
     )
 
 

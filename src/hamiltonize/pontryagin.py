@@ -196,7 +196,7 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
     for rows in blocks:
         try:
             block_used, block_degenerate, block_near_zero, dev, rel, grad = _check_block(
-                model, np.array(rows).T.copy())
+                model, rows)
         except (EvaluationError, ArithmeticError):
             for _ in blocks:  # a sampling error comes first, as when all points are drawn first
                 pass

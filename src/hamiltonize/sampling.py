@@ -5,90 +5,128 @@ coordinates in [-1, 1] kept away from zeros of the constraint coefficients,
 velocities (or momenta) with magnitudes in [0.5, 2] and random signs.
 All samplers take a seeded ``random.Random`` and read it only through
 ``random()``, whose sequence for an int seed Python keeps the same in every
-version, so reports are reproducible.  The draw order:
+version, so reports are reproducible.  The draw order is that of a loop over
+the points: each try of r1 is ``-1 + 2*random()`` until one is generic, the
+other n - 1 coordinates follow, drawn the same way, and each velocity or
+momentum draws a magnitude ``lo + (hi - lo)*random()``, then a sign,
+negative when one more ``random()`` is below 0.5.
 
-- each try of ``sample_r1`` is ``-1 + 2*random()``;
-- the other n - 1 coordinates follow, drawn the same way;
-- each velocity or momentum draws a magnitude ``lo + (hi - lo)*random()``,
-  then a sign, negative when one more ``random()`` is below 0.5.
-
-``helmholtz.singularity_certificate`` draws its combination coefficients as
-``-1 + 2*random()`` too.  No other method of the generator is called
-(``uniform``, ``choice``, ``getrandbits``): Python guarantees only
-``random()``'s sequence across versions.
+The draws come as one block, the fewest the sample can need, and every draw
+is tested at once as a try of r1 by the code of the coefficients and N on
+numpy arrays.  A try where a node of that code is not finite, or an |A_a|
+is within ``BAND`` of ``MIN_COEFF``, takes the compiled scalar test, as
+numpy's last bits or a hidden infinity could decide otherwise.  A block that
+runs short is topped up by the fewest draws the remaining points need, so
+the generator ends where the loop leaves it, after an error too.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from random import Random
 
+import numpy as np
+
+from . import expr as ex
 from .errors import EvaluationError
 from .systems import Jet, SystemSpec
 from .variational import PhaseState
 
-__all__ = ["sample_r1", "generic_jets", "constraint_jets", "phase_points", "phase_rows"]
+__all__ = ["generic_r1", "generic_jets", "constraint_jets", "phase_points", "phase_rows"]
 
 MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
 SPEEDS = (0.5, 2.0)  # the range of the magnitudes of sampled velocities and momenta
+MAX_MISSES = 1000  # consecutive rejected tries of r1 before sampling gives up
+BAND = 1e-6  # |A_a| within this relative distance of MIN_COEFF takes the scalar test
+TRY_BLOCK = 4096  # tries per call of the generated test; bounds the memory of its nodes
 
 
-def sample_r1(sys: SystemSpec, stream: Random) -> float:
-    """Draw r1 uniform in [-1, 1), rejecting |A_a(r1)| < ``MIN_COEFF`` and
-    points where N is undefined."""
-    for _ in range(1000):
-        r1 = -1.0 + 2.0 * stream.random()
-        try:
-            if all(abs(fn(r1)) >= MIN_COEFF for fn in sys.a_fns):
-                sys.measure_fn(r1)
-                return r1
-        except EvaluationError:
-            continue
-    raise EvaluationError("could not sample a generic r1 in [-1, 1]")
-
-
-def _draw(stream: Random, coords: int, count: int, lo: float, hi: float):
-    """``coords`` values uniform in [-1, 1), then ``count`` magnitudes uniform
-    in [lo, hi) each followed by its sign, as two lists of floats."""
-    draw = stream.random
-    rest = [-1.0 + 2.0 * draw() for _ in range(coords)]
-    span = hi - lo
-    signed = []
-    for _ in range(count):
-        mag = lo + span * draw()
-        signed.append(-mag if draw() < 0.5 else mag)
-    return rest, signed
-
-
-def _sample(sys: SystemSpec, count: int, stream: Random, speeds: int,
-            span: tuple[float, float], point) -> list:
-    """``count`` points ``point(q, v)``: q at a generic r1 (``sample_r1``) with
-    the other coordinates uniform in [-1, 1), then ``speeds`` velocities or
-    momenta with magnitudes uniform in ``span`` and random signs."""
-    out = []
-    for _ in range(count):
-        r1 = sample_r1(sys, stream)
-        rest, v = _draw(stream, sys.n - 1, speeds, *span)
-        out.append(point((r1, *rest), tuple(v)))
-    return out
+def generic_r1(sys: SystemSpec, count: int, stream: Random) -> list[float]:
+    """``count`` r1 uniform in [-1, 1), none with |A_a| < ``MIN_COEFF`` or N undefined."""
+    return _rows(sys, count, stream, 1, 0, SPEEDS)[0].tolist()
 
 
 def generic_jets(sys: SystemSpec, count: int, stream: Random,
                  vel_range: tuple[float, float] = SPEEDS) -> list[Jet]:
     """Jets with independent velocities (not constraint-restricted)."""
-    return _sample(sys, count, stream, sys.n, vel_range, Jet)
+    return _points(_rows(sys, count, stream, sys.n, sys.n, vel_range), sys.n, Jet)
 
 
 def constraint_jets(sys: SystemSpec, count: int, stream: Random) -> list[Jet]:
     """Jets whose s velocities satisfy the constraints."""
-    return _sample(sys, count, stream, 2, SPEEDS, lambda q, u: sys.on_constraint(q, *u))
+    return _points(_rows(sys, count, stream, sys.n, 2, SPEEDS), sys.n,
+                   lambda q, u: sys.on_constraint(q, *u))
 
 
 def phase_points(sys: SystemSpec, count: int, stream: Random) -> list[PhaseState]:
     """Phase points over generic coordinates, momentum magnitudes in ``SPEEDS``."""
-    return _sample(sys, count, stream, sys.n, SPEEDS, PhaseState)
+    return _points(phase_rows(sys, count, stream), sys.n, PhaseState)
 
 
-def phase_rows(sys: SystemSpec, count: int, stream: Random) -> list[tuple[float, ...]]:
-    """The points of ``phase_points`` as flat rows (q, p), with no
-    ``PhaseState`` built."""
-    return _sample(sys, count, stream, sys.n, SPEEDS, lambda q, p: q + p)
+def phase_rows(sys: SystemSpec, count: int, stream: Random) -> np.ndarray:
+    """The points of ``phase_points`` as the columns (q, p) of a (2n, count) array."""
+    return _rows(sys, count, stream, sys.n, sys.n, SPEEDS)
+
+
+def _points(rows: np.ndarray, n: int, point) -> list:
+    return [point(tuple(col[:n]), tuple(col[n:])) for col in rows.T.tolist()]
+
+
+def _rows(sys: SystemSpec, count: int, stream: Random, coords: int, speeds: int,
+          span: tuple[float, float]) -> np.ndarray:
+    """``count`` points as the columns of a (coords + speeds, count) array:
+    ``coords`` coordinates, the first at a generic r1 and the others uniform
+    in [-1, 1), then ``speeds`` velocities or momenta with magnitudes uniform
+    in ``span`` and random signs."""
+    width = coords + 2 * speeds  # a point's draws, from its accepted try on
+    state, draws, generic, tries = stream.getstate(), np.empty(0), np.empty(0, bool), []
+    first, need = 0, count * width  # the next point's first try; the draws to add
+    while need:
+        new = np.fromiter(map(Random.random, repeat(stream, need)), float, need)
+        draws = np.concatenate((draws, new))
+        generic = np.concatenate((generic, *(_generic(sys, -1.0 + 2.0 * new[i:i + TRY_BLOCK])
+                                             for i in range(0, need, TRY_BLOCK))))
+        size, need, accepted = len(draws), 0, memoryview(generic)
+        while len(tries) < count:
+            found = first
+            while found < size and not accepted[found]:  # a run of rejected tries
+                found += 1
+            if found - first >= MAX_MISSES:
+                stream.setstate(state)  # and draw as far as the point-by-point loop did
+                np.fromiter(map(Random.random, repeat(stream, first + MAX_MISSES)), float)
+                raise EvaluationError("could not sample a generic r1 in [-1, 1]")
+            if found + width > size:
+                need = found + (count - len(tries)) * width - size
+                break
+            tries.append(found)
+            first = found + width
+    picked = draws[np.add.outer(np.arange(width), np.array(tries, dtype=np.intp))]
+    magnitudes = span[0] + (span[1] - span[0]) * picked[coords::2]
+    return np.concatenate((-1.0 + 2.0 * picked[:coords],
+                           np.where(picked[coords + 1::2] < 0.5, -magnitudes, magnitudes)))
+
+
+def _generic(sys: SystemSpec, r1: np.ndarray) -> np.ndarray:
+    """Whether each try ``r1`` is generic: every |A_a| at least ``MIN_COEFF``
+    and N defined.  The array code decides, but where a node is not finite or
+    an |A_a| is within ``BAND`` of ``MIN_COEFF``, the compiled scalar
+    functions do, an error counting as a miss."""
+    def build():  # the coefficients' values, and those of every node of their code and N's
+        names = [f"a{a}" for a in range(sys.k)]
+        lines = ex.assign((*sys.a_alpha, sys.measure_expr), [*names, "n"], inline=False)
+        nodes = ", ".join(line.partition(" = ")[0] for line in lines)
+        return ex.define("generic(r1)", [*lines, f"return [{', '.join(names)}], [{nodes}]"],
+                         **ex.ARRAY_GLOBALS)
+
+    with np.errstate(all="ignore"):  # a sum of finite nodes that overflows only costs time
+        coeffs, nodes = sys.kernel(("generic",), build)(r1)
+        coeffs = np.abs(coeffs)
+        scalar = ~np.isfinite(sum(nodes))
+    generic = (coeffs >= MIN_COEFF).all(axis=0)
+    for i in np.flatnonzero(scalar | (np.abs(coeffs - MIN_COEFF) <= BAND * MIN_COEFF).any(axis=0)):
+        try:
+            values = [abs(fn(float(r1[i]))) for fn in (*sys.a_fns, sys.measure_fn)]
+            generic[i] = min(values[:-1]) >= MIN_COEFF
+        except EvaluationError:
+            generic[i] = False
+    return generic

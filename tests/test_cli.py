@@ -981,15 +981,21 @@ def test_non_finite_optimal_controls_are_degenerate(argv, tmp_path, capsys):
 
 
 def test_singular_multiplier_determinant_is_reported(tmp_path, capsys):
-    """J = C3 = 1e-320 leaves the knife edge's model Hessian with a
-    determinant that numpy's det divides by zero on: the report carries it,
-    where the warning ended in an internal error."""
-    argv = ["helmholtz-check", "--system", "knife_edge", "--params", "C3=1e-320,J=1e-320",
-            "--samples", "5"]
-    assert run_cli(argv, tmp_path) == 0
-    assert capsys.readouterr().err == ""
-    report = load_report(tmp_path, "knife_edge_helmholtz.json")
-    assert report["multiplier_conditions"]["min_abs_det"] == 0.0
+    """J = 1e-320 leaves the knife edge's model Hessian with a determinant
+    that numpy's det divides by zero on: the report carries it, where the
+    warning ended in an internal error, and the singular multiplier fails
+    the check (exit 3), where it passed."""
+    for params in ("C3=1e-320,J=1e-320", "J=1e-320"):
+        argv = ["helmholtz-check", "--system", "knife_edge", "--params", params, "--samples", "5"]
+        assert run_cli(argv, tmp_path) == 3
+        assert capsys.readouterr().err == ""
+        conditions = load_report(tmp_path, "knife_edge_helmholtz.json")["multiplier_conditions"]
+        assert (conditions["min_abs_det"], conditions["passed"]) == (0.0, False)
+        certify = ["certify", "--system", "knife_edge", "--params", params, "--samples", "5"]
+        assert run_cli(certify, tmp_path) == 3
+        checks = load_report(tmp_path, "knife_edge_certify.json")["checks"]
+        verdict = next(c for c in checks if c["name"] == "multiplier-conditions")["status"]
+        assert verdict == "fail"
 
 
 @pytest.mark.parametrize("system", ["free_particle", "knife_edge", "vertical_disk"])

@@ -7,7 +7,10 @@ speeds have magnitudes in ``SPEEDS`` and both signs, and constrained jets
 lie on the constraint.
 """
 
+import contextlib
+import itertools
 import os
+import re
 import subprocess
 import sys
 from random import Random
@@ -16,8 +19,12 @@ import numpy as np
 import pytest
 
 import hamiltonize
+from hamiltonize import sampling
+from hamiltonize.cli import main
+from hamiltonize.errors import ConfigError, EvaluationError
 from hamiltonize.helmholtz import singularity_certificate
 from hamiltonize.sampling import (
+    BAND,
     MIN_COEFF,
     SPEEDS,
     constraint_jets,
@@ -25,7 +32,9 @@ from hamiltonize.sampling import (
     phase_points,
 )
 from hamiltonize.sode import first_associated
-from hamiltonize.systems import BUILTIN_NAMES, builtin_system
+from hamiltonize.systems import BUILTIN_NAMES, builtin_system, parse_system_file
+
+import sampling_oracle as referee
 
 
 def test_samplers_draw_generic_reproducible_points():
@@ -81,3 +90,220 @@ def test_sampling_commands_never_import_numpy_random(argv, tmp_path):
     if last.startswith("True "):
         pytest.skip(f"numpy {np.__version__} imports numpy.random within import numpy")
     assert last == "False 0 False", done.stderr
+
+
+# --- the block draw against the point-by-point referee ------------------------------
+
+SAMPLERS = ("generic_r1", "generic_jets", "constraint_jets", "phase_points", "phase_rows")
+
+
+def spec(*coefficients: str, inertia: float = 1.0):
+    """A spec with I1 = I2 = 1 and one ``s`` coordinate of inertia ``inertia``
+    per coefficient."""
+    names = ", ".join(["a", "b", *(f"s{i}" for i in range(len(coefficients)))])
+    inertias = ", ".join([str(inertia)] * len(coefficients))
+    return parse_system_file(f"I1 = 1\nI2 = 1\nI_alpha = {inertias}\n"
+                             f"A_alpha = {', '.join(coefficients)}\nnames = {names}\n")
+
+
+def same_draws(sys_, name, count, ours, theirs):
+    """``name`` draws the same ``count`` points from the streams ``ours`` and
+    ``theirs``, package and referee, or raises the same error, and leaves
+    the two streams in the same state."""
+    try:
+        expected = getattr(referee, name)(sys_, count, theirs)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError, match=re.escape(str(exc))):
+            getattr(sampling, name)(sys_, count, ours)
+    else:
+        got = getattr(sampling, name)(sys_, count, ours)
+        if name == "phase_rows":
+            assert got.shape == (2 * sys_.n, count) and got.flags.c_contiguous
+            got, expected = got.T.tolist(), [list(row) for row in expected]
+        assert got == expected
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_samplers_match_the_referee_on_the_builtins(name):
+    """Every sampler draws the referee's points, bit for bit, and leaves the
+    generator where the referee does, for counts that fit one block and
+    ones that need several top-ups."""
+    sys_ = builtin_system(name)
+    for seed in (0, 1, 7, 2**40):
+        for count in (1, 7, 300, 4096, 4097):
+            for sampler in SAMPLERS:
+                same_draws(sys_, sampler, count, Random(seed), Random(seed))
+
+
+def test_successive_draws_on_one_stream_match_the_referee():
+    """Samplers called in turn on one shared generator keep the referee's
+    points and state: each call starts where the last one left it."""
+    for name in BUILTIN_NAMES:
+        sys_ = builtin_system(name)
+        ours, theirs = Random(11), Random(11)
+        for count, sampler in zip((7, 300, 1, 4096, 5, 2), SAMPLERS + ("generic_jets",)):
+            same_draws(sys_, sampler, count, ours, theirs)
+
+
+@pytest.mark.parametrize("coefficients", [
+    ("ln(r1)",), ("sqrt(r1)",), ("tan(3*r1)",), ("1/(r1-0.3)",), ("ln(r1)", "1/(r1-0.3)"),
+    ("1 + 1/exp(1/(r1-0.3))",),
+])
+def test_domain_holes_and_poles_match_the_referee(coefficients):
+    """Where a coefficient or N is undefined on part of [-1, 1], or has a
+    pole there, the tries it rejects are the referee's."""
+    sys_ = spec(*coefficients)
+    for seed in (0, 1, 7, 2**40):
+        for count, sampler in zip((1, 7, 300, 4097), ("phase_rows", "generic_jets",
+                                                      "constraint_jets", "generic_r1")):
+            same_draws(sys_, sampler, count, Random(seed), Random(seed))
+
+
+def try_positions(tries, width):
+    """The index of each of the referee's tries among the stream's draws,
+    and whether it was a miss."""
+    at, out = 0, []
+    for _, generic in tries:
+        out.append((at, not generic))
+        at += width if generic else 1
+    return out
+
+
+@pytest.mark.parametrize("coefficient", ["0.15 + 0.01*sin(200*r1)", "r1/6.6",
+                                         "0.15 + 1e-8*sin(200*r1)"])
+def test_runs_of_misses_across_top_ups_match_the_referee(coefficient, monkeypatch):
+    """A coefficient that crosses ``MIN_COEFF`` often, rarely leaves it, or
+    stays within ``BAND`` of it gives runs of misses; where such a run spans
+    the end of one block of draws and the start of the next, the points and
+    the generator's state are still the referee's."""
+    sys_ = spec(coefficient)
+    sizes = []  # the sampler's blocks of draws, each ``repeat(stream, size)``
+    monkeypatch.setattr(sampling, "repeat",
+                        lambda stream, k: sizes.append(k) or itertools.repeat(stream, k))
+    spanned = 0
+    for seed in range(4):
+        sizes.clear()
+        same_draws(sys_, "phase_rows", 300, Random(seed), Random(seed))
+        tries = []
+        referee.phase_rows(sys_, 300, Random(seed), tries)
+        misses = {at for at, miss in try_positions(tries, 3 * sys_.n) if miss}
+        ends = np.cumsum(sizes)[:-1]
+        spanned += sum(end - 1 in misses and end in misses for end in ends)
+    assert spanned > 0
+
+
+def boundary_spec(tries: int):
+    """A seed and a spec ``A = k*r1`` whose first ``tries`` tries from
+    ``Random(seed)`` miss and whose next one is accepted: k puts
+    ``MIN_COEFF`` halfway between the largest |r1| of the misses and that
+    try's."""
+    for seed in itertools.count():
+        draw = Random(seed).random
+        r1 = [abs(-1.0 + 2.0 * draw()) for _ in range(tries + 1)]
+        if r1[-1] > max(r1[:-1]) * (1 + 1e-9):
+            return seed, spec(f"{2 * MIN_COEFF / (r1[-1] + max(r1[:-1]))!r}*r1")
+
+
+@pytest.mark.parametrize("misses", [999, 1000])
+def test_the_last_allowed_miss_matches_the_referee(misses):
+    """A try after 999 misses is still drawn and accepted; after 1,000 the
+    sampler gives up, as the referee does."""
+    seed, sys_ = boundary_spec(misses)
+    for sampler in SAMPLERS:
+        same_draws(sys_, sampler, 1, Random(seed), Random(seed))
+    with pytest.raises(EvaluationError) if misses == 1000 else contextlib.nullcontext():
+        sampling.generic_r1(sys_, 1, Random(seed))
+
+
+def test_no_generic_r1_gives_the_referees_error(tmp_path, capsys):
+    """The disk written in the coordinates s/10 has |A| <= 0.1 < MIN_COEFF
+    everywhere: every sampler raises the referee's error after the same
+    draws, and the commands exit 2 with its one line."""
+    disk = spec("-0.1*cos(r1)", "-0.1*sin(r1)", inertia=100.0)
+    for sampler in SAMPLERS:
+        for seed, count in ((0, 1), (1, 300), (2, 4097)):
+            same_draws(disk, sampler, count, Random(seed), Random(seed))
+    path = tmp_path / "disk.txt"
+    path.write_text("I1 = 1\nI2 = 1\nI_alpha = 100, 100\nA_alpha = -0.1*cos(r1), -0.1*sin(r1)\n"
+                    "names = phi, theta, x, y\n")
+    for command in ("certify", "pontryagin-check", "helmholtz-check", "measure-check"):
+        assert main([command, "--spec", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: could not sample a generic r1 in [-1, 1]\n")
+
+
+# --- the array acceptance against the scalar test --------------------------------
+
+
+def drawn_coefficient(draw: Random, depth: int = 3) -> str:
+    """A coefficient over a small grammar: r1, shifted and squared r1,
+    constants, sin, cos, exp, a positive square root, sums, differences,
+    products and a pole-free quotient, nested at most ``depth`` deep."""
+    if depth == 0 or draw.random() < 0.3:
+        return draw.choice(["r1", "(r1+2)", "(r1^2+0.5)", "0.7", "2", "3*r1"])
+    inner = [drawn_coefficient(draw, depth - 1) for _ in range(2)]
+    return draw.choice([
+        f"sin({inner[0]})", f"cos({inner[0]})", f"exp({inner[0]})",
+        f"sqrt(({inner[0]})^2+0.1)", f"({inner[0]}) + ({inner[1]})",
+        f"({inner[0]}) - ({inner[1]})", f"({inner[0]}) * ({inner[1]})",
+        f"({inner[0]}) / (({inner[1]})^2+1)",
+    ])
+
+
+def drawn_specs(count: int):
+    draw = Random(2024)
+    while count:
+        try:
+            sys_ = spec(*(drawn_coefficient(draw) for _ in range(1 + (draw.random() < 0.5))),
+                        inertia=0.5 + 2.5 * draw.random())
+        except ConfigError:  # a constant coefficient: the class excludes it
+            continue
+        count -= 1
+        yield sys_
+
+
+def test_array_acceptance_gives_the_scalar_verdict_at_every_try():
+    """At every try the referee makes, on the built-ins and on drawn specs,
+    the array acceptance's verdict is the compiled scalar functions'."""
+    systems = [builtin_system(name) for name in BUILTIN_NAMES] + list(drawn_specs(36))
+    for sys_ in systems:
+        tries = []
+        try:
+            referee.phase_points(sys_, 200, Random(5), tries)
+        except EvaluationError:
+            pass
+        r1, verdicts = np.array([r1 for r1, _ in tries]), [generic for _, generic in tries]
+        assert sampling._generic(sys_, r1).tolist() == verdicts
+        assert verdicts == [referee.is_generic(sys_, float(x)) for x in r1]
+
+
+def asked_scalar(sys_):
+    """``sys_`` with its compiled coefficient functions wrapped to record
+    each point they are called at, and that record."""
+    asked = []
+
+    def recorded(fn):
+        return lambda r1: asked.append(r1) or fn(r1)
+
+    sys_.__dict__["a_fns"] = tuple(map(recorded, sys_.a_fns))  # the cached_property's slot
+    return sys_, asked
+
+
+def test_band_and_non_finite_values_take_the_scalar_test():
+    """Tries whose |A_a| lies within ``BAND`` of ``MIN_COEFF``, or whose code
+    meets a non-finite value, are decided by the compiled scalar functions,
+    and only those.  ``1 + 1/exp(1/(r1 - 0.3))`` reads 1 on numpy just
+    above 0.3, where exp overflows and the compiled code raises."""
+    free, asked = asked_scalar(builtin_system("free_particle"))  # A = r1
+    inside = [MIN_COEFF * (1 + 0.5 * BAND), -MIN_COEFF * (1 - 0.5 * BAND), MIN_COEFF]
+    outside = [MIN_COEFF * (1 + 3 * BAND), MIN_COEFF * (1 - 3 * BAND), 0.5, -0.01]
+    assert sampling._generic(free, np.array(inside + outside)).tolist() == [
+        True, False, True, True, False, True, False]
+    assert asked == inside
+    hidden, asked = asked_scalar(spec("1 + 1/exp(1/(r1-0.3))"))
+    assert sampling._generic(hidden, np.array([0.3005, 0.5, 0.2])).tolist() == [False, True, True]
+    assert asked == [0.3005]
+    holes, asked = asked_scalar(spec("ln(r1)"))
+    assert sampling._generic(holes, np.array([-0.5, 0.0, 0.5])).tolist() == [False, False, True]
+    assert asked == [-0.5, 0.0]

@@ -146,10 +146,9 @@ def test_second_kind_xi_primitives(vertical_disk, free_particle):
 def test_gamma2_equals_xi2_everywhere(any_system, stream):
     s1 = first_associated(any_system)
     s2 = second_associated(any_system)
-    from hamiltonize.sampling import sample_r1
+    from hamiltonize.sampling import generic_r1
 
-    for _ in range(50):
-        r1 = sample_r1(any_system, stream)
+    for r1 in generic_r1(any_system, 50, stream):
         assert evaluate(s1.coeff_exprs[0], r1) == pytest.approx(
             evaluate(s2.coeff_exprs[0], r1), rel=1e-12, abs=1e-15
         )

@@ -14,7 +14,7 @@ from hamiltonize import (
     parse_system_file,
 )
 from hamiltonize.errors import ExprDomainError
-from hamiltonize.sampling import sample_r1
+from hamiltonize.sampling import generic_r1
 from hamiltonize.systems import nh_columns, nh_state_from_jet
 
 from expr_oracle import evaluate
@@ -82,8 +82,7 @@ def test_measure_pde_residuals(free_particle, knife_edge, vertical_disk):
 
 
 def test_measure_pde_residual_random_points(any_system, stream):
-    for _ in range(100):
-        r1 = sample_r1(any_system, stream)
+    for r1 in generic_r1(any_system, 100, stream):
         res = measure_pde_residual(any_system, r1)
         assert abs(res[0]) < 1e-8
         assert abs(res[1]) < 1e-8
@@ -92,7 +91,7 @@ def test_measure_pde_residual_random_points(any_system, stream):
 def test_measure_pde_residual_stack_and_domain(any_system, stream):
     """A stack gives each point's residuals, bit for bit its scalar call;
     a point outside N's domain raises its ExprDomainError, stacked or not."""
-    points = [sample_r1(any_system, stream) for _ in range(20)]
+    points = generic_r1(any_system, 20, stream)
     res1, res2 = measure_pde_residual(any_system, points)
     assert res1.tolist() == [measure_pde_residual(any_system, r1)[0] for r1 in points]
     assert not res2.any()
