@@ -506,15 +506,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """Each flag stores into the ``RunManifest`` field it sets; an absent
-    flag stores nothing, so the field keeps its default."""
+    flag stores nothing, so the field keeps its default.  Where ``only``
+    names a command, that is the one subcommand built: its help, usage and
+    errors are the full parser's."""
     parser = _Parser(
         prog="hamiltonize",
         description="Hamiltonization toolkit for a class of nonholonomic systems.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = {only} if only in COMMANDS else COMMANDS
 
     def command(name, summary):
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
@@ -540,28 +543,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slave the s velocities to the constraint")
         return p
 
-    trajectory("simulate", "integrate one formulation").add_argument(
-        "--formulation", dest="formulations", choices=FORMULATIONS)
-
-    cmp_ = trajectory("compare", "compare formulations pairwise")
-    cmp_.add_argument("--formulation", dest="formulations", metavar="FORMULATION",
-                      action="append", help="repeat for each formulation (or comma separate)")
-    cmp_.add_argument("--tol", type=float)
-
-    cert = command("certify", "run the certification suite")
-    cert.add_argument("--check", choices=CHECKS)
-    cert.add_argument("--samples", type=int)
-    cert.add_argument("--depth", type=int)
-
-    hc = command("helmholtz-check", "multiplier conditions + certificate")
-    hc.add_argument("--samples", type=int, help="jets per check")
-    hc.add_argument("--depth", type=int)
-
-    pc = command("pontryagin-check", "optimal-control consistency")
-    pc.add_argument("--kind", dest="cost_kind", choices=("g1", "g2"))
-    pc.add_argument("--samples", type=int)
-
-    command("measure-check", "invariant-measure residuals").add_argument("--samples", type=int)
+    if "simulate" in wanted:
+        trajectory("simulate", "integrate one formulation").add_argument(
+            "--formulation", dest="formulations", choices=FORMULATIONS)
+    if "compare" in wanted:
+        cmp_ = trajectory("compare", "compare formulations pairwise")
+        cmp_.add_argument("--formulation", dest="formulations", metavar="FORMULATION",
+                          action="append", help="repeat for each formulation (or comma separate)")
+        cmp_.add_argument("--tol", type=float)
+    if "certify" in wanted:
+        cert = command("certify", "run the certification suite")
+        cert.add_argument("--check", choices=CHECKS)
+        cert.add_argument("--samples", type=int)
+        cert.add_argument("--depth", type=int)
+    if "helmholtz-check" in wanted:
+        hc = command("helmholtz-check", "multiplier conditions + certificate")
+        hc.add_argument("--samples", type=int, help="jets per check")
+        hc.add_argument("--depth", type=int)
+    if "pontryagin-check" in wanted:
+        pc = command("pontryagin-check", "optimal-control consistency")
+        pc.add_argument("--kind", dest="cost_kind", choices=("g1", "g2"))
+        pc.add_argument("--samples", type=int)
+    if "measure-check" in wanted:
+        command("measure-check", "invariant-measure residuals").add_argument("--samples", type=int)
 
     return parser
 
@@ -595,7 +599,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         manifest = manifest_from_args(args)

@@ -39,7 +39,8 @@ Every float value comes from generated code.  ``compile()`` returns a plain
 Python callable for one expression, ``compile_table()`` one call for
 several, and ``splice()`` the same code, under the same check, as statements
 for the functions the other modules generate (``define()``): the trajectory
-right-hand sides and the optimal-control functions.  Each raises
+right-hand sides, kept in parts (``define_rhs()``) for ``integrate`` to
+inline, and the optimal-control functions.  Each raises
 ``ExprDomainError``, naming the expression and the point, where a value is
 undefined (``ln`` of a non-positive number, division by zero, overflow) or
 not finite, instead of returning it.  Series evaluation gives non-finite
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,7 @@ import numpy as np
 from .errors import ExprDomainError, ExprParseError
 
 __all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "assign", "splice", "define",
-           "Series", "series_table"]
+           "RhsParts", "define_rhs", "Series", "series_table"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative
@@ -429,6 +431,23 @@ def define(signature: str, lines, **bindings):
     namespace = dict(_PY_GLOBALS, **bindings)
     exec(source, namespace)
     return namespace[signature.partition("(")[0]]
+
+
+# A generated right-hand side ``rhs(t, y)`` in parts: y unpacked into the
+# locals ``state``, the statements ``head``, ``table`` (``splice`` lines,
+# which read no local but r1) and ``body``, the returned list of
+# ``outputs``, all in the namespace ``bindings``.
+RhsParts = namedtuple("RhsParts", "state head table body outputs bindings")
+
+
+def define_rhs(state, head, table, body, outputs, /, **bindings):
+    """``rhs(t, y)`` from its parts, which it carries as ``parts`` (as a
+    table carries ``exprs``), so callers can inline them."""
+    parts = RhsParts(*map(tuple, (state, head, table, body, outputs)), bindings)
+    rhs = define("rhs(t, y)", [f"{', '.join(parts.state)}, = y", *parts.head, *parts.table,
+                               *parts.body, f"return [{', '.join(parts.outputs)}]"], **bindings)
+    rhs.parts = parts
+    return rhs
 
 
 def assign(exprs, names, inline: bool = True) -> list[str]:

@@ -7,39 +7,64 @@ steppers do not give.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
 from .errors import ConfigError, EvaluationError, GridMismatchError, IntegrationAborted
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "compare", "CompareMetrics"]
 
 CSV_CHUNK_ROWS = 256
 MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the steps + 1 float stamps must fit one array
-_STEPPERS: dict = {}  # state dimension -> its RK4 step; pure, so sharing is unobservable
 
 
-def _rk4_step(dim: int):
-    """RK4 step for ``dim`` components, generated on first use: one local per
-    component and numpy's elementwise operation order, so the states match an
-    array-valued loop bit for bit."""
-    if dim not in _STEPPERS:
-        def row(fmt):
-            return ", ".join(fmt.format(i) for i in range(dim))
-        source = ("def step(rhs, t, y, h, half, sixth):\n"
-                  f"    {row('y{0}')}, = y\n"
-                  f"    {row('a{0}')}, = rhs(t, y)\n"
-                  f"    {row('b{0}')}, = rhs(t + half, [{row('y{0} + half * a{0}')}])\n"
-                  f"    {row('c{0}')}, = rhs(t + half, [{row('y{0} + half * b{0}')}])\n"
-                  f"    {row('e{0}')}, = rhs(t + h, [{row('y{0} + h * c{0}')}])\n"
-                  f"    return [{row('y{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + e{0})')}]")
-        namespace: dict = {}
-        exec(source, namespace)
-        _STEPPERS[dim] = namespace["step"]
-    return _STEPPERS[dim]
+def _names(lines) -> tuple[set, set]:
+    """The locals that the statements ``lines`` store, and every name they
+    hold, read off the code object they compile to (nothing runs)."""
+    source = "def block():\n" + "".join(f"    {line}\n" for line in [*lines, "pass"])
+    code = next(c for c in compile(source, "<rhs>", "exec").co_consts if hasattr(c, "co_names"))
+    return set(code.co_varnames), {*code.co_varnames, *code.co_names}
+
+
+def _program(parts: ex.RhsParts):
+    """The whole RK4 loop over a right-hand side's parts, the four stages
+    inlined in the order of operations of an array-state loop, so the states
+    match one bit for bit.  A stage sets only the state locals and the time
+    that it names.  Unless another statement stores to a local that the
+    table block sets, the block is skipped where r1 equals the r1 it last
+    ran at, except at r1 == 0.0, whose two signed zeros compare equal."""
+    _, reads = _names([*parts.head, *parts.table, *parts.body, f"[{', '.join(parts.outputs)}]"])
+    sets, table = _names(parts.table)[0], list(parts.table)
+    if sets and not sets & (_names([*parts.head, *parts.body])[0] | {*parts.state}):
+        table = ["if r1 != _r or r1 == 0.0:", *(f"    {line}" for line in table), "    _r = r1"]
+    clock = "t" in reads
+    step = ["_t = _t0 + _h * _k"] if clock else []  # times[k] bit for bit
+    for dt, slope, prev in ((None, "a", ""), ("_half", "b", "a"), ("_half", "c", "b"),
+                            ("_h", "e", "c")):
+        step += [f"t = _t + {dt}" if dt else "t = _t"] if clock else []
+        step += [f"{name} = _y{i}" + (f" + {dt} * _{prev}{i}" if dt else "")
+                 for i, name in enumerate(parts.state) if name in reads]
+        step += [*parts.head, *table, *parts.body,
+                 *(f"_{slope}{i} = {out}" for i, out in enumerate(parts.outputs))]
+    ys = "".join(f"_y{i}, " for i in range(len(parts.state)))
+    step += [*(f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
+               for i in range(len(parts.state))), f"_buf.extend(({ys}))"]
+    return ex.define("program(rhs, _buf, _t0, _h, _half, _sixth, _steps, _y)",
+                     [f"{ys}= _y", "_r = None", "for _k in range(_steps):",
+                      *(f"    {line}" for line in step)], **parts.bindings)
+
+
+@functools.cache
+def _call_program(dim: int):
+    """The program of any other ``rhs(t, y)`` of ``dim`` components: each
+    stage is one call.  Pure, so sharing it is unobservable."""
+    y, k = [f"y{i}" for i in range(dim)], [f"k{i}" for i in range(dim)]
+    return _program(ex.RhsParts(y, (), (), [f"{', '.join(k)}, = rhs(t, [{', '.join(y)}])"], k, {}))
 
 
 @dataclass(frozen=True)
@@ -105,25 +130,33 @@ class Trajectory:
         return np.stack([self.column(n) for n in names], axis=1)
 
     def write_csv(self, path: str) -> None:
-        """Write t plus all state columns at full double precision."""
+        """Write t plus all state columns at full double precision, each value
+        as ``%.17g``.  A column that holds one value bit for bit throughout a
+        chunk (a constant velocity or momentum) is formatted once per chunk."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t," + ",".join(self.columns) + "\n")
-            row = ",".join(["%.17g"] * (1 + len(self.columns))) + "\n"
             # a chunk at a time, so the table never exists as Python floats
             for start in range(0, len(self.times), CSV_CHUNK_ROWS):
                 stop = start + CSV_CHUNK_ROWS
                 block = np.column_stack((self.times[start:stop], self.states[start:stop]))
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+                bits = block.view(np.int64)
+                fixed = (bits == bits[0]).all(axis=0)
+                row = ",".join("%.17g" % v if same else "%.17g"
+                               for v, same in zip(block[0].tolist(), fixed.tolist())) + "\n"
+                fh.write(row * len(block) % tuple(block[:, ~fixed].ravel().tolist()))
 
 
 def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Trajectory:
     """Integrate y' = rhs(t, y) with classical RK4 on a fixed grid.
 
-    The state is held as a list of floats and ``rhs`` receives it as one;
-    ``rhs`` may return any sequence of floats, numpy arrays included, of the
-    state's length.  Each step is ``_rk4_step``'s straight-line code, and
-    every formulation's ``rhs`` is generated straight-line code as well, so
-    a step runs no Python loop.
+    A run is one generated program (``_program``): the whole time loop, with
+    the four stages inlined.  A generated right-hand side carries its parts
+    (``expr.RhsParts``), so its body is inlined, and its program is cached
+    with it.  Its table block is skipped where r1 equals the r1 it last ran
+    at (never at r1 == 0.0), which gives the same bits.  Any other callable,
+    a traced one included, takes the generic stage ``k = rhs(t, [y])``: it
+    receives the state as a list of floats and may return any sequence of
+    floats, numpy arrays included, of the state's length.
 
     On an evaluation error mid-run, or when a step produced a non-finite
     state, raises IntegrationAborted carrying the partial trajectory up to
@@ -132,29 +165,23 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
     y = np.array(y0, dtype=float).tolist()
     if not all(map(math.isfinite, y)):
         raise ConfigError(f"initial state {y} is not finite")
-    t0, _ = cfg.t_span
+    parts = getattr(rhs, "parts", None)
+    if parts is not None and "program" not in vars(rhs):
+        rhs.program = _program(parts)
+    program = _call_program(len(y)) if parts is None else rhs.program
     h = cfg.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    steps = cfg.steps
     times = cfg.times
-    step = _rk4_step(len(y))
     buf = array("d", y)
     cause = None
     # Non-finite states are found once, after the loop, so numpy's warnings
     # on the way there (from an rhs returning arrays) are noise.
     with np.errstate(all="ignore"):
-        for k in range(steps):
-            t = t0 + h * k  # times[k] bit for bit; a list of all stamps costs memory
-            try:
-                y = step(rhs, t, y, h, half, sixth)
-            except EvaluationError as exc:
-                cause = exc
-                break
-            except ArithmeticError as exc:  # float operations that numpy would turn into inf
-                cause = EvaluationError(f"{type(exc).__name__}: {exc}")
-                break
-            buf.extend(y)
+        try:
+            program(rhs, buf, cfg.t_span[0], h, 0.5 * h, h / 6.0, cfg.steps, y)
+        except EvaluationError as exc:
+            cause = exc
+        except ArithmeticError as exc:  # float operations that numpy would turn into inf
+            cause = EvaluationError(f"{type(exc).__name__}: {exc}")
     out = np.frombuffer(buf).reshape(-1, len(y))
     rows = len(out)
     finite = np.isfinite(out).all(axis=1)

@@ -79,31 +79,30 @@ class SodeSystem:
     @cached_property
     def _kernel(self):
         n = self.n
-        velocities = ", ".join(f"u{i}" for i in range(n))
-        lines = ["".join(f"q{i}, " for i in range(n)) + f"{velocities}, = y; r1 = q0"]
+        velocities = [f"u{i}" for i in range(n)]
+        head, body = ["r1 = q0"], []
         table = self.system.weight_table if self.kind == "second" else self.coeff_table
         if self.kind == "first":
             names = [f"c{a}" for a in range(n - 1)]
-            lines += ["w = u0 * u1", *ex.splice(table.exprs, names, "table(r1)")]
+            head.append("w = u0 * u1")
             accel = ["0.0", *(f"{c} * w" for c in names)]
         elif self.kind == "second":
             entries = range(n - 1)
-            lines += [*ex.splice(table.exprs, [x for b in entries for x in (f"e{b}", f"s{b}")],
-                                 "table(r1)"),
-                      *(f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b}, r1)"
-                        for b in entries)]
+            names = [x for b in entries for x in (f"e{b}", f"s{b}")]
+            body = [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b}, r1)"
+                    for b in entries]
             accel = ["0.0", *(f"s{b} / e{b} * u{1 + b} * u0" for b in entries)]
         else:
             sys, alphas = self.system, range(n - 2)
-            lines += [*ex.splice(table.exprs, [*(f"a{a}" for a in alphas),
-                                               *(f"p{a}" for a in alphas), "m", "c"], "table(r1)"),
-                      "g = 0.0" + "".join(f" + {i_a!r} * p{a} * u{2 + a}"
-                                          for a, i_a in enumerate(sys.i_alpha)),
-                      "n2 = 1.0 / m",
-                      "r = n2 * (-c * u0 * u1 + g * u0)"]
+            names = [*(f"a{a}" for a in alphas), *(f"p{a}" for a in alphas), "m", "c"]
+            body = ["g = 0.0" + "".join(f" + {i_a!r} * p{a} * u{2 + a}"
+                                        for a, i_a in enumerate(sys.i_alpha)),
+                    "n2 = 1.0 / m",
+                    "r = n2 * (-c * u0 * u1 + g * u0)"]
             accel = [f"-g * u1 / {sys.i1!r}", "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        return ex.define("rhs(t, y)", [*lines, f"return [{velocities}, {', '.join(accel)}]"],
-                         table=table, weight_vanishes=weight_vanishes)
+        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head,
+                             ex.splice(table.exprs, names, "table(r1)"), body,
+                             [*velocities, *accel], table=table, weight_vanishes=weight_vanishes)
 
     @cached_property
     def coeff_table(self):

@@ -438,11 +438,10 @@ def nonholonomic_ode(sys: SystemSpec):
 def _nonholonomic_kernel(sys: SystemSpec):
     k = sys.k
     table = sys.nonholonomic_table
-    state = ", ".join([*(f"q{i}" for i in range(2 + k)), "u0", "u1"])
-    lines = [f"{state}, = y", "r1 = q0",
-             *ex.splice(table.exprs, [*(f"a{a}" for a in range(k)), "g"], "table(r1)"),
-             f"return [u0, u1, {''.join(f'-a{a} * u1, ' for a in range(k))}0.0, g * u0 * u1]"]
-    return ex.define("rhs(t, y)", lines, table=table)
+    return ex.define_rhs([*(f"q{i}" for i in range(2 + k)), "u0", "u1"], ["r1 = q0"],
+                         ex.splice(table.exprs, [*(f"a{a}" for a in range(k)), "g"], "table(r1)"),
+                         [], ["u0", "u1", *(f"-a{a} * u1" for a in range(k)), "0.0", "g * u0 * u1"],
+                         table=table)
 
 
 def nh_state_from_jet(sys: SystemSpec, jet: Jet) -> np.ndarray:

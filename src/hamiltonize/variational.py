@@ -346,10 +346,9 @@ def _literal(value: float) -> str:
     return f"({value!r})"
 
 
-def _state(n: int, momenta: str) -> str:
-    """The state y unpacked into the locals q<b> and u<b> or p<b>, and r1."""
-    names = [*(f"q{b}" for b in range(n)), *(f"{momenta}{b}" for b in range(n))]
-    return ", ".join(names) + ", = y; r1 = q0"
+def _state(n: int, momenta: str) -> list[str]:
+    """The locals q<b> and u<b> or p<b> that the state y unpacks into."""
+    return [*(f"q{b}" for b in range(n)), *(f"{momenta}{b}" for b in range(n))]
 
 
 def _weight_names(model: LagrangianModel) -> list[str]:
@@ -409,13 +408,13 @@ def _euler_lagrange_kernel(model: LagrangianModel):
     g_hb of ``_arrowhead``, then its solve."""
     sys = model.system
     n = sys.n
-    lines = [_state(n, "u")]
+    head = ["r1 = q0"]
     if model.kind == "variational":
         alphas = range(sys.k)
-        lines += [*ex.splice((*sys.a_prime, *sys.a_alpha),
-                             [*(f"p{a}" for a in alphas), *(f"a{a}" for a in alphas)],
-                             "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])"),
-                  "g = 0.0"]
+        table = ex.splice((*sys.a_prime, *sys.a_alpha),
+                          [*(f"p{a}" for a in alphas), *(f"a{a}" for a in alphas)],
+                          "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])")
+        lines = ["g = 0.0"]
         for a, i_a in enumerate(sys.i_alpha):
             lines += [f"g = g + {_literal(i_a)} * p{a} * u{2 + a}",
                       f"f{2 + a} = {_literal(i_a)} * p{a} * u1 * u0"]
@@ -425,11 +424,11 @@ def _euler_lagrange_kernel(model: LagrangianModel):
             lines += [f"h{2 + a} = {_literal(-i_a)} * a{a}", f"d{2 + a} = {_literal(-i_a)}"]
         bindings = {"a_prime_table": sys.a_prime_table, "a_fns": sys.a_fns}
     else:
-        lines += ["if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')",
-                  *_weight_lines(model),
-                  *_weight_guards(model),
-                  *(f"d{b} = {_literal(i_b)}; h{b} = f{b} = 0.0" for b, i_b in model.kinetic),
-                  "g = 0.0"]
+        head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
+        table = _weight_lines(model)
+        lines = [*_weight_guards(model),
+                 *(f"d{b} = {_literal(i_b)}; h{b} = f{b} = 0.0" for b, i_b in model.kinetic),
+                 "g = 0.0"]
         for b, c in model.terms:
             lines += [f"f{b} = {_literal(c)} * u{b} * s{b} / e{b} ** 2",
                       f"g = g + {_literal(c)} * u{b} ** 2 * s{b} / e{b} ** 2"]
@@ -450,10 +449,10 @@ def _euler_lagrange_kernel(model: LagrangianModel):
               "if schur == 0.0: raise SingularHessianError("
               "'Hessian singular: the Schur complement of the hub is 0')",
               f"x{hub} = top / schur",
-              *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes),
-              "return [" + ", ".join([*(f"u{b}" for b in range(n)),
-                                      *(f"x{b}" for b in range(n))]) + "]"]
-    return ex.define("rhs(t, y)", lines, SingularHessianError=SingularHessianError, **bindings)
+              *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
+    return ex.define_rhs(_state(n, "u"), head, table, lines,
+                         [*(f"u{b}" for b in range(n)), *(f"x{b}" for b in range(n))],
+                         SingularHessianError=SingularHessianError, **bindings)
 
 
 # --- Legendre transform -------------------------------------------------------
@@ -551,7 +550,7 @@ def hamilton_ode(model: LagrangianModel):
 def _hamilton_kernel(model: LagrangianModel):
     sys = model.system
     n = sys.n
-    lines = [_state(n, "p"), *_weight_lines(model), f"m = {_momentum_sum(model)}", "g = 0.0"]
+    lines = [f"m = {_momentum_sum(model)}", "g = 0.0"]
     for b, c in model.terms:
         lines.append(f"g = g + 0.5 * s{b} * p{b} ** 2 / {_literal(c)}")
     lines.append(f"v = m / {_literal(sys.i1)}")
@@ -560,8 +559,8 @@ def _hamilton_kernel(model: LagrangianModel):
         qdot.append(f"p{b} / {_literal(inertia)}")
     for b, c in model.terms:
         qdot.append(f"v * e{b} * p{b} / {_literal(c)}")
-    lines.append(f"return [{', '.join(qdot)}, -v * g{', 0.0' * (n - 1)}]")
-    return ex.define("rhs(t, y)", lines, table=sys.weight_table)
+    return ex.define_rhs(_state(n, "p"), ["r1 = q0"], _weight_lines(model), lines,
+                         [*qdot, "-v * g", *["0.0"] * (n - 1)], table=sys.weight_table)
 
 
 def phase_columns(sys: SystemSpec) -> tuple[str, ...]:

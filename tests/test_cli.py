@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from hamiltonize import cli, expr
+from hamiltonize.errors import ConfigError
 from hamiltonize.cli import RunManifest, build_parser, main, manifest_from_args
 from hamiltonize import pontryagin
 from hamiltonize.pontryagin import MODEL_KINDS, PONTRYAGIN_U1_MIN, optimal_controls
@@ -669,6 +670,36 @@ def test_help_and_version_exit_0(argv, capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out and not err
+
+
+def _outcome(parser, argv, capsys):
+    """What parsing ``argv`` ends in: the manifest, the configuration error,
+    or the exit and its text."""
+    try:
+        return manifest_from_args(parser.parse_args(argv))
+    except ConfigError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_alone_parses_as_the_full_parser(command, capsys):
+    """``main`` builds only the invoked command's parser: its help, usage
+    errors and manifests are the full parser's, byte for byte."""
+    flags = [argv for argv, _, _ in COMMON_FLAGS + COMMAND_FLAGS[command]]
+    for argv in [["--help"], ["-h"], ["--bogus"], ["extra"], ["--seed", "x"], ["--seed"],
+                 *flags, [arg for argv in flags for arg in argv]]:
+        full = _outcome(build_parser(), [command, *argv], capsys)
+        assert _outcome(build_parser(command), [command, *argv], capsys) == full, argv
+    alone = build_parser(command)._subparsers._group_actions[0].choices
+    assert list(alone) == [command]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nope"], ["--seed", "1"]])
+def test_no_command_builds_every_subcommand(argv):
+    subcommands = build_parser(argv[0] if argv else None)._subparsers._group_actions[0].choices
+    assert list(subcommands) == list(cli.COMMANDS)
 
 
 def test_params_key_that_is_no_parameter_or_model_constant_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -25,7 +26,8 @@ from hamiltonize import (
 from hamiltonize import expr
 from hamiltonize.cli import default_initial_jet
 from hamiltonize.errors import EvaluationError
-from hamiltonize.systems import nh_columns, nh_state_from_jet, nonholonomic_ode
+from hamiltonize.systems import (nh_columns, nh_state_from_jet, nonholonomic_ode,
+                                 parse_system_file)
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, lagrangian_model, legendre
 
 
@@ -212,22 +214,76 @@ def _formulation_runs(name, sys=None):
         if sode.kind == "third" and not sode.system.constant_measure:
             continue  # associated only where the measure is constant
         runs.append((f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot)))
-    for kind in ("first", "second") if sys.constant_measure else ("first",):
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for kind in (*kinds, "variational"):
+        runs.append((f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(sys, kind)),
+                     np.array(jet0.q + jet0.qdot)))
+    for kind in kinds:
         model = lagrangian_model(sys, kind)
         ps0 = legendre(model, jet0)
         runs.append((f"hamiltonian-{kind}", hamilton_ode(model), np.array(ps0.q + ps0.p)))
     return runs
 
 
+def _same_run(rhs, y0, cfg, label, aborts=False):
+    """``integrate`` gives the referee's time stamps and states bit for bit
+    or, where ``aborts`` allows the referee to abort, aborts where it does:
+    same time, same partial rows and, where the right-hand side raised, the
+    same error."""
+    columns = tuple(f"c{i}" for i in range(len(y0)))
+    try:
+        ref = numpy_rk4(rhs, y0, cfg, columns)
+    except IntegrationAborted as exc:
+        assert aborts, f"{label}: {exc}"
+        with pytest.raises(IntegrationAborted) as aborted:
+            integrate(rhs, y0, cfg, columns, label)
+        assert aborted.value.time == exc.time, label
+        if str(exc.cause) != "non-finite state":  # the referee's own message
+            assert type(aborted.value.cause) is type(exc.cause), label
+            # the referee's right-hand side reads numpy scalars, so its
+            # messages print a value v as np.float64(v)
+            assert str(aborted.value) == re.sub(r"np\.float64\((.*?)\)", r"\1", str(exc)), label
+        ref, got = exc.trajectory, aborted.value.trajectory
+    else:
+        got = integrate(rhs, y0, cfg, columns, label)
+    assert np.array_equal(got.times, ref.times), label
+    assert _hex_rows(got.states) == _hex_rows(ref.states), label
+
+
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
 def test_float_loop_matches_numpy_rk4_bit_for_bit(name):
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 0.5))
     for label, rhs, y0 in _formulation_runs(name):
-        columns = tuple(f"c{i}" for i in range(len(y0)))
-        ref = numpy_rk4(rhs, y0, cfg, columns)
-        got = integrate(rhs, y0, cfg, columns, label)
-        assert np.array_equal(got.times, ref.times), label
-        assert _hex_rows(got.states) == _hex_rows(ref.states), label
+        _same_run(rhs, y0, cfg, label)
+
+
+@pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
+def test_pole_crossing_spans_match_numpy_rk4_bit_for_bit(name):
+    """To t=10 from the default jet, r1 crosses the knife edge's tan poles
+    and the disk's E_b zeros; every formulation keeps the referee's bits."""
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 10.0))
+    for label, rhs, y0 in _formulation_runs(name):
+        _same_run(rhs, y0, cfg, label, aborts=True)
+
+
+def test_aborts_inside_generated_kernels_match_numpy_rk4():
+    """A guard of a generated kernel raising at the first stage and part-way
+    through a run: the same abort time, partial rows and message."""
+    disk, knife = builtin_system("vertical_disk"), builtin_system("knife_edge")
+    on_pole = disk.on_constraint((1.5707963267948966, 0.0, 0.0, 0.0), 1.0, 2.0)
+    before_zero = disk.on_constraint((-0.5, 0.0, 0.0, 0.0), 1.0, 2.0)  # sin(phi) = 0 ahead
+    resting = knife.on_constraint((0.25, 0.0, 0.0), 0.0, 1.0)
+    runs = [(second_associated(disk).ode(), on_pole, 1e-3, 1, "vanishes"),
+            (second_associated(disk).ode(), before_zero, 0.1, 5, "vanishes"),
+            (euler_lagrange_ode(lagrangian_model(disk, "first")), before_zero, 0.1, 5, "vanishes"),
+            (euler_lagrange_ode(lagrangian_model(knife, "first")), resting, 1e-3, 1, "r1dot = 0")]
+    for rhs, jet0, h, rows, message in runs:
+        cfg = IntegratorConfig(h=h, t_span=(0.0, 2.0))
+        y0 = np.array(jet0.q + jet0.qdot)
+        with pytest.raises(IntegrationAborted, match=message) as ref:
+            numpy_rk4(rhs, y0, cfg, tuple(f"c{i}" for i in range(len(y0))))
+        assert len(ref.value.trajectory.times) == rows
+        _same_run(rhs, y0, cfg, str(ref.value), aborts=True)
 
 
 # the distinct tables the runs of one built-in read: the nonholonomic one, the
@@ -263,9 +319,7 @@ def test_each_coefficient_table_is_compiled_once(name, monkeypatch):
         for label, rhs, y0 in runs:
             integrate(rhs, y0, cfg, tuple(f"c{i}" for i in range(len(y0))), label)
 
-    runs = _formulation_runs(name, system) + [
-        (f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(system, kind)),
-         jet0.q + jet0.qdot) for kind in ("first", "variational")]
+    runs = _formulation_runs(name, system)
     run_all(runs)
     assert len(compiled) == RUN_TABLES[name]
     assert len(set(compiled)) == len(compiled)
@@ -349,20 +403,81 @@ def test_generated_step_aborts_where_numpy_rk4_does(dim):
 
 
 def test_generated_step_is_made_on_first_use_once_per_dimension():
-    """No step exists after a fresh import; a dimension's step is generated
-    by its first run and reused after."""
+    """No program exists after a fresh import.  An opaque right-hand side's
+    program is generated by the first run of its dimension and shared
+    after; a generated kernel's is generated by its first run and cached
+    with the kernel."""
     module = importlib.import_module("hamiltonize.integrate")
     fresh = subprocess.run(
         [sys.executable, "-c", "import sys, hamiltonize; "
-         "print(len(sys.modules['hamiltonize.integrate']._STEPPERS))"],
+         "print(sys.modules['hamiltonize.integrate']._call_program.cache_info().currsize)"],
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(module.__file__))),
         capture_output=True, text=True, timeout=60)
     assert fresh.stdout.strip() == "0", fresh.stderr
-    first = module._rk4_step(5)
-    assert module._rk4_step(5) is first and module._STEPPERS[5] is first
+    assert module._call_program(5) is module._call_program(5)
+    system = builtin_system("free_particle")
+    rhs = nonholonomic_ode(system)
+    assert "program" not in vars(rhs)
+    y0 = nh_state_from_jet(system, default_initial_jet(system))
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 0.1))
+    integrate(rhs, y0, cfg, nh_columns(system), "nh")
+    program = rhs.program
+    integrate(rhs, y0, cfg, nh_columns(system), "nh")
+    assert rhs.program is program and nonholonomic_ode(system) is rhs
+
+
+# --- the reuse of r1 tables between stages -------------------------------------
+
+
+def _signed_zero_spec():
+    return parse_system_file("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = sin(r1)\nnames = a, b, s\n")
+
+
+def test_table_reuse_at_signed_zero_matches_numpy_rk4():
+    """From r1 = -0.0 at rest (r1dot = 0) the stages read r1 = -0.0, +0.0,
+    +0.0, +0.0: a table is never reused across the two zeros, and every
+    generated kernel gives the referee's bits or aborts where it does."""
+    system = _signed_zero_spec()
+    jet0 = system.on_constraint((-0.0, 0.0, -0.0), 0.0, 1.0)
+    runs = [("nonholonomic", nonholonomic_ode(system), nh_state_from_jet(system, jet0))]
+    runs += [(f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot))
+             for sode in (first_associated(system), second_associated(system),
+                          third_associated(system))]
+    runs += [(f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(system, kind)),
+              np.array(jet0.q + jet0.qdot)) for kind in ("first", "variational")]
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 0.1))
+    for label, rhs, y0 in runs:
+        _same_run(rhs, y0, cfg, label, aborts=True)
+
+
+def test_table_reuse_tells_the_two_zeros_apart():
+    """A table whose value is the sign of r1: the first step's stages sit at
+    -0.0 then +0.0, so reusing the -0.0 table at stage 2 would move s by
+    2h/6 where the referee moves it by 4h/6."""
+    rhs = expr.define_rhs(["q0", "u0", "s"], ["r1 = q0"], ["sign = copysign(1.0, r1)"], [],
+                          ["u0", "0.0", "sign"], copysign=math.copysign)
+    cfg = IntegratorConfig(h=0.25, t_span=(0.0, 0.5))
+    _same_run(rhs, [-0.0, 0.0, 0.0], cfg, "sign")
+    assert integrate(rhs, [-0.0, 0.0, 0.0], cfg, ("q", "u", "s"), "sign").states[1, 2] > 0.1
+
+
+def test_table_is_not_reused_where_the_body_stores_to_its_locals():
+    """A body that updates a table's local: the table runs at every stage,
+    even where r1 does not move."""
+    rhs = expr.define_rhs(["q0", "u0", "s"], ["r1 = q0"], ["a = 2.0 * r1"], ["a = a + 1.0"],
+                          ["u0", "0.0", "a"])
+    cfg = IntegratorConfig(h=0.1, t_span=(0.0, 1.0))
+    _same_run(rhs, [1.0, 0.0, 0.0], cfg, "stored")
+    assert integrate(rhs, [1.0, 0.0, 0.0], cfg, ("q", "u", "s"), "stored").states[-1, 2] == pytest.approx(3.0)
 
 
 # --- the chunked CSV writer --------------------------------------------------
+
+
+def _per_value_csv(traj):
+    return ("t," + ",".join(traj.columns) + "\n" + "".join(
+        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(traj.times, traj.states)
+    )).encode()
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):
@@ -378,7 +493,26 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     traj = Trajectory(times, states, ("a", "b", "c"), "test")
     path = tmp_path / "run.csv"
     traj.write_csv(str(path))
-    expected = "t,a,b,c\n" + "".join(
-        ",".join("%.17g" % v for v in (t, *row)) + "\n" for t, row in zip(times, states)
-    )
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == _per_value_csv(traj)
+
+
+def test_csv_writer_formats_unchanging_columns_as_each_value(tmp_path):
+    """Columns that hold one value through a chunk: one that changes only
+    after the first 256-row chunk, one that starts changing inside the last
+    chunk, a constant -0.0, a constant nan, and zeros of alternating sign
+    (equal values, different bits); and a one-row trajectory."""
+    rows = 2 * 256 + 10
+    states = np.zeros((rows, 6))
+    states[:, 0] = np.where(np.arange(rows) < 256, 1.5, np.arange(rows) * 0.1)
+    states[:, 1] = 1.0 / 3.0
+    states[500:, 1] = -2.0
+    states[:, 2] = -0.0
+    states[:, 3] = np.nan
+    states[::2, 4] = -0.0
+    states[:, 5] = 1e-300
+    runs = [Trajectory(np.arange(rows) * 0.01, states, tuple("abcdef"), "test"),
+            Trajectory(np.array([0.0]), np.array([[-0.0, 2.0 / 3.0]]), ("a", "b"), "test")]
+    for traj in runs:
+        path = tmp_path / "run.csv"
+        traj.write_csv(str(path))
+        assert path.read_bytes() == _per_value_csv(traj)
