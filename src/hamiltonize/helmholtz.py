@@ -34,17 +34,17 @@ whose Phi towers reduce to derivative recurrences on scalar coefficient
 functions of r1; ``nabla`` and ``psi_stack`` raise ``ValueError`` on any
 other kind.
 
-The singularity certificate treats its jet sample as stacks of up to
-``JET_BLOCK`` jets (a command's 50 jets are one): the tower's tiers up to
-``depth`` come from one truncated Taylor series of the system's
-coefficients per stack (``SodeSystem.phi_tiers``), filled into a (jets,
-depth, n, n) array; index maps fixed per n turn it into the (jets, rows,
-columns) algebraic systems, one stacked SVD decides every rank and one
-stacked determinant tests every candidate.  ``psi_stack``,
-``algebraic_system`` and ``nullspace`` take a stack; ``phi`` and
-``nabla_phi`` are the one-jet case of the same code, and a jet's tiers do
-not depend on its stack.  The report carries the margins of its rank and
-determinant decisions, and the jet of the smallest kept margin.
+The singularity certificate rests on a lemma.  For kind first, tier m of
+the tower is u1^(m+1) sum_a C[m, a] e_(1+a) w^T, with C the depth x (n-1)
+matrix of ``SodeSystem.phi_tiers`` and one w = (u2, -u1, 0, ..., 0).  So
+"g Psi_m is symmetric" says g v_m is parallel to w, v_m = sum_a C[m, a]
+e_(1+a): g maps the span of the v_m, of dimension rank C, into the line
+through w, and where rank C >= 2 it sends some nonzero v to 0.  Every g
+that satisfies the tower is then singular.  The lemma assumes kind first,
+u1 != 0 (at u1 = 0 the tower vanishes) and n >= 3 (every ``SystemSpec``
+has an s coordinate), so the certificate refuses other kinds and decides
+each jet on C alone.  ``phi`` and ``nabla_phi`` are the one-jet case of
+``psi_stack``, and a jet's tiers do not depend on its stack.
 
 The multiplier residuals evaluate the multiplier, f and nabla jet by jet,
 its derivatives in one call of its ``slopes`` (or by central differences),
@@ -55,10 +55,8 @@ determinant and the three residuals.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,9 +79,8 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
-DET_TOL = 1e-10  # a normalized candidate multiplier with |det| at or above this is regular
-COMBOS = 8  # random combinations of each jet's nullspace basis the certificate tests
-JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVD
+DET_TOL = 1e-10  # a normalized nullspace member with |det| at or above this is regular
+JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVDs
 RESIDUAL_TOL = 1e-8  # the multiplier conditions pass with every residual below this
 FD_STEP = 1e-4  # base step of the residuals' central differences of a field without slopes
 
@@ -125,14 +122,22 @@ def nabla_phi(sode, jet: Jet, order: int = 1) -> np.ndarray:
 def psi_stack(sode, jets: Sequence[Jet], depth: int) -> np.ndarray:
     """[Phi, nabla Phi, ..., nabla^(depth-1) Phi] at each jet, a (jets, depth,
     n, n) stack, from the coefficients of ``sode.phi_tiers`` at every jet at
-    once; the r1dot powers are Python floats."""
+    once."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     cols = _band_columns(sode)
-    n = sode.n
-    shape = (len(jets), depth, n - 1)
     coeffs = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
-    low, high = (np.array([[jet.r1dot ** (order + k) for order in range(depth)] for jet in jets])
+    return _banded(jets, cols, coeffs, range(depth))
+
+
+def _banded(jets: Sequence[Jet], cols: list[int], coeffs: np.ndarray, orders) -> np.ndarray:
+    """u1^(order+1) sum_a coeffs[j, m, a] B_a(u) at each jet j for the m-th
+    of ``orders``, a (jets, len(orders), n, n) stack; B_a(u) has the single
+    row 1 + a, which holds u_c in column 0 and -u1 in column c = cols[a].
+    The r1dot powers are Python floats."""
+    n = len(cols) + 1
+    shape = (len(jets), len(orders), n - 1)
+    low, high = (np.array([[jet.r1dot ** (order + k) for order in orders] for jet in jets])
                  .reshape(*shape[:2], 1) for k in (1, 2))
     qdot = np.array([[jet.qdot[col] for col in cols] for jet in jets]).reshape(len(jets), 1, n - 1)
     M = np.zeros((*shape[:2], n, n))
@@ -261,41 +266,50 @@ def sym_entry_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def algebraic_system(sode, jets: Sequence[Jet],
-                     depth: int = 3) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Homogeneous linear systems on the entries of symmetric g, one per jet,
-    as a (jets, rows, columns) stack.
+def algebraic_system(sode, jets: Sequence[Jet], depth: int = 3
+                     ) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """The conditions "g Psi is symmetric" of the tower's first ``depth``
+    members at each jet, as a (jets, rows, columns) stack of linear systems
+    on the entries of symmetric g in ``sym_entry_index`` order; and the
+    singular values of each jet's equilibrated C, (jets, min(depth, n - 1)).
 
-    Rows encode g Psi = (g Psi)^T for Psi in the covariant-derivative tower
-    of Phi up to ``depth`` members, a block of rows per member; columns
-    follow ``sym_entry_index``.
+    As tier m is u1^(m+1) sum_a C[m, a] B_a(u), the rows say "u1 g B(y) is
+    symmetric", B(y) = sum_a y_a B_a(u), for an orthonormal basis y of C's
+    row space, a block of rows per member, padded with zero blocks to n - 1.
+    C's columns, then its rows, are scaled by their largest entry, and one
+    stacked SVD decides its rank at ``RANK_RTOL``.  The basis complements
+    the equilibrated nullspace mapped back as x = x1 / col and normalized;
+    the row basis mapped back would be badly scaled where the columns
+    differ by many decades.
     """
     n = sode.n
-    psi = psi_stack(sode, jets, depth).reshape(len(jets), depth, n * n)
-    flat = np.concatenate((psi, np.zeros((len(jets), depth, 1))), axis=2)
-    index, sign = _row_maps(n)
-    terms = flat[..., index] * sign  # (jets, depth, pairs, columns, 2)
-    rows = terms[..., 0] + 0.0 + terms[..., 1]
-    return rows.reshape(len(jets), depth * len(index), -1), sym_entry_index(n)
+    cols = _band_columns(sode)
+    tiers = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
+    col = np.max(np.abs(tiers), axis=1, keepdims=True)
+    col[col == 0.0] = 1.0
+    scaled = tiers / col
+    row = np.max(np.abs(scaled), axis=2, keepdims=True)
+    row[row == 0.0] = 1.0
+    _, c_svals, vt = np.linalg.svd(scaled / row)
+    rank = np.sum(c_svals > RANK_RTOL * c_svals[:, :1], axis=1).reshape(-1, 1, 1)
+    member = np.arange(n - 1).reshape(-1, 1)
+    null = vt * (np.min(col, axis=2, keepdims=True) / col)  # x1 / col, scaled not to overflow
+    norm = np.linalg.norm(null, axis=2, keepdims=True)
+    null = np.where(member >= rank, null / np.where(norm > 0.0, norm, 1.0), 0.0)
+    basis = np.where(member >= n - 1 - rank, np.linalg.svd(null)[2], 0.0)
+    gb = np.einsum("cik,jbkl->jbcil", _sym_basis(n), _banded(jets, cols, basis, [0] * (n - 1)))
+    upper = np.triu_indices(n, 1)
+    rows = (gb - gb.swapaxes(-1, -2))[..., upper[0], upper[1]].swapaxes(2, 3)
+    return rows.reshape(len(jets), -1, rows.shape[-1]), sym_entry_index(n), c_svals
 
 
 @functools.cache
-def _row_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each entry of one member's block of rows reads the flattened Psi:
-    the indices and signs of its first and second terms, in the order in
-    which the row of the pair i < j sums psi[k, j] into column (i, k) and
-    -psi[k, i] into column (j, k) over k.  No entry has a third term; a
-    missing term reads index n*n, a zero."""
-    pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
-    terms = []
-    for i, j in itertools.combinations(range(n), 2):
-        row = [[] for _ in pos]
-        for k in range(n):
-            row[pos[min(i, k), max(i, k)]].append((k * n + j, 1.0))
-            row[pos[min(j, k), max(j, k)]].append((k * n + i, -1.0))
-        terms.append([entry + [(n * n, 1.0)] * (2 - len(entry)) for entry in row])
-    maps = np.array(terms)  # (pairs, columns, term, (index, sign))
-    return maps[..., 0].astype(int), maps[..., 1]
+def _sym_basis(n: int) -> np.ndarray:
+    """The symmetric matrix of each column of ``sym_entry_index``, (columns, n, n)."""
+    basis = np.zeros((n * (n + 1) // 2, n, n))
+    for c, (i, j) in enumerate(sym_entry_index(n)):
+        basis[c, i, j] = basis[c, j, i] = 1.0
+    return basis
 
 
 def nullspace(matrices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -303,8 +317,6 @@ def nullspace(matrices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     singular values of each, from one stacked SVD.  A matrix's rank counts
     its singular values above ``RANK_RTOL`` times its largest; an all-zero
     matrix has the identity basis."""
-    if matrices.size == 0:
-        return [np.eye(matrices.shape[2]) for _ in matrices], np.zeros((len(matrices), 0))
     _, svals, vt = np.linalg.svd(matrices)
     bases = [v[int(np.sum(s > RANK_RTOL * s[0])):] if np.any(m) else np.eye(len(v))
              for m, s, v in zip(matrices, svals, vt)]
@@ -315,12 +327,18 @@ def nullspace(matrices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 class CertificateReport:
     """Outcome of the no-regular-multiplier certificate over sampled jets.
 
-    The margins are in decades and left out when no jet gives one: the
-    smallest kept margin ``log10(s_kept / (rtol s_max))`` of the last kept
-    singular value and the lowest index of a jet that gives it, the
-    smallest cut gap ``log10(rtol s_max / s_dropped)`` of the first dropped
-    one where it is nonzero, and the determinant margin
-    ``log10(det_tol / max_normalized_det)``; ``det_tol`` is ``DET_TOL``.
+    By the lemma of the module docstring (kind first, u1 != 0, n >= 3), a
+    jet passes when u1 != 0 and its equilibrated C has rank >= 2; the
+    certificate passes when every jet does and every normalized nullspace
+    member of the algebraic systems has |det| below ``det_tol``
+    (``DET_TOL``).  ``seed`` is the seed of the jet sample.  The margins
+    are in decades and left out when no jet gives one: the smallest kept
+    margin ``log10(s_2 / (rtol s_1))`` of C's second singular value over
+    the passing jets and the lowest jet index giving it, the smallest cut
+    gap ``log10(rtol s_max / s_dropped)`` of the systems' first dropped
+    singular value where it is nonzero, and the determinant margin
+    ``log10(det_tol / max_normalized_det)``.  The counterexample is the
+    lowest failing jet: its index, q, qdot and C's singular values.
     """
 
     passed: bool
@@ -347,74 +365,49 @@ def _smallest(margins) -> tuple[float | None, int | None]:
 
 def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3,
                             seed: int = 0) -> CertificateReport:
-    """Certify (or refute) that no regular multiplier survives the algebraic
-    conditions at the sampled jets.
+    """Certify (or refute) that no regular multiplier of the first associated
+    system ``sode`` survives its tower's first ``depth`` members at the
+    sampled jets, deciding each jet on C (see ``CertificateReport``).
 
-    Every nullspace basis element and ``COMBOS`` random combinations per jet
-    are assembled into symmetric matrices, normalized so the largest entry is
-    one, and tested for |det| below ``DET_TOL``.  A combination's coefficients
-    are ``-1 + 2*random()`` of ``random.Random(seed)``, drawn jet by jet and
-    combination by combination; any continuous law gives a generic
-    combination.  A negative seed raises ValueError, since ``Random(-s)``
-    would repeat ``Random(s)``.  A regular combination is returned as a
-    counterexample and fails the certificate.  The sample is evaluated in
-    stacks of up to ``JET_BLOCK`` jets, each its algebraic systems, one SVD
-    and one determinant call, so memory stays bounded however many jets
-    there are; the first counterexample is that of the lowest jet index.
+    The sample is evaluated in stacks of up to ``JET_BLOCK`` jets, each one
+    ``algebraic_system``, one ``nullspace`` and one stacked determinant of
+    the nullspace members, as symmetric matrices with largest entry one, so
+    memory stays bounded however many jets there are.  Any kind but first
+    raises ValueError, since the lemma does not hold there (the second kind
+    is variational); so does a negative seed, since ``Random(-s)`` draws
+    the sample of ``Random(s)``.
     """
     if not jets:
         raise ConfigError("the singularity certificate needs at least one jet")
+    if sode.kind != "first":
+        raise ValueError(f"the singularity certificate holds for kind 'first', not {sode.kind!r}")
     if seed < 0:
         raise ValueError(f"a seed must be >= 0, got {seed}")
-    n = sode.n
     warnings = [f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
                 "rank decisions may be unreliable"
                 for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
-    pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
-    sym = [pos[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    draw = Random(seed).random
     dims, kept, gaps = [], [], []  # kept, gaps: (jet index, (a, b)) of the margins log10(a / b)
     worst, counterexample = 0.0, None
     for first in range(0, len(jets), JET_BLOCK):
-        matrices, _ = algebraic_system(sode, jets[first:first + JET_BLOCK], depth)
+        stack = jets[first:first + JET_BLOCK]
+        matrices, idx, c_svals = algebraic_system(sode, stack, depth)
         bases, svals = nullspace(matrices)
-        # successive draws give the coefficients of one combination
-        coeffs = -1.0 + 2.0 * np.array([draw() for _ in range(COMBOS * sum(map(len, bases)))])
-        owners, candidates, start = [], [], 0
-        for jdx, basis in enumerate(bases, first):
-            candidates += list(basis)
-            for _ in range(COMBOS):
-                candidates.append(basis.T @ coeffs[start:start + len(basis)])
-                start += len(basis)
-            owners += [jdx] * (len(basis) + COMBOS)
-        g = np.array(candidates).reshape(len(candidates), len(pos))[:, sym].reshape(-1, n, n)
-        peak = np.max(np.abs(g), axis=(1, 2))
-        regular = peak != 0.0  # an all-zero candidate is skipped
-        normalized = g[regular] / peak[regular, None, None]
-        owners = np.asarray(owners)[regular].tolist()
-        dets = np.abs(np.linalg.det(normalized)).tolist()
-        worst = max([worst, *dets])
-        k = next((k for k, det in enumerate(dets) if det >= DET_TOL), None)
-        if counterexample is None and k is not None:
-            jet = jets[owners[k]]
-            counterexample = {
-                "jet_index": owners[k],
-                "q": list(jet.q),
-                "qdot": list(jet.qdot),
-                "g": normalized[k].tolist(),
-                "abs_det": dets[k],
-            }
-        for jdx, (s, basis) in enumerate(zip(svals, bases), first):
-            rank = len(pos) - len(basis)
-            cut = RANK_RTOL * s[0] if len(s) else 0.0
-            if rank:
-                kept.append((jdx, (s[rank - 1], cut)))
+        g = np.einsum("mc,cij->mij", np.concatenate(bases), _sym_basis(sode.n))
+        g /= np.max(np.abs(g), axis=(1, 2), keepdims=True)  # a basis member is never zero
+        worst = max(worst, float(np.max(np.abs(np.linalg.det(g)), initial=0.0)))
+        for jdx, (jet, c, s, basis) in enumerate(zip(stack, c_svals, svals, bases), first):
+            if jet.r1dot != 0.0 and len(c) > 1 and c[1] > RANK_RTOL * c[0]:
+                kept.append((jdx, (c[1], RANK_RTOL * c[0])))
+            elif counterexample is None:
+                counterexample = {"jet_index": jdx, "q": list(jet.q), "qdot": list(jet.qdot),
+                                  "c_singular_values": c.tolist()}
+            rank = len(idx) - len(basis)
             if rank < len(s):
-                gaps.append((jdx, (cut, s[rank])))
+                gaps.append((jdx, (RANK_RTOL * s[0], s[rank])))
         dims += map(len, bases)
     kept_margin, kept_jet = _smallest(kept)
     return CertificateReport(
-        passed=counterexample is None,
+        passed=counterexample is None and worst < DET_TOL,
         depth=depth,
         seed=seed,
         det_tol=DET_TOL,

@@ -1,14 +1,20 @@
-"""The stacked singularity certificate against a per-jet reference.
+"""The singularity certificate against a full-tower reference.
 
-The reference below is the certificate as a loop over jets: the tower of
-one jet alone, one algebraic system, one SVD and one determinant per
-candidate at a time.  The stacked certificate must give the same report,
-every float and every sign of zero included.
+The reference below decides each jet on the whole tower, as a loop over
+jets: the tower of one jet alone, one algebraic system of every tier's
+rows, one SVD whose rank cut is set over all of them, and a determinant
+for each nullspace basis member and for random combinations of them.
+Where that cut holds (the built-ins up to depth 8), the certificate, which
+decides each jet on its tier matrix C, must give the same verdict and
+nullspace dimensions.  The lemma the certificate rests on is checked in
+exact rational arithmetic at the end.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -133,10 +139,11 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
         warnings=tuple(warnings), counterexample=counterexample)
 
 
-def assert_same(report, expected):
-    """Equal reports, float for float: repr tells -0.0 from 0.0 and prints
-    every float exactly."""
-    assert repr(report) == repr(expected)
+def assert_agrees(report, expected):
+    """The same verdict, nullspace dimensions and warnings as the reference."""
+    assert report.passed == expected.passed
+    assert report.nullspace_dims == expected.nullspace_dims
+    assert report.warnings == expected.warnings
 
 
 # --- the grid ---------------------------------------------------------------------
@@ -161,44 +168,66 @@ def command_jets(name, samples, seed):
     return generic_jets(sys_, samples, stream)
 
 
-@pytest.mark.parametrize("depth", [1, 3, 5, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("kind", ["first", "second"])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_stacked_certificate_matches_per_jet_reference(name, kind, depth):
+    """The first kind's verdict and dimensions are the reference's; at
+    depth 1, where C has one row, both refute.  The second kind is
+    variational: the reference finds a regular multiplier, and the
+    certificate, whose lemma does not hold there, refuses the kind."""
     sode = associated(name, kind)
     for samples in (1, 7, 50):
         for seed in (0, 1, 2):
             jets = command_jets(name, samples, seed)
+            expected = reference_certificate(sode, jets, depth=depth, seed=seed)
+            if kind == "second":
+                assert not expected.passed and expected.counterexample["abs_det"] >= 1e-10
+                with pytest.raises(ValueError, match="holds for kind 'first'"):
+                    singularity_certificate(sode, jets, depth=depth, seed=seed)
+                continue
             report = singularity_certificate(sode, jets, depth=depth, seed=seed)
-            assert_same(report, reference_certificate(sode, jets, depth=depth, seed=seed))
+            assert_agrees(report, expected)
+            assert report.passed == (depth > 1)
+            assert report.max_normalized_det < 1e-10 or not report.passed
+
+
+def with_tower_vanishing_at(jets, jdx):
+    """``jets`` with jet ``jdx`` at r1dot = 0, where every tier vanishes."""
+    jet = jets[jdx]
+    return [*jets[:jdx], Jet(jet.q, (0.0, *jet.qdot[1:])), *jets[jdx + 1:]]
 
 
 @pytest.mark.parametrize("block", [1, 3, JET_BLOCK])
 def test_blocks_of_jets_match_per_jet_reference(monkeypatch, block):
     """The certificate's report does not depend on how its jets are split
-    into stacks: the SVD and determinant work one matrix at a time, and
-    successive draws of the normals give the values of one draw.  The
-    free particle's second kind puts its counterexample in a later block."""
+    into stacks: a jet's tiers, its SVDs and its determinants are the same
+    bits in any stack.  The disk's sample puts its failing jet, and so its
+    counterexample, in a later block."""
+    cases = [("knife_edge", command_jets("knife_edge", 20, 1), 3),
+             ("free_particle", command_jets("free_particle", 10, 7), 1),
+             ("vertical_disk", with_tower_vanishing_at(
+                 command_jets("vertical_disk", 2 * JET_BLOCK + 3, 2), JET_BLOCK + 5), 3)]
+    whole = [singularity_certificate(associated(name, "first"), jets, depth=depth, seed=2)
+             for name, jets, depth in cases]
     monkeypatch.setattr(helmholtz, "JET_BLOCK", block)
-    for name, kind, samples, seed in (("knife_edge", "first", 20, 1),
-                                      ("free_particle", "second", 10, 7),
-                                      ("vertical_disk", "second", 2 * JET_BLOCK + 3, 2)):
-        sode = associated(name, kind)
-        jets = command_jets(name, samples, seed)
-        report = singularity_certificate(sode, jets, depth=3, seed=seed)
-        assert_same(report, reference_certificate(sode, jets, depth=3, seed=seed))
+    for (name, jets, depth), expected in zip(cases, whole):
+        sode = associated(name, "first")
+        report = singularity_certificate(sode, jets, depth=depth, seed=2)
+        assert repr(report) == repr(expected)  # repr prints every float exactly
+        assert_agrees(report, reference_certificate(sode, jets, depth=depth, seed=2))
+    assert whole[2].counterexample["jet_index"] == JET_BLOCK + 5
 
 
 def test_certificate_memory_is_bounded_in_the_number_of_jets(monkeypatch):
-    """Four blocks of jets take about the peak memory of one: the stacks,
-    the SVD's U above all (96 x 96 floats per jet for the disk at depth
-    16), are one block's.  Every jet is the same one, whose tower is
-    evaluated once, so the measurement covers the stacking alone."""
-    sode = associated("vertical_disk", "first")
+    """Four blocks of jets take about the peak memory of one: the stacks
+    and their SVDs are one block's.  Every jet is the same one, whose tiers
+    are evaluated once, so the measurement covers the stacking alone."""
+    sode = first_associated(builtin_system("vertical_disk"))
     jets = command_jets("vertical_disk", 1, 4)
-    tower = psi_stack(sode, jets, 16)
-    monkeypatch.setattr(helmholtz, "psi_stack",
-                        lambda sode, jets, depth: np.repeat(tower, len(jets), axis=0))
+    tiers = sode.phi_tiers([jets[0].r1], 16)
+    monkeypatch.setattr(type(sode), "phi_tiers",
+                        lambda self, r1, depth: np.repeat(tiers, len(r1), axis=2))
 
     def peak(samples):
         tracemalloc.start()
@@ -212,13 +241,15 @@ def test_certificate_memory_is_bounded_in_the_number_of_jets(monkeypatch):
 
 
 def test_second_kind_counterexample_matches_reference():
-    """The second associated system is variational: the certificate finds a
-    regular multiplier, the same one at the same jet."""
+    """The second associated system is variational: the reference finds a
+    regular multiplier, and the certificate refuses the kind rather than
+    certify it."""
     sode = associated("free_particle", "second")
     jets = command_jets("free_particle", 10, 7)
-    report = singularity_certificate(sode, jets, depth=3, seed=7)
-    assert not report.passed and report.counterexample["abs_det"] > 1e-10
-    assert_same(report, reference_certificate(sode, jets, depth=3, seed=7))
+    expected = reference_certificate(sode, jets, depth=3, seed=7)
+    assert not expected.passed and expected.counterexample["abs_det"] > 1e-10
+    with pytest.raises(ValueError, match="holds for kind 'first', not 'second'"):
+        singularity_certificate(sode, jets, depth=3, seed=7)
 
 
 def test_degenerate_jet_warnings_match_reference():
@@ -227,43 +258,53 @@ def test_degenerate_jet_warnings_match_reference():
             Jet((-0.3, 0, 0), (0.05, 1.0, 1.0))]
     report = singularity_certificate(sode, jets, depth=3)
     assert [w.split(" is")[0] for w in report.warnings] == ["jet 0", "jet 2"]
-    assert_same(report, reference_certificate(sode, jets, depth=3))
+    assert_agrees(report, reference_certificate(sode, jets, depth=3))
 
 
 def test_all_zero_algebraic_system_matches_reference():
     """Every tier of the first kind is a multiple of r1dot, so at r1dot = 0
-    the tower vanishes: every matrix is all zero, its basis the identity,
-    and no rank decision gives a margin."""
+    the tower vanishes: every system is all zero, its basis the identity,
+    no rank decision gives a margin, and the first such jet fails."""
     sode = associated("free_particle", "first")
     jets = [Jet((0.1, 0.2, 0.3), (0.0, -0.5, 2.0)), Jet((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))]
-    matrices, idx = algebraic_system(sode, jets, 3)
-    assert matrices.shape == (2, 9, len(idx)) and not np.any(matrices)
+    matrices, idx, _ = algebraic_system(sode, jets, 3)
+    assert matrices.shape == (2, 6, len(idx)) and not np.any(matrices)
     report = singularity_certificate(sode, jets, depth=3, seed=5)
     assert report.nullspace_dims == (6, 6)
     assert report.kept_margin_decades is None and report.cut_gap_decades is None
-    assert_same(report, reference_certificate(sode, jets, depth=3, seed=5))
+    assert not report.passed and report.counterexample["jet_index"] == 0
+    assert_agrees(report, reference_certificate(sode, jets, depth=3, seed=5))
+
+
+def same_span(a, b):
+    """Whether the rows of two orthonormal bases span the same space."""
+    return len(a) == len(b) and np.allclose(a @ b.T @ b, a, atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_stacked_pieces_match_their_one_jet_case(kind):
     """The stacked tower and algebraic systems are, jet by jet, the one-jet
-    stacks and the reference's matrices; Phi and nabla^k Phi are their
-    members."""
+    stacks; Phi and nabla^k Phi are the tower's members, and the tower is
+    the reference's.  An algebraic system has n - 1 blocks of rows and the
+    nullspace of the reference's system of every tier."""
     sode = associated("vertical_disk", kind)
     jets = command_jets("vertical_disk", 7, 3)
     stack = psi_stack(sode, jets, 4)
-    matrices, idx = algebraic_system(sode, jets, 4)
+    matrices, idx, c_svals = algebraic_system(sode, jets, 4)
     bases, svals = nullspace(matrices)
+    assert matrices.shape == (7, 3 * 6, len(idx))
     for jdx, jet in enumerate(jets):
         one = psi_stack(sode, [jet], 4)[0]
         assert one.tobytes() == stack[jdx].tobytes()
         assert phi(sode, jet).tobytes() == one[0].tobytes()
         assert nabla_phi(sode, jet, 3).tobytes() == one[3].tobytes()
         assert np.array(reference_psi_stack(sode, jet, 4)).tobytes() == one.tobytes()
-        matrix, _ = reference_algebraic_system(sode, jet, 4)
+        (matrix,), _, (c,) = algebraic_system(sode, [jet], 4)
         assert matrix.tobytes() == matrices[jdx].tobytes()
-        assert reference_nullspace(matrix)[0].tobytes() == bases[jdx].tobytes()
+        assert c.tobytes() == c_svals[jdx].tobytes()
         assert np.linalg.svd(matrix)[1].tobytes() == svals[jdx].tobytes()
+        reference, _ = reference_nullspace(reference_algebraic_system(sode, jet, 4)[0])
+        assert same_span(bases[jdx], reference)
 
 
 def tower_error(sode, r1, depth):
@@ -417,18 +458,123 @@ def test_series_tower_matches_a_50_digit_referee(name, kind, depth):
 # --- margins --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("depth,low,high", [(3, 7.0, math.inf), (16, -math.inf, 3.0)])
-def test_knife_edge_kept_margin_shrinks_with_depth(depth, low, high):
-    """The knife edge's smallest kept singular value sits 7 or more decades
-    above the rank cut at depth 3, and under 3 decades at depth 16: the
-    borderline rank decision the report now shows."""
-    report = singularity_certificate(associated("knife_edge", "first"),
-                                     command_jets("knife_edge", 50, 0), depth=depth)
-    assert report.passed
-    assert low <= report.kept_margin_decades < high
-    for margin in (report.kept_margin_decades, report.cut_gap_decades,
-                   report.det_margin_decades):
-        assert margin is not None and math.isfinite(margin) and margin > 0.0
+@pytest.mark.parametrize("depth", [3, 16, 24, 32])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_kept_margin_holds_with_depth(name, depth):
+    """C's second singular value sits 6 or more decades above the rank cut
+    at every depth, where the full tower's smallest kept singular value fell
+    under 3 decades on the knife edge at depth 16 and refuted at 32."""
+    for seed in (0, 1, 2):
+        report = singularity_certificate(associated(name, "first"),
+                                         command_jets(name, 50, seed), depth=depth, seed=seed)
+        assert report.passed
+        assert report.kept_margin_decades >= 6.0
+        for margin in (report.cut_gap_decades, report.det_margin_decades):
+            assert margin is not None and math.isfinite(margin) and margin > 0.0
+
+
+# --- the lemma, in exact arithmetic ---------------------------------------------------
+
+
+def rational_nullspace(rows, width):
+    """A basis of the x with row . x = 0 for every row, exact: one member per
+    free column of the reduced row echelon form."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(width):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col] != 0), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col] != 0:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[k])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(width) if col not in pivots):
+        x = [Fraction(0)] * width
+        x[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            x[col] = -rows[k][free]
+        basis.append(x)
+    return basis
+
+
+def rational_det(matrix):
+    """The determinant of a square matrix of Fractions, by elimination."""
+    m = [list(row) for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        r = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != col:
+            m[col], m[r] = m[r], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            factor = m[i][col] / m[col][col]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
+    return det
+
+
+def first_kind_conditions(n, tiers, u1, u2):
+    """The rows of "g Psi_m is symmetric" on the entries of symmetric g, for
+    the first kind's tiers Psi_m = u1^(m+1) sum_a C[m, a] e_(1+a) w^T with
+    w = (u2, -u1, 0, ..., 0)."""
+    idx = sym_entry_index(n)
+    pos = {ij: c for c, ij in enumerate(idx)}
+    w = [u2, -u1] + [Fraction(0)] * (n - 2)
+    rows = []
+    for m, coeffs in enumerate(tiers):
+        psi = [[Fraction(0)] * n for _ in range(n)]
+        for a, coeff in enumerate(coeffs):
+            psi[1 + a] = [u1 ** (m + 1) * coeff * x for x in w]
+        for i, j in itertools.combinations(range(n), 2):
+            row = [Fraction(0)] * len(idx)
+            for k in range(n):
+                row[pos[min(i, k), max(i, k)]] += psi[k][j]
+                row[pos[min(j, k), max(j, k)]] -= psi[k][i]
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_lemma_in_exact_arithmetic(n):
+    """At rational velocities with u1 != 0, where C has rank r >= 2 every
+    member of the conditions' rational nullspace is singular, and where
+    r = 1 some member is regular.  With N_1..N_k the nullspace basis,
+    det(sum_i t_i N_i) is a polynomial of degree n in t, so it is zero
+    everywhere exactly when it is zero at the integer points t >= 0 with
+    sum t <= n, which determine such a polynomial."""
+    stream = Random(n)
+    u1, u2 = Fraction(3, 2), Fraction(-2, 5)
+    sym = [(min(i, j), max(i, j)) for i in range(n) for j in range(n)]
+    for r in range(1, n):
+        while True:  # r independent tiers of small integers, and their sum
+            tiers = [[Fraction(stream.randint(-3, 3)) for _ in range(n - 1)] for _ in range(r)]
+            if len(rational_nullspace(tiers, n - 1)) == n - 1 - r:
+                break
+        tiers.append([sum(column) for column in zip(*tiers)])
+        basis = rational_nullspace(first_kind_conditions(n, tiers, u1, u2), n * (n + 1) // 2)
+        pos = {ij: c for c, ij in enumerate(sym_entry_index(n))}
+        members = [[[x[pos[ij]] for ij in sym[i * n:(i + 1) * n]] for i in range(n)]
+                   for x in basis]
+        dets = []
+        for point in itertools.combinations_with_replacement(range(len(basis) + 1), n):
+            t = [point.count(i) for i in range(len(basis))]
+            g = [[sum(ti * m[i][j] for ti, m in zip(t, members)) for j in range(n)]
+                 for i in range(n)]
+            dets.append(rational_det(g))
+            if r == 1 and dets[-1] != 0:
+                break
+        assert basis
+        if r == 1:
+            assert dets[-1] != 0, "no regular member where rank C = 1"
+        else:
+            assert not any(dets), (n, r)
 
 
 # --- zero evidence ----------------------------------------------------------------

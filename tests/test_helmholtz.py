@@ -372,7 +372,7 @@ def test_algebraic_system_depth1_free_sode_unconstrained(free_particle):
     """Every tier is a multiple of r1dot, so at r1dot = 0 the first kind
     puts no condition on g."""
     sode = first_associated(free_particle)
-    (matrix,), idx = algebraic_system(sode, [Jet((0, 0, 0), (0, 1, 1))], depth=1)
+    (matrix,), idx, _ = algebraic_system(sode, [Jet((0, 0, 0), (0, 1, 1))], depth=1)
     assert np.all(matrix == 0.0)
     assert len(nullspace(matrix[None])[0][0]) == len(idx)  # no constraints at all
 
@@ -382,7 +382,7 @@ def test_algebraic_system_free_particle_solution_space(free_particle):
     x' g12 = -y' g22."""
     sode = first_associated(free_particle)
     jet = Jet((1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
-    (matrix,), idx = algebraic_system(sode, [jet], depth=2)
+    (matrix,), idx, _ = algebraic_system(sode, [jet], depth=2)
     (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 2
     pos = {ij: c for c, ij in enumerate(idx)}
@@ -400,7 +400,7 @@ def test_algebraic_system_disk_solution_space(vertical_disk):
     g13 = -(theta'/phi') g23, g14 = -(theta'/phi') g24."""
     sode = first_associated(vertical_disk)
     jet = Jet((0.7, 0.2, 0.1, -0.3), (1.1, 0.8, 0.5, 0.4))
-    (matrix,), idx = algebraic_system(sode, [jet], depth=3)
+    (matrix,), idx, _ = algebraic_system(sode, [jet], depth=3)
     (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 5
     pos = {ij: c for c, ij in enumerate(idx)}
@@ -425,13 +425,12 @@ def test_singularity_certificate_first_kind(any_system, stream):
 
 
 def test_certificate_refuted_for_variational_system(free_particle, stream):
-    """The second kind is variational, so a regular multiplier must appear."""
+    """The second kind is variational, so the certificate, whose lemma holds
+    for the first kind alone, must not certify it: it refuses the kind."""
     sode = second_associated(free_particle)
     jets = generic_jets(free_particle, 10, stream)
-    report = singularity_certificate(sode, jets, depth=3, seed=7)
-    assert not report.passed
-    assert report.counterexample is not None
-    assert report.counterexample["abs_det"] > 1e-10
+    with pytest.raises(ValueError, match="holds for kind 'first', not 'second'"):
+        singularity_certificate(sode, jets, depth=3, seed=7)
 
 
 def test_certificate_warns_on_degenerate_jets(free_particle):
