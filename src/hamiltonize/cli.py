@@ -376,8 +376,7 @@ def _multiplier_conditions(sode2, model: LagrangianModel, jets: list[Jet]) -> di
 
 def _certificate(sys_: SystemSpec, manifest: RunManifest, jets: list[Jet]) -> dict:
     """The first associated system's singularity certificate at ``jets``."""
-    return _fields(singularity_certificate(first_associated(sys_), jets, depth=manifest.depth,
-                                           seed=manifest.seed))
+    return _fields(singularity_certificate(first_associated(sys_), jets, depth=manifest.depth))
 
 
 def cmd_helmholtz_check(manifest: RunManifest) -> int:

@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10  # a singular value counts toward the rank above RANK_RTOL * the largest
-DET_TOL = 1e-10  # a normalized nullspace member with |det| at or above this is regular
+DET_TOL = 1e-10  # a normalized nullspace basis member with |det| at or above this is regular
 JET_BLOCK = 64  # jets per stack of the certificate; bounds the memory of its SVDs
 RESIDUAL_TOL = 1e-8  # the multiplier conditions pass with every residual below this
 FD_STEP = 1e-4  # base step of the residuals' central differences of a field without slopes
@@ -267,40 +267,45 @@ def sym_entry_index(n: int) -> list[tuple[int, int]]:
 
 
 def algebraic_system(sode, jets: Sequence[Jet], depth: int = 3
-                     ) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+                     ) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray, np.ndarray]:
     """The conditions "g Psi is symmetric" of the tower's first ``depth``
     members at each jet, as a (jets, rows, columns) stack of linear systems
-    on the entries of symmetric g in ``sym_entry_index`` order; and the
-    singular values of each jet's equilibrated C, (jets, min(depth, n - 1)).
+    on the entries of symmetric g in ``sym_entry_index`` order; the
+    singular values of each jet's equilibrated C, (jets, min(depth, n - 1));
+    and the rank of each jet's C, (jets,).
 
     As tier m is u1^(m+1) sum_a C[m, a] B_a(u), the rows say "u1 g B(y) is
     symmetric", B(y) = sum_a y_a B_a(u), for an orthonormal basis y of C's
     row space, a block of rows per member, padded with zero blocks to n - 1.
-    C's columns, then its rows, are scaled by their largest entry, and one
-    stacked SVD decides its rank at ``RANK_RTOL``.  The basis complements
-    the equilibrated nullspace mapped back as x = x1 / col and normalized;
-    the row basis mapped back would be badly scaled where the columns
-    differ by many decades.
+    C's columns (those below the smallest normal float, which only
+    underflow gives, count as zero), then its rows, are scaled by their
+    largest entry, and one stacked SVD decides its rank at ``RANK_RTOL``.
+    The basis complements the equilibrated nullspace mapped back as x = x1
+    / col, each member scaled by a power of two to a largest entry in (1/2,
+    2), so none overflows or underflows to zero; the row basis mapped back
+    would be badly scaled where the columns differ by many decades.
     """
     n = sode.n
     cols = _band_columns(sode)
     tiers = sode.phi_tiers([jet.r1 for jet in jets], depth).transpose(2, 0, 1)
     col = np.max(np.abs(tiers), axis=1, keepdims=True)
-    col[col == 0.0] = 1.0
-    scaled = tiers / col
+    zero = col < np.finfo(float).tiny
+    col[zero] = 1.0
+    scaled = np.where(zero, 0.0, tiers / col)
     row = np.max(np.abs(scaled), axis=2, keepdims=True)
     row[row == 0.0] = 1.0
     _, c_svals, vt = np.linalg.svd(scaled / row)
-    rank = np.sum(c_svals > RANK_RTOL * c_svals[:, :1], axis=1).reshape(-1, 1, 1)
+    rank = np.sum(c_svals > RANK_RTOL * c_svals[:, :1], axis=1)
+    (mantissa, power), (col_mantissa, col_power) = np.frexp(vt), np.frexp(col)
+    power = np.where(mantissa == 0.0, -2**20, power - col_power)  # x1 / col = mantissas * 2^power
+    null = np.ldexp(mantissa / col_mantissa, power - np.max(power, axis=2, keepdims=True))
     member = np.arange(n - 1).reshape(-1, 1)
-    null = vt * (np.min(col, axis=2, keepdims=True) / col)  # x1 / col, scaled not to overflow
-    norm = np.linalg.norm(null, axis=2, keepdims=True)
-    null = np.where(member >= rank, null / np.where(norm > 0.0, norm, 1.0), 0.0)
-    basis = np.where(member >= n - 1 - rank, np.linalg.svd(null)[2], 0.0)
+    null = np.where(member >= rank.reshape(-1, 1, 1), null, 0.0)
+    basis = np.where(member >= n - 1 - rank.reshape(-1, 1, 1), np.linalg.svd(null)[2], 0.0)
     gb = np.einsum("cik,jbkl->jbcil", _sym_basis(n), _banded(jets, cols, basis, [0] * (n - 1)))
     upper = np.triu_indices(n, 1)
     rows = (gb - gb.swapaxes(-1, -2))[..., upper[0], upper[1]].swapaxes(2, 3)
-    return rows.reshape(len(jets), -1, rows.shape[-1]), sym_entry_index(n), c_svals
+    return rows.reshape(len(jets), -1, rows.shape[-1]), sym_entry_index(n), c_svals, rank
 
 
 @functools.cache
@@ -327,23 +332,25 @@ def nullspace(matrices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 class CertificateReport:
     """Outcome of the no-regular-multiplier certificate over sampled jets.
 
-    By the lemma of the module docstring (kind first, u1 != 0, n >= 3), a
-    jet passes when u1 != 0 and its equilibrated C has rank >= 2; the
-    certificate passes when every jet does and every normalized nullspace
-    member of the algebraic systems has |det| below ``det_tol``
-    (``DET_TOL``).  ``seed`` is the seed of the jet sample.  The margins
-    are in decades and left out when no jet gives one: the smallest kept
-    margin ``log10(s_2 / (rtol s_1))`` of C's second singular value over
-    the passing jets and the lowest jet index giving it, the smallest cut
-    gap ``log10(rtol s_max / s_dropped)`` of the systems' first dropped
-    singular value where it is nonzero, and the determinant margin
-    ``log10(det_tol / max_normalized_det)``.  The counterexample is the
-    lowest failing jet: its index, q, qdot and C's singular values.
+    The verdict rests on the lemma of the module docstring (kind first,
+    u1 != 0, n >= 3): a jet passes when u1 != 0 and its equilibrated C has
+    rank >= 2, and the certificate when every jet does and every normalized
+    nullspace basis member of the algebraic systems (not their
+    combinations) has |det| below ``det_tol``.  The margins are in decades
+    and left out when no jet gives one: the smallest kept margin
+    ``log10(s_2 / (rtol s_1))`` of C's second singular value over the
+    passing jets and the lowest jet index giving it, the smallest cut gap
+    ``log10(rtol s_max / s_dropped)`` of the systems' first dropped
+    singular value where it is nonzero, and ``log10(det_tol /
+    max_normalized_det)``.  The counterexample is the lowest failing jet,
+    else the jet of the largest regular |det|: index, q, qdot and C's
+    singular values.  A warning names each jet with |r1dot| < 0.1, whose
+    system entries in u1 near the rank cut may change its nullspace
+    dimension, though not the verdict.
     """
 
     passed: bool
     depth: int
-    seed: int
     det_tol: float
     nullspace_dims: tuple[int, ...]
     max_normalized_det: float
@@ -363,53 +370,50 @@ def _smallest(margins) -> tuple[float | None, int | None]:
     return min(((v, key) for v, key in logs if math.isfinite(v)), default=(None, None))
 
 
-def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3,
-                            seed: int = 0) -> CertificateReport:
+def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3) -> CertificateReport:
     """Certify (or refute) that no regular multiplier of the first associated
     system ``sode`` survives its tower's first ``depth`` members at the
     sampled jets, deciding each jet on C (see ``CertificateReport``).
 
     The sample is evaluated in stacks of up to ``JET_BLOCK`` jets, each one
     ``algebraic_system``, one ``nullspace`` and one stacked determinant of
-    the nullspace members, as symmetric matrices with largest entry one, so
-    memory stays bounded however many jets there are.  Any kind but first
-    raises ValueError, since the lemma does not hold there (the second kind
-    is variational); so does a negative seed, since ``Random(-s)`` draws
-    the sample of ``Random(s)``.
+    its basis members, so memory stays bounded however many jets there
+    are.  Any kind but first raises ValueError: the lemma does not hold
+    there (the second kind is variational).
     """
     if not jets:
         raise ConfigError("the singularity certificate needs at least one jet")
     if sode.kind != "first":
         raise ValueError(f"the singularity certificate holds for kind 'first', not {sode.kind!r}")
-    if seed < 0:
-        raise ValueError(f"a seed must be >= 0, got {seed}")
-    warnings = [f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
-                "rank decisions may be unreliable"
-                for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1]
-    dims, kept, gaps = [], [], []  # kept, gaps: (jet index, (a, b)) of the margins log10(a / b)
-    worst, counterexample = 0.0, None
+    warnings = [f"jet {jdx} is near-degenerate (small r1dot); nullspace_dims may be unreliable"
+                for jdx, jet in enumerate(jets) if abs(jet.r1dot) < 0.1]
+    dims, kept, gaps, dets = [], [], [], []  # kept, gaps: (jet index, (a, b)) of log10(a / b)
+    failing, c_values = None, []
     for first in range(0, len(jets), JET_BLOCK):
         stack = jets[first:first + JET_BLOCK]
-        matrices, idx, c_svals = algebraic_system(sode, stack, depth)
-        bases, svals = nullspace(matrices)
+        matrices, idx, c_svals, ranks = algebraic_system(sode, stack, depth)
+        bases, sv = nullspace(matrices)
         g = np.einsum("mc,cij->mij", np.concatenate(bases), _sym_basis(sode.n))
         g /= np.max(np.abs(g), axis=(1, 2), keepdims=True)  # a basis member is never zero
-        worst = max(worst, float(np.max(np.abs(np.linalg.det(g)), initial=0.0)))
-        for jdx, (jet, c, s, basis) in enumerate(zip(stack, c_svals, svals, bases), first):
-            if jet.r1dot != 0.0 and len(c) > 1 and c[1] > RANK_RTOL * c[0]:
+        dets.append(np.abs(np.linalg.det(g)))
+        for jdx, (jet, c, r, s, basis) in enumerate(zip(stack, c_svals, ranks, sv, bases), first):
+            if jet.r1dot != 0.0 and r >= 2:
                 kept.append((jdx, (c[1], RANK_RTOL * c[0])))
-            elif counterexample is None:
-                counterexample = {"jet_index": jdx, "q": list(jet.q), "qdot": list(jet.qdot),
-                                  "c_singular_values": c.tolist()}
+            elif failing is None:
+                failing = jdx
             rank = len(idx) - len(basis)
             if rank < len(s):
                 gaps.append((jdx, (RANK_RTOL * s[0], s[rank])))
+        c_values += c_svals.tolist()
         dims += map(len, bases)
+    dets = np.concatenate(dets)
+    worst = float(np.max(dets, initial=0.0))
+    if failing is None and worst >= DET_TOL:  # the jet of the largest |det|
+        failing = int(np.repeat(np.arange(len(jets)), dims)[np.argmax(dets)])
     kept_margin, kept_jet = _smallest(kept)
     return CertificateReport(
-        passed=counterexample is None and worst < DET_TOL,
+        passed=failing is None,
         depth=depth,
-        seed=seed,
         det_tol=DET_TOL,
         nullspace_dims=tuple(dims),
         max_normalized_det=worst,
@@ -418,5 +422,7 @@ def singularity_certificate(sode, jets: Sequence[Jet], depth: int = 3,
         cut_gap_decades=_smallest(gaps)[0],
         det_margin_decades=_smallest([(0, (DET_TOL, worst))])[0],
         warnings=tuple(warnings),
-        counterexample=counterexample,
+        counterexample=None if failing is None else {
+            "jet_index": failing, "q": list(jets[failing].q), "qdot": list(jets[failing].qdot),
+            "c_singular_values": c_values[failing]},
     )

@@ -102,9 +102,9 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
     worst = 0.0
     counterexample = None
     for jdx, jet in enumerate(jets):
-        if abs(jet.r1dot) < 0.1 or abs(jet.r2dot) < 0.1:
-            warnings.append(f"jet {jdx} is near-degenerate (small r1dot or r2dot); "
-                            "rank decisions may be unreliable")
+        if abs(jet.r1dot) < 0.1:
+            warnings.append(f"jet {jdx} is near-degenerate (small r1dot); "
+                            "nullspace_dims may be unreliable")
         matrix, idx = reference_algebraic_system(sode, jet, depth)
         basis, jet_margins = reference_nullspace(matrix)
         margins += [(kind, value, jdx) for kind, value in jet_margins]
@@ -131,7 +131,7 @@ def reference_certificate(sode, jets, depth=3, seed=0, det_tol=1e-10, combos=8):
         return min(((v, jdx) for k, v, jdx in margins if k == kind), default=(None, None))
 
     return CertificateReport(
-        passed=counterexample is None, depth=depth, seed=seed, det_tol=det_tol,
+        passed=counterexample is None, depth=depth, det_tol=det_tol,
         nullspace_dims=tuple(dims), max_normalized_det=worst,
         kept_margin_decades=smallest("kept")[0], kept_margin_jet=smallest("kept")[1],
         cut_gap_decades=smallest("gap")[0],
@@ -184,9 +184,9 @@ def test_stacked_certificate_matches_per_jet_reference(name, kind, depth):
             if kind == "second":
                 assert not expected.passed and expected.counterexample["abs_det"] >= 1e-10
                 with pytest.raises(ValueError, match="holds for kind 'first'"):
-                    singularity_certificate(sode, jets, depth=depth, seed=seed)
+                    singularity_certificate(sode, jets, depth=depth)
                 continue
-            report = singularity_certificate(sode, jets, depth=depth, seed=seed)
+            report = singularity_certificate(sode, jets, depth=depth)
             assert_agrees(report, expected)
             assert report.passed == (depth > 1)
             assert report.max_normalized_det < 1e-10 or not report.passed
@@ -208,12 +208,12 @@ def test_blocks_of_jets_match_per_jet_reference(monkeypatch, block):
              ("free_particle", command_jets("free_particle", 10, 7), 1),
              ("vertical_disk", with_tower_vanishing_at(
                  command_jets("vertical_disk", 2 * JET_BLOCK + 3, 2), JET_BLOCK + 5), 3)]
-    whole = [singularity_certificate(associated(name, "first"), jets, depth=depth, seed=2)
+    whole = [singularity_certificate(associated(name, "first"), jets, depth=depth)
              for name, jets, depth in cases]
     monkeypatch.setattr(helmholtz, "JET_BLOCK", block)
     for (name, jets, depth), expected in zip(cases, whole):
         sode = associated(name, "first")
-        report = singularity_certificate(sode, jets, depth=depth, seed=2)
+        report = singularity_certificate(sode, jets, depth=depth)
         assert repr(report) == repr(expected)  # repr prints every float exactly
         assert_agrees(report, reference_certificate(sode, jets, depth=depth, seed=2))
     assert whole[2].counterexample["jet_index"] == JET_BLOCK + 5
@@ -249,16 +249,22 @@ def test_second_kind_counterexample_matches_reference():
     expected = reference_certificate(sode, jets, depth=3, seed=7)
     assert not expected.passed and expected.counterexample["abs_det"] > 1e-10
     with pytest.raises(ValueError, match="holds for kind 'first', not 'second'"):
-        singularity_certificate(sode, jets, depth=3, seed=7)
+        singularity_certificate(sode, jets, depth=3)
 
 
 def test_degenerate_jet_warnings_match_reference():
+    """Small r1dot warns; small r2dot does not, as C reads r1 alone: jet 0
+    keeps the margin it has at r2dot = 1."""
     sode = associated("free_particle", "first")
     jets = [Jet((1.0, 0, 0), (1.0, 0.01, 0.0)), Jet((0.5, 0.2, 0.1), (1.2, -0.7, 0.9)),
             Jet((-0.3, 0, 0), (0.05, 1.0, 1.0))]
     report = singularity_certificate(sode, jets, depth=3)
-    assert [w.split(" is")[0] for w in report.warnings] == ["jet 0", "jet 2"]
+    assert [w.split(" is")[0] for w in report.warnings] == ["jet 2"]
     assert_agrees(report, reference_certificate(sode, jets, depth=3))
+    generic = Jet((1.0, 0, 0), (1.0, 1.0, 0.0))
+    margins = [singularity_certificate(sode, [jet]).kept_margin_decades
+               for jet in (jets[0], generic)]
+    assert margins[0] == margins[1]
 
 
 def test_all_zero_algebraic_system_matches_reference():
@@ -267,13 +273,52 @@ def test_all_zero_algebraic_system_matches_reference():
     no rank decision gives a margin, and the first such jet fails."""
     sode = associated("free_particle", "first")
     jets = [Jet((0.1, 0.2, 0.3), (0.0, -0.5, 2.0)), Jet((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))]
-    matrices, idx, _ = algebraic_system(sode, jets, 3)
+    matrices, idx, _, _ = algebraic_system(sode, jets, 3)
     assert matrices.shape == (2, 6, len(idx)) and not np.any(matrices)
-    report = singularity_certificate(sode, jets, depth=3, seed=5)
+    report = singularity_certificate(sode, jets, depth=3)
     assert report.nullspace_dims == (6, 6)
     assert report.kept_margin_decades is None and report.cut_gap_decades is None
     assert not report.passed and report.counterexample["jet_index"] == 0
     assert_agrees(report, reference_certificate(sode, jets, depth=3, seed=5))
+
+
+def test_regular_basis_member_names_its_jet(monkeypatch):
+    """Where every jet passes on C but a nullspace basis member is regular,
+    the certificate fails and its counterexample is that member's jet."""
+    sode = associated("knife_edge", "first")
+    jets = command_jets("knife_edge", 5, 0)
+    identity = np.array([[1.0 if i == j else 0.0 for i, j in sym_entry_index(sode.n)]])
+    exact = helmholtz.nullspace
+
+    def with_regular_member(matrices):
+        bases, svals = exact(matrices)
+        bases[3] = np.concatenate([bases[3], identity])
+        return bases, svals
+
+    monkeypatch.setattr(helmholtz, "nullspace", with_regular_member)
+    report = singularity_certificate(sode, jets, depth=3)
+    assert report.kept_margin_decades is not None and report.max_normalized_det == 1.0
+    assert not report.passed and report.counterexample["jet_index"] == 3
+
+
+def test_nullspace_of_c_maps_back_across_any_column_scales(monkeypatch):
+    """C's columns at 1e-300 and 1e100 give the system that unit columns
+    give: its nullspace (0, 1, -1) mapped back as x1 / col neither overflows
+    nor underflows to a zero vector, whose direction would join the row
+    basis."""
+    sode = first_associated(builtin_system("vertical_disk"))
+    jets = command_jets("vertical_disk", 3, 0)
+    unit = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+
+    def bases(scale):
+        tiers = np.repeat((unit * scale)[:, :, None], len(jets), axis=2)
+        monkeypatch.setattr(type(sode), "phi_tiers", lambda self, r1, depth: tiers)
+        matrices, _, _, rank = algebraic_system(sode, jets, 2)
+        assert list(rank) == [2] * len(jets)
+        return nullspace(matrices)[0]
+
+    for spread, unscaled in zip(bases(np.array([1e-300, 1e100, 1e100])), bases(1.0)):
+        assert same_span(spread, unscaled)
 
 
 def same_span(a, b):
@@ -290,7 +335,7 @@ def test_stacked_pieces_match_their_one_jet_case(kind):
     sode = associated("vertical_disk", kind)
     jets = command_jets("vertical_disk", 7, 3)
     stack = psi_stack(sode, jets, 4)
-    matrices, idx, c_svals = algebraic_system(sode, jets, 4)
+    matrices, idx, c_svals, c_rank = algebraic_system(sode, jets, 4)
     bases, svals = nullspace(matrices)
     assert matrices.shape == (7, 3 * 6, len(idx))
     for jdx, jet in enumerate(jets):
@@ -299,9 +344,9 @@ def test_stacked_pieces_match_their_one_jet_case(kind):
         assert phi(sode, jet).tobytes() == one[0].tobytes()
         assert nabla_phi(sode, jet, 3).tobytes() == one[3].tobytes()
         assert np.array(reference_psi_stack(sode, jet, 4)).tobytes() == one.tobytes()
-        (matrix,), _, (c,) = algebraic_system(sode, [jet], 4)
+        (matrix,), _, (c,), (rank,) = algebraic_system(sode, [jet], 4)
         assert matrix.tobytes() == matrices[jdx].tobytes()
-        assert c.tobytes() == c_svals[jdx].tobytes()
+        assert c.tobytes() == c_svals[jdx].tobytes() and rank == c_rank[jdx]
         assert np.linalg.svd(matrix)[1].tobytes() == svals[jdx].tobytes()
         reference, _ = reference_nullspace(reference_algebraic_system(sode, jet, 4)[0])
         assert same_span(bases[jdx], reference)
@@ -466,7 +511,7 @@ def test_kept_margin_holds_with_depth(name, depth):
     under 3 decades on the knife edge at depth 16 and refuted at 32."""
     for seed in (0, 1, 2):
         report = singularity_certificate(associated(name, "first"),
-                                         command_jets(name, 50, seed), depth=depth, seed=seed)
+                                         command_jets(name, 50, seed), depth=depth)
         assert report.passed
         assert report.kept_margin_decades >= 6.0
         for margin in (report.cut_gap_decades, report.det_margin_decades):

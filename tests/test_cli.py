@@ -614,7 +614,7 @@ def test_simulate_runs_the_last_formulation_given(tmp_path):
 # the key order of the reports, which is the field order of the report classes
 CONDITION_KEYS = ["gdot_symmetry", "nabla_condition", "phi_condition", "min_abs_det",
                   "tolerance", "n_jets", "passed"]
-CERTIFICATE_KEYS = ["passed", "depth", "seed", "det_tol", "nullspace_dims",
+CERTIFICATE_KEYS = ["passed", "depth", "det_tol", "nullspace_dims",
                     "max_normalized_det", "kept_margin_decades", "kept_margin_jet",
                     "cut_gap_decades", "det_margin_decades", "warnings"]
 COUNTEREXAMPLE_KEYS = ["jet_index", "q", "qdot", "c_singular_values"]
@@ -851,12 +851,16 @@ def test_knife_edge_certificate_passes_at_depth_32(tmp_path):
 
 def test_certificate_maps_back_columns_of_subnormal_scale(tmp_path, capsys):
     """With m = 1e-320 the disk's first tier column is some 1e-323 against
-    columns near 1, so C's nullspace mapped back through the column scales
-    must neither overflow nor underflow to a zero vector."""
+    columns near 1, where it is exactly 0 at unit parameters: a column of
+    underflow counts as zero, so every jet keeps the nullspace dimension 5
+    of unit parameters, and C's nullspace mapped back through the column
+    scales neither overflows nor underflows to a zero vector."""
     argv = ["certify", "--system", "vertical_disk", "--params", "m=1e-320",
             "--check", "singularity"]
     assert run_cli(argv, tmp_path) == 0
     assert capsys.readouterr().err == ""
+    (check,) = load_report(tmp_path, "vertical_disk_certify.json")["checks"]
+    assert set(check["details"]["nullspace_dims"]) == {5}
 
 
 def test_tower_domain_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -372,7 +372,7 @@ def test_algebraic_system_depth1_free_sode_unconstrained(free_particle):
     """Every tier is a multiple of r1dot, so at r1dot = 0 the first kind
     puts no condition on g."""
     sode = first_associated(free_particle)
-    (matrix,), idx, _ = algebraic_system(sode, [Jet((0, 0, 0), (0, 1, 1))], depth=1)
+    (matrix,), idx, _, _ = algebraic_system(sode, [Jet((0, 0, 0), (0, 1, 1))], depth=1)
     assert np.all(matrix == 0.0)
     assert len(nullspace(matrix[None])[0][0]) == len(idx)  # no constraints at all
 
@@ -382,7 +382,7 @@ def test_algebraic_system_free_particle_solution_space(free_particle):
     x' g12 = -y' g22."""
     sode = first_associated(free_particle)
     jet = Jet((1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
-    (matrix,), idx, _ = algebraic_system(sode, [jet], depth=2)
+    (matrix,), idx, _, _ = algebraic_system(sode, [jet], depth=2)
     (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 2
     pos = {ij: c for c, ij in enumerate(idx)}
@@ -400,7 +400,7 @@ def test_algebraic_system_disk_solution_space(vertical_disk):
     g13 = -(theta'/phi') g23, g14 = -(theta'/phi') g24."""
     sode = first_associated(vertical_disk)
     jet = Jet((0.7, 0.2, 0.1, -0.3), (1.1, 0.8, 0.5, 0.4))
-    (matrix,), idx, _ = algebraic_system(sode, [jet], depth=3)
+    (matrix,), idx, _, _ = algebraic_system(sode, [jet], depth=3)
     (basis,), _ = nullspace(matrix[None])
     assert len(basis) == 5
     pos = {ij: c for c, ij in enumerate(idx)}
@@ -417,7 +417,7 @@ def test_algebraic_system_disk_solution_space(vertical_disk):
 def test_singularity_certificate_first_kind(any_system, stream):
     sode = first_associated(any_system)
     jets = generic_jets(any_system, 50, stream)
-    report = singularity_certificate(sode, jets, depth=3, seed=7)
+    report = singularity_certificate(sode, jets, depth=3)
     assert report.passed, report
     assert report.max_normalized_det < 1e-10
     expected_dim = 2 if any_system.n == 3 else 5
@@ -430,11 +430,13 @@ def test_certificate_refuted_for_variational_system(free_particle, stream):
     sode = second_associated(free_particle)
     jets = generic_jets(free_particle, 10, stream)
     with pytest.raises(ValueError, match="holds for kind 'first', not 'second'"):
-        singularity_certificate(sode, jets, depth=3, seed=7)
+        singularity_certificate(sode, jets, depth=3)
 
 
 def test_certificate_warns_on_degenerate_jets(free_particle):
+    """Small r1dot shrinks the algebraic system's u1 entries toward the rank
+    cut; C, and the verdict, do not read r2dot, so small r2dot is generic."""
     sode = first_associated(free_particle)
-    jets = [Jet((1.0, 0, 0), (1.0, 0.01, 0.0))]  # r2dot ~ 0: non-generic
+    jets = [Jet((1.0, 0, 0), (0.01, 1.0, 0.0)), Jet((1.0, 0, 0), (1.0, 0.01, 0.0))]
     report = singularity_certificate(sode, jets, depth=3)
-    assert report.warnings
+    assert [w.split(" is")[0] for w in report.warnings] == ["jet 0"]

@@ -22,7 +22,6 @@ import hamiltonize
 from hamiltonize import sampling
 from hamiltonize.cli import main
 from hamiltonize.errors import ConfigError, EvaluationError
-from hamiltonize.helmholtz import singularity_certificate
 from hamiltonize.sampling import (
     BAND,
     MIN_COEFF,
@@ -31,7 +30,6 @@ from hamiltonize.sampling import (
     generic_jets,
     phase_points,
 )
-from hamiltonize.sode import first_associated
 from hamiltonize.systems import BUILTIN_NAMES, builtin_system, parse_system_file
 
 import sampling_oracle as referee
@@ -42,8 +40,7 @@ def test_samplers_draw_generic_reproducible_points():
     points for the same seed, at an r1 in [-1, 1) where every |A_a| is at
     least ``MIN_COEFF`` and N is defined, the other coordinates in [-1, 1),
     speeds of magnitude in ``SPEEDS`` with both signs, and constrained jets
-    on the constraint.  The certificate refuses a negative seed, which
-    ``Random`` would read as its absolute value."""
+    on the constraint."""
     speeds = {generic_jets: lambda jet: jet.qdot, phase_points: lambda ps: ps.p,
               constraint_jets: lambda jet: jet.qdot[:2]}
     for name in BUILTIN_NAMES:
@@ -62,9 +59,6 @@ def test_samplers_draw_generic_reproducible_points():
                 rates = [v for point in points for v in speed(point)]
                 assert all(SPEEDS[0] <= abs(v) < SPEEDS[1] for v in rates)
                 assert min(rates) < 0.0 < max(rates)
-    jets = generic_jets(sys_, 5, Random(0))
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        singularity_certificate(first_associated(sys_), jets, seed=-1)
 
 
 @pytest.mark.parametrize("argv", [
