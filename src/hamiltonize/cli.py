@@ -40,6 +40,7 @@ from .sampling import generic_jets, generic_r1
 from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
+    BUILTIN_PARAMS,
     Jet,
     SystemSpec,
     builtin_system,
@@ -53,6 +54,7 @@ from .systems import (
 from .variational import (
     LagrangianModel,
     PhaseState,
+    default_coefficients,
     euler_lagrange_ode,
     hamilton_ode,
     hamiltonian_value,
@@ -144,41 +146,32 @@ class RunManifest:
         else:
             sys_ = builtin_system(self.system_source, **system_params)
         for key in self.params:
-            if _is_model_constant(key) and not {"C": 2, "a": 3}[key[0]] <= int(key[1:]) <= sys_.n:
+            if _is_model_constant(key) and not _FIRST_INDEX[key[0]] <= int(key[1:]) <= sys_.n:
                 raise ConfigError(f"coefficient {key} out of range for this system")
         return sys_
 
     def model(self, sys_: SystemSpec, kind: str) -> LagrangianModel:
-        """The closed-form model of ``kind`` with the --params constants."""
-        return lagrangian_model(sys_, kind, self.model_coefficients(sys_, kind))
+        """The closed-form model of ``kind``: ``default_coefficients`` with
+        the --params constants of its kind set, C2=2.0 or a3=-0.7.  A key's
+        number less its ``_FIRST_INDEX`` is its slot, as ``load_system``
+        checked: C2 belongs to r2, C3/a3 to the first constrained coordinate."""
+        prefix = {"first": "C", "second": "a"}.get(kind)
+        coeffs = list(default_coefficients(sys_, kind))
+        for key, value in self.params.items():
+            if key[:1] == prefix and _is_model_constant(key):
+                coeffs[int(key[1:]) - _FIRST_INDEX[prefix]] = value
+        return lagrangian_model(sys_, kind, coeffs)
 
-    def model_coefficients(self, sys_: SystemSpec, kind: str):
-        """C_b / a_b overrides like C2=2.0 or a3=-0.7 from --params.
 
-        Indices follow coordinate numbering: C2 belongs to r2, C3/a3 to the
-        first constrained coordinate, and so on; the key's number minus one
-        is the index of a coordinate the preset model weights, as
-        ``load_system`` checked.
-        """
-        if kind == "variational":
-            return None
-        prefix = "C" if kind == "first" else "a"
-        picked = {k: v for k, v in self.params.items()
-                  if k.startswith(prefix) and _is_model_constant(k)}
-        if not picked:
-            return None
-        preset = lagrangian_model(sys_, kind)
-        slot = {b: i for i, (b, _) in enumerate(preset.terms)}
-        coeffs = list(preset.coefficients)
-        for key, value in picked.items():
-            coeffs[slot[int(key[1:]) - 1]] = value
-        return tuple(coeffs)
+# The number of the first coordinate a model constant can weight: C2 is r2's
+# (kind first), a3 the first s coordinate's (kind second).
+_FIRST_INDEX = {"C": 2, "a": 3}
 
 
 def _is_model_constant(key: str) -> bool:
     """C<n> or a<n>: a model constant of the first or second closed-form
     model.  isdecimal, not isdigit: int() rejects superscripts such as C²."""
-    return key[:1] in ("C", "a") and key[1:].isdecimal()
+    return key[:1] in _FIRST_INDEX and key[1:].isdecimal()
 
 
 def default_initial_jet(sys_: SystemSpec) -> Jet:
@@ -191,26 +184,22 @@ def default_initial_jet(sys_: SystemSpec) -> Jet:
 
 
 def build_initial_jet(sys_: SystemSpec, manifest: RunManifest) -> Jet:
+    """The preset jet with the --ic values set.  Its s velocities are slaved
+    to the constraint unless --ic sets one and --ic-on-constraint is off."""
     jet = default_initial_jet(sys_)
-    if manifest.ic:
-        q = list(jet.q)
-        qdot = list(jet.qdot)
-        for key, value in manifest.ic.items():
-            if key in sys_.names:
-                q[sys_.names.index(key)] = value
-            elif key[:1] == "d" and key[1:] in sys_.names:
-                qdot[sys_.names.index(key[1:])] = value
-            else:
-                raise ConfigError(f"unknown initial-condition key {key!r}")
-        jet = Jet(tuple(q), tuple(qdot))
-        explicit_sdot = any(k.startswith("d") and k[1:] in sys_.names[2:]
-                            for k in manifest.ic)
-        if not explicit_sdot:
-            # s velocities were not explicitly set: keep them on the constraint
-            jet = sys_.on_constraint(jet.q, jet.qdot[0], jet.qdot[1])
-    if manifest.ic_on_constraint:
-        jet = sys_.on_constraint(jet.q, jet.qdot[0], jet.qdot[1])
-    return jet
+    q, qdot = list(jet.q), list(jet.qdot)
+    explicit_sdot = False
+    for key, value in manifest.ic.items():
+        if key in sys_.names:
+            q[sys_.names.index(key)] = value
+        elif key[:1] == "d" and key[1:] in sys_.names:
+            qdot[sys_.names.index(key[1:])] = value
+            explicit_sdot |= key[1:] in sys_.names[2:]
+        else:
+            raise ConfigError(f"unknown initial-condition key {key!r}")
+    if explicit_sdot and not manifest.ic_on_constraint:
+        return Jet(tuple(q), tuple(qdot))
+    return sys_.on_constraint(tuple(q), qdot[0], qdot[1])
 
 
 def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
@@ -252,7 +241,7 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
     if formulation == "closed-form":
         if sys_.preset != "vertical_disk":
             raise ConfigError("closed-form trajectories exist only for the built-in vertical_disk")
-        radius = manifest.params.get("R", 1.0)
+        radius = manifest.params.get("R", BUILTIN_PARAMS["vertical_disk"]["R"])
         times = cfg.times
         states = np.array([disk_closed_form_state(radius, jet0, float(t)) for t in times])
         return Trajectory(times, states, sys_.names + tuple("d" + n for n in sys_.names),
@@ -279,17 +268,22 @@ def hamiltonian_drift_metrics(model: LagrangianModel, traj: Trajectory) -> dict:
 
 
 def _report(payload: dict, manifest: RunManifest, name: str) -> int:
-    """Print ``payload`` and write it to ``name``; the exit code of its
-    verdict, a certification failure where it says ``"passed": false``."""
+    """Write ``payload`` to ``name``, then print it; the exit code of its
+    verdict, a certification failure where it says ``"passed": false``.  A
+    reader that closed stdout gets nothing, and the verdict keeps its code:
+    stdout then points at the null device, so no later flush fails."""
     payload = {"tool": "hamiltonize", "version": __version__, **payload}
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
         raise EvaluationError(f"report {name} holds a non-finite value") from None
-    print(text)
     os.makedirs(manifest.out_dir, exist_ok=True)
     with open(os.path.join(manifest.out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if payload.get("passed", True) else EXIT_CERTIFICATION
 
 

@@ -191,19 +191,17 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
     stream = Random(seed)
     blocks = (phase_rows(model.system, min(POINT_BLOCK, count - start), stream)
               for start in range(0, count, POINT_BLOCK))
-    used = degenerate = near_zero = 0
-    max_dev = max_rel = max_grad = 0.0
+    results = []
     for rows in blocks:
         try:
-            block_used, block_degenerate, block_near_zero, dev, rel, grad = _check_block(
-                model, rows)
+            results.append(_check_block(model, rows))
         except (EvaluationError, ArithmeticError):
             for _ in blocks:  # a sampling error comes first, as when all points are drawn first
                 pass
             raise
-        used, degenerate = used + block_used, degenerate + block_degenerate
-        near_zero += block_near_zero
-        max_dev, max_rel, max_grad = max(max_dev, dev), max(max_rel, rel), max(max_grad, grad)
+    columns = list(zip(*results))
+    used, degenerate, near_zero = map(sum, columns[:3])
+    max_dev, max_rel, max_grad = (max(0.0, *maxima) for maxima in columns[3:])
     return OptimalControlReport(
         system=model.system.label, kind={v: k for k, v in MODEL_KINDS.items()}[model.kind],
         seed=seed, samples=count, evaluated=used, skipped_degenerate=degenerate,
@@ -216,49 +214,42 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
 def _check_block(model: LagrangianModel, points: np.ndarray) -> tuple:
     """The evaluated, degenerate and near-zero counts and the deviation,
     relative deviation and stationarity maxima of the points, the columns of
-    ``points``: one call of the array function, then the flagged members
-    alone."""
+    ``points``: one call of the array function, its flagged members
+    overwritten by ``_check_point``'s values, then one rule for every
+    member."""
     n = model.system.n
     with np.errstate(all="ignore"):
         values = _check_function(model)(points[0], list(points[n:]))
-    w = len(values) - 2 * n - 2  # the weight pairs come first
-    u0, (h1, h2), grads = values[w], values[w + n:w + n + 2], np.abs(values[w + n + 2:])
-    ok = np.abs(u0) >= U1_MIN
+        w = len(values) - 2 * n - 2  # the weight pairs come first
+        u1, (h1, h2) = np.array(values[w], dtype=float), values[w + n:w + n + 2]
+        dev = np.abs(h1 - h2)
+        rel, grad = dev / np.abs(h2), np.max(np.abs(values[w + n + 2:]), axis=0)
+    ok = np.abs(u1) >= U1_MIN
     for value in values:
         ok &= np.isfinite(value)
-    in_use = ok & (np.abs(u0) >= PONTRYAGIN_U1_MIN)
-    used, degenerate, near_zero = int(in_use.sum()), 0, int((ok & ~in_use).sum())
-    max_dev = max_rel = max_grad = 0.0
-    if used:
-        dev = np.abs(h1 - h2)[in_use]
-        max_dev, max_rel, max_grad = (float(dev.max()), float((dev / np.abs(h2[in_use])).max()),
-                                      float(grads[:, in_use].max()))
     for i in np.flatnonzero(~ok):
-        outcome = _check_point(model, PhaseState(tuple(points[:n, i]), tuple(points[n:, i])))
-        if outcome == "degenerate":
-            degenerate += 1
-        elif outcome == "near zero":
-            near_zero += 1
-        else:
-            used += 1
-            dev, rel, grad = outcome
-            max_dev, max_rel, max_grad = max(max_dev, dev), max(max_rel, rel), max(max_grad, grad)
-    return used, degenerate, near_zero, max_dev, max_rel, max_grad
+        ps = PhaseState(tuple(points[:n, i]), tuple(points[n:, i]))
+        u1[i], dev[i], rel[i], grad[i] = _check_point(model, ps)
+    used = np.abs(u1) >= PONTRYAGIN_U1_MIN
+    counts = int(used.sum()), int(np.isnan(u1).sum())
+    return (*counts, len(u1) - sum(counts),
+            *(float(np.max(x, initial=0.0, where=used)) for x in (dev, rel, grad)))
 
 
-def _check_point(model: LagrangianModel, ps: PhaseState) -> str | tuple[float, float, float]:
-    """The outcome at the point ``ps`` through the scalar functions, raising
-    their errors: ``"degenerate"``, ``"near zero"``, or its deviation,
-    relative deviation and largest gradient entry."""
+def _check_point(model: LagrangianModel, ps: PhaseState) -> tuple[float, float, float, float]:
+    """u_1, the deviation, the relative deviation and the largest gradient
+    entry at the point ``ps`` through the scalar functions, raising their
+    errors; u_1 is NaN where the optimal controls are undefined or not
+    finite, and the rest NaN where u_1 is NaN or ``|u_1| <
+    PONTRYAGIN_U1_MIN``."""
     try:
         u_star = optimal_controls(model, ps)
-        finite = all(map(math.isfinite, u_star))
     except EvaluationError:
-        finite = False
-    if not finite:
-        return "degenerate"
+        u_star = (math.nan,)
+    if not all(map(math.isfinite, u_star)):
+        return math.nan, math.nan, math.nan, math.nan
     if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
-        return "near zero"  # boundary region, reported elsewhere
+        return u_star[0], math.nan, math.nan, math.nan  # boundary region, reported elsewhere
     h1 = optimal_hamiltonian_value(model, ps, u_star)
     h2 = hamiltonian_value(model, ps)
     dev = abs(h1 - h2)
@@ -266,7 +257,7 @@ def _check_point(model: LagrangianModel, ps: PhaseState) -> str | tuple[float, f
     if not all(map(math.isfinite, (dev, *grads))):
         raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
                               f"p={list(ps.p)}")
-    return dev, dev / abs(h2), max(grads)
+    return u_star[0], dev, dev / abs(h2), max(grads)
 
 
 def _check_function(model: LagrangianModel):

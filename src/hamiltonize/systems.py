@@ -48,7 +48,10 @@ MEASURE_SAMPLES = 32
 COEFF_EPS = 1e-12
 # Levels of nesting a spec's expression may have.  Only the parser recurses
 # per level, so this bounds the size of what a spec asks every command to
-# differentiate and generate code for, not the depth of the stack.
+# differentiate and generate code for, not the depth of the stack.  That
+# cost is what it guards: unbounded, `certify --spec` took 0.47 s and 49 MB
+# on a sum of 500 sin(r1), 0.87 s and 99 MB on 2,000, and 5.4 s and 681 MB
+# on a sum of 20,000 r1 (peak RSS of one process each, 2-vCPU VM).
 MAX_EXPR_DEPTH = 500
 
 
@@ -239,30 +242,24 @@ class SystemSpec:
     def _validate_weight_overrides(self):
         """Overridden weights must solve the same log-slope equations as the
         (N, N*A) construction, checked at sampled points: those where every
-        weight and slope is defined and no weight is below 1e-9."""
+        weight and slope is defined and no weight is below 1e-9.  Values and
+        slopes are one order-1 Taylor series of defaults and overrides; a
+        constant subexpression that raises leaves every point undefined."""
         defaults = (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
-        table = ex.compile_table(x for d, o in zip(defaults, self.weight_exprs)
-                                 for x in (d, d.diff(), o, o.diff()))
-        checked = 0
-        for r1 in np.linspace(-1.3, 1.3, 17):
-            r1 = float(r1)
-            try:
-                values = table(r1)
-            except EvaluationError:
-                continue
-            entries = [values[i:i + 4] for i in range(0, len(values), 4)]
-            if any(abs(dv) < 1e-9 or abs(ov) < 1e-9 for dv, _, ov, _ in entries):
-                continue
-            for dv, dd, ov, od in entries:
-                slope = dd / dv
-                if abs(slope - od / ov) > 1e-9 * (1 + abs(slope)):
-                    raise ConfigError(
-                        "weight override has a different logarithmic slope "
-                        f"than the measure construction at r1={r1}"
-                    )
-            checked += 1
-        if checked == 0:
+        points = np.linspace(-1.3, 1.3, 17)
+        try:
+            value, slope = ex.series_table((*defaults, *self.weight_exprs))(points, 1)
+        except (ValueError, ZeroDivisionError, OverflowError):  # an operation on constants
+            value = slope = np.full((2 * len(defaults), len(points)), np.nan)
+        checked = (np.isfinite(value) & np.isfinite(slope) & (np.abs(value) >= 1e-9)).all(axis=0)
+        if not checked.any():
             raise ConfigError("weight overrides could not be validated on [-1.3, 1.3]")
+        with np.errstate(all="ignore"):
+            default, override = np.split(slope / value, 2)
+        wrong = checked & (np.abs(default - override) > 1e-9 * (1 + np.abs(default))).any(axis=0)
+        if wrong.any():
+            raise ConfigError("weight override has a different logarithmic slope "
+                              f"than the measure construction at r1={float(points[wrong][0])}")
 
     # compiled fast paths --------------------------------------------------
 
@@ -351,6 +348,15 @@ class _BuiltinSpec(SystemSpec):
         return self.label
 
 
+# The parameters of each built-in, with their defaults.
+BUILTIN_PARAMS = {
+    "free_particle": {},
+    "knife_edge": {"m": 1.0, "J": 1.0},
+    "vertical_disk": {"m": 1.0, "R": 1.0, "I": 1.0, "J": 1.0},
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
+
+
 def builtin_system(name: str, **params: float) -> SystemSpec:
     """Construct one of the built-in example systems.
 
@@ -362,41 +368,27 @@ def builtin_system(name: str, **params: float) -> SystemSpec:
     for key, value in params.items():
         if not 0 < value < math.inf:
             raise ConfigError(f"parameter {key} must be finite and positive, got {value}")
+    if name not in BUILTIN_PARAMS:
+        raise ConfigError(f"unknown built-in system {name!r}")
+    unknown = set(params) - set(BUILTIN_PARAMS[name])
+    if unknown:
+        raise ConfigError(f"unknown {name} parameters {sorted(unknown)}")
+    p = {**BUILTIN_PARAMS[name], **params}
     r1 = ex.var()
     if name == "free_particle":
-        if params:
-            raise ConfigError(f"unknown free_particle parameters {sorted(params)}")
         return _BuiltinSpec(1.0, 1.0, (1.0,), (r1,), ("x", "y", "z"), label=name)
     if name == "knife_edge":
-        m = params.pop("m", 1.0)
-        j = params.pop("J", 1.0)
-        if params:
-            raise ConfigError(f"unknown knife_edge parameters {sorted(params)}")
         # smooth weights: the default 1/sqrt(m + m*tan^2) is |cos|/sqrt(m),
         # whose corners sit exactly at the tan poles; the signed forms below
         # share its log-slopes and continue analytically through them.
-        root_m = math.sqrt(m)
+        root_m = math.sqrt(p["m"])
         weights = (ex.Cos(r1) / root_m, -(ex.Sin(r1) / root_m))
-        return _BuiltinSpec(
-            j, m, (m,), (-ex.Tan(r1),), ("phi", "x", "y"), label=name,
-            weight_exprs=weights,
-        )
-    if name == "vertical_disk":
-        m = params.pop("m", 1.0)
-        radius = params.pop("R", 1.0)
-        i = params.pop("I", 1.0)
-        j = params.pop("J", 1.0)
-        if params:
-            raise ConfigError(f"unknown vertical_disk parameters {sorted(params)}")
-        a1 = -(ex.const(radius) * ex.Cos(r1))
-        a2 = -(ex.const(radius) * ex.Sin(r1))
-        return _BuiltinSpec(
-            j, i, (m, m), (a1, a2), ("phi", "theta", "x", "y"), label=name
-        )
-    raise ConfigError(f"unknown built-in system {name!r}")
-
-
-BUILTIN_NAMES = ("free_particle", "knife_edge", "vertical_disk")
+        return _BuiltinSpec(p["J"], p["m"], (p["m"],), (-ex.Tan(r1),), ("phi", "x", "y"),
+                            label=name, weight_exprs=weights)
+    radius = ex.const(p["R"])
+    return _BuiltinSpec(p["J"], p["I"], (p["m"], p["m"]),
+                        (-(radius * ex.Cos(r1)), -(radius * ex.Sin(r1))),
+                        ("phi", "theta", "x", "y"), label=name)
 
 
 # --- invariant measure ------------------------------------------------------

@@ -157,6 +157,9 @@ class LagrangianModel:
         )
         if self.kind not in LAGRANGIAN_KINDS:
             raise ConfigError(f"unknown Lagrangian kind {self.kind!r}")
+        if self.kind == "second" and not self.system.constant_measure:
+            raise ConfigError(
+                "kind second is only defined for systems with constant invariant measure")
         if not all(map(math.isfinite, self.coefficients)):
             raise ConfigError(f"model coefficients must be finite, got {self.coefficients}")
         if self.kind == "first":
@@ -169,11 +172,6 @@ class LagrangianModel:
                 raise ConfigError("kind second needs one coefficient per s coordinate")
             if any(c == 0.0 for c in self.coefficients):
                 raise ConfigError("kind second requires all coefficients nonzero")
-            if not self.system.constant_measure:
-                raise ConfigError(
-                    "kind second is only defined for systems with constant "
-                    "invariant measure"
-                )
         elif self.coefficients:
             raise ConfigError("the variational Lagrangian has no free parameters")
 

@@ -321,6 +321,29 @@ def test_nullspace_of_c_maps_back_across_any_column_scales(monkeypatch):
         assert same_span(spread, unscaled)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND in CHANGES.md: algebraic_system maps C's nullspace back as x1 / col, "
+    "which multiplies roundoff in a small column's component by 1 / col"))
+def test_nullspace_of_c_mixing_columns_decades_apart_maps_back(monkeypatch):
+    """A nullspace member of C that mixes a column at 1e-300 with columns at
+    1e200 maps back to the direction that unit columns give: the reduced
+    system keeps the rank of the unit-column system (6), where the map-back
+    x1 / col leaves it at 5."""
+    sode = first_associated(builtin_system("vertical_disk"))
+    jets = command_jets("vertical_disk", 3, 0)
+    unit = np.array([[1.0, 1.0, 1.0], [-1.0, 2.0, 2.0]])
+
+    def system_ranks(scale):
+        tiers = np.repeat((unit * scale)[:, :, None], len(jets), axis=2)
+        monkeypatch.setattr(type(sode), "phi_tiers", lambda self, r1, depth: tiers)
+        matrices, idx, _, rank = algebraic_system(sode, jets, 2)
+        assert list(rank) == [2] * len(jets)
+        return [len(idx) - len(basis) for basis in nullspace(matrices)[0]]
+
+    assert system_ranks(1.0) == [6] * len(jets)
+    assert system_ranks(np.array([1e-300, 1e200, 1e200])) == [6] * len(jets)
+
+
 def same_span(a, b):
     """Whether the rows of two orthonormal bases span the same space."""
     return len(a) == len(b) and np.allclose(a @ b.T @ b, a, atol=1e-9)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -447,6 +449,9 @@ BAD_INPUTS = {
     # weights undefined at every checked point leave the override unchecked
     "spec-weights-undefined": (_weights_spec("ln(r1 - 2), ln(r1 - 2)"), 1,
                                "weight overrides could not be validated on [-1.3, 1.3]"),
+    # and so do weights with a constant part that raises wherever it is evaluated
+    "spec-weights-constant-raises": (_weights_spec("cos(r1) + ln(-1), -sin(r1)"), 1,
+                                     "weight overrides could not be validated on [-1.3, 1.3]"),
     # expressions nested past MAX_EXPR_DEPTH levels, which the parser reaches
     # by recursion for parentheses and minuses and by a loop for a sum
     "spec-nested-parentheses": (_deep_spec("(" * 3000 + "r1" + ")" * 3000), 1,
@@ -969,6 +974,29 @@ def test_non_finite_report_is_runtime_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "free_particle_measure.json").exists()
 
 
+@pytest.mark.parametrize("argv, name, code", [
+    (["simulate", "--system", "free_particle", "--t", "0.1"], "free_particle_nonholonomic.json", 0),
+    (["certify", "--system", "free_particle", "--params", "C2=1e300", "--samples", "20"],
+     "free_particle_certify.json", 3),
+])
+def test_closed_stdout_keeps_the_report_and_the_verdict(argv, name, code, tmp_path):
+    """A reader that closed stdout before the report is printed loses only
+    the printed copy: the report file is written, the verdict keeps its exit
+    code, and nothing reaches stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hamiltonize.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
+    assert load_report(tmp_path, name)["tool"] == "hamiltonize"
+
+
 def test_pontryagin_check(tmp_path):
     assert run_cli(
         ["pontryagin-check", "--system", "vertical_disk", "--kind", "g2",
@@ -1194,8 +1222,7 @@ def test_pontryagin_check_builds_one_model_from_params(tmp_path, monkeypatch):
     assert [m.coefficients for m in built] == [(1.0, 1.0)]
     built.clear()
     assert run_cli(base + ["--params", "C2=2,C3=-0.5"], tmp_path) == 0
-    assert built[-1].coefficients == (2.0, -0.5)
-    assert len(built) == 2  # the preset that maps C2, C3 to their slots, then the model
+    assert [m.coefficients for m in built] == [(2.0, -0.5)]  # the one model
 
 
 def _record_calls(monkeypatch, name, calls):
@@ -1226,8 +1253,7 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
         _record_calls(monkeypatch, name, evaluated)
     assert run_cli(["certify", "--system", "vertical_disk", "--check", "g2", "--samples", "20",
                     "--params", "a3=-0.7,a4=0.5"], tmp_path) == 0
-    preset = default_coefficients(builtin_system("vertical_disk"), "second")
-    assert built == [preset, (-0.7, 0.5)]  # one model, shared by both halves
+    assert built == [(-0.7, 0.5)]  # one model, shared by both halves
     assert {name for name, _ in evaluated} == {"hessian_field", "optimal_control_check"}
     assert {args[0].coefficients for _, args in evaluated} == {(-0.7, 0.5)}
 
@@ -1236,10 +1262,8 @@ def test_certify_g2_suite_checks_the_params_model(tmp_path, monkeypatch):
 def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     """certify builds each object once: its checks compile 2 distinct tables
     (the weights and the second associated system's rates; the Phi towers
-    are series, not tables) and no expression tuple twice, also on the
-    disk, which runs the g2 suite.  Building the knife edge compiles one
-    more, the table its weight overrides are checked on."""
-    overridden = builtin_system(name).weight_exprs is not None
+    and the knife edge's weight-override check are series, not tables) and
+    no expression tuple twice, also on the disk, which runs the g2 suite."""
     compiled = []
     original = expr.compile_table
 
@@ -1252,7 +1276,7 @@ def test_certify_compiles_each_table_once(name, tmp_path, monkeypatch):
     built = []
     _record_calls(monkeypatch, "second_associated", built)
     assert run_cli(["certify", "--system", name, "--samples", "20"], tmp_path) == 0
-    assert len(compiled) == 2 + overridden
+    assert len(compiled) == 2
     assert len(set(compiled)) == len(compiled)
     assert len(built) == 1
 

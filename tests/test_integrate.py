@@ -289,10 +289,8 @@ def test_aborts_inside_generated_kernels_match_numpy_rk4():
 # the distinct tables the runs of one built-in read: the nonholonomic one, the
 # first associated system's, the weights (second associated system,
 # Hamiltonians and first Lagrangian), the third associated system's where the
-# measure is constant (it runs only there), and A' (variational Lagrangian);
-# the knife edge's count adds the table its weight overrides are checked on
-# when it is built
-RUN_TABLES = {"free_particle": 4, "knife_edge": 5, "vertical_disk": 5}
+# measure is constant (it runs only there), and A' (variational Lagrangian)
+RUN_TABLES = {"free_particle": 4, "knife_edge": 4, "vertical_disk": 5}
 
 
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
@@ -329,6 +327,27 @@ def test_each_coefficient_table_is_compiled_once(name, monkeypatch):
     run_all([("variational", euler_lagrange_ode(lagrangian_model(system, "variational")),
               jet0.q + jet0.qdot)])
     assert len(compiled) == RUN_TABLES[name]
+
+
+@pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
+def test_table_block_is_reused_where_r1_repeats(name):
+    """Where r1'' = 0 the third stage's r1 is the second's, and each step's
+    first r1 is the last step's fourth: the nonholonomic, first and second
+    associated and first Lagrangian programs evaluate their table at most
+    2 steps + 1 times, with the states of a program that counts each
+    evaluation bit for bit."""
+    cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 10.0))
+    for label, rhs, y0 in _formulation_runs(name):
+        if label not in ("nonholonomic", "sode-first", "sode-second", "lagrangian-first"):
+            continue
+        parts, evaluations = rhs.parts, []
+        counted = expr.define_rhs(parts.state, parts.head, [*parts.table, "_count(r1)"],
+                                  parts.body, parts.outputs, **parts.bindings,
+                                  _count=evaluations.append)
+        columns = tuple(f"c{i}" for i in range(len(y0)))
+        states = integrate(rhs, y0, cfg, columns, label).states
+        assert integrate(counted, y0, cfg, columns, label).states.tobytes() == states.tobytes()
+        assert 0 < len(evaluations) <= 2 * cfg.steps + 1, label
 
 
 def test_float_loop_aborts_where_numpy_rk4_does():
