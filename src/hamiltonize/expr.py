@@ -43,10 +43,11 @@ right-hand sides, kept in parts (``define_rhs()``) for ``integrate`` to
 inline, and the optimal-control functions.  Each raises
 ``ExprDomainError``, naming the expression and the point, where a value is
 undefined (``ln`` of a non-positive number, division by zero, overflow) or
-not finite, instead of returning it.  Series evaluation gives non-finite
-entries outside the domain instead, and its caller decides.  So does the
-same code run on numpy arrays (``assign()``, ``ARRAY_GLOBALS``), as the
-optimal-control check runs it on a block of points, one member per point.
+not finite, instead of returning it.  Series and array code (``assign()``,
+``ARRAY_GLOBALS``, as the optimal-control check runs it, one member per
+point) give non-finite entries there instead, and the caller decides.  A
+constant part, with no ``r1`` in it, is one literal in every arithmetic,
+``nan`` where it is undefined or not finite (``_emit``).
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ class Expr(metaclass=_Interned):
         return fn
 
     def is_constant(self) -> bool:
-        """True when the derivative folds to the zero constant."""
-        d = self.diff()
-        return isinstance(d, Const) and d.value == 0.0
+        """True when the derivative's code is the literal zero: no
+        statements, and a value of 0.0 or -0.0."""
+        lines, (value,) = _emit((self.diff(),))
+        return not lines and value in ("(0.0)", "(-0.0)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +345,11 @@ def _domain_error(e: Expr, r1: float, exc: Exception | None = None) -> ExprDomai
 
 # --- compiler -------------------------------------------------------------
 
-# Python source of each interior node, over its fields in declaration order.
+# Python source of each node but Var, over its fields in declaration order.
 _PY = {
-    Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}", Pow: "{} ** {}",
-    Neg: "-{}", Sin: "sin({})", Cos: "cos({})", Tan: "tan({})", ExpF: "exp({})",
-    Ln: "log({})", Sqrt: "sqrt({})",
+    Const: "{}", Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}",
+    Pow: "{} ** {}", Neg: "-{}", Sin: "sin({})", Cos: "cos({})", Tan: "tan({})",
+    ExpF: "exp({})", Ln: "log({})", Sqrt: "sqrt({})",
 }
 # The parentheses each node's source adds around its operands.  Inlined
 # text nests at most _MAX_NEST deep (plus one node's own): CPython's parser
@@ -370,7 +372,9 @@ def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
     ``t<i>``, in dependency order; a node used once is inlined into its
     parent, unless its text would nest more than ``_MAX_NEST`` parentheses
     deep or ``inline`` is false, when it gets a local too.  Code around the
-    statements names no ``t<i>`` of its own."""
+    statements names no ``t<i>`` of its own.  A node with no ``r1`` beneath
+    it is a literal: its value in Python floats, worked out here, or ``nan``
+    where that raises or is not finite, so no arithmetic raises on it."""
     uses = {root: roots.count(root) for root in roots}
     stack = list(uses)
     while stack:
@@ -381,6 +385,7 @@ def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
                     stack.append(f)
     text: dict[Expr, str] = {}
     nest: dict[Expr, int] = {}  # parenthesis depth of each text, where not 0
+    constant: set[Expr] = set()
     lines = []
     stack = list(reversed(roots))
     while stack:
@@ -395,16 +400,22 @@ def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
             continue
         if isinstance(node, Var):
             text[node] = "r1"
-        elif isinstance(node, Const):
-            text[node], nest[node] = f"({node.value!r})", 1
-        else:
-            operands = (text[f] if isinstance(f, Expr) else repr(f) for f in fields)
-            text[node] = f"({_PY[type(node)].format(*operands)})"
-            if uses[node] == 1:
-                nest[node] = _PY_NEST[type(node)] + max([nest.get(f, 0) for f in fields])
-            if not inline or uses[node] > 1 or nest[node] > _MAX_NEST:
-                lines.append(f"t{len(lines)} = {text[node]}")
-                text[node], nest[node] = f"t{len(lines) - 1}", 0
+            continue
+        operands = (text[f] if isinstance(f, Expr) else repr(f) for f in fields)
+        text[node] = f"({_PY[type(node)].format(*operands)})"
+        if all(f in constant for f in fields if isinstance(f, Expr)):  # no r1 beneath
+            try:
+                value = node.value if isinstance(node, Const) else eval(text[node], _PY_GLOBALS)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                value = math.nan
+            text[node], nest[node] = f"({value if math.isfinite(value) else math.nan!r})", 1
+            constant.add(node)
+            continue
+        if uses[node] == 1:
+            nest[node] = _PY_NEST[type(node)] + max([nest.get(f, 0) for f in fields])
+        if not inline or uses[node] > 1 or nest[node] > _MAX_NEST:
+            lines.append(f"t{len(lines)} = {text[node]}")
+            text[node], nest[node] = f"t{len(lines) - 1}", 0
     return lines, [text[root] for root in roots]
 
 
@@ -638,12 +649,6 @@ def _sin_cos(a):
     return s, c
 
 
-def _series_function(scalar, series):
-    """A function of the generated code: ``scalar`` on a float (a constant
-    subexpression), ``series`` on the coefficients of a series."""
-    return lambda x: Series(series(x.c)) if isinstance(x, Series) else scalar(x)
-
-
 def _log(a):
     # log(a)' = a' / a
     v = np.empty_like(a)
@@ -663,13 +668,18 @@ def _sqrt(a):
     return v
 
 
+def _series_function(series):
+    """A function of the generated code: ``series`` on its argument's coefficients."""
+    return lambda x: Series(series(x.c))
+
+
 _SERIES_GLOBALS = {
-    "sin": _series_function(math.sin, lambda a: _sin_cos(a)[0]),
-    "cos": _series_function(math.cos, lambda a: _sin_cos(a)[1]),
-    "tan": _series_function(math.tan, lambda a: _quotient(*_sin_cos(a))),
-    "exp": _series_function(math.exp, _exp),
-    "log": _series_function(math.log, _log),
-    "sqrt": _series_function(math.sqrt, _sqrt),
+    "sin": _series_function(lambda a: _sin_cos(a)[0]),
+    "cos": _series_function(lambda a: _sin_cos(a)[1]),
+    "tan": _series_function(lambda a: _quotient(*_sin_cos(a))),
+    "exp": _series_function(_exp),
+    "log": _series_function(_log),
+    "sqrt": _series_function(_sqrt),
 }
 
 
@@ -678,8 +688,7 @@ def series_table(exprs):
     -> array`` of shape ``(order + 1, len(exprs), *r1.shape)``, entry
     ``[k, i]`` the k-th derivative of expression i over k!.  The generated
     code is that of ``compile_table``, run with series arithmetic.  Entries
-    are non-finite at points outside an expression's domain; a float
-    operation between constants that fails raises as it would there."""
+    are non-finite at points outside an expression's domain."""
     exprs = tuple(exprs)
     lines, values = _emit(exprs)
     program = define("series(r1)", [*lines, f"return [{', '.join(values)}]"],
@@ -703,8 +712,8 @@ def series_table(exprs):
 
 
 # --- smart constructors -------------------------------------------------
-# Light constant folding keeps derivative trees from exploding; correctness
-# does not depend on it.
+# Only identities, which keep derivative trees from exploding; constant parts
+# keep their nodes and are worked out where their code is emitted.
 
 def _wrap(value) -> Expr:
     if isinstance(value, Expr):
@@ -712,24 +721,11 @@ def _wrap(value) -> Expr:
     return Const(float(value))
 
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
-def _fold(compute, fallback) -> Expr:
-    """Fold two constants, keeping the node when the fold is not finite."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        return fallback()
-    if not math.isfinite(value):
-        return fallback()
-    return Const(value)
+def _is_const(e: Expr, v: float) -> bool:
+    return isinstance(e, Const) and e.value == v
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return _fold(lambda: a.value + b.value, lambda: Add(a, b))
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -738,8 +734,6 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return _fold(lambda: a.value - b.value, lambda: Sub(a, b))
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -748,8 +742,6 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return _fold(lambda: a.value * b.value, lambda: Mul(a, b))
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -764,8 +756,6 @@ def _div(a: Expr, b: Expr) -> Expr:
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return _fold(lambda: a.value / b.value, lambda: Div(a, b))
     return Div(a, b)
 
 
@@ -776,15 +766,13 @@ def _pow(base: Expr, n) -> Expr:
         return Const(1.0)
     if n == 1:
         return base
-    if _is_const(base):
-        return _fold(lambda: base.value**n, lambda: Pow(base, n))
     return Pow(base, n)
 
 
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Neg):
         return a.arg
-    if _is_const(a):
+    if isinstance(a, Const):  # a negative literal stays one: -0.1*cos(r1) keeps its node
         return Const(-a.value)
     return Neg(a)
 

@@ -131,10 +131,7 @@ class SodeSystem:
         if self.kind not in ("first", "second"):
             raise ValueError(f"no closed-form Phi tower for kind {self.kind!r}")
         r1 = np.asarray(r1, dtype=float)
-        try:
-            coeffs = ex.Series(self._series(r1, depth))
-        except (ValueError, ZeroDivisionError, OverflowError):  # an operation on constants
-            coeffs = ex.Series(np.full((depth + 1, self.n - 1, len(r1)), np.nan))
+        coeffs = ex.Series(self._series(r1, depth))
         with np.errstate(all="ignore"):
             if self.kind == "first":
                 g2 = ex.Series(coeffs.c[:, :1])

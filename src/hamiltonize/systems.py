@@ -242,21 +242,21 @@ class SystemSpec:
     def _validate_weight_overrides(self):
         """Overridden weights must solve the same log-slope equations as the
         (N, N*A) construction, checked at sampled points: those where every
-        weight and slope is defined and no weight is below 1e-9.  Values and
-        slopes are one order-1 Taylor series of defaults and overrides; a
-        constant subexpression that raises leaves every point undefined."""
+        weight and slope is defined and every weight is above 1e-9 of its
+        largest finite magnitude over the points.  Values and slopes are one
+        order-1 Taylor series of defaults and overrides."""
         defaults = (self.measure_expr,) + tuple(self.measure_expr * a for a in self.a_alpha)
         points = np.linspace(-1.3, 1.3, 17)
-        try:
-            value, slope = ex.series_table((*defaults, *self.weight_exprs))(points, 1)
-        except (ValueError, ZeroDivisionError, OverflowError):  # an operation on constants
-            value = slope = np.full((2 * len(defaults), len(points)), np.nan)
-        checked = (np.isfinite(value) & np.isfinite(slope) & (np.abs(value) >= 1e-9)).all(axis=0)
+        value, slope = ex.series_table((*defaults, *self.weight_exprs))(points, 1)
+        size = np.abs(value)
+        scale = np.where(np.isfinite(size), size, 0.0).max(axis=1, keepdims=True)
+        checked = (np.isfinite(value) & np.isfinite(slope) & (size > 1e-9 * scale)).all(axis=0)
         if not checked.any():
             raise ConfigError("weight overrides could not be validated on [-1.3, 1.3]")
         with np.errstate(all="ignore"):
             default, override = np.split(slope / value, 2)
-        wrong = checked & (np.abs(default - override) > 1e-9 * (1 + np.abs(default))).any(axis=0)
+            wrong = checked & (np.abs(default - override)
+                               > 1e-9 * (1 + np.abs(default))).any(axis=0)
         if wrong.any():
             raise ConfigError("weight override has a different logarithmic slope "
                               f"than the measure construction at r1={float(points[wrong][0])}")
@@ -482,7 +482,8 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
     Recognised keys: I1, I2, I_alpha (comma-separated list), A_alpha
     (comma-separated expression strings), names (comma-separated labels),
     and optionally weights (comma-separated smooth replacements for the
-    velocity weights (N, N*A_1, ..), validated against the construction).
+    velocity weights (N, N*A_1, ..), validated against the construction
+    where each is above 1e-9 of its largest size).
     Lines starting with '#' are comments.
     """
     fields: dict[str, str] = {}

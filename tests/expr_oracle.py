@@ -4,9 +4,12 @@
 ``evaluate(e, r1)`` gives each node its value from its operands' by
 recursion, with no code generated, and reports a domain error with the
 message ``Expr.compile()`` gives: ``ExprDomainError`` naming the expression
-and the point, where a value is undefined or not finite.
+and the point, where a value is undefined or not finite.  A node with no
+``r1`` beneath it is worth NaN where its own value is undefined or not
+finite, as generated code writes it.
 """
 
+import functools
 import math
 
 from hamiltonize.expr import (
@@ -15,6 +18,7 @@ from hamiltonize.expr import (
     Cos,
     Div,
     ExpF,
+    Expr,
     Ln,
     Mul,
     Neg,
@@ -40,7 +44,27 @@ def evaluate(e, r1: float) -> float:
 
 
 def _value(e, r1):
-    return _RULES[type(e)](e, r1)
+    if _has_r1(e):
+        return _RULES[type(e)](e, r1)
+    try:
+        value = _RULES[type(e)](e, r1)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+@functools.cache
+def _has_r1(e) -> bool:
+    """Whether ``r1`` is beneath ``e``, by a walk over its distinct nodes."""
+    seen, stack = {e}, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return True
+        operands = {f for f in vars(node).values() if isinstance(f, Expr)} - seen
+        seen |= operands
+        stack.extend(operands)
+    return False
 
 
 def _div(e, r1):

@@ -377,7 +377,8 @@ def _deep_spec(coefficient, command=("certify",)):
 
 
 # (argv builder, documented exit code, part of the message): each bad input
-# ends in one line on stderr, never a traceback
+# ends in one line on stderr, never a traceback, and an edge case that exits
+# 0 leaves stderr empty
 BAD_INPUTS = {
     "t-nan": (lambda tmp_path: ["simulate", "--t", "nan"], 1, "grid must be finite"),
     "t-inf": (lambda tmp_path: ["simulate", "--t", "inf"], 1, "grid must be finite"),
@@ -452,6 +453,9 @@ BAD_INPUTS = {
     # and so do weights with a constant part that raises wherever it is evaluated
     "spec-weights-constant-raises": (_weights_spec("cos(r1) + ln(-1), -sin(r1)"), 1,
                                      "weight overrides could not be validated on [-1.3, 1.3]"),
+    # and a weight that is 0 everywhere, under any floor relative to its size
+    "spec-weights-zero": (_weights_spec("cos(r1), 0*r1"), 1,
+                          "weight overrides could not be validated on [-1.3, 1.3]"),
     # expressions nested past MAX_EXPR_DEPTH levels, which the parser reaches
     # by recursion for parentheses and minuses and by a loop for a sum
     "spec-nested-parentheses": (_deep_spec("(" * 3000 + "r1" + ")" * 3000), 1,
@@ -467,6 +471,19 @@ BAD_INPUTS = {
     "spec-measure-slope-unsampled": (
         _deep_spec("ln(r1 - 2)", ("pontryagin-check", "--kind", "g2")), 2,
         "runtime error: measure slope could not be sampled on [-1, 1]"),
+    # and so does an undefined constant part, which every arithmetic reads as NaN
+    **{f"spec-constant-part-undefined-{name}": (
+        _deep_spec("r1 + sqrt(-1)", command), 2,
+        "runtime error: measure slope could not be sampled on [-1, 1]")
+       for name, command in (("certify-g2", ("certify", "--check", "g2")),
+                             ("pontryagin-check-g2", ("pontryagin-check", "--kind", "g2")))},
+    "spec-constant-part-undefined-measure-check": (
+        _deep_spec("r1 + 1/0", ("measure-check",)), 2,
+        "runtime error: could not sample a generic r1 in [-1, 1]"),
+    # the knife edge's weights cos(r1)/sqrt(m) are some 1e-10 at m = 1e20: the
+    # override check's floor is relative to each weight's size, so it passes
+    "knife-edge-mass-1e20": (
+        lambda tmp_path: ["certify", "--system", "knife_edge", "--params", "m=1e20"], 0, ""),
     # a --params key that is neither a parameter of the built-in nor a model
     # constant (here a typo of m) is rejected, not ignored
     "disk-unknown-parameter": (
@@ -541,6 +558,9 @@ def test_bad_input_exit_code(case, tmp_path, capsys):
         pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
     err = capsys.readouterr().err
     assert code == expected
+    if expected == 0:
+        assert err == ""
+        return
     prefix = "error:" if expected == 1 else "runtime error:"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert message in err and "A[-1]" not in err

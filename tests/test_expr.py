@@ -4,8 +4,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from hamiltonize import ExprDomainError, ExprParseError, parse_expr
+from hamiltonize import (
+    ExprDomainError,
+    ExprParseError,
+    builtin_system,
+    first_associated,
+    parse_expr,
+    parse_system_file,
+    second_associated,
+    third_associated,
+)
 from hamiltonize.expr import (
+    ARRAY_GLOBALS,
     LABEL_CHARS,
     Const,
     Expr,
@@ -14,9 +24,12 @@ from hamiltonize.expr import (
     Sin,
     Tan,
     Var,
+    assign,
     compile_table,
+    define,
     series_table,
 )
+from hamiltonize.systems import BUILTIN_NAMES
 
 from expr_oracle import evaluate
 
@@ -315,7 +328,21 @@ def test_operator_building_and_constant_folding():
 def test_is_constant_detection():
     assert parse_expr("3.5").is_constant()
     assert parse_expr("2*3 + 1").is_constant()
+    assert parse_expr("r1 - r1").is_constant()
     assert not parse_expr("r1*0.001").is_constant()
+
+
+def test_constant_parts_are_emitted_as_literals():
+    """A subexpression with no r1 in it keeps its nodes, and its label, but
+    its code is one literal: its float value, or nan where that is undefined
+    or not finite.  The constructors keep only the identities."""
+    e = parse_expr("2*3*r1 + sin(0.2)")
+    assert str(e) == "(((2.0 * 3.0) * r1) + sin(0.2))"
+    assert assign([e], ["v"]) == [f"v = (((6.0) * r1) + ({math.sin(0.2)!r}))"]
+    for text in ("ln(-1)", "1/0", "sqrt(-1)", "exp(1000)", "93^484", "1e999", "1e308*10"):
+        assert assign([parse_expr(f"r1 + {text}")], ["v"]) == ["v = (r1 + (nan))"], text
+    assert str(parse_expr("-0.1*cos(r1)")) == "(-0.1 * cos(r1))"
+    assert str(parse_expr("1e999*0")) == "0.0"
 
 
 def test_deep_single_use_chain_compiles_and_differentiates():
@@ -367,3 +394,56 @@ def test_series_table_marks_points_outside_the_domain():
     assert np.all(np.isfinite(stack[:, :, 2:]))
     for jdx, r1 in ((2, 0.5), (3, 2.0)):
         assert table(np.array([r1]), 4)[:, :, 0].tobytes() == stack[:, :, jdx].tobytes()
+
+
+CONSTANT_PART_SPEC = "I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = 2*3*r1 + sin(0.2)\nnames = x,y,z\n"
+
+
+def _floats(e, points):
+    """``e`` alone as float code at each point, NaN where it raises."""
+    fn = e.compile()
+    values = []
+    for r1 in points.tolist():
+        try:
+            values.append(fn(r1))
+        except ExprDomainError:
+            values.append(math.nan)
+    return np.array(values)
+
+
+def _arrays(e, points):
+    """``e`` as array code over the whole stack of points."""
+    fn = define("f(r1)", [*assign([e], ["v"]), "return v"], **ARRAY_GLOBALS)
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(fn(points), points.shape)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "constant-part"])
+def test_float_array_and_series_code_agree(name):
+    """Every coefficient, weight and slope table, and each associated
+    system's coefficients, run alone as float code, as array code and as
+    an order-0 series at 17 points of [-1.3, 1.3]: the three are defined at
+    the same points, and agree to 1e-12 of each entry's largest magnitude."""
+    sys = builtin_system(name) if name in BUILTIN_NAMES else parse_system_file(CONSTANT_PART_SPEC)
+    exprs = [*sys.nonholonomic_table.exprs, *sys.weight_table.exprs, *sys.a_prime_table.exprs,
+             *(e for associated in (first_associated, second_associated, third_associated)
+               for e in associated(sys).coeff_exprs)]
+    points = np.linspace(-1.3, 1.3, 17)
+    for e in exprs:
+        floats = _floats(e, points)
+        defined = np.isfinite(floats)
+        tolerance = 1e-12 * np.abs(floats[defined]).max(initial=0.0)
+        for other in (_arrays(e, points), series_table([e])(points, 0)[0, 0]):
+            assert np.array_equal(np.isfinite(other), defined), str(e)
+            assert np.all(np.abs(other[defined] - floats[defined]) <= tolerance), str(e)
+
+
+def test_an_undefined_constant_part_is_nan_in_arrays_and_series():
+    """ln(-1) is NaN in array and series code, and float code raises
+    ExprDomainError on it, naming the value as not finite."""
+    e = parse_expr("r1 + ln(-1)")
+    points = np.linspace(-1.3, 1.3, 17)
+    assert np.all(np.isnan(_arrays(e, points)))
+    assert np.all(np.isnan(series_table([e])(points, 2)[0, 0]))
+    with pytest.raises(ExprDomainError, match=r"^non-finite value of \(r1 \+ ln\(-1.0\)\)"):
+        e.compile()(0.5)

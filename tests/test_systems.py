@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -262,3 +263,15 @@ def test_weight_override_with_wrong_slope_rejected():
     with pytest.raises(ConfigError, match="logarithmic slope"):
         parse_system_file(KNIFE_FILE.replace("cos(r1), -sin(r1)",
                                              "cos(2*r1), -sin(r1)"))
+
+
+def test_weight_override_vanishing_at_a_check_point_warns_nothing():
+    """The second weight r1/sqrt(1+r1^2) is 0 at r1 = 0, one of the check
+    points, where both log slopes are not finite: the spec is accepted,
+    and comparing them there raises no numpy warning."""
+    text = ("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = r1\nnames = x, y, z\n"
+            "weights = 1/sqrt(1+r1^2), r1/sqrt(1+r1^2)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = parse_system_file(text)
+    assert len(sys.exp_xi_exprs) == 2
