@@ -169,9 +169,9 @@ _FIRST_INDEX = {"C": 2, "a": 3}
 
 
 def _is_model_constant(key: str) -> bool:
-    """C<n> or a<n>: a model constant of the first or second closed-form
-    model.  isdecimal, not isdigit: int() rejects superscripts such as C²."""
-    return key[:1] in _FIRST_INDEX and key[1:].isdecimal()
+    """C<n> or a<n>, n in ASCII digits: a model constant of the first or
+    second closed-form model."""
+    return key[:1] in _FIRST_INDEX and key[1:].isascii() and key[1:].isdecimal()
 
 
 def default_initial_jet(sys_: SystemSpec) -> Jet:
@@ -184,12 +184,15 @@ def default_initial_jet(sys_: SystemSpec) -> Jet:
 
 
 def build_initial_jet(sys_: SystemSpec, manifest: RunManifest) -> Jet:
-    """The preset jet with the --ic values set.  Its s velocities are slaved
-    to the constraint unless --ic sets one and --ic-on-constraint is off."""
+    """The preset jet with the --ic values set, each finite.  Its s
+    velocities are slaved to the constraint unless --ic sets one and
+    --ic-on-constraint is off."""
     jet = default_initial_jet(sys_)
     q, qdot = list(jet.q), list(jet.qdot)
     explicit_sdot = False
     for key, value in manifest.ic.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"initial condition {key} must be finite, got {value!r}")
         if key in sys_.names:
             q[sys_.names.index(key)] = value
         elif key[:1] == "d" and key[1:] in sys_.names:
@@ -566,6 +569,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
     fields = dict(vars(args))
     del fields["command"]
+    if "system_source" in fields and "spec_file" in fields:
+        raise ConfigError("--system and --spec exclude each other: give one")
     if "formulations" in fields:
         raw = fields.pop("formulations")
         flat = [x.strip() for chunk in ([raw] if isinstance(raw, str) else raw)

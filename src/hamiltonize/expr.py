@@ -9,8 +9,13 @@ Constraint coefficients are supplied as strings over this grammar::
     atom   := number | 'r1' | func '(' expr ')' | '(' expr ')'
     func   := sin | cos | tan | exp | ln | sqrt
 
+    number  := [0-9.]+ ([eE] [+-]? [0-9]+)?
+    integer := [0-9]+
+
 ``^`` binds tighter than unary minus, so ``-r1^2`` parses as ``-(r1^2)``.
-Exponents are integer literals.  Whitespace is ignored.
+Exponents are integer literals.  A token is a number, a name
+(``[A-Za-z_][A-Za-z0-9_]*``) or any other single character; digits are
+ASCII, and whitespace is ignored between any two tokens.
 
 Derivatives are structural (exact), never finite differences; downstream
 tensors need coefficient derivatives up to fourth order and rank decisions
@@ -54,7 +59,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+import re
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +89,28 @@ class _Interned(type):
         return node
 
 
-def _pending(node) -> list:
-    """The operands of ``node`` not yet differentiated."""
-    return [f for f in vars(node).values() if isinstance(f, Expr) and f not in _DERIVATIVES]
+def _operands(node) -> list:
+    return [f for f in vars(node).values() if isinstance(f, Expr)]
+
+
+def _post_order(roots, done=()):
+    """Each node of the DAG beneath ``roots`` once, after its operands: the
+    last operand's first, and the first root's before the second's.  Nodes
+    beneath the roots that are in ``done``, which may grow as the caller
+    takes nodes, are skipped with all that only they reach.  A loop, so any
+    depth can be walked."""
+    seen = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack[-1]
+        pending = [f for f in _operands(node) if f not in seen and f not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node not in seen:  # a node can be on the stack more than once
+            seen.add(node)
+            yield node
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +155,13 @@ class Expr(metaclass=_Interned):
         """Structural derivative with respect to r1, built once per node.
 
         A class's ``_rule`` differentiates only the node's own operands.
-        Those not yet done are differentiated first, each after its own, by
-        a loop, so every rule finds its operands memoised and a deeply
-        nested expression does not reach the recursion limit."""
+        Those not yet done are differentiated first, in post-order, so every
+        rule finds its operands memoised and a deeply nested expression does
+        not reach the recursion limit."""
         d = _DERIVATIVES.get(self)
         if d is None:
-            stack = [(self, _pending(self))]
-            while stack:
-                node, pending = stack[-1]
-                if pending:
-                    operand = pending.pop()
-                    if operand not in _DERIVATIVES:  # another operand's pass may have done it
-                        stack.append((operand, _pending(operand)))
-                else:
-                    stack.pop()
-                    _DERIVATIVES[node] = node._rule()
+            for node in _post_order((self,), _DERIVATIVES):
+                _DERIVATIVES[node] = node._rule()
             d = _DERIVATIVES[self]
         return d
 
@@ -375,29 +392,16 @@ def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
     statements names no ``t<i>`` of its own.  A node with no ``r1`` beneath
     it is a literal: its value in Python floats, worked out here, or ``nan``
     where that raises or is not finite, so no arithmetic raises on it."""
-    uses = {root: roots.count(root) for root in roots}
-    stack = list(uses)
-    while stack:
-        for f in vars(stack.pop()).values():
-            if isinstance(f, Expr):
-                uses[f] = uses.get(f, 0) + 1
-                if uses[f] == 1:
-                    stack.append(f)
+    order = list(_post_order(roots))
+    uses = Counter(roots)
+    for node in order:
+        uses.update(_operands(node))
     text: dict[Expr, str] = {}
     nest: dict[Expr, int] = {}  # parenthesis depth of each text, where not 0
     constant: set[Expr] = set()
     lines = []
-    stack = list(reversed(roots))
-    while stack:
-        node = stack[-1]
+    for node in order:
         fields = tuple(vars(node).values())
-        pending = [f for f in fields if isinstance(f, Expr) and f not in text]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if node in text:
-            continue
         if isinstance(node, Var):
             text[node] = "r1"
             continue
@@ -421,16 +425,10 @@ def _emit(roots: tuple, inline: bool = True) -> tuple[list[str], list[str]]:
 
 def depth(root: Expr) -> int:
     """Levels of nesting of an expression: 1 for a leaf, else one more than
-    its deepest operand.  A loop, so any depth can be measured."""
+    its deepest operand."""
     levels: dict[Expr, int] = {}
-    stack = [root]
-    while stack:
-        operands = [f for f in vars(stack[-1]).values() if isinstance(f, Expr)]
-        pending = [f for f in operands if f not in levels]
-        if pending:
-            stack.extend(pending)
-        else:
-            levels[stack.pop()] = 1 + max((levels[f] for f in operands), default=0)
+    for node in _post_order((root,)):
+        levels[node] = 1 + max((levels[f] for f in _operands(node)), default=0)
     return levels[root]
 
 
@@ -790,73 +788,37 @@ def var() -> Expr:
 _FUNCS = {"sin": Sin, "cos": Cos, "tan": Tan, "exp": ExpF, "ln": Ln, "sqrt": Sqrt}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token: a number, a name, or any other single character.  Digits and
+# letters are ASCII; whitespace between two tokens is skipped.
+_TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|\S")
+# The binary operators of each level, loosest first, and their constructors.
+_BINARY = ({"+": _add, "-": _sub}, {"*": _mul, "/": _div})
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+
+class _Tokens:
+    """A cursor over the tokens of a text, each with its position; the
+    last is None, at the end of the text."""
+
+    def __init__(self, text: str):
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.tokens.append((None, len(text)))
+        self.index = 0
 
     def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.tokens[self.index][0]
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+    @property
+    def pos(self) -> int:
+        return self.tokens[self.index][1]
 
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ExprParseError(f"expected {ch!r}, found {got!r}", self.pos)
-        self.pos += 1
+    def take(self) -> str | None:
+        self.index += 1
+        return self.tokens[self.index - 1][0]
 
-    def number(self) -> float:
-        self._skip_ws()
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < n and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and self.text[self.pos].isdigit():
-                while self.pos < n and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent, e.g. "2*exp(r1)"
-        try:
-            return float(self.text[start : self.pos])
-        except ValueError:
-            raise ExprParseError("malformed number", start) from None
-
-    def identifier(self) -> tuple[str, int]:
-        self._skip_ws()
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start : self.pos], start
-
-    def integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        n = len(self.text)
-        while self.pos < n and self.text[self.pos].isdigit():
-            self.pos += 1
-        token = self.text[start : self.pos]
-        if not token or token == "-":
-            raise ExprParseError("expected an integer exponent", start)
-        return int(token)
+    def expect(self, token: str):
+        if self.peek() != token:
+            raise ExprParseError(f"expected {token!r}, found {self.peek()!r}", self.pos)
+        self.index += 1
 
 
 def parse_expr(text: str) -> Expr:
@@ -864,64 +826,61 @@ def parse_expr(text: str) -> Expr:
     if not isinstance(text, str) or not text.strip():
         raise ExprParseError("empty expression", 0)
     toks = _Tokens(text)
-    node = _parse_sum(toks)
+    node = _parse_binary(toks)
     if toks.peek() is not None:
         raise ExprParseError(f"unexpected {toks.peek()!r}", toks.pos)
     return node
 
 
-def _parse_sum(toks: _Tokens) -> Expr:
-    node = _parse_term(toks)
-    while toks.peek() in ("+", "-"):
-        op = toks.take()
-        rhs = _parse_term(toks)
-        node = _add(node, rhs) if op == "+" else _sub(node, rhs)
+def _parse_binary(toks: _Tokens, level: int = 0) -> Expr:
+    """A sum (level 0) of terms (level 1) of unaries (level 2): operands
+    joined left to right by their level's operators.  Each level is one
+    stack frame, so a parenthesis nests five (three levels, power, atom):
+    that sets how deep a text may nest before the recursion limit."""
+    if level == len(_BINARY):
+        if toks.peek() == "-":
+            toks.take()
+            return _neg(_parse_binary(toks, level))
+        return _parse_power(toks)
+    node = _parse_binary(toks, level + 1)
+    while toks.peek() in _BINARY[level]:
+        node = _BINARY[level][toks.take()](node, _parse_binary(toks, level + 1))
     return node
-
-
-def _parse_term(toks: _Tokens) -> Expr:
-    node = _parse_unary(toks)
-    while toks.peek() in ("*", "/"):
-        op = toks.take()
-        rhs = _parse_unary(toks)
-        node = _mul(node, rhs) if op == "*" else _div(node, rhs)
-    return node
-
-
-def _parse_unary(toks: _Tokens) -> Expr:
-    if toks.peek() == "-":
-        toks.take()
-        return _neg(_parse_unary(toks))
-    return _parse_power(toks)
 
 
 def _parse_power(toks: _Tokens) -> Expr:
     base = _parse_atom(toks)
-    if toks.peek() == "^":
-        toks.take()
-        return _pow(base, toks.integer())
-    return base
+    if toks.peek() != "^":
+        return base
+    toks.take()
+    start = toks.pos
+    sign = toks.take() if toks.peek() == "-" else ""
+    digits = toks.take()
+    if not re.fullmatch("[0-9]+", digits or ""):
+        raise ExprParseError("expected an integer exponent", start)
+    return _pow(base, int(sign + digits))
 
 
 def _parse_atom(toks: _Tokens) -> Expr:
-    ch = toks.peek()
-    if ch is None:
-        raise ExprParseError("unexpected end of input", toks.pos)
-    if ch == "(":
-        toks.take()
-        node = _parse_sum(toks)
+    start, token = toks.pos, toks.take()
+    if token is None:
+        raise ExprParseError("unexpected end of input", start)
+    if token == "(":
+        node = _parse_binary(toks)
         toks.expect(")")
         return node
-    if ch.isdigit() or ch == ".":
-        return Const(toks.number())
-    if ch.isalpha() or ch == "_":
-        name, start = toks.identifier()
-        if name == "r1":
+    if token[0] in "0123456789.":
+        try:
+            return Const(float(token))
+        except ValueError:
+            raise ExprParseError("malformed number", start) from None
+    if token[0].isalpha() or token[0] == "_":
+        if token == "r1":
             return Var()
-        if name in _FUNCS:
+        if token in _FUNCS:
             toks.expect("(")
-            arg = _parse_sum(toks)
+            arg = _parse_binary(toks)
             toks.expect(")")
-            return _FUNCS[name](arg)
-        raise ExprParseError(f"unknown identifier {name!r}", start)
-    raise ExprParseError(f"unexpected {ch!r}", toks.pos)
+            return _FUNCS[token](arg)
+        raise ExprParseError(f"unknown identifier {token!r}", start)
+    raise ExprParseError(f"unexpected {token!r}", start)

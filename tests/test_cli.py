@@ -246,11 +246,14 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
     code with at most one line on stderr, none is an internal error, and
     an exit 0 leaves stderr empty.  The --t values, the default 5 included,
     keep every grid that is accepted at 5,000 steps or fewer; --samples
-    stays small where a value is drawn."""
+    stays small where a value is drawn.  A non-finite --ic value, and a
+    valid --spec beside --system, exit 1."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
+    (tmp_path / "ok.system").write_text("I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = r1\n"
+                                        "names = x,y,z\n")
     numbers = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
     formulations = st.sampled_from(cli.FORMULATIONS)
 
@@ -285,7 +288,7 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
         "--params": lambda system: assignments(keys[system][0],
                                                ["1e-320", "1e-300", "1e300", "2"]),
         "--ic": lambda system: assignments([*keys[system][1], *("d" + n for n in keys[system][1])],
-                                           ["0", "1e-300", "-1e100", "1e200"]),
+                                           ["0", "1e-300", "-1e100", "1e200", "nan", "inf"]),
     }
     common = ("--system", "--out", "--seed", "--params")
     trajectory = common + ("--h", "--t", "--ic")
@@ -298,23 +301,29 @@ def test_flags_keep_the_exit_code_contract(tmp_path, monkeypatch):
 
     @st.composite
     def argvs(draw):
+        """An argv, and whether it must exit 1."""
         command = draw(st.sampled_from(sorted(used)))
-        argv, system = [command], "free_particle"
+        argv, system, config_error = [command], "free_particle", False
         for flag in used[command]:
             if draw(st.booleans()):
                 value = draw(per_system[flag](system) if flag in per_system else flags[flag])
                 system = value if flag == "--system" else system
                 # compare takes its list through --formulation too
                 argv += [flag.replace("--formulations", "--formulation"), value]
-        return argv
+                config_error |= flag == "--ic" and ("nan" in value or "inf" in value)
+                if flag == "--system" and draw(st.booleans()):
+                    argv += ["--spec", "ok.system"]
+                    config_error = True
+        return argv, config_error
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @hypothesis.given(argvs())
-    def keeps_contract(argv):
+    def keeps_contract(drawn):
+        argv, config_error = drawn
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (0, 1, 2, 3), argv
+        assert code in ((1,) if config_error else (0, 1, 2, 3)), (argv, err.getvalue())
         assert err.getvalue().count("\n") <= 1 and "internal error" not in err.getvalue(), (
             argv, err.getvalue())
         assert code != 0 or err.getvalue() == "", (argv, err.getvalue())
@@ -484,8 +493,26 @@ BAD_INPUTS = {
     # override check's floor is relative to each weight's size, so it passes
     "knife-edge-mass-1e20": (
         lambda tmp_path: ["certify", "--system", "knife_edge", "--params", "m=1e20"], 0, ""),
+    # numbers and exponents in an expression are ASCII digits
+    "spec-superscript-exponent": (_deep_spec("r1^²"), 1, "expected an integer exponent"),
+    "spec-arabic-indic-number": (_deep_spec("١.٥*r1"), 1, "unexpected '١'"),
+    "spec-arabic-indic-exponent-digit": (_deep_spec("1e3١"), 1, "unexpected '١'"),
+    # a non-finite initial condition, of a position as of a velocity
+    **{f"ic-{value}": (lambda tmp_path, key=key, value=value: [
+        "simulate", "--system", "knife_edge", "--ic", f"{key}={value}", "--t", "0.01"],
+        1, f"initial condition {key} must be finite, got {value}")
+       for key, value in (("phi", "nan"), ("x", "inf"))},
+    "ic-on-constraint-nan-velocity": (lambda tmp_path: [
+        "simulate", "--system", "free_particle", "--ic-on-constraint", "--ic", "dz=nan",
+        "--t", "0.01"], 1, "initial condition dz must be finite, got nan"),
+    "system-and-spec": (_deep_spec("r1", ("measure-check", "--system", "knife_edge")), 1,
+                        "--system and --spec exclude each other"),
     # a --params key that is neither a parameter of the built-in nor a model
-    # constant (here a typo of m) is rejected, not ignored
+    # constant (here a typo of m, and C3 with an Arabic-Indic 3) is rejected,
+    # not ignored
+    "params-arabic-indic-model-constant": (
+        lambda tmp_path: ["pontryagin-check", "--system", "free_particle", "--params", "C٣=2"],
+        1, "unknown free_particle parameters ['C٣']"),
     "disk-unknown-parameter": (
         lambda tmp_path: ["simulate", "--system", "vertical_disk", "--params", "M=2",
                           "--t", "0.01"],

@@ -73,6 +73,38 @@ def test_syntax_errors_carry_position(text):
     assert err.value.position >= 0
 
 
+def test_whitespace_between_any_two_tokens():
+    assert parse_expr("r1 ^ - 2") is parse_expr("r1^-2")
+    assert parse_expr("\tsqrt (r1)\t") is parse_expr("sqrt(r1)")
+
+
+@pytest.mark.parametrize("text", ["r1^²", "١.٥*r1", "1e3١", "r1^٢", "2^1.5", "r1^2e1", "r1^+2"])
+def test_numbers_and_exponents_are_ascii_digits(text):
+    with pytest.raises(ExprParseError):
+        parse_expr(text)
+
+
+def test_parser_raises_only_parse_errors():
+    """Over the grammar's tokens, tabs and the non-ASCII digits ² and ١, the
+    parser gives a node or an ExprParseError, and always the error where a
+    non-ASCII digit appears."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tokens = st.sampled_from(["r1", "0", "2", "13", ".", "e", "E", "+", "-", "*", "/", "^", "(",
+                              ")", "sin", "ln", "sqrt", " ", "\t", "²", "١"])
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(tokens, min_size=1, max_size=12).map("".join))
+    def only_parse_errors(text):
+        try:
+            parse_expr(text)
+        except ExprParseError:
+            return
+        assert "²" not in text and "١" not in text, text
+
+    only_parse_errors()
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(ExprParseError, match="unknown identifier"):
         parse_expr("sin(q)")
