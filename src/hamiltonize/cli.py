@@ -31,7 +31,7 @@ from random import Random
 
 import numpy as np
 
-from . import __version__
+from . import __version__, expr as ex
 from .errors import ConfigError, EvaluationError
 from .integrate import IntegratorConfig, Trajectory, compare, integrate
 from .helmholtz import helmholtz_residuals, singularity_certificate
@@ -476,20 +476,16 @@ def cmd_certify(manifest: RunManifest) -> int:
 # --- argument parsing -------------------------------------------------------------
 
 
-def _parse_kv(pairs: list[str], cast=float) -> dict:
+def _parse_kv(pairs: list[str]) -> dict:
     out = {}
-    for chunk in pairs:
-        for piece in chunk.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if "=" not in piece:
-                raise ConfigError(f"expected key=value, got {piece!r}")
-            key, _, value = piece.partition("=")
-            try:
-                out[key.strip()] = cast(value)
-            except ValueError:
-                raise ConfigError(f"bad value in {piece!r}") from None
+    for piece in filter(None, (x.strip() for chunk in pairs for x in chunk.split(","))):
+        if "=" not in piece:
+            raise ConfigError(f"expected key=value, got {piece!r}")
+        key, _, value = piece.partition("=")
+        try:
+            out[key.strip()] = ex.read_float(value)
+        except ValueError:
+            raise ConfigError(f"bad value in {piece!r}") from None
     return out
 
 
@@ -520,7 +516,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--system", dest="system_source", metavar="SYSTEM",
                        help=f"built-in system name {BUILTIN_NAMES}")
         p.add_argument("--spec", dest="spec_file", metavar="SPEC", help="system specification file")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=ex.read_int)
         p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
         p.add_argument("--params", action="append",
                        help="system/model parameters, e.g. m=2,C2=1.5")
@@ -532,8 +528,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--sode", dest="sode_kind", choices=("first", "second", "third"))
         p.add_argument("--ham-kind", choices=("first", "second"))
         p.add_argument("--lag-kind", choices=("first", "second", "variational"))
-        p.add_argument("--t", dest="t_final", metavar="T", type=float)
-        p.add_argument("--h", type=float)
+        p.add_argument("--t", dest="t_final", metavar="T", type=ex.read_float)
+        p.add_argument("--h", type=ex.read_float)
         p.add_argument("--ic", action="append", help="initial conditions, e.g. phi=0.3,dphi=1")
         p.add_argument("--ic-on-constraint", action="store_true",
                        help="slave the s velocities to the constraint")
@@ -546,22 +542,23 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         cmp_ = trajectory("compare", "compare formulations pairwise")
         cmp_.add_argument("--formulation", dest="formulations", metavar="FORMULATION",
                           action="append", help="repeat for each formulation (or comma separate)")
-        cmp_.add_argument("--tol", type=float)
+        cmp_.add_argument("--tol", type=ex.read_float)
     if "certify" in wanted:
         cert = command("certify", "run the certification suite")
         cert.add_argument("--check", choices=CHECKS)
-        cert.add_argument("--samples", type=int)
-        cert.add_argument("--depth", type=int)
+        cert.add_argument("--samples", type=ex.read_int)
+        cert.add_argument("--depth", type=ex.read_int)
     if "helmholtz-check" in wanted:
         hc = command("helmholtz-check", "multiplier conditions + certificate")
-        hc.add_argument("--samples", type=int, help="jets per check")
-        hc.add_argument("--depth", type=int)
+        hc.add_argument("--samples", type=ex.read_int, help="jets per check")
+        hc.add_argument("--depth", type=ex.read_int)
     if "pontryagin-check" in wanted:
         pc = command("pontryagin-check", "optimal-control consistency")
         pc.add_argument("--kind", dest="cost_kind", choices=("g1", "g2"))
-        pc.add_argument("--samples", type=int)
+        pc.add_argument("--samples", type=ex.read_int)
     if "measure-check" in wanted:
-        command("measure-check", "invariant-measure residuals").add_argument("--samples", type=int)
+        command("measure-check", "invariant-measure residuals").add_argument(
+            "--samples", type=ex.read_int)
 
     return parser
 

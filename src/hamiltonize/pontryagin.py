@@ -60,19 +60,15 @@ takes a whole block of sampled points in one call of one more generated
 function.  Its source is that of the scalar functions without their guards
 (the optimal controls, the control Hamiltonian at them, the closed-form H
 and the complex steps), run on numpy arrays, one member per point, with the
-weights assigned unchecked.  The guards become a mask: a member whose
-weights, controls, Hamiltonians or gradient are not all finite, or whose
-``|u_1| < U1_MIN``, runs again alone through the scalar functions, which
-count it or raise exactly as they do on their own.  numpy's complex
-division, ``tan`` and ``exp`` differ from CPython's in the last bits of some
-values, so the maxima may move there against the scalar functions, and a
-point within a few units in the last place of ``PONTRYAGIN_U1_MIN`` could
-count on the other side of it.
+weights assigned unchecked; the guards become masks on its outputs.  numpy's
+complex division, ``tan`` and ``exp`` differ from CPython's in the last bits
+of some values, so the maxima may move there against the scalar functions,
+and a point within a few units in the last place of ``PONTRYAGIN_U1_MIN``
+could count on the other side of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 
@@ -82,8 +78,7 @@ from . import expr as ex
 from .errors import EvaluationError
 from .sampling import phase_rows
 from .variational import (CS_STEP, LagrangianModel, PhaseState, _hamiltonian_value, _kernel,
-                          _literal, _momentum_sum, _names, _require_hamiltonian, _weight_names,
-                          hamiltonian_value)
+                          _literal, _momentum_sum, _names, _require_hamiltonian, _weight_names)
 
 __all__ = [
     "controlled_rhs",
@@ -180,13 +175,12 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
     ``count`` phase points ``sampling.phase_points`` draws from
     ``random.Random(seed)``, drawn as rows ``POINT_BLOCK`` at a time.
 
-    Each block is one call of the generated array function.  A member it
-    flags (a weight, control, Hamiltonian or gradient entry not finite, or
-    ``|u_1| < U1_MIN``) runs again alone through the scalar functions, in
-    index order, and counts or raises exactly as they do.  A point is
-    skipped as degenerate where its optimal controls are undefined or not
-    finite, and as near zero where ``|u_1| < PONTRYAGIN_U1_MIN``; a check
-    with no evaluated point fails.
+    Each block is one call of the generated array function, and its outputs
+    decide every point: degenerate where its weights or optimal controls are
+    not all finite or ``|u_1| < U1_MIN``, near zero where ``|u_1| <
+    PONTRYAGIN_U1_MIN``, and evaluated otherwise.  A non-finite deviation or
+    gradient at an evaluated point raises ``EvaluationError`` naming the
+    point; a check with no evaluated point fails.
     """
     stream = Random(seed)
     blocks = (phase_rows(model.system, min(POINT_BLOCK, count - start), stream)
@@ -214,50 +208,25 @@ def optimal_control_check(model: LagrangianModel, seed: int, count: int) -> Opti
 def _check_block(model: LagrangianModel, points: np.ndarray) -> tuple:
     """The evaluated, degenerate and near-zero counts and the deviation,
     relative deviation and stationarity maxima of the points, the columns of
-    ``points``: one call of the array function, its flagged members
-    overwritten by ``_check_point``'s values, then one rule for every
-    member."""
+    ``points``, by ``optimal_control_check``'s rule."""
     n = model.system.n
     with np.errstate(all="ignore"):
         values = _check_function(model)(points[0], list(points[n:]))
         w = len(values) - 2 * n - 2  # the weight pairs come first
-        u1, (h1, h2) = np.array(values[w], dtype=float), values[w + n:w + n + 2]
+        u1, (h1, h2) = values[w], values[w + n:w + n + 2]
         dev = np.abs(h1 - h2)
         rel, grad = dev / np.abs(h2), np.max(np.abs(values[w + n + 2:]), axis=0)
-    ok = np.abs(u1) >= U1_MIN
-    for value in values:
-        ok &= np.isfinite(value)
-    for i in np.flatnonzero(~ok):
-        ps = PhaseState(tuple(points[:n, i]), tuple(points[n:, i]))
-        u1[i], dev[i], rel[i], grad[i] = _check_point(model, ps)
-    used = np.abs(u1) >= PONTRYAGIN_U1_MIN
-    counts = int(used.sum()), int(np.isnan(u1).sum())
+    defined = np.abs(u1) >= U1_MIN
+    for value in values[:w + n]:
+        defined &= np.isfinite(value)
+    used = defined & (np.abs(u1) >= PONTRYAGIN_U1_MIN)
+    failed = np.flatnonzero(used & ~(np.isfinite(dev) & np.isfinite(grad)))
+    if failed.size:
+        q, p = points[:n, failed[0]].tolist(), points[n:, failed[0]].tolist()
+        raise EvaluationError(f"non-finite optimal-control check at q={q}, p={p}")
+    counts = int(used.sum()), len(u1) - int(defined.sum())
     return (*counts, len(u1) - sum(counts),
             *(float(np.max(x, initial=0.0, where=used)) for x in (dev, rel, grad)))
-
-
-def _check_point(model: LagrangianModel, ps: PhaseState) -> tuple[float, float, float, float]:
-    """u_1, the deviation, the relative deviation and the largest gradient
-    entry at the point ``ps`` through the scalar functions, raising their
-    errors; u_1 is NaN where the optimal controls are undefined or not
-    finite, and the rest NaN where u_1 is NaN or ``|u_1| <
-    PONTRYAGIN_U1_MIN``."""
-    try:
-        u_star = optimal_controls(model, ps)
-    except EvaluationError:
-        u_star = (math.nan,)
-    if not all(map(math.isfinite, u_star)):
-        return math.nan, math.nan, math.nan, math.nan
-    if abs(u_star[0]) < PONTRYAGIN_U1_MIN:
-        return u_star[0], math.nan, math.nan, math.nan  # boundary region, reported elsewhere
-    h1 = optimal_hamiltonian_value(model, ps, u_star)
-    h2 = hamiltonian_value(model, ps)
-    dev = abs(h1 - h2)
-    grads = [abs(g) for g in control_gradient(model, ps, u_star)]
-    if not all(map(math.isfinite, (dev, *grads))):
-        raise EvaluationError(f"non-finite optimal-control check at q={list(ps.q)}, "
-                              f"p={list(ps.p)}")
-    return u_star[0], dev, dev / abs(h2), max(grads)
 
 
 def _check_function(model: LagrangianModel):

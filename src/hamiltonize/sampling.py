@@ -13,11 +13,10 @@ negative when one more ``random()`` is below 0.5.
 
 The draws come as one block, the fewest the sample can need, and every draw
 is tested at once as a try of r1 by the code of the coefficients and N on
-numpy arrays.  A try where a node of that code is not finite, or an |A_a|
-is within ``BAND`` of ``MIN_COEFF``, takes the compiled scalar test, as
-numpy's last bits or a hidden infinity could decide otherwise.  A block that
-runs short is topped up by the fewest draws the remaining points need, so
-the generator ends where the loop leaves it, after an error too.
+numpy arrays: a try is generic where every |A_a| is at least ``MIN_COEFF``
+and every node of that code is finite.  A block that runs short is topped up
+by the fewest draws the remaining points need, so the generator ends where
+the loop leaves it, after an error too.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = ["generic_r1", "generic_jets", "constraint_jets", "phase_points", "pha
 MIN_COEFF = 0.15  # smallest tolerated |A_a(r1)| at sampled coordinates
 SPEEDS = (0.5, 2.0)  # the range of the magnitudes of sampled velocities and momenta
 MAX_MISSES = 1000  # consecutive rejected tries of r1 before sampling gives up
-BAND = 1e-6  # |A_a| within this relative distance of MIN_COEFF takes the scalar test
 TRY_BLOCK = 4096  # tries per call of the generated test; bounds the memory of its nodes
 
 
@@ -108,9 +106,7 @@ def _rows(sys: SystemSpec, count: int, stream: Random, coords: int, speeds: int,
 
 def _generic(sys: SystemSpec, r1: np.ndarray) -> np.ndarray:
     """Whether each try ``r1`` is generic: every |A_a| at least ``MIN_COEFF``
-    and N defined.  The array code decides, but where a node is not finite or
-    an |A_a| is within ``BAND`` of ``MIN_COEFF``, the compiled scalar
-    functions do, an error counting as a miss."""
+    and every node of the coefficients' and N's array code finite."""
     def build():  # the coefficients' values, and those of every node of their code and N's
         names = [f"a{a}" for a in range(sys.k)]
         lines = ex.assign((*sys.a_alpha, sys.measure_expr), [*names, "n"], inline=False)
@@ -118,15 +114,9 @@ def _generic(sys: SystemSpec, r1: np.ndarray) -> np.ndarray:
         return ex.define("generic(r1)", [*lines, f"return [{', '.join(names)}], [{nodes}]"],
                          **ex.ARRAY_GLOBALS)
 
-    with np.errstate(all="ignore"):  # a sum of finite nodes that overflows only costs time
+    with np.errstate(all="ignore"):
         coeffs, nodes = sys.kernel(("generic",), build)(r1)
-        coeffs = np.abs(coeffs)
-        scalar = ~np.isfinite(sum(nodes))
-    generic = (coeffs >= MIN_COEFF).all(axis=0)
-    for i in np.flatnonzero(scalar | (np.abs(coeffs - MIN_COEFF) <= BAND * MIN_COEFF).any(axis=0)):
-        try:
-            values = [abs(fn(float(r1[i]))) for fn in (*sys.a_fns, sys.measure_fn)]
-            generic[i] = min(values[:-1]) >= MIN_COEFF
-        except EvaluationError:
-            generic[i] = False
+    generic = (np.abs(coeffs) >= MIN_COEFF).all(axis=0)
+    for node in nodes:
+        generic &= np.isfinite(node)
     return generic

@@ -509,12 +509,12 @@ def parse_system_file(text: str, label: str = "custom") -> SystemSpec:
 
     def scalar(key: str) -> float:
         try:
-            return float(fields[key])
+            return ex.read_float(fields[key])
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {fields[key]!r}") from None
 
     try:
-        i_alpha = tuple(float(v) for v in fields["I_alpha"].split(","))
+        i_alpha = tuple(map(ex.read_float, fields["I_alpha"].split(",")))
     except ValueError:
         raise ConfigError("I_alpha must be a comma-separated list of numbers") from None
     names = tuple(part.strip() for part in fields["names"].split(","))

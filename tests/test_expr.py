@@ -27,6 +27,8 @@ from hamiltonize.expr import (
     assign,
     compile_table,
     define,
+    read_float,
+    read_int,
     series_table,
 )
 from hamiltonize.systems import BUILTIN_NAMES
@@ -82,6 +84,35 @@ def test_whitespace_between_any_two_tokens():
 def test_numbers_and_exponents_are_ascii_digits(text):
     with pytest.raises(ExprParseError):
         parse_expr(text)
+
+
+def test_exponents_are_bounded_by_their_size():
+    """``r1^n`` parses for |n| up to ``MAX_EXPONENT``, leading zeros aside;
+    beyond it, of any length, the parser refuses it before ``int()`` reads
+    the digits."""
+    assert parse_expr("r1^1000") is parse_expr("r1^0001000")
+    parse_expr("r1^-1000")
+    for exponent in ("1001", "-1001", "0" * 5000 + "1001", "1" + "0" * 400, "1" + "0" * 5000):
+        with pytest.raises(ExprParseError, match="at most 1000"):
+            parse_expr(f"r1^{exponent}")
+
+
+@pytest.mark.parametrize("read,text,value", [
+    (read_float, "1.5", 1.5), (read_float, " -2e3 ", -2000.0), (read_int, "+7", 7),
+    (read_float, "inf", math.inf)])
+def test_numbers_outside_expressions_read_ascii(read, text, value):
+    assert read(text) == value
+
+
+@pytest.mark.parametrize("read,text", [
+    (read_float, "1_0"), (read_float, "١"), (read_float, "٠.٣"), (read_int, "١٠"),
+    (read_int, "1_000"), (read_float, "1\u00a0"), (read_int, "abc")])
+def test_numbers_outside_expressions_refuse_other_digits_and_underscores(read, text):
+    """Each refusal is the ``ValueError`` of ``float()`` and ``int()``, under
+    their names, so argparse's message stays ``invalid int value``."""
+    with pytest.raises(ValueError):
+        read(text)
+    assert (read_float.__name__, read_int.__name__) == ("float", "int")
 
 
 def test_parser_raises_only_parse_errors():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -325,14 +326,20 @@ def test_degenerate_check_matches_the_per_point_referee(system, kind, params):
 @pytest.mark.parametrize("system,params", [("knife_edge", {"J": 1e-300}),
                                            ("vertical_disk", {"J": 1e-200})])
 def test_failing_check_raises_the_referee_error(system, params):
-    """A tiny inertia overflows a flagged member's ``float ** 2``, where
-    numpy gives inf: the scalar rerun raises the referee's error."""
+    """A tiny inertia overflows the squares of the control Hamiltonian at
+    the evaluated points.  The referee's ``float ** 2`` raises
+    ``OverflowError`` there, where numpy gives inf, so the check raises
+    ``EvaluationError`` instead, naming the first point the referee
+    evaluates."""
     model = cli_model(system, "g1", params)
-    with pytest.raises(ArithmeticError) as expected:
+    with pytest.raises(ArithmeticError):
         referee(model, 0, 200)
-    with pytest.raises(type(expected.value)) as got:
+    first = next(ps for ps in phase_points(model.system, 200, Random(0))
+                 if abs(optimal_controls(model, ps)[0]) >= pontryagin.PONTRYAGIN_U1_MIN)
+    with pytest.raises(EvaluationError) as got:
         optimal_control_check(model, 0, 200)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == (f"non-finite optimal-control check at q={list(first.q)}, "
+                              f"p={list(first.p)}")
 
 
 @pytest.mark.parametrize("system,kind", PARITY_MODELS)

@@ -23,7 +23,6 @@ from hamiltonize import sampling
 from hamiltonize.cli import main
 from hamiltonize.errors import ConfigError, EvaluationError
 from hamiltonize.sampling import (
-    BAND,
     MIN_COEFF,
     SPEEDS,
     constraint_jets,
@@ -272,32 +271,27 @@ def test_array_acceptance_gives_the_scalar_verdict_at_every_try():
         assert verdicts == [referee.is_generic(sys_, float(x)) for x in r1]
 
 
-def asked_scalar(sys_):
-    """``sys_`` with its compiled coefficient functions wrapped to record
-    each point they are called at, and that record."""
-    asked = []
-
-    def recorded(fn):
-        return lambda r1: asked.append(r1) or fn(r1)
-
-    sys_.__dict__["a_fns"] = tuple(map(recorded, sys_.a_fns))  # the cached_property's slot
-    return sys_, asked
-
-
-def test_band_and_non_finite_values_take_the_scalar_test():
-    """Tries whose |A_a| lies within ``BAND`` of ``MIN_COEFF``, or whose code
-    meets a non-finite value, are decided by the compiled scalar functions,
-    and only those.  ``1 + 1/exp(1/(r1 - 0.3))`` reads 1 on numpy just
-    above 0.3, where exp overflows and the compiled code raises."""
-    free, asked = asked_scalar(builtin_system("free_particle"))  # A = r1
-    inside = [MIN_COEFF * (1 + 0.5 * BAND), -MIN_COEFF * (1 - 0.5 * BAND), MIN_COEFF]
-    outside = [MIN_COEFF * (1 + 3 * BAND), MIN_COEFF * (1 - 3 * BAND), 0.5, -0.01]
-    assert sampling._generic(free, np.array(inside + outside)).tolist() == [
-        True, False, True, True, False, True, False]
-    assert asked == inside
-    hidden, asked = asked_scalar(spec("1 + 1/exp(1/(r1-0.3))"))
-    assert sampling._generic(hidden, np.array([0.3005, 0.5, 0.2])).tolist() == [False, True, True]
-    assert asked == [0.3005]
-    holes, asked = asked_scalar(spec("ln(r1)"))
-    assert sampling._generic(holes, np.array([-0.5, 0.0, 0.5])).tolist() == [False, False, True]
-    assert asked == [-0.5, 0.0]
+def test_near_bound_and_non_finite_values_take_the_array_verdict():
+    """Tries whose |A_a| lies within a few parts in a million of
+    ``MIN_COEFF``, or whose code meets a non-finite value, are decided by the
+    array code alone, with the compiled scalar functions' verdict.
+    ``1 + 1/exp(1/(r1 - 0.3))`` reads 1 on numpy just above 0.3, where exp
+    overflows and the compiled code raises.  The array rule is stricter only
+    where a product of finite values overflows: the compiled code of ``1 +
+    1/(exp(400*r1)*exp(400*r1))`` reads 1.0 at r1 = 0.9, and the array code's
+    infinite node makes that try a miss."""
+    cases = [
+        (builtin_system("free_particle"),  # A = r1
+         [MIN_COEFF * (1 + 0.5e-6), -MIN_COEFF * (1 - 0.5e-6), MIN_COEFF,
+          MIN_COEFF * (1 + 3e-6), MIN_COEFF * (1 - 3e-6), 0.5, -0.01],
+         [True, False, True, True, False, True, False]),
+        (spec("1 + 1/exp(1/(r1-0.3))"), [0.3005, 0.5, 0.2], [False, True, True]),
+        (spec("ln(r1)"), [-0.5, 0.0, 0.5], [False, False, True]),
+    ]
+    for sys_, r1, verdicts in cases:
+        assert sampling._generic(sys_, np.array(r1)).tolist() == verdicts
+        assert [referee.is_generic(sys_, x) for x in r1] == verdicts
+    overflow = spec("1 + 1/(exp(400*r1)*exp(400*r1))")
+    assert sampling._generic(overflow, np.array([0.9, 0.99, 0.5])).tolist() == [
+        False, False, True]
+    assert [referee.is_generic(overflow, x) for x in (0.9, 0.99)] == [True, True]
