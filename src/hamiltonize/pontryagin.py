@@ -56,8 +56,9 @@ controls and at each complex step alike.  A step moves a single rate, so the
 imaginary part of <p, f> is that one term, whatever the order of summation.
 
 ``optimal_control_check``, which ``pontryagin-check`` and ``certify`` run,
-takes a whole block of sampled points in one call of one more generated
-function.  Its source is that of the scalar functions without their guards
+takes a whole block of sampled points in one call of one more such function,
+from the same builder (``variational._kernel``, as every function here).
+Its source is that of the scalar functions without their guards
 (the optimal controls, the control Hamiltonian at them, the closed-form H
 and the complex steps), run on numpy arrays, one member per point, with the
 weights assigned unchecked; the guards become masks on its outputs.  numpy's
@@ -74,11 +75,10 @@ from random import Random
 
 import numpy as np
 
-from . import expr as ex
 from .errors import EvaluationError
 from .sampling import phase_rows
 from .variational import (CS_STEP, LagrangianModel, PhaseState, _hamiltonian_value, _kernel,
-                          _literal, _momentum_sum, _names, _require_hamiltonian, _weight_names)
+                          _literal, _momentum_sum, _names, _weight_names)
 
 __all__ = [
     "controlled_rhs",
@@ -211,7 +211,8 @@ def _check_block(model: LagrangianModel, points: np.ndarray) -> tuple:
     ``points``, by ``optimal_control_check``'s rule."""
     n = model.system.n
     with np.errstate(all="ignore"):
-        values = _check_function(model)(points[0], list(points[n:]))
+        values = _kernel(model, "control_check", "p", _check_lines, arrays=True)(
+            points[0], list(points[n:]))
         w = len(values) - 2 * n - 2  # the weight pairs come first
         u1, (h1, h2) = values[w], values[w + n:w + n + 2]
         dev = np.abs(h1 - h2)
@@ -229,28 +230,12 @@ def _check_block(model: LagrangianModel, points: np.ndarray) -> tuple:
             *(float(np.max(x, initial=0.0, where=used)) for x in (dev, rel, grad)))
 
 
-def _check_function(model: LagrangianModel):
-    """The check's generated ``control_check(r1, p)``, once per system and
-    model: the source of ``_check_lines`` after the model's weight pairs,
-    assigned with no domain check, run on numpy arrays
-    (``expr.ARRAY_GLOBALS``), every local one member per point."""
-    def build():
-        _require_hamiltonian(model)
-        weights = ex.assign(model.system.weight_table.exprs[model.weight_start:],
-                            _weight_names(model))
-        return ex.define("control_check(r1, p)",
-                         [f"{', '.join(_names('p', model))}, = p", *weights, *_check_lines(model)],
-                         **ex.ARRAY_GLOBALS)
-
-    return model.system.kernel(("control_check", model.kind, model.coefficients), build)
-
-
 # --- generated code ---------------------------------------------------------------
-# Each function is emitted once per system and model (``variational._kernel``,
-# or ``_check_function`` for the array check), over the locals r1, p<b> and
-# u<b> and the model's weight pairs e<b>, s<b>, with every inertia and
-# coefficient a literal.  Every sum keeps the order of
-# its formula, so each value is the one the loops over the layout gave.
+# Each function is emitted once per system and model by ``variational._kernel``
+# (on numpy arrays for the check), over the locals r1, p<b> and u<b> and the
+# model's weight pairs e<b>, s<b>, with every inertia and coefficient a
+# literal.  Every sum keeps the order of its formula, so each value is the one
+# the loops over the layout gave.
 
 _U1_GUARD = (f"if abs(u0) < {U1_MIN!r}: "
              "raise SingularVelocityError('cost undefined for u_1 near zero')")

@@ -53,8 +53,9 @@ gives
     H = p_2^2/(2 I2) + (1/(2 I1)) * (p_1 + (1/2) sum_a E_a(r1) p_a^2 / a_a)^2
 
 with constraints I2 * N * r1'(p) * p_(s_a) + a_a * p_2 = 0, where r1'(p) is
-read off the p_1 partial.  The Legendre image carries exactly the data of the
-Lagrangian, so a first/second model is its own Hamiltonian model: the
+read off the p_1 partial.  The Legendre transform serves kinds first and
+second: its image carries exactly the data of the Lagrangian, so a
+first/second model is its own Hamiltonian model, and the Legendre and
 Hamiltonian functions take the ``lagrangian_model``, read the same layout
 and refuse a variational one.  Both Hamiltonians are globally smooth even
 though the Lagrangians are not, and their canonical flows restricted to the
@@ -380,16 +381,22 @@ def _weight_values_lines(model: LagrangianModel) -> list[str]:
     return [*_weight_guards(model), f"return [{values}]"]
 
 
-def _kernel(model: LagrangianModel, name: str, args: str, body):
+def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
     """The generated ``name(r1, *args)`` of a first/second model, once per
     system and model: the sequences named by the letters of ``args`` unpacked
     into locals, the weights spliced in, then the statements ``body(model)``,
-    which may raise the guards' errors."""
+    which may raise the guards' errors.  With ``arrays``, the weights are
+    assigned with no domain check and the function runs on numpy arrays
+    (``expr.ARRAY_GLOBALS``), every local one member per point."""
     def build():
         _require_hamiltonian(model)
+        signature = f"{name}({', '.join(['r1', *args])})"
         unpack = [f"{', '.join(_names(a, model))}, = {a}" for a in args]
-        return ex.define(f"{name}({', '.join(['r1', *args])})",
-                         [*unpack, *_weight_lines(model), *body(model)],
+        if arrays:
+            weights = ex.assign(model.system.weight_table.exprs[model.weight_start:],
+                                _weight_names(model))
+            return ex.define(signature, [*unpack, *weights, *body(model)], **ex.ARRAY_GLOBALS)
+        return ex.define(signature, [*unpack, *_weight_lines(model), *body(model)],
                          table=model.system.weight_table, weight_vanishes=weight_vanishes,
                          SingularVelocityError=SingularVelocityError)
 
@@ -457,21 +464,14 @@ def _euler_lagrange_kernel(model: LagrangianModel):
 
 
 def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
-    """Velocity-to-momentum map p_i = dL/dq'_i of the model at a jet."""
-    sys = model.system
-    u = jet.qdot
-    p = np.zeros(sys.n)
-    if model.kind == "variational":
-        p[0] = sys.i1 * u[0]
-        p[1] = sys.i2 * u[1]
-        for a in range(sys.k):
-            a_val = sys.a_fns[a](jet.r1)
-            p[1] -= sys.i_alpha[a] * a_val * u[2 + a]
-            p[2 + a] = -sys.i_alpha[a] * (u[2 + a] + a_val * u[1])
-        return PhaseState(jet.q, tuple(p))
+    """Velocity-to-momentum map p_i = dL/dq'_i of a first/second model at a jet."""
+    _require_hamiltonian(model)
     _require_moving(jet.r1dot)
+    sys = model.system
     weights = model._weight_values(jet.r1)
+    u = jet.qdot
     u1 = u[0]
+    p = np.zeros(sys.n)
     p[0] = sys.i1 * u1
     for b, inertia in model.kinetic:
         p[b] = inertia * u[b]
@@ -482,21 +482,15 @@ def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
 
 
 def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
-    """Recover the jet mapped to ``ps``; exact closed-form inversion.
+    """The jet that a first/second model maps to ``ps``, inverted in closed form.
 
-    For kinds first/second the r1 velocity is read off the momentum
-    combination that the Hamiltonian squares, so its sign is determined by
-    the phase point; points with that combination zero have no preimage.
+    The r1 velocity is read off the momentum combination that the
+    Hamiltonian squares, so its sign is determined by the phase point;
+    points with that combination zero have no preimage.
     """
+    _require_hamiltonian(model)
     sys = model.system
     p = ps.p
-    if model.kind == "variational":
-        g = hessian(model, Jet(ps.q, (1.0,) * sys.n))
-        try:
-            u = np.linalg.solve(g, np.array(p))
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessianError("variational kinetic matrix singular") from exc
-        return Jet(ps.q, tuple(u))
     weights = model._weight_values(ps.r1)
     total = model.momentum_sum(ps.r1, p)
     if total == 0.0:

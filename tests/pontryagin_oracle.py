@@ -8,7 +8,10 @@ and ``control_gradient``), one point at a time, with no array evaluated.
 It counts and raises as the check does: a point whose optimal controls are
 undefined or not finite is degenerate, one with ``|u_1| <
 PONTRYAGIN_U1_MIN`` is skipped as near zero, and a non-finite deviation or
-gradient at an evaluated point raises ``EvaluationError``.
+gradient at an evaluated point raises ``EvaluationError``.  Where an
+evaluated point's values overflow, the scalar functions raise Python's
+``OverflowError`` first, as a float ``**`` overflows where numpy gives inf;
+the check raises ``EvaluationError`` there.
 """
 
 import math

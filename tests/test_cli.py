@@ -1234,19 +1234,19 @@ def test_optimal_control_reports_match_golden(system, seed, tmp_path):
 
 def count_control_calls(command, block, code, tmp_path, monkeypatch):
     """The report of ``command`` on 60 of the disk's points in blocks of
-    ``block``, which must exit ``code``, the argument tuples of the array
-    function's calls and the phase points of the scalar ``optimal_controls``
-    calls."""
+    ``block``, which must exit ``code``, the blocks of points of the array
+    function's calls (one row per coordinate and momentum, r1 first) and the
+    phase points of the scalar ``optimal_controls`` calls."""
     array_calls, scalar_calls = [], []
-    build, exact = pontryagin._check_function, pontryagin.optimal_controls
+    check, exact = pontryagin._check_block, pontryagin.optimal_controls
 
     def counted(model, ps):
         scalar_calls.append(ps)
         return exact(model, ps)
 
     monkeypatch.setattr(pontryagin, "POINT_BLOCK", block)
-    monkeypatch.setattr(pontryagin, "_check_function",
-                        lambda model: lambda *a: array_calls.append(a) or build(model)(*a))
+    monkeypatch.setattr(pontryagin, "_check_block",
+                        lambda model, points: array_calls.append(points) or check(model, points))
     monkeypatch.setattr(pontryagin, "optimal_controls", counted)
     assert run_cli(command + ["--system", "vertical_disk", "--samples", "60", "--seed", "3"],
                    tmp_path) == code
@@ -1414,3 +1414,13 @@ def test_determinism_same_seed_same_report(tmp_path):
     a = (a_dir / "knife_edge_helmholtz.json").read_text()
     b = (b_dir / "knife_edge_helmholtz.json").read_text()
     assert a == b
+
+
+def test_generated_sources_match_the_census():
+    """The census commands, run in a fresh process, keep the exit codes and
+    execute the generated sources that ``census_sources.json`` records."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(os.path.dirname(__file__), "census_sources.py")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    assert done.returncode == 0, done.stdout + done.stderr

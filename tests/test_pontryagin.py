@@ -317,8 +317,8 @@ def test_check_matches_the_per_point_referee(system, kind, seed):
     ("free_particle", "g1", {"C3": 1e-200}), ("vertical_disk", "g1", {"C2": 1e-320})])
 def test_degenerate_check_matches_the_per_point_referee(system, kind, params):
     """A tiny model constant overflows every point's optimal controls: the
-    array function flags every member and the scalar functions count each
-    as degenerate."""
+    array function's outputs flag every member degenerate, as the referee
+    counts each point."""
     report = assert_matches_referee(cli_model(system, kind, params), 0, 200)
     assert (report["skipped_degenerate"], report["passed"]) == (200, False)
 

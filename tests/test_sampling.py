@@ -167,7 +167,7 @@ def try_positions(tries, width):
                                          "0.15 + 1e-8*sin(200*r1)"])
 def test_runs_of_misses_across_top_ups_match_the_referee(coefficient, monkeypatch):
     """A coefficient that crosses ``MIN_COEFF`` often, rarely leaves it, or
-    stays within ``BAND`` of it gives runs of misses; where such a run spans
+    stays within 1e-8 of it gives runs of misses; where such a run spans
     the end of one block of draws and the start of the next, the points and
     the generator's state are still the referee's."""
     sys_ = spec(coefficient)

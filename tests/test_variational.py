@@ -25,8 +25,9 @@ from hamiltonize import (
     second_associated,
     third_associated,
 )
+from hamiltonize import pontryagin
 from hamiltonize.sampling import constraint_jets, generic_jets, phase_points
-from hamiltonize.variational import hamilton_ode, phase_columns
+from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, phase_columns
 
 from expr_oracle import evaluate
 
@@ -53,6 +54,44 @@ def test_presets(knife_edge, vertical_disk, free_particle):
     assert default_coefficients(vertical_disk, "second") == pytest.approx(
         (-1 / SQRT2, -1 / SQRT2)
     )
+
+
+# Every function of the Hamiltonian side, called at a jet, the phase point
+# over it and unit controls.
+HAMILTONIAN_SIDE = {
+    "legendre": lambda m, jet, ps, u: legendre(m, jet),
+    "legendre_inverse": lambda m, jet, ps, u: legendre_inverse(m, ps),
+    "hamiltonian_value": lambda m, jet, ps, u: hamiltonian_value(m, ps),
+    "hamilton_ode": lambda m, jet, ps, u: hamilton_ode(m),
+    "hamilton_rhs": lambda m, jet, ps, u: hamilton_rhs(m, ps),
+    "phase_constraint_residual": lambda m, jet, ps, u: phase_constraint_residual(m, ps),
+    "momentum_sum": lambda m, jet, ps, u: m.momentum_sum(ps.r1, ps.p),
+    "optimal_controls": lambda m, jet, ps, u: pontryagin.optimal_controls(m, ps),
+    "optimal_hamiltonian_value": lambda m, jet, ps, u: pontryagin.optimal_hamiltonian_value(m, ps),
+    "pontryagin_hamiltonian": lambda m, jet, ps, u: pontryagin.pontryagin_hamiltonian(m, ps, u),
+    "control_gradient": lambda m, jet, ps, u: pontryagin.control_gradient(m, ps, u),
+    "controlled_rhs": lambda m, jet, ps, u: pontryagin.controlled_rhs(m, jet.q, u),
+    "cost": lambda m, jet, ps, u: pontryagin.cost(m, jet.q, u),
+    "optimal_control_check": lambda m, jet, ps, u: pontryagin.optimal_control_check(m, 0, 10),
+}
+
+
+@pytest.mark.parametrize("name", HAMILTONIAN_SIDE)
+def test_hamiltonian_side_refuses_the_variational_model(any_system, name):
+    model = lagrangian_model(any_system, "variational")
+    jet = Jet((0.3,) + (0.0,) * (any_system.n - 1), (1.0,) * any_system.n)
+    ps = PhaseState(jet.q, (1.0, 0.5) + (0.25,) * any_system.k)
+    with pytest.raises(ConfigError) as refused:
+        HAMILTONIAN_SIDE[name](model, jet, ps, (1.0,) * any_system.n)
+    assert str(refused.value) == "the variational Lagrangian has no closed-form Hamiltonian"
+
+
+def test_lagrangian_side_serves_the_variational_model(any_system):
+    model = lagrangian_model(any_system, "variational")
+    jet = Jet((0.3,) + (0.0,) * (any_system.n - 1), (1.0,) * any_system.n)
+    assert math.isfinite(lagrangian_value(model, jet))
+    assert np.isfinite(hessian(model, jet)).all()
+    assert np.isfinite(euler_lagrange_ode(model)(0.0, list(jet.q + jet.qdot))).all()
 
 
 # --- Lagrangian values --------------------------------------------------------
