@@ -219,7 +219,7 @@ def helmholtz_residuals(sode, g: MultiplierField, jets: Sequence[Jet]) -> Helmho
     gms, fs, nbs = [], [], []
     for jet in jets:
         gms.append(g(jet))
-        fs.append(sode.f(*jet.arrays()))
+        fs.append(sode.f(jet.q, jet.qdot))
         nbs.append(nabla(sode, jet))
     gm, nb = np.array(gms), np.array(nbs)
     q, u = np.array([jet.q for jet in jets]), np.array([jet.qdot for jet in jets])

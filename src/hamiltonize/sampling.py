@@ -41,18 +41,17 @@ TRY_BLOCK = 4096  # tries per call of the generated test; bounds the memory of i
 
 def generic_r1(sys: SystemSpec, count: int, stream: Random) -> list[float]:
     """``count`` r1 uniform in [-1, 1), none with |A_a| < ``MIN_COEFF`` or N undefined."""
-    return _rows(sys, count, stream, 1, 0, SPEEDS)[0].tolist()
+    return _rows(sys, count, stream, 1, 0)[0].tolist()
 
 
-def generic_jets(sys: SystemSpec, count: int, stream: Random,
-                 vel_range: tuple[float, float] = SPEEDS) -> list[Jet]:
+def generic_jets(sys: SystemSpec, count: int, stream: Random) -> list[Jet]:
     """Jets with independent velocities (not constraint-restricted)."""
-    return _points(_rows(sys, count, stream, sys.n, sys.n, vel_range), sys.n, Jet)
+    return _points(_rows(sys, count, stream, sys.n, sys.n), sys.n, Jet)
 
 
 def constraint_jets(sys: SystemSpec, count: int, stream: Random) -> list[Jet]:
     """Jets whose s velocities satisfy the constraints."""
-    return _points(_rows(sys, count, stream, sys.n, 2, SPEEDS), sys.n,
+    return _points(_rows(sys, count, stream, sys.n, 2), sys.n,
                    lambda q, u: sys.on_constraint(q, *u))
 
 
@@ -63,19 +62,18 @@ def phase_points(sys: SystemSpec, count: int, stream: Random) -> list[PhaseState
 
 def phase_rows(sys: SystemSpec, count: int, stream: Random) -> np.ndarray:
     """The points of ``phase_points`` as the columns (q, p) of a (2n, count) array."""
-    return _rows(sys, count, stream, sys.n, sys.n, SPEEDS)
+    return _rows(sys, count, stream, sys.n, sys.n)
 
 
 def _points(rows: np.ndarray, n: int, point) -> list:
     return [point(tuple(col[:n]), tuple(col[n:])) for col in rows.T.tolist()]
 
 
-def _rows(sys: SystemSpec, count: int, stream: Random, coords: int, speeds: int,
-          span: tuple[float, float]) -> np.ndarray:
+def _rows(sys: SystemSpec, count: int, stream: Random, coords: int, speeds: int) -> np.ndarray:
     """``count`` points as the columns of a (coords + speeds, count) array:
     ``coords`` coordinates, the first at a generic r1 and the others uniform
     in [-1, 1), then ``speeds`` velocities or momenta with magnitudes uniform
-    in ``span`` and random signs."""
+    in ``SPEEDS`` and random signs."""
     width = coords + 2 * speeds  # a point's draws, from its accepted try on
     state, draws, generic, tries = stream.getstate(), np.empty(0), np.empty(0, bool), []
     first, need = 0, count * width  # the next point's first try; the draws to add
@@ -99,7 +97,7 @@ def _rows(sys: SystemSpec, count: int, stream: Random, coords: int, speeds: int,
             tries.append(found)
             first = found + width
     picked = draws[np.add.outer(np.arange(width), np.array(tries, dtype=np.intp))]
-    magnitudes = span[0] + (span[1] - span[0]) * picked[coords::2]
+    magnitudes = SPEEDS[0] + (SPEEDS[1] - SPEEDS[0]) * picked[coords::2]
     return np.concatenate((-1.0 + 2.0 * picked[:coords],
                            np.where(picked[coords + 1::2] < 0.5, -magnitudes, magnitudes)))
 

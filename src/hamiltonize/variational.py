@@ -28,10 +28,11 @@ kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
 coefficient and E_b (``terms``).  Each first/second formula below reads E_b
 and E_b' from the system's ``weight_table`` and guards the weights as the
 second associated system does.  The other pointwise formulas loop over
-``_weight_values``; it, ``momentum_sum``, ``hamiltonian_value`` and the
-trajectory right-hand sides are straight-line code generated once per system
-and model, with every inertia and coefficient a literal and the model's
-weight pairs spliced in from the table (kind second reads no r2 pair).
+``_weight_values``, but the Legendre inverse reads the canonical flow's
+dq/dt = dH/dp.  ``_weight_values``, ``momentum_sum``, ``hamiltonian_value``
+and the trajectory right-hand sides are straight-line code generated once
+per system and model, with every inertia and coefficient a literal and the
+model's weight pairs spliced in from the table (kind second reads no r2 pair).
 
 The slopes of ``hessian_field`` are complex steps of size ``CS_STEP`` (the
 step of ``pontryagin``'s control gradient too) of the Hessian's own
@@ -482,26 +483,16 @@ def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
 
 
 def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
-    """The jet that a first/second model maps to ``ps``, inverted in closed form.
-
-    The r1 velocity is read off the momentum combination that the
-    Hamiltonian squares, so its sign is determined by the phase point;
-    points with that combination zero have no preimage.
-    """
+    """The jet over ``ps.q`` that a first/second model maps to ``ps``: the
+    canonical flow's dq/dt there, r1' being the momentum sum over I1.  The
+    weights are guarded first, as the Lagrangian's are, though H is smooth
+    where one vanishes."""
     _require_hamiltonian(model)
-    sys = model.system
-    p = ps.p
-    weights = model._weight_values(ps.r1)
-    total = model.momentum_sum(ps.r1, p)
-    if total == 0.0:
+    model._weight_values(ps.r1)
+    qdot = hamilton_rhs(model, ps)[0]
+    if qdot[0] == 0.0:
         raise SingularVelocityError("phase point lies over r1dot = 0")
-    u = np.zeros(sys.n)
-    u[0] = total / sys.i1
-    for b, inertia in model.kinetic:
-        u[b] = p[b] / inertia
-    for b, c, e_val, _ in weights:
-        u[b] = e_val * p[b] * u[0] / c
-    return Jet(ps.q, tuple(u))
+    return Jet(ps.q, tuple(qdot))
 
 
 # --- Hamiltonians -----------------------------------------------------------------

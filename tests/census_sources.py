@@ -1,12 +1,21 @@
-"""Generated-source census: a fixed list of commands, each run through
-``cli.main`` into a temporary directory, gives the exit code and the sources
-that ``expr.define`` executes recorded in ``census_sources.json``.  A source
-is recorded as its sha256, and a command's as the sorted list of them, one
-entry per execution.  The commands run in one fresh process, in list order,
-so what one builds and caches is not built again by a later one.
+"""Command census: a fixed list of commands, each run through ``cli.main``
+into a temporary directory, gives what ``census_sources.json`` records of
+it: the exit code, the sources that ``expr.define`` executes, and its
+outputs.  A source is recorded as its sha256, and a command's as the sorted
+list of them, one entry per execution.  The outputs are the sha256 of
+stdout, of stderr and of each file written under the command's ``--out``,
+keyed by its path there, each with that directory's path replaced by
+``OUT_TOKEN`` (the ``simulate`` report names its CSV).  The commands run in
+one fresh process, in list order, so what one builds and caches is not built
+again by a later one.
 
-A change that alters a generated source or an exit code regenerates the
-manifest in the same diff, so the change shows in review:
+Exit codes and sources are compared everywhere.  The outputs hold numbers
+that numpy's functions may round differently elsewhere, so they are
+compared only where the numpy version and the machine are those the
+manifest was written on; otherwise one line says that they were not.
+
+A change that alters an exit code, a generated source or an output
+regenerates the manifest in the same diff, so the change shows in review:
 
     PYTHONPATH=src python tests/census_sources.py          # compare; exit 1 on a difference
     PYTHONPATH=src python tests/census_sources.py --write  # regenerate the manifest
@@ -16,13 +25,17 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
+
 from hamiltonize import cli, expr
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "census_sources.json")
+OUT_TOKEN = b"<out>"
 
 SIMULATIONS = ["nonholonomic", "lagrangian --lag-kind first", "lagrangian --lag-kind variational",
                "hamiltonian", "sode --sode first", "sode --sode second", "sode --sode third"]
@@ -40,8 +53,29 @@ COMMANDS = [
 ]
 
 
+def _platform() -> dict:
+    """What the outputs' numbers may depend on beyond the program."""
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def _digest(data: bytes, out: str) -> str:
+    return hashlib.sha256(data.replace(out.encode(), OUT_TOKEN)).hexdigest()
+
+
+def _outputs(stdout: str, stderr: str, out: str) -> dict:
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, out)] = _digest(f.read(), out)
+    return {"stdout": _digest(stdout.encode(), out), "stderr": _digest(stderr.encode(), out),
+            "files": dict(sorted(files.items()))}
+
+
 def census() -> dict:
-    """Each command's exit code and the sorted sha256 of the sources it executes."""
+    """Each command's exit code, the sorted sha256 of the sources it
+    executes, and the sha256 of its outputs."""
     record, hashes = {}, []
 
     def recording_exec(source, namespace):
@@ -50,32 +84,57 @@ def census() -> dict:
 
     expr.exec = recording_exec  # ``define`` reads exec from its module before the builtins
     try:
-        with (tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()),
-              redirect_stderr(io.StringIO())):
+        with tempfile.TemporaryDirectory() as tmp:
             for i, command in enumerate(COMMANDS):
                 hashes.clear()
-                code = cli.main([*command.split(), "--out", os.path.join(out, str(i))])
-                record[command] = {"exit": code, "sources": sorted(hashes)}
+                out, stdout, stderr = os.path.join(tmp, str(i)), io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = cli.main([*command.split(), "--out", out])
+                record[command] = {"exit": code, "sources": sorted(hashes),
+                                   "outputs": _outputs(stdout.getvalue(), stderr.getvalue(), out)}
     finally:
         del expr.exec
     return record
+
+
+def _differences(expected: dict | None, found: dict | None, outputs: bool) -> list[str]:
+    """The parts of one command's record that differ from the manifest's."""
+    if expected is None or found is None:
+        return ["missing from the " + ("manifest" if expected is None else "census")]
+    parts = [key for key in ("exit", "sources") if expected[key] != found[key]]
+    if outputs:
+        before, after = expected["outputs"], found["outputs"]
+        parts += [key for key in ("stdout", "stderr") if before[key] != after[key]]
+        parts += [path for path in sorted(before["files"].keys() | after["files"].keys())
+                  if before["files"].get(path) != after["files"].get(path)]
+    return parts
 
 
 def main(argv: list[str]) -> int:
     record = census()
     if argv == ["--write"]:
         with open(MANIFEST, "w") as f:
-            json.dump(record, f, indent=1)
+            json.dump({"platform": _platform(), "commands": record}, f, indent=1)
             f.write("\n")
         print(f"wrote {len(record)} commands to {MANIFEST}")
         return 0
     with open(MANIFEST) as f:
         manifest = json.load(f)
-    differ = [c for c in manifest.keys() | record.keys() if manifest.get(c) != record.get(c)]
-    for command in sorted(differ):
-        print(f"differs from the manifest: {command}")
+    written, here = manifest["platform"], _platform()
+    outputs = written == here
+    if not outputs:
+        print(f"outputs not compared: the manifest was written with numpy {written['numpy']} "
+              f"on {written['machine']}, this is numpy {here['numpy']} on {here['machine']}")
+    commands, differ = manifest["commands"], 0
+    for command in sorted(commands.keys() | record.keys()):
+        parts = _differences(commands.get(command), record.get(command), outputs)
+        if parts:
+            differ += 1
+            print(f"differs from the manifest: {command}: {', '.join(parts)}")
     total = sum(len(entry["sources"]) for entry in record.values())
-    print(f"{len(record)} commands, {total} sources: {len(differ)} differ from the manifest")
+    files = sum(len(entry["outputs"]["files"]) for entry in record.values())
+    print(f"{len(record)} commands, {total} sources, {files} files: "
+          f"{differ} differ from the manifest")
     return 1 if differ else 0
 
 

@@ -53,12 +53,12 @@ def _draw(stream: Random, coords: int, count: int, lo: float, hi: float):
     return rest, signed
 
 
-def _sample(sys: SystemSpec, count: int, stream: Random, speeds: int,
-            span: tuple[float, float], point, tries: list | None = None) -> list:
+def _sample(sys: SystemSpec, count: int, stream: Random, speeds: int, point,
+            tries: list | None = None) -> list:
     out = []
     for _ in range(count):
         r1 = sample_r1(sys, stream, tries)
-        rest, v = _draw(stream, sys.n - 1, speeds, *span)
+        rest, v = _draw(stream, sys.n - 1, speeds, *SPEEDS)
         out.append(point((r1, *rest), tuple(v)))
     return out
 
@@ -67,23 +67,22 @@ def generic_r1(sys: SystemSpec, count: int, stream: Random, tries: list | None =
     return [sample_r1(sys, stream, tries) for _ in range(count)]
 
 
-def generic_jets(sys: SystemSpec, count: int, stream: Random, vel_range=SPEEDS,
+def generic_jets(sys: SystemSpec, count: int, stream: Random,
                  tries: list | None = None) -> list[Jet]:
-    return _sample(sys, count, stream, sys.n, vel_range, Jet, tries)
+    return _sample(sys, count, stream, sys.n, Jet, tries)
 
 
 def constraint_jets(sys: SystemSpec, count: int, stream: Random,
                     tries: list | None = None) -> list[Jet]:
-    return _sample(sys, count, stream, 2, SPEEDS,
-                   lambda q, u: sys.on_constraint(q, *u), tries)
+    return _sample(sys, count, stream, 2, lambda q, u: sys.on_constraint(q, *u), tries)
 
 
 def phase_points(sys: SystemSpec, count: int, stream: Random,
                  tries: list | None = None) -> list[PhaseState]:
-    return _sample(sys, count, stream, sys.n, SPEEDS, PhaseState, tries)
+    return _sample(sys, count, stream, sys.n, PhaseState, tries)
 
 
 def phase_rows(sys: SystemSpec, count: int, stream: Random,
                tries: list | None = None) -> list[tuple[float, ...]]:
     """The points of ``phase_points`` as flat rows (q, p)."""
-    return _sample(sys, count, stream, sys.n, SPEEDS, lambda q, p: q + p, tries)
+    return _sample(sys, count, stream, sys.n, lambda q, p: q + p, tries)

@@ -264,7 +264,8 @@ def test_hessian_multiplier_passes_down_to_slow_drive(any_system, stream):
     from hamiltonize import helmholtz_residuals, hessian_field
 
     sode = second_associated(any_system)
-    jets = generic_jets(any_system, 100, stream, vel_range=(0.1, 2.0))
+    jets = [Jet(jet.q, tuple(0.2 * u for u in jet.qdot))
+            for jet in generic_jets(any_system, 100, stream)]
     for kind in ("first", "second") if any_system.measure_is_constant() else ("first",):
         report = helmholtz_residuals(sode, hessian_field(lagrangian_model(any_system, kind)), jets)
         assert report.passed, (kind, report)
@@ -392,6 +393,43 @@ def test_legendre_round_trip_second_kind(vertical_disk, stream):
     for jet in generic_jets(vertical_disk, 50, stream):
         back = legendre_inverse(model, legendre(model, jet))
         assert back.qdot == pytest.approx(jet.qdot, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_momenta_map_to_the_canonical_flows_velocities(any_system, kind, stream):
+    """The inverse Legendre map is the canonical flow's dq/dt = dH/dp, bit
+    for bit, and the optimal-control system driven by the optimal controls
+    moves the coordinates at the same rates (the paper's link between the
+    two routes), wherever the check uses a point."""
+    if kind == "second" and not any_system.measure_is_constant():
+        pytest.skip("second kind needs constant measure")
+    model = lagrangian_model(any_system, kind)
+    for ps in phase_points(any_system, 200, stream):
+        qdot = hamilton_rhs(model, ps)[0]
+        assert legendre_inverse(model, ps).qdot == tuple(qdot)
+        u_star = pontryagin.optimal_controls(model, ps)
+        if abs(u_star[0]) >= pontryagin.PONTRYAGIN_U1_MIN:
+            assert pontryagin.controlled_rhs(model, ps.q, u_star) == pytest.approx(qdot, rel=1e-14)
+
+
+def test_legendre_inverse_refuses_a_vanishing_weight(vertical_disk):
+    """The weights are guarded before the momentum sum is read, though H is
+    smooth where one vanishes."""
+    model = lagrangian_model(vertical_disk, "first")
+    with pytest.raises(CoefficientSingularityError):
+        legendre_inverse(model, PhaseState((math.pi / 2, 0.0, 0.0, 0.0), (0.0,) * 4))
+
+
+def test_legendre_inverse_refuses_a_zero_momentum_sum(any_system):
+    """A phase point whose momentum sum is 0 lies over r1' = 0: no preimage."""
+    model = lagrangian_model(any_system, "first")
+    b, _ = model.terms[0]
+    q = (0.5,) + (0.0,) * (any_system.n - 1)
+    p = [0.0] * any_system.n
+    p[b] = 1.0
+    p[0] = -model.momentum_sum(q[0], p)  # the sum's only other term, so it is exactly 0
+    with pytest.raises(SingularVelocityError, match="phase point lies over r1dot = 0"):
+        legendre_inverse(model, PhaseState(q, tuple(p)))
 
 
 def test_legendre_maps_constraints_to_momentum_plane(any_system, stream):
