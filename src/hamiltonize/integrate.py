@@ -23,6 +23,149 @@ CSV_CHUNK_ROWS = 256
 MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the steps + 1 float stamps must fit one array
 
 
+# --- "%.17g" in numpy ---------------------------------------------------------
+#
+# A finite nonzero x prints as D * 10**(E - 16), D the integer in
+# [10**16, 10**17) nearest |x| * 10**(16 - E).  E starts as floor(log10|x|),
+# and the product is taken in double-double: Dekker's exact two-product of
+# |x| and hi, plus |x| * lo, where hi + lo is 10**(16 - E) to 2**-106.  The
+# leading double p of the product is then an integer (it is at least 2**53),
+# so the fraction to round is that of the small remainder t, known to within
+# 2**-47.  The value is decided where that fraction is clear of a half by
+# _TIE and p + t lies in [10**16, 10**17) (so E was right); any other value,
+# and one that is non-finite or outside (1e-30, 1e30), is formatted on its
+# own.  Zero has its own text.
+#
+# Each value is laid out in _WIDTH bytes, the bytes it does not use zero:
+# 0 separator, 1 sign, 2-6 a "0.000" prefix (-4 <= E < 0), the digits from
+# 6 on with the point after the first ``lead`` of them, and 24-27 an
+# exponent "e+XX".  Digit j sits at byte 7 + j in ``digits`` and at 6 + j in
+# ``left``, the same bytes one to the left, so the digits before the point
+# come from ``left`` and those after it from ``digits``, each through a mask
+# picked by (lead, digits kept).  Dropping the zero bytes joins the text.
+
+_EXPONENTS = range(-31, 31)  # floor(log10|x|) for 1e-30 < |x| < 1e30
+_ZERO = len(_EXPONENTS)  # the class of 0.0 and -0.0, after the exponents'
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_TIE = 0.5 - 2.0**-30  # a fraction within 2**-30 of a half is left undecided
+_WIDTH = 28
+
+
+def _split(v):
+    big = _SPLIT * v
+    hi = big - (big - v)
+    return hi, v - hi
+
+
+def _powers_of_ten():
+    """hi, its two halves and lo of 10**(16 - E) for each E, from Python
+    ints, whose true division rounds correctly."""
+    rows = []
+    for e in _EXPONENTS:
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den
+        m, b = hi.as_integer_ratio()
+        rows.append((hi, *_split(hi), (num * b - m * den) / (den * b)))
+    return np.array(rows).T.copy()
+
+
+def _layout():
+    """The digit groups 0000-9999 as four ASCII bytes each, their trailing
+    zeros, and per class the digits before the point and the masks and
+    constant bytes of the layout, as rows of 32-bit words.  Built from
+    Python bytes, so that importing runs no numpy loop."""
+    quads, trailing = bytearray(40_000), bytearray(10_000)
+    for place in range(4):  # thousands, hundreds, tens, units
+        run = 10 ** (3 - place)
+        quads[place::4] = b"".join(bytes([48 + d]) * run for d in range(10)) * (1000 // run)
+    for k in range(1, 5):  # a multiple of 10**k ends in k zeros; 0 counts as four
+        trailing[::10**k] = bytes([k]) * (10_000 // 10**k)
+    lead = [e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in _EXPONENTS] + [0]
+    before = [(b"\0" * 6 + b"\xff" * n).ljust(_WIDTH, b"\0") for n in range(18)]
+    after = [(b"\0" * (7 + n) + b"\xff" * (kept - n)).ljust(_WIDTH, b"\0")
+             for n in range(18) for kept in range(18)]  # [lead, kept]
+    text = []  # [class, point, sign]
+    for c, n in enumerate(lead):
+        e = _EXPONENTS[c] if c < _ZERO else 0
+        for point in (0, 1):
+            for sign in (0, 1):
+                row = bytearray(_WIDTH)
+                row[0], row[1] = ord(","), ord("-") * sign
+                if c == _ZERO:
+                    row[6] = ord("0")
+                elif -4 <= e < 0:
+                    row[6 + e:7] = b"0." + b"0" * (-e - 1)
+                elif not 0 <= e < 17:
+                    row[24:] = b"e%+03d" % e
+                if point and n:
+                    row[6 + n] = ord(".")
+                text.append(bytes(row))
+    words = [np.frombuffer(b"".join(rows), np.uint32).reshape(-1, _WIDTH // 4)
+             for rows in (before, after, text)]
+    return (np.frombuffer(quads, np.uint32), np.frombuffer(trailing, np.uint8),
+            np.array(lead), *words)
+
+
+_HI, _HI_HI, _HI_LO, _LO = _powers_of_ten()
+_QUADS, _TRAILING, _LEAD, _BEFORE, _AFTER, _TEXT = _layout()
+
+
+def _decimal(x: np.ndarray):
+    """The class (E's index, or _ZERO) and 17-digit D of each value, and
+    whether the two are decided; D is 10**16 where they are not."""
+    a = np.abs(x)
+    ok = (a > 1e-30) & (a < 1e30)
+    a[~ok] = 1.0
+    c = np.floor(np.log10(a)).astype(np.intp) - _EXPONENTS[0]
+    p = a * _HI.take(c)
+    a_hi, a_lo = _split(a)
+    hi_hi, hi_lo = _HI_HI.take(c), _HI_LO.take(c)
+    t = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * _LO.take(c)
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    ok &= (p > 1e16) | ((p == 1e16) & (t >= 0))
+    ok &= (d < 10**17) & (np.abs(t - r) < _TIE)
+    d[~ok] = 10**16
+    c[x == 0] = _ZERO
+    return c, d, ok
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """Each row of ``block`` as a newline and then its values, joined by
+    commas, each exactly as ``"%.17g" % value``."""
+    x = block.ravel()
+    c, d, ok = _decimal(x)
+    top = d // 10**8
+    first = top // 10**8
+    groups = [first]  # D's first digit, then four groups of four
+    for g in (top - first * 10**8, d - top * 10**8):
+        high = g // 10**4
+        groups += [high, g - high * 10**4]
+    digits = np.empty((len(x), _WIDTH // 4), np.uint32)
+    for k, g in enumerate(groups, 1):
+        _QUADS.take(g, out=digits[:, k])
+    zeros = _TRAILING.take(groups[4])
+    for g, full in zip(groups[3:0:-1], (4, 8, 12)):
+        zeros += (zeros == full) * _TRAILING.take(g)
+    lead, zero = _LEAD.take(c), c == _ZERO
+    kept = np.maximum(17 - zeros, lead)
+    kept[zero] = 0
+    left = np.empty_like(digits)  # its buffer then takes the mask and text rows in turn
+    left.view(np.uint8).ravel()[:-1] = digits.view(np.uint8).ravel()[1:]
+    out = _BEFORE.take(lead, axis=0)
+    out &= left
+    digits &= _AFTER.take(lead * 18 + kept, axis=0, out=left, mode="clip")
+    out |= digits
+    out |= _TEXT.take((c * 2 + (kept > lead)) * 2 + np.signbit(x), axis=0, out=left, mode="clip")
+    text = out.view(np.uint8)
+    text[::block.shape[1], 0] = ord("\n")
+    for i in np.flatnonzero(~ok & ~zero):
+        value = b"%.17g" % x[i]
+        text[i, 1:] = 0
+        text[i, 1:1 + len(value)] = np.frombuffer(value, np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
 def _names(lines) -> tuple[set, set]:
     """The locals that the statements ``lines`` store, and every name they
     hold, read off the code object they compile to (nothing runs)."""
@@ -138,19 +281,17 @@ class Trajectory:
 
     def write_csv(self, path: str) -> None:
         """Write t plus all state columns at full double precision, each value
-        as ``%.17g``.  A column that holds one value bit for bit throughout a
-        chunk (a constant velocity or momentum) is formatted once per chunk."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(self.columns) + "\n")
-            # a chunk at a time, so the table never exists as Python floats
+        as ``%.17g``.  The text is computed in numpy (``_csv_rows``), a chunk
+        of rows at a time so that memory does not grow with the run; a value
+        whose rounding that cannot decide (within 2**-30 of a tie, at the
+        edge of a decade, non-finite or outside 1e-30 < |x| < 1e30) is
+        formatted on its own."""
+        with open(path, "wb") as fh:
+            fh.write(("t," + ",".join(self.columns)).encode())
             for start in range(0, len(self.times), CSV_CHUNK_ROWS):
                 stop = start + CSV_CHUNK_ROWS
-                block = np.column_stack((self.times[start:stop], self.states[start:stop]))
-                bits = block.view(np.int64)
-                fixed = (bits == bits[0]).all(axis=0)
-                row = ",".join("%.17g" % v if same else "%.17g"
-                               for v, same in zip(block[0].tolist(), fixed.tolist())) + "\n"
-                fh.write(row * len(block) % tuple(block[:, ~fixed].ravel().tolist()))
+                fh.write(_csv_rows(np.column_stack((self.times[start:stop], self.states[start:stop]))))
+            fh.write(b"\n")
 
 
 def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Trajectory:

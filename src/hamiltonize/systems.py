@@ -112,9 +112,6 @@ class Jet:
     def sdot(self) -> tuple[float, ...]:
         return self.qdot[2:]
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.q), np.array(self.qdot)
-
 
 @dataclass(frozen=True)
 class SystemSpec:

@@ -114,9 +114,6 @@ class PhaseState:
     def r1(self) -> float:
         return self.q[0]
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.q), np.array(self.p)
-
 
 def default_coefficients(sys: SystemSpec, kind: str) -> tuple[float, ...]:
     """Free-parameter presets reproducing the classical per-example models.

@@ -35,7 +35,7 @@ def _central(fn, x, h, scaled=True):
 
 def jac_u(sode, jet, h=H_FD, scaled=True):
     """df/dq' at a jet."""
-    q, u = jet.arrays()
+    q, u = np.array(jet.q), np.array(jet.qdot)
     return _central(lambda v: sode.f(q, v), u, h, scaled)
 
 
@@ -77,7 +77,7 @@ def _mixed_gamma_jac_u(sode, q, u):
 
 def phi(sode, jet):
     """The Jacobi endomorphism matrix at a jet."""
-    q, u = jet.arrays()
+    q, u = np.array(jet.q), np.array(jet.qdot)
     J = jac_u(sode, jet)
     dq = _central(lambda x: sode.f(x, u), q, H_FD)
     return _mixed_gamma_jac_u(sode, q, u) - 2.0 * dq - 0.5 * (J @ J)
@@ -90,7 +90,7 @@ def nabla_phi(sode, jet, order=1):
         j = Jet(tuple(q), tuple(u))
         return nabla_phi(sode, j, order - 1) if order > 1 else phi(sode, j)
 
-    q, u = jet.arrays()
+    q, u = np.array(jet.q), np.array(jet.qdot)
     U = tensor(q, u)
     N = nabla(sode, jet)
     scale = 1.0 + float(np.max(np.abs(np.concatenate((q, u)))))
@@ -101,7 +101,7 @@ def nabla_phi(sode, jet, order=1):
 def r_tensor(sode, jet, h=1e-6):
     """Velocity curl R[j, k, l] = (1/3)(dPhi^j_l/du_k - dPhi^j_k/du_l)."""
     n = sode.n
-    q, u = jet.arrays()
+    q, u = np.array(jet.q), np.array(jet.qdot)
     dphi = np.empty((n, n, n))  # dphi[k] = dPhi/du_k
     for kdx in range(n):
         step = h * (1.0 + abs(u[kdx]))

@@ -1417,8 +1417,10 @@ def test_determinism_same_seed_same_report(tmp_path):
 
 
 def test_generated_sources_match_the_census():
-    """The census commands, run in a fresh process, keep the exit codes and
-    execute the generated sources that ``census_sources.json`` records."""
+    """The census commands, run in a fresh process, keep the exit codes,
+    execute the generated sources and, where numpy's version and the machine
+    are the manifest's, write the stdout, the stderr and the files whose
+    sha256 hashes ``census_sources.json`` records."""
     done = subprocess.run(
         [sys.executable, os.path.join(os.path.dirname(__file__), "census_sources.py")],
         capture_output=True, text=True, timeout=120,

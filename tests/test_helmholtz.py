@@ -273,7 +273,7 @@ def reference_residuals(sode, g, jets, tolerance=1e-8):
     min_det = np.inf
     h0 = 1e-4
     for jet in jets:
-        q, u = jet.arrays()
+        q, u = np.array(jet.q), np.array(jet.qdot)
         gm = g(jet)
         min_det = min(min_det, abs(float(np.linalg.det(gm))))
         f0 = sode.f(q, u)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hamiltonize import (
 from hamiltonize import expr
 from hamiltonize.cli import default_initial_jet
 from hamiltonize.errors import EvaluationError
+from hamiltonize.integrate import CSV_CHUNK_ROWS
 from hamiltonize.systems import (nh_columns, nh_state_from_jet, nonholonomic_ode,
                                  parse_system_file)
 from hamiltonize.variational import euler_lagrange_ode, hamilton_ode, lagrangian_model, legendre
@@ -499,32 +501,65 @@ def _per_value_csv(traj):
     )).encode()
 
 
+def csv_families(rng, size):
+    """About ``size`` float64 values that probe the CSV writer's rounding:
+    drawn bit patterns (with +-0, subnormals, nan and +-inf), the neighbours
+    of 10**k for k in -35..35, values at the edges of a decade (where
+    |x| 10**(16 - E) is at 1e16 or rounds up to 1e17) and of the writer's
+    range 1e-30 < |x| < 1e30, exact and nearest half-way values (m + 0.5)
+    10**e, integers above 2**53, and normal draws over 70 decades."""
+    part = max(size // 8, 1)
+    bits = rng.integers(-2**63, 2**63 - 1, part, dtype=np.int64, endpoint=True).view(np.float64)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+    subnormal = rng.integers(1, 2**52, part // 8, dtype=np.int64).view(np.float64)
+    powers = np.repeat(10.0 ** np.arange(-35, 36), 2)
+    steps = rng.integers(-64, 65, (max(part // len(powers), 1), len(powers)))
+    around = powers * (1.0 + steps * 2.0**-53)  # on both sides of each 10**k, a few ulps out
+    decade = np.concatenate([[1e-30, 1e30], np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+                             np.nextafter(np.nextafter([1e-30, 1e30], 0), 0), around.ravel()])
+    # exact ties: j 2**-(s+1) with j odd is D + 1/2 after scaling by 10**s
+    s = rng.integers(1, 25, part)
+    low = np.ceil(2e16 / 5.0**s)
+    j = low + rng.random(part) * (np.minimum(2e17 / 5.0**s, 2.0**53) - low)
+    ties = np.ldexp(np.floor(j / 2) * 2 + 1, -(s + 1))
+    m = rng.integers(10**16, 10**17, part)
+    near = np.array([float(f"{v}5e{e}") for v, e in zip(m.tolist(), rng.integers(-40, 25, part).tolist())])
+    big = np.ldexp(rng.integers(2**52, 2**53, part).astype(float), rng.integers(1, 40, part))
+    normal = rng.standard_normal(part) * 10.0 ** rng.uniform(-35, 35, part)
+    values = np.concatenate([bits, special, subnormal, decade, ties, -ties, near, big, -big, normal])
+    return values[rng.permutation(len(values))]
+
+
 def test_csv_writer_matches_per_value_format(tmp_path):
     """More rows than two chunks, with signed zeros, extreme exponents and
-    17-digit values; the file equals a per-value "%.17g" join."""
+    17-digit values, then the rounding probes of ``csv_families``; the file
+    equals a per-value "%.17g" join."""
     rng = np.random.default_rng(7)
     rows = 2 * 1024 + 77
     states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
     states[5] = (-0.0, 1e-300, 1e300)
     states[1024] = (0.1, -1.2345678901234567, 2.0 / 3.0)
     states[2047] = (-1e300, -1e-300, 0.0)
-    times = np.arange(rows) * 1e-3
-    traj = Trajectory(times, states, ("a", "b", "c"), "test")
-    path = tmp_path / "run.csv"
-    traj.write_csv(str(path))
-    assert path.read_bytes() == _per_value_csv(traj)
+    values = csv_families(rng, 60_000)
+    probes = values[: len(values) // 4 * 4].reshape(-1, 4)
+    for traj in (Trajectory(np.arange(rows) * 1e-3, states, ("a", "b", "c"), "test"),
+                 Trajectory(np.arange(len(probes)) * 0.5, probes, ("a", "b", "c", "d"), "test")):
+        path = tmp_path / "run.csv"
+        traj.write_csv(str(path))
+        assert path.read_bytes() == _per_value_csv(traj)
 
 
 def test_csv_writer_formats_unchanging_columns_as_each_value(tmp_path):
     """Columns that hold one value through a chunk: one that changes only
-    after the first 256-row chunk, one that starts changing inside the last
-    chunk, a constant -0.0, a constant nan, and zeros of alternating sign
+    after the first chunk, one that starts changing near the end of the
+    second, a constant -0.0, a constant nan, and zeros of alternating sign
     (equal values, different bits); and a one-row trajectory."""
-    rows = 2 * 256 + 10
+    rows = 2 * CSV_CHUNK_ROWS + 10
     states = np.zeros((rows, 6))
-    states[:, 0] = np.where(np.arange(rows) < 256, 1.5, np.arange(rows) * 0.1)
+    states[:, 0] = np.where(np.arange(rows) < CSV_CHUNK_ROWS, 1.5, np.arange(rows) * 0.1)
     states[:, 1] = 1.0 / 3.0
-    states[500:, 1] = -2.0
+    states[2 * CSV_CHUNK_ROWS - 12:, 1] = -2.0
     states[:, 2] = -0.0
     states[:, 3] = np.nan
     states[::2, 4] = -0.0
@@ -535,3 +570,20 @@ def test_csv_writer_formats_unchanging_columns_as_each_value(tmp_path):
         path = tmp_path / "run.csv"
         traj.write_csv(str(path))
         assert path.read_bytes() == _per_value_csv(traj)
+
+
+def test_csv_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    """The writer's peak allocation on 100,000 rows of 8 columns is within
+    1.25x of its peak on 10,000: it holds a chunk at a time, never the run."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for rows in (10_000, 100_000):
+        traj = Trajectory(np.arange(rows) * 1e-3, rng.standard_normal((rows, 8)),
+                          tuple("abcdefgh"), "test")
+        tracemalloc.start()
+        try:
+            traj.write_csv(str(tmp_path / "run.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks

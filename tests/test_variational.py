@@ -245,7 +245,8 @@ def test_hessian_slopes_are_linear_in_the_direction(any_system, kind, stream):
     eye, zero = np.eye(n), np.zeros((n, n))
     dq, du = [], []
     for jet in jets:
-        u, f = jet.arrays()[1], sode.f(*jet.arrays())
+        u = np.array(jet.qdot)
+        f = sode.f(np.array(jet.q), u)
         dq.append(np.vstack((eye, zero, u)))
         du.append(np.vstack((zero, eye, f)))
     slopes = hessian_slopes_along(model, jets, dq, du)
@@ -496,7 +497,7 @@ def test_hamilton_rhs_matches_fd_gradients(any_system, stream):
     h = 1e-6
     for ps in phase_points(any_system, 100, stream):
         qdot, pdot = hamilton_rhs(model, ps)
-        q, p = ps.arrays()
+        q, p = np.array(ps.q), np.array(ps.p)
         for i in range(any_system.n):
             pp, pm = p.copy(), p.copy()
             pp[i] += h
