@@ -7,7 +7,8 @@ stdout, of stderr and of each file written under the command's ``--out``,
 keyed by its path there, each with that directory's path replaced by
 ``OUT_TOKEN`` (the ``simulate`` report names its CSV).  The commands run in
 one fresh process, in list order, so what one builds and caches is not built
-again by a later one.
+again by a later one, from a temporary directory that holds the spec files
+of ``SPECS``, which the ``--spec`` commands name.
 
 Exit codes and sources are compared everywhere.  The outputs hold numbers
 that numpy's functions may round differently elsewhere, so they are
@@ -37,6 +38,11 @@ from hamiltonize import cli, expr
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "census_sources.json")
 OUT_TOKEN = b"<out>"
 
+POLE = "--ic phi=1.5707963267948966"  # the knife edge's tan pole, the disk's cos(r1) root
+# specs whose coefficients have constant parts, each generated as one literal
+SPECS = {f"{name}.system": f"I1 = 1\nI2 = 1\nI_alpha = 1\nA_alpha = {coefficient}\nnames = phi, x, y\n"
+         for name, coefficient in (("constant_product", "2*3*r1"),
+                                   ("constant_nested", "cos(0.7)/(exp(r1+2+1.3)^2+1) + r1"))}
 SIMULATIONS = ["nonholonomic", "lagrangian --lag-kind first", "lagrangian --lag-kind variational",
                "hamiltonian", "sode --sode first", "sode --sode second", "sode --sode third"]
 COMMANDS = [
@@ -50,6 +56,14 @@ COMMANDS = [
     "simulate --t 0.5 --formulation lagrangian --lag-kind second --system vertical_disk",
     "compare --system vertical_disk --formulation nonholonomic,lagrangian,hamiltonian,closed-form"
     " --tol 1e-5 --t 1",
+    *(f"simulate --t 0.5 --formulation {run} {POLE} --system knife_edge"
+      for run in ("sode --sode second", "lagrangian", "hamiltonian")),
+    f"simulate --t 0.5 --formulation lagrangian --lag-kind second {POLE} --system vertical_disk",
+    *(f"helmholtz-check --depth 5 --params C2=2,C3=-0.5 --system {system}"
+      for system in ("free_particle", "knife_edge", "vertical_disk")),
+    "certify --system knife_edge --params m=2,J=3",
+    *(f"{command} --spec {spec}" for spec in SPECS
+      for command in ("certify", "simulate --t 0.5 --formulation lagrangian")),
 ]
 
 
@@ -83,8 +97,13 @@ def census() -> dict:
         exec(source, namespace)
 
     expr.exec = recording_exec  # ``define`` reads exec from its module before the builtins
+    cwd = os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            for name, text in SPECS.items():
+                with open(name, "w") as f:
+                    f.write(text)
             for i, command in enumerate(COMMANDS):
                 hashes.clear()
                 out, stdout, stderr = os.path.join(tmp, str(i)), io.StringIO(), io.StringIO()
@@ -93,6 +112,7 @@ def census() -> dict:
                 record[command] = {"exit": code, "sources": sorted(hashes),
                                    "outputs": _outputs(stdout.getvalue(), stderr.getvalue(), out)}
     finally:
+        os.chdir(cwd)
         del expr.exec
     return record
 
