@@ -41,6 +41,7 @@ from .sode import first_associated, second_associated, third_associated
 from .systems import (
     BUILTIN_NAMES,
     BUILTIN_PARAMS,
+    MEASURE_RESIDUAL_TOL,
     Jet,
     SystemSpec,
     builtin_system,
@@ -423,7 +424,7 @@ def _measure_payload(sys_: SystemSpec, manifest: RunManifest) -> dict:
         "samples": count,
         "max_residual": worst,
         "constant": sys_.constant_measure,
-        "passed": bool(worst < 1e-8),
+        "passed": bool(worst < MEASURE_RESIDUAL_TOL),
     }
 
 

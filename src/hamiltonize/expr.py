@@ -443,9 +443,9 @@ def define(signature: str, lines, **bindings):
 
 
 # A generated right-hand side ``rhs(t, y)`` in parts: y unpacked into the
-# locals ``state``, the statements ``head``, ``table`` (``splice`` lines,
-# which read no local but r1) and ``body``, the returned list of
-# ``outputs``, all in the namespace ``bindings``.
+# locals ``state``, the statements ``head``, ``table`` (``splice`` lines and
+# guards on what they set, reading no other local but r1) and ``body``, the
+# returned list of ``outputs``, all in the namespace ``bindings``.
 RhsParts = namedtuple("RhsParts", "state head table body outputs bindings")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ExprDomainError
-from .systems import COEFF_EPS, SystemSpec, weight_vanishes
+from .systems import SystemSpec, weight_lines, weight_vanishes
 
 __all__ = [
     "SodeSystem",
@@ -59,14 +59,17 @@ class SodeSystem:
 
     The right-hand side is straight-line code generated once per object, on
     first use, with its table spliced in: kind second reads the system's
-    ``weight_table`` under the closed-form models' guard, the other kinds
-    ``coeff_table``.  ``ode`` returns it; ``f`` evaluates it.
+    ``weight_table`` under the closed-form models' guard (``weight_lines``),
+    the other kinds ``coeff_table``.  ``ode`` returns it; ``f`` evaluates it.
     """
 
     system: SystemSpec
     kind: str
-    n: int
     coeff_exprs: tuple[ex.Expr, ...] = ()
+
+    @property
+    def n(self) -> int:  # the system's, never set apart from it
+        return self.system.n
 
     def f(self, q, u) -> np.ndarray:
         """Accelerations at coordinates q, velocities u."""
@@ -87,11 +90,7 @@ class SodeSystem:
             head.append("w = u0 * u1")
             accel = ["0.0", *(f"{c} * w" for c in names)]
         elif self.kind == "second":
-            entries = range(n - 1)
-            names = [x for b in entries for x in (f"e{b}", f"s{b}")]
-            body = [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b}, r1)"
-                    for b in entries]
-            accel = ["0.0", *(f"s{b} / e{b} * u{1 + b} * u0" for b in entries)]
+            accel = ["0.0", *(f"s{b} / e{b} * u{b} * u0" for b in range(1, n))]
         else:
             sys, alphas = self.system, range(n - 2)
             names = [*(f"a{a}" for a in alphas), *(f"p{a}" for a in alphas), "m", "c"]
@@ -100,8 +99,9 @@ class SodeSystem:
                     "n2 = 1.0 / m",
                     "r = n2 * (-c * u0 * u1 + g * u0)"]
             accel = [f"-g * u1 / {sys.i1!r}", "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head,
-                             ex.splice(table.exprs, names, "table(r1)"), body,
+        spliced = (weight_lines(self.system) if self.kind == "second"
+                   else ex.splice(table.exprs, names, "table(r1)"))
+        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head, spliced, body,
                              [*velocities, *accel], table=table, weight_vanishes=weight_vanishes)
 
     @cached_property
@@ -163,14 +163,13 @@ def first_associated(sys: SystemSpec) -> SodeSystem:
     gammas = (gamma2,) + tuple(
         -(ap + a * gamma2) for a, ap in zip(sys.a_alpha, sys.a_prime)
     )
-    return SodeSystem(sys, "first", sys.n, coeff_exprs=gammas)
+    return SodeSystem(sys, "first", coeff_exprs=gammas)
 
 
 def second_associated(sys: SystemSpec) -> SodeSystem:
     """Associated system with all q_a equations decoupled except through r1:
     the first closed-form Lagrangian's Euler-Lagrange system, on its weights."""
-    return SodeSystem(sys, "second", sys.n,
-                      coeff_exprs=tuple(e.diff() / e for e in sys.exp_xi_exprs))
+    return SodeSystem(sys, "second", coeff_exprs=tuple(e.diff() / e for e in sys.exp_xi_exprs))
 
 
 def third_associated(sys: SystemSpec) -> SodeSystem:
@@ -180,6 +179,5 @@ def third_associated(sys: SystemSpec) -> SodeSystem:
     is constant; construction always succeeds and consumers must check the
     system's ``constant_measure`` before treating it as an associated system.
     """
-    return SodeSystem(sys, "third", sys.n,
-                      coeff_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
-                                   sys.coupling_sum_expr))
+    return SodeSystem(sys, "third", coeff_exprs=(*sys.a_alpha, *sys.a_prime, sys.mass_sum_expr,
+                                                 sys.coupling_sum_expr))

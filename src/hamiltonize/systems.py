@@ -37,14 +37,16 @@ from . import expr as ex
 from .errors import CoefficientSingularityError, ConfigError, EvaluationError, ExprDomainError
 
 # N counts as constant when |dN/dr1| < MEASURE_SLOPE_TOL at MEASURE_SAMPLES
-# points spread over [-1, 1].
+# points spread over [-1, 1]; the measure check passes when every residual of
+# the volume-preservation PDE is below MEASURE_RESIDUAL_TOL in size.
 MEASURE_SLOPE_TOL = 1e-12
 MEASURE_SAMPLES = 32
+MEASURE_RESIDUAL_TOL = 1e-8
 
-# Every reader of ``SystemSpec.weight_table`` that divides by a weight E_b
-# raises ``weight_vanishes`` where |E_b(r1)| < COEFF_EPS.  Trigonometric weights
-# never evaluate to an exact zero at their roots (cos(pi/2) ~ 6e-17), and the
-# guard is far below any value that sampling or an integration grid reaches.
+# Every reader of ``SystemSpec.weight_table`` that divides by a weight E_b runs
+# the guard of ``weight_lines``: ``weight_vanishes`` where |E_b(r1)| < COEFF_EPS.
+# Trigonometric weights never evaluate to an exact zero at their roots (cos(pi/2)
+# ~ 6e-17), and the guard is far below any value sampling or a grid reaches.
 COEFF_EPS = 1e-12
 # Levels of nesting a spec's expression may have.  Only the parser recurses
 # per level, so this bounds the size of what a spec asks every command to
@@ -61,6 +63,17 @@ def weight_vanishes(entry: int, r1: float) -> EvaluationError:
     if entry == 0:  # float(): a numpy scalar would print as np.float64(...)
         return ExprDomainError(f"velocity weight 0 vanishes at r1={float(r1)!r}")
     return CoefficientSingularityError(entry - 1, float(r1))
+
+
+def weight_lines(sys: SystemSpec, start: int = 0, guard: bool = True) -> list[str]:
+    """Statements setting e<b>, s<b> to E_b(r1), E_b'(r1), spliced in from ``weight_table``
+    (bound as ``table``), for each coordinate b whose pair sits at ``start`` or later;
+    with ``guard``, the first e<b> below ``COEFF_EPS`` then raises ``weight_vanishes``."""
+    coords = range(1 + start // 2, sys.n)
+    lines = ex.splice(sys.weight_table.exprs[start:],
+                      [x for b in coords for x in (f"e{b}", f"s{b}")], f"table(r1)[{start}:]")
+    return lines + [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
+                    for b in coords if guard]
 
 
 __all__ = [

@@ -25,18 +25,18 @@ variational L = (1/2)(I1 r1'^2 + I2 r2'^2 - sum_a I_a s_a'^2)
 Kinds first and second differ only in their coordinate layout, which a
 ``LagrangianModel`` decides once: the coordinates past r1 charged
 kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
-coefficient and E_b (``terms``).  Each first/second formula below reads E_b
-and E_b' from the system's ``weight_table`` and guards the weights as the
-second associated system does.  The other pointwise formulas loop over
-``_weight_values``, but the Legendre inverse reads the canonical flow's
-dq/dt = dH/dp.  ``_weight_values``, ``momentum_sum``, ``hamiltonian_value``
-and the trajectory right-hand sides are straight-line code generated once
-per system and model, with every inertia and coefficient a literal and the
-model's weight pairs spliced in from the table (kind second reads no r2 pair).
-
-The slopes of ``hessian_field`` are complex steps of size ``CS_STEP`` (the
-step of ``pontryagin``'s control gradient too) of the Hessian's own
-arithmetic, ``_arrowhead``, with the velocities and each weight moved.
+coefficient and E_b (``terms``).  The pointwise formulas read a model's
+weights through one generated read, ``_weight_pairs``: E_b and E_b' from the
+system's ``weight_table`` under the second associated system's guard (kind
+second reads no r2 pair), or A_a and A_a' for the variational kind.  The
+Legendre inverse reads the canonical flow's dq/dt = dH/dp.  That read,
+``momentum_sum``, ``hamiltonian_value``, the velocity Hessian and the
+trajectory right-hand sides are straight-line code generated once per
+system and model, with every inertia and coefficient a literal.  The
+Hessian's entries are one set of statements, ``_hessian_lines``, which the
+Euler-Lagrange program solves and ``hessian`` runs; the slopes of
+``hessian_field`` run them on complex steps of size ``CS_STEP`` (the step of
+``pontryagin``'s control gradient too), the velocities and weights moved.
 
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
@@ -73,7 +73,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, SingularHessianError, SingularVelocityError
-from .systems import COEFF_EPS, Jet, SystemSpec, weight_vanishes
+from .systems import Jet, SystemSpec, weight_lines, weight_vanishes
 
 __all__ = [
     "PhaseState",
@@ -196,10 +196,18 @@ class LagrangianModel:
         ``weight_table``: after the pairs of the kinetic coordinates."""
         return 2 * len(self.kinetic)
 
-    def _weight_values(self, r1: float):
-        """(b, coefficient, E_b(r1), E_b'(r1)) for each term; raises
-        ``weight_vanishes(b - 1)`` where a weight falls below ``COEFF_EPS``."""
-        return _kernel(self, "weight_values", "", _weight_values_lines)(r1)
+    @property
+    def hub(self) -> int:
+        """The velocity Hessian's hub row and column: r2 for the variational kind, else r1."""
+        return 1 if self.kind == "variational" else 0
+
+    def _weight_pairs(self, r1: float) -> tuple[float, ...]:
+        """The values at r1 of ``_weight_names``, flat: (E_b, E_b') for each
+        term, guarded by ``weight_lines``, or (A_a, A_a') for each s_a of the
+        variational kind.  Generated once per system and kind."""
+        return self.system.kernel(("weights", self.kind), lambda: ex.define(
+            "weights(r1)", [*_weight_lines(self), f"return ({', '.join(_weight_names(self))},)"],
+            **_bindings(self)))(r1)
 
     def momentum_sum(self, r1: float, p) -> float:
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
@@ -213,71 +221,41 @@ def lagrangian_model(sys: SystemSpec, kind: str, coefficients=None) -> Lagrangia
     return LagrangianModel(sys, kind, tuple(coefficients))
 
 
-def _require_moving(r1dot: float):
-    if r1dot == 0.0:
-        raise SingularVelocityError("model undefined on r1dot = 0")
-
-
 def _require_hamiltonian(model: LagrangianModel):
     if model.kind == "variational":
         raise ConfigError("the variational Lagrangian has no closed-form Hamiltonian")
 
 
+def _weights(model: LagrangianModel, jet: Jet) -> tuple[float, ...]:
+    """The weight values at the jet, E_b or A_a, after refusing r1' = 0 where terms divide by it."""
+    if model.terms and jet.r1dot == 0.0:
+        raise SingularVelocityError("model undefined on r1dot = 0")
+    return model._weight_pairs(jet.r1)[::2]
+
+
 def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
     sys = model.system
     u = jet.qdot
+    weights = _weights(model, jet)
     if model.kind == "variational":
         value = 0.5 * (sys.i1 * u[0] ** 2 + sys.i2 * u[1] ** 2)
-        for a in range(sys.k):
+        for a, a_val in enumerate(weights):
             value -= 0.5 * sys.i_alpha[a] * u[2 + a] ** 2
-            value -= sys.i_alpha[a] * sys.a_fns[a](jet.r1) * u[2 + a] * u[1]
+            value -= sys.i_alpha[a] * a_val * u[2 + a] * u[1]
         return value
-    _require_moving(jet.r1dot)
-    weights = model._weight_values(jet.r1)
     value = 0.5 * sys.i1 * u[0] ** 2
     for b, inertia in model.kinetic:
         value += 0.5 * inertia * u[b] ** 2
-    for b, c, e_val, _ in weights:
+    for (b, c), e_val in zip(model.terms, weights):
         value += 0.5 * c * u[b] ** 2 / (e_val * u[0])
     return value
 
 
-def _arrowhead(model: LagrangianModel, u, weights):
-    """The velocity Hessian as (hub, diag, arm): g[b, b] = diag[b],
-    g[hub, b] = g[b, hub] = arm[b] for b != hub (arm[hub] = 0), every other
-    entry zero.
-
-    ``weights`` are the values at r1 of the model's functions of r1: E_b for
-    each of the ``terms`` of kinds first and second, whose hub is r1, and
-    A_a for each s_a of the variational kind, whose hub is r2.  Plain
-    arithmetic, so it runs alike on floats and on arrays of complex steps.
-    """
-    sys = model.system
-    if model.kind == "variational":
-        diag = [sys.i1, sys.i2, *[-i_a for i_a in sys.i_alpha]]
-        arm = [0.0, 0.0, *[-i_a * a_val for i_a, a_val in zip(sys.i_alpha, weights)]]
-        return 1, diag, arm
-    u1 = u[0]
-    diag = [sys.i1] + [0.0] * (sys.n - 1)
-    arm = [0.0] * sys.n
-    for b, inertia in model.kinetic:
-        diag[b] = inertia
-    for (b, c), e_val in zip(model.terms, weights):
-        c_over_e = c / e_val
-        diag[0] += c_over_e * u[b] ** 2 / u1**3
-        arm[b] = -c_over_e * u[b] / u1**2
-        diag[b] = c_over_e / u1
-    return 0, diag, arm
-
-
 def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
-    """Velocity Hessian of the Lagrangian; a multiplier for its dynamics."""
-    if model.kind == "variational":
-        weights = [a_fn(jet.r1) for a_fn in model.system.a_fns]
-    else:
-        _require_moving(jet.r1dot)
-        weights = [e_val for _, _, e_val, _ in model._weight_values(jet.r1)]
-    hub, diag, arm = _arrowhead(model, jet.qdot, weights)
+    """Velocity Hessian of the Lagrangian, a multiplier for its dynamics:
+    ``_hessian_entries`` at the jet's velocities and weights."""
+    diag, arm = _hessian_entries(model)(jet.qdot, _weights(model, jet))
+    hub = model.hub
     g = np.diag(diag)
     g[hub, :] = g[:, hub] = arm
     g[hub, hub] = diag[hub]
@@ -288,27 +266,20 @@ def _hessian_slopes(model: LagrangianModel, jets, dq, du) -> np.ndarray:
     """Exact derivatives of the model Hessian at each jet along each of its
     directions (dq[j, k], du[j, k]), a (jets, directions, n, n) stack.
 
-    ``_arrowhead`` runs once on complex arrays of shape (jets, directions):
-    the velocities step to u + i h du and each weight, a function of r1
-    alone, to w + i h dq_1 w'.  Each slope is Im(entry) / h with h =
-    ``CS_STEP``, exact to roundoff.
+    ``_hessian_entries`` runs once on complex arrays of shape (jets,
+    directions): the velocities step to u + i h du and each weight, a
+    function of r1 alone, to w + i h dq_1 w'.  Each slope is Im(entry) / h
+    with h = ``CS_STEP``, exact to roundoff.
     """
-    sys = model.system
-    step = CS_STEP * 1j
-    if model.kind == "variational":
-        pairs = [[*zip((a_fn(jet.r1) for a_fn in sys.a_fns), sys.a_prime_table(jet.r1))]
-                 for jet in jets]
-    else:
-        pairs = [[(e_val, e_slope) for _, _, e_val, e_slope in model._weight_values(jet.r1)]
-                 for jet in jets]
-    values, primes = np.array(pairs).reshape(len(jets), -1, 2).T  # w and w', (weights, jets)
+    n, hub, step = model.system.n, model.hub, CS_STEP * 1j
+    pairs = np.array([model._weight_pairs(jet.r1) for jet in jets])
+    values, primes = pairs.reshape(len(jets), -1, 2).T  # w and w', (weights, jets)
     weights = [value[:, None] + step * dq[..., 0] * prime[:, None]
                for value, prime in zip(values, primes)]
-    u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b]
-         for b in range(sys.n)]
-    hub, diag, arm = _arrowhead(model, u, weights)
-    out = np.zeros((*dq.shape[:2], sys.n, sys.n))
-    for b in range(sys.n):
+    u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b] for b in range(n)]
+    diag, arm = _hessian_entries(model)(u, weights)
+    out = np.zeros((*dq.shape[:2], n, n))
+    for b in range(n):
         out[..., b, b] = np.imag(diag[b])
         if b != hub:
             out[..., hub, b] = out[..., b, hub] = np.imag(arm[b])
@@ -334,7 +305,8 @@ def euler_lagrange_ode(model: LagrangianModel):
     """First-order right-hand side on (q, q') for trajectory runs: the
     accelerations solving g(q, q') qddot = dL/dq - (d^2 L / dq' dr1) r1'
     with the closed-form partials of the model and an arrowhead solve of its
-    Hessian (``_arrowhead``), generated once per system and model."""
+    Hessian, whose entries are the statements of ``_hessian_lines`` that
+    ``hessian`` runs too, generated once per system and model."""
     return model.system.kernel(("euler-lagrange", model.kind, model.coefficients),
                                lambda: _euler_lagrange_kernel(model))
 
@@ -349,34 +321,39 @@ def _state(n: int, momenta: str) -> list[str]:
 
 
 def _weight_names(model: LagrangianModel) -> list[str]:
-    """The locals e<b>, s<b> of the model's weight pairs, term by term."""
+    """The locals of the model's weight pairs, flat: e<b>, s<b> for each term,
+    or a<a>, p<a> (A_a, A_a') for each s_a of the variational kind."""
+    if model.kind == "variational":
+        return [x for a in range(model.system.k) for x in (f"a{a}", f"p{a}")]
     return [x for b, _ in model.terms for x in (f"e{b}", f"s{b}")]
 
 
-def _weight_lines(model: LagrangianModel) -> list[str]:
-    """Statements setting e<b> and s<b> to E_b(r1) and E_b'(r1) for each term
-    b: the model's pairs of the system's ``weight_table``, spliced in."""
-    start = model.weight_start
-    return ex.splice(model.system.weight_table.exprs[start:], _weight_names(model),
-                     f"table(r1)[{start}:]")
+def _weight_lines(model: LagrangianModel, guard: bool = True) -> list[str]:
+    """Statements setting the locals of ``_weight_names``: the system's
+    ``weight_lines`` from the model's first term on, or for the variational
+    kind A_a' and A_a spliced in, with no guard."""
+    sys = model.system
+    if model.kind != "variational":
+        return weight_lines(sys, model.weight_start, guard)
+    names = _weight_names(model)
+    return ex.splice((*sys.a_prime, *sys.a_alpha), [*names[1::2], *names[::2]],
+                     "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])")
+
+
+def _bindings(model: LagrangianModel) -> dict:
+    """The names that the model's generated code reads besides its locals."""
+    sys = model.system
+    errors = {"SingularVelocityError": SingularVelocityError,
+              "SingularHessianError": SingularHessianError}
+    if model.kind == "variational":
+        return dict(errors, a_prime_table=sys.a_prime_table, a_fns=sys.a_fns)
+    return dict(errors, table=sys.weight_table, weight_vanishes=weight_vanishes)
 
 
 def _momentum_sum(model: LagrangianModel) -> str:
     """Source of ``momentum_sum`` over the locals p<b> and e<b>, summed in
     its order."""
     return " + ".join(["p0", *(f"0.5 * e{b} * p{b} ** 2 / {_literal(c)}" for b, c in model.terms)])
-
-
-def _weight_guards(model: LagrangianModel) -> list[str]:
-    """Statements raising ``weight_vanishes`` for the first term b, in order,
-    whose e<b> falls below ``COEFF_EPS``."""
-    return [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
-            for b, _ in model.terms]
-
-
-def _weight_values_lines(model: LagrangianModel) -> list[str]:
-    values = ", ".join(f"({b}, {_literal(c)}, e{b}, s{b})" for b, c in model.terms)
-    return [*_weight_guards(model), f"return [{values}]"]
 
 
 def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
@@ -394,9 +371,8 @@ def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = F
             weights = ex.assign(model.system.weight_table.exprs[model.weight_start:],
                                 _weight_names(model))
             return ex.define(signature, [*unpack, *weights, *body(model)], **ex.ARRAY_GLOBALS)
-        return ex.define(signature, [*unpack, *_weight_lines(model), *body(model)],
-                         table=model.system.weight_table, weight_vanishes=weight_vanishes,
-                         SingularVelocityError=SingularVelocityError)
+        return ex.define(signature, [*unpack, *_weight_lines(model, guard=False), *body(model)],
+                         **_bindings(model))
 
     return model.system.kernel((name, model.kind, model.coefficients), build)
 
@@ -405,47 +381,61 @@ def _names(letter: str, model: LagrangianModel) -> list[str]:
     return [f"{letter}{b}" for b in range(model.system.n)]
 
 
+def _hessian_lines(model: LagrangianModel) -> list[str]:
+    """Statements setting d<b> = g_bb and, for b off the hub, h<b> = g_hb
+    of the velocity Hessian, an arrowhead, over the locals u<b> and the
+    weight values: the one copy of its arithmetic."""
+    sys = model.system
+    if model.kind == "variational":
+        return [f"d0 = {_literal(sys.i1)}", f"d1 = {_literal(sys.i2)}", "h0 = 0.0",
+                *(f"h{2 + a} = {_literal(-i_a)} * a{a}; d{2 + a} = {_literal(-i_a)}"
+                  for a, i_a in enumerate(sys.i_alpha))]
+    lines = [*(f"d{b} = {_literal(i_b)}; h{b} = 0.0" for b, i_b in model.kinetic),
+             f"d0 = {_literal(sys.i1)}"]
+    for b, c in model.terms:
+        lines += [f"w{b} = {_literal(c)} / e{b}", f"d0 = d0 + w{b} * u{b} ** 2 / u0 ** 3",
+                  f"h{b} = -w{b} * u{b} / u0 ** 2", f"d{b} = w{b} / u0"]
+    return lines
+
+
+def _hessian_entries(model: LagrangianModel):
+    """The generated ``entries(u, w)``, once per system and model: the Hessian's diagonal
+    and its hub's row (0 at the hub) at the velocities ``u`` and the weight values ``w``,
+    plain arithmetic that runs alike on floats and on arrays of complex steps."""
+    def build():
+        arm = ", ".join("0.0" if b == model.hub else f"h{b}" for b in range(model.system.n))
+        return ex.define("entries(u, w)", [
+            f"{', '.join(_names('u', model))}, = u", f"{', '.join(_weight_names(model)[::2])}, = w",
+            *_hessian_lines(model), f"return [{', '.join(_names('d', model))}], [{arm}]"])
+
+    return model.system.kernel(("hessian", model.kind, model.coefficients), build)
+
+
 def _euler_lagrange_kernel(model: LagrangianModel):
     """The loops over the layout unrolled, every inertia and coefficient a
-    literal: the force f<b>, the Hessian's entries d<b> = g_bb and h<b> =
-    g_hb of ``_arrowhead``, then its solve."""
+    literal: the force f<b>, the Hessian's entries, then its solve."""
     sys = model.system
-    n = sys.n
+    n, hub = sys.n, model.hub
     head = ["r1 = q0"]
+    if model.terms:
+        head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
     if model.kind == "variational":
-        alphas = range(sys.k)
-        table = ex.splice((*sys.a_prime, *sys.a_alpha),
-                          [*(f"p{a}" for a in alphas), *(f"a{a}" for a in alphas)],
-                          "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])")
         lines = ["g = 0.0"]
         for a, i_a in enumerate(sys.i_alpha):
             lines += [f"g = g + {_literal(i_a)} * p{a} * u{2 + a}",
                       f"f{2 + a} = {_literal(i_a)} * p{a} * u1 * u0"]
-        lines += ["f0 = -g * u1", "f1 = g * u0", f"d0 = {_literal(sys.i1)}",
-                  f"d1 = {_literal(sys.i2)}", "h0 = 0.0"]
-        for a, i_a in enumerate(sys.i_alpha):
-            lines += [f"h{2 + a} = {_literal(-i_a)} * a{a}", f"d{2 + a} = {_literal(-i_a)}"]
-        bindings = {"a_prime_table": sys.a_prime_table, "a_fns": sys.a_fns}
+        lines += ["f0 = -g * u1", "f1 = g * u0"]
     else:
-        head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
-        table = _weight_lines(model)
-        lines = [*_weight_guards(model),
-                 *(f"d{b} = {_literal(i_b)}; h{b} = f{b} = 0.0" for b, i_b in model.kinetic),
-                 "g = 0.0"]
+        lines = [*(f"f{b} = 0.0" for b, _ in model.kinetic), "g = 0.0"]
         for b, c in model.terms:
             lines += [f"f{b} = {_literal(c)} * u{b} * s{b} / e{b} ** 2",
                       f"g = g + {_literal(c)} * u{b} ** 2 * s{b} / e{b} ** 2"]
-        lines += ["f0 = -g / u0", f"d0 = {_literal(sys.i1)}"]
-        for b, c in model.terms:
-            lines += [f"w{b} = {_literal(c)} / e{b}", f"d0 = d0 + w{b} * u{b} ** 2 / u0 ** 3",
-                      f"h{b} = -w{b} * u{b} / u0 ** 2", f"d{b} = w{b} / u0"]
-        bindings = {"table": sys.weight_table, "weight_vanishes": weight_vanishes,
-                    "SingularVelocityError": SingularVelocityError}
+        lines.append("f0 = -g / u0")
     # eliminate each spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb,
     # solve for the hub, then back-substitute into the spokes
-    hub = 1 if model.kind == "variational" else 0
     spokes = [b for b in range(n) if b != hub]
-    lines += [*(f"if d{b} == 0.0: raise SingularHessianError("
+    lines += [*_hessian_lines(model),
+              *(f"if d{b} == 0.0: raise SingularHessianError("
                 f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
               f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
               f"top = f{hub}" + "".join(f" - h{b} * f{b} / d{b}" for b in spokes),
@@ -453,9 +443,8 @@ def _euler_lagrange_kernel(model: LagrangianModel):
               "'Hessian singular: the Schur complement of the hub is 0')",
               f"x{hub} = top / schur",
               *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
-    return ex.define_rhs(_state(n, "u"), head, table, lines,
-                         [*(f"u{b}" for b in range(n)), *(f"x{b}" for b in range(n))],
-                         SingularHessianError=SingularHessianError, **bindings)
+    return ex.define_rhs(_state(n, "u"), head, _weight_lines(model), lines,
+                         [*_names("u", model), *(f"x{b}" for b in range(n))], **_bindings(model))
 
 
 # --- Legendre transform -------------------------------------------------------
@@ -464,16 +453,15 @@ def _euler_lagrange_kernel(model: LagrangianModel):
 def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
     """Velocity-to-momentum map p_i = dL/dq'_i of a first/second model at a jet."""
     _require_hamiltonian(model)
-    _require_moving(jet.r1dot)
     sys = model.system
-    weights = model._weight_values(jet.r1)
+    weights = _weights(model, jet)
     u = jet.qdot
     u1 = u[0]
     p = np.zeros(sys.n)
     p[0] = sys.i1 * u1
     for b, inertia in model.kinetic:
         p[b] = inertia * u[b]
-    for b, c, e_val, _ in weights:
+    for (b, c), e_val in zip(model.terms, weights):
         p[b] = c * u[b] / (e_val * u1)
         p[0] -= 0.5 * c * u[b] ** 2 / (e_val * u1**2)
     return PhaseState(jet.q, tuple(p))
@@ -485,7 +473,7 @@ def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
     weights are guarded first, as the Lagrangian's are, though H is smooth
     where one vanishes."""
     _require_hamiltonian(model)
-    model._weight_values(ps.r1)
+    model._weight_pairs(ps.r1)
     qdot = hamilton_rhs(model, ps)[0]
     if qdot[0] == 0.0:
         raise SingularVelocityError("phase point lies over r1dot = 0")
@@ -539,7 +527,7 @@ def _hamilton_kernel(model: LagrangianModel):
         qdot.append(f"p{b} / {_literal(inertia)}")
     for b, c in model.terms:
         qdot.append(f"v * e{b} * p{b} / {_literal(c)}")
-    return ex.define_rhs(_state(n, "p"), ["r1 = q0"], _weight_lines(model), lines,
+    return ex.define_rhs(_state(n, "p"), ["r1 = q0"], _weight_lines(model, guard=False), lines,
                          [*qdot, "-v * g", *["0.0"] * (n - 1)], table=sys.weight_table)
 
 

@@ -4,10 +4,11 @@ loops they replaced.
 Every formulation's right-hand side is straight-line code generated once per
 object (``nonholonomic_ode``, ``SodeSystem.ode``, ``euler_lagrange_ode``,
 ``hamilton_ode``), and so is every optimal-control function of
-``pontryagin.py`` and ``hamiltonian_value``.  The loops below are the
-implementations they replaced, kept as the reference: at seeded
-states the kernels must give the same floats bit for bit, and where a loop
-raises, the kernel must raise the same exception with the same message.
+``pontryagin.py``, ``hamiltonian_value``, a model's weight read and its
+velocity Hessian.  The loops below are the implementations they replaced,
+kept as the reference: at seeded states the kernels must give the same
+floats bit for bit, and where a loop raises, the kernel must raise the
+same exception with the same message.
 """
 
 import math
@@ -48,14 +49,14 @@ from hamiltonize.systems import (
 )
 from hamiltonize.variational import (
     PhaseState,
-    _arrowhead,
     _require_hamiltonian,
-    _require_moving,
     euler_lagrange_ode,
     euler_lagrange_rhs,
     hamilton_ode,
     hamilton_rhs,
     hamiltonian_value,
+    hessian,
+    hessian_field,
     lagrangian_model,
 )
 
@@ -147,6 +148,77 @@ def loop_weight_values(model, r1):
     return vals
 
 
+def loop_weight_pairs(model, r1):
+    """(value, slope) of each weight of the model at r1: (E_b, E_b') of each
+    term under the guard, or (A_a, A_a') of each s_a for the variational kind."""
+    sys = model.system
+    if model.kind == "variational":
+        return [*zip([a_fn(r1) for a_fn in sys.a_fns], sys.a_prime_table(r1))]
+    return [(e_val, e_slope) for _, _, e_val, e_slope in loop_weight_values(model, r1)]
+
+
+def loop_arrowhead(model, u, weights):
+    """The velocity Hessian as (hub, diag, arm): g[b, b] = diag[b],
+    g[hub, b] = g[b, hub] = arm[b] for b != hub (arm[hub] = 0), every other
+    entry zero.
+
+    ``weights`` are the values at r1 of the model's functions of r1: E_b for
+    each of the ``terms`` of kinds first and second, whose hub is r1, and
+    A_a for each s_a of the variational kind, whose hub is r2.  Plain
+    arithmetic, so it runs alike on floats and on arrays of complex steps.
+    """
+    sys = model.system
+    if model.kind == "variational":
+        diag = [sys.i1, sys.i2, *[-i_a for i_a in sys.i_alpha]]
+        arm = [0.0, 0.0, *[-i_a * a_val for i_a, a_val in zip(sys.i_alpha, weights)]]
+        return 1, diag, arm
+    u1 = u[0]
+    diag = [sys.i1] + [0.0] * (sys.n - 1)
+    arm = [0.0] * sys.n
+    for b, inertia in model.kinetic:
+        diag[b] = inertia
+    for (b, c), e_val in zip(model.terms, weights):
+        c_over_e = c / e_val
+        diag[0] += c_over_e * u[b] ** 2 / u1**3
+        arm[b] = -c_over_e * u[b] / u1**2
+        diag[b] = c_over_e / u1
+    return 0, diag, arm
+
+
+def loop_hessian(model, jet):
+    if model.kind != "variational":
+        loop_require_moving(jet.r1dot)
+    weights = [value for value, _ in loop_weight_pairs(model, jet.r1)]
+    hub, diag, arm = loop_arrowhead(model, jet.qdot, weights)
+    g = np.diag(diag)
+    g[hub, :] = g[:, hub] = arm
+    g[hub, hub] = diag[hub]
+    return g
+
+
+def loop_hessian_slopes(model, jets, dq, du):
+    """The complex steps of ``loop_arrowhead``, velocities and weights moved."""
+    step = CS_STEP * 1j
+    pairs = [loop_weight_pairs(model, jet.r1) for jet in jets]
+    values, primes = np.array(pairs).reshape(len(jets), -1, 2).T
+    weights = [value[:, None] + step * dq[..., 0] * prime[:, None]
+               for value, prime in zip(values, primes)]
+    u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b]
+         for b in range(model.system.n)]
+    hub, diag, arm = loop_arrowhead(model, u, weights)
+    out = np.zeros((*dq.shape[:2], model.system.n, model.system.n))
+    for b in range(model.system.n):
+        out[..., b, b] = np.imag(diag[b])
+        if b != hub:
+            out[..., hub, b] = out[..., b, hub] = np.imag(arm[b])
+    return out / CS_STEP
+
+
+def loop_require_moving(r1dot):
+    if r1dot == 0.0:
+        raise SingularVelocityError("model undefined on r1dot = 0")
+
+
 def loop_momentum_sum(model, r1, p):
     _require_hamiltonian(model)
     total = p[0]
@@ -168,7 +240,7 @@ def loop_euler_lagrange_accel(model, r1, u):
         force[0] = -drift * u[1]
         force[1] = drift * u[0]
     else:
-        _require_moving(u[0])
+        loop_require_moving(u[0])
         weights = []
         force = [0.0] * sys.n
         total = 0.0
@@ -178,7 +250,7 @@ def loop_euler_lagrange_accel(model, r1, u):
             total += c * ub**2 * e_slope / e_val**2
             weights.append(e_val)
         force[0] = -total / u[0]
-    return loop_arrowhead_solve(*_arrowhead(model, u, weights), force)
+    return loop_arrowhead_solve(*loop_arrowhead(model, u, weights), force)
 
 
 def loop_euler_lagrange(model):
@@ -352,33 +424,68 @@ def test_table_domain_error_raises_as_the_loops():
         assert outcome(kernel, 0.0, y[:dim]) == expected, label
 
 
-def weights_outcome(fn, *args):
-    """``outcome`` for the (b, coefficient, E_b, E_b') tuples of
-    ``_weight_values``."""
-    try:
-        values = fn(*args)
-    except (EvaluationError, ArithmeticError) as exc:
-        return type(exc), str(exc)
-    return [(b, c.hex(), e.hex(), s.hex()) for b, c, e, s in values]
-
-
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "ln"])
 def test_weight_values_and_momentum_sum_match_loops_bit_for_bit(name):
-    """The generated ``_weight_values`` and ``momentum_sum`` give the loops'
-    floats at seeded states, and raise their errors where a weight vanishes
-    (the disk at r1 = pi/2) or the table fails (ln(r1) at r1 < 0)."""
+    """The generated weight read ``_weight_pairs`` and ``momentum_sum`` give
+    the loops' floats at seeded states, and raise their errors where a
+    weight vanishes (the disk at r1 = pi/2) or the table fails (ln(r1) at
+    r1 < 0).  The variational kind reads (A_a, A_a') with no guard."""
     sys = (parse_system_file("I1 = 1\nI2 = 2\nI_alpha = 1.5\nA_alpha = ln(r1)\nnames = a, b, c\n")
            if name == "ln" else builtin_system(name))
     n = sys.n
     states = _states(2 * n, seed=5) + [[math.pi / 2, *[1.0] * (2 * n - 1)]]
-    for kind in ("first", "second") if sys.constant_measure else ("first",):
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for kind in (*kinds, "variational"):
         model = lagrangian_model(sys, kind)
         for y in states:
             r1, p = y[0], y[n:]
-            assert (weights_outcome(model._weight_values, r1)
-                    == weights_outcome(loop_weight_values, model, r1)), (kind, r1)
-            assert (outcome(lambda: [model.momentum_sum(r1, p)])
-                    == outcome(lambda: [loop_momentum_sum(model, r1, p)])), (kind, r1)
+            assert (outcome(model._weight_pairs, r1)
+                    == outcome(lambda: [x for pair in loop_weight_pairs(model, r1) for x in pair])
+                    ), (kind, r1)
+            if kind in kinds:
+                assert (outcome(lambda: [model.momentum_sum(r1, p)])
+                        == outcome(lambda: [loop_momentum_sum(model, r1, p)])), (kind, r1)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_hessian_and_slopes_match_the_loop_arrowhead_bit_for_bit(name):
+    """``hessian`` and the slopes of ``hessian_field``, which run the
+    Euler-Lagrange program's Hessian statements, give the loop arrowhead's
+    floats and complex steps at seeded jets and directions, for each kind."""
+    sys = builtin_system(name)
+    n = sys.n
+    jets = [Jet(tuple(y[:n]), tuple(y[n:])) for y in _states(2 * n, seed=13)]
+    dq, du = np.random.default_rng(17).normal(size=(2, len(jets), n + 1, n))  # n + 1 per jet
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for kind in (*kinds, "variational"):
+        model = lagrangian_model(sys, kind)
+        for jet in jets:
+            assert (outcome(lambda: hessian(model, jet).ravel())
+                    == outcome(lambda: loop_hessian(model, jet).ravel())), (kind, jet)
+        slopes = hessian_field(model).slopes(jets, dq, du)
+        assert slopes.tobytes() == loop_hessian_slopes(model, jets, dq, du).tobytes(), kind
+
+
+@pytest.mark.parametrize("name", ["knife_edge", "vertical_disk"])
+def test_hessian_raises_r1dot_zero_before_a_vanishing_weight(name):
+    """At r1 = pi/2 a weight of the knife edge and of the disk falls below
+    COEFF_EPS; with r1' = 0 too, ``hessian`` raises SingularVelocityError
+    first, as the Euler-Lagrange program does, and the weight's own error
+    once r1' moves."""
+    sys = builtin_system(name)
+    n = sys.n
+    for r1dot, error in ((0.0, SingularVelocityError),
+                         (1.0, ExprDomainError if name == "knife_edge"
+                          else CoefficientSingularityError)):
+        y = [math.pi / 2, *[0.0] * (n - 1), r1dot, *[1.0] * (n - 1)]
+        jet = Jet(tuple(y[:n]), tuple(y[n:]))
+        kinds = ("first", "second") if sys.constant_measure else ("first",)
+        for kind in kinds:
+            model = lagrangian_model(sys, kind)
+            expected = outcome(lambda: loop_hessian(model, jet).ravel())
+            assert expected[0] is error, (kind, expected)
+            assert outcome(lambda: hessian(model, jet).ravel()) == expected, kind
+            assert outcome(euler_lagrange_ode(model), 0.0, y) == expected, kind
 
 
 def test_knife_edge_pole_sode_second_run_exits_2(knife_edge, tmp_path, capsys):
