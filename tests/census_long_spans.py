@@ -5,10 +5,20 @@ the same bits through ``integrate`` as through the array-state referee
 spans cross the knife edge's tan poles and the disk's E_b zeros; at 10,000
 steps each they are too slow for the test suite.
 
-    PYTHONPATH=src python tests/census_long_spans.py
+The referee runs the same right-hand side, so a change to a generated
+kernel that moves a bit moves it in both.  Each run's states are therefore
+also pinned: the sha256 of their bytes is compared with
+``census_long_spans.json``, where the numpy version and the machine are
+those the manifest was written on (as ``census_sources.py`` does).
+
+    PYTHONPATH=src python tests/census_long_spans.py          # compare; exit 1 on a difference
+    PYTHONPATH=src python tests/census_long_spans.py --write  # regenerate the manifest
 """
 
+import hashlib
+import json
 import os
+import platform
 import sys
 import time
 
@@ -21,10 +31,17 @@ from test_integrate import _formulation_runs, _same_run  # noqa: E402
 from hamiltonize import IntegratorConfig, builtin_system, third_associated  # noqa: E402
 from hamiltonize.cli import RunManifest, default_initial_jet  # noqa: E402
 
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "census_long_spans.json")
 
-def main() -> int:
+
+def _platform() -> dict:
+    """What the states' bits may depend on beyond the program."""
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def main(argv: list[str]) -> int:
     cfg = IntegratorConfig(h=RunManifest().h, t_span=(0.0, 10.0))
-    count = 0
+    hashes = {}
     for name in ("free_particle", "knife_edge", "vertical_disk"):
         system = builtin_system(name)
         runs = _formulation_runs(name, system)
@@ -34,12 +51,29 @@ def main() -> int:
                          np.array(jet0.q + jet0.qdot)))
         for label, rhs, y0 in runs:
             start = time.perf_counter()
-            _same_run(rhs, y0, cfg, f"{name} {label}")
+            states = _same_run(rhs, y0, cfg, f"{name} {label}").states
+            hashes[f"{name} {label}"] = hashlib.sha256(states.tobytes()).hexdigest()
             print(f"{name:14} {label:22} same bits ({time.perf_counter() - start:.1f} s)")
-            count += 1
-    print(f"{count} runs of {cfg.steps} steps: every one matches the referee")
-    return 0
+    print(f"{len(hashes)} runs of {cfg.steps} steps: every one matches the referee")
+    if argv == ["--write"]:
+        with open(MANIFEST, "w") as f:
+            json.dump({"platform": _platform(), "states": hashes}, f, indent=1)
+            f.write("\n")
+        print(f"wrote {len(hashes)} state hashes to {MANIFEST}")
+        return 0
+    with open(MANIFEST) as f:
+        manifest = json.load(f)
+    if manifest["platform"] != _platform():
+        print(f"states not compared with the manifest: it was written on {manifest['platform']}, "
+              f"this is {_platform()}")
+        return 0
+    differ = sorted(run for run in manifest["states"].keys() | hashes.keys()
+                    if manifest["states"].get(run) != hashes.get(run))
+    for run in differ:
+        print(f"states differ from the manifest: {run}")
+    print(f"{len(hashes) - len(differ)} of {len(hashes)} runs match the manifest's states")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

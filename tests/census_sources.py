@@ -64,6 +64,20 @@ COMMANDS = [
     "certify --system knife_edge --params m=2,J=3",
     *(f"{command} --spec {spec}" for spec in SPECS
       for command in ("certify", "simulate --t 0.5 --formulation lagrangian")),
+    # model constants other than 1.0, whose factors the generated programs keep
+    *(f"simulate --t 0.5 --formulation {run} --params C2=2,C3=-0.5 --system {system}"
+      for system in ("free_particle", "knife_edge", "vertical_disk")
+      for run in ("lagrangian", "hamiltonian")),
+    *(f"simulate --t 0.5 --formulation {run} --params a3=-0.7,a4=0.5 --system vertical_disk"
+      for run in ("lagrangian --lag-kind second", "hamiltonian --ham-kind second")),
+    # a -0.0 start in a slot whose slope is the literal 0.0
+    *(f"simulate --t 0.5 --formulation {run} --ic dphi=-0.0 --system vertical_disk"
+      for run in ("nonholonomic", "sode --sode second", "sode --sode third")),
+    "simulate --t 0.5 --formulation hamiltonian --ic dtheta=-0.0 --system vertical_disk",
+    *(f"compare --system {system} --formulation nonholonomic,lagrangian,hamiltonian --t 1"
+      for system in ("knife_edge", "free_particle")),
+    *(f"simulate --t 0.5 --formulation closed-form {option} --system vertical_disk"
+      for option in ("--params R=0.7", "--ic dphi=0")),
 ]
 
 

@@ -231,7 +231,8 @@ def _same_run(rhs, y0, cfg, label, aborts=False):
     """``integrate`` gives the referee's time stamps and states bit for bit
     or, where ``aborts`` allows the referee to abort, aborts where it does:
     same time, same partial rows and, where the right-hand side raised, the
-    same error."""
+    same error.  Returns what ``integrate`` gave: the run, or the partial run
+    of its abort."""
     columns = tuple(f"c{i}" for i in range(len(y0)))
     try:
         ref = numpy_rk4(rhs, y0, cfg, columns)
@@ -250,6 +251,7 @@ def _same_run(rhs, y0, cfg, label, aborts=False):
         got = integrate(rhs, y0, cfg, columns, label)
     assert np.array_equal(got.times, ref.times), label
     assert _hex_rows(got.states) == _hex_rows(ref.states), label
+    return got
 
 
 @pytest.mark.parametrize("name", ["free_particle", "knife_edge", "vertical_disk"])
