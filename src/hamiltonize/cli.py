@@ -246,10 +246,8 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
         if sys_.preset != "vertical_disk":
             raise ConfigError("closed-form trajectories exist only for the built-in vertical_disk")
         radius = manifest.params.get("R", BUILTIN_PARAMS["vertical_disk"]["R"])
-        times = cfg.times
-        states = np.array([disk_closed_form_state(radius, jet0, float(t)) for t in times])
-        return Trajectory(times, states, sys_.names + tuple("d" + n for n in sys_.names),
-                          "closed-form"), {}
+        return Trajectory(cfg.times, disk_closed_form_state(radius, jet0, cfg.times),
+                          sys_.names + tuple("d" + n for n in sys_.names), "closed-form"), {}
     raise ConfigError(f"unknown formulation {formulation!r}")
 
 

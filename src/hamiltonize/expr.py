@@ -432,6 +432,20 @@ def depth(root: Expr) -> int:
     return levels[root]
 
 
+def times(c: float, x: str) -> str:
+    """Source of the constant ``c`` times the source ``x``, a product or a
+    name: ``x`` alone where ``c`` is 1.0, by which a float (not a complex)
+    multiplies exactly."""
+    return x if c == 1.0 else f"({c!r}) * {x}"
+
+
+def over(x: str, c: float) -> str:
+    """Source of the source ``x``, a product or a name, over the constant
+    ``c``: ``x`` alone where ``c`` is 1.0, by which a float (not a complex)
+    divides exactly."""
+    return x if c == 1.0 else f"{x} / ({c!r})"
+
+
 def define(signature: str, lines, **bindings):
     """Execute ``def <signature>:`` over the statements ``lines`` in the
     namespace of compiled expressions (``_PY_GLOBALS``, plus ``bindings``)
@@ -443,9 +457,10 @@ def define(signature: str, lines, **bindings):
 
 
 # A generated right-hand side ``rhs(t, y)`` in parts: y unpacked into the
-# locals ``state``, the statements ``head``, ``table`` (``splice`` lines and
-# guards on what they set, reading no other local but r1) and ``body``, the
-# returned list of ``outputs``, all in the namespace ``bindings``.
+# locals ``state``, the statements ``head``, ``table`` (``splice`` lines,
+# guards on what they set and values of it, reading no other local but r1)
+# and ``body``, the returned list of ``outputs``, all in the namespace
+# ``bindings``.
 RhsParts = namedtuple("RhsParts", "state head table body outputs bindings")
 
 

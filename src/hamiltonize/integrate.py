@@ -180,29 +180,38 @@ def _program(parts: ex.RhsParts):
     match one bit for bit.  A stage sets only the state locals and the time
     that it names.  Unless another statement stores to a local that the
     table block sets, the block is skipped where r1 equals the r1 it last
-    ran at, except at r1 == 0.0, whose two signed zeros compare equal.
+    ran at, except at r1 == 0.0, whose two signed zeros compare equal.  A
+    component whose slope is the literal 0.0 has no slope local: its stage
+    value and its update are y + 0.0, which is y + h * 0.0 for the finite
+    positive h of ``IntegratorConfig``, a -0.0 turned to +0.0 included.
 
     Where r1'' = 0 that is the third stage and every step's first but the
     first: over 10,000 steps on each built-in, the nonholonomic, first and
     second associated and first Lagrangian programs run the block at 20,001
     of 40,000 stages, the Hamiltonian ones at (almost) every stage.  The
-    knife edge's nonholonomic run took 430k-530k steps/s with the reuse
-    and 250k-310k without (best of 7, on a shared 2-vCPU VM)."""
-    _, reads = _names([*parts.head, *parts.table, *parts.body, f"[{', '.join(parts.outputs)}]"])
-    sets, table = _names(parts.table)[0], list(parts.table)
-    if sets and not sets & (_names([*parts.head, *parts.body])[0] | {*parts.state}):
+    knife edge's nonholonomic run took 330k-540k steps/s with the reuse and
+    270k-430k without (best of 7 runs of 10,000 steps, in process, on a
+    shared 2-vCPU VM whose speed drifts by half within minutes), the reuse
+    faster in 10 of 11 back-to-back pairs."""
+    sets, held = _names(parts.table)
+    stores, named = _names([*parts.head, *parts.body, f"[{', '.join(parts.outputs)}]"])
+    reads, table = held | named, list(parts.table)
+    if sets and not sets & (stores | {*parts.state}):
         table = ["if r1 != _r or r1 == 0.0:", *(f"    {line}" for line in table), "    _r = r1"]
     clock = "t" in reads
+    zero = {i for i, out in enumerate(parts.outputs) if out == "0.0"}  # h * 0.0 is +0.0
     step = ["_t = _t0 + _h * _k"] if clock else []  # times[k] bit for bit
     for dt, slope, prev in ((None, "a", ""), ("_half", "b", "a"), ("_half", "c", "b"),
                             ("_h", "e", "c")):
         step += [f"t = _t + {dt}" if dt else "t = _t"] if clock else []
-        step += [f"{name} = _y{i}" + (f" + {dt} * _{prev}{i}" if dt else "")
+        step += [f"{name} = _y{i}" + ("" if not dt else " + 0.0" if i in zero
+                                      else f" + {dt} * _{prev}{i}")
                  for i, name in enumerate(parts.state) if name in reads]
         step += [*parts.head, *table, *parts.body,
-                 *(f"_{slope}{i} = {out}" for i, out in enumerate(parts.outputs))]
+                 *(f"_{slope}{i} = {out}" for i, out in enumerate(parts.outputs) if i not in zero)]
     ys = "".join(f"_y{i}, " for i in range(len(parts.state)))
-    step += [*(f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
+    step += [*(f"_y{i} = _y{i} + 0.0" if i in zero
+               else f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
                for i in range(len(parts.state))), f"_buf.extend(({ys}))"]
     return ex.define("program(rhs, _buf, _t0, _h, _half, _sixth, _steps, _y)",
                      [f"{ys}= _y", "_r = None", "for _k in range(_steps):",

@@ -59,8 +59,9 @@ class SodeSystem:
 
     The right-hand side is straight-line code generated once per object, on
     first use, with its table spliced in: kind second reads the system's
-    ``weight_table`` under the closed-form models' guard (``weight_lines``),
-    the other kinds ``coeff_table``.  ``ode`` returns it; ``f`` evaluates it.
+    ``weight_table`` under the closed-form models' guard (``weight_lines``)
+    and takes its rates E_b'/E_b there, the other kinds ``coeff_table``.
+    ``ode`` returns it; ``f`` evaluates it.
     """
 
     system: SystemSpec
@@ -90,17 +91,17 @@ class SodeSystem:
             head.append("w = u0 * u1")
             accel = ["0.0", *(f"{c} * w" for c in names)]
         elif self.kind == "second":
-            accel = ["0.0", *(f"s{b} / e{b} * u{b} * u0" for b in range(1, n))]
+            accel = ["0.0", *(f"x{b} * u{b} * u0" for b in range(1, n))]
         else:
             sys, alphas = self.system, range(n - 2)
             names = [*(f"a{a}" for a in alphas), *(f"p{a}" for a in alphas), "m", "c"]
-            body = ["g = 0.0" + "".join(f" + {i_a!r} * p{a} * u{2 + a}"
+            body = ["g = 0.0" + "".join(f" + {ex.times(i_a, f'p{a} * u{2 + a}')}"
                                         for a, i_a in enumerate(sys.i_alpha)),
                     "n2 = 1.0 / m",
                     "r = n2 * (-c * u0 * u1 + g * u0)"]
-            accel = [f"-g * u1 / {sys.i1!r}", "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        spliced = (weight_lines(self.system) if self.kind == "second"
-                   else ex.splice(table.exprs, names, "table(r1)"))
+            accel = [ex.over("-g * u1", sys.i1), "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
+        spliced = ([*weight_lines(self.system), *(f"x{b} = s{b} / e{b}" for b in range(1, n))]
+                   if self.kind == "second" else ex.splice(table.exprs, names, "table(r1)"))
         return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head, spliced, body,
                              [*velocities, *accel], table=table, weight_vanishes=weight_vanishes)
 

@@ -458,29 +458,37 @@ def nh_columns(sys: SystemSpec) -> tuple[str, ...]:
 # --- closed-form disk solution ----------------------------------------------
 
 
-def disk_closed_form_state(radius: float, ics: Jet, t: float) -> tuple[float, ...]:
+def disk_closed_form_state(radius: float, ics: Jet, t):
     """Exact state (phi, theta, x, y, their velocities) of the rolling disk
-    at time ``t``, as one flat tuple.
+    at time ``t``: one flat tuple for a time, a (times, 8) array, one row per
+    time, for an array of times.
 
     ``ics`` holds (phi, theta, x, y) and their velocities at t = 0; the
     contact-point velocities are determined by (u_phi, u_theta) alone.  For
     u_phi != 0 the disk traces a circle; for u_phi = 0 it rolls along a
-    straight line.
+    straight line.  Every time takes the same operations, in numpy's IEEE
+    arithmetic, and sin and cos are libm's (``math``), so a row of the array
+    is the tuple of its time bit for bit.
     """
     phi0, theta0, x0, y0 = ics.q
     u_phi, u_theta = ics.qdot[0], ics.qdot[1]
+    times = np.asarray(t, dtype=float)
+    t = times.reshape(-1)
     phi = phi0 + u_phi * t
     theta = theta0 + u_theta * t
+    sin, cos = (np.fromiter(map(fn, phi.tolist()), float, len(t)) for fn in (math.sin, math.cos))
     if u_phi != 0.0:
         ratio = (u_theta / u_phi) * radius
-        x = ratio * math.sin(phi) + (x0 - ratio * math.sin(phi0))
-        y = -ratio * math.cos(phi) + (y0 + ratio * math.cos(phi0))
+        x = ratio * sin + (x0 - ratio * math.sin(phi0))
+        y = -ratio * cos + (y0 + ratio * math.cos(phi0))
     else:
         x = radius * math.cos(phi0) * u_theta * t + x0
         y = radius * math.sin(phi0) * u_theta * t + y0
-    xdot = radius * math.cos(phi) * u_theta
-    ydot = radius * math.sin(phi) * u_theta
-    return (phi, theta, x, y, u_phi, u_theta, xdot, ydot)
+    xdot = radius * cos * u_theta
+    ydot = radius * sin * u_theta
+    states = np.column_stack((phi, theta, x, y, np.full(len(t), u_phi), np.full(len(t), u_theta),
+                              xdot, ydot))
+    return tuple(states[0].tolist()) if times.ndim == 0 else states
 
 
 # --- declarative system files ------------------------------------------------

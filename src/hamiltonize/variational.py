@@ -32,8 +32,19 @@ second reads no r2 pair), or A_a and A_a' for the variational kind.  The
 Legendre inverse reads the canonical flow's dq/dt = dH/dp.  That read,
 ``momentum_sum``, ``hamiltonian_value``, the velocity Hessian and the
 trajectory right-hand sides are straight-line code generated once per
-system and model, with every inertia and coefficient a literal.  The
-Hessian's entries are one set of statements, ``_hessian_lines``, which the
+system and model, with every inertia and coefficient a literal.  Two rules
+spare that code needless work, every bit and error kept:
+
+- a factor or divisor that is a constant equal to 1.0 is left out
+  (``expr.times``, ``expr.over``), since a float multiplies and divides by
+  1.0 exactly; the Hessian's statements, which run on complex steps too,
+  keep theirs;
+- a power or product that a statement list uses again over the same
+  operands (``u1 ** 2``, ``u0 ** 3``, ``p1 ** 2``) is bound where it is first
+  computed, ``(u1_2 := u1 ** 2)``, and read after (``_once``), so no
+  operation that can raise moves ahead of another.
+
+The Hessian's entries are one set of statements, ``_hessian_lines``, which the
 Euler-Lagrange program solves and ``hessian`` runs; the slopes of
 ``hessian_field`` run them on complex steps of size ``CS_STEP`` (the step of
 ``pontryagin``'s control gradient too), the velocities and weights moved.
@@ -350,10 +361,24 @@ def _bindings(model: LagrangianModel) -> dict:
     return dict(errors, table=sys.weight_table, weight_vanishes=weight_vanishes)
 
 
-def _momentum_sum(model: LagrangianModel) -> str:
+def _once(bound: set | None, name: str, text: str) -> str:
+    """Source of the value of ``text``, a name or a pure expression over
+    locals that a stage does not reassign: at its first use in a stage
+    ``(name := text)``, after that ``name``, the names bound so far being
+    ``bound``; ``text`` itself where it is a name or ``bound`` is None."""
+    if bound is None or text.isidentifier():
+        return text
+    if name in bound:
+        return name
+    bound.add(name)
+    return f"({name} := {text})"
+
+
+def _momentum_sum(model: LagrangianModel, bound: set | None = None) -> str:
     """Source of ``momentum_sum`` over the locals p<b> and e<b>, summed in
-    its order."""
-    return " + ".join(["p0", *(f"0.5 * e{b} * p{b} ** 2 / {_literal(c)}" for b, c in model.terms)])
+    its order; each p<b> ** 2 read as ``_once`` gives it."""
+    return " + ".join(["p0", *(ex.over(f"0.5 * e{b} * {_once(bound, f'p{b}_2', f'p{b} ** 2')}", c)
+                               for b, c in model.terms)])
 
 
 def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
@@ -381,10 +406,12 @@ def _names(letter: str, model: LagrangianModel) -> list[str]:
     return [f"{letter}{b}" for b in range(model.system.n)]
 
 
-def _hessian_lines(model: LagrangianModel) -> list[str]:
+def _hessian_lines(model: LagrangianModel, bound: set) -> list[str]:
     """Statements setting d<b> = g_bb and, for b off the hub, h<b> = g_hb
     of the velocity Hessian, an arrowhead, over the locals u<b> and the
-    weight values: the one copy of its arithmetic."""
+    weight values: the one copy of its arithmetic, its powers of the
+    velocities read as ``_once`` gives them.  It runs on complex steps too,
+    so no unit factor is dropped."""
     sys = model.system
     if model.kind == "variational":
         return [f"d0 = {_literal(sys.i1)}", f"d1 = {_literal(sys.i2)}", "h0 = 0.0",
@@ -393,8 +420,10 @@ def _hessian_lines(model: LagrangianModel) -> list[str]:
     lines = [*(f"d{b} = {_literal(i_b)}; h{b} = 0.0" for b, i_b in model.kinetic),
              f"d0 = {_literal(sys.i1)}"]
     for b, c in model.terms:
-        lines += [f"w{b} = {_literal(c)} / e{b}", f"d0 = d0 + w{b} * u{b} ** 2 / u0 ** 3",
-                  f"h{b} = -w{b} * u{b} / u0 ** 2", f"d{b} = w{b} / u0"]
+        lines += [f"w{b} = {_literal(c)} / e{b}",
+                  f"d0 = d0 + w{b} * {_once(bound, f'u{b}_2', f'u{b} ** 2')}"
+                  f" / {_once(bound, 'u0_3', 'u0 ** 3')}",
+                  f"h{b} = -w{b} * u{b} / {_once(bound, 'u0_2', 'u0 ** 2')}", f"d{b} = w{b} / u0"]
     return lines
 
 
@@ -406,35 +435,39 @@ def _hessian_entries(model: LagrangianModel):
         arm = ", ".join("0.0" if b == model.hub else f"h{b}" for b in range(model.system.n))
         return ex.define("entries(u, w)", [
             f"{', '.join(_names('u', model))}, = u", f"{', '.join(_weight_names(model)[::2])}, = w",
-            *_hessian_lines(model), f"return [{', '.join(_names('d', model))}], [{arm}]"])
+            *_hessian_lines(model, set()), f"return [{', '.join(_names('d', model))}], [{arm}]"])
 
     return model.system.kernel(("hessian", model.kind, model.coefficients), build)
 
 
 def _euler_lagrange_kernel(model: LagrangianModel):
     """The loops over the layout unrolled, every inertia and coefficient a
-    literal: the force f<b>, the Hessian's entries, then its solve."""
+    literal: the force f<b>, the Hessian's entries, then its solve, each
+    repeated value computed once (``_once``)."""
     sys = model.system
-    n, hub = sys.n, model.hub
+    n, hub, bound = sys.n, model.hub, set()
     head = ["r1 = q0"]
     if model.terms:
         head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
     if model.kind == "variational":
         lines = ["g = 0.0"]
         for a, i_a in enumerate(sys.i_alpha):
-            lines += [f"g = g + {_literal(i_a)} * p{a} * u{2 + a}",
-                      f"f{2 + a} = {_literal(i_a)} * p{a} * u1 * u0"]
+            pull = ex.times(i_a, f"p{a}")
+            lines += [f"g = g + {_once(bound, f'ip{a}', pull)} * u{2 + a}",
+                      f"f{2 + a} = {_once(bound, f'ip{a}', pull)} * u1 * u0"]
         lines += ["f0 = -g * u1", "f1 = g * u0"]
     else:
         lines = [*(f"f{b} = 0.0" for b, _ in model.kinetic), "g = 0.0"]
         for b, c in model.terms:
-            lines += [f"f{b} = {_literal(c)} * u{b} * s{b} / e{b} ** 2",
-                      f"g = g + {_literal(c)} * u{b} ** 2 * s{b} / e{b} ** 2"]
+            square = f"e{b} ** 2"
+            lines += [f"f{b} = {ex.times(c, f'u{b} * s{b}')} / {_once(bound, f'e{b}_2', square)}",
+                      f"g = g + {ex.times(c, _once(bound, f'u{b}_2', f'u{b} ** 2'))}"
+                      f" * s{b} / {_once(bound, f'e{b}_2', square)}"]
         lines.append("f0 = -g / u0")
     # eliminate each spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb,
     # solve for the hub, then back-substitute into the spokes
     spokes = [b for b in range(n) if b != hub]
-    lines += [*_hessian_lines(model),
+    lines += [*_hessian_lines(model, bound),
               *(f"if d{b} == 0.0: raise SingularHessianError("
                 f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
               f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
@@ -517,16 +550,17 @@ def hamilton_ode(model: LagrangianModel):
 
 def _hamilton_kernel(model: LagrangianModel):
     sys = model.system
-    n = sys.n
-    lines = [f"m = {_momentum_sum(model)}", "g = 0.0"]
+    n, bound = sys.n, set()
+    lines = [f"m = {_momentum_sum(model, bound)}", "g = 0.0"]
     for b, c in model.terms:
-        lines.append(f"g = g + 0.5 * s{b} * p{b} ** 2 / {_literal(c)}")
-    lines.append(f"v = m / {_literal(sys.i1)}")
+        square = _once(bound, f"p{b}_2", f"p{b} ** 2")
+        lines.append(f"g = g + {ex.over(f'0.5 * s{b} * {square}', c)}")
+    lines.append(f"v = {ex.over('m', sys.i1)}")
     qdot = ["v"]
     for b, inertia in model.kinetic:
-        qdot.append(f"p{b} / {_literal(inertia)}")
+        qdot.append(ex.over(f"p{b}", inertia))
     for b, c in model.terms:
-        qdot.append(f"v * e{b} * p{b} / {_literal(c)}")
+        qdot.append(ex.over(f"v * e{b} * p{b}", c))
     return ex.define_rhs(_state(n, "p"), ["r1 = q0"], _weight_lines(model, guard=False), lines,
                          [*qdot, "-v * g", *["0.0"] * (n - 1)], table=sys.weight_table)
 

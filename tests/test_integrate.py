@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import os
@@ -205,9 +206,11 @@ def _hex_rows(states):
     return [[float(v).hex() for v in row] for row in states]
 
 
-def _formulation_runs(name, sys=None):
+def _formulation_runs(name, sys=None, coefficients=None):
     """(label, rhs, y0) for each formulation of one built-in, from the CLI's
-    default initial jet; ``sys`` is that built-in, made afresh if not given."""
+    default initial jet; ``sys`` is that built-in, made afresh if not given,
+    and ``coefficients`` maps a Lagrangian kind to its model's coefficients
+    where they are not the preset's."""
     sys = builtin_system(name) if sys is None else sys
     jet0 = default_initial_jet(sys)
     runs = [("nonholonomic", nonholonomic_ode(sys), nh_state_from_jet(sys, jet0))]
@@ -217,11 +220,12 @@ def _formulation_runs(name, sys=None):
             continue  # associated only where the measure is constant
         runs.append((f"sode-{sode.kind}", sode.ode(), np.array(jet0.q + jet0.qdot)))
     kinds = ("first", "second") if sys.constant_measure else ("first",)
-    for kind in (*kinds, "variational"):
-        runs.append((f"lagrangian-{kind}", euler_lagrange_ode(lagrangian_model(sys, kind)),
-                     np.array(jet0.q + jet0.qdot)))
+    models = {kind: lagrangian_model(sys, kind, (coefficients or {}).get(kind))
+              for kind in (*kinds, "variational")}
+    for kind, model in models.items():
+        runs.append((f"lagrangian-{kind}", euler_lagrange_ode(model), np.array(jet0.q + jet0.qdot)))
     for kind in kinds:
-        model = lagrangian_model(sys, kind)
+        model = models[kind]
         ps0 = legendre(model, jet0)
         runs.append((f"hamiltonian-{kind}", hamilton_ode(model), np.array(ps0.q + ps0.p)))
     return runs
@@ -272,15 +276,22 @@ def test_pole_crossing_spans_match_numpy_rk4_bit_for_bit(name):
 
 def test_aborts_inside_generated_kernels_match_numpy_rk4():
     """A guard of a generated kernel raising at the first stage and part-way
-    through a run: the same abort time, partial rows and message."""
+    through a run (toward the disk's sin root and the knife edge's tan pole,
+    in models with unit and other constants): the same abort time, partial
+    rows and message."""
     disk, knife = builtin_system("vertical_disk"), builtin_system("knife_edge")
     on_pole = disk.on_constraint((1.5707963267948966, 0.0, 0.0, 0.0), 1.0, 2.0)
     before_zero = disk.on_constraint((-0.5, 0.0, 0.0, 0.0), 1.0, 2.0)  # sin(phi) = 0 ahead
     resting = knife.on_constraint((0.25, 0.0, 0.0), 0.0, 1.0)
+    before_pole = knife.on_constraint((1.0707963267948966, 0.0, 0.0), 1.0, 1.0)  # pi/2 - 0.5
     runs = [(second_associated(disk).ode(), on_pole, 1e-3, 1, "vanishes"),
             (second_associated(disk).ode(), before_zero, 0.1, 5, "vanishes"),
             (euler_lagrange_ode(lagrangian_model(disk, "first")), before_zero, 0.1, 5, "vanishes"),
-            (euler_lagrange_ode(lagrangian_model(knife, "first")), resting, 1e-3, 1, "r1dot = 0")]
+            (euler_lagrange_ode(lagrangian_model(knife, "first")), resting, 1e-3, 1, "r1dot = 0"),
+            *((rhs, before_pole, 0.1, 5, "t=0.4: velocity weight 0 vanishes at r1=1.570796326794897$")
+              for rhs in (second_associated(knife).ode(),
+                          euler_lagrange_ode(lagrangian_model(knife, "first")),
+                          euler_lagrange_ode(lagrangian_model(knife, "first", (2.0, -0.5)))))]
     for rhs, jet0, h, rows, message in runs:
         cfg = IntegratorConfig(h=h, t_span=(0.0, 2.0))
         y0 = np.array(jet0.q + jet0.qdot)
@@ -288,6 +299,168 @@ def test_aborts_inside_generated_kernels_match_numpy_rk4():
             numpy_rk4(rhs, y0, cfg, tuple(f"c{i}" for i in range(len(y0))))
         assert len(ref.value.trajectory.times) == rows
         _same_run(rhs, y0, cfg, str(ref.value), aborts=True)
+
+
+def test_signed_zero_in_a_zero_slope_slot_matches_numpy_rk4():
+    """A -0.0 start in a slot whose slope is the literal 0.0 (r1' of the
+    nonholonomic and first and second associated runs, a momentum p_b of a
+    Hamiltonian run) becomes +0.0 after the first step, as the referee's
+    y + (h / 6) * 0.0 makes it."""
+    disk = builtin_system("vertical_disk")
+    jet0 = disk.on_constraint((0.2, 0.0, 0.0, 0.0), -0.0, 2.0)
+    model = lagrangian_model(disk, "first")
+    ps0 = legendre(model, disk.on_constraint((0.2, 0.0, 0.0, 0.0), 1.0, 2.0))
+    runs = [(nonholonomic_ode(disk), nh_state_from_jet(disk, jet0), 4),
+            (first_associated(disk).ode(), np.array(jet0.q + jet0.qdot), 4),
+            (second_associated(disk).ode(), np.array(jet0.q + jet0.qdot), 4),
+            (hamilton_ode(model), np.array(ps0.q + (ps0.p[0], -0.0, -0.0, -0.0)), 5)]
+    cfg = IntegratorConfig(h=1e-2, t_span=(0.0, 0.1))
+    for rhs, y0, slot in runs:
+        states = _same_run(rhs, y0, cfg, f"slot {slot}").states
+        assert math.copysign(1.0, states[0, slot]) == -1.0
+        assert (states[1:, slot] == 0.0).all() and not np.signbit(states[1:, slot]).any()
+
+
+# --- what the generated programs compute ----------------------------------------
+
+# the disk with inertias and model coefficients other than 1.0, every factor kept
+CONSTANTS = {"first": (2.0, -0.5, 0.25), "second": (-0.7, 0.5)}
+ZERO_SLOPES = {"nonholonomic": 1, "sode-first": 1, "sode-second": 1}
+PURE_CALLS = {"sin", "cos", "tan", "exp", "log", "sqrt"}
+
+
+def _program_source(rhs, monkeypatch) -> str:
+    """The source of the RK4 program that ``integrate`` generates for ``rhs``."""
+    sources = []
+
+    def recording_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(expr, "exec", recording_exec, raising=False)
+    importlib.import_module("hamiltonize.integrate")._program(rhs.parts)
+    monkeypatch.undo()
+    return sources[-1]
+
+
+def _stores(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _reads(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _pure(node) -> bool:
+    """A product, quotient, power or call of a math function: a value that
+    the same operands give again."""
+    return ((isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div, ast.Pow)))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in PURE_CALLS))
+
+
+def _flat(statements):
+    """The simple statements of ``statements`` in order, compound ones
+    (the table block's if and try) opened."""
+    for statement in statements:
+        bodies = [getattr(statement, field, []) for field in ("body", "orelse", "finalbody")]
+        bodies += [handler.body for handler in getattr(statement, "handlers", [])]
+        if any(bodies):
+            if isinstance(statement, ast.If):
+                yield ast.Expr(statement.test)
+            yield from _flat([s for body in bodies for s in body])
+        else:
+            yield statement
+
+
+def _stages(loop: ast.For) -> list[list[ast.stmt]]:
+    """The loop body's statements cut after each run of slope assignments
+    (_a<i>, _b<i>, _c<i>, _e<i>): four stages, then the update."""
+    stages, current, slopes = [], [], False
+    for statement in loop.body:
+        slope = (isinstance(statement, ast.Assign)
+                 and re.fullmatch(r"_[abce]\d+", getattr(statement.targets[0], "id", "")))
+        if slopes and not slope:
+            stages.append(current)
+            current = []
+        current.append(statement)
+        slopes = bool(slope)
+    return [*stages, current]
+
+
+def _repeats(stage) -> list[str]:
+    """Each pure subexpression that the stage evaluates again over operands
+    it has not stored to since (value numbering, in order of execution)."""
+    seen, again = {}, []
+    for statement in _flat(stage):
+        nodes = [n for n in ast.walk(statement) if _pure(n)]
+        for node in sorted(nodes, key=lambda n: (n.end_lineno, n.end_col_offset)):
+            key = ast.dump(node)
+            if key in seen:
+                again.append(ast.unparse(node))
+            seen[key] = _reads(node)
+        stored = _stores(statement)
+        seen = {key: reads for key, reads in seen.items() if not reads & stored}
+    return again
+
+
+def _unit_factors(tree) -> list[str]:
+    """Each product with a literal 1.0 factor and quotient with a literal 1.0 divisor."""
+    def one(node):
+        return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1.0
+
+    return [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.BinOp)
+            and ((isinstance(n.op, ast.Mult) and (one(n.left) or one(n.right)))
+                 or (isinstance(n.op, ast.Div) and one(n.right)))]
+
+
+def _all_runs():
+    for name in ("free_particle", "knife_edge", "vertical_disk"):
+        for label, rhs, y0 in _formulation_runs(name):
+            yield name, label, rhs, y0
+    disk = builtin_system("vertical_disk", m=2.0, I=3.0, J=0.5)
+    for label, rhs, y0 in _formulation_runs("vertical_disk", disk, CONSTANTS):
+        yield "vertical_disk m=2,I=3,J=0.5", label, rhs, y0
+
+
+def test_generated_programs_compute_each_value_once(monkeypatch):
+    """On every built-in, formulation and kind, and on the disk with other
+    constants: no stage of the RK4 program evaluates a product, quotient,
+    power or math function twice over operands it has not reassigned; no
+    product or quotient has a literal 1.0 factor or divisor, ``(c) / x``
+    aside; and a slot whose slope is the literal 0.0 takes no arithmetic but
+    ``_y<i> + 0.0``, the referee's y + h * 0.0, and has no slope local."""
+    checked = 0
+    for name, label, rhs, y0 in _all_runs():
+        tree = ast.parse(_program_source(rhs, monkeypatch))
+        loop = next(n for n in ast.walk(tree) if isinstance(n, ast.For))
+        stages = _stages(loop)
+        assert len(stages) == 5, (name, label)
+        for stage in stages:
+            assert _repeats(stage) == [], (name, label)
+        assert _unit_factors(tree) == [], (name, label)
+        zero = [i for i, out in enumerate(rhs.parts.outputs) if out == "0.0"]
+        expected = (len(rhs.parts.state) // 2 - 1 if label.startswith("hamiltonian")
+                    else ZERO_SLOPES.get(label, 0))
+        assert len(zero) == expected, (name, label)
+        names = _reads(tree) | _stores(tree)
+        for i in zero:
+            assert not names & {f"_{slope}{i}" for slope in "abce"}, (name, label, i)
+            uses = [ast.unparse(s) for s in ast.walk(loop) if isinstance(s, ast.Assign)
+                    and f"_y{i}" in _reads(s.value)]
+            local = rhs.parts.state[i]
+            assert set(uses) <= {f"{local} = _y{i}", f"{local} = _y{i} + 0.0",
+                                 f"_y{i} = _y{i} + 0.0"}, (name, label, uses)
+            assert f"_y{i} = _y{i} + 0.0" in uses, (name, label)
+        checked += 1
+    assert checked == 21 + 9
+
+
+def test_programs_with_constants_other_than_one_match_numpy_rk4_bit_for_bit():
+    disk = builtin_system("vertical_disk", m=2.0, I=3.0, J=0.5)
+    cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 0.5))
+    for label, rhs, y0 in _formulation_runs("vertical_disk", disk, CONSTANTS):
+        _same_run(rhs, y0, cfg, label)
 
 
 # the distinct tables the runs of one built-in read: the nonholonomic one, the

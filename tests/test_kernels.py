@@ -292,20 +292,23 @@ def loop_hamilton(model):
 # --- every formulation of every built-in ------------------------------------------
 
 
-def _runs(sys):
-    """(label, generated rhs, reference rhs, state dimension)."""
+def _runs(sys, coefficients=None):
+    """(label, generated rhs, reference rhs, state dimension); ``coefficients``
+    maps a Lagrangian kind to its model's coefficients where they are not the
+    preset's."""
     n = sys.n
     runs = [("nonholonomic", nonholonomic_ode(sys), loop_nonholonomic(sys), n + 2)]
     for build in (first_associated, second_associated, third_associated):
         sode = build(sys)
         runs.append((f"sode-{sode.kind}", sode.ode(), loop_sode(sode), 2 * n))
     kinds = ("first", "second") if sys.constant_measure else ("first",)
-    for kind in (*kinds, "variational"):
-        model = lagrangian_model(sys, kind)
+    models = {kind: lagrangian_model(sys, kind, (coefficients or {}).get(kind))
+              for kind in (*kinds, "variational")}
+    for kind, model in models.items():
         runs.append((f"euler-lagrange-{kind}", euler_lagrange_ode(model),
                      loop_euler_lagrange(model), 2 * n))
     for kind in kinds:
-        model = lagrangian_model(sys, kind)
+        model = models[kind]
         runs.append((f"hamilton-{kind}", hamilton_ode(model), loop_hamilton(model), 2 * n))
     return runs
 
@@ -338,6 +341,22 @@ def test_kernels_match_loops_bit_for_bit(name):
             assert isinstance(expected, list), (label, y, expected)
             assert outcome(kernel, 0.0, y) == expected, (label, y)
     assert len(labels) == (9 if name == "vertical_disk" else 7)
+
+
+def test_kernels_with_constants_other_than_one_match_loops_bit_for_bit():
+    """The disk with inertias m, I, J = 2, 3, 0.5 and models of coefficients
+    other than 1.0, whose kernels keep every factor: the loops' floats at
+    seeded states, and the loops' outcome where velocities or momenta of
+    1e52 to 1e160 overflow a power or the product of two."""
+    sys = builtin_system("vertical_disk", m=2.0, I=3.0, J=0.5)
+    runs = _runs(sys, {"first": (2.0, -0.5, 0.25), "second": (-0.7, 0.5)})
+    for seed, (label, kernel, loop, dim) in enumerate(runs, 1):
+        states = _states(dim, seed)
+        for y, scale in zip(states, (1e52, 1e103, 1e160) * 5):
+            states.append(y[:dim // 2] + [v * scale for v in y[dim // 2:]])
+        for y in states:
+            assert outcome(kernel, 0.0, y) == outcome(loop, 0.0, y), (label, y)
+    assert len(runs) == 9
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
