@@ -440,9 +440,9 @@ def times(c: float, x: str) -> str:
 
 
 def over(x: str, c: float) -> str:
-    """Source of the source ``x``, a product or a name, over the constant
-    ``c``: ``x`` alone where ``c`` is 1.0, by which a float (not a complex)
-    divides exactly."""
+    """Source of ``x``, the source of a product or a name, over the
+    constant ``c``: ``x`` alone where ``c`` is 1.0, by which a float (not a
+    complex) divides exactly."""
     return x if c == 1.0 else f"{x} / ({c!r})"
 
 

@@ -99,7 +99,8 @@ class SodeSystem:
                                         for a, i_a in enumerate(sys.i_alpha)),
                     "n2 = 1.0 / m",
                     "r = n2 * (-c * u0 * u1 + g * u0)"]
-            accel = [ex.over("-g * u1", sys.i1), "r", *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
+            accel = [ex.over("-g * u1", sys.i1), "r",
+                     *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
         spliced = ([*weight_lines(self.system), *(f"x{b} = s{b} / e{b}" for b in range(1, n))]
                    if self.kind == "second" else ex.splice(table.exprs, names, "table(r1)"))
         return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head, spliced, body,

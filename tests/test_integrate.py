@@ -288,7 +288,7 @@ def test_aborts_inside_generated_kernels_match_numpy_rk4():
             (second_associated(disk).ode(), before_zero, 0.1, 5, "vanishes"),
             (euler_lagrange_ode(lagrangian_model(disk, "first")), before_zero, 0.1, 5, "vanishes"),
             (euler_lagrange_ode(lagrangian_model(knife, "first")), resting, 1e-3, 1, "r1dot = 0"),
-            *((rhs, before_pole, 0.1, 5, "t=0.4: velocity weight 0 vanishes at r1=1.570796326794897$")
+            *((rhs, before_pole, 0.1, 5, "t=0.4: velocity weight 0 vanishes")
               for rhs in (second_associated(knife).ode(),
                           euler_lagrange_ode(lagrangian_model(knife, "first")),
                           euler_lagrange_ode(lagrangian_model(knife, "first", (2.0, -0.5)))))]
@@ -344,11 +344,13 @@ def _program_source(rhs, monkeypatch) -> str:
 
 
 def _stores(node) -> set:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
 def _reads(node) -> set:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def _pure(node) -> bool:
