@@ -78,6 +78,15 @@ COMMANDS = [
       for system in ("knife_edge", "free_particle")),
     *(f"simulate --t 0.5 --formulation closed-form {option} --system vertical_disk"
       for option in ("--params R=0.7", "--ic dphi=0")),
+    # the Legendre map and the phase constraints: at the disk's cos root, where
+    # the image is not finite, on the specs, and on the disk's second kind
+    *(f"simulate --t 0.5 --formulation hamiltonian{kind} {POLE} --system vertical_disk"
+      for kind in ("", " --ham-kind second")),
+    "simulate --t 0.5 --formulation hamiltonian --params J=1e308"
+    " --ic dphi=1,phi=2.0,dx=3e154,dy=3e154 --system knife_edge",
+    *(f"simulate --t 0.5 --formulation hamiltonian --spec {spec}" for spec in SPECS),
+    "compare --system vertical_disk --formulation nonholonomic,hamiltonian --ham-kind second"
+    " --params a3=-0.7,a4=0.5 --t 1",
 ]
 
 
