@@ -28,16 +28,26 @@ kinetically (``kinetic``: r2 with I2, kind second) and those weighted by a
 coefficient and E_b (``terms``).  The pointwise formulas read a model's
 weights through one generated read, ``_weight_pairs``: E_b and E_b' from the
 system's ``weight_table`` under the second associated system's guard (kind
-second reads no r2 pair), or A_a and A_a' for the variational kind.  The
-Legendre inverse reads the canonical flow's dq/dt = dH/dp.  That read,
-``momentum_sum``, ``hamiltonian_value``, the velocity Hessian and the
-trajectory right-hand sides are straight-line code generated once per
-system and model, with every inertia and coefficient a literal.  Two rules
+second reads no r2 pair), or A_a and A_a' for the variational kind.  Every
+model quantity is straight-line code generated once per system and model,
+with every inertia and coefficient a literal, by one of three builders:
+
+- ``_entries``, a function ``entries(u, w)`` of the velocities and the weight
+  values (``_weights``): the velocity Hessian (``hessian``, and on complex
+  steps the slopes of ``hessian_field``), the Legendre map (``legendre``) and
+  ``lagrangian_value``;
+- ``_kernel``, a function of r1 and the momenta that splices the weights in:
+  ``momentum_sum``, ``hamiltonian_value``, ``phase_constraint_residual`` and
+  the optimal-control functions of ``pontryagin``;
+- ``expr.define_rhs``, the trajectory right-hand sides ``euler_lagrange_ode``
+  and ``hamilton_ode``.
+
+The Legendre inverse reads the canonical flow's dq/dt = dH/dp.  Two rules
 spare that code needless work, every bit and error kept:
 
 - a factor or divisor that is a constant equal to 1.0 is left out
   (``expr.times``, ``expr.over``), since a float multiplies and divides by
-  1.0 exactly; the Hessian's statements, which run on complex steps too,
+  1.0 exactly; ``_entries``' statements, which run on complex steps too,
   keep theirs;
 - a power or product that a statement list uses again over the same
   operands (``u1 ** 2``, ``u0 ** 3``, ``p1 ** 2``) is bound where it is first
@@ -47,7 +57,8 @@ spare that code needless work, every bit and error kept:
 The Hessian's entries are one set of statements, ``_hessian_lines``, which the
 Euler-Lagrange program solves and ``hessian`` runs; the slopes of
 ``hessian_field`` run them on complex steps of size ``CS_STEP`` (the step of
-``pontryagin``'s control gradient too), the velocities and weights moved.
+``pontryagin``'s control gradient too), the velocities and weights moved, and
+the Legendre map's statements give its derivative the same way.
 
 The kinetic prefixes are fixed to the quadratic convention (rho = I1/2 r1'^2,
 sigma = I2/2 r2'^2) so the Legendre transform stays in closed form.  Note the
@@ -245,27 +256,29 @@ def _weights(model: LagrangianModel, jet: Jet) -> tuple[float, ...]:
 
 
 def lagrangian_value(model: LagrangianModel, jet: Jet) -> float:
+    """L at a jet: ``_entries`` of ``_lagrangian_lines`` at its velocities and weights."""
+    return _entries(model, "lagrangian", _lagrangian_lines)(jet.qdot, _weights(model, jet))
+
+
+def _lagrangian_lines(model: LagrangianModel) -> list[str]:
+    """L over the locals u<b> and the weight values, summed term by term."""
     sys = model.system
-    u = jet.qdot
-    weights = _weights(model, jet)
     if model.kind == "variational":
-        value = 0.5 * (sys.i1 * u[0] ** 2 + sys.i2 * u[1] ** 2)
-        for a, a_val in enumerate(weights):
-            value -= 0.5 * sys.i_alpha[a] * u[2 + a] ** 2
-            value -= sys.i_alpha[a] * a_val * u[2 + a] * u[1]
-        return value
-    value = 0.5 * sys.i1 * u[0] ** 2
-    for b, inertia in model.kinetic:
-        value += 0.5 * inertia * u[b] ** 2
-    for (b, c), e_val in zip(model.terms, weights):
-        value += 0.5 * c * u[b] ** 2 / (e_val * u[0])
-    return value
+        lines = [f"v = 0.5 * ({_literal(sys.i1)} * u0 ** 2 + {_literal(sys.i2)} * u1 ** 2)"]
+        for a, i_a in enumerate(sys.i_alpha):
+            lines += [f"v = v - 0.5 * {_literal(i_a)} * u{2 + a} ** 2",
+                      f"v = v - {_literal(i_a)} * a{a} * u{2 + a} * u1"]
+        return [*lines, "return v"]
+    lines = [f"v = 0.5 * {_literal(sys.i1)} * u0 ** 2",
+             *(f"v = v + 0.5 * {_literal(i_b)} * u{b} ** 2" for b, i_b in model.kinetic),
+             *(f"v = v + 0.5 * {_literal(c)} * u{b} ** 2 / (e{b} * u0)" for b, c in model.terms)]
+    return [*lines, "return v"]
 
 
 def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     """Velocity Hessian of the Lagrangian, a multiplier for its dynamics:
-    ``_hessian_entries`` at the jet's velocities and weights."""
-    diag, arm = _hessian_entries(model)(jet.qdot, _weights(model, jet))
+    the ``_entries`` of ``_hessian_entry_lines`` at the jet's velocities and weights."""
+    diag, arm = _entries(model, "hessian", _hessian_entry_lines)(jet.qdot, _weights(model, jet))
     hub = model.hub
     g = np.diag(diag)
     g[hub, :] = g[:, hub] = arm
@@ -277,10 +290,10 @@ def _hessian_slopes(model: LagrangianModel, jets, dq, du) -> np.ndarray:
     """Exact derivatives of the model Hessian at each jet along each of its
     directions (dq[j, k], du[j, k]), a (jets, directions, n, n) stack.
 
-    ``_hessian_entries`` runs once on complex arrays of shape (jets,
-    directions): the velocities step to u + i h du and each weight, a
-    function of r1 alone, to w + i h dq_1 w'.  Each slope is Im(entry) / h
-    with h = ``CS_STEP``, exact to roundoff.
+    The ``_entries`` of ``_hessian_entry_lines`` run once on complex arrays
+    of shape (jets, directions): the velocities step to u + i h du and each
+    weight, a function of r1 alone, to w + i h dq_1 w'.  Each slope is
+    Im(entry) / h with h = ``CS_STEP``, exact to roundoff.
     """
     n, hub, step = model.system.n, model.hub, CS_STEP * 1j
     pairs = np.array([model._weight_pairs(jet.r1) for jet in jets])
@@ -288,7 +301,7 @@ def _hessian_slopes(model: LagrangianModel, jets, dq, du) -> np.ndarray:
     weights = [value[:, None] + step * dq[..., 0] * prime[:, None]
                for value, prime in zip(values, primes)]
     u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b] for b in range(n)]
-    diag, arm = _hessian_entries(model)(u, weights)
+    diag, arm = _entries(model, "hessian", _hessian_entry_lines)(u, weights)
     out = np.zeros((*dq.shape[:2], n, n))
     for b in range(n):
         out[..., b, b] = np.imag(diag[b])
@@ -358,7 +371,7 @@ def _bindings(model: LagrangianModel) -> dict:
               "SingularHessianError": SingularHessianError}
     if model.kind == "variational":
         return dict(errors, a_prime_table=sys.a_prime_table, a_fns=sys.a_fns)
-    return dict(errors, table=sys.weight_table, weight_vanishes=weight_vanishes)
+    return dict(errors, table=sys.weight_table, weight_vanishes=weight_vanishes, system=sys)
 
 
 def _once(bound: set | None, name: str, text: str) -> str:
@@ -427,23 +440,28 @@ def _hessian_lines(model: LagrangianModel, bound: set) -> list[str]:
     return lines
 
 
-def _hessian_entries(model: LagrangianModel):
-    """The generated ``entries(u, w)``, once per system and model: the Hessian's diagonal
-    and its hub's row (0 at the hub) at the velocities ``u`` and the weight values ``w``,
-    plain arithmetic that runs alike on floats and on arrays of complex steps."""
-    def build():
-        arm = ", ".join("0.0" if b == model.hub else f"h{b}" for b in range(model.system.n))
-        return ex.define("entries(u, w)", [
-            f"{', '.join(_names('u', model))}, = u", f"{', '.join(_weight_names(model)[::2])}, = w",
-            *_hessian_lines(model, set()), f"return [{', '.join(_names('d', model))}], [{arm}]"])
+def _entries(model: LagrangianModel, name: str, body):
+    """The generated ``entries(u, w)`` of ``name``, once per system and model:
+    the velocities ``u`` and the weight values ``w`` (``_weights``) unpacked
+    into the locals u<b> and e<b> or a<a>, then the statements
+    ``body(model)``, plain arithmetic that runs alike on floats and on arrays
+    of complex steps, so no unit factor is dropped."""
+    return model.system.kernel((name, model.kind, model.coefficients), lambda: ex.define(
+        "entries(u, w)", [f"{', '.join(_names('u', model))}, = u",
+                          f"{', '.join(_weight_names(model)[::2])}, = w", *body(model)]))
 
-    return model.system.kernel(("hessian", model.kind, model.coefficients), build)
+
+def _hessian_entry_lines(model: LagrangianModel) -> list[str]:
+    """``_hessian_lines``, then the Hessian's diagonal and its hub's row (0 at the hub)."""
+    arm = ", ".join("0.0" if b == model.hub else f"h{b}" for b in range(model.system.n))
+    return [*_hessian_lines(model, set()), f"return [{', '.join(_names('d', model))}], [{arm}]"]
 
 
 def _euler_lagrange_kernel(model: LagrangianModel):
     """The loops over the layout unrolled, every inertia and coefficient a
     literal: the force f<b>, the Hessian's entries, then its solve, each
-    repeated value computed once (``_once``)."""
+    repeated value computed once (``_once``).  A kinetic coordinate has no
+    force and no arm, so its acceleration is the literal 0.0, out of the solve."""
     sys = model.system
     n, hub, bound = sys.n, model.hub, set()
     head = ["r1 = q0"]
@@ -457,7 +475,7 @@ def _euler_lagrange_kernel(model: LagrangianModel):
                       f"f{2 + a} = {_once(bound, f'ip{a}', pull)} * u1 * u0"]
         lines += ["f0 = -g * u1", "f1 = g * u0"]
     else:
-        lines = [*(f"f{b} = 0.0" for b, _ in model.kinetic), "g = 0.0"]
+        lines = ["g = 0.0"]
         for b, c in model.terms:
             square = f"e{b} ** 2"
             lines += [f"f{b} = {ex.times(c, f'u{b} * s{b}')} / {_once(bound, f'e{b}_2', square)}",
@@ -466,7 +484,7 @@ def _euler_lagrange_kernel(model: LagrangianModel):
         lines.append("f0 = -g / u0")
     # eliminate each spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb,
     # solve for the hub, then back-substitute into the spokes
-    spokes = [b for b in range(n) if b != hub]
+    spokes = [b for b in range(n) if b != hub and b not in dict(model.kinetic)]
     lines += [*_hessian_lines(model, bound),
               *(f"if d{b} == 0.0: raise SingularHessianError("
                 f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
@@ -476,28 +494,33 @@ def _euler_lagrange_kernel(model: LagrangianModel):
               "'Hessian singular: the Schur complement of the hub is 0')",
               f"x{hub} = top / schur",
               *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
+    accelerations = (f"x{b}" if b in (hub, *spokes) else "0.0" for b in range(n))
     return ex.define_rhs(_state(n, "u"), head, _weight_lines(model), lines,
-                         [*_names("u", model), *(f"x{b}" for b in range(n))], **_bindings(model))
+                         [*_names("u", model), *accelerations], **_bindings(model))
 
 
 # --- Legendre transform -------------------------------------------------------
 
 
 def legendre(model: LagrangianModel, jet: Jet) -> PhaseState:
-    """Velocity-to-momentum map p_i = dL/dq'_i of a first/second model at a jet."""
+    """Velocity-to-momentum map p_i = dL/dq'_i of a first/second model at a
+    jet: ``_entries`` of ``_legendre_lines`` at its velocities and weights."""
     _require_hamiltonian(model)
-    sys = model.system
-    weights = _weights(model, jet)
-    u = jet.qdot
-    u1 = u[0]
-    p = np.zeros(sys.n)
-    p[0] = sys.i1 * u1
-    for b, inertia in model.kinetic:
-        p[b] = inertia * u[b]
-    for (b, c), e_val in zip(model.terms, weights):
-        p[b] = c * u[b] / (e_val * u1)
-        p[0] -= 0.5 * c * u[b] ** 2 / (e_val * u1**2)
-    return PhaseState(jet.q, tuple(p))
+    momenta = _entries(model, "legendre", _legendre_lines)
+    return PhaseState(jet.q, momenta(jet.qdot, _weights(model, jet)))
+
+
+def _legendre_lines(model: LagrangianModel) -> list[str]:
+    """p<b> over the locals u<b> and e<b>: p0 less each term's share in turn,
+    its powers of the velocities read as ``_once`` gives them."""
+    bound = set()
+    lines = [f"p0 = {_literal(model.system.i1)} * u0",
+             *(f"p{b} = {_literal(i_b)} * u{b}" for b, i_b in model.kinetic)]
+    for b, c in model.terms:
+        lines += [f"p{b} = {_literal(c)} * u{b} / (e{b} * u0)",
+                  f"p0 = p0 - 0.5 * {_literal(c)} * {_once(bound, f'u{b}_2', f'u{b} ** 2')}"
+                  f" / (e{b} * {_once(bound, 'u0_2', 'u0 ** 2')})"]
+    return [*lines, f"return ({', '.join(_names('p', model))},)"]
 
 
 def legendre_inverse(model: LagrangianModel, ps: PhaseState) -> Jet:
@@ -571,17 +594,22 @@ def phase_columns(sys: SystemSpec) -> tuple[str, ...]:
 
 def phase_constraint_residual(model: LagrangianModel, ps: PhaseState) -> tuple[float, ...]:
     """One residual per constrained coordinate; zero exactly on the image of
-    the constraint distribution under the Legendre transform."""
+    the constraint distribution under the Legendre transform.  Generated once
+    per system and model; it reads the weights first, as every such function
+    does, so it raises where one is undefined."""
+    return _kernel(model, "phase_constraint_residual", "p", _phase_constraint_lines)(ps.r1, ps.p)
+
+
+def _phase_constraint_lines(model: LagrangianModel) -> list[str]:
+    """C_2 p_(s_a) + C_(s_a) p_2 for kind first; I2 N r1'(p) p_(s_a) + a_a p_2
+    for kind second, r1'(p) the momentum sum over I1 and N spliced in after it."""
     sys = model.system
-    p = ps.p
     if model.kind == "first":
-        c2 = model.coefficients[0]
-        return tuple(
-            c2 * p[2 + a] + model.coefficients[1 + a] * p[1] for a in range(sys.k)
-        )
-    u1 = model.momentum_sum(ps.r1, p) / sys.i1
-    n_val = sys.measure_fn(ps.r1)
-    return tuple(
-        sys.i2 * n_val * u1 * p[2 + a] + model.coefficients[a] * p[1]
-        for a in range(sys.k)
-    )
+        lines, scale, factors = [], model.coefficients[0], ""
+    else:
+        lines = [f"u0 = {ex.over(f'({_momentum_sum(model)})', sys.i1)}",
+                 *ex.splice((sys.measure_expr,), ["n"], "(system.measure_fn(r1),)")]
+        scale, factors = sys.i2, "n * u0 * "
+    residuals = (f"{ex.times(scale, f'{factors}p{b}')} + {ex.times(c, 'p1')}, "
+                 for b, c in model.terms if b > 1)
+    return [*lines, f"return ({''.join(residuals)})"]

@@ -325,7 +325,7 @@ def test_signed_zero_in_a_zero_slope_slot_matches_numpy_rk4():
 
 # the disk with inertias and model coefficients other than 1.0, every factor kept
 CONSTANTS = {"first": (2.0, -0.5, 0.25), "second": (-0.7, 0.5)}
-ZERO_SLOPES = {"nonholonomic": 1, "sode-first": 1, "sode-second": 1}
+ZERO_SLOPES = {"nonholonomic": 1, "sode-first": 1, "sode-second": 1, "lagrangian-second": 1}
 PURE_CALLS = {"sin", "cos", "tan", "exp", "log", "sqrt"}
 
 

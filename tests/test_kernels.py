@@ -4,8 +4,9 @@ loops they replaced.
 Every formulation's right-hand side is straight-line code generated once per
 object (``nonholonomic_ode``, ``SodeSystem.ode``, ``euler_lagrange_ode``,
 ``hamilton_ode``), and so is every optimal-control function of
-``pontryagin.py``, ``hamiltonian_value``, a model's weight read and its
-velocity Hessian.  The loops below are the implementations they replaced,
+``pontryagin.py``, ``hamiltonian_value``, a model's weight read, its
+velocity Hessian, its Legendre map, its Lagrangian and its phase
+constraints.  The loops below are the implementations they replaced,
 kept as the reference: at seeded states the kernels must give the same
 floats bit for bit, and where a loop raises, the kernel must raise the
 same exception with the same message.
@@ -29,9 +30,10 @@ from hamiltonize.pontryagin import (
     optimal_hamiltonian_value,
     pontryagin_hamiltonian,
 )
-from hamiltonize.sampling import phase_points
+from hamiltonize.sampling import generic_jets, phase_points
 from hamiltonize.errors import (
     CoefficientSingularityError,
+    ConfigError,
     EvaluationError,
     ExprDomainError,
     SingularHessianError,
@@ -49,6 +51,8 @@ from hamiltonize.systems import (
 )
 from hamiltonize.variational import (
     PhaseState,
+    _entries,
+    _legendre_lines,
     _require_hamiltonian,
     euler_lagrange_ode,
     euler_lagrange_rhs,
@@ -58,6 +62,9 @@ from hamiltonize.variational import (
     hessian,
     hessian_field,
     lagrangian_model,
+    lagrangian_value,
+    legendre,
+    phase_constraint_residual,
 )
 
 STATES = 200
@@ -185,11 +192,16 @@ def loop_arrowhead(model, u, weights):
     return 0, diag, arm
 
 
-def loop_hessian(model, jet):
+def loop_jet_weights(model, jet):
+    """The weight values at a jet, E_b or A_a, after refusing r1' = 0 where
+    terms divide by it."""
     if model.kind != "variational":
         loop_require_moving(jet.r1dot)
-    weights = [value for value, _ in loop_weight_pairs(model, jet.r1)]
-    hub, diag, arm = loop_arrowhead(model, jet.qdot, weights)
+    return [value for value, _ in loop_weight_pairs(model, jet.r1)]
+
+
+def loop_hessian(model, jet):
+    hub, diag, arm = loop_arrowhead(model, jet.qdot, loop_jet_weights(model, jet))
     g = np.diag(diag)
     g[hub, :] = g[:, hub] = arm
     g[hub, hub] = diag[hub]
@@ -505,6 +517,160 @@ def test_hessian_raises_r1dot_zero_before_a_vanishing_weight(name):
             assert expected[0] is error, (kind, expected)
             assert outcome(lambda: hessian(model, jet).ravel()) == expected, kind
             assert outcome(euler_lagrange_ode(model), 0.0, y) == expected, kind
+
+
+# --- the Legendre map, the Lagrangian and the phase constraints --------------------
+
+
+def loop_legendre(model, jet):
+    """The momenta p_i = dL/dq'_i of a first/second model at a jet."""
+    _require_hamiltonian(model)
+    sys = model.system
+    weights = loop_jet_weights(model, jet)
+    u = jet.qdot
+    u1 = u[0]
+    p = [0.0] * sys.n
+    p[0] = sys.i1 * u1
+    for b, inertia in model.kinetic:
+        p[b] = inertia * u[b]
+    for (b, c), e_val in zip(model.terms, weights):
+        p[b] = c * u[b] / (e_val * u1)
+        p[0] -= 0.5 * c * u[b] ** 2 / (e_val * u1**2)
+    return p
+
+
+def loop_lagrangian_value(model, jet):
+    sys = model.system
+    u = jet.qdot
+    weights = loop_jet_weights(model, jet)
+    if model.kind == "variational":
+        value = 0.5 * (sys.i1 * u[0] ** 2 + sys.i2 * u[1] ** 2)
+        for a, a_val in enumerate(weights):
+            value -= 0.5 * sys.i_alpha[a] * u[2 + a] ** 2
+            value -= sys.i_alpha[a] * a_val * u[2 + a] * u[1]
+        return value
+    value = 0.5 * sys.i1 * u[0] ** 2
+    for b, inertia in model.kinetic:
+        value += 0.5 * inertia * u[b] ** 2
+    for (b, c), e_val in zip(model.terms, weights):
+        value += 0.5 * c * u[b] ** 2 / (e_val * u[0])
+    return value
+
+
+def loop_phase_constraints(model, ps):
+    """One residual per constrained coordinate; kind first reads no weight."""
+    _require_hamiltonian(model)
+    sys = model.system
+    p = ps.p
+    if model.kind == "first":
+        c2 = model.coefficients[0]
+        return tuple(
+            c2 * p[2 + a] + model.coefficients[1 + a] * p[1] for a in range(sys.k)
+        )
+    u1 = loop_momentum_sum(model, ps.r1, p) / sys.i1
+    n_val = sys.measure_fn(ps.r1)
+    return tuple(
+        sys.i2 * n_val * u1 * p[2 + a] + model.coefficients[a] * p[1]
+        for a in range(sys.k)
+    )
+
+
+def _models(sys):
+    """Each kind's preset model, and the models of --params C2=2,C3=-0.5 (kind
+    first) and a3=-0.7,a4=0.5 (kind second); the variational model last."""
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    models = [lagrangian_model(sys, kind) for kind in kinds]
+    models.append(lagrangian_model(sys, "first", (2.0, -0.5, *models[0].coefficients[2:])))
+    if sys.constant_measure:
+        models.append(lagrangian_model(sys, "second", (-0.7, 0.5)))
+    return [*models, lagrangian_model(sys, "variational")]
+
+
+@pytest.mark.parametrize("name, params", [*((name, {}) for name in BUILTIN_NAMES),
+                                          ("vertical_disk", {"m": 2.0, "I": 3.0, "J": 0.7})])
+def test_legendre_lagrangian_and_phase_constraints_match_loops_bit_for_bit(name, params):
+    """``legendre``, ``lagrangian_value`` and ``phase_constraint_residual``
+    give the loops' floats, or raise their errors, on each model of
+    ``_models`` of each built-in, and of the disk with inertias other than
+    1.0, whose factors round: at seeded jets and phase points, with -0.0 velocities and
+    momenta, with velocities and momenta scaled by 1e52 to 1e160 (where a
+    power overflows as the loop's does), at r1' = 0 and at the disk's cos
+    root, where a weight vanishes.  The variational model serves the
+    Lagrangian, and the other two refuse it before reading any weight."""
+    sys = builtin_system(name, **params)
+    n = sys.n
+    states = _states(2 * n, seed=31)
+    states += [y[:n] + [-0.0] * n for y in states[:3]]
+    states += [y[:n] + [v * scale for v in y[n:]]
+               for y, scale in zip(states, (1e52, 1e103, 1e160) * 5)]
+    states += [[0.5] * n + [0.0] + [1.0] * (n - 1), [math.pi / 2, *[0.0] * (n - 1), *[1.0] * n]]
+    for model in _models(sys):
+        for y in states:
+            jet = Jet(tuple(y[:n]), tuple(y[n:]))
+            ps = PhaseState(jet.q, jet.qdot)
+            assert (outcome(lambda: [lagrangian_value(model, jet)])
+                    == outcome(lambda: [loop_lagrangian_value(model, jet)])), (model, y)
+            if model.kind == "variational":
+                for fn, point in ((legendre, jet), (phase_constraint_residual, ps)):
+                    with pytest.raises(ConfigError, match="no closed-form Hamiltonian"):
+                        fn(model, point)
+                continue
+            assert outcome(lambda: legendre(model, jet).p) == outcome(loop_legendre, model, jet), y
+            assert (outcome(phase_constraint_residual, model, ps)
+                    == outcome(loop_phase_constraints, model, ps)), (model, y)
+
+
+def test_kind_first_phase_constraints_raise_where_a_weight_is_undefined():
+    """The one departure from the loop: kind first's residual reads no weight
+    there, while the generated one reads them first, as every generated
+    function of a model does.  At ln(r1) with r1 = -0.5 the loop returns
+    (1.0,), and the residual raises the weight's ExprDomainError, as
+    ``hamiltonian_value`` does there."""
+    sys = parse_system_file("I1 = 1\nI2 = 2\nI_alpha = 1.5\nA_alpha = ln(r1)\nnames = a, b, c\n")
+    model = lagrangian_model(sys, "first")
+    ps = PhaseState((-0.5, 0.0, 0.0), (1.0, 0.5, 0.5))
+    assert outcome(loop_phase_constraints, model, ps) == [(1.0).hex()]
+    expected = outcome(lambda: [hamiltonian_value(model, ps)])
+    assert expected[0] is ExprDomainError, expected
+    assert outcome(phase_constraint_residual, model, ps) == expected
+
+
+def _sixth_order_slope(fn, h):
+    """The derivative at 0 of ``fn``, a function of one float, by the
+    six-point central difference of step h."""
+    return (-fn(-3 * h) + 9 * fn(-2 * h) - 45 * fn(-h)
+            + 45 * fn(h) - 9 * fn(2 * h) + fn(3 * h)) / (60 * h)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_legendre_statements_give_its_derivative_by_complex_step(name):
+    """The Legendre map's statements, run on complex arrays with the
+    velocities at u + i h du and each weight at w + i h dq_1 w' (h =
+    ``CS_STEP``), give its derivative along (dq, du) as Im(p) / h: the
+    sixth-order central differences of ``legendre`` along the same
+    directions, on each kind, at generic jets and random directions."""
+    sys = builtin_system(name)
+    n, step = sys.n, CS_STEP * 1j
+    jets = generic_jets(sys, 20, Random(41))
+    dq, du = np.random.default_rng(43).normal(size=(2, len(jets), n))
+    kinds = ("first", "second") if sys.constant_measure else ("first",)
+    for kind in kinds:
+        model = lagrangian_model(sys, kind)
+        pairs = np.array([model._weight_pairs(jet.r1) for jet in jets])
+        values, primes = pairs.reshape(len(jets), -1, 2).T  # w and w', (weights, jets)
+        w = [value + step * dq[:, 0] * prime for value, prime in zip(values, primes)]
+        u = [np.array([jet.qdot[b] for jet in jets]) + step * du[:, b] for b in range(n)]
+        slopes = np.imag(_entries(model, "legendre", _legendre_lines)(u, w)) / CS_STEP
+        for j, jet in enumerate(jets):
+            q, qdot = np.array(jet.q), np.array(jet.qdot)
+
+            def along(eps):
+                moved = Jet(tuple(q + eps * dq[j]), tuple(qdot + eps * du[j]))
+                return np.array(legendre(model, moved).p)
+
+            fd = _sixth_order_slope(along, 1e-3)
+            scale = np.max(np.abs(fd)) + np.max(np.abs(along(0.0)))
+            assert np.max(np.abs(slopes[:, j] - fd)) <= 1e-10 * scale, (kind, jet)
 
 
 def test_knife_edge_pole_sode_second_run_exits_2(knife_edge, tmp_path, capsys):
