@@ -467,15 +467,14 @@ def _euler_lagrange_kernel(model: LagrangianModel):
     head = ["r1 = q0"]
     if model.terms:
         head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
+    lines = ["g = 0.0"]
     if model.kind == "variational":
-        lines = ["g = 0.0"]
         for a, i_a in enumerate(sys.i_alpha):
             pull = ex.times(i_a, f"p{a}")
             lines += [f"g = g + {_once(bound, f'ip{a}', pull)} * u{2 + a}",
                       f"f{2 + a} = {_once(bound, f'ip{a}', pull)} * u1 * u0"]
         lines += ["f0 = -g * u1", "f1 = g * u0"]
     else:
-        lines = ["g = 0.0"]
         for b, c in model.terms:
             square = f"e{b} ** 2"
             lines += [f"f{b} = {ex.times(c, f'u{b} * s{b}')} / {_once(bound, f'e{b}_2', square)}",
