@@ -257,7 +257,7 @@ def hamiltonian_drift_metrics(model: LagrangianModel, traj: Trajectory) -> dict:
     stride = max(1, len(traj.times) // 200)
     energies = []
     constraint = 0.0
-    for row in traj.states[::stride]:
+    for row in traj.states[::stride].tolist():
         ps = PhaseState(tuple(row[:n]), tuple(row[n:]))
         energies.append(hamiltonian_value(model, ps))
         constraint = max(constraint, max(abs(r) for r in phase_constraint_residual(model, ps)))

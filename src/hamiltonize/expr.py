@@ -458,18 +458,21 @@ def define(signature: str, lines, **bindings):
 
 # A generated right-hand side ``rhs(t, y)`` in parts: y unpacked into the
 # locals ``state``, the statements ``head``, ``table`` (``splice`` lines,
-# guards on what they set and values of it, reading no other local but r1)
-# and ``body``, the returned list of ``outputs``, all in the namespace
-# ``bindings``.
-RhsParts = namedtuple("RhsParts", "state head table body outputs bindings")
+# guards on what they set and values of it, reading no other local but r1),
+# ``fixed`` and ``body``, the returned list of ``outputs``, all in the
+# namespace ``bindings``.  ``fixed`` reads only the state locals whose output
+# is the literal 0.0 and gives the same values at y as at y + 0.0 (their
+# squares), so a program stepping y runs it at each step's first stage only.
+RhsParts = namedtuple("RhsParts", "state head table body outputs fixed bindings")
 
 
-def define_rhs(state, head, table, body, outputs, /, **bindings):
+def define_rhs(state, head, table, body, outputs, fixed=(), /, **bindings):
     """``rhs(t, y)`` from its parts, which it carries as ``parts`` (as a
     table carries ``exprs``), so callers can inline them."""
-    parts = RhsParts(*map(tuple, (state, head, table, body, outputs)), bindings)
+    parts = RhsParts(*map(tuple, (state, head, table, body, outputs, fixed)), bindings)
     rhs = define("rhs(t, y)", [f"{', '.join(parts.state)}, = y", *parts.head, *parts.table,
-                               *parts.body, f"return [{', '.join(parts.outputs)}]"], **bindings)
+                               *parts.fixed, *parts.body, f"return [{', '.join(parts.outputs)}]"],
+                 **bindings)
     rhs.parts = parts
     return rhs
 

@@ -177,24 +177,26 @@ def _names(lines) -> tuple[set, set]:
 def _program(parts: ex.RhsParts):
     """The whole RK4 loop over a right-hand side's parts, the four stages
     inlined in the order of operations of an array-state loop, so the states
-    match one bit for bit.  A stage sets only the state locals and the time
-    that it names.  Unless another statement stores to a local that the
-    table block sets, the block is skipped where r1 equals the r1 it last
-    ran at, except at r1 == 0.0, whose two signed zeros compare equal.  A
-    component whose slope is the literal 0.0 has no slope local: its stage
-    value and its update are y + 0.0, which is y + h * 0.0 for the finite
-    positive h of ``IntegratorConfig``, a -0.0 turned to +0.0 included.
+    match one bit for bit.  A step does only the work whose inputs change:
 
-    Where r1'' = 0 that is the third stage and every step's first but the
-    first: over 10,000 steps on each built-in, the nonholonomic, first and
-    second associated and first Lagrangian programs run the block at 20,001
-    of 40,000 stages, the Hamiltonian ones at (almost) every stage.  The
-    knife edge's nonholonomic run took 330k-540k steps/s with the reuse and
-    270k-430k without (best of 7 runs of 10,000 steps, in process, on a
-    shared 2-vCPU VM whose speed drifts by half within minutes), the reuse
-    faster in 10 of 11 back-to-back pairs."""
+    - A stage sets only the state locals and the time that it names.  A
+      component whose slope is the literal 0.0 has no slope local: its stage
+      value and its update are y + 0.0, which is y + h * 0.0 for the finite
+      positive h of ``IntegratorConfig``, a -0.0 turned to +0.0 included;
+      the ``fixed`` statements over such components run at the first stage.
+    - Unless another statement stores to a local that the table block sets,
+      the block (with the values of r1 alone that its emitter puts after the
+      guards) is skipped where r1 equals the r1 it last ran at, except at
+      r1 == 0.0, whose two signed zeros compare equal.  Where r1'' = 0 that
+      is the third stage and every step's first but the first: 20,001 of
+      40,000 stages over 10,000 steps, against (almost) every stage of a
+      Hamiltonian.  The reuse took the knife edge's nonholonomic run from
+      270k-430k to 330k-540k steps/s (in process, shared 2-vCPU VM).
+    - The step ends with one C-level store, ``_buf.fromlist`` of a list, where
+      ``extend`` of a tuple appends it item by item."""
     sets, held = _names(parts.table)
-    stores, named = _names([*parts.head, *parts.body, f"[{', '.join(parts.outputs)}]"])
+    stores, named = _names([*parts.head, *parts.fixed, *parts.body,
+                            f"[{', '.join(parts.outputs)}]"])
     reads, table = held | named, list(parts.table)
     if sets and not sets & (stores | {*parts.state}):
         table = ["if r1 != _r or r1 == 0.0:", *(f"    {line}" for line in table), "    _r = r1"]
@@ -207,15 +209,16 @@ def _program(parts: ex.RhsParts):
         step += [f"{name} = _y{i}" + ("" if not dt else " + 0.0" if i in zero
                                       else f" + {dt} * _{prev}{i}")
                  for i, name in enumerate(parts.state) if name in reads]
-        step += [*parts.head, *table, *parts.body,
+        step += [*parts.head, *table, *(() if dt else parts.fixed), *parts.body,
                  *(f"_{slope}{i} = {out}" for i, out in enumerate(parts.outputs) if i not in zero)]
     ys = "".join(f"_y{i}, " for i in range(len(parts.state)))
     step += [*(f"_y{i} = _y{i} + 0.0" if i in zero
                else f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
-               for i in range(len(parts.state))), f"_buf.extend(({ys}))"]
+               for i in range(len(parts.state))), f"_store([{ys}])"]
     return ex.define("program(rhs, _buf, _t0, _h, _half, _sixth, _steps, _y)",
-                     [f"{ys}= _y", "_r = None", "for _k in range(_steps):",
-                      *(f"    {line}" for line in step)], **parts.bindings)
+                     [f"{ys}= _y", "_r = None", "_store = _buf.fromlist",
+                      "for _k in range(_steps):", *(f"    {line}" for line in step)],
+                     **parts.bindings)
 
 
 @functools.cache
@@ -223,7 +226,8 @@ def _call_program(dim: int):
     """The program of any other ``rhs(t, y)`` of ``dim`` components: each
     stage is one call.  Pure, so sharing it is unobservable."""
     y, k = [f"y{i}" for i in range(dim)], [f"k{i}" for i in range(dim)]
-    return _program(ex.RhsParts(y, (), (), [f"{', '.join(k)}, = rhs(t, [{', '.join(y)}])"], k, {}))
+    call = f"{', '.join(k)}, = rhs(t, [{', '.join(y)}])"
+    return _program(ex.RhsParts(y, (), (), [call], k, (), {}))
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,9 @@ def integrate(rhs, y0, cfg: IntegratorConfig, columns, provenance: str) -> Traje
     the four stages inlined.  A generated right-hand side carries its parts
     (``expr.RhsParts``), so its body is inlined, and its program is cached
     with it.  Its table block is skipped where r1 equals the r1 it last ran
-    at (never at r1 == 0.0), which gives the same bits.  Any other callable,
+    at (never at r1 == 0.0), its ``fixed`` statements run at each step's
+    first stage only, and each step is stored by one call, all of which
+    gives the same bits.  Any other callable,
     a traced one included, takes the generic stage ``k = rhs(t, [y])``: it
     receives the state as a list of floats and may return any sequence of
     floats, numpy arrays included, of the state's length.

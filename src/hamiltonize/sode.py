@@ -84,27 +84,29 @@ class SodeSystem:
     def _kernel(self):
         n = self.n
         velocities = [f"u{i}" for i in range(n)]
-        head, body = ["r1 = q0"], []
+        head, values, body = ["r1 = q0"], [], []
         table = self.system.weight_table if self.kind == "second" else self.coeff_table
         if self.kind == "first":
             names = [f"c{a}" for a in range(n - 1)]
             head.append("w = u0 * u1")
             accel = ["0.0", *(f"{c} * w" for c in names)]
         elif self.kind == "second":
+            values = [f"x{b} = s{b} / e{b}" for b in range(1, n)]
             accel = ["0.0", *(f"x{b} * u{b} * u0" for b in range(1, n))]
         else:
             sys, alphas = self.system, range(n - 2)
             names = [*(f"a{a}" for a in alphas), *(f"p{a}" for a in alphas), "m", "c"]
-            body = ["g = 0.0" + "".join(f" + {ex.times(i_a, f'p{a} * u{2 + a}')}"
-                                        for a, i_a in enumerate(sys.i_alpha)),
-                    "n2 = 1.0 / m",
+            values = ["n2 = 1.0 / m", *(f"ip{a} = {ex.times(i_a, f'p{a}')}"
+                                         for a, i_a in enumerate(sys.i_alpha))]
+            body = ["g = 0.0" + "".join(f" + ip{a} * u{2 + a}" for a in alphas),
                     "r = n2 * (-c * u0 * u1 + g * u0)"]
             accel = [ex.over("-g * u1", sys.i1), "r",
                      *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        spliced = ([*weight_lines(self.system), *(f"x{b} = s{b} / e{b}" for b in range(1, n))]
-                   if self.kind == "second" else ex.splice(table.exprs, names, "table(r1)"))
-        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head, spliced, body,
-                             [*velocities, *accel], table=table, weight_vanishes=weight_vanishes)
+        spliced = (weight_lines(self.system) if self.kind == "second"
+                   else ex.splice(table.exprs, names, "table(r1)"))
+        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head,
+                             [*spliced, *values], body, [*velocities, *accel],
+                             table=table, weight_vanishes=weight_vanishes)
 
     @cached_property
     def coeff_table(self):

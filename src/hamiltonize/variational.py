@@ -42,7 +42,7 @@ with every inertia and coefficient a literal, by one of three builders:
 - ``expr.define_rhs``, the trajectory right-hand sides ``euler_lagrange_ode``
   and ``hamilton_ode``.
 
-The Legendre inverse reads the canonical flow's dq/dt = dH/dp.  Two rules
+The Legendre inverse reads the canonical flow's dq/dt = dH/dp.  Three rules
 spare that code needless work, every bit and error kept:
 
 - a factor or divisor that is a constant equal to 1.0 is left out
@@ -52,7 +52,11 @@ spare that code needless work, every bit and error kept:
 - a power or product that a statement list uses again over the same
   operands (``u1 ** 2``, ``u0 ** 3``, ``p1 ** 2``) is bound where it is first
   computed, ``(u1_2 := u1 ** 2)``, and read after (``_once``), so no
-  operation that can raise moves ahead of another.
+  operation that can raise moves ahead of another;
+- a right-hand side sets each value of the weights alone (``e1 ** 2``,
+  ``(c) / e1``, ``0.5 * e1``) in its table block, after the guards (only the
+  overflow of a square can then come ahead of another's, the same error),
+  and each momentum's square as ``fixed`` (``expr.RhsParts``).
 
 The Hessian's entries are one set of statements, ``_hessian_lines``, which the
 Euler-Lagrange program solves and ``hessian`` runs; the slopes of
@@ -389,18 +393,20 @@ def _once(bound: set | None, name: str, text: str) -> str:
 
 def _momentum_sum(model: LagrangianModel, bound: set | None = None) -> str:
     """Source of ``momentum_sum`` over the locals p<b> and e<b>, summed in
-    its order; each p<b> ** 2 read as ``_once`` gives it."""
-    return " + ".join(["p0", *(ex.over(f"0.5 * e{b} * {_once(bound, f'p{b}_2', f'p{b} ** 2')}", c)
+    its order; each 0.5 * e<b> and p<b> ** 2 read as ``_once`` gives it."""
+    return " + ".join(["p0", *(ex.over(f"{_once(bound, f'e{b}_h', f'0.5 * e{b}')}"
+                                       f" * {_once(bound, f'p{b}_2', f'p{b} ** 2')}", c)
                                for b, c in model.terms)])
 
 
 def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = False):
     """The generated ``name(r1, *args)`` of a first/second model, once per
     system and model: the sequences named by the letters of ``args`` unpacked
-    into locals, the weights spliced in, then the statements ``body(model)``,
-    which may raise the guards' errors.  With ``arrays``, the weights are
-    assigned with no domain check and the function runs on numpy arrays
-    (``expr.ARRAY_GLOBALS``), every local one member per point."""
+    into locals, the weights E_b spliced in (not their slopes, which none
+    reads) with the joint table as the fallback, then the statements
+    ``body(model)``, which may raise the guards' errors.  With ``arrays``,
+    the weight pairs are assigned with no domain check and the function runs
+    on numpy arrays (``expr.ARRAY_GLOBALS``), every local one member per point."""
     def build():
         _require_hamiltonian(model)
         signature = f"{name}({', '.join(['r1', *args])})"
@@ -409,8 +415,10 @@ def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = F
             weights = ex.assign(model.system.weight_table.exprs[model.weight_start:],
                                 _weight_names(model))
             return ex.define(signature, [*unpack, *weights, *body(model)], **ex.ARRAY_GLOBALS)
-        return ex.define(signature, [*unpack, *_weight_lines(model, guard=False), *body(model)],
-                         **_bindings(model))
+        start = model.weight_start
+        weights = ex.splice(model.system.weight_table.exprs[start::2], _weight_names(model)[::2],
+                            f"table(r1)[{start}::2]")
+        return ex.define(signature, [*unpack, *weights, *body(model)], **_bindings(model))
 
     return model.system.kernel((name, model.kind, model.coefficients), build)
 
@@ -419,12 +427,14 @@ def _names(letter: str, model: LagrangianModel) -> list[str]:
     return [f"{letter}{b}" for b in range(model.system.n)]
 
 
-def _hessian_lines(model: LagrangianModel, bound: set) -> list[str]:
+def _hessian_lines(model: LagrangianModel, bound: set, table: list | None = None) -> list[str]:
     """Statements setting d<b> = g_bb and, for b off the hub, h<b> = g_hb
     of the velocity Hessian, an arrowhead, over the locals u<b> and the
     weight values: the one copy of its arithmetic, its powers of the
     velocities read as ``_once`` gives them.  It runs on complex steps too,
-    so no unit factor is dropped."""
+    so no unit factor is dropped.  Given a list ``table``, each
+    w<b> = c / e<b>, a value of the weights alone, goes there, not among the
+    lines returned."""
     sys = model.system
     if model.kind == "variational":
         return [f"d0 = {_literal(sys.i1)}", f"d1 = {_literal(sys.i2)}", "h0 = 0.0",
@@ -433,8 +443,8 @@ def _hessian_lines(model: LagrangianModel, bound: set) -> list[str]:
     lines = [*(f"d{b} = {_literal(i_b)}; h{b} = 0.0" for b, i_b in model.kinetic),
              f"d0 = {_literal(sys.i1)}"]
     for b, c in model.terms:
-        lines += [f"w{b} = {_literal(c)} / e{b}",
-                  f"d0 = d0 + w{b} * {_once(bound, f'u{b}_2', f'u{b} ** 2')}"
+        (lines if table is None else table).append(f"w{b} = {_literal(c)} / e{b}")
+        lines += [f"d0 = d0 + w{b} * {_once(bound, f'u{b}_2', f'u{b} ** 2')}"
                   f" / {_once(bound, 'u0_3', 'u0 ** 3')}",
                   f"h{b} = -w{b} * u{b} / {_once(bound, 'u0_2', 'u0 ** 2')}", f"d{b} = w{b} / u0"]
     return lines
@@ -467,34 +477,35 @@ def _euler_lagrange_kernel(model: LagrangianModel):
     head = ["r1 = q0"]
     if model.terms:
         head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
-    lines = ["g = 0.0"]
+    lines, table = ["g = 0.0"], _weight_lines(model)
     if model.kind == "variational":
         for a, i_a in enumerate(sys.i_alpha):
-            pull = ex.times(i_a, f"p{a}")
-            lines += [f"g = g + {_once(bound, f'ip{a}', pull)} * u{2 + a}",
-                      f"f{2 + a} = {_once(bound, f'ip{a}', pull)} * u1 * u0"]
+            table.append(f"ip{a} = {ex.times(i_a, f'p{a}')}")
+            lines += [f"g = g + ip{a} * u{2 + a}", f"f{2 + a} = ip{a} * u1 * u0"]
         lines += ["f0 = -g * u1", "f1 = g * u0"]
     else:
         for b, c in model.terms:
-            square = f"e{b} ** 2"
-            lines += [f"f{b} = {ex.times(c, f'u{b} * s{b}')} / {_once(bound, f'e{b}_2', square)}",
-                      f"g = g + {ex.times(c, _once(bound, f'u{b}_2', f'u{b} ** 2'))}"
-                      f" * s{b} / {_once(bound, f'e{b}_2', square)}"]
+            table.append(f"e{b}_2 = e{b} ** 2")
+            square = _once(bound, f"u{b}_2", f"u{b} ** 2")
+            lines += [f"f{b} = {ex.times(c, f'u{b} * s{b}')} / e{b}_2",
+                      f"g = g + {ex.times(c, square)} * s{b} / e{b}_2"]
         lines.append("f0 = -g / u0")
     # eliminate each spoke into the hub's Schur complement g_hh - sum g_hb^2 / g_bb,
     # solve for the hub, then back-substitute into the spokes
     spokes = [b for b in range(n) if b != hub and b not in dict(model.kinetic)]
-    lines += [*_hessian_lines(model, bound),
-              *(f"if d{b} == 0.0: raise SingularHessianError("
-                f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
-              f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
-              f"top = f{hub}" + "".join(f" - h{b} * f{b} / d{b}" for b in spokes),
-              "if schur == 0.0: raise SingularHessianError("
-              "'Hessian singular: the Schur complement of the hub is 0')",
-              f"x{hub} = top / schur",
-              *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
+    solve = [*(f"if d{b} == 0.0: raise SingularHessianError("
+               f"'Hessian singular: diagonal entry {b} is 0')" for b in spokes),
+             f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
+             "if schur == 0.0: raise SingularHessianError("
+             "'Hessian singular: the Schur complement of the hub is 0')"]
+    if model.kind == "variational":  # its Hessian and Schur complement are values of r1 alone
+        table += [*_hessian_lines(model, bound), *solve]
+    else:
+        lines += [*_hessian_lines(model, bound, table), *solve]
+    lines += [f"top = f{hub}" + "".join(f" - h{b} * f{b} / d{b}" for b in spokes),
+              f"x{hub} = top / schur", *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
     accelerations = (f"x{b}" if b in (hub, *spokes) else "0.0" for b in range(n))
-    return ex.define_rhs(_state(n, "u"), head, _weight_lines(model), lines,
+    return ex.define_rhs(_state(n, "u"), head, table, lines,
                          [*_names("u", model), *accelerations], **_bindings(model))
 
 
@@ -572,19 +583,21 @@ def hamilton_ode(model: LagrangianModel):
 
 def _hamilton_kernel(model: LagrangianModel):
     sys = model.system
-    n, bound = sys.n, set()
-    lines = [f"m = {_momentum_sum(model, bound)}", "g = 0.0"]
+    halves = {f"{w}{b}_h": f"0.5 * {w}{b}" for b, _ in model.terms for w in "es"}
+    squares = {f"p{b}_2": f"p{b} ** 2" for b, _ in model.terms}
+    lines = [f"m = {_momentum_sum(model, {*halves, *squares})}", "g = 0.0"]
     for b, c in model.terms:
-        square = _once(bound, f"p{b}_2", f"p{b} ** 2")
-        lines.append(f"g = g + {ex.over(f'0.5 * s{b} * {square}', c)}")
+        lines.append(f"g = g + {ex.over(f's{b}_h * p{b}_2', c)}")
     lines.append(f"v = {ex.over('m', sys.i1)}")
     qdot = ["v"]
     for b, inertia in model.kinetic:
         qdot.append(ex.over(f"p{b}", inertia))
     for b, c in model.terms:
         qdot.append(ex.over(f"v * e{b} * p{b}", c))
-    return ex.define_rhs(_state(n, "p"), ["r1 = q0"], _weight_lines(model, guard=False), lines,
-                         [*qdot, "-v * g", *["0.0"] * (n - 1)], table=sys.weight_table)
+    table = [*_weight_lines(model, guard=False), *(f"{x} = {v}" for x, v in halves.items())]
+    return ex.define_rhs(_state(sys.n, "p"), ["r1 = q0"], table, lines,
+                         [*qdot, "-v * g", *["0.0"] * (sys.n - 1)],
+                         [f"{x} = {v}" for x, v in squares.items()], table=sys.weight_table)
 
 
 def phase_columns(sys: SystemSpec) -> tuple[str, ...]:

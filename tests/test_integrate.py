@@ -458,6 +458,71 @@ def test_generated_programs_compute_each_value_once(monkeypatch):
     assert checked == 21 + 9
 
 
+def _literal(node) -> bool:
+    return isinstance(node, ast.Constant) or (isinstance(node, ast.UnaryOp)
+                                              and _literal(node.operand))
+
+
+def _loop(rhs, monkeypatch) -> ast.For:
+    tree = ast.parse(_program_source(rhs, monkeypatch))
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.For))
+
+
+def test_each_step_stores_its_state_in_one_call(monkeypatch):
+    """On every built-in, formulation and kind: a step's one store is the
+    call ``_store([_y0, .., _y<n-1>])``, ``_store`` being ``_buf.fromlist``
+    bound before the loop, one C-level call on a list, and the loop names
+    ``_buf`` nowhere."""
+    for name, label, rhs, y0 in _all_runs():
+        tree = ast.parse(_program_source(rhs, monkeypatch))
+        function = tree.body[0]
+        loop = next(n for n in function.body if isinstance(n, ast.For))
+        assert "_store = _buf.fromlist" in map(ast.unparse, function.body), (name, label)
+        calls = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+                 and ast.unparse(n.func) == "_store"]
+        state = [f"_y{i}" for i in range(len(rhs.parts.state))]
+        assert [ast.unparse(c) for c in calls] == [f"_store([{', '.join(state)}])"], (name, label)
+        assert loop.body[-1].value is calls[0], (name, label)
+        assert "_buf" not in _reads(loop), (name, label)
+
+
+def test_powers_of_zero_slope_locals_are_computed_once_per_step(monkeypatch):
+    """On every built-in, formulation and kind, no power of a state local
+    whose slope is the literal 0.0 is computed twice in a step: a
+    Hamiltonian program squares each momentum p_b (b >= 1) that its sum
+    reads at the first stage only, as ``(y + 0.0) ** 2 == y ** 2``."""
+    for name, label, rhs, y0 in _all_runs():
+        zero = {local for local, out in zip(rhs.parts.state, rhs.parts.outputs) if out == "0.0"}
+        powers = [ast.unparse(n) for n in ast.walk(_loop(rhs, monkeypatch))
+                  if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                  and isinstance(n.left, ast.Name) and n.left.id in zero]
+        assert len(powers) == len(set(powers)), (name, label, sorted(powers))
+        if label.startswith("hamiltonian"):
+            terms = len(rhs.parts.state) // 2 - (2 if label == "hamiltonian-second" else 1)
+            assert len(powers) == terms, (name, label, powers)
+
+
+def test_values_of_the_table_alone_are_computed_in_its_block(monkeypatch):
+    """On every built-in, formulation and kind, each stage's table block is
+    the one ``if r1 != _r`` statement, and outside it no product, quotient
+    or power has operands that are only locals the block sets and literals
+    (the Euler-Lagrange ``(c) / e<b>`` and ``e<b> ** 2``, the third
+    associated system's ``1.0 / m``): such a value runs at the stages where
+    r1 moves, not at all four."""
+    for name, label, rhs, y0 in _all_runs():
+        loop = _loop(rhs, monkeypatch)
+        blocks = [s for s in loop.body
+                  if isinstance(s, ast.If) and ast.unparse(s.test) == "r1 != _r or r1 == 0.0"]
+        assert len(blocks) == 4, (name, label)
+        table = set().union(*map(_stores, blocks)) - {"_r"}
+        outside = [n for s in loop.body if s not in blocks for n in ast.walk(s)
+                   if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Div, ast.Pow))]
+        alone = [ast.unparse(n) for n in outside
+                 if all(_literal(x) or (isinstance(x, ast.Name) and x.id in table)
+                        for x in (n.left, n.right))]
+        assert alone == [], (name, label, alone)
+
+
 def test_programs_with_constants_other_than_one_match_numpy_rk4_bit_for_bit():
     disk = builtin_system("vertical_disk", m=2.0, I=3.0, J=0.5)
     cfg = IntegratorConfig(h=1e-3, t_span=(0.0, 0.5))

@@ -13,11 +13,13 @@ same exception with the same message.
 """
 
 import math
+import re
 from random import Random
 
 import numpy as np
 import pytest
 
+from hamiltonize import expr
 from hamiltonize.cli import main
 from hamiltonize.pontryagin import (
     CS_STEP,
@@ -633,6 +635,66 @@ def test_kind_first_phase_constraints_raise_where_a_weight_is_undefined():
     expected = outcome(lambda: [hamiltonian_value(model, ps)])
     assert expected[0] is ExprDomainError, expected
     assert outcome(phase_constraint_residual, model, ps) == expected
+
+
+SCALAR_FUNCTIONS = ("momentum_sum", "hamiltonian_value", "phase_constraint_residual", "rates",
+                    "cost", "hamiltonian", "gradient", "controls")
+
+
+def _scalar_function_sources(model, ps, u, monkeypatch) -> dict:
+    """The source of each of ``SCALAR_FUNCTIONS`` of ``model``, generated by
+    calling it at ``ps`` and the controls ``u``."""
+    sources = {}
+    original = expr.define
+
+    def recording_define(signature, lines, **bindings):
+        if signature.partition("(")[0] in SCALAR_FUNCTIONS:
+            sources[signature.partition("(")[0]] = "\n".join(lines)
+        return original(signature, lines, **bindings)
+
+    monkeypatch.setattr(expr, "define", recording_define)
+    for call in (lambda: model.momentum_sum(ps.r1, ps.p), lambda: hamiltonian_value(model, ps),
+                 lambda: phase_constraint_residual(model, ps), lambda: optimal_controls(model, ps),
+                 lambda: controlled_rhs(model, ps.q, u), lambda: cost(model, ps.q, u),
+                 lambda: pontryagin_hamiltonian(model, ps, u),
+                 lambda: control_gradient(model, ps, u)):
+        call()
+    monkeypatch.undo()
+    return sources
+
+
+def test_scalar_model_functions_splice_no_weight_slope(monkeypatch):
+    """``momentum_sum``, ``hamiltonian_value``, ``phase_constraint_residual``
+    and the scalar optimal-control functions splice the weights E_b and none
+    of their slopes E_b', which none of them reads: no source holds an
+    s<b>, on each built-in and kind.  So where a slope is undefined and
+    every weight is defined (A = 1 + r1 sqrt(r1) at r1 = 0, whose A' is
+    0 / 0 there) they return values where the joint table raises, and where
+    a weight is undefined they still raise the table's error."""
+    for name in BUILTIN_NAMES:
+        sys = builtin_system(name)
+        n = sys.n
+        ps, u = PhaseState((0.3,) * n, (1.0, *[0.5] * (n - 1))), (1.0, *[2.0] * (n - 1))
+        for kind in ("first", "second") if sys.constant_measure else ("first",):
+            sources = _scalar_function_sources(lagrangian_model(sys, kind), ps, u, monkeypatch)
+            assert sorted(sources) == sorted(SCALAR_FUNCTIONS), (name, kind)
+            for function, source in sources.items():
+                assert "e1" in source or "e2" in source, (name, kind, function)
+                assert not re.search(r"\bs\d+\b", source), (name, kind, function)
+    spec = "I1 = 1\nI2 = 2\nI_alpha = 1.5\nA_alpha = 1 + r1 * sqrt(r1)\nnames = a, b, c\n"
+    model = lagrangian_model(parse_system_file(spec), "first")
+    with pytest.raises(ExprDomainError, match="division by zero"):
+        model.system.weight_table(0.0)
+    ps, u = PhaseState((0.0, 0.0, 0.0), (1.0, 0.5, 0.5)), (1.0, 2.0, 3.0)
+    assert math.isfinite(hamiltonian_value(model, ps))
+    assert all(map(math.isfinite, [model.momentum_sum(0.0, ps.p), *optimal_controls(model, ps),
+                                   *phase_constraint_residual(model, ps),
+                                   *controlled_rhs(model, ps.q, u), cost(model, ps.q, u),
+                                   pontryagin_hamiltonian(model, ps, u),
+                                   *control_gradient(model, ps, u)]))
+    ps = PhaseState((-0.5, 0.0, 0.0), (1.0, 0.5, 0.5))  # sqrt(r1) undefined: so is every weight
+    assert outcome(lambda: [hamiltonian_value(model, ps)]) == outcome(
+        lambda: [model.system.weight_table(-0.5)])
 
 
 def _sixth_order_slope(fn, h):
