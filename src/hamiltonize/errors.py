@@ -49,6 +49,14 @@ class SingularHessianError(EvaluationError):
     evaluation point, so accelerations cannot be solved for."""
 
 
+def weight_vanishes(entry: int, r1: float) -> EvaluationError:
+    """The error for the weight ``SystemSpec.exp_xi_exprs[entry]`` vanishing at
+    ``r1``: ExprDomainError for r2's, CoefficientSingularityError for s_a's N*A_a."""
+    if entry == 0:  # float(): a numpy scalar would print as np.float64(...)
+        return ExprDomainError(f"velocity weight 0 vanishes at r1={float(r1)!r}")
+    return CoefficientSingularityError(entry - 1, float(r1))
+
+
 class GridMismatchError(ValueError):
     """Two trajectories do not share a time grid and cannot be compared."""
 

@@ -65,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExprDomainError, ExprParseError
+from .errors import (ExprDomainError, ExprParseError, SingularHessianError,
+                     SingularVelocityError, weight_vanishes)
 
 __all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "assign", "splice", "define",
            "RhsParts", "define_rhs", "Series", "series_table"]
@@ -373,9 +374,13 @@ _PY = {
 # stops at 200.
 _PY_NEST = {cls: 1 + source.count("(") for cls, source in _PY.items()}
 _MAX_NEST = 100
+# The namespace of all generated code: the functions, and the errors that
+# its guards raise.
 _PY_GLOBALS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
                "log": math.log, "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
-               "isfinite": math.isfinite}
+               "isfinite": math.isfinite, "weight_vanishes": weight_vanishes,
+               "SingularVelocityError": SingularVelocityError,
+               "SingularHessianError": SingularHessianError}
 # The same functions on numpy arrays, member by member: a value outside a
 # function's domain is non-finite instead of an error, and the caller masks it.
 ARRAY_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
@@ -456,13 +461,20 @@ def define(signature: str, lines, **bindings):
     return namespace[signature.partition("(")[0]]
 
 
+def state_names(n: int, velocities: int, letter: str = "u") -> list[str]:
+    """The locals that a trajectory state of ``n`` coordinates unpacks into:
+    r1, q1..q<n-1>, then ``velocities`` of u<b> or p<b> (``letter``)."""
+    return ["r1", *(f"q{b}" for b in range(1, n)), *(f"{letter}{b}" for b in range(velocities))]
+
+
 # A generated right-hand side ``rhs(t, y)`` in parts: y unpacked into the
-# locals ``state``, the statements ``head``, ``table`` (``splice`` lines,
-# guards on what they set and values of it, reading no other local but r1),
-# ``fixed`` and ``body``, the returned list of ``outputs``, all in the
-# namespace ``bindings``.  ``fixed`` reads only the state locals whose output
-# is the literal 0.0 and gives the same values at y as at y + 0.0 (their
-# squares), so a program stepping y runs it at each step's first stage only.
+# locals ``state`` (``state_names``), the statements ``head``, ``table``
+# (``splice`` lines, guards on what they set and values of it, reading no
+# other local but r1), ``fixed`` and ``body``, the returned list of
+# ``outputs``, all in the namespace ``bindings``.  ``fixed`` reads only the
+# state locals whose output is the literal 0.0 and gives the same values at y
+# as at y + 0.0 (their squares), so a program stepping y runs it at each
+# step's first stage only.
 RhsParts = namedtuple("RhsParts", "state head table body outputs fixed bindings")
 
 

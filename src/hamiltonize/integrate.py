@@ -200,6 +200,7 @@ def _program(parts: ex.RhsParts):
     reads, table = held | named, list(parts.table)
     if sets and not sets & (stores | {*parts.state}):
         table = ["if r1 != _r or r1 == 0.0:", *(f"    {line}" for line in table), "    _r = r1"]
+        reads.add("r1")  # a state local, assigned at each stage that reads it
     clock = "t" in reads
     zero = {i for i, out in enumerate(parts.outputs) if out == "0.0"}  # h * 0.0 is +0.0
     step = ["_t = _t0 + _h * _k"] if clock else []  # times[k] bit for bit

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ExprDomainError
-from .systems import SystemSpec, weight_lines, weight_vanishes
+from .systems import SystemSpec, weight_lines
 
 __all__ = [
     "SodeSystem",
@@ -82,13 +82,11 @@ class SodeSystem:
 
     @cached_property
     def _kernel(self):
-        n = self.n
-        velocities = [f"u{i}" for i in range(n)]
-        head, values, body = ["r1 = q0"], [], []
-        table = self.system.weight_table if self.kind == "second" else self.coeff_table
+        n, state = self.n, ex.state_names(self.n, self.n)
+        values, body = [], []
         if self.kind == "first":
             names = [f"c{a}" for a in range(n - 1)]
-            head.append("w = u0 * u1")
+            body = ["w = u0 * u1"]
             accel = ["0.0", *(f"{c} * w" for c in names)]
         elif self.kind == "second":
             values = [f"x{b} = s{b} / e{b}" for b in range(1, n)]
@@ -102,11 +100,12 @@ class SodeSystem:
                     "r = n2 * (-c * u0 * u1 + g * u0)"]
             accel = [ex.over("-g * u1", sys.i1), "r",
                      *(f"-p{a} * u0 * u1 - a{a} * r" for a in alphas)]
-        spliced = (weight_lines(self.system) if self.kind == "second"
-                   else ex.splice(table.exprs, names, "table(r1)"))
-        return ex.define_rhs([*(f"q{i}" for i in range(n)), *velocities], head,
-                             [*spliced, *values], body, [*velocities, *accel],
-                             table=table, weight_vanishes=weight_vanishes)
+        if self.kind == "second":
+            spliced, tables = weight_lines(self.system), {"system": self.system}
+        else:
+            spliced = ex.splice(self.coeff_exprs, names, "coeff_table(r1)")
+            tables = {"coeff_table": self.coeff_table}
+        return ex.define_rhs(state, [], [*spliced, *values], body, [*state[n:], *accel], **tables)
 
     @cached_property
     def coeff_table(self):

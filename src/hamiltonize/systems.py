@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import CoefficientSingularityError, ConfigError, EvaluationError, ExprDomainError
+from .errors import ConfigError, EvaluationError, weight_vanishes  # noqa: F401 (read from here too)
 
 # N counts as constant when |dN/dr1| < MEASURE_SLOPE_TOL at MEASURE_SAMPLES
 # points spread over [-1, 1]; the measure check passes when every residual of
@@ -57,21 +57,13 @@ COEFF_EPS = 1e-12
 MAX_EXPR_DEPTH = 500
 
 
-def weight_vanishes(entry: int, r1: float) -> EvaluationError:
-    """The error for the weight ``exp_xi_exprs[entry]`` vanishing at ``r1``:
-    ExprDomainError for r2's, CoefficientSingularityError for s_a's N*A_a."""
-    if entry == 0:  # float(): a numpy scalar would print as np.float64(...)
-        return ExprDomainError(f"velocity weight 0 vanishes at r1={float(r1)!r}")
-    return CoefficientSingularityError(entry - 1, float(r1))
-
-
 def weight_lines(sys: SystemSpec, start: int = 0, guard: bool = True) -> list[str]:
-    """Statements setting e<b>, s<b> to E_b(r1), E_b'(r1), spliced in from ``weight_table``
-    (bound as ``table``), for each coordinate b whose pair sits at ``start`` or later;
+    """Statements setting e<b>, s<b> to E_b(r1), E_b'(r1), spliced in from
+    ``system.weight_table``, for each coordinate b whose pair sits at ``start`` or later;
     with ``guard``, the first e<b> below ``COEFF_EPS`` then raises ``weight_vanishes``."""
     coords = range(1 + start // 2, sys.n)
-    lines = ex.splice(sys.weight_table.exprs[start:],
-                      [x for b in coords for x in (f"e{b}", f"s{b}")], f"table(r1)[{start}:]")
+    lines = ex.splice(sys.weight_table.exprs[start:], [x for b in coords for x in (f"e{b}", f"s{b}")],
+                      f"system.weight_table(r1)[{start}:]")
     return lines + [f"if abs(e{b}) < {COEFF_EPS!r}: raise weight_vanishes({b - 1}, r1)"
                     for b in coords if guard]
 
@@ -439,11 +431,11 @@ def nonholonomic_ode(sys: SystemSpec):
 
 def _nonholonomic_kernel(sys: SystemSpec):
     k = sys.k
-    table = sys.nonholonomic_table
-    return ex.define_rhs([*(f"q{i}" for i in range(2 + k)), "u0", "u1"], ["r1 = q0"],
-                         ex.splice(table.exprs, [*(f"a{a}" for a in range(k)), "g"], "table(r1)"),
+    return ex.define_rhs(ex.state_names(sys.n, 2), [],
+                         ex.splice(sys.nonholonomic_table.exprs, [*(f"a{a}" for a in range(k)), "g"],
+                                   "system.nonholonomic_table(r1)"),
                          [], ["u0", "u1", *(f"-a{a} * u1" for a in range(k)), "0.0", "g * u0 * u1"],
-                         table=table)
+                         system=sys)
 
 
 def nh_state_from_jet(sys: SystemSpec, jet: Jet) -> np.ndarray:

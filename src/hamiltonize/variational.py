@@ -98,8 +98,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, SingularHessianError, SingularVelocityError
-from .systems import Jet, SystemSpec, weight_lines, weight_vanishes
+from .errors import ConfigError, SingularVelocityError
+from .systems import Jet, SystemSpec, weight_lines
 
 __all__ = [
     "PhaseState",
@@ -233,7 +233,7 @@ class LagrangianModel:
         variational kind.  Generated once per system and kind."""
         return self.system.kernel(("weights", self.kind), lambda: ex.define(
             "weights(r1)", [*_weight_lines(self), f"return ({', '.join(_weight_names(self))},)"],
-            **_bindings(self)))(r1)
+            system=self.system))(r1)
 
     def momentum_sum(self, r1: float, p) -> float:
         """p_1 + (1/2) sum E_b p_b^2 / coeff_b."""
@@ -343,11 +343,6 @@ def _literal(value: float) -> str:
     return f"({value!r})"
 
 
-def _state(n: int, momenta: str) -> list[str]:
-    """The locals q<b> and u<b> or p<b> that the state y unpacks into."""
-    return [*(f"q{b}" for b in range(n)), *(f"{momenta}{b}" for b in range(n))]
-
-
 def _weight_names(model: LagrangianModel) -> list[str]:
     """The locals of the model's weight pairs, flat: e<b>, s<b> for each term,
     or a<a>, p<a> (A_a, A_a') for each s_a of the variational kind."""
@@ -365,17 +360,7 @@ def _weight_lines(model: LagrangianModel, guard: bool = True) -> list[str]:
         return weight_lines(sys, model.weight_start, guard)
     names = _weight_names(model)
     return ex.splice((*sys.a_prime, *sys.a_alpha), [*names[1::2], *names[::2]],
-                     "(*a_prime_table(r1), *[a_fn(r1) for a_fn in a_fns])")
-
-
-def _bindings(model: LagrangianModel) -> dict:
-    """The names that the model's generated code reads besides its locals."""
-    sys = model.system
-    errors = {"SingularVelocityError": SingularVelocityError,
-              "SingularHessianError": SingularHessianError}
-    if model.kind == "variational":
-        return dict(errors, a_prime_table=sys.a_prime_table, a_fns=sys.a_fns)
-    return dict(errors, table=sys.weight_table, weight_vanishes=weight_vanishes, system=sys)
+                     "(*system.a_prime_table(r1), *[fn(r1) for fn in system.a_fns])")
 
 
 def _once(bound: set | None, name: str, text: str) -> str:
@@ -417,8 +402,8 @@ def _kernel(model: LagrangianModel, name: str, args: str, body, arrays: bool = F
             return ex.define(signature, [*unpack, *weights, *body(model)], **ex.ARRAY_GLOBALS)
         start = model.weight_start
         weights = ex.splice(model.system.weight_table.exprs[start::2], _weight_names(model)[::2],
-                            f"table(r1)[{start}::2]")
-        return ex.define(signature, [*unpack, *weights, *body(model)], **_bindings(model))
+                            f"system.weight_table(r1)[{start}::2]")
+        return ex.define(signature, [*unpack, *weights, *body(model)], system=model.system)
 
     return model.system.kernel((name, model.kind, model.coefficients), build)
 
@@ -427,14 +412,13 @@ def _names(letter: str, model: LagrangianModel) -> list[str]:
     return [f"{letter}{b}" for b in range(model.system.n)]
 
 
-def _hessian_lines(model: LagrangianModel, bound: set, table: list | None = None) -> list[str]:
+def _hessian_lines(model: LagrangianModel, bound: set, table: list) -> list[str]:
     """Statements setting d<b> = g_bb and, for b off the hub, h<b> = g_hb
     of the velocity Hessian, an arrowhead, over the locals u<b> and the
     weight values: the one copy of its arithmetic, its powers of the
     velocities read as ``_once`` gives them.  It runs on complex steps too,
-    so no unit factor is dropped.  Given a list ``table``, each
-    w<b> = c / e<b>, a value of the weights alone, goes there, not among the
-    lines returned."""
+    so no unit factor is dropped.  Each w<b> = c / e<b>, a value of the
+    weights alone, goes to the list ``table``, not among the lines returned."""
     sys = model.system
     if model.kind == "variational":
         return [f"d0 = {_literal(sys.i1)}", f"d1 = {_literal(sys.i2)}", "h0 = 0.0",
@@ -443,7 +427,7 @@ def _hessian_lines(model: LagrangianModel, bound: set, table: list | None = None
     lines = [*(f"d{b} = {_literal(i_b)}; h{b} = 0.0" for b, i_b in model.kinetic),
              f"d0 = {_literal(sys.i1)}"]
     for b, c in model.terms:
-        (lines if table is None else table).append(f"w{b} = {_literal(c)} / e{b}")
+        table.append(f"w{b} = {_literal(c)} / e{b}")
         lines += [f"d0 = d0 + w{b} * {_once(bound, f'u{b}_2', f'u{b} ** 2')}"
                   f" / {_once(bound, 'u0_3', 'u0 ** 3')}",
                   f"h{b} = -w{b} * u{b} / {_once(bound, 'u0_2', 'u0 ** 2')}", f"d{b} = w{b} / u0"]
@@ -462,9 +446,12 @@ def _entries(model: LagrangianModel, name: str, body):
 
 
 def _hessian_entry_lines(model: LagrangianModel) -> list[str]:
-    """``_hessian_lines``, then the Hessian's diagonal and its hub's row (0 at the hub)."""
+    """The values of the weights alone, then the rest of ``_hessian_lines``, then
+    the Hessian's diagonal and its hub's row (0 at the hub)."""
     arm = ", ".join("0.0" if b == model.hub else f"h{b}" for b in range(model.system.n))
-    return [*_hessian_lines(model, set()), f"return [{', '.join(_names('d', model))}], [{arm}]"]
+    table = []
+    lines = _hessian_lines(model, set(), table)
+    return [*table, *lines, f"return [{', '.join(_names('d', model))}], [{arm}]"]
 
 
 def _euler_lagrange_kernel(model: LagrangianModel):
@@ -474,9 +461,8 @@ def _euler_lagrange_kernel(model: LagrangianModel):
     force and no arm, so its acceleration is the literal 0.0, out of the solve."""
     sys = model.system
     n, hub, bound = sys.n, model.hub, set()
-    head = ["r1 = q0"]
-    if model.terms:
-        head.append("if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')")
+    guard = "if u0 == 0.0: raise SingularVelocityError('model undefined on r1dot = 0')"
+    head = [guard] if model.terms else []
     lines, table = ["g = 0.0"], _weight_lines(model)
     if model.kind == "variational":
         for a, i_a in enumerate(sys.i_alpha):
@@ -498,15 +484,14 @@ def _euler_lagrange_kernel(model: LagrangianModel):
              f"schur = d{hub}" + "".join(f" - h{b} * h{b} / d{b}" for b in spokes),
              "if schur == 0.0: raise SingularHessianError("
              "'Hessian singular: the Schur complement of the hub is 0')"]
-    if model.kind == "variational":  # its Hessian and Schur complement are values of r1 alone
-        table += [*_hessian_lines(model, bound), *solve]
-    else:
-        lines += [*_hessian_lines(model, bound, table), *solve]
+    # the variational Hessian and Schur complement are values of r1 alone
+    (table if model.kind == "variational" else lines).extend(
+        [*_hessian_lines(model, bound, table), *solve])
     lines += [f"top = f{hub}" + "".join(f" - h{b} * f{b} / d{b}" for b in spokes),
               f"x{hub} = top / schur", *(f"x{b} = (f{b} - h{b} * x{hub}) / d{b}" for b in spokes)]
     accelerations = (f"x{b}" if b in (hub, *spokes) else "0.0" for b in range(n))
-    return ex.define_rhs(_state(n, "u"), head, table, lines,
-                         [*_names("u", model), *accelerations], **_bindings(model))
+    return ex.define_rhs(ex.state_names(n, n), head, table, lines,
+                         [*_names("u", model), *accelerations], system=sys)
 
 
 # --- Legendre transform -------------------------------------------------------
@@ -595,9 +580,9 @@ def _hamilton_kernel(model: LagrangianModel):
     for b, c in model.terms:
         qdot.append(ex.over(f"v * e{b} * p{b}", c))
     table = [*_weight_lines(model, guard=False), *(f"{x} = {v}" for x, v in halves.items())]
-    return ex.define_rhs(_state(sys.n, "p"), ["r1 = q0"], table, lines,
+    return ex.define_rhs(ex.state_names(sys.n, sys.n, "p"), [], table, lines,
                          [*qdot, "-v * g", *["0.0"] * (sys.n - 1)],
-                         [f"{x} = {v}" for x, v in squares.items()], table=sys.weight_table)
+                         [f"{x} = {v}" for x, v in squares.items()], system=sys)
 
 
 def phase_columns(sys: SystemSpec) -> tuple[str, ...]:

@@ -87,6 +87,9 @@ COMMANDS = [
     *(f"simulate --t 0.5 --formulation hamiltonian --spec {spec}" for spec in SPECS),
     "compare --system vertical_disk --formulation nonholonomic,hamiltonian --ham-kind second"
     " --params a3=-0.7,a4=0.5 --t 1",
+    # each check of certify alone
+    *(f"certify --check {check} --system vertical_disk"
+      for check in ("measure", "singularity", "helmholtz", "pontryagin", "g2")),
 ]
 
 

@@ -12,8 +12,11 @@ floats bit for bit, and where a loop raises, the kernel must raise the
 same exception with the same message.
 """
 
+import builtins
+import dis
 import math
 import re
+import types
 from random import Random
 
 import numpy as np
@@ -66,8 +69,11 @@ from hamiltonize.variational import (
     lagrangian_model,
     lagrangian_value,
     legendre,
+    legendre_inverse,
     phase_constraint_residual,
 )
+
+from census_sources import COMMANDS, SPECS
 
 STATES = 200
 
@@ -695,6 +701,60 @@ def test_scalar_model_functions_splice_no_weight_slope(monkeypatch):
     ps = PhaseState((-0.5, 0.0, 0.0), (1.0, 0.5, 0.5))  # sqrt(r1) undefined: so is every weight
     assert outcome(lambda: [hamiltonian_value(model, ps)]) == outcome(
         lambda: [model.system.weight_table(-0.5)])
+
+
+def _unbound_globals(fn) -> list[str]:
+    """The names that ``fn``'s code, nested code objects included, loads as
+    globals and that neither the namespace it runs in nor the builtins bind."""
+    codes, unbound = [fn.__code__], []
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        unbound += [ins.argval for ins in dis.get_instructions(code)
+                    if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")
+                    and ins.argval not in fn.__globals__ and not hasattr(builtins, ins.argval)]
+    return unbound
+
+
+def test_every_generated_name_resolves(monkeypatch, tmp_path):
+    """Every global name that a source executed by ``expr.define`` loads is
+    bound where it runs, though most such names (a guard's error, a
+    fallback's table) are read only at a pole: over the census commands and
+    over each built-in's model functions, called at a generic point."""
+    functions, original = [], expr.define
+
+    def recording_define(signature, lines, **bindings):
+        functions.append(original(signature, lines, **bindings))
+        return functions[-1]
+
+    monkeypatch.setattr(expr, "define", recording_define)
+    monkeypatch.chdir(tmp_path)
+    for name, text in SPECS.items():
+        (tmp_path / name).write_text(text)
+    for i, command in enumerate(COMMANDS):
+        main([*command.split(), "--out", str(tmp_path / str(i))])
+    for name in BUILTIN_NAMES:
+        sys = builtin_system(name)
+        n = sys.n
+        jet, u = Jet((0.3,) * n, (1.0, *[0.5] * (n - 1))), (1.0, *[2.0] * (n - 1))
+        for model in _models(sys):
+            for fn in (hessian, lagrangian_value, euler_lagrange_rhs):
+                fn(model, jet)
+            if model.kind == "variational":
+                continue
+            ps = legendre(model, jet)
+            legendre_inverse(model, ps)
+            hamiltonian_value(model, ps)
+            model.momentum_sum(ps.r1, ps.p)
+            phase_constraint_residual(model, ps)
+            optimal_controls(model, ps)
+            pontryagin_hamiltonian(model, ps, u)
+            control_gradient(model, ps, u)
+            controlled_rhs(model, ps.q, u)
+            cost(model, ps.q, u)
+    assert len(functions) > 100
+    unbound = [(fn.__name__, names) for fn in functions if (names := _unbound_globals(fn))]
+    assert unbound == []
 
 
 def _sixth_order_slope(fn, h):

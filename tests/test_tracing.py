@@ -13,11 +13,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The optimal-control check runs its scalar functions only at the points its
-# array function flags, so the tracer's pontryagin.* counters, and the
-# sampling.phase_points timing, now cover only flagged points: on the disk's
-# certify run they read 0.  C2=1e-320 flags every point, and the two-route
-# value is called once through the package, to keep each name counted.
+# The optimal-control check decides every sampled point on its array
+# function: it calls none of the scalar functions and no
+# sampling.phase_points, so the commands below add nothing to the tracer's
+# pontryagin.* counters.  Those come from the one optimal_hamiltonian_value
+# call through the package, which counts each name.
 SCRIPT = """
 import json, sys
 import tracing
