@@ -214,19 +214,17 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
     if formulation == "nonholonomic":
         return integrate(nonholonomic_ode(sys_), nh_state_from_jet(sys_, jet0), cfg,
                          nh_columns(sys_), "nonholonomic"), {}
+    y0 = np.array(jet0.q + jet0.qdot)  # the (q, q') state and its columns
+    columns = sys_.names + tuple("d" + n for n in sys_.names)
     if formulation == "sode":
         build = {"first": first_associated, "second": second_associated,
                  "third": third_associated}[manifest.sode_kind]
-        sode = build(sys_)
-        y0 = np.array(jet0.q + jet0.qdot)
-        return integrate(sode.ode(), y0, cfg, sode.columns(), f"sode-{manifest.sode_kind}"), {}
+        return integrate(build(sys_).ode(), y0, cfg, columns, f"sode-{manifest.sode_kind}"), {}
     if formulation == "lagrangian":
         if jet0.r1dot == 0.0 and manifest.lag_kind != "variational":
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
         model = manifest.model(sys_, manifest.lag_kind)
-        y0 = np.array(jet0.q + jet0.qdot)
-        return integrate(euler_lagrange_ode(model), y0, cfg,
-                         sys_.names + tuple("d" + n for n in sys_.names), "euler-lagrange"), {}
+        return integrate(euler_lagrange_ode(model), y0, cfg, columns, "euler-lagrange"), {}
     if formulation == "hamiltonian":
         if jet0.r1dot == 0.0:
             raise ConfigError("singular velocity: the model needs r1dot != 0 initially")
@@ -246,8 +244,8 @@ def run_formulation(sys_: SystemSpec, formulation: str, jet0: Jet,
         if sys_.preset != "vertical_disk":
             raise ConfigError("closed-form trajectories exist only for the built-in vertical_disk")
         radius = manifest.params.get("R", BUILTIN_PARAMS["vertical_disk"]["R"])
-        return Trajectory(cfg.times, disk_closed_form_state(radius, jet0, cfg.times),
-                          sys_.names + tuple("d" + n for n in sys_.names), "closed-form"), {}
+        return Trajectory(cfg.times, disk_closed_form_state(radius, jet0, cfg.times), columns,
+                          "closed-form"), {}
     raise ConfigError(f"unknown formulation {formulation!r}")
 
 

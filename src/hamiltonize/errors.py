@@ -5,6 +5,10 @@ The split matters for the command-line front end: configuration problems
 failures at runtime (domain errors, singular coefficients) to exit code 2.
 """
 
+__all__ = ["ConfigError", "ExprParseError", "EvaluationError", "ExprDomainError",
+           "SingularVelocityError", "CoefficientSingularityError", "SingularHessianError",
+           "GridMismatchError", "IntegrationAborted"]
+
 
 class ConfigError(Exception):
     """A system specification or run manifest failed validation."""

@@ -68,8 +68,7 @@ import numpy as np
 from .errors import (ExprDomainError, ExprParseError, SingularHessianError,
                      SingularVelocityError, weight_vanishes)
 
-__all__ = ["Expr", "parse_expr", "const", "var", "compile_table", "assign", "splice", "define",
-           "RhsParts", "define_rhs", "Series", "series_table"]
+__all__ = ["Expr", "parse_expr"]
 
 _NODES: dict[tuple, "Expr"] = {}  # structure key -> its one node
 _DERIVATIVES: dict["Expr", "Expr"] = {}  # node -> its derivative

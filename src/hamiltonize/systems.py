@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, EvaluationError, weight_vanishes  # noqa: F401 (read from here too)
+from .errors import ConfigError, EvaluationError
 
 # N counts as constant when |dN/dr1| < MEASURE_SLOPE_TOL at MEASURE_SAMPLES
 # points spread over [-1, 1]; the measure check passes when every residual of

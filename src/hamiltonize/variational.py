@@ -99,14 +99,17 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, SingularVelocityError
+from .helmholtz import MultiplierField
 from .systems import Jet, SystemSpec, weight_lines
 
 __all__ = [
     "PhaseState",
     "LagrangianModel",
     "default_coefficients",
+    "lagrangian_model",
     "lagrangian_value",
     "hessian",
+    "hessian_field",
     "euler_lagrange_rhs",
     "legendre",
     "legendre_inverse",
@@ -283,10 +286,18 @@ def hessian(model: LagrangianModel, jet: Jet) -> np.ndarray:
     """Velocity Hessian of the Lagrangian, a multiplier for its dynamics:
     the ``_entries`` of ``_hessian_entry_lines`` at the jet's velocities and weights."""
     diag, arm = _entries(model, "hessian", _hessian_entry_lines)(jet.qdot, _weights(model, jet))
-    hub = model.hub
-    g = np.diag(diag)
-    g[hub, :] = g[:, hub] = arm
-    g[hub, hub] = diag[hub]
+    return _arrowhead(diag, arm, model.hub)
+
+
+def _arrowhead(diag, arm, hub: int, shape=()) -> np.ndarray:
+    """The dense arrowhead with ``diag`` on its diagonal and ``arm`` in the
+    hub's row and column off it, 0 elsewhere: each entry a float or an array
+    of ``shape``, filled into the last two axes."""
+    g = np.zeros((*shape, len(diag), len(diag)))
+    for b, (g_bb, g_hb) in enumerate(zip(diag, arm)):
+        g[..., b, b] = g_bb
+        if b != hub:
+            g[..., hub, b] = g[..., b, hub] = g_hb
     return g
 
 
@@ -299,27 +310,21 @@ def _hessian_slopes(model: LagrangianModel, jets, dq, du) -> np.ndarray:
     weight, a function of r1 alone, to w + i h dq_1 w'.  Each slope is
     Im(entry) / h with h = ``CS_STEP``, exact to roundoff.
     """
-    n, hub, step = model.system.n, model.hub, CS_STEP * 1j
+    n, step = model.system.n, CS_STEP * 1j
     pairs = np.array([model._weight_pairs(jet.r1) for jet in jets])
     values, primes = pairs.reshape(len(jets), -1, 2).T  # w and w', (weights, jets)
     weights = [value[:, None] + step * dq[..., 0] * prime[:, None]
                for value, prime in zip(values, primes)]
     u = [np.array([jet.qdot[b] for jet in jets])[:, None] + step * du[..., b] for b in range(n)]
     diag, arm = _entries(model, "hessian", _hessian_entry_lines)(u, weights)
-    out = np.zeros((*dq.shape[:2], n, n))
-    for b in range(n):
-        out[..., b, b] = np.imag(diag[b])
-        if b != hub:
-            out[..., hub, b] = out[..., b, hub] = np.imag(arm[b])
-    return out / CS_STEP
+    return _arrowhead([*map(np.imag, diag)], [*map(np.imag, arm)], model.hub,
+                      dq.shape[:2]) / CS_STEP
 
 
 def hessian_field(model: LagrangianModel):
     """The model Hessian packaged as a multiplier field whose slopes are
     complex steps of its own arithmetic, suitable for tight-tolerance
     condition checks."""
-    from .helmholtz import MultiplierField
-
     return MultiplierField(fn=lambda jet: hessian(model, jet),
                            slopes=lambda jets, dq, du: _hessian_slopes(model, jets, dq, du))
 

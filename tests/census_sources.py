@@ -90,6 +90,18 @@ COMMANDS = [
     # each check of certify alone
     *(f"certify --check {check} --system vertical_disk"
       for check in ("measure", "singularity", "helmholtz", "pontryagin", "g2")),
+    # the README's command lines, spaced as it writes them (which keeps its
+    # certify and measure-check on the knife edge apart from those above);
+    # the --out that every command is given last wins over "--out runs"
+    "simulate --system vertical_disk --formulation nonholonomic --t 10 --out runs",
+    "simulate --system free_particle --formulation hamiltonian --ic-on-constraint",
+    "compare  --system vertical_disk"
+    " --formulation nonholonomic,lagrangian,hamiltonian,closed-form --tol 1e-5",
+    "certify  --system knife_edge",
+    "certify  --system knife_edge --check g2",
+    "helmholtz-check  --system free_particle --samples 50",
+    "pontryagin-check --system vertical_disk --kind g2 --samples 1000 --seed 1",
+    "measure-check    --system knife_edge",
 ]
 
 

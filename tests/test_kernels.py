@@ -43,6 +43,7 @@ from hamiltonize.errors import (
     ExprDomainError,
     SingularHessianError,
     SingularVelocityError,
+    weight_vanishes,
 )
 from hamiltonize.sode import first_associated, second_associated, third_associated
 from hamiltonize.systems import (
@@ -52,7 +53,6 @@ from hamiltonize.systems import (
     builtin_system,
     nonholonomic_ode,
     parse_system_file,
-    weight_vanishes,
 )
 from hamiltonize.variational import (
     PhaseState,

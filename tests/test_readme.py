@@ -1,11 +1,18 @@
-"""The README's Python examples and command lines run as written."""
+"""The README's Python examples and command lines run as written, the
+census runs its command lines, and the package exports each module's
+public names."""
 
+import ast
+import importlib
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import hamiltonize
+from census_sources import COMMANDS
 from hamiltonize.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +47,31 @@ def test_readme_has_command_lines():
 def test_readme_command_line_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+def test_census_runs_every_readme_command_line():
+    census = {" ".join(command.split()) for command in COMMANDS}
+    assert [argv for argv in SHELL if " ".join(argv[1:]) not in census] == []
+
+
+# the __all__ of each module that hamiltonize/__init__.py imports from (none
+# where a module has none); import_module, as the function ``integrate``
+# shadows its module on the package
+INIT = ast.parse(Path(hamiltonize.__file__).read_text(encoding="utf-8"))
+DECLARED = {module: getattr(module, "__all__", ()) for module in (
+    importlib.import_module(f"hamiltonize.{node.module}")
+    for node in INIT.body if isinstance(node, ast.ImportFrom))}
+
+
+def test_package_exports_each_modules_all():
+    assert DECLARED
+    missing = [(module.__name__, name) for module, names in DECLARED.items() for name in names
+               if getattr(hamiltonize, name, None) is not getattr(module, name)]
+    assert missing == []
+
+
+def test_each_package_name_is_declared_in_one_modules_all():
+    declared = [name for names in DECLARED.values() for name in names]
+    public = [name for name, value in vars(hamiltonize).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert [name for name in public if declared.count(name) != 1] == []
